@@ -74,6 +74,7 @@ from .sim import (
     run_estimation,
     simulate_bandit,
     simulate_estimation,
+    simulate_shared,
 )
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from .experiments import (
     ExperimentKind,
     OutputFormat,
     ReportIOError,
+    _POLICY_FACTORIES,
     parse_policy,
     run_experiment,
     emit_report,
@@ -27,7 +28,7 @@ from .sim import Estimator
 
 __all__ = ["main", "build_parser"]
 
-_POLICY_CHOICES = ("uniform", "etc", "ucb", "thompson")
+_POLICY_CHOICES = tuple(_POLICY_FACTORIES)
 _ESTIMATOR_CHOICES = tuple(e.value for e in Estimator)
 
 EXIT_OK = 0
@@ -211,13 +212,10 @@ def main(argv: list[str] | None = None) -> int:
         config = _config_from_args(args)
         report = run_experiment(config)
         text = emit_report(report, config.output_format, config.output_path)
-    except ConfigError as exc:
+    except ReportIOError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_IO
     except (ValueError, OSError) as exc:
-        if isinstance(exc, ReportIOError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if config.output_path is None:

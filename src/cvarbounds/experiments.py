@@ -21,6 +21,7 @@ from typing import Any, Callable, Mapping
 from .bounds import BoundResult, bandit_bound, bound_factor, estimation_bound, optimal_gap, optimal_separation
 from .risk import DiscreteLossDistribution, RiskLevel, SampleSet, empirical_cvar, exact_cvar
 from .sim import (
+    MAX_EXACT_HORIZON,
     BanditConfig,
     EstimationConfig,
     Estimator,
@@ -32,8 +33,7 @@ from .sim import (
     exact_sign_estimator_law,
     exact_uniform_bandit_law,
     policy_name,
-    simulate_bandit,
-    simulate_estimation,
+    simulate_shared,
 )
 
 __all__ = [
@@ -61,8 +61,6 @@ _EXACT_SLACK = 1e-9
 
 # multiplier turning a tail standard error into Monte Carlo slack
 _SLACK_SIGMAS = 5.0
-
-_MAX_EXACT_UNIFORM_HORIZON = 64
 
 CSV_COLUMNS = (
     "alpha",
@@ -315,93 +313,98 @@ def _bandit_sim_rows(config: ExperimentConfig, qualify: bool) -> list[Experiment
     rows = []
     for policy in config.policies:
         pname = policy_name(policy)
+        cases = []
         for alpha in config.alphas:
             level = RiskLevel(alpha)
             for scale in config.scales:
                 g = _resolve_param(config.gap, scale, lambda: optimal_gap(config.horizon, level)[0])
-                result = bandit_bound(g, config.horizon, level)
-                samples = simulate_bandit(
-                    BanditConfig(
-                        horizon=config.horizon,
-                        gap=g,
-                        policy=policy,
-                        replicates=config.replicates,
-                        seed=config.seed,
-                    )
+                sim = BanditConfig(
+                    horizon=config.horizon,
+                    gap=g,
+                    policy=policy,
+                    replicates=config.replicates,
+                    seed=config.seed,
                 )
-                emp, stderr, slack = _tail_stats(samples, level)
-                exact = None
-                if isinstance(policy, UniformRandom) and config.horizon <= _MAX_EXACT_UNIFORM_HORIZON:
-                    exact = exact_cvar(exact_uniform_bandit_law(g, config.horizon), level)
-                rows.append(
-                    ExperimentRow(
-                        alpha=level.alpha,
-                        param_name=f"{pname}:g" if qualify else "g",
-                        param_value=g,
-                        problem_params={
-                            "problem": "bandit",
-                            "policy": pname,
-                            "horizon": config.horizon,
-                            "g": g,
-                            "scale": scale,
-                            "replicates": config.replicates,
-                        },
-                        bound=result.value,
-                        t_star=result.t_star,
-                        empirical_cvar=emp,
-                        exact_cvar=exact,
-                        stderr=stderr,
-                        mc_slack=slack,
-                        dominated=_dominated(result.value, emp, slack, exact),
-                    )
+                cases.append((level, scale, sim))
+        samples = simulate_shared([sim for _, _, sim in cases])
+        for (level, scale, sim), case_samples in zip(cases, samples):
+            g = sim.gap
+            result = bandit_bound(g, config.horizon, level)
+            emp, stderr, slack = _tail_stats(case_samples, level)
+            exact = None
+            if isinstance(policy, UniformRandom) and config.horizon <= MAX_EXACT_HORIZON:
+                exact = exact_cvar(exact_uniform_bandit_law(g, config.horizon), level)
+            rows.append(
+                ExperimentRow(
+                    alpha=level.alpha,
+                    param_name=f"{pname}:g" if qualify else "g",
+                    param_value=g,
+                    problem_params={
+                        "problem": "bandit",
+                        "policy": pname,
+                        "horizon": config.horizon,
+                        "g": g,
+                        "scale": scale,
+                        "replicates": config.replicates,
+                    },
+                    bound=result.value,
+                    t_star=result.t_star,
+                    empirical_cvar=emp,
+                    exact_cvar=exact,
+                    stderr=stderr,
+                    mc_slack=slack,
+                    dominated=_dominated(result.value, emp, slack, exact),
                 )
+            )
     return rows
 
 
 def _estimation_sim_rows(config: ExperimentConfig, qualify: bool) -> list[ExperimentRow]:
-    rows = []
+    cases = []
     for estimator in config.estimators:
-        ename = estimator.value
         for alpha in config.alphas:
             level = RiskLevel(alpha)
             for scale in config.scales:
                 d = _resolve_param(
                     config.delta, scale, lambda: optimal_separation(config.n, level)[0]
                 )
-                result = estimation_bound(config.n, d, level)
-                samples = simulate_estimation(
-                    EstimationConfig(
-                        n=config.n,
-                        delta=d,
-                        estimator=estimator,
-                        replicates=config.replicates,
-                        seed=config.seed,
-                    )
+                sim = EstimationConfig(
+                    n=config.n,
+                    delta=d,
+                    estimator=estimator,
+                    replicates=config.replicates,
+                    seed=config.seed,
                 )
-                emp, stderr, slack = _tail_stats(samples, level)
-                exact = _exact_estimator_cvar(estimator, config.n, d, level)
-                rows.append(
-                    ExperimentRow(
-                        alpha=level.alpha,
-                        param_name=f"{ename}:delta" if qualify else "delta",
-                        param_value=d,
-                        problem_params={
-                            "problem": "estimation",
-                            "estimator": ename,
-                            "n": config.n,
-                            "delta": d,
-                            "scale": scale,
-                            "replicates": config.replicates,
-                        },
-                        bound=result.value,
-                        t_star=result.t_star,
-                        empirical_cvar=emp,
-                        exact_cvar=exact,
-                        stderr=stderr,
-                        mc_slack=slack,
-                        dominated=_dominated(result.value, emp, slack, exact),
-                    )
-                )
+                cases.append((level, scale, sim))
+    samples = simulate_shared([sim for _, _, sim in cases])
+    rows = []
+    for (level, scale, sim), case_samples in zip(cases, samples):
+        d, ename = sim.delta, sim.estimator.value
+        result = estimation_bound(config.n, d, level)
+        emp, stderr, slack = _tail_stats(case_samples, level)
+        exact = _exact_estimator_cvar(sim.estimator, config.n, d, level)
+        rows.append(
+            ExperimentRow(
+                alpha=level.alpha,
+                param_name=f"{ename}:delta" if qualify else "delta",
+                param_value=d,
+                problem_params={
+                    "problem": "estimation",
+                    "estimator": ename,
+                    "n": config.n,
+                    "delta": d,
+                    "scale": scale,
+                    "replicates": config.replicates,
+                },
+                bound=result.value,
+                t_star=result.t_star,
+                empirical_cvar=emp,
+                exact_cvar=exact,
+                stderr=stderr,
+                mc_slack=slack,
+                dominated=_dominated(result.value, emp, slack, exact),
+            )
+        )
     return rows
 
 

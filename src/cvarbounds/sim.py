@@ -16,6 +16,16 @@ is consumed in a fixed order (model draw, then any policy draws, then the
 reward/observation noise), so results are independent of batch size and the
 first replicates of a longer run reproduce a shorter one bit for bit.  The
 rollout itself is vectorized across replicates in lockstep over rounds.
+
+The draws do not depend on the gap, separation or estimator, so
+`simulate_shared` makes them once for a list of configs that differ only in
+those (a verification battery draws once per policy and once for all its
+estimation rows) and runs every config on them.  Draws are made in chunks
+of consecutive replicates whose predraw fits a fixed byte budget, so memory
+stays bounded for any horizon and replicate count.  Every stream comes from
+one Philox generator re-keyed in place to (s, r) for each replicate
+(`replicate_rng` with `reuse`); the per-replicate contract above is
+unchanged.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -42,6 +52,7 @@ __all__ = [
     "EstimationBatch",
     "Transcript",
     "BanditBatch",
+    "MAX_EXACT_HORIZON",
     "replicate_rng",
     "resolve_tau",
     "policy_name",
@@ -49,15 +60,21 @@ __all__ = [
     "simulate_estimation",
     "run_bandit",
     "simulate_bandit",
+    "simulate_shared",
     "mc_transcript_kl",
     "normal_upper_tail",
     "exact_uniform_bandit_law",
     "exact_sign_estimator_law",
 ]
 
-_MAX_EXACT_HORIZON = 64
+MAX_EXACT_HORIZON = 64
 _MIN_KL_REPLICATES = 1_000
 _SEED_LIMIT = 2**64
+
+# predrawn values held at once; bandit and estimation draws are made in
+# chunks of consecutive replicates that fit it (the largest predraw of the
+# 1000-replicate, T = 200 verify battery, Thompson's 4.8 MB, is one chunk)
+_PREDRAW_BUDGET_BYTES = 128 * 2**20
 
 
 class Estimator(Enum):
@@ -180,11 +197,54 @@ class BanditConfig:
             resolve_tau(self.policy, self.horizon)  # fail fast on bad tau
 
 
-def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
+def replicate_rng(
+    seed: int, replicate: int, reuse: np.random.Generator | None = None
+) -> np.random.Generator:
     """Counter-based stream for one replicate, keyed by (master seed, index);
-    streams for different keys are statistically independent and order free."""
-    key = np.array([_check_seed(seed), int(replicate)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    streams for different keys are statistically independent and order free.
+
+    With `reuse`, a generator returned by an earlier call, that generator is
+    re-keyed in place (counter 0, nothing buffered) and returned: the same
+    stream as a fresh one, without building a Philox, whose constructor also
+    reads os.urandom.
+    """
+    key = [_check_seed(seed), int(replicate)]
+    if reuse is None:
+        return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    reuse.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return reuse
+
+
+def _replicate_chunks(config: BanditConfig | EstimationConfig) -> list[range]:
+    """Consecutive replicate ranges whose predraw fits _PREDRAW_BUDGET_BYTES:
+    the budget over T times the bytes drawn per round for a bandit, over the
+    sign and noise mean for an estimation."""
+    if isinstance(config, EstimationConfig):
+        per_replicate = 1 + 8
+    else:
+        per_round = 8
+        if isinstance(config.policy, UniformRandom):
+            per_round += 1
+        elif isinstance(config.policy, ThompsonGaussian):
+            per_round += 16
+        per_replicate = config.horizon * per_round
+    size = max(1, _PREDRAW_BUDGET_BYTES // per_replicate)
+    reps = config.replicates
+    return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
+
+
+def _chunk_draws(config: BanditConfig | EstimationConfig) -> Iterator[BanditDraws | EstimationDraws]:
+    """The config's predrawn values, one chunk of replicates at a time."""
+    predraw = _predraw_estimation if isinstance(config, EstimationConfig) else _predraw
+    for chunk in _replicate_chunks(config):
+        yield predraw(config, chunk)
 
 
 # ---------------------------------------------------------------- estimation
@@ -204,43 +264,53 @@ class EstimationBatch:
             arr.setflags(write=False)
 
 
-def run_estimation(config: EstimationConfig) -> EstimationBatch:
-    """Draw all replicates and apply the configured estimator.
+class EstimationDraws(NamedTuple):
+    """Predrawn stream values of consecutive estimation replicates."""
 
-    Stream order per replicate: one integer for the sign of theta, then the
-    n standard normal observation noises (observations are theta + noise).
+    positive: np.ndarray  # sign draw: theta is +delta where True
+    noise_mean: np.ndarray  # mean of the n observation noises
+
+
+def _predraw_estimation(config: EstimationConfig, replicates: range | None = None) -> EstimationDraws:
+    """Consume each replicate's stream in the documented order: one integer
+    for the sign of theta, then the n standard normal observation noises
+    (observations are theta + noise), kept as their mean.  Neither depends
+    on delta or the estimator."""
+    replicates = range(config.replicates) if replicates is None else replicates
+    positive = np.empty(len(replicates), dtype=bool)
+    noise_mean = np.empty(len(replicates))
+    rng = None
+    for i, r in enumerate(replicates):
+        rng = replicate_rng(config.seed, r, rng)
+        positive[i] = rng.integers(0, 2) == 1
+        noise_mean[i] = rng.standard_normal(config.n).mean()
+    return EstimationDraws(positive, noise_mean)
+
+
+def run_estimation(config: EstimationConfig, draws: EstimationDraws | None = None) -> EstimationBatch:
+    """Apply the configured estimator to every replicate.
+
+    `draws`, from `_predraw_estimation` with this config's seed and n, are
+    used instead of drawing, and the batch covers the replicates they hold.
     """
-    reps, n, delta = config.replicates, config.n, config.delta
-    theta = np.empty(reps)
-    ybar = np.empty(reps)
-    for r in range(reps):
-        rng = replicate_rng(config.seed, r)
-        theta[r] = delta if rng.integers(0, 2) == 1 else -delta
-        ybar[r] = theta[r] + rng.standard_normal(n).mean()
+    if draws is None:
+        draws = _predraw_estimation(config)
+    delta = config.delta
+    theta = np.where(draws.positive, delta, -delta)
+    ybar = theta + draws.noise_mean
     if config.estimator is Estimator.SAMPLE_MEAN:
         theta_hat = ybar.copy()
     elif config.estimator is Estimator.SIGN_COMMIT:
         # sign(0) resolves to +1
         theta_hat = np.where(ybar >= 0.0, delta, -delta)
     else:
-        theta_hat = np.zeros(reps)
+        theta_hat = np.zeros(theta.size)
     losses = np.minimum(np.abs(theta_hat - theta), 2.0 * delta)
     return EstimationBatch(delta=delta, theta=theta, theta_hat=theta_hat, losses=losses)
 
 
 def simulate_estimation(config: EstimationConfig) -> SampleSet:
-    batch = run_estimation(config)
-    return SampleSet(
-        batch.losses,
-        provenance={
-            "problem": "estimation",
-            "n": config.n,
-            "delta": config.delta,
-            "estimator": config.estimator.value,
-            "replicates": config.replicates,
-            "seed": config.seed,
-        },
-    )
+    return simulate_shared([config])[0]
 
 
 # -------------------------------------------------------------------- bandit
@@ -301,9 +371,20 @@ class BanditBatch:
         )
 
 
-def _predraw(config: BanditConfig):
-    """Consume each replicate's stream up front, in the documented order."""
-    reps, horizon = config.replicates, config.horizon
+class BanditDraws(NamedTuple):
+    """Predrawn stream values of consecutive bandit replicates."""
+
+    model: np.ndarray  # model index in {1, 2}
+    arms: np.ndarray | None  # (reps, T) arm draws, uniform policy only
+    posterior_z: np.ndarray | None  # (reps, T, 2) posterior normals, Thompson only
+    noise: np.ndarray  # (reps, T) reward noises
+
+
+def _predraw(config: BanditConfig, replicates: range | None = None) -> BanditDraws:
+    """Consume each replicate's stream up front, in the documented order.
+    The draws depend on the seed, horizon and kind of policy, not the gap."""
+    replicates = range(config.replicates) if replicates is None else replicates
+    reps, horizon = len(replicates), config.horizon
     model = np.empty(reps, dtype=np.int64)
     noise = np.empty((reps, horizon))
     arms = None
@@ -312,20 +393,21 @@ def _predraw(config: BanditConfig):
         arms = np.empty((reps, horizon), dtype=np.int8)
     elif isinstance(config.policy, ThompsonGaussian):
         posterior_z = np.empty((reps, horizon, 2))
-    for r in range(reps):
-        rng = replicate_rng(config.seed, r)
-        model[r] = 1 + int(rng.integers(0, 2))
+    rng = None
+    for i, r in enumerate(replicates):
+        rng = replicate_rng(config.seed, r, rng)
+        model[i] = 1 + int(rng.integers(0, 2))
         if arms is not None:
-            arms[r] = rng.integers(1, 3, size=horizon, dtype=np.int8)
+            arms[i] = rng.integers(1, 3, size=horizon, dtype=np.int8)
         elif posterior_z is not None:
-            posterior_z[r] = rng.standard_normal((horizon, 2))
-        noise[r] = rng.standard_normal(horizon)
-    return model, arms, posterior_z, noise
+            posterior_z[i] = rng.standard_normal((horizon, 2))
+        noise[i] = rng.standard_normal(horizon)
+    return BanditDraws(model, arms, posterior_z, noise)
 
 
 def _rollout(config: BanditConfig, model, arms, posterior_z, noise) -> np.ndarray:
     """Lockstep rollout across replicates; returns the (reps, T) action array."""
-    reps, horizon, g = config.replicates, config.horizon, config.gap
+    reps, horizon, g = model.size, config.horizon, config.gap
     policy = config.policy
     mu_arm1 = np.where(model == 1, 0.5 * g, -0.5 * g)
     actions = np.empty((reps, horizon), dtype=np.int8)
@@ -375,34 +457,99 @@ def _rollout(config: BanditConfig, model, arms, posterior_z, noise) -> np.ndarra
     return actions
 
 
-def run_bandit(config: BanditConfig) -> BanditBatch:
-    """Simulate every replicate under its drawn model."""
-    model, arms, posterior_z, noise = _predraw(config)
-    actions = _rollout(config, model, arms, posterior_z, noise)
+def run_bandit(config: BanditConfig, draws: BanditDraws | None = None) -> BanditBatch:
+    """Simulate every replicate under its drawn model.
+
+    `draws`, from `_predraw` with this config's seed, horizon and kind of
+    policy, are rolled out instead of drawing, and the batch covers the
+    replicates they hold.  Without them the replicates are drawn and rolled
+    out chunk by chunk.
+    """
+    if draws is None:
+        parts = []
+        for draws in _chunk_draws(config):
+            parts.append(run_bandit(config, draws))
+            del draws  # release this chunk before drawing the next
+        return BanditBatch(
+            gap=config.gap,
+            horizon=config.horizon,
+            actions=np.concatenate([b.actions for b in parts]),
+            model_index=np.concatenate([b.model_index for b in parts]),
+            losses=np.concatenate([b.losses for b in parts]),
+        )
+    if (
+        draws.noise.shape[1] != config.horizon
+        or (draws.arms is None) == isinstance(config.policy, UniformRandom)
+        or (draws.posterior_z is None) == isinstance(config.policy, ThompsonGaussian)
+    ):
+        raise ValueError("draws do not match the config's horizon and policy")
+    actions = _rollout(config, *draws)
     n1 = (actions == 1).sum(axis=1)
-    losses = np.where(model == 1, config.gap * (config.horizon - n1), config.gap * n1)
+    losses = np.where(draws.model == 1, config.gap * (config.horizon - n1), config.gap * n1)
     return BanditBatch(
         gap=config.gap,
         horizon=config.horizon,
         actions=actions,
-        model_index=model,
+        model_index=draws.model,
         losses=losses.astype(float),
     )
 
 
 def simulate_bandit(config: BanditConfig) -> SampleSet:
-    batch = run_bandit(config)
-    return SampleSet(
-        batch.losses,
-        provenance={
-            "problem": "bandit",
-            "horizon": config.horizon,
-            "gap": config.gap,
-            "policy": policy_name(config.policy),
+    return simulate_shared([config])[0]
+
+
+# ------------------------------------------------------------ shared draws
+
+
+def _draw_layout(config: BanditConfig | EstimationConfig) -> tuple:
+    """What a config's draws depend on; configs that agree share them."""
+    if isinstance(config, EstimationConfig):
+        return ("estimation", config.seed, config.replicates, config.n)
+    return ("bandit", config.seed, config.replicates, config.horizon, type(config.policy))
+
+
+def _provenance(config: BanditConfig | EstimationConfig) -> dict:
+    if isinstance(config, EstimationConfig):
+        return {
+            "problem": "estimation",
+            "n": config.n,
+            "delta": config.delta,
+            "estimator": config.estimator.value,
             "replicates": config.replicates,
             "seed": config.seed,
-        },
-    )
+        }
+    return {
+        "problem": "bandit",
+        "horizon": config.horizon,
+        "gap": config.gap,
+        "policy": policy_name(config.policy),
+        "replicates": config.replicates,
+        "seed": config.seed,
+    }
+
+
+def simulate_shared(configs: Sequence[BanditConfig] | Sequence[EstimationConfig]) -> list[SampleSet]:
+    """Loss samples of configs whose draws coincide: the same seed and
+    replicate count, and the same horizon and kind of policy (bandit) or the
+    same n (estimation).  Each chunk of replicates is drawn once and run for
+    every config, and the losses are joined per config; every sample equals
+    that of simulating its config alone."""
+    if not configs:
+        return []
+    first = configs[0]
+    if any(_draw_layout(config) != _draw_layout(first) for config in configs):
+        raise ValueError("configs do not share a seed, replicate count and draw layout")
+    run = run_estimation if isinstance(first, EstimationConfig) else run_bandit
+    parts: list[list[np.ndarray]] = [[] for _ in configs]
+    for draws in _chunk_draws(first):
+        for part, config in zip(parts, configs):
+            part.append(run(config, draws).losses)
+        del draws  # release this chunk before drawing the next
+    return [
+        SampleSet(np.concatenate(part), provenance=_provenance(config))
+        for part, config in zip(parts, configs)
+    ]
 
 
 def mc_transcript_kl(config: BanditConfig) -> tuple[float, float]:
@@ -418,13 +565,15 @@ def mc_transcript_kl(config: BanditConfig) -> tuple[float, float]:
         raise ValueError(
             f"mc_transcript_kl needs >= {_MIN_KL_REPLICATES} replicates, got {config.replicates}"
         )
-    _, arms, posterior_z, noise = _predraw(config)
-    forced = np.ones(config.replicates, dtype=np.int64)
-    actions = _rollout(config, forced, arms, posterior_z, noise)
     half_g = 0.5 * config.gap
-    mu1 = np.where(actions == 1, half_g, -half_g)  # chosen-arm mean under model 1
-    y = mu1 + noise
-    per_transcript = 0.5 * ((y + mu1) ** 2 - (y - mu1) ** 2).sum(axis=1)
+    parts = []
+    for _, arms, posterior_z, noise in _chunk_draws(config):
+        forced = np.ones(noise.shape[0], dtype=np.int64)
+        actions = _rollout(config, forced, arms, posterior_z, noise)
+        mu1 = np.where(actions == 1, half_g, -half_g)  # chosen-arm mean under model 1
+        y = mu1 + noise
+        parts.append(0.5 * ((y + mu1) ** 2 - (y - mu1) ** 2).sum(axis=1))
+    per_transcript = np.concatenate(parts)
     estimate = float(per_transcript.mean())
     stderr = float(per_transcript.std(ddof=1)) / math.sqrt(config.replicates)
     return estimate, stderr
@@ -449,9 +598,9 @@ def exact_uniform_bandit_law(g: float, horizon: int) -> DiscreteLossDistribution
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if horizon > _MAX_EXACT_HORIZON:
+    if horizon > MAX_EXACT_HORIZON:
         raise DomainError(
-            f"exact uniform-policy law supports horizons up to {_MAX_EXACT_HORIZON}, got {horizon}"
+            f"exact uniform-policy law supports horizons up to {MAX_EXACT_HORIZON}, got {horizon}"
         )
     g = float(g)
     if not (g > 0.0 and math.isfinite(g)):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cvarbounds.bounds import bandit_bound, bound_factor, estimation_bound, optimal_gap
@@ -19,8 +20,19 @@ from cvarbounds.experiments import (
     render_json,
     run_experiment,
 )
-from cvarbounds.risk import RiskLevel
-from cvarbounds.sim import Estimator, ExploreThenCommit, UCB, UniformRandom
+from cvarbounds import sim
+from cvarbounds.risk import RiskLevel, empirical_cvar
+from cvarbounds.sim import (
+    BanditConfig,
+    EstimationConfig,
+    Estimator,
+    ExploreThenCommit,
+    ThompsonGaussian,
+    UCB,
+    UniformRandom,
+    simulate_bandit,
+    simulate_estimation,
+)
 
 
 def _bandit_config(**overrides):
@@ -243,3 +255,68 @@ def test_estimation_sim_rows_exact_values():
     assert row.exact_cvar == pytest.approx(0.1, abs=1e-15)
     assert row.stderr <= 1e-15  # tail of identical values, rounding only
     assert row.dominated
+
+
+def _verify_config(replicates, seed=3):
+    return ExperimentConfig(
+        kind=ExperimentKind.VERIFY,
+        alphas=(0.0, 0.9),
+        horizon=16,
+        gap="optimal",
+        n=9,
+        delta="optimal",
+        policies=(UniformRandom(), ExploreThenCommit(), UCB(), ThompsonGaussian()),
+        estimators=tuple(Estimator),
+        replicates=replicates,
+        seed=seed,
+        scales=(0.5, 2.0),
+    )
+
+
+def test_shared_draw_rows_match_per_row_simulation():
+    cfg = _verify_config(replicates=60)
+    report = run_experiment(cfg)
+    assert len(report.rows) == (4 + 3) * 2 * 2
+    for row in report.rows:
+        level = RiskLevel(row.alpha)
+        params = row.problem_params
+        if params["problem"] == "bandit":
+            policy = next(p for p in cfg.policies if sim.policy_name(p) == params["policy"])
+            samples = simulate_bandit(
+                BanditConfig(horizon=16, gap=row.param_value, policy=policy, replicates=60, seed=3)
+            )
+        else:
+            samples = simulate_estimation(
+                EstimationConfig(
+                    n=9,
+                    delta=row.param_value,
+                    estimator=Estimator(params["estimator"]),
+                    replicates=60,
+                    seed=3,
+                )
+            )
+        assert row.empirical_cvar == empirical_cvar(samples, level), row.param_name
+
+
+def test_chunked_draws_render_identical_csv(monkeypatch):
+    # 257 is prime, so no chunk size below it divides the replicate count
+    cfg = _verify_config(replicates=257)
+    whole = render_csv(run_experiment(cfg))
+    monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 1000)
+    # every battery is drawn in several chunks with a shorter last one
+    firsts = [BanditConfig(horizon=16, gap=1.0, policy=p, replicates=257, seed=3) for p in cfg.policies]
+    firsts.append(EstimationConfig(n=9, delta=1.0, estimator=Estimator.SAMPLE_MEAN, replicates=257, seed=3))
+    for first in firsts:
+        chunks = sim._replicate_chunks(first)
+        assert len(chunks) > 2 and len(chunks[-1]) < len(chunks[0])
+    assert render_csv(run_experiment(cfg)) == whole
+    # run_bandit without predrawn values chunks the same way
+    for policy in cfg.policies:
+        bandit = BanditConfig(horizon=16, gap=0.3, policy=policy, replicates=257, seed=3)
+        chunked = sim.run_bandit(bandit)
+        monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 2**40)
+        assert len(sim._replicate_chunks(bandit)) == 1
+        single = sim.run_bandit(bandit)
+        monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 1000)
+        assert np.array_equal(chunked.actions, single.actions)
+        assert np.array_equal(chunked.losses, single.losses)

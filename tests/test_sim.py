@@ -1,8 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from cvarbounds import sim
+from cvarbounds.cli import main as cli_main
 from cvarbounds.errors import DomainError
 from cvarbounds.risk import RiskLevel, exact_cvar
 from cvarbounds.sim import (
@@ -13,6 +16,8 @@ from cvarbounds.sim import (
     ThompsonGaussian,
     UCB,
     UniformRandom,
+    _predraw,
+    _predraw_estimation,
     exact_sign_estimator_law,
     exact_uniform_bandit_law,
     mc_transcript_kl,
@@ -24,6 +29,7 @@ from cvarbounds.sim import (
     run_estimation,
     simulate_bandit,
     simulate_estimation,
+    simulate_shared,
 )
 
 ALL_POLICIES = (UniformRandom(), ExploreThenCommit(), UCB(), ThompsonGaussian())
@@ -44,6 +50,32 @@ def test_replicate_rng_streams():
         replicate_rng(-1, 0)
     with pytest.raises(ValueError):
         replicate_rng(2**64, 0)
+
+
+def _stream_sample(rng):
+    # one draw of every kind the simulations consume, in a fixed order
+    return (
+        rng.integers(0, 2),
+        rng.standard_normal(5),
+        rng.integers(1, 3, size=7, dtype=np.int8),
+        rng.standard_normal((3, 2)),
+        rng.integers(0, 2),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_rekeyed_stream_matches_fresh(seed):
+    reuse = replicate_rng(seed, 0)
+    for r in (0, 1, 7, 10**12, 2**64 - 1):
+        # integers(0, 2) leaves half of a 64-bit draw buffered for the next
+        # 32-bit draw; re-keying must drop it
+        reuse.integers(0, 2)
+        assert reuse.bit_generator.state["has_uint32"] == 1
+        assert replicate_rng(seed, r, reuse) is reuse
+        for a, b in zip(_stream_sample(reuse), _stream_sample(replicate_rng(seed, r))):
+            assert np.array_equal(a, b), (seed, r)
+    with pytest.raises(ValueError):
+        replicate_rng(2**64, 0, reuse)
 
 
 def test_resolve_tau():
@@ -242,6 +274,98 @@ def test_simulate_bandit_sampleset():
     assert np.all(np.diff(s.values) <= 0)
 
 
+def test_predrawn_draws_are_shared_across_gaps():
+    # the draws depend on seed, horizon and kind of policy only, so one
+    # predraw serves every gap, and a chunk of it serves its replicates
+    for policy in ALL_POLICIES:
+        base = BanditConfig(horizon=12, gap=0.1, policy=policy, replicates=30, seed=8)
+        draws = _predraw(base)
+        for gap in (0.1, 0.35, 2.0):
+            cfg = BanditConfig(horizon=12, gap=gap, policy=policy, replicates=30, seed=8)
+            alone = run_bandit(cfg)
+            shared = run_bandit(cfg, draws)
+            assert np.array_equal(shared.actions, alone.actions), policy_name(policy)
+            assert np.array_equal(shared.losses, alone.losses), policy_name(policy)
+            part = run_bandit(cfg, _predraw(cfg, range(11, 23)))
+            assert np.array_equal(part.losses, alone.losses[11:23])
+    for estimator in Estimator:
+        draws = _predraw_estimation(
+            EstimationConfig(n=5, delta=0.1, estimator=Estimator.SAMPLE_MEAN, replicates=40, seed=4)
+        )
+        for delta in (0.1, 0.45):
+            cfg = EstimationConfig(n=5, delta=delta, estimator=estimator, replicates=40, seed=4)
+            alone = run_estimation(cfg)
+            shared = run_estimation(cfg, draws)
+            for field in ("theta", "theta_hat", "losses"):
+                assert np.array_equal(getattr(shared, field), getattr(alone, field)), estimator
+
+
+def test_simulate_shared_matches_simulating_alone():
+    for policy in ALL_POLICIES:
+        configs = [
+            BanditConfig(horizon=10, gap=gap, policy=policy, replicates=25, seed=6)
+            for gap in (0.2, 1.5)
+        ]
+        for shared, config in zip(simulate_shared(configs), configs):
+            alone = simulate_bandit(config)
+            assert np.array_equal(shared.values, alone.values), policy_name(policy)
+            assert shared.provenance == alone.provenance
+    configs = [
+        EstimationConfig(n=4, delta=delta, estimator=estimator, replicates=25, seed=6)
+        for estimator in Estimator
+        for delta in (0.3, 1.1)
+    ]
+    for shared, config in zip(simulate_shared(configs), configs):
+        alone = simulate_estimation(config)
+        assert np.array_equal(shared.values, alone.values), config.estimator
+        assert shared.provenance == alone.provenance
+    assert simulate_shared([]) == []
+
+
+def test_simulate_shared_rejects_configs_drawn_apart():
+    base = BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=0)
+    apart = [
+        BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=1),
+        BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=5, seed=0),
+        BanditConfig(horizon=7, gap=0.2, policy=UCB(), replicates=4, seed=0),
+        BanditConfig(horizon=6, gap=0.2, policy=ThompsonGaussian(), replicates=4, seed=0),
+        EstimationConfig(n=6, delta=0.2, estimator=Estimator.SAMPLE_MEAN, replicates=4, seed=0),
+    ]
+    for other in apart:
+        with pytest.raises(ValueError):
+            simulate_shared([base, other])
+    # explore-then-commit and UCB settings do not change the draws
+    simulate_shared([base, BanditConfig(horizon=6, gap=0.9, policy=UCB(2.0), replicates=4, seed=0)])
+    n3, n4 = (
+        EstimationConfig(n=n, delta=0.2, estimator=Estimator.SAMPLE_MEAN, replicates=4, seed=0)
+        for n in (3, 4)
+    )
+    with pytest.raises(ValueError):
+        simulate_shared([n3, n4])
+
+
+def test_run_bandit_rejects_draws_of_another_layout():
+    uniform = _predraw(BanditConfig(horizon=6, gap=0.2, policy=UniformRandom(), replicates=4, seed=0))
+    plain = _predraw(BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=0))
+    with pytest.raises(ValueError):
+        run_bandit(BanditConfig(horizon=6, gap=0.2, policy=ThompsonGaussian(), replicates=4, seed=0), uniform)
+    with pytest.raises(ValueError):
+        run_bandit(BanditConfig(horizon=6, gap=0.2, policy=UniformRandom(), replicates=4, seed=0), plain)
+    with pytest.raises(ValueError):
+        run_bandit(BanditConfig(horizon=7, gap=0.2, policy=UCB(), replicates=4, seed=0), plain)
+
+
+def test_verify_csv_hash_is_pinned(tmp_path):
+    # the CSV of this run has not changed since the randomness contract was
+    # frozen; sharing, chunking and re-keying must keep every byte
+    out = tmp_path / "verify.csv"
+    assert cli_main(["verify", "--replicates", "5000", "--seed", "1", "--out", str(out)]) == 0
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest()
+        == "05291fc6a6d829ff8da59be876cc1e5a28f2fa3aa71b6fedb270bb240c41fbe2"
+    )
+
+
 # ----------------------------------------------------------- transcript KL
 
 
@@ -254,9 +378,13 @@ def test_mc_transcript_kl_hits_budget():
         assert abs(est - target) <= 4.0 * stderr, policy_name(policy)
 
 
-def test_mc_transcript_kl_deterministic():
+def test_mc_transcript_kl_deterministic(monkeypatch):
     cfg = BanditConfig(horizon=50, gap=0.3, policy=UCB(), replicates=2000, seed=77)
-    assert mc_transcript_kl(cfg) == mc_transcript_kl(cfg)
+    whole = mc_transcript_kl(cfg)
+    assert mc_transcript_kl(cfg) == whole
+    # drawn in chunks of 7 replicates, the figures stay the same
+    monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 7 * 50 * 8)
+    assert mc_transcript_kl(cfg) == whole
 
 
 def test_mc_transcript_kl_needs_replicates():
