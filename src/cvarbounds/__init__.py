@@ -62,7 +62,6 @@ from .sim import (
     ExploreThenCommit,
     Policy,
     ThompsonGaussian,
-    Transcript,
     UCB,
     UniformRandom,
     exact_sign_estimator_law,

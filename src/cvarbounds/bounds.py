@@ -52,7 +52,6 @@ __all__ = [
     "hinge_lower_bound",
 ]
 
-_FALLBACK_GRID = 100_000
 _MIN_ORACLE_GRID = 1_000
 
 
@@ -65,9 +64,9 @@ class Branch(Enum):
 
 
 class Method(Enum):
+    """How a BoundResult was computed; every bound here is closed form."""
+
     CLOSED_FORM = "closed_form"
-    NUMERIC_MIN = "numeric_min"
-    GRID_ORACLE = "grid_oracle"
 
 
 @dataclass(frozen=True)
@@ -189,9 +188,11 @@ def optimal_rho(level: RiskLevel) -> float:
 def two_point_bound(spec: TwoPointSpec, level: RiskLevel) -> BoundResult:
     """General template bound, minimized over thresholds t in [0, l_max].
 
-    The analytic three-branch solution (see module docstring) is cross
-    checked against a dense threshold grid and the smaller value is kept;
-    threshold ties resolve to the smallest t.
+    The minimum is the three-branch closed form of the module docstring:
+    zero once the budget reaches the separation, the interior stationary
+    point of the quadratic part, or the right boundary x = c/(2 l_max),
+    i.e. t = 0.  It is exact; the tests check it against a dense threshold
+    grid.
     """
     alpha = level.alpha
     l_max = spec.l_max
@@ -210,16 +211,7 @@ def two_point_bound(spec: TwoPointSpec, level: RiskLevel) -> BoundResult:
         x_star = x_hi
         branch = Branch.BOUNDARY
     t_star = max(0.0, 0.5 * spec.c_sep - l_max * x_star)
-
-    # grid fallback; ascending thresholds so argmin lands on the smallest tie
-    ts = np.linspace(0.0, l_max, _FALLBACK_GRID)
-    x = np.maximum((0.5 * spec.c_sep - ts) / l_max, 0.0)
-    gap = np.maximum(np.sqrt(x) - h, 0.0)
-    vals = ts + l_max * gap * gap / (1.0 - alpha)
-    i = int(np.argmin(vals))
-    if float(vals[i]) < value - 1e-12 * max(1.0, l_max):
-        value, t_star = float(vals[i]), float(ts[i])
-    return BoundResult(value=value, t_star=t_star, branch=branch, method=Method.NUMERIC_MIN)
+    return BoundResult(value=value, t_star=t_star, branch=branch, method=Method.CLOSED_FORM)
 
 
 def balanced_bound(l_max: float, budget: HellingerBudget, level: RiskLevel) -> BoundResult:

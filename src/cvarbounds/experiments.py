@@ -155,10 +155,10 @@ class ExperimentConfig:
             problems["scales"] = "at least one scale is required"
         elif any(not s > 0.0 for s in self.scales):
             problems["scales"] = f"scales must be > 0, got {self.scales!r}"
-        if self.replicates < 1:
-            problems["replicates"] = f"must be >= 1, got {self.replicates}"
-        if not 0 <= int(self.seed) < 2**64:
-            problems["seed"] = f"must be an unsigned 64-bit integer, got {self.seed}"
+        if not _is_int(self.replicates) or self.replicates < 1:
+            problems["replicates"] = f"must be an integer >= 1, got {self.replicates!r}"
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+            problems["seed"] = f"must be an unsigned 64-bit integer, got {self.seed!r}"
 
         kind = self.kind
         wants_estimation = kind in (
@@ -178,12 +178,12 @@ class ExperimentConfig:
             if not self.rho_step > 0.0:
                 problems["rho_step"] = f"must be > 0, got {self.rho_step!r}"
         if wants_estimation:
-            if self.n is None or int(self.n) < 1:
+            if not _is_int(self.n) or self.n < 1:
                 problems["n"] = f"must be an integer >= 1, got {self.n!r}"
             if not _valid_param(self.delta):
                 problems["delta"] = f"must be a positive number or {OPTIMAL!r}, got {self.delta!r}"
         if wants_bandit:
-            if self.horizon is None or int(self.horizon) < 1:
+            if not _is_int(self.horizon) or self.horizon < 1:
                 problems["horizon"] = f"must be an integer >= 1, got {self.horizon!r}"
             if not _valid_param(self.gap):
                 problems["gap"] = f"must be a positive number or {OPTIMAL!r}, got {self.gap!r}"
@@ -198,6 +198,13 @@ class ExperimentConfig:
                 problems["estimators"] = "verify needs at least one estimator"
         if problems:
             raise ConfigError(problems)
+
+
+def _is_int(value: Any) -> bool:
+    """A Python int; floats, strings, bools and numpy integers are refused
+    rather than coerced (a numpy integer would reach problem_params, which
+    JSON cannot render)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _valid_param(value: float | str | None) -> bool:
@@ -232,13 +239,6 @@ class ExperimentReport:
     @property
     def all_dominated(self) -> bool:
         return all(row.dominated for row in self.rows)
-
-
-def _resolve_param(
-    value: float | str, scale: float, optimal: Callable[[], float]
-) -> float:
-    base = optimal() if value == OPTIMAL else float(value)
-    return scale * base
 
 
 def _tail_stats(samples: SampleSet, level: RiskLevel) -> tuple[float, float, float]:
@@ -278,24 +278,140 @@ def _psi_rows(config: ExperimentConfig) -> list[ExperimentRow]:
     return rows
 
 
-def _bound_rows(config: ExperimentConfig) -> list[ExperimentRow]:
-    bandit = config.horizon is not None or config.gap is not None
+@dataclass(frozen=True)
+class _Subject:
+    """One problem family as the row loop sees it.
+
+    The callables reach the library through this module's global names when
+    they are called, so a later rebinding of those names is honoured.
+    """
+
+    problem: str  # problem_params["problem"]
+    param: str  # the varied parameter's row name, "g" or "delta"
+    field: str  # its config field, a number or OPTIMAL
+    size: str  # the config field fixing the problem size, "horizon" or "n"
+    variants: str  # the config field of the simulated variants
+    variant: str  # the variant's problem_params key
+    variant_name: Callable[[Any], str]
+    optimum: Callable[[int, RiskLevel], float]  # (size, level) -> worst-case parameter
+    bound: Callable[[int, float, RiskLevel], BoundResult]  # (size, parameter, level)
+    sim_config: Callable[[ExperimentConfig, Any, float], BanditConfig | EstimationConfig]
+    exact_law: Callable[[Any, int, float], DiscreteLossDistribution | None]
+    # True when every variant shares one draw; otherwise each is drawn apart
+    one_battery: bool
+
+
+_BANDIT = _Subject(
+    problem="bandit",
+    param="g",
+    field="gap",
+    size="horizon",
+    variants="policies",
+    variant="policy",
+    variant_name=lambda policy: policy_name(policy),
+    optimum=lambda horizon, level: optimal_gap(horizon, level)[0],
+    bound=lambda horizon, g, level: bandit_bound(g, horizon, level),
+    sim_config=lambda config, policy, g: BanditConfig(
+        horizon=config.horizon,
+        gap=g,
+        policy=policy,
+        replicates=config.replicates,
+        seed=config.seed,
+    ),
+    exact_law=lambda policy, horizon, g: (
+        exact_uniform_bandit_law(g, horizon)
+        if isinstance(policy, UniformRandom) and horizon <= MAX_EXACT_HORIZON
+        else None
+    ),
+    # the draws depend on the kind of policy
+    one_battery=False,
+)
+
+_ESTIMATION = _Subject(
+    problem="estimation",
+    param="delta",
+    field="delta",
+    size="n",
+    variants="estimators",
+    variant="estimator",
+    variant_name=lambda estimator: estimator.value,
+    optimum=lambda n, level: optimal_separation(n, level)[0],
+    bound=lambda n, delta, level: estimation_bound(n, delta, level),
+    sim_config=lambda config, estimator, delta: EstimationConfig(
+        n=config.n,
+        delta=delta,
+        estimator=estimator,
+        replicates=config.replicates,
+        seed=config.seed,
+    ),
+    exact_law=lambda estimator, n, delta: (
+        exact_sign_estimator_law(n, delta)
+        if estimator is Estimator.SIGN_COMMIT
+        # |0 - theta| = delta under either sign, with certainty
+        else DiscreteLossDistribution(((delta, 1.0),))
+        if estimator is Estimator.ALWAYS_ZERO
+        else None
+    ),
+    one_battery=True,
+)
+
+
+def _subjects(config: ExperimentConfig) -> tuple[_Subject, ...]:
+    kind = config.kind
+    if kind is ExperimentKind.BOUND:
+        bandit = config.horizon is not None or config.gap is not None
+        return (_BANDIT,) if bandit else (_ESTIMATION,)
+    if kind is ExperimentKind.SIMULATE_BANDIT:
+        return (_BANDIT,)
+    if kind is ExperimentKind.SIMULATE_ESTIMATION:
+        return (_ESTIMATION,)
+    return (_BANDIT, _ESTIMATION)
+
+
+def _subject_rows(config: ExperimentConfig, subject: _Subject) -> list[ExperimentRow]:
+    """Rows of one subject, variant by variant, then by alpha, then by scale.
+
+    `bound` rows carry the bound alone.  Simulated rows are drawn battery by
+    battery, each battery once through `simulate_shared`, and carry the
+    Monte Carlo statistics and, where the subject has one, the exact law's
+    CVaR; in `verify` their parameter names are qualified by the variant.
+    """
+    simulate = config.kind is not ExperimentKind.BOUND
+    qualify = config.kind is ExperimentKind.VERIFY
+    size = getattr(config, subject.size)
+    raw = getattr(config, subject.field)
+    variants = getattr(config, subject.variants) if simulate else (None,)
+    batteries = [variants] if subject.one_battery else [(v,) for v in variants]
     rows = []
-    for alpha in config.alphas:
-        level = RiskLevel(alpha)
-        for scale in config.scales:
-            if bandit:
-                g = _resolve_param(config.gap, scale, lambda: optimal_gap(config.horizon, level)[0])
-                result = bandit_bound(g, config.horizon, level)
-                name, value = "g", g
-                params: dict[str, Any] = {"horizon": config.horizon, "g": g, "scale": scale}
-            else:
-                d = _resolve_param(
-                    config.delta, scale, lambda: optimal_separation(config.n, level)[0]
-                )
-                result = estimation_bound(config.n, d, level)
-                name, value = "delta", d
-                params = {"n": config.n, "delta": d, "scale": scale}
+    for battery in batteries:
+        cases = []
+        for variant in battery:
+            for alpha in config.alphas:
+                level = RiskLevel(alpha)
+                for scale in config.scales:
+                    base = subject.optimum(size, level) if raw == OPTIMAL else float(raw)
+                    cases.append((variant, level, scale, scale * base))
+        if simulate:
+            samples = simulate_shared([subject.sim_config(config, v, value) for v, _, _, value in cases])
+        else:
+            samples = [None] * len(cases)
+        for (variant, level, scale, value), case_samples in zip(cases, samples):
+            result = subject.bound(size, value, level)
+            params: dict[str, Any] = {subject.size: size, subject.param: value, "scale": scale}
+            name = subject.param
+            emp = stderr = slack = exact = None
+            if simulate:
+                vname = subject.variant_name(variant)
+                params = {
+                    "problem": subject.problem,
+                    subject.variant: vname,
+                    **params,
+                    "replicates": config.replicates,
+                }
+                name = f"{vname}:{name}" if qualify else name
+                emp, stderr, slack = _tail_stats(case_samples, level)
+                law = subject.exact_law(variant, size, value)
+                exact = None if law is None else exact_cvar(law, level)
             rows.append(
                 ExperimentRow(
                     alpha=level.alpha,
@@ -304,119 +420,14 @@ def _bound_rows(config: ExperimentConfig) -> list[ExperimentRow]:
                     problem_params=params,
                     bound=result.value,
                     t_star=result.t_star,
-                )
-            )
-    return rows
-
-
-def _bandit_sim_rows(config: ExperimentConfig, qualify: bool) -> list[ExperimentRow]:
-    rows = []
-    for policy in config.policies:
-        pname = policy_name(policy)
-        cases = []
-        for alpha in config.alphas:
-            level = RiskLevel(alpha)
-            for scale in config.scales:
-                g = _resolve_param(config.gap, scale, lambda: optimal_gap(config.horizon, level)[0])
-                sim = BanditConfig(
-                    horizon=config.horizon,
-                    gap=g,
-                    policy=policy,
-                    replicates=config.replicates,
-                    seed=config.seed,
-                )
-                cases.append((level, scale, sim))
-        samples = simulate_shared([sim for _, _, sim in cases])
-        for (level, scale, sim), case_samples in zip(cases, samples):
-            g = sim.gap
-            result = bandit_bound(g, config.horizon, level)
-            emp, stderr, slack = _tail_stats(case_samples, level)
-            exact = None
-            if isinstance(policy, UniformRandom) and config.horizon <= MAX_EXACT_HORIZON:
-                exact = exact_cvar(exact_uniform_bandit_law(g, config.horizon), level)
-            rows.append(
-                ExperimentRow(
-                    alpha=level.alpha,
-                    param_name=f"{pname}:g" if qualify else "g",
-                    param_value=g,
-                    problem_params={
-                        "problem": "bandit",
-                        "policy": pname,
-                        "horizon": config.horizon,
-                        "g": g,
-                        "scale": scale,
-                        "replicates": config.replicates,
-                    },
-                    bound=result.value,
-                    t_star=result.t_star,
                     empirical_cvar=emp,
                     exact_cvar=exact,
                     stderr=stderr,
                     mc_slack=slack,
-                    dominated=_dominated(result.value, emp, slack, exact),
+                    dominated=not simulate or _dominated(result.value, emp, slack, exact),
                 )
             )
     return rows
-
-
-def _estimation_sim_rows(config: ExperimentConfig, qualify: bool) -> list[ExperimentRow]:
-    cases = []
-    for estimator in config.estimators:
-        for alpha in config.alphas:
-            level = RiskLevel(alpha)
-            for scale in config.scales:
-                d = _resolve_param(
-                    config.delta, scale, lambda: optimal_separation(config.n, level)[0]
-                )
-                sim = EstimationConfig(
-                    n=config.n,
-                    delta=d,
-                    estimator=estimator,
-                    replicates=config.replicates,
-                    seed=config.seed,
-                )
-                cases.append((level, scale, sim))
-    samples = simulate_shared([sim for _, _, sim in cases])
-    rows = []
-    for (level, scale, sim), case_samples in zip(cases, samples):
-        d, ename = sim.delta, sim.estimator.value
-        result = estimation_bound(config.n, d, level)
-        emp, stderr, slack = _tail_stats(case_samples, level)
-        exact = _exact_estimator_cvar(sim.estimator, config.n, d, level)
-        rows.append(
-            ExperimentRow(
-                alpha=level.alpha,
-                param_name=f"{ename}:delta" if qualify else "delta",
-                param_value=d,
-                problem_params={
-                    "problem": "estimation",
-                    "estimator": ename,
-                    "n": config.n,
-                    "delta": d,
-                    "scale": scale,
-                    "replicates": config.replicates,
-                },
-                bound=result.value,
-                t_star=result.t_star,
-                empirical_cvar=emp,
-                exact_cvar=exact,
-                stderr=stderr,
-                mc_slack=slack,
-                dominated=_dominated(result.value, emp, slack, exact),
-            )
-        )
-    return rows
-
-
-def _exact_estimator_cvar(
-    estimator: Estimator, n: int, delta: float, level: RiskLevel
-) -> float | None:
-    if estimator is Estimator.SIGN_COMMIT:
-        return exact_cvar(exact_sign_estimator_law(n, delta), level)
-    if estimator is Estimator.ALWAYS_ZERO:
-        # |0 - theta| = delta under either sign, with certainty
-        return exact_cvar(DiscreteLossDistribution(((delta, 1.0),)), level)
-    return None
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -425,14 +436,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     started = time.perf_counter()
     if config.kind is ExperimentKind.PSI:
         rows = _psi_rows(config)
-    elif config.kind is ExperimentKind.BOUND:
-        rows = _bound_rows(config)
-    elif config.kind is ExperimentKind.SIMULATE_BANDIT:
-        rows = _bandit_sim_rows(config, qualify=False)
-    elif config.kind is ExperimentKind.SIMULATE_ESTIMATION:
-        rows = _estimation_sim_rows(config, qualify=False)
     else:
-        rows = _bandit_sim_rows(config, qualify=True) + _estimation_sim_rows(config, qualify=True)
+        rows = [row for subject in _subjects(config) for row in _subject_rows(config, subject)]
     metadata: dict[str, Any] = {
         "kind": config.kind.value,
         "alphas": list(config.alphas),

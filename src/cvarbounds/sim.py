@@ -15,7 +15,8 @@ everything from a Philox stream keyed by (s, r).  Per replicate the stream
 is consumed in a fixed order (model draw, then any policy draws, then the
 reward/observation noise), so results are independent of batch size and the
 first replicates of a longer run reproduce a shorter one bit for bit.  The
-rollout itself is vectorized across replicates in lockstep over rounds.
+rollout itself is vectorized across replicates in lockstep over rounds; the
+uniform policy needs none, since its actions are its arm draws.
 
 The draws do not depend on the gap, separation or estimator, so
 `simulate_shared` makes them once for a list of configs that differ only in
@@ -50,7 +51,6 @@ __all__ = [
     "EstimationConfig",
     "BanditConfig",
     "EstimationBatch",
-    "Transcript",
     "BanditBatch",
     "MAX_EXACT_HORIZON",
     "replicate_rng",
@@ -317,24 +317,6 @@ def simulate_estimation(config: EstimationConfig) -> SampleSet:
 
 
 @dataclass(frozen=True)
-class Transcript:
-    """One bandit run: action sequence, pull counts, model index, regret."""
-
-    actions: np.ndarray
-    pulls: tuple[int, int]
-    model_index: int
-    loss: float
-
-    def __post_init__(self) -> None:
-        n1 = int(np.count_nonzero(self.actions == 1))
-        n2 = int(self.actions.size - n1)
-        if self.pulls != (n1, n2):
-            raise ValueError(f"pull counts {self.pulls} disagree with actions ({n1}, {n2})")
-        if self.model_index not in (1, 2):
-            raise ValueError(f"model_index must be 1 or 2, got {self.model_index}")
-
-
-@dataclass(frozen=True)
 class BanditBatch:
     """Replicate-aligned transcripts in array form; actions are in {1, 2}."""
 
@@ -352,23 +334,6 @@ class BanditBatch:
         """(replicates, 2) pull counts; rows sum to the horizon exactly."""
         n1 = (self.actions == 1).sum(axis=1)
         return np.stack([n1, self.horizon - n1], axis=1)
-
-    def regret_under(self, model_index: int) -> np.ndarray:
-        """Regret each action sequence would incur under the given model:
-        gap times the pulls of that model's suboptimal arm."""
-        if model_index not in (1, 2):
-            raise ValueError(f"model_index must be 1 or 2, got {model_index}")
-        n1 = (self.actions == 1).sum(axis=1)
-        return self.gap * (self.horizon - n1) if model_index == 1 else self.gap * n1
-
-    def transcript(self, r: int) -> Transcript:
-        n1 = int(np.count_nonzero(self.actions[r] == 1))
-        return Transcript(
-            actions=self.actions[r],
-            pulls=(n1, self.horizon - n1),
-            model_index=int(self.model_index[r]),
-            loss=float(self.losses[r]),
-        )
 
 
 class BanditDraws(NamedTuple):
@@ -406,9 +371,13 @@ def _predraw(config: BanditConfig, replicates: range | None = None) -> BanditDra
 
 
 def _rollout(config: BanditConfig, model, arms, posterior_z, noise) -> np.ndarray:
-    """Lockstep rollout across replicates; returns the (reps, T) action array."""
-    reps, horizon, g = model.size, config.horizon, config.gap
+    """Lockstep rollout across replicates; returns the (reps, T) action array.
+    The uniform policy's actions are its arm draws, whatever the gap, so
+    they are returned as they are, without a rollout."""
     policy = config.policy
+    if isinstance(policy, UniformRandom):
+        return arms
+    reps, horizon, g = model.size, config.horizon, config.gap
     mu_arm1 = np.where(model == 1, 0.5 * g, -0.5 * g)
     actions = np.empty((reps, horizon), dtype=np.int8)
     n1 = np.zeros(reps, dtype=np.int64)
@@ -419,9 +388,7 @@ def _rollout(config: BanditConfig, model, arms, posterior_z, noise) -> np.ndarra
     tau = resolve_tau(policy, horizon) if isinstance(policy, ExploreThenCommit) else 0
 
     for t in range(horizon):
-        if isinstance(policy, UniformRandom):
-            a = arms[:, t]
-        elif isinstance(policy, ExploreThenCommit):
+        if isinstance(policy, ExploreThenCommit):
             if t < tau:
                 a = np.ones(reps, dtype=np.int8)
             elif t < 2 * tau:

@@ -143,7 +143,7 @@ def test_two_point_threshold_in_range():
         res = two_point_bound(TwoPointSpec(lm, c, HellingerBudget(gamma)), L(alpha))
         assert 0.0 <= res.t_star <= lm
         assert res.value >= 0.0
-        assert res.method is Method.NUMERIC_MIN
+        assert res.method is Method.CLOSED_FORM
 
 
 def test_two_point_matches_dense_grid():

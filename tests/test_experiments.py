@@ -74,6 +74,27 @@ def test_validation_collects_all_problems():
         assert field in problems, field
     msg = str(exc.value)
     assert "horizon" in msg and "replicates" in msg
+    # integer fields must be Python ints: a float, a list, a string, a bool
+    # or a numpy integer is reported along with every other problem
+    cfg = ExperimentConfig(
+        kind=ExperimentKind.VERIFY,
+        alphas=(0.5,),
+        n=1.5,
+        delta="optimal",
+        horizon=[1],
+        gap="optimal",
+        policies=(UniformRandom(),),
+        estimators=(Estimator.SIGN_COMMIT,),
+        replicates="5",
+        seed=True,
+    )
+    with pytest.raises(ConfigError) as exc:
+        cfg.validate()
+    assert set(exc.value.problems) == {"n", "horizon", "replicates", "seed"}
+    for bad in (dict(seed=1.0), dict(seed="0"), dict(horizon=True), dict(horizon=np.int64(16))):
+        with pytest.raises(ConfigError) as exc:
+            _bandit_config(**bad).validate()
+        assert set(exc.value.problems) == set(bad)
 
 
 def test_validation_bound_needs_one_problem():
