@@ -64,6 +64,7 @@ from .sim import (
     ThompsonGaussian,
     UCB,
     UniformRandom,
+    exact_loss_law,
     exact_sign_estimator_law,
     exact_uniform_bandit_law,
     mc_transcript_kl,
@@ -71,8 +72,6 @@ from .sim import (
     replicate_rng,
     run_bandit,
     run_estimation,
-    simulate_bandit,
-    simulate_estimation,
     simulate_shared,
 )
 

@@ -138,12 +138,7 @@ def _numeric_or_optimal(raw: str | None) -> float | str | None:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     alphas = tuple(args.alpha) if args.alpha else args.default_alphas
-    common = dict(
-        alphas=alphas,
-        seed=args.seed,
-        output_path=args.out,
-        output_format=OutputFormat(args.format),
-    )
+    common = dict(alphas=alphas, seed=args.seed)
     if args.command == "psi":
         return ExperimentConfig(
             kind=ExperimentKind.PSI, rho_max=args.rho_max, rho_step=args.rho_step, **common
@@ -211,14 +206,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         report = run_experiment(config)
-        text = emit_report(report, config.output_format, config.output_path)
+        text = emit_report(report, OutputFormat(args.format), args.out)
     except ReportIOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if config.output_path is None:
+    if args.out is None:
         sys.stdout.write(text)
     if config.kind is ExperimentKind.VERIFY and not report.all_dominated:
         return EXIT_VIOLATION

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,9 +20,8 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from .bounds import BoundResult, bandit_bound, bound_factor, estimation_bound, optimal_gap, optimal_separation
-from .risk import DiscreteLossDistribution, RiskLevel, SampleSet, empirical_cvar, exact_cvar
+from .risk import RiskLevel, SampleSet, empirical_cvar, exact_cvar
 from .sim import (
-    MAX_EXACT_HORIZON,
     BanditConfig,
     EstimationConfig,
     Estimator,
@@ -30,8 +30,8 @@ from .sim import (
     ThompsonGaussian,
     UCB,
     UniformRandom,
-    exact_sign_estimator_law,
-    exact_uniform_bandit_law,
+    _is_int,
+    exact_loss_law,
     policy_name,
     simulate_shared,
 )
@@ -140,71 +140,54 @@ class ExperimentConfig:
     scales: tuple[float, ...] = (1.0,)
     rho_max: float = 1.2
     rho_step: float = 0.01
-    output_path: str | None = None
-    output_format: OutputFormat = OutputFormat.CSV
 
     def validate(self) -> None:
         problems: dict[str, str] = {}
         if not self.alphas:
             problems["alphas"] = "at least one tail level is required"
         for a in self.alphas:
-            if not 0.0 <= float(a) < 1.0:
+            if not (_is_real(a) and 0.0 <= a < 1.0):
                 problems["alphas"] = f"every alpha must lie in [0, 1), got {a!r}"
                 break
         if not self.scales:
             problems["scales"] = "at least one scale is required"
-        elif any(not s > 0.0 for s in self.scales):
-            problems["scales"] = f"scales must be > 0, got {self.scales!r}"
+        elif any(not (_is_real(s) and 0.0 < s < math.inf) for s in self.scales):
+            problems["scales"] = f"scales must be finite and > 0, got {self.scales!r}"
         if not _is_int(self.replicates) or self.replicates < 1:
             problems["replicates"] = f"must be an integer >= 1, got {self.replicates!r}"
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             problems["seed"] = f"must be an unsigned 64-bit integer, got {self.seed!r}"
 
         kind = self.kind
-        wants_estimation = kind in (
-            ExperimentKind.SIMULATE_ESTIMATION,
-            ExperimentKind.VERIFY,
-        )
-        wants_bandit = kind in (ExperimentKind.SIMULATE_BANDIT, ExperimentKind.VERIFY)
-        if kind is ExperimentKind.BOUND:
-            has_est = self.n is not None or self.delta is not None
-            has_ban = self.horizon is not None or self.gap is not None
-            if has_est == has_ban:
-                problems["kind"] = "bound needs exactly one of (n, delta) or (horizon, gap)"
-            wants_estimation, wants_bandit = has_est and not has_ban, has_ban and not has_est
         if kind is ExperimentKind.PSI:
-            if not self.rho_max > 0.0:
-                problems["rho_max"] = f"must be > 0, got {self.rho_max!r}"
-            if not self.rho_step > 0.0:
-                problems["rho_step"] = f"must be > 0, got {self.rho_step!r}"
-        if wants_estimation:
-            if not _is_int(self.n) or self.n < 1:
-                problems["n"] = f"must be an integer >= 1, got {self.n!r}"
-            if not _valid_param(self.delta):
-                problems["delta"] = f"must be a positive number or {OPTIMAL!r}, got {self.delta!r}"
-        if wants_bandit:
-            if not _is_int(self.horizon) or self.horizon < 1:
-                problems["horizon"] = f"must be an integer >= 1, got {self.horizon!r}"
-            if not _valid_param(self.gap):
-                problems["gap"] = f"must be a positive number or {OPTIMAL!r}, got {self.gap!r}"
-        if kind is ExperimentKind.SIMULATE_BANDIT and len(self.policies) != 1:
-            problems["policies"] = "simulate-bandit takes exactly one policy"
-        if kind is ExperimentKind.SIMULATE_ESTIMATION and len(self.estimators) != 1:
-            problems["estimators"] = "simulate-estimation takes exactly one estimator"
-        if kind is ExperimentKind.VERIFY:
-            if not self.policies:
-                problems["policies"] = "verify needs at least one policy"
-            if not self.estimators:
-                problems["estimators"] = "verify needs at least one estimator"
+            if not (_is_real(self.rho_max) and 0.0 < self.rho_max < math.inf):
+                problems["rho_max"] = f"must be finite and > 0, got {self.rho_max!r}"
+            if not (_is_real(self.rho_step) and 0.0 < self.rho_step < math.inf):
+                problems["rho_step"] = f"must be finite and > 0, got {self.rho_step!r}"
+        subjects = _subjects(self)
+        if kind is ExperimentKind.BOUND and len(subjects) != 1:
+            problems["kind"] = "bound needs exactly one of (n, delta) or (horizon, gap)"
+            subjects = ()
+        for subject in subjects:
+            size = getattr(self, subject.size)
+            if not _is_int(size) or size < 1:
+                problems[subject.size] = f"must be an integer >= 1, got {size!r}"
+            raw = getattr(self, subject.field)
+            if not _valid_param(raw):
+                problems[subject.field] = f"must be a positive number or {OPTIMAL!r}, got {raw!r}"
+            count = len(getattr(self, subject.variants))
+            if kind is ExperimentKind.VERIFY:
+                if not count:
+                    problems[subject.variants] = f"verify needs at least one {subject.variant}"
+            elif kind is not ExperimentKind.BOUND and count != 1:
+                problems[subject.variants] = f"{kind.value} takes exactly one {subject.variant}"
         if problems:
             raise ConfigError(problems)
 
 
-def _is_int(value: Any) -> bool:
-    """A Python int; floats, strings, bools and numpy integers are refused
-    rather than coerced (a numpy integer would reach problem_params, which
-    JSON cannot render)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_real(value: Any) -> bool:
+    """A real number; strings, None and bools are refused."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _valid_param(value: float | str | None) -> bool:
@@ -296,9 +279,6 @@ class _Subject:
     optimum: Callable[[int, RiskLevel], float]  # (size, level) -> worst-case parameter
     bound: Callable[[int, float, RiskLevel], BoundResult]  # (size, parameter, level)
     sim_config: Callable[[ExperimentConfig, Any, float], BanditConfig | EstimationConfig]
-    exact_law: Callable[[Any, int, float], DiscreteLossDistribution | None]
-    # True when every variant shares one draw; otherwise each is drawn apart
-    one_battery: bool
 
 
 _BANDIT = _Subject(
@@ -318,13 +298,6 @@ _BANDIT = _Subject(
         replicates=config.replicates,
         seed=config.seed,
     ),
-    exact_law=lambda policy, horizon, g: (
-        exact_uniform_bandit_law(g, horizon)
-        if isinstance(policy, UniformRandom) and horizon <= MAX_EXACT_HORIZON
-        else None
-    ),
-    # the draws depend on the kind of policy
-    one_battery=False,
 )
 
 _ESTIMATION = _Subject(
@@ -344,89 +317,87 @@ _ESTIMATION = _Subject(
         replicates=config.replicates,
         seed=config.seed,
     ),
-    exact_law=lambda estimator, n, delta: (
-        exact_sign_estimator_law(n, delta)
-        if estimator is Estimator.SIGN_COMMIT
-        # |0 - theta| = delta under either sign, with certainty
-        else DiscreteLossDistribution(((delta, 1.0),))
-        if estimator is Estimator.ALWAYS_ZERO
-        else None
-    ),
-    one_battery=True,
 )
 
 
 def _subjects(config: ExperimentConfig) -> tuple[_Subject, ...]:
+    """The subjects a config's kind covers; for `bound`, those whose size or
+    parameter field is set."""
     kind = config.kind
     if kind is ExperimentKind.BOUND:
-        bandit = config.horizon is not None or config.gap is not None
-        return (_BANDIT,) if bandit else (_ESTIMATION,)
+        return tuple(
+            subject
+            for subject in (_BANDIT, _ESTIMATION)
+            if getattr(config, subject.size) is not None or getattr(config, subject.field) is not None
+        )
     if kind is ExperimentKind.SIMULATE_BANDIT:
         return (_BANDIT,)
     if kind is ExperimentKind.SIMULATE_ESTIMATION:
         return (_ESTIMATION,)
-    return (_BANDIT, _ESTIMATION)
+    if kind is ExperimentKind.VERIFY:
+        return (_BANDIT, _ESTIMATION)
+    return ()
 
 
 def _subject_rows(config: ExperimentConfig, subject: _Subject) -> list[ExperimentRow]:
     """Rows of one subject, variant by variant, then by alpha, then by scale.
 
-    `bound` rows carry the bound alone.  Simulated rows are drawn battery by
-    battery, each battery once through `simulate_shared`, and carry the
-    Monte Carlo statistics and, where the subject has one, the exact law's
-    CVaR; in `verify` their parameter names are qualified by the variant.
+    `bound` rows carry the bound alone.  Simulated rows are drawn in one call
+    to `simulate_shared`, which draws once for every variant whose draws
+    coincide, and carry the Monte Carlo statistics and, where `exact_loss_law`
+    knows one, the exact law's CVaR; in `verify` their parameter names are
+    qualified by the variant.
     """
     simulate = config.kind is not ExperimentKind.BOUND
     qualify = config.kind is ExperimentKind.VERIFY
     size = getattr(config, subject.size)
     raw = getattr(config, subject.field)
     variants = getattr(config, subject.variants) if simulate else (None,)
-    batteries = [variants] if subject.one_battery else [(v,) for v in variants]
+    cases = []
+    for variant in variants:
+        for alpha in config.alphas:
+            level = RiskLevel(alpha)
+            for scale in config.scales:
+                base = subject.optimum(size, level) if raw == OPTIMAL else float(raw)
+                cases.append((variant, level, scale, scale * base))
+    if simulate:
+        sim_configs = [subject.sim_config(config, v, value) for v, _, _, value in cases]
+        samples = simulate_shared(sim_configs)
+    else:
+        sim_configs = samples = [None] * len(cases)
     rows = []
-    for battery in batteries:
-        cases = []
-        for variant in battery:
-            for alpha in config.alphas:
-                level = RiskLevel(alpha)
-                for scale in config.scales:
-                    base = subject.optimum(size, level) if raw == OPTIMAL else float(raw)
-                    cases.append((variant, level, scale, scale * base))
+    for (variant, level, scale, value), sim_config, case_samples in zip(cases, sim_configs, samples):
+        result = subject.bound(size, value, level)
+        params: dict[str, Any] = {subject.size: size, subject.param: value, "scale": scale}
+        name = subject.param
+        emp = stderr = slack = exact = None
         if simulate:
-            samples = simulate_shared([subject.sim_config(config, v, value) for v, _, _, value in cases])
-        else:
-            samples = [None] * len(cases)
-        for (variant, level, scale, value), case_samples in zip(cases, samples):
-            result = subject.bound(size, value, level)
-            params: dict[str, Any] = {subject.size: size, subject.param: value, "scale": scale}
-            name = subject.param
-            emp = stderr = slack = exact = None
-            if simulate:
-                vname = subject.variant_name(variant)
-                params = {
-                    "problem": subject.problem,
-                    subject.variant: vname,
-                    **params,
-                    "replicates": config.replicates,
-                }
-                name = f"{vname}:{name}" if qualify else name
-                emp, stderr, slack = _tail_stats(case_samples, level)
-                law = subject.exact_law(variant, size, value)
-                exact = None if law is None else exact_cvar(law, level)
-            rows.append(
-                ExperimentRow(
-                    alpha=level.alpha,
-                    param_name=name,
-                    param_value=value,
-                    problem_params=params,
-                    bound=result.value,
-                    t_star=result.t_star,
-                    empirical_cvar=emp,
-                    exact_cvar=exact,
-                    stderr=stderr,
-                    mc_slack=slack,
-                    dominated=not simulate or _dominated(result.value, emp, slack, exact),
-                )
+            vname = subject.variant_name(variant)
+            params = {
+                "problem": subject.problem,
+                subject.variant: vname,
+                **params,
+                "replicates": config.replicates,
+            }
+            name = f"{vname}:{name}" if qualify else name
+            emp, stderr, slack = _tail_stats(case_samples, level)
+            law = exact_loss_law(sim_config)
+            exact = None if law is None else exact_cvar(law, level)
+        rows.append(
+            ExperimentRow(
+                alpha=level.alpha,
+                param_name=name,
+                param_value=value,
+                problem_params=params,
+                bound=result.value,
+                t_star=result.t_star,
+                empirical_cvar=emp,
+                exact_cvar=exact,
+                stderr=stderr,
+                mc_slack=slack,
+                dominated=not simulate or _dominated(result.value, emp, slack, exact),
             )
+        )
     return rows
 
 

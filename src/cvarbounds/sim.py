@@ -18,15 +18,21 @@ first replicates of a longer run reproduce a shorter one bit for bit.  The
 rollout itself is vectorized across replicates in lockstep over rounds; the
 uniform policy needs none, since its actions are its arm draws.
 
-The draws do not depend on the gap, separation or estimator, so
-`simulate_shared` makes them once for a list of configs that differ only in
-those (a verification battery draws once per policy and once for all its
-estimation rows) and runs every config on them.  Draws are made in chunks
-of consecutive replicates whose predraw fits a fixed byte budget, so memory
-stays bounded for any horizon and replicate count.  Every stream comes from
-one Philox generator re-keyed in place to (s, r) for each replicate
+The draws do not depend on the gap, separation or estimator.
+`simulate_shared` takes any list of configs, groups those whose draws
+coincide, makes each group's draws once and runs every config of the group
+on them (a verification battery draws once per policy and once for all its
+estimation rows).  Draws are made in chunks of consecutive replicates whose
+predraw fits a fixed byte budget, so memory stays bounded for any horizon
+and replicate count; the group with the largest predraw per replicate is
+drawn first, before any losses are held.  Every stream comes from one
+Philox generator re-keyed in place to (s, r) for each replicate
 (`replicate_rng` with `reuse`); the per-replicate contract above is
 unchanged.
+
+`exact_loss_law` gives a config's loss law in closed form where one is
+known: the uniform policy up to a horizon cap, the sign-commit estimator and
+the always-zero estimator.
 """
 
 from __future__ import annotations
@@ -52,22 +58,20 @@ __all__ = [
     "BanditConfig",
     "EstimationBatch",
     "BanditBatch",
-    "MAX_EXACT_HORIZON",
     "replicate_rng",
     "resolve_tau",
     "policy_name",
     "run_estimation",
-    "simulate_estimation",
     "run_bandit",
-    "simulate_bandit",
     "simulate_shared",
     "mc_transcript_kl",
     "normal_upper_tail",
+    "exact_loss_law",
     "exact_uniform_bandit_law",
     "exact_sign_estimator_law",
 ]
 
-MAX_EXACT_HORIZON = 64
+_MAX_EXACT_HORIZON = 64
 _MIN_KL_REPLICATES = 1_000
 _SEED_LIMIT = 2**64
 
@@ -125,6 +129,20 @@ def policy_name(policy: Policy) -> str:
     return _POLICY_NAMES[type(policy)]
 
 
+def _is_int(value: object) -> bool:
+    """A Python int; floats, strings, bools and numpy integers are refused
+    rather than coerced (a numpy integer would reach problem_params, which
+    JSON cannot render)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_ints(config: object, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(config, name)
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _check_seed(seed: int) -> int:
     seed = int(seed)
     if not 0 <= seed < _SEED_LIMIT:
@@ -154,20 +172,18 @@ class EstimationConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if int(self.n) < 1:
+        _check_ints(self, ("n", "replicates", "seed"))
+        if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         d = float(self.delta)
         if not (d > 0.0 and math.isfinite(d)):
             raise ValueError(f"delta must be finite and > 0, got {self.delta!r}")
         if not isinstance(self.estimator, Estimator):
             raise ValueError(f"estimator must be an Estimator, got {self.estimator!r}")
-        if int(self.replicates) < 1:
+        if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         _check_seed(self.seed)
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "delta", d)
-        object.__setattr__(self, "replicates", int(self.replicates))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -179,20 +195,18 @@ class BanditConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if int(self.horizon) < 1:
+        _check_ints(self, ("horizon", "replicates", "seed"))
+        if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         g = float(self.gap)
         if not (g > 0.0 and math.isfinite(g)):
             raise ValueError(f"gap must be finite and > 0, got {self.gap!r}")
         if type(self.policy) not in _POLICY_NAMES:
             raise ValueError(f"unknown policy {self.policy!r}")
-        if int(self.replicates) < 1:
+        if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         _check_seed(self.seed)
-        object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "gap", g)
-        object.__setattr__(self, "replicates", int(self.replicates))
-        object.__setattr__(self, "seed", int(self.seed))
         if isinstance(self.policy, ExploreThenCommit):
             resolve_tau(self.policy, self.horizon)  # fail fast on bad tau
 
@@ -222,20 +236,22 @@ def replicate_rng(
     return reuse
 
 
-def _replicate_chunks(config: BanditConfig | EstimationConfig) -> list[range]:
-    """Consecutive replicate ranges whose predraw fits _PREDRAW_BUDGET_BYTES:
-    the budget over T times the bytes drawn per round for a bandit, over the
-    sign and noise mean for an estimation."""
+def _replicate_bytes(config: BanditConfig | EstimationConfig) -> int:
+    """Bytes predrawn per replicate: T times the bytes drawn per round for a
+    bandit, the sign and noise mean for an estimation."""
     if isinstance(config, EstimationConfig):
-        per_replicate = 1 + 8
-    else:
-        per_round = 8
-        if isinstance(config.policy, UniformRandom):
-            per_round += 1
-        elif isinstance(config.policy, ThompsonGaussian):
-            per_round += 16
-        per_replicate = config.horizon * per_round
-    size = max(1, _PREDRAW_BUDGET_BYTES // per_replicate)
+        return 1 + 8
+    per_round = 8
+    if isinstance(config.policy, UniformRandom):
+        per_round += 1
+    elif isinstance(config.policy, ThompsonGaussian):
+        per_round += 16
+    return config.horizon * per_round
+
+
+def _replicate_chunks(config: BanditConfig | EstimationConfig) -> list[range]:
+    """Consecutive replicate ranges whose predraw fits _PREDRAW_BUDGET_BYTES."""
+    size = max(1, _PREDRAW_BUDGET_BYTES // _replicate_bytes(config))
     reps = config.replicates
     return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
 
@@ -271,12 +287,11 @@ class EstimationDraws(NamedTuple):
     noise_mean: np.ndarray  # mean of the n observation noises
 
 
-def _predraw_estimation(config: EstimationConfig, replicates: range | None = None) -> EstimationDraws:
+def _predraw_estimation(config: EstimationConfig, replicates: range) -> EstimationDraws:
     """Consume each replicate's stream in the documented order: one integer
     for the sign of theta, then the n standard normal observation noises
     (observations are theta + noise), kept as their mean.  Neither depends
     on delta or the estimator."""
-    replicates = range(config.replicates) if replicates is None else replicates
     positive = np.empty(len(replicates), dtype=bool)
     noise_mean = np.empty(len(replicates))
     rng = None
@@ -287,14 +302,9 @@ def _predraw_estimation(config: EstimationConfig, replicates: range | None = Non
     return EstimationDraws(positive, noise_mean)
 
 
-def run_estimation(config: EstimationConfig, draws: EstimationDraws | None = None) -> EstimationBatch:
-    """Apply the configured estimator to every replicate.
-
-    `draws`, from `_predraw_estimation` with this config's seed and n, are
-    used instead of drawing, and the batch covers the replicates they hold.
-    """
-    if draws is None:
-        draws = _predraw_estimation(config)
+def run_estimation(config: EstimationConfig, draws: EstimationDraws) -> EstimationBatch:
+    """Apply the configured estimator to the replicates `draws` hold, drawn by
+    `_predraw_estimation` with this config's seed and n."""
     delta = config.delta
     theta = np.where(draws.positive, delta, -delta)
     ybar = theta + draws.noise_mean
@@ -307,10 +317,6 @@ def run_estimation(config: EstimationConfig, draws: EstimationDraws | None = Non
         theta_hat = np.zeros(theta.size)
     losses = np.minimum(np.abs(theta_hat - theta), 2.0 * delta)
     return EstimationBatch(delta=delta, theta=theta, theta_hat=theta_hat, losses=losses)
-
-
-def simulate_estimation(config: EstimationConfig) -> SampleSet:
-    return simulate_shared([config])[0]
 
 
 # -------------------------------------------------------------------- bandit
@@ -345,10 +351,9 @@ class BanditDraws(NamedTuple):
     noise: np.ndarray  # (reps, T) reward noises
 
 
-def _predraw(config: BanditConfig, replicates: range | None = None) -> BanditDraws:
+def _predraw(config: BanditConfig, replicates: range) -> BanditDraws:
     """Consume each replicate's stream up front, in the documented order.
     The draws depend on the seed, horizon and kind of policy, not the gap."""
-    replicates = range(config.replicates) if replicates is None else replicates
     reps, horizon = len(replicates), config.horizon
     model = np.empty(reps, dtype=np.int64)
     noise = np.empty((reps, horizon))
@@ -424,26 +429,10 @@ def _rollout(config: BanditConfig, model, arms, posterior_z, noise) -> np.ndarra
     return actions
 
 
-def run_bandit(config: BanditConfig, draws: BanditDraws | None = None) -> BanditBatch:
-    """Simulate every replicate under its drawn model.
-
-    `draws`, from `_predraw` with this config's seed, horizon and kind of
-    policy, are rolled out instead of drawing, and the batch covers the
-    replicates they hold.  Without them the replicates are drawn and rolled
-    out chunk by chunk.
-    """
-    if draws is None:
-        parts = []
-        for draws in _chunk_draws(config):
-            parts.append(run_bandit(config, draws))
-            del draws  # release this chunk before drawing the next
-        return BanditBatch(
-            gap=config.gap,
-            horizon=config.horizon,
-            actions=np.concatenate([b.actions for b in parts]),
-            model_index=np.concatenate([b.model_index for b in parts]),
-            losses=np.concatenate([b.losses for b in parts]),
-        )
+def run_bandit(config: BanditConfig, draws: BanditDraws) -> BanditBatch:
+    """Roll out the replicates `draws` hold, each under its drawn model;
+    `draws` come from `_predraw` with this config's seed, horizon and kind of
+    policy."""
     if (
         draws.noise.shape[1] != config.horizon
         or (draws.arms is None) == isinstance(config.policy, UniformRandom)
@@ -460,10 +449,6 @@ def run_bandit(config: BanditConfig, draws: BanditDraws | None = None) -> Bandit
         model_index=draws.model,
         losses=losses.astype(float),
     )
-
-
-def simulate_bandit(config: BanditConfig) -> SampleSet:
-    return simulate_shared([config])[0]
 
 
 # ------------------------------------------------------------ shared draws
@@ -496,27 +481,32 @@ def _provenance(config: BanditConfig | EstimationConfig) -> dict:
     }
 
 
-def simulate_shared(configs: Sequence[BanditConfig] | Sequence[EstimationConfig]) -> list[SampleSet]:
-    """Loss samples of configs whose draws coincide: the same seed and
-    replicate count, and the same horizon and kind of policy (bandit) or the
-    same n (estimation).  Each chunk of replicates is drawn once and run for
-    every config, and the losses are joined per config; every sample equals
-    that of simulating its config alone."""
-    if not configs:
-        return []
-    first = configs[0]
-    if any(_draw_layout(config) != _draw_layout(first) for config in configs):
-        raise ValueError("configs do not share a seed, replicate count and draw layout")
-    run = run_estimation if isinstance(first, EstimationConfig) else run_bandit
-    parts: list[list[np.ndarray]] = [[] for _ in configs]
-    for draws in _chunk_draws(first):
-        for part, config in zip(parts, configs):
-            part.append(run(config, draws).losses)
-        del draws  # release this chunk before drawing the next
-    return [
-        SampleSet(np.concatenate(part), provenance=_provenance(config))
-        for part, config in zip(parts, configs)
-    ]
+def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[SampleSet]:
+    """Loss samples of the configs, in their order.
+
+    Configs whose draws coincide (the same seed and replicate count, and the
+    same horizon and kind of policy for a bandit or the same n for an
+    estimation) form one group.  Each chunk of a group's replicates is drawn
+    once and run for every config of the group, and the losses are joined
+    per config; every sample equals that of simulating its config alone.
+    The group with the largest predraw per replicate is drawn first, while
+    no losses are held.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(_draw_layout(config), []).append(i)
+    samples: list[SampleSet | None] = [None] * len(configs)
+    for members in sorted(groups.values(), key=lambda m: _replicate_bytes(configs[m[0]]), reverse=True):
+        first = configs[members[0]]
+        run = run_estimation if isinstance(first, EstimationConfig) else run_bandit
+        parts: list[list[np.ndarray]] = [[] for _ in members]
+        for draws in _chunk_draws(first):
+            for part, i in zip(parts, members):
+                part.append(run(configs[i], draws).losses)
+            del draws  # release this chunk before drawing the next
+        for part, i in zip(parts, members):
+            samples[i] = SampleSet(np.concatenate(part), provenance=_provenance(configs[i]))
+    return samples
 
 
 def mc_transcript_kl(config: BanditConfig) -> tuple[float, float]:
@@ -565,9 +555,9 @@ def exact_uniform_bandit_law(g: float, horizon: int) -> DiscreteLossDistribution
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if horizon > MAX_EXACT_HORIZON:
+    if horizon > _MAX_EXACT_HORIZON:
         raise DomainError(
-            f"exact uniform-policy law supports horizons up to {MAX_EXACT_HORIZON}, got {horizon}"
+            f"exact uniform-policy law supports horizons up to {_MAX_EXACT_HORIZON}, got {horizon}"
         )
     g = float(g)
     if not (g > 0.0 and math.isfinite(g)):
@@ -589,3 +579,21 @@ def exact_sign_estimator_law(n: int, delta: float) -> DiscreteLossDistribution:
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     p = normal_upper_tail(math.sqrt(n) * delta)
     return DiscreteLossDistribution(((0.0, 1.0 - p), (2.0 * delta, p)))
+
+
+def exact_loss_law(config: BanditConfig | EstimationConfig) -> DiscreteLossDistribution | None:
+    """The config's loss law in closed form, or None where none is known.
+
+    Known laws: the uniform policy up to horizon _MAX_EXACT_HORIZON, the
+    sign-commit estimator, and the always-zero estimator.
+    """
+    if isinstance(config, BanditConfig):
+        if isinstance(config.policy, UniformRandom) and config.horizon <= _MAX_EXACT_HORIZON:
+            return exact_uniform_bandit_law(config.gap, config.horizon)
+        return None
+    if config.estimator is Estimator.SIGN_COMMIT:
+        return exact_sign_estimator_law(config.n, config.delta)
+    if config.estimator is Estimator.ALWAYS_ZERO:
+        # |0 - theta| = delta under either sign, with certainty
+        return DiscreteLossDistribution(((config.delta, 1.0),))
+    return None

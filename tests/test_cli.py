@@ -28,6 +28,11 @@ def test_bad_alpha_is_usage_error(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_infinite_psi_grid_is_usage_error(capsys):
+    assert main(["psi", "--rho-max", "inf"]) == 2
+    assert "rho_max" in capsys.readouterr().err
+
+
 def test_psi_table(tmp_path, capsys):
     out = tmp_path / "psi.csv"
     rc = main(["psi", "--alpha", "0.5", "--rho-max", "0.2", "--rho-step", "0.1", "--out", str(out)])

@@ -30,8 +30,7 @@ from cvarbounds.sim import (
     ThompsonGaussian,
     UCB,
     UniformRandom,
-    simulate_bandit,
-    simulate_estimation,
+    simulate_shared,
 )
 
 
@@ -94,6 +93,16 @@ def test_validation_collects_all_problems():
     for bad in (dict(seed=1.0), dict(seed="0"), dict(horizon=True), dict(horizon=np.int64(16))):
         with pytest.raises(ConfigError) as exc:
             _bandit_config(**bad).validate()
+        assert set(exc.value.problems) == set(bad)
+    # non-numeric tail levels, scales and psi grid settings are reported too
+    for bad in (dict(alphas=("x",)), dict(scales=("x",)), dict(scales=(None,)), dict(alphas=(True,)),
+                dict(scales=(math.inf,))):
+        with pytest.raises(ConfigError) as exc:
+            _bandit_config(**bad).validate()
+        assert set(exc.value.problems) == set(bad)
+    for bad in (dict(rho_max="x"), dict(rho_step=None), dict(rho_max="x", rho_step=None), dict(rho_max=math.inf)):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(kind=ExperimentKind.PSI, alphas=(0.5,), **bad).validate()
         assert set(exc.value.problems) == set(bad)
 
 
@@ -303,19 +312,16 @@ def test_shared_draw_rows_match_per_row_simulation():
         params = row.problem_params
         if params["problem"] == "bandit":
             policy = next(p for p in cfg.policies if sim.policy_name(p) == params["policy"])
-            samples = simulate_bandit(
-                BanditConfig(horizon=16, gap=row.param_value, policy=policy, replicates=60, seed=3)
-            )
+            config = BanditConfig(horizon=16, gap=row.param_value, policy=policy, replicates=60, seed=3)
         else:
-            samples = simulate_estimation(
-                EstimationConfig(
-                    n=9,
-                    delta=row.param_value,
-                    estimator=Estimator(params["estimator"]),
-                    replicates=60,
-                    seed=3,
-                )
+            config = EstimationConfig(
+                n=9,
+                delta=row.param_value,
+                estimator=Estimator(params["estimator"]),
+                replicates=60,
+                seed=3,
             )
+        samples = simulate_shared([config])[0]
         assert row.empirical_cvar == empirical_cvar(samples, level), row.param_name
 
 
@@ -331,13 +337,20 @@ def test_chunked_draws_render_identical_csv(monkeypatch):
         chunks = sim._replicate_chunks(first)
         assert len(chunks) > 2 and len(chunks[-1]) < len(chunks[0])
     assert render_csv(run_experiment(cfg)) == whole
-    # run_bandit without predrawn values chunks the same way
-    for policy in cfg.policies:
-        bandit = BanditConfig(horizon=16, gap=0.3, policy=policy, replicates=257, seed=3)
-        chunked = sim.run_bandit(bandit)
-        monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 2**40)
-        assert len(sim._replicate_chunks(bandit)) == 1
-        single = sim.run_bandit(bandit)
-        monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 1000)
-        assert np.array_equal(chunked.actions, single.actions)
-        assert np.array_equal(chunked.losses, single.losses)
+
+
+def test_verify_draws_each_stream_once_per_layout(monkeypatch):
+    # 4 policies and 3 estimators: one draw of every replicate stream per
+    # policy and one for the whole estimation battery
+    keys = []
+    original = sim.replicate_rng
+
+    def counted(seed, replicate, reuse=None):
+        keys.append((seed, replicate))
+        return original(seed, replicate, reuse)
+
+    monkeypatch.setattr(sim, "replicate_rng", counted)
+    report = run_experiment(_verify_config(replicates=60))
+    assert len(report.rows) == (4 + 3) * 2 * 2
+    assert len(keys) == 5 * 60
+    assert len(set(keys)) == 60

@@ -18,6 +18,7 @@ from cvarbounds.sim import (
     UniformRandom,
     _predraw,
     _predraw_estimation,
+    exact_loss_law,
     exact_sign_estimator_law,
     exact_uniform_bandit_law,
     mc_transcript_kl,
@@ -27,12 +28,20 @@ from cvarbounds.sim import (
     resolve_tau,
     run_bandit,
     run_estimation,
-    simulate_bandit,
-    simulate_estimation,
     simulate_shared,
 )
 
 ALL_POLICIES = (UniformRandom(), ExploreThenCommit(), UCB(), ThompsonGaussian())
+
+
+def _bandit(config):
+    """The batch of every replicate, drawn at once."""
+    return run_bandit(config, _predraw(config, range(config.replicates)))
+
+
+def _estimation(config):
+    """The batch of every replicate, drawn at once."""
+    return run_estimation(config, _predraw_estimation(config, range(config.replicates)))
 
 
 # ----------------------------------------------------------------- plumbing
@@ -105,6 +114,23 @@ def test_config_validation():
         BanditConfig(horizon=10, gap=0.1, policy=ExploreThenCommit(tau=8), replicates=5, seed=0)
     with pytest.raises(ValueError):
         BanditConfig(horizon=10, gap=0.1, policy=UCB(), replicates=5, seed=-3)
+    # integer fields must be Python ints: nothing is truncated or coerced
+    bandit = dict(horizon=10, gap=0.1, policy=UCB(), replicates=5, seed=0)
+    for bad in (
+        dict(horizon=1.9),
+        dict(replicates=2.7),
+        dict(seed=True),
+        dict(horizon=True),
+        dict(seed=1.0),
+        dict(replicates="5"),
+        dict(horizon=np.int64(10)),
+    ):
+        with pytest.raises(ValueError):
+            BanditConfig(**{**bandit, **bad})
+    estimation = dict(n=5, delta=0.1, estimator=Estimator.SAMPLE_MEAN, replicates=5, seed=0)
+    for bad in (dict(n=2.5), dict(replicates=3.0), dict(seed=True), dict(n=False), dict(seed=np.uint64(1))):
+        with pytest.raises(ValueError):
+            EstimationConfig(**{**estimation, **bad})
 
 
 def test_policy_names():
@@ -117,7 +143,7 @@ def test_policy_names():
 def test_estimation_stream_layout():
     # replicate r: one integer for the sign, then n observation noises
     cfg = EstimationConfig(n=3, delta=0.5, estimator=Estimator.SAMPLE_MEAN, replicates=6, seed=9)
-    batch = run_estimation(cfg)
+    batch = _estimation(cfg)
     for r in range(6):
         rng = replicate_rng(9, r)
         theta = 0.5 if rng.integers(0, 2) == 1 else -0.5
@@ -128,20 +154,20 @@ def test_estimation_stream_layout():
 
 def test_estimation_prefix_stable():
     kw = dict(n=4, delta=0.2, estimator=Estimator.SAMPLE_MEAN, seed=3)
-    short = run_estimation(EstimationConfig(replicates=10, **kw))
-    long = run_estimation(EstimationConfig(replicates=25, **kw))
+    short = _estimation(EstimationConfig(replicates=10, **kw))
+    long = _estimation(EstimationConfig(replicates=25, **kw))
     assert np.array_equal(short.losses, long.losses[:10])
 
 
 def test_estimator_behaviors():
     kw = dict(n=4, delta=0.25, replicates=400, seed=10)
-    zero = run_estimation(EstimationConfig(estimator=Estimator.ALWAYS_ZERO, **kw))
+    zero = _estimation(EstimationConfig(estimator=Estimator.ALWAYS_ZERO, **kw))
     assert np.all(zero.theta_hat == 0.0)
     assert np.all(zero.losses == 0.25)  # |0 - theta| = delta, never clipped
-    sign = run_estimation(EstimationConfig(estimator=Estimator.SIGN_COMMIT, **kw))
+    sign = _estimation(EstimationConfig(estimator=Estimator.SIGN_COMMIT, **kw))
     assert set(np.unique(sign.theta_hat)) <= {-0.25, 0.25}
     assert set(np.unique(sign.losses)) <= {0.0, 0.5}
-    mean = run_estimation(EstimationConfig(estimator=Estimator.SAMPLE_MEAN, **kw))
+    mean = _estimation(EstimationConfig(estimator=Estimator.SAMPLE_MEAN, **kw))
     assert np.all((mean.losses >= 0.0) & (mean.losses <= 0.5))
     assert np.all(np.abs(mean.theta) == 0.25)
 
@@ -151,7 +177,7 @@ def test_sign_commit_matches_exact_law():
     law = exact_sign_estimator_law(n, delta)
     p = dict(law.atoms)[2.0 * delta]
     assert p == pytest.approx(normal_upper_tail(math.sqrt(n) * delta), rel=1e-15)
-    batch = run_estimation(
+    batch = _estimation(
         EstimationConfig(n=n, delta=delta, estimator=Estimator.SIGN_COMMIT, replicates=reps, seed=5)
     )
     freq = float((batch.losses > delta).mean())
@@ -167,7 +193,7 @@ def test_normal_upper_tail_values():
 
 def test_simulate_estimation_sampleset():
     cfg = EstimationConfig(n=2, delta=0.3, estimator=Estimator.SAMPLE_MEAN, replicates=50, seed=1)
-    s = simulate_estimation(cfg)
+    s = simulate_shared([cfg])[0]
     assert s.count == 50
     assert s.provenance["seed"] == 1
     assert s.provenance["problem"] == "estimation"
@@ -180,9 +206,9 @@ def test_simulate_estimation_sampleset():
 def test_bandit_deterministic_and_prefix_stable():
     for policy in ALL_POLICIES:
         kw = dict(horizon=40, gap=0.15, policy=policy, seed=12)
-        one = run_bandit(BanditConfig(replicates=15, **kw))
-        two = run_bandit(BanditConfig(replicates=15, **kw))
-        longer = run_bandit(BanditConfig(replicates=40, **kw))
+        one = _bandit(BanditConfig(replicates=15, **kw))
+        two = _bandit(BanditConfig(replicates=15, **kw))
+        longer = _bandit(BanditConfig(replicates=40, **kw))
         assert np.array_equal(one.actions, two.actions)
         assert np.array_equal(one.losses, longer.losses[:15]), policy_name(policy)
 
@@ -190,7 +216,7 @@ def test_bandit_deterministic_and_prefix_stable():
 def test_bandit_pair_identity():
     # pulls sum to T and regrets under the two models sum to g*T, per transcript
     for policy in ALL_POLICIES:
-        batch = run_bandit(BanditConfig(horizon=30, gap=0.3, policy=policy, replicates=250, seed=3))
+        batch = _bandit(BanditConfig(horizon=30, gap=0.3, policy=policy, replicates=250, seed=3))
         pulls = batch.pulls()
         assert np.all(pulls.sum(axis=1) == 30)
         # model 1's suboptimal arm is arm 2, model 2's is arm 1
@@ -204,7 +230,7 @@ def test_bandit_pair_identity():
 def test_etc_structure():
     # tau pulls of arm 1, tau of arm 2, then a constant committed arm
     tau = 4
-    batch = run_bandit(
+    batch = _bandit(
         BanditConfig(horizon=20, gap=0.4, policy=ExploreThenCommit(tau=tau), replicates=60, seed=7)
     )
     acts = batch.actions
@@ -215,7 +241,7 @@ def test_etc_structure():
 
 
 def test_ucb_forced_first_pulls():
-    batch = run_bandit(BanditConfig(horizon=5, gap=0.4, policy=UCB(), replicates=30, seed=4))
+    batch = _bandit(BanditConfig(horizon=5, gap=0.4, policy=UCB(), replicates=30, seed=4))
     assert np.all(batch.actions[:, 0] == 1)
     assert np.all(batch.actions[:, 1] == 2)
 
@@ -223,7 +249,7 @@ def test_ucb_forced_first_pulls():
 def test_uniform_matches_exact_law():
     g, T, reps = 1.0, 8, 20_000
     law = exact_uniform_bandit_law(g, T)
-    batch = run_bandit(BanditConfig(horizon=T, gap=g, policy=UniformRandom(), replicates=reps, seed=11))
+    batch = _bandit(BanditConfig(horizon=T, gap=g, policy=UniformRandom(), replicates=reps, seed=11))
     for value, p in law.atoms:
         freq = float((batch.losses == value).mean())
         assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / reps), value
@@ -242,10 +268,32 @@ def test_exact_uniform_law_structure():
         exact_uniform_bandit_law(0.0, 8)
 
 
+@pytest.mark.parametrize("horizon", [64, 65])
+def test_exact_loss_law_of_each_policy(horizon):
+    # only the uniform policy has a closed-form law, and only up to T = 64
+    for policy in ALL_POLICIES:
+        law = exact_loss_law(BanditConfig(horizon=horizon, gap=0.3, policy=policy, replicates=1, seed=0))
+        if isinstance(policy, UniformRandom) and horizon == 64:
+            assert law == exact_uniform_bandit_law(0.3, 64)
+        else:
+            assert law is None, policy_name(policy)
+
+
+def test_exact_loss_law_of_each_estimator():
+    laws = {
+        estimator: exact_loss_law(EstimationConfig(n=9, delta=0.2, estimator=estimator, replicates=1, seed=0))
+        for estimator in Estimator
+    }
+    assert laws[Estimator.SIGN_COMMIT] == exact_sign_estimator_law(9, 0.2)
+    # |0 - theta| = delta under either sign
+    assert laws[Estimator.ALWAYS_ZERO].atoms == ((0.2, 1.0),)
+    assert laws[Estimator.SAMPLE_MEAN] is None
+
+
 def test_uniform_reconstructs_from_streams():
     # replicate r: model integer, T arm draws, then T reward noises
     cfg = BanditConfig(horizon=6, gap=0.7, policy=UniformRandom(), replicates=5, seed=21)
-    batch = run_bandit(cfg)
+    batch = _bandit(cfg)
     for r in range(5):
         rng = replicate_rng(21, r)
         model = 1 + int(rng.integers(0, 2))
@@ -259,7 +307,7 @@ def test_uniform_reconstructs_from_streams():
 
 def test_simulate_bandit_sampleset():
     cfg = BanditConfig(horizon=10, gap=0.2, policy=ThompsonGaussian(), replicates=64, seed=6)
-    s = simulate_bandit(cfg)
+    s = simulate_shared([cfg])[0]
     assert s.count == 64
     assert s.provenance["policy"] == "thompson"
     assert np.all(np.diff(s.values) <= 0)
@@ -270,10 +318,10 @@ def test_predrawn_draws_are_shared_across_gaps():
     # predraw serves every gap, and a chunk of it serves its replicates
     for policy in ALL_POLICIES:
         base = BanditConfig(horizon=12, gap=0.1, policy=policy, replicates=30, seed=8)
-        draws = _predraw(base)
+        draws = _predraw(base, range(30))
         for gap in (0.1, 0.35, 2.0):
             cfg = BanditConfig(horizon=12, gap=gap, policy=policy, replicates=30, seed=8)
-            alone = run_bandit(cfg)
+            alone = _bandit(cfg)
             shared = run_bandit(cfg, draws)
             assert np.array_equal(shared.actions, alone.actions), policy_name(policy)
             assert np.array_equal(shared.losses, alone.losses), policy_name(policy)
@@ -281,11 +329,11 @@ def test_predrawn_draws_are_shared_across_gaps():
             assert np.array_equal(part.losses, alone.losses[11:23])
     for estimator in Estimator:
         draws = _predraw_estimation(
-            EstimationConfig(n=5, delta=0.1, estimator=Estimator.SAMPLE_MEAN, replicates=40, seed=4)
+            EstimationConfig(n=5, delta=0.1, estimator=Estimator.SAMPLE_MEAN, replicates=40, seed=4), range(40)
         )
         for delta in (0.1, 0.45):
             cfg = EstimationConfig(n=5, delta=delta, estimator=estimator, replicates=40, seed=4)
-            alone = run_estimation(cfg)
+            alone = _estimation(cfg)
             shared = run_estimation(cfg, draws)
             for field in ("theta", "theta_hat", "losses"):
                 assert np.array_equal(getattr(shared, field), getattr(alone, field)), estimator
@@ -298,7 +346,7 @@ def test_simulate_shared_matches_simulating_alone():
             for gap in (0.2, 1.5)
         ]
         for shared, config in zip(simulate_shared(configs), configs):
-            alone = simulate_bandit(config)
+            alone = simulate_shared([config])[0]
             assert np.array_equal(shared.values, alone.values), policy_name(policy)
             assert shared.provenance == alone.provenance
     configs = [
@@ -307,37 +355,50 @@ def test_simulate_shared_matches_simulating_alone():
         for delta in (0.3, 1.1)
     ]
     for shared, config in zip(simulate_shared(configs), configs):
-        alone = simulate_estimation(config)
+        alone = simulate_shared([config])[0]
         assert np.array_equal(shared.values, alone.values), config.estimator
         assert shared.provenance == alone.provenance
     assert simulate_shared([]) == []
 
 
-def test_simulate_shared_rejects_configs_drawn_apart():
-    base = BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=0)
-    apart = [
-        BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=1),
-        BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=5, seed=0),
-        BanditConfig(horizon=7, gap=0.2, policy=UCB(), replicates=4, seed=0),
-        BanditConfig(horizon=6, gap=0.2, policy=ThompsonGaussian(), replicates=4, seed=0),
+def test_simulate_shared_groups_configs_drawn_apart(monkeypatch):
+    # configs of every draw layout, interleaved in one call: each sample
+    # equals simulating its config alone, and each layout is drawn once
+    configs = [
+        BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=0),
         EstimationConfig(n=6, delta=0.2, estimator=Estimator.SAMPLE_MEAN, replicates=4, seed=0),
+        BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=1),
+        BanditConfig(horizon=6, gap=0.2, policy=ThompsonGaussian(), replicates=4, seed=0),
+        # explore-then-commit and UCB settings do not change the draws
+        BanditConfig(horizon=6, gap=0.9, policy=UCB(2.0), replicates=4, seed=0),
+        BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=5, seed=0),
+        EstimationConfig(n=3, delta=0.2, estimator=Estimator.SIGN_COMMIT, replicates=4, seed=0),
+        BanditConfig(horizon=7, gap=0.2, policy=UniformRandom(), replicates=4, seed=0),
+        EstimationConfig(n=6, delta=0.7, estimator=Estimator.ALWAYS_ZERO, replicates=4, seed=0),
     ]
-    for other in apart:
-        with pytest.raises(ValueError):
-            simulate_shared([base, other])
-    # explore-then-commit and UCB settings do not change the draws
-    simulate_shared([base, BanditConfig(horizon=6, gap=0.9, policy=UCB(2.0), replicates=4, seed=0)])
-    n3, n4 = (
-        EstimationConfig(n=n, delta=0.2, estimator=Estimator.SAMPLE_MEAN, replicates=4, seed=0)
-        for n in (3, 4)
-    )
-    with pytest.raises(ValueError):
-        simulate_shared([n3, n4])
+    alone = [simulate_shared([config])[0] for config in configs]
+    predraws = []
+    for name in ("_predraw", "_predraw_estimation"):
+        original = getattr(sim, name)
+
+        def counted(config, replicates, original=original):
+            predraws.append(config)
+            return original(config, replicates)
+
+        monkeypatch.setattr(sim, name, counted)
+    shared = simulate_shared(configs)
+    assert len(predraws) == 7
+    # the largest predraw per replicate (Thompson) is drawn first
+    assert isinstance(predraws[0].policy, ThompsonGaussian)
+    for one, many, config in zip(alone, shared, configs):
+        assert np.array_equal(one.values, many.values), config
+        assert one.provenance == many.provenance
+    assert simulate_shared([]) == []
 
 
 def test_run_bandit_rejects_draws_of_another_layout():
-    uniform = _predraw(BanditConfig(horizon=6, gap=0.2, policy=UniformRandom(), replicates=4, seed=0))
-    plain = _predraw(BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=0))
+    uniform = _predraw(BanditConfig(horizon=6, gap=0.2, policy=UniformRandom(), replicates=4, seed=0), range(4))
+    plain = _predraw(BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=0), range(4))
     with pytest.raises(ValueError):
         run_bandit(BanditConfig(horizon=6, gap=0.2, policy=ThompsonGaussian(), replicates=4, seed=0), uniform)
     with pytest.raises(ValueError):
