@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import get_args
 
 from .experiments import (
     OPTIMAL,
@@ -19,16 +20,15 @@ from .experiments import (
     ExperimentKind,
     OutputFormat,
     ReportIOError,
-    _POLICY_FACTORIES,
     parse_policy,
     run_experiment,
     emit_report,
 )
-from .sim import Estimator
+from .sim import Estimator, Policy
 
 __all__ = ["main", "build_parser"]
 
-_POLICY_CHOICES = tuple(_POLICY_FACTORIES)
+_POLICY_CHOICES = tuple(policy.name for policy in get_args(Policy))
 _ESTIMATOR_CHOICES = tuple(e.value for e in Estimator)
 
 EXIT_OK = 0
@@ -161,33 +161,16 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(
                 {"command": "simulate needs either --horizon/--gap/--policy or --n/--delta/--estimator"}
             )
-        if bandit_side:
-            if args.policy is None:
-                raise ConfigError({"policy": "required for a bandit simulation"})
-            return ExperimentConfig(
-                kind=ExperimentKind.SIMULATE_BANDIT,
-                horizon=args.horizon,
-                gap=_numeric_or_optimal(args.gap),
-                policies=(parse_policy(args.policy, args.tau, args.ucb_c),),
-                replicates=args.replicates,
-                scales=scales,
-                **common,
-            )
-        if args.estimator is None:
-            raise ConfigError({"estimator": "required for an estimation simulation"})
-        return ExperimentConfig(
-            kind=ExperimentKind.SIMULATE_ESTIMATION,
-            n=args.n,
-            delta=_numeric_or_optimal(args.delta),
-            estimators=(Estimator(args.estimator),),
-            replicates=args.replicates,
-            scales=scales,
-            **common,
-        )
-    policy_names = tuple(args.policy) if args.policy else _POLICY_CHOICES
-    estimator_names = tuple(args.estimator) if args.estimator else _ESTIMATOR_CHOICES
+        # validate reports a missing --policy or --estimator
+        kind = ExperimentKind.SIMULATE_BANDIT if bandit_side else ExperimentKind.SIMULATE_ESTIMATION
+        policy_names = () if args.policy is None else (args.policy,)
+        estimator_names = () if args.estimator is None else (args.estimator,)
+    else:
+        kind = ExperimentKind.VERIFY
+        policy_names = tuple(args.policy) if args.policy else _POLICY_CHOICES
+        estimator_names = tuple(args.estimator) if args.estimator else _ESTIMATOR_CHOICES
     return ExperimentConfig(
-        kind=ExperimentKind.VERIFY,
+        kind=kind,
         n=args.n,
         delta=_numeric_or_optimal(args.delta),
         horizon=args.horizon,

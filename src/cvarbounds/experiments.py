@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, get_args
 
 from .bounds import BoundResult, bandit_bound, bound_factor, estimation_bound, optimal_gap, optimal_separation
 from .risk import RiskLevel, SampleSet, empirical_cvar, exact_cvar
@@ -27,12 +27,9 @@ from .sim import (
     Estimator,
     ExploreThenCommit,
     Policy,
-    ThompsonGaussian,
     UCB,
-    UniformRandom,
     _is_int,
     exact_loss_law,
-    policy_name,
     simulate_shared,
 )
 
@@ -61,6 +58,9 @@ _EXACT_SLACK = 1e-9
 
 # multiplier turning a tail standard error into Monte Carlo slack
 _SLACK_SIGMAS = 5.0
+
+# most rho steps a psi table may take (the rows are built as a list)
+_MAX_PSI_STEPS = 10**6
 
 CSV_COLUMNS = (
     "alpha",
@@ -106,21 +106,14 @@ class OutputFormat(Enum):
     JSON = "json"
 
 
-_POLICY_FACTORIES: dict[str, Callable[..., Policy]] = {
-    "uniform": lambda tau, ucb_c: UniformRandom(),
-    "etc": lambda tau, ucb_c: ExploreThenCommit(tau=tau),
-    "ucb": lambda tau, ucb_c: UCB(c_explore=ucb_c),
-    "thompson": lambda tau, ucb_c: ThompsonGaussian(),
-}
-
-
 def parse_policy(name: str, tau: int | None = None, ucb_c: float = 1.0) -> Policy:
-    """Policy from its CLI name (uniform, etc, ucb, thompson)."""
-    try:
-        factory = _POLICY_FACTORIES[name]
-    except KeyError:
-        raise ConfigError({"policy": f"unknown policy {name!r}"}) from None
-    return factory(tau, ucb_c)
+    """Policy from its name (uniform, etc, ucb, thompson); `tau` is passed to
+    explore-then-commit and `ucb_c` to UCB."""
+    for cls in get_args(Policy):
+        if cls.name == name:
+            settings = {ExploreThenCommit: {"tau": tau}, UCB: {"c_explore": ucb_c}}
+            return cls(**settings.get(cls, {}))
+    raise ConfigError({"policy": f"unknown policy {name!r}"})
 
 
 @dataclass(frozen=True)
@@ -143,13 +136,15 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         problems: dict[str, str] = {}
-        if not self.alphas:
+        if not isinstance(self.alphas, (tuple, list)):
+            problems["alphas"] = f"must be a tuple of tail levels, got {self.alphas!r}"
+        elif not self.alphas:
             problems["alphas"] = "at least one tail level is required"
-        for a in self.alphas:
-            if not (_is_real(a) and 0.0 <= a < 1.0):
-                problems["alphas"] = f"every alpha must lie in [0, 1), got {a!r}"
-                break
-        if not self.scales:
+        elif any(not (_is_real(a) and 0.0 <= a < 1.0) for a in self.alphas):
+            problems["alphas"] = f"every alpha must lie in [0, 1), got {self.alphas!r}"
+        if not isinstance(self.scales, (tuple, list)):
+            problems["scales"] = f"must be a tuple of scales, got {self.scales!r}"
+        elif not self.scales:
             problems["scales"] = "at least one scale is required"
         elif any(not (_is_real(s) and 0.0 < s < math.inf) for s in self.scales):
             problems["scales"] = f"scales must be finite and > 0, got {self.scales!r}"
@@ -159,11 +154,21 @@ class ExperimentConfig:
             problems["seed"] = f"must be an unsigned 64-bit integer, got {self.seed!r}"
 
         kind = self.kind
+        if not isinstance(kind, ExperimentKind):
+            # _subjects covers no subject for it, so no subject is checked
+            problems["kind"] = f"must be an ExperimentKind, got {kind!r}"
         if kind is ExperimentKind.PSI:
             if not (_is_real(self.rho_max) and 0.0 < self.rho_max < math.inf):
                 problems["rho_max"] = f"must be finite and > 0, got {self.rho_max!r}"
             if not (_is_real(self.rho_step) and 0.0 < self.rho_step < math.inf):
                 problems["rho_step"] = f"must be finite and > 0, got {self.rho_step!r}"
+            elif "rho_max" not in problems and self.rho_max / self.rho_step > _MAX_PSI_STEPS:
+                steps = self.rho_max / self.rho_step
+                problems["rho_step"] = f"rho_max / rho_step is {steps:.6g}, above {_MAX_PSI_STEPS} grid steps"
+        for subject in _SUBJECTS:
+            variants = getattr(self, subject.variants)
+            if not isinstance(variants, (tuple, list)) or not all(map(subject.is_variant, variants)):
+                problems[subject.variants] = f"must be a tuple of {subject.variant} objects, got {variants!r}"
         subjects = _subjects(self)
         if kind is ExperimentKind.BOUND and len(subjects) != 1:
             problems["kind"] = "bound needs exactly one of (n, delta) or (horizon, gap)"
@@ -175,11 +180,13 @@ class ExperimentConfig:
             raw = getattr(self, subject.field)
             if not _valid_param(raw):
                 problems[subject.field] = f"must be a positive number or {OPTIMAL!r}, got {raw!r}"
+            if kind is ExperimentKind.BOUND or subject.variants in problems:
+                continue
             count = len(getattr(self, subject.variants))
             if kind is ExperimentKind.VERIFY:
                 if not count:
                     problems[subject.variants] = f"verify needs at least one {subject.variant}"
-            elif kind is not ExperimentKind.BOUND and count != 1:
+            elif count != 1:
                 problems[subject.variants] = f"{kind.value} takes exactly one {subject.variant}"
         if problems:
             raise ConfigError(problems)
@@ -275,6 +282,7 @@ class _Subject:
     size: str  # the config field fixing the problem size, "horizon" or "n"
     variants: str  # the config field of the simulated variants
     variant: str  # the variant's problem_params key
+    is_variant: Callable[[Any], bool]
     variant_name: Callable[[Any], str]
     optimum: Callable[[int, RiskLevel], float]  # (size, level) -> worst-case parameter
     bound: Callable[[int, float, RiskLevel], BoundResult]  # (size, parameter, level)
@@ -288,7 +296,8 @@ _BANDIT = _Subject(
     size="horizon",
     variants="policies",
     variant="policy",
-    variant_name=lambda policy: policy_name(policy),
+    is_variant=lambda policy: isinstance(policy, get_args(Policy)),
+    variant_name=lambda policy: policy.name,
     optimum=lambda horizon, level: optimal_gap(horizon, level)[0],
     bound=lambda horizon, g, level: bandit_bound(g, horizon, level),
     sim_config=lambda config, policy, g: BanditConfig(
@@ -307,6 +316,7 @@ _ESTIMATION = _Subject(
     size="n",
     variants="estimators",
     variant="estimator",
+    is_variant=lambda estimator: isinstance(estimator, Estimator),
     variant_name=lambda estimator: estimator.value,
     optimum=lambda n, level: optimal_separation(n, level)[0],
     bound=lambda n, delta, level: estimation_bound(n, delta, level),
@@ -319,6 +329,8 @@ _ESTIMATION = _Subject(
     ),
 )
 
+_SUBJECTS = (_BANDIT, _ESTIMATION)
+
 
 def _subjects(config: ExperimentConfig) -> tuple[_Subject, ...]:
     """The subjects a config's kind covers; for `bound`, those whose size or
@@ -327,7 +339,7 @@ def _subjects(config: ExperimentConfig) -> tuple[_Subject, ...]:
     if kind is ExperimentKind.BOUND:
         return tuple(
             subject
-            for subject in (_BANDIT, _ESTIMATION)
+            for subject in _SUBJECTS
             if getattr(config, subject.size) is not None or getattr(config, subject.field) is not None
         )
     if kind is ExperimentKind.SIMULATE_BANDIT:
@@ -335,7 +347,7 @@ def _subjects(config: ExperimentConfig) -> tuple[_Subject, ...]:
     if kind is ExperimentKind.SIMULATE_ESTIMATION:
         return (_ESTIMATION,)
     if kind is ExperimentKind.VERIFY:
-        return (_BANDIT, _ESTIMATION)
+        return _SUBJECTS
     return ()
 
 
@@ -423,7 +435,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ):
         metadata["replicates"] = config.replicates
     if config.policies:
-        metadata["policies"] = [policy_name(p) for p in config.policies]
+        metadata["policies"] = [p.name for p in config.policies]
     if config.estimators:
         metadata["estimators"] = [e.value for e in config.estimators]
     if config.horizon is not None:

@@ -21,8 +21,10 @@ uniform policy needs none, since its actions are its arm draws.
 The draws do not depend on the gap, separation or estimator.
 `simulate_shared` takes any list of configs, groups those whose draws
 coincide, makes each group's draws once and runs every config of the group
-on them (a verification battery draws once per policy and once for all its
-estimation rows).  Draws are made in chunks of consecutive replicates whose
+on them.  A verification battery draws once per kind of draw a policy makes
+for itself (the uniform policy's arms, Thompson's posterior normals, and
+none for explore-then-commit and UCB, which share one draw) and once for all
+its estimation rows.  Draws are made in chunks of consecutive replicates whose
 predraw fits a fixed byte budget, so memory stays bounded for any horizon
 and replicate count; the group with the largest predraw per replicate is
 drawn first, before any losses are held.  Every stream comes from one
@@ -40,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import ClassVar, Iterator, NamedTuple, Sequence, Union, get_args
 
 import numpy as np
 
@@ -60,7 +62,6 @@ __all__ = [
     "BanditBatch",
     "replicate_rng",
     "resolve_tau",
-    "policy_name",
     "run_estimation",
     "run_bandit",
     "simulate_shared",
@@ -91,6 +92,8 @@ class Estimator(Enum):
 class UniformRandom:
     """Pick each arm with probability 1/2, independently every round."""
 
+    name: ClassVar[str] = "uniform"
+
 
 @dataclass(frozen=True)
 class ExploreThenCommit:
@@ -98,6 +101,7 @@ class ExploreThenCommit:
     empirical best (ties go to arm 1).  tau = None resolves to
     ceil(T^(2/3)) clipped into [1, T // 2]."""
 
+    name: ClassVar[str] = "etc"
     tau: int | None = None
 
 
@@ -106,6 +110,7 @@ class UCB:
     """Each arm once, then argmax of mean + c_explore sqrt(2 ln t / pulls),
     with t the 1-based round index; ties go to arm 1."""
 
+    name: ClassVar[str] = "ucb"
     c_explore: float = 1.0
 
 
@@ -114,19 +119,21 @@ class ThompsonGaussian:
     """Draw each arm mean from its conjugate posterior under a standard
     normal prior and unit observation variance; pull the argmax."""
 
+    name: ClassVar[str] = "thompson"
 
+
+# the policy registry: parse_policy, the CLI's choices and BanditConfig read it
 Policy = Union[UniformRandom, ExploreThenCommit, UCB, ThompsonGaussian]
 
-_POLICY_NAMES = {
-    UniformRandom: "uniform",
-    ExploreThenCommit: "etc",
-    UCB: "ucb",
-    ThompsonGaussian: "thompson",
+
+# what a policy draws for itself in a replicate, after the model draw and
+# before the reward noise: (bytes per round, draw(rng, T) of all T rounds);
+# explore-then-commit and UCB draw nothing of their own
+_OWN_DRAWS = {
+    UniformRandom: (1, lambda rng, horizon: rng.integers(1, 3, size=horizon, dtype=np.int8)),
+    ThompsonGaussian: (16, lambda rng, horizon: rng.standard_normal((horizon, 2))),
 }
-
-
-def policy_name(policy: Policy) -> str:
-    return _POLICY_NAMES[type(policy)]
+_NO_OWN_DRAWS = (0, None)
 
 
 def _is_int(value: object) -> bool:
@@ -201,7 +208,7 @@ class BanditConfig:
         g = float(self.gap)
         if not (g > 0.0 and math.isfinite(g)):
             raise ValueError(f"gap must be finite and > 0, got {self.gap!r}")
-        if type(self.policy) not in _POLICY_NAMES:
+        if not isinstance(self.policy, get_args(Policy)):
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
@@ -241,12 +248,8 @@ def _replicate_bytes(config: BanditConfig | EstimationConfig) -> int:
     bandit, the sign and noise mean for an estimation."""
     if isinstance(config, EstimationConfig):
         return 1 + 8
-    per_round = 8
-    if isinstance(config.policy, UniformRandom):
-        per_round += 1
-    elif isinstance(config.policy, ThompsonGaussian):
-        per_round += 16
-    return config.horizon * per_round
+    own_bytes, _ = _OWN_DRAWS.get(type(config.policy), _NO_OWN_DRAWS)
+    return config.horizon * (8 + own_bytes)
 
 
 def _replicate_chunks(config: BanditConfig | EstimationConfig) -> list[range]:
@@ -346,42 +349,40 @@ class BanditDraws(NamedTuple):
     """Predrawn stream values of consecutive bandit replicates."""
 
     model: np.ndarray  # model index in {1, 2}
-    arms: np.ndarray | None  # (reps, T) arm draws, uniform policy only
-    posterior_z: np.ndarray | None  # (reps, T, 2) posterior normals, Thompson only
+    own: np.ndarray | None  # the policy's own draws per replicate, if it makes any
     noise: np.ndarray  # (reps, T) reward noises
+    layout: tuple  # the `_draw_layout` they were drawn for
 
 
 def _predraw(config: BanditConfig, replicates: range) -> BanditDraws:
     """Consume each replicate's stream up front, in the documented order.
-    The draws depend on the seed, horizon and kind of policy, not the gap."""
+    The draws depend on the seed, horizon and the policy's own draws, not
+    the gap."""
     reps, horizon = len(replicates), config.horizon
     model = np.empty(reps, dtype=np.int64)
     noise = np.empty((reps, horizon))
-    arms = None
-    posterior_z = None
-    if isinstance(config.policy, UniformRandom):
-        arms = np.empty((reps, horizon), dtype=np.int8)
-    elif isinstance(config.policy, ThompsonGaussian):
-        posterior_z = np.empty((reps, horizon, 2))
+    _, own_draw = _OWN_DRAWS.get(type(config.policy), _NO_OWN_DRAWS)
+    own = None
     rng = None
     for i, r in enumerate(replicates):
         rng = replicate_rng(config.seed, r, rng)
         model[i] = 1 + int(rng.integers(0, 2))
-        if arms is not None:
-            arms[i] = rng.integers(1, 3, size=horizon, dtype=np.int8)
-        elif posterior_z is not None:
-            posterior_z[i] = rng.standard_normal((horizon, 2))
+        if own_draw is not None:
+            values = own_draw(rng, horizon)
+            if own is None:
+                own = np.empty((reps, *values.shape), dtype=values.dtype)
+            own[i] = values
         noise[i] = rng.standard_normal(horizon)
-    return BanditDraws(model, arms, posterior_z, noise)
+    return BanditDraws(model, own, noise, _draw_layout(config))
 
 
-def _rollout(config: BanditConfig, model, arms, posterior_z, noise) -> np.ndarray:
+def _rollout(config: BanditConfig, model, own, noise) -> np.ndarray:
     """Lockstep rollout across replicates; returns the (reps, T) action array.
-    The uniform policy's actions are its arm draws, whatever the gap, so
-    they are returned as they are, without a rollout."""
+    The uniform policy's actions are its own arm draws, whatever the gap,
+    so they are returned as they are, without a rollout."""
     policy = config.policy
     if isinstance(policy, UniformRandom):
-        return arms
+        return own
     reps, horizon, g = model.size, config.horizon, config.gap
     mu_arm1 = np.where(model == 1, 0.5 * g, -0.5 * g)
     actions = np.empty((reps, horizon), dtype=np.int8)
@@ -416,8 +417,8 @@ def _rollout(config: BanditConfig, model, arms, posterior_z, noise) -> np.ndarra
         else:
             d1 = n1 + 1.0
             d2 = n2 + 1.0
-            draw1 = s1 / d1 + posterior_z[:, t, 0] / np.sqrt(d1)
-            draw2 = s2 / d2 + posterior_z[:, t, 1] / np.sqrt(d2)
+            draw1 = s1 / d1 + own[:, t, 0] / np.sqrt(d1)
+            draw2 = s2 / d2 + own[:, t, 1] / np.sqrt(d2)
             a = np.where(draw1 >= draw2, 1, 2).astype(np.int8)
         actions[:, t] = a
         on1 = a == 1
@@ -431,15 +432,10 @@ def _rollout(config: BanditConfig, model, arms, posterior_z, noise) -> np.ndarra
 
 def run_bandit(config: BanditConfig, draws: BanditDraws) -> BanditBatch:
     """Roll out the replicates `draws` hold, each under its drawn model;
-    `draws` come from `_predraw` with this config's seed, horizon and kind of
-    policy."""
-    if (
-        draws.noise.shape[1] != config.horizon
-        or (draws.arms is None) == isinstance(config.policy, UniformRandom)
-        or (draws.posterior_z is None) == isinstance(config.policy, ThompsonGaussian)
-    ):
-        raise ValueError("draws do not match the config's horizon and policy")
-    actions = _rollout(config, *draws)
+    `draws` come from `_predraw` for a config of this one's draw layout."""
+    if draws.layout != _draw_layout(config):
+        raise ValueError("draws do not match the config's seed, replicates, horizon and policy draws")
+    actions = _rollout(config, draws.model, draws.own, draws.noise)
     n1 = (actions == 1).sum(axis=1)
     losses = np.where(draws.model == 1, config.gap * (config.horizon - n1), config.gap * n1)
     return BanditBatch(
@@ -458,7 +454,8 @@ def _draw_layout(config: BanditConfig | EstimationConfig) -> tuple:
     """What a config's draws depend on; configs that agree share them."""
     if isinstance(config, EstimationConfig):
         return ("estimation", config.seed, config.replicates, config.n)
-    return ("bandit", config.seed, config.replicates, config.horizon, type(config.policy))
+    own = _OWN_DRAWS.get(type(config.policy), _NO_OWN_DRAWS)
+    return ("bandit", config.seed, config.replicates, config.horizon, own)
 
 
 def _provenance(config: BanditConfig | EstimationConfig) -> dict:
@@ -475,7 +472,7 @@ def _provenance(config: BanditConfig | EstimationConfig) -> dict:
         "problem": "bandit",
         "horizon": config.horizon,
         "gap": config.gap,
-        "policy": policy_name(config.policy),
+        "policy": config.policy.name,
         "replicates": config.replicates,
         "seed": config.seed,
     }
@@ -485,8 +482,8 @@ def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[
     """Loss samples of the configs, in their order.
 
     Configs whose draws coincide (the same seed and replicate count, and the
-    same horizon and kind of policy for a bandit or the same n for an
-    estimation) form one group.  Each chunk of a group's replicates is drawn
+    same horizon and own draws of the policy for a bandit or the same n for
+    an estimation) form one group.  Each chunk of a group's replicates is drawn
     once and run for every config of the group, and the losses are joined
     per config; every sample equals that of simulating its config alone.
     The group with the largest predraw per replicate is drawn first, while
@@ -524,11 +521,11 @@ def mc_transcript_kl(config: BanditConfig) -> tuple[float, float]:
         )
     half_g = 0.5 * config.gap
     parts = []
-    for _, arms, posterior_z, noise in _chunk_draws(config):
-        forced = np.ones(noise.shape[0], dtype=np.int64)
-        actions = _rollout(config, forced, arms, posterior_z, noise)
+    for draws in _chunk_draws(config):
+        forced = np.ones(draws.noise.shape[0], dtype=np.int64)
+        actions = _rollout(config, forced, draws.own, draws.noise)
         mu1 = np.where(actions == 1, half_g, -half_g)  # chosen-arm mean under model 1
-        y = mu1 + noise
+        y = mu1 + draws.noise
         parts.append(0.5 * ((y + mu1) ** 2 - (y - mu1) ** 2).sum(axis=1))
     per_transcript = np.concatenate(parts)
     estimate = float(per_transcript.mean())

@@ -122,6 +122,13 @@ def test_simulate_needs_one_side(capsys):
     rc = main(["simulate", "--replicates", "10"])
     assert rc == 2
     capsys.readouterr()
+    # one side without its policy or estimator: validate names the field
+    for argv, field in (
+        (["simulate", "--horizon", "10", "--gap", "0.1"], "policies"),
+        (["simulate", "--n", "4", "--delta", "0.2"], "estimators"),
+    ):
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err
 
 
 def test_verify_small_passes(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,6 +105,29 @@ def test_validation_collects_all_problems():
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(kind=ExperimentKind.PSI, alphas=(0.5,), **bad).validate()
         assert set(exc.value.problems) == set(bad)
+    # a psi grid of more than 10**6 steps is refused before it is built
+    ExperimentConfig(kind=ExperimentKind.PSI, alphas=(0.5,), rho_max=1.0, rho_step=1e-6).validate()
+    for grid in (
+        dict(rho_max=1.0, rho_step=9.99e-7),
+        dict(rho_max=1e12, rho_step=1e-6),
+        dict(rho_max=1e300, rho_step=1e-300),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(kind=ExperimentKind.PSI, alphas=(0.5,), **grid).validate()
+        assert set(exc.value.problems) == {"rho_step"}
+    # values of the wrong type are reported, not raised from the library
+    for bad in (dict(alphas=0.5), dict(scales=2.0), dict(policies=("ucb",)), dict(policies=UCB()),
+                dict(estimators=("sign_commit",))):
+        with pytest.raises(ConfigError) as exc:
+            replace(_verify_config(100), **bad).validate()
+        assert set(exc.value.problems) == set(bad)
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(kind=ExperimentKind.BOUND, alphas=(0.5,), n=10, delta=0.1, policies=("ucb",)).validate()
+    assert set(exc.value.problems) == {"policies"}
+    with pytest.raises(ConfigError) as exc:
+        replace(_verify_config(100), kind="verify", horizon=0).validate()
+    # the subject checks are skipped for a kind that is not an ExperimentKind
+    assert set(exc.value.problems) == {"kind"}
 
 
 def test_validation_bound_needs_one_problem():
@@ -311,7 +335,7 @@ def test_shared_draw_rows_match_per_row_simulation():
         level = RiskLevel(row.alpha)
         params = row.problem_params
         if params["problem"] == "bandit":
-            policy = next(p for p in cfg.policies if sim.policy_name(p) == params["policy"])
+            policy = next(p for p in cfg.policies if p.name == params["policy"])
             config = BanditConfig(horizon=16, gap=row.param_value, policy=policy, replicates=60, seed=3)
         else:
             config = EstimationConfig(
@@ -340,8 +364,9 @@ def test_chunked_draws_render_identical_csv(monkeypatch):
 
 
 def test_verify_draws_each_stream_once_per_layout(monkeypatch):
-    # 4 policies and 3 estimators: one draw of every replicate stream per
-    # policy and one for the whole estimation battery
+    # 4 policies and 3 estimators: one draw of every replicate stream for
+    # the uniform policy, one for Thompson, one shared by explore-then-commit
+    # and UCB, and one for the whole estimation battery
     keys = []
     original = sim.replicate_rng
 
@@ -352,5 +377,5 @@ def test_verify_draws_each_stream_once_per_layout(monkeypatch):
     monkeypatch.setattr(sim, "replicate_rng", counted)
     report = run_experiment(_verify_config(replicates=60))
     assert len(report.rows) == (4 + 3) * 2 * 2
-    assert len(keys) == 5 * 60
+    assert len(keys) == 4 * 60
     assert len(set(keys)) == 60

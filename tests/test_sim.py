@@ -7,6 +7,7 @@ import pytest
 from cvarbounds import sim
 from cvarbounds.cli import main as cli_main
 from cvarbounds.errors import DomainError
+from cvarbounds.experiments import parse_policy
 from cvarbounds.risk import RiskLevel, exact_cvar
 from cvarbounds.sim import (
     BanditConfig,
@@ -23,7 +24,6 @@ from cvarbounds.sim import (
     exact_uniform_bandit_law,
     mc_transcript_kl,
     normal_upper_tail,
-    policy_name,
     replicate_rng,
     resolve_tau,
     run_bandit,
@@ -134,7 +134,9 @@ def test_config_validation():
 
 
 def test_policy_names():
-    assert [policy_name(p) for p in ALL_POLICIES] == ["uniform", "etc", "ucb", "thompson"]
+    assert [p.name for p in ALL_POLICIES] == ["uniform", "etc", "ucb", "thompson"]
+    # each name rebuilds its default policy
+    assert [parse_policy(p.name) for p in ALL_POLICIES] == list(ALL_POLICIES)
 
 
 # -------------------------------------------------------------- estimation
@@ -210,7 +212,7 @@ def test_bandit_deterministic_and_prefix_stable():
         two = _bandit(BanditConfig(replicates=15, **kw))
         longer = _bandit(BanditConfig(replicates=40, **kw))
         assert np.array_equal(one.actions, two.actions)
-        assert np.array_equal(one.losses, longer.losses[:15]), policy_name(policy)
+        assert np.array_equal(one.losses, longer.losses[:15]), policy.name
 
 
 def test_bandit_pair_identity():
@@ -276,7 +278,7 @@ def test_exact_loss_law_of_each_policy(horizon):
         if isinstance(policy, UniformRandom) and horizon == 64:
             assert law == exact_uniform_bandit_law(0.3, 64)
         else:
-            assert law is None, policy_name(policy)
+            assert law is None, policy.name
 
 
 def test_exact_loss_law_of_each_estimator():
@@ -323,8 +325,8 @@ def test_predrawn_draws_are_shared_across_gaps():
             cfg = BanditConfig(horizon=12, gap=gap, policy=policy, replicates=30, seed=8)
             alone = _bandit(cfg)
             shared = run_bandit(cfg, draws)
-            assert np.array_equal(shared.actions, alone.actions), policy_name(policy)
-            assert np.array_equal(shared.losses, alone.losses), policy_name(policy)
+            assert np.array_equal(shared.actions, alone.actions), policy.name
+            assert np.array_equal(shared.losses, alone.losses), policy.name
             part = run_bandit(cfg, _predraw(cfg, range(11, 23)))
             assert np.array_equal(part.losses, alone.losses[11:23])
     for estimator in Estimator:
@@ -347,7 +349,7 @@ def test_simulate_shared_matches_simulating_alone():
         ]
         for shared, config in zip(simulate_shared(configs), configs):
             alone = simulate_shared([config])[0]
-            assert np.array_equal(shared.values, alone.values), policy_name(policy)
+            assert np.array_equal(shared.values, alone.values), policy.name
             assert shared.provenance == alone.provenance
     configs = [
         EstimationConfig(n=4, delta=delta, estimator=estimator, replicates=25, seed=6)
@@ -371,6 +373,8 @@ def test_simulate_shared_groups_configs_drawn_apart(monkeypatch):
         BanditConfig(horizon=6, gap=0.2, policy=ThompsonGaussian(), replicates=4, seed=0),
         # explore-then-commit and UCB settings do not change the draws
         BanditConfig(horizon=6, gap=0.9, policy=UCB(2.0), replicates=4, seed=0),
+        # nor does picking one of the two: both draw nothing of their own
+        BanditConfig(horizon=6, gap=0.5, policy=ExploreThenCommit(), replicates=4, seed=0),
         BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=5, seed=0),
         EstimationConfig(n=3, delta=0.2, estimator=Estimator.SIGN_COMMIT, replicates=4, seed=0),
         BanditConfig(horizon=7, gap=0.2, policy=UniformRandom(), replicates=4, seed=0),
@@ -405,6 +409,10 @@ def test_run_bandit_rejects_draws_of_another_layout():
         run_bandit(BanditConfig(horizon=6, gap=0.2, policy=UniformRandom(), replicates=4, seed=0), plain)
     with pytest.raises(ValueError):
         run_bandit(BanditConfig(horizon=7, gap=0.2, policy=UCB(), replicates=4, seed=0), plain)
+    with pytest.raises(ValueError):
+        run_bandit(BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=1), plain)
+    # explore-then-commit rolls out on UCB's draws
+    run_bandit(BanditConfig(horizon=6, gap=0.2, policy=ExploreThenCommit(), replicates=4, seed=0), plain)
 
 
 _SWEEP = ["--alpha", "0", "--alpha", "0.5", "--alpha", "0.9", "--scale", "0.5", "--scale", "1", "--scale", "2"]
@@ -463,7 +471,7 @@ def test_mc_transcript_kl_hits_budget():
         cfg = BanditConfig(horizon=100, gap=0.2, policy=policy, replicates=4000, seed=1)
         est, stderr = mc_transcript_kl(cfg)
         assert stderr > 0.0
-        assert abs(est - target) <= 4.0 * stderr, policy_name(policy)
+        assert abs(est - target) <= 4.0 * stderr, policy.name
 
 
 def test_mc_transcript_kl_deterministic(monkeypatch):
