@@ -30,6 +30,7 @@ from .sim import (
     UCB,
     _is_int,
     exact_loss_law,
+    resolve_tau,
     simulate_shared,
 )
 
@@ -188,6 +189,12 @@ class ExperimentConfig:
                     problems[subject.variants] = f"verify needs at least one {subject.variant}"
             elif count != 1:
                 problems[subject.variants] = f"{kind.value} takes exactly one {subject.variant}"
+            if subject.size not in problems:
+                for variant in getattr(self, subject.variants):
+                    try:
+                        subject.check_variant(size, variant)
+                    except ValueError as exc:
+                        problems.setdefault(subject.variants, str(exc))
         if problems:
             raise ConfigError(problems)
 
@@ -284,6 +291,7 @@ class _Subject:
     variant: str  # the variant's problem_params key
     is_variant: Callable[[Any], bool]
     variant_name: Callable[[Any], str]
+    check_variant: Callable[[int, Any], None]  # (size, variant); raises ValueError if it cannot run
     optimum: Callable[[int, RiskLevel], float]  # (size, level) -> worst-case parameter
     bound: Callable[[int, float, RiskLevel], BoundResult]  # (size, parameter, level)
     sim_config: Callable[[ExperimentConfig, Any, float], BanditConfig | EstimationConfig]
@@ -298,6 +306,9 @@ _BANDIT = _Subject(
     variant="policy",
     is_variant=lambda policy: isinstance(policy, get_args(Policy)),
     variant_name=lambda policy: policy.name,
+    check_variant=lambda horizon, policy: (
+        resolve_tau(policy, horizon) if isinstance(policy, ExploreThenCommit) else None
+    ),
     optimum=lambda horizon, level: optimal_gap(horizon, level)[0],
     bound=lambda horizon, g, level: bandit_bound(g, horizon, level),
     sim_config=lambda config, policy, g: BanditConfig(
@@ -318,6 +329,7 @@ _ESTIMATION = _Subject(
     variant="estimator",
     is_variant=lambda estimator: isinstance(estimator, Estimator),
     variant_name=lambda estimator: estimator.value,
+    check_variant=lambda n, estimator: None,
     optimum=lambda n, level: optimal_separation(n, level)[0],
     bound=lambda n, delta, level: estimation_bound(n, delta, level),
     sim_config=lambda config, estimator, delta: EstimationConfig(

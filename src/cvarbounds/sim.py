@@ -15,13 +15,15 @@ everything from a Philox stream keyed by (s, r).  Per replicate the stream
 is consumed in a fixed order (model draw, then any policy draws, then the
 reward/observation noise), so results are independent of batch size and the
 first replicates of a longer run reproduce a shorter one bit for bit.  The
-rollout itself is vectorized across replicates in lockstep over rounds; the
+rollout runs round by round in lockstep over replicates x gaps: a policy's
+rows at every gap are one pass.  Explore-then-commit needs only its 2 tau
+exploration rounds, since their two sums decide its commit, and the
 uniform policy needs none, since its actions are its arm draws.
 
 The draws do not depend on the gap, separation or estimator.
 `simulate_shared` takes any list of configs, groups those whose draws
 coincide, makes each group's draws once and runs every config of the group
-on them.  A verification battery draws once per kind of draw a policy makes
+on them, rolling out each policy once over all its gaps.  A verification battery draws once per kind of draw a policy makes
 for itself (the uniform policy's arms, Thompson's posterior normals, and
 none for explore-then-commit and UCB, which share one draw) and once for all
 its estimation rows.  Draws are made in chunks of consecutive replicates whose
@@ -376,58 +378,67 @@ def _predraw(config: BanditConfig, replicates: range) -> BanditDraws:
     return BanditDraws(model, own, noise, _draw_layout(config))
 
 
-def _rollout(config: BanditConfig, model, own, noise) -> np.ndarray:
-    """Lockstep rollout across replicates; returns the (reps, T) action array.
-    The uniform policy's actions are its own arm draws, whatever the gap,
-    so they are returned as they are, without a rollout."""
-    policy = config.policy
-    if isinstance(policy, UniformRandom):
-        return own
-    reps, horizon, g = model.size, config.horizon, config.gap
-    mu_arm1 = np.where(model == 1, 0.5 * g, -0.5 * g)
-    actions = np.empty((reps, horizon), dtype=np.int8)
-    n1 = np.zeros(reps, dtype=np.int64)
-    s1 = np.zeros(reps)
-    n2 = np.zeros(reps, dtype=np.int64)
-    s2 = np.zeros(reps)
-    committed = None
-    tau = resolve_tau(policy, horizon) if isinstance(policy, ExploreThenCommit) else 0
+def _rollout(policy: Policy, horizon: int, gaps, model, own, noise, actions=None) -> np.ndarray:
+    """Arm-1 pull counts, shaped (k, reps), of the replicates rolled out at
+    each of the k gaps, each replicate under its drawn model.
 
+    The rollout runs in lockstep over replicates x gaps, one round at a
+    time: the state arrays are (k, reps) and each round's (reps,) noise and
+    Thompson normals broadcast across the gaps, so every element sees the
+    float operations of a rollout at its gap alone.  Explore-then-commit runs
+    only its 2 tau exploration rounds, since the sums they leave decide its
+    commit.  The uniform policy's actions are its own arm draws, whatever the
+    gap, so its counts need no rollout.  With `actions`, a (reps, T) int8
+    array and one gap, the actions are recorded into it.
+    """
+    k, reps = len(gaps), model.size
+    if isinstance(policy, UniformRandom):
+        if actions is not None:
+            actions[...] = own
+        return np.broadcast_to((own == 1).sum(axis=1), (k, reps))
+    half = 0.5 * np.asarray(gaps, dtype=float)[:, None]
+    mu1 = np.where(model == 1, half, -half)  # arm 1's mean
+    mu2 = -mu1
+    s1 = np.zeros((k, reps))
+    s2 = np.zeros((k, reps))
+    if isinstance(policy, ExploreThenCommit):
+        tau = resolve_tau(policy, horizon)
+        for t in range(tau):
+            s1 += mu1 + noise[:, t]
+        for t in range(tau, 2 * tau):
+            s2 += mu2 + noise[:, t]
+        # equal exploration counts, so compare sums; ties -> arm 1
+        commit1 = s1 >= s2
+        if actions is not None:
+            actions[:, :tau] = 1
+            actions[:, tau : 2 * tau] = 2
+            actions[:, 2 * tau :] = np.where(commit1[0], 1, 2)[:, None]
+        return tau + (horizon - 2 * tau) * commit1
+    n1 = np.zeros((k, reps))  # counts held as floats, exact up to 2**53
     for t in range(horizon):
-        if isinstance(policy, ExploreThenCommit):
-            if t < tau:
-                a = np.ones(reps, dtype=np.int8)
-            elif t < 2 * tau:
-                a = np.full(reps, 2, dtype=np.int8)
-            else:
-                if committed is None:
-                    # equal exploration counts, so compare sums; ties -> arm 1
-                    committed = np.where(s1 >= s2, 1, 2).astype(np.int8)
-                a = committed
-        elif isinstance(policy, UCB):
-            if t == 0:
-                a = np.ones(reps, dtype=np.int8)
-            elif t == 1:
-                a = np.full(reps, 2, dtype=np.int8)
-            else:
-                radius = policy.c_explore * math.sqrt(2.0 * math.log(t + 1))
-                idx1 = s1 / n1 + radius / np.sqrt(n1)
-                idx2 = s2 / n2 + radius / np.sqrt(n2)
-                a = np.where(idx1 >= idx2, 1, 2).astype(np.int8)
-        else:
+        n2 = t - n1
+        if isinstance(policy, ThompsonGaussian):
             d1 = n1 + 1.0
             d2 = n2 + 1.0
-            draw1 = s1 / d1 + own[:, t, 0] / np.sqrt(d1)
-            draw2 = s2 / d2 + own[:, t, 1] / np.sqrt(d2)
-            a = np.where(draw1 >= draw2, 1, 2).astype(np.int8)
-        actions[:, t] = a
-        on1 = a == 1
-        y = np.where(on1, mu_arm1, -mu_arm1) + noise[:, t]
+            on1 = s1 / d1 + own[:, t, 0] / np.sqrt(d1) >= s2 / d2 + own[:, t, 1] / np.sqrt(d2)
+        elif t < 2:
+            on1 = np.full((k, reps), t == 0)
+        else:
+            radius = policy.c_explore * math.sqrt(2.0 * math.log(t + 1))
+            on1 = s1 / n1 + radius / np.sqrt(n1) >= s2 / n2 + radius / np.sqrt(n2)
+        if actions is not None:
+            actions[:, t] = np.where(on1[0], 1, 2)
+        y = np.where(on1, mu1, mu2) + noise[:, t]
         n1 += on1
-        n2 += ~on1
         s1 += np.where(on1, y, 0.0)
         s2 += np.where(on1, 0.0, y)
-    return actions
+    return n1.astype(np.int64)
+
+
+def _regret(gaps, horizon: int, model, n1) -> np.ndarray:
+    """(k, reps) realized pseudo-regret from `_rollout`'s arm-1 pull counts."""
+    g = np.asarray(gaps, dtype=float)[:, None]
+    return np.where(model == 1, g * (horizon - n1), g * n1)
 
 
 def run_bandit(config: BanditConfig, draws: BanditDraws) -> BanditBatch:
@@ -435,15 +446,15 @@ def run_bandit(config: BanditConfig, draws: BanditDraws) -> BanditBatch:
     `draws` come from `_predraw` for a config of this one's draw layout."""
     if draws.layout != _draw_layout(config):
         raise ValueError("draws do not match the config's seed, replicates, horizon and policy draws")
-    actions = _rollout(config, draws.model, draws.own, draws.noise)
-    n1 = (actions == 1).sum(axis=1)
-    losses = np.where(draws.model == 1, config.gap * (config.horizon - n1), config.gap * n1)
+    actions = np.empty(draws.noise.shape, dtype=np.int8)
+    gaps = (config.gap,)
+    n1 = _rollout(config.policy, config.horizon, gaps, draws.model, draws.own, draws.noise, actions)
     return BanditBatch(
         gap=config.gap,
         horizon=config.horizon,
         actions=actions,
         model_index=draws.model,
-        losses=losses.astype(float),
+        losses=_regret(gaps, config.horizon, draws.model, n1)[0],
     )
 
 
@@ -478,31 +489,50 @@ def _provenance(config: BanditConfig | EstimationConfig) -> dict:
     }
 
 
+def _chunk_losses(configs: Sequence[BanditConfig | EstimationConfig], draws) -> list[np.ndarray]:
+    """Losses of configs of one draw layout on one chunk of its draws.  The
+    bandit configs of one policy are rolled out together, in one lockstep
+    pass over their distinct gaps."""
+    if isinstance(draws, EstimationDraws):
+        return [run_estimation(config, draws).losses for config in configs]
+    by_policy: dict[Policy, list[int]] = {}
+    for j, config in enumerate(configs):
+        by_policy.setdefault(config.policy, []).append(j)
+    losses: list[np.ndarray | None] = [None] * len(configs)
+    horizon = configs[0].horizon
+    for policy, rows in by_policy.items():
+        gaps, row_gap = np.unique([configs[j].gap for j in rows], return_inverse=True)
+        n1 = _rollout(policy, horizon, gaps, draws.model, draws.own, draws.noise)
+        regret = _regret(gaps, horizon, draws.model, n1)
+        for j, g in zip(rows, row_gap):
+            losses[j] = regret[g]
+    return losses
+
+
 def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[SampleSet]:
     """Loss samples of the configs, in their order.
 
     Configs whose draws coincide (the same seed and replicate count, and the
     same horizon and own draws of the policy for a bandit or the same n for
     an estimation) form one group.  Each chunk of a group's replicates is drawn
-    once and run for every config of the group, and the losses are joined
-    per config; every sample equals that of simulating its config alone.
-    The group with the largest predraw per replicate is drawn first, while
-    no losses are held.
+    once and run for every config of the group, one rollout per policy over
+    all its gaps, and the losses are joined per config; every sample equals
+    that of simulating its config alone.  The group with the largest predraw
+    per replicate is drawn first, while no losses are held.
     """
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault(_draw_layout(config), []).append(i)
     samples: list[SampleSet | None] = [None] * len(configs)
     for members in sorted(groups.values(), key=lambda m: _replicate_bytes(configs[m[0]]), reverse=True):
-        first = configs[members[0]]
-        run = run_estimation if isinstance(first, EstimationConfig) else run_bandit
+        group = [configs[i] for i in members]
         parts: list[list[np.ndarray]] = [[] for _ in members]
-        for draws in _chunk_draws(first):
-            for part, i in zip(parts, members):
-                part.append(run(configs[i], draws).losses)
+        for draws in _chunk_draws(group[0]):
+            for part, losses in zip(parts, _chunk_losses(group, draws)):
+                part.append(losses)
             del draws  # release this chunk before drawing the next
-        for part, i in zip(parts, members):
-            samples[i] = SampleSet(np.concatenate(part), provenance=_provenance(configs[i]))
+        for part, config, i in zip(parts, group, members):
+            samples[i] = SampleSet(np.concatenate(part), provenance=_provenance(config))
     return samples
 
 
@@ -522,8 +552,9 @@ def mc_transcript_kl(config: BanditConfig) -> tuple[float, float]:
     half_g = 0.5 * config.gap
     parts = []
     for draws in _chunk_draws(config):
-        forced = np.ones(draws.noise.shape[0], dtype=np.int64)
-        actions = _rollout(config, forced, draws.own, draws.noise)
+        actions = np.empty(draws.noise.shape, dtype=np.int8)
+        forced = np.ones(actions.shape[0], dtype=np.int64)
+        _rollout(config.policy, config.horizon, (config.gap,), forced, draws.own, draws.noise, actions)
         mu1 = np.where(actions == 1, half_g, -half_g)  # chosen-arm mean under model 1
         y = mu1 + draws.noise
         parts.append(0.5 * ((y + mu1) ** 2 - (y - mu1) ** 2).sum(axis=1))

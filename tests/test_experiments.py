@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cvarbounds.bounds import bandit_bound, bound_factor, estimation_bound, optimal_gap
+from cvarbounds.cli import main as cli_main
 from cvarbounds.experiments import (
     CSV_COLUMNS,
     ConfigError,
@@ -124,6 +125,15 @@ def test_validation_collects_all_problems():
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(kind=ExperimentKind.BOUND, alphas=(0.5,), n=10, delta=0.1, policies=("ucb",)).validate()
     assert set(exc.value.problems) == {"policies"}
+    # an explore-then-commit tau the horizon cannot hold is a policies problem
+    for policy, horizon in ((ExploreThenCommit(tau=6), 10), (ExploreThenCommit(tau=0), 10), (ExploreThenCommit(), 1)):
+        with pytest.raises(ConfigError) as exc:
+            _bandit_config(horizon=horizon, policies=(policy,)).validate()
+        assert set(exc.value.problems) == {"policies"}, policy
+        with pytest.raises(ConfigError) as exc:
+            replace(_verify_config(100), horizon=horizon, policies=(UCB(), policy), replicates=0).validate()
+        assert set(exc.value.problems) == {"policies", "replicates"}, policy
+    _bandit_config(horizon=10, policies=(ExploreThenCommit(tau=5),)).validate()
     with pytest.raises(ConfigError) as exc:
         replace(_verify_config(100), kind="verify", horizon=0).validate()
     # the subject checks are skipped for a kind that is not an ExperimentKind
@@ -379,3 +389,27 @@ def test_verify_draws_each_stream_once_per_layout(monkeypatch):
     assert len(report.rows) == (4 + 3) * 2 * 2
     assert len(keys) == 4 * 60
     assert len(set(keys)) == 60
+
+
+@pytest.mark.parametrize("budget", [None, 20 * 200 * 24])
+def test_verify_rolls_out_each_policy_once_per_chunk(monkeypatch, tmp_path, budget):
+    # the default verify shape: each policy's 9 gaps are rolled out in one
+    # lockstep pass per chunk of its draws, never one rollout per row
+    if budget is not None:
+        monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", budget)
+    calls = []
+    original = sim._rollout
+
+    def counted(policy, horizon, gaps, *args):
+        calls.append((policy.name, len(gaps)))
+        return original(policy, horizon, gaps, *args)
+
+    monkeypatch.setattr(sim, "_rollout", counted)
+    assert cli_main(["verify", "--replicates", "60", "--out", str(tmp_path / "report.csv")]) == 0
+    expected = []
+    for policy in (UniformRandom(), ExploreThenCommit(), UCB(), ThompsonGaussian()):
+        chunks = sim._replicate_chunks(BanditConfig(horizon=200, gap=1.0, policy=policy, replicates=60, seed=0))
+        expected += [(policy.name, 9)] * len(chunks)
+    assert sorted(calls) == sorted(expected)
+    if budget is not None:
+        assert calls.count(("thompson", 9)) == 3

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cvarbounds import sim
+from cvarbounds.bounds import optimal_gap
 from cvarbounds.cli import main as cli_main
 from cvarbounds.errors import DomainError
 from cvarbounds.experiments import parse_policy
@@ -339,6 +340,102 @@ def test_predrawn_draws_are_shared_across_gaps():
             shared = run_estimation(cfg, draws)
             for field in ("theta", "theta_hat", "losses"):
                 assert np.array_equal(getattr(shared, field), getattr(alone, field)), estimator
+
+
+def _reference_rollout(config: BanditConfig, model, own, noise) -> np.ndarray:
+    """The round loop that rolled out one gap at a time, kept as the oracle
+    of the batched rollout; returns the (reps, T) action array."""
+    policy = config.policy
+    if isinstance(policy, UniformRandom):
+        return own
+    reps, horizon, g = model.size, config.horizon, config.gap
+    mu_arm1 = np.where(model == 1, 0.5 * g, -0.5 * g)
+    actions = np.empty((reps, horizon), dtype=np.int8)
+    n1 = np.zeros(reps, dtype=np.int64)
+    s1 = np.zeros(reps)
+    n2 = np.zeros(reps, dtype=np.int64)
+    s2 = np.zeros(reps)
+    committed = None
+    tau = resolve_tau(policy, horizon) if isinstance(policy, ExploreThenCommit) else 0
+
+    for t in range(horizon):
+        if isinstance(policy, ExploreThenCommit):
+            if t < tau:
+                a = np.ones(reps, dtype=np.int8)
+            elif t < 2 * tau:
+                a = np.full(reps, 2, dtype=np.int8)
+            else:
+                if committed is None:
+                    # equal exploration counts, so compare sums; ties -> arm 1
+                    committed = np.where(s1 >= s2, 1, 2).astype(np.int8)
+                a = committed
+        elif isinstance(policy, UCB):
+            if t == 0:
+                a = np.ones(reps, dtype=np.int8)
+            elif t == 1:
+                a = np.full(reps, 2, dtype=np.int8)
+            else:
+                radius = policy.c_explore * math.sqrt(2.0 * math.log(t + 1))
+                idx1 = s1 / n1 + radius / np.sqrt(n1)
+                idx2 = s2 / n2 + radius / np.sqrt(n2)
+                a = np.where(idx1 >= idx2, 1, 2).astype(np.int8)
+        else:
+            d1 = n1 + 1.0
+            d2 = n2 + 1.0
+            draw1 = s1 / d1 + own[:, t, 0] / np.sqrt(d1)
+            draw2 = s2 / d2 + own[:, t, 1] / np.sqrt(d2)
+            a = np.where(draw1 >= draw2, 1, 2).astype(np.int8)
+        actions[:, t] = a
+        on1 = a == 1
+        y = np.where(on1, mu_arm1, -mu_arm1) + noise[:, t]
+        n1 += on1
+        n2 += ~on1
+        s1 += np.where(on1, y, 0.0)
+        s2 += np.where(on1, 0.0, y)
+    return actions
+
+
+def _reference_losses(config: BanditConfig, model, actions) -> np.ndarray:
+    n1 = (actions == 1).sum(axis=1)
+    return np.where(model == 1, config.gap * (config.horizon - n1), config.gap * n1).astype(float)
+
+
+def test_batched_rollout_matches_round_loop_oracle(monkeypatch):
+    # every policy, with default and explicit tau (tau = T/2 leaves no
+    # commit rounds), at a tiny, the worst-case and a large gap
+    horizon, reps = 60, 257
+    policies = (
+        UniformRandom(),
+        ExploreThenCommit(),
+        ExploreThenCommit(tau=5),
+        ExploreThenCommit(tau=30),
+        UCB(),
+        UCB(c_explore=0.5),
+        ThompsonGaussian(),
+    )
+    gaps = (1e-3, optimal_gap(horizon, RiskLevel(0.5))[0], 2.0)
+    configs = [
+        BanditConfig(horizon=horizon, gap=g, policy=p, replicates=reps, seed=13) for p in policies for g in gaps
+    ]
+    expected = []
+    for policy in policies:
+        rows = [config for config in configs if config.policy == policy]
+        draws = _predraw(rows[0], range(reps))
+        counts = sim._rollout(policy, horizon, gaps, draws.model, draws.own, draws.noise)
+        for config, n1 in zip(rows, counts):
+            actions = _reference_rollout(config, draws.model, draws.own, draws.noise)
+            losses = _reference_losses(config, draws.model, actions)
+            assert np.array_equal(n1, (actions == 1).sum(axis=1)), config
+            batch = run_bandit(config, draws)
+            assert np.array_equal(batch.actions, actions), config
+            assert np.array_equal(batch.losses, losses), config
+            expected.append(losses)
+    # drawn in chunks with a shorter last one, all rows in one call
+    monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 50 * horizon * 24)
+    assert len(sim._replicate_chunks(configs[-1])) >= 3  # Thompson's
+    assert len(sim._replicate_chunks(configs[0])) >= 2  # the uniform policy's
+    for sample, config, losses in zip(simulate_shared(configs), configs, expected):
+        assert np.array_equal(sample.values, np.sort(losses, kind="stable")[::-1]), config
 
 
 def test_simulate_shared_matches_simulating_alone():
