@@ -10,7 +10,6 @@ from .bounds import (
     balanced_bound,
     bandit_bound,
     bound_factor,
-    bound_factor_grid_min,
     estimation_bound,
     hinge_lower_bound,
     optimal_bound_constant,
@@ -25,9 +24,7 @@ from .divergences import (
     bandit_budget,
     estimation_budget,
     hellinger2_bernoulli,
-    hellinger_le_kl_check,
     kl_bernoulli,
-    kl_gaussian_unit_var,
 )
 from .errors import DomainError
 from .experiments import (
@@ -48,15 +45,11 @@ from .risk import (
     DiscreteLossDistribution,
     RiskLevel,
     SampleSet,
-    cvar_dominates_mean,
     empirical_cvar,
     exact_cvar,
-    hinge_mean,
 )
 from .sim import (
-    BanditBatch,
     BanditConfig,
-    EstimationBatch,
     EstimationConfig,
     Estimator,
     ExploreThenCommit,
@@ -67,7 +60,6 @@ from .sim import (
     exact_loss_law,
     exact_sign_estimator_law,
     exact_uniform_bandit_law,
-    mc_transcript_kl,
     normal_upper_tail,
     replicate_rng,
     run_bandit,

@@ -25,9 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-
-import numpy as np
 
 from .divergences import DivergenceKind, HellingerBudget, bandit_budget, estimation_budget
 from .inversion import bernoulli_inverse
@@ -40,7 +37,6 @@ __all__ = [
     "TwoPointSpec",
     "BoundResult",
     "bound_factor",
-    "bound_factor_grid_min",
     "optimal_bound_constant",
     "optimal_rho",
     "two_point_bound",
@@ -51,9 +47,6 @@ __all__ = [
     "optimal_gap",
     "hinge_lower_bound",
 ]
-
-_MIN_ORACLE_GRID = 1_000
-
 
 class Branch(Enum):
     """Which piece of the scalar minimization attained the minimum."""
@@ -138,30 +131,6 @@ def bound_factor(level: RiskLevel, rho: float) -> FactorEvaluation:
     one_minus = 1.0 - rho
     value = one_minus * one_minus / (2.0 * (1.0 - alpha))
     return FactorEvaluation(level, rho, value, Branch.BOUNDARY)
-
-
-@lru_cache(maxsize=8)
-def _half_unit_grid(points: int) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.linspace(0.0, 0.5, points)
-    roots = np.sqrt(xs)
-    xs.setflags(write=False)
-    roots.setflags(write=False)
-    return xs, roots
-
-
-def bound_factor_grid_min(level: RiskLevel, rho: float, grid_points: int) -> float:
-    """Brute-force check of `bound_factor`: minimize
-    1/2 - x + (sqrt(x) - rho/sqrt(2))_+^2 / (1 - alpha) over an even grid of
-    x in [0, 1/2] including both endpoints.  Never below the closed form by
-    more than grid resolution."""
-    grid_points = int(grid_points)
-    if grid_points < _MIN_ORACLE_GRID:
-        raise ValueError(f"grid_points must be >= {_MIN_ORACLE_GRID}, got {grid_points}")
-    rho = _check_rho(rho)
-    xs, roots = _half_unit_grid(grid_points)
-    gap = np.maximum(roots - rho / math.sqrt(2.0), 0.0)
-    vals = 0.5 - xs + gap * gap / (1.0 - level.alpha)
-    return float(vals.min())
 
 
 def optimal_bound_constant(level: RiskLevel) -> float:

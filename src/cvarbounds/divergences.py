@@ -1,9 +1,9 @@
 """Closed-form divergences and the transcript-level budgets they certify.
 
-Everything here is scalar arithmetic: KL between unit-variance Gaussians,
-KL and squared Hellinger distance on the Bernoulli family, and the two
-budgets used by the decision problems downstream (mean estimation from n
-draws, two-armed bandit over horizon T).  The bandit budget is policy
+Everything here is scalar arithmetic: KL and squared Hellinger distance on
+the Bernoulli family, and the two budgets used by the decision problems
+downstream (mean estimation from n draws, two-armed bandit over horizon T),
+built on the unit-variance Gaussian KL (mu1 - mu2)^2 / 2.  The bandit budget is policy
 independent: each round shifts the chosen arm's mean by the same amount g
 under either model, so every round contributes g^2/2 to the transcript KL
 no matter which arm was pulled.
@@ -20,17 +20,11 @@ from .errors import DomainError
 __all__ = [
     "DivergenceKind",
     "HellingerBudget",
-    "kl_gaussian_unit_var",
     "kl_bernoulli",
     "hellinger2_bernoulli",
     "estimation_budget",
     "bandit_budget",
-    "hellinger_le_kl_check",
 ]
-
-# slack for the hellinger <= kl comparison; both sides are closed forms
-_ORDER_TOL = 1e-12
-
 
 class DivergenceKind(Enum):
     KL = "kl"
@@ -58,12 +52,6 @@ def _check_unit(x: float, name: str) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
     return x
-
-
-def kl_gaussian_unit_var(mu1: float, mu2: float) -> float:
-    """KL(N(mu1, 1) || N(mu2, 1)) = (mu1 - mu2)^2 / 2."""
-    d = float(mu1) - float(mu2)
-    return 0.5 * d * d
 
 
 def kl_bernoulli(a: float, b: float) -> float:
@@ -128,8 +116,3 @@ def bandit_budget(g: float, horizon: int) -> HellingerBudget:
     if not (gv > 0.0 and math.isfinite(gv)):
         raise ValueError(f"arm gap g must be finite and > 0, got {g!r}")
     return HellingerBudget(0.5 * gv * gv * horizon)
-
-
-def hellinger_le_kl_check(a: float, b: float) -> bool:
-    """Squared Hellinger <= KL on the Bernoulli family (within rounding)."""
-    return hellinger2_bernoulli(a, b) <= kl_bernoulli(a, b) + _ORDER_TOL

@@ -28,9 +28,9 @@ from .sim import (
     ExploreThenCommit,
     Policy,
     UCB,
+    _check_policy,
     _is_int,
     exact_loss_law,
-    resolve_tau,
     simulate_shared,
 )
 
@@ -306,9 +306,7 @@ _BANDIT = _Subject(
     variant="policy",
     is_variant=lambda policy: isinstance(policy, get_args(Policy)),
     variant_name=lambda policy: policy.name,
-    check_variant=lambda horizon, policy: (
-        resolve_tau(policy, horizon) if isinstance(policy, ExploreThenCommit) else None
-    ),
+    check_variant=lambda horizon, policy: _check_policy(policy, horizon),
     optimum=lambda horizon, level: optimal_gap(horizon, level)[0],
     bound=lambda horizon, g, level: bandit_bound(g, horizon, level),
     sim_config=lambda config, policy, g: BanditConfig(

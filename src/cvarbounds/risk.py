@@ -6,9 +6,7 @@ loss distribution, equivalently the Rockafellar-Uryasev threshold form
     CVaR_alpha(L) = min_t { t + E[(L - t)_+] / (1 - alpha) }.
 
 This module provides the plug-in estimator on a finite sample (closed form,
-no numeric minimization), the exact value on a finite atomic law, the hinge
-mean E_hat[(L - t)_+] that the threshold form is built from, and the
-always-true dominance CVaR >= mean used as a regression guard downstream.
+no numeric minimization) and the exact value on a finite atomic law.
 """
 
 from __future__ import annotations
@@ -24,10 +22,8 @@ __all__ = [
     "RiskLevel",
     "SampleSet",
     "DiscreteLossDistribution",
-    "hinge_mean",
     "empirical_cvar",
     "exact_cvar",
-    "cvar_dominates_mean",
 ]
 
 # absolute tolerance for identities that hold exactly in real arithmetic
@@ -118,21 +114,6 @@ class DiscreteLossDistribution:
     def mean(self) -> float:
         return sum(v * p for v, p in self.atoms)
 
-    @classmethod
-    def from_samples(cls, samples: SampleSet) -> "DiscreteLossDistribution":
-        """Empirical measure of a sample set (equal weight per draw)."""
-        n = samples.count
-        return cls(tuple((float(v), 1.0 / n) for v in samples.values))
-
-
-def hinge_mean(samples: SampleSet, t: float) -> float:
-    """Empirical hinge expectation (1/N) sum_i (x_i - t)_+.
-
-    Nonincreasing and convex in t; equals mean(x) - t for t below every
-    sample and 0 above every sample.
-    """
-    return float(np.maximum(samples.values - t, 0.0).mean())
-
 
 def empirical_cvar(samples: SampleSet, level: RiskLevel) -> float:
     """Plug-in CVaR of the empirical measure, in closed form.
@@ -168,12 +149,3 @@ def exact_cvar(dist: DiscreteLossDistribution, level: RiskLevel) -> float:
         if remaining <= 0.0:
             break
     return acc / q
-
-
-def cvar_dominates_mean(samples: SampleSet, level: RiskLevel) -> bool:
-    """True when empirical CVaR >= sample mean - EXACT_TOL.
-
-    The inequality is an identity of the tail average, so a False return
-    indicates a numerical defect rather than a property of the data.
-    """
-    return empirical_cvar(samples, level) >= samples.mean() - EXACT_TOL

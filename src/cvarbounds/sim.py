@@ -23,16 +23,18 @@ uniform policy needs none, since its actions are its arm draws.
 The draws do not depend on the gap, separation or estimator.
 `simulate_shared` takes any list of configs, groups those whose draws
 coincide, makes each group's draws once and runs every config of the group
-on them, rolling out each policy once over all its gaps.  A verification battery draws once per kind of draw a policy makes
-for itself (the uniform policy's arms, Thompson's posterior normals, and
-none for explore-then-commit and UCB, which share one draw) and once for all
-its estimation rows.  Draws are made in chunks of consecutive replicates whose
-predraw fits a fixed byte budget, so memory stays bounded for any horizon
-and replicate count; the group with the largest predraw per replicate is
-drawn first, before any losses are held.  Every stream comes from one
-Philox generator re-keyed in place to (s, r) for each replicate
-(`replicate_rng` with `reuse`); the per-replicate contract above is
-unchanged.
+on them, rolling out each policy once over all its gaps.  A simulation
+keeps only each replicate's loss: a rollout yields arm-1 pull counts, which
+give the regret, and no transcript is recorded.  A verification battery
+draws once per kind of draw a policy makes for itself (the uniform policy's
+arms, Thompson's posterior normals, and none for explore-then-commit and
+UCB, which share one draw) and once for all its estimation rows.  Draws are
+made in chunks of consecutive replicates whose predraw fits a fixed byte
+budget, so memory stays bounded for any horizon and replicate count; the
+group with the largest predraw per replicate is drawn first, before any
+losses are held.  Every stream comes from one Philox generator re-keyed in
+place to (s, r) for each replicate (`replicate_rng` with `reuse`); the
+per-replicate contract above is unchanged.
 
 `exact_loss_law` gives a config's loss law in closed form where one is
 known: the uniform policy up to a horizon cap, the sign-commit estimator and
@@ -42,6 +44,7 @@ the always-zero estimator.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Iterator, NamedTuple, Sequence, Union, get_args
@@ -60,14 +63,11 @@ __all__ = [
     "Policy",
     "EstimationConfig",
     "BanditConfig",
-    "EstimationBatch",
-    "BanditBatch",
     "replicate_rng",
     "resolve_tau",
     "run_estimation",
     "run_bandit",
     "simulate_shared",
-    "mc_transcript_kl",
     "normal_upper_tail",
     "exact_loss_law",
     "exact_uniform_bandit_law",
@@ -75,7 +75,6 @@ __all__ = [
 ]
 
 _MAX_EXACT_HORIZON = 64
-_MIN_KL_REPLICATES = 1_000
 _SEED_LIMIT = 2**64
 
 # predrawn values held at once; bandit and estimation draws are made in
@@ -162,14 +161,28 @@ def _check_seed(seed: int) -> int:
 def resolve_tau(policy: ExploreThenCommit, horizon: int) -> int:
     """Per-arm exploration length, defaulting to ceil(T^(2/3)) clipped into
     [1, T // 2].  Explicit values must satisfy 1 <= tau <= T/2."""
-    if policy.tau is not None:
-        tau = int(policy.tau)
+    tau = policy.tau
+    if tau is not None:
+        if not _is_int(tau):
+            raise ValueError(f"tau must be an int, got {tau!r}")
         if tau < 1 or 2 * tau > horizon:
             raise ValueError(f"tau must satisfy 1 <= tau <= T/2, got tau={tau} for T={horizon}")
         return tau
     if horizon < 2:
         raise ValueError(f"explore-then-commit needs horizon >= 2, got {horizon}")
     return max(1, min(math.ceil(horizon ** (2.0 / 3.0)), horizon // 2))
+
+
+def _check_policy(policy: Policy, horizon: int) -> None:
+    """Raise ValueError if the policy cannot run at this horizon: an
+    explore-then-commit tau it cannot hold, or a UCB constant that is not a
+    finite real >= 0 (NaN would lose every index comparison)."""
+    if isinstance(policy, ExploreThenCommit):
+        resolve_tau(policy, horizon)
+    elif isinstance(policy, UCB):
+        c = policy.c_explore
+        if isinstance(c, bool) or not (isinstance(c, numbers.Real) and math.isfinite(c) and c >= 0.0):
+            raise ValueError(f"c_explore must be a finite real >= 0, got {c!r}")
 
 
 @dataclass(frozen=True)
@@ -216,8 +229,7 @@ class BanditConfig:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         _check_seed(self.seed)
         object.__setattr__(self, "gap", g)
-        if isinstance(self.policy, ExploreThenCommit):
-            resolve_tau(self.policy, self.horizon)  # fail fast on bad tau
+        _check_policy(self.policy, self.horizon)
 
 
 def replicate_rng(
@@ -271,25 +283,12 @@ def _chunk_draws(config: BanditConfig | EstimationConfig) -> Iterator[BanditDraw
 # ---------------------------------------------------------------- estimation
 
 
-@dataclass(frozen=True)
-class EstimationBatch:
-    """Replicate-aligned draws: true mean, estimate, clipped loss."""
-
-    delta: float
-    theta: np.ndarray
-    theta_hat: np.ndarray
-    losses: np.ndarray
-
-    def __post_init__(self) -> None:
-        for arr in (self.theta, self.theta_hat, self.losses):
-            arr.setflags(write=False)
-
-
 class EstimationDraws(NamedTuple):
     """Predrawn stream values of consecutive estimation replicates."""
 
     positive: np.ndarray  # sign draw: theta is +delta where True
     noise_mean: np.ndarray  # mean of the n observation noises
+    layout: tuple  # the `_draw_layout` they were drawn for
 
 
 def _predraw_estimation(config: EstimationConfig, replicates: range) -> EstimationDraws:
@@ -304,47 +303,28 @@ def _predraw_estimation(config: EstimationConfig, replicates: range) -> Estimati
         rng = replicate_rng(config.seed, r, rng)
         positive[i] = rng.integers(0, 2) == 1
         noise_mean[i] = rng.standard_normal(config.n).mean()
-    return EstimationDraws(positive, noise_mean)
+    return EstimationDraws(positive, noise_mean, _draw_layout(config))
 
 
-def run_estimation(config: EstimationConfig, draws: EstimationDraws) -> EstimationBatch:
-    """Apply the configured estimator to the replicates `draws` hold, drawn by
-    `_predraw_estimation` with this config's seed and n."""
+def run_estimation(config: EstimationConfig, draws: EstimationDraws) -> np.ndarray:
+    """(reps,) losses of the configured estimator on the replicates `draws`
+    hold; `draws` come from `_predraw_estimation` for a config of this one's
+    draw layout."""
+    _check_layout(config, draws)
     delta = config.delta
     theta = np.where(draws.positive, delta, -delta)
     ybar = theta + draws.noise_mean
     if config.estimator is Estimator.SAMPLE_MEAN:
-        theta_hat = ybar.copy()
+        theta_hat = ybar
     elif config.estimator is Estimator.SIGN_COMMIT:
         # sign(0) resolves to +1
         theta_hat = np.where(ybar >= 0.0, delta, -delta)
     else:
         theta_hat = np.zeros(theta.size)
-    losses = np.minimum(np.abs(theta_hat - theta), 2.0 * delta)
-    return EstimationBatch(delta=delta, theta=theta, theta_hat=theta_hat, losses=losses)
+    return np.minimum(np.abs(theta_hat - theta), 2.0 * delta)
 
 
 # -------------------------------------------------------------------- bandit
-
-
-@dataclass(frozen=True)
-class BanditBatch:
-    """Replicate-aligned transcripts in array form; actions are in {1, 2}."""
-
-    gap: float
-    horizon: int
-    actions: np.ndarray
-    model_index: np.ndarray
-    losses: np.ndarray
-
-    def __post_init__(self) -> None:
-        for arr in (self.actions, self.model_index, self.losses):
-            arr.setflags(write=False)
-
-    def pulls(self) -> np.ndarray:
-        """(replicates, 2) pull counts; rows sum to the horizon exactly."""
-        n1 = (self.actions == 1).sum(axis=1)
-        return np.stack([n1, self.horizon - n1], axis=1)
 
 
 class BanditDraws(NamedTuple):
@@ -378,7 +358,7 @@ def _predraw(config: BanditConfig, replicates: range) -> BanditDraws:
     return BanditDraws(model, own, noise, _draw_layout(config))
 
 
-def _rollout(policy: Policy, horizon: int, gaps, model, own, noise, actions=None) -> np.ndarray:
+def _rollout(policy: Policy, horizon: int, gaps, model, own, noise) -> np.ndarray:
     """Arm-1 pull counts, shaped (k, reps), of the replicates rolled out at
     each of the k gaps, each replicate under its drawn model.
 
@@ -388,13 +368,10 @@ def _rollout(policy: Policy, horizon: int, gaps, model, own, noise, actions=None
     float operations of a rollout at its gap alone.  Explore-then-commit runs
     only its 2 tau exploration rounds, since the sums they leave decide its
     commit.  The uniform policy's actions are its own arm draws, whatever the
-    gap, so its counts need no rollout.  With `actions`, a (reps, T) int8
-    array and one gap, the actions are recorded into it.
+    gap, so its counts need no rollout.
     """
     k, reps = len(gaps), model.size
     if isinstance(policy, UniformRandom):
-        if actions is not None:
-            actions[...] = own
         return np.broadcast_to((own == 1).sum(axis=1), (k, reps))
     half = 0.5 * np.asarray(gaps, dtype=float)[:, None]
     mu1 = np.where(model == 1, half, -half)  # arm 1's mean
@@ -409,10 +386,6 @@ def _rollout(policy: Policy, horizon: int, gaps, model, own, noise, actions=None
             s2 += mu2 + noise[:, t]
         # equal exploration counts, so compare sums; ties -> arm 1
         commit1 = s1 >= s2
-        if actions is not None:
-            actions[:, :tau] = 1
-            actions[:, tau : 2 * tau] = 2
-            actions[:, 2 * tau :] = np.where(commit1[0], 1, 2)[:, None]
         return tau + (horizon - 2 * tau) * commit1
     n1 = np.zeros((k, reps))  # counts held as floats, exact up to 2**53
     for t in range(horizon):
@@ -426,8 +399,6 @@ def _rollout(policy: Policy, horizon: int, gaps, model, own, noise, actions=None
         else:
             radius = policy.c_explore * math.sqrt(2.0 * math.log(t + 1))
             on1 = s1 / n1 + radius / np.sqrt(n1) >= s2 / n2 + radius / np.sqrt(n2)
-        if actions is not None:
-            actions[:, t] = np.where(on1[0], 1, 2)
         y = np.where(on1, mu1, mu2) + noise[:, t]
         n1 += on1
         s1 += np.where(on1, y, 0.0)
@@ -441,21 +412,14 @@ def _regret(gaps, horizon: int, model, n1) -> np.ndarray:
     return np.where(model == 1, g * (horizon - n1), g * n1)
 
 
-def run_bandit(config: BanditConfig, draws: BanditDraws) -> BanditBatch:
-    """Roll out the replicates `draws` hold, each under its drawn model;
-    `draws` come from `_predraw` for a config of this one's draw layout."""
-    if draws.layout != _draw_layout(config):
-        raise ValueError("draws do not match the config's seed, replicates, horizon and policy draws")
-    actions = np.empty(draws.noise.shape, dtype=np.int8)
+def run_bandit(config: BanditConfig, draws: BanditDraws) -> np.ndarray:
+    """(reps,) losses of the replicates `draws` hold, each rolled out under
+    its drawn model; `draws` come from `_predraw` for a config of this one's
+    draw layout."""
+    _check_layout(config, draws)
     gaps = (config.gap,)
-    n1 = _rollout(config.policy, config.horizon, gaps, draws.model, draws.own, draws.noise, actions)
-    return BanditBatch(
-        gap=config.gap,
-        horizon=config.horizon,
-        actions=actions,
-        model_index=draws.model,
-        losses=_regret(gaps, config.horizon, draws.model, n1)[0],
-    )
+    n1 = _rollout(config.policy, config.horizon, gaps, draws.model, draws.own, draws.noise)
+    return _regret(gaps, config.horizon, draws.model, n1)[0]
 
 
 # ------------------------------------------------------------ shared draws
@@ -467,6 +431,13 @@ def _draw_layout(config: BanditConfig | EstimationConfig) -> tuple:
         return ("estimation", config.seed, config.replicates, config.n)
     own = _OWN_DRAWS.get(type(config.policy), _NO_OWN_DRAWS)
     return ("bandit", config.seed, config.replicates, config.horizon, own)
+
+
+def _check_layout(config: BanditConfig | EstimationConfig, draws: BanditDraws | EstimationDraws) -> None:
+    if draws.layout != _draw_layout(config):
+        raise ValueError(
+            "draws do not match the config's seed, replicates, problem size and the policy's own draws"
+        )
 
 
 def _provenance(config: BanditConfig | EstimationConfig) -> dict:
@@ -494,7 +465,7 @@ def _chunk_losses(configs: Sequence[BanditConfig | EstimationConfig], draws) -> 
     bandit configs of one policy are rolled out together, in one lockstep
     pass over their distinct gaps."""
     if isinstance(draws, EstimationDraws):
-        return [run_estimation(config, draws).losses for config in configs]
+        return [run_estimation(config, draws) for config in configs]
     by_policy: dict[Policy, list[int]] = {}
     for j, config in enumerate(configs):
         by_policy.setdefault(config.policy, []).append(j)
@@ -534,34 +505,6 @@ def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[
         for part, config, i in zip(parts, group, members):
             samples[i] = SampleSet(np.concatenate(part), provenance=_provenance(config))
     return samples
-
-
-def mc_transcript_kl(config: BanditConfig) -> tuple[float, float]:
-    """Monte Carlo (estimate, standard error) of the transcript KL between
-    the two models, simulated under model 1.
-
-    Each replicate accumulates sum_t [(Y_t - mu_2(A_t))^2 - (Y_t - mu_1(A_t))^2] / 2
-    along a transcript rolled out under model 1.  The model draw at the head
-    of each replicate stream is consumed but ignored so the remaining draws
-    align with `run_bandit`.  Population value is g^2 T / 2 for any policy.
-    """
-    if config.replicates < _MIN_KL_REPLICATES:
-        raise ValueError(
-            f"mc_transcript_kl needs >= {_MIN_KL_REPLICATES} replicates, got {config.replicates}"
-        )
-    half_g = 0.5 * config.gap
-    parts = []
-    for draws in _chunk_draws(config):
-        actions = np.empty(draws.noise.shape, dtype=np.int8)
-        forced = np.ones(actions.shape[0], dtype=np.int64)
-        _rollout(config.policy, config.horizon, (config.gap,), forced, draws.own, draws.noise, actions)
-        mu1 = np.where(actions == 1, half_g, -half_g)  # chosen-arm mean under model 1
-        y = mu1 + draws.noise
-        parts.append(0.5 * ((y + mu1) ** 2 - (y - mu1) ** 2).sum(axis=1))
-    per_transcript = np.concatenate(parts)
-    estimate = float(per_transcript.mean())
-    stderr = float(per_transcript.std(ddof=1)) / math.sqrt(config.replicates)
-    return estimate, stderr
 
 
 # --------------------------------------------------------------- exact laws

@@ -7,13 +7,13 @@ import random
 import time
 
 import numpy as np
+from oracles import bound_factor_grid_min, cvar_dominates_mean, mc_transcript_kl
 
 from cvarbounds.bounds import (
     TwoPointSpec,
     balanced_bound,
     bandit_bound,
     bound_factor,
-    bound_factor_grid_min,
     estimation_bound,
     optimal_bound_constant,
     optimal_gap,
@@ -28,14 +28,13 @@ from cvarbounds.divergences import (
     kl_bernoulli,
 )
 from cvarbounds.inversion import bernoulli_inverse, hellinger_inverse_closed
-from cvarbounds.risk import RiskLevel, SampleSet, cvar_dominates_mean
+from cvarbounds.risk import RiskLevel, SampleSet
 from cvarbounds.sim import (
     BanditConfig,
     UCB,
     UniformRandom,
     exact_sign_estimator_law,
     exact_uniform_bandit_law,
-    mc_transcript_kl,
 )
 from cvarbounds.risk import exact_cvar
 

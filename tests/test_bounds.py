@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bound_factor_grid_min
 
 from cvarbounds.bounds import (
     BoundResult,
@@ -14,7 +15,6 @@ from cvarbounds.bounds import (
     balanced_bound,
     bandit_bound,
     bound_factor,
-    bound_factor_grid_min,
     estimation_bound,
     hinge_lower_bound,
     optimal_bound_constant,

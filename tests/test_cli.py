@@ -116,6 +116,15 @@ def test_simulate_estimation_stdout(capsys):
     assert cells[-1] == "true"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bad_ucb_constant_is_usage_error(value, capsys):
+    # NaN would lose every index comparison and send each round to arm 2
+    for command in ("simulate", "verify"):
+        argv = [command, "--horizon", "10", "--gap", "0.1", "--policy", "ucb", "--ucb-c", value]
+        assert main([*argv, "--replicates", "10"]) == 2
+        assert "policies" in capsys.readouterr().err
+
+
 def test_simulate_needs_one_side(capsys):
     rc = main(["simulate", "--n", "4", "--delta", "0.2", "--policy", "ucb"])
     assert rc == 2

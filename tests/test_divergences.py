@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import hellinger_le_kl_check, kl_gaussian_unit_var
 
 from cvarbounds.divergences import (
     HellingerBudget,
     bandit_budget,
     estimation_budget,
     hellinger2_bernoulli,
-    hellinger_le_kl_check,
     kl_bernoulli,
-    kl_gaussian_unit_var,
 )
 from cvarbounds.errors import DomainError
 

@@ -134,6 +134,24 @@ def test_validation_collects_all_problems():
             replace(_verify_config(100), horizon=horizon, policies=(UCB(), policy), replicates=0).validate()
         assert set(exc.value.problems) == {"policies", "replicates"}, policy
     _bandit_config(horizon=10, policies=(ExploreThenCommit(tau=5),)).validate()
+    # so are a tau that is not an int and a UCB constant that is not a finite real >= 0
+    bad_policies = (
+        ExploreThenCommit(tau=2.5),
+        ExploreThenCommit(tau=True),
+        ExploreThenCommit(tau=[3]),
+        UCB(c_explore=math.nan),
+        UCB(c_explore=math.inf),
+        UCB(c_explore=-1.0),
+        UCB(c_explore="x"),
+    )
+    for policy in bad_policies:
+        with pytest.raises(ConfigError) as exc:
+            _bandit_config(horizon=10, policies=(policy,)).validate()
+        assert set(exc.value.problems) == {"policies"}, policy
+        with pytest.raises(ConfigError) as exc:
+            replace(_verify_config(100), policies=(UCB(), policy), replicates=0).validate()
+        assert set(exc.value.problems) == {"policies", "replicates"}, policy
+    _bandit_config(policies=(UCB(c_explore=0.0),)).validate()
     with pytest.raises(ConfigError) as exc:
         replace(_verify_config(100), kind="verify", horizon=0).validate()
     # the subject checks are skipped for a kind that is not an ExperimentKind

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import _reference_rollout, mc_transcript_kl
 
 from cvarbounds import sim
 from cvarbounds.bounds import optimal_gap
@@ -23,7 +24,6 @@ from cvarbounds.sim import (
     exact_loss_law,
     exact_sign_estimator_law,
     exact_uniform_bandit_law,
-    mc_transcript_kl,
     normal_upper_tail,
     replicate_rng,
     resolve_tau,
@@ -36,12 +36,12 @@ ALL_POLICIES = (UniformRandom(), ExploreThenCommit(), UCB(), ThompsonGaussian())
 
 
 def _bandit(config):
-    """The batch of every replicate, drawn at once."""
+    """The losses of every replicate, drawn at once."""
     return run_bandit(config, _predraw(config, range(config.replicates)))
 
 
 def _estimation(config):
-    """The batch of every replicate, drawn at once."""
+    """The losses of every replicate, drawn at once."""
     return run_estimation(config, _predraw_estimation(config, range(config.replicates)))
 
 
@@ -98,6 +98,10 @@ def test_resolve_tau():
         resolve_tau(ExploreThenCommit(tau=0), 10)
     with pytest.raises(ValueError):
         resolve_tau(ExploreThenCommit(), 1)
+    # an explicit tau must be a Python int: nothing is truncated or coerced
+    for bad in (2.5, True, [3]):
+        with pytest.raises(ValueError):
+            resolve_tau(ExploreThenCommit(tau=bad), 10)
 
 
 def test_config_validation():
@@ -115,6 +119,11 @@ def test_config_validation():
         BanditConfig(horizon=10, gap=0.1, policy=ExploreThenCommit(tau=8), replicates=5, seed=0)
     with pytest.raises(ValueError):
         BanditConfig(horizon=10, gap=0.1, policy=UCB(), replicates=5, seed=-3)
+    # the UCB constant must be a finite real >= 0
+    for c in (math.nan, math.inf, -1.0, "x", True):
+        with pytest.raises(ValueError):
+            BanditConfig(horizon=10, gap=0.1, policy=UCB(c_explore=c), replicates=5, seed=0)
+    BanditConfig(horizon=10, gap=0.1, policy=UCB(c_explore=0), replicates=5, seed=0)
     # integer fields must be Python ints: nothing is truncated or coerced
     bandit = dict(horizon=10, gap=0.1, policy=UCB(), replicates=5, seed=0)
     for bad in (
@@ -145,34 +154,33 @@ def test_policy_names():
 
 def test_estimation_stream_layout():
     # replicate r: one integer for the sign, then n observation noises
-    cfg = EstimationConfig(n=3, delta=0.5, estimator=Estimator.SAMPLE_MEAN, replicates=6, seed=9)
-    batch = _estimation(cfg)
+    kw = dict(n=3, delta=0.5, replicates=6, seed=9)
+    losses = {estimator: _estimation(EstimationConfig(estimator=estimator, **kw)) for estimator in Estimator}
     for r in range(6):
         rng = replicate_rng(9, r)
         theta = 0.5 if rng.integers(0, 2) == 1 else -0.5
         ybar = theta + rng.standard_normal(3).mean()
-        assert batch.theta[r] == theta
-        assert batch.theta_hat[r] == ybar
+        sign = 0.5 if ybar >= 0.0 else -0.5
+        assert losses[Estimator.SAMPLE_MEAN][r] == min(abs(ybar - theta), 1.0)
+        assert losses[Estimator.SIGN_COMMIT][r] == abs(sign - theta)
+        assert losses[Estimator.ALWAYS_ZERO][r] == 0.5
 
 
 def test_estimation_prefix_stable():
     kw = dict(n=4, delta=0.2, estimator=Estimator.SAMPLE_MEAN, seed=3)
     short = _estimation(EstimationConfig(replicates=10, **kw))
     long = _estimation(EstimationConfig(replicates=25, **kw))
-    assert np.array_equal(short.losses, long.losses[:10])
+    assert np.array_equal(short, long[:10])
 
 
 def test_estimator_behaviors():
     kw = dict(n=4, delta=0.25, replicates=400, seed=10)
     zero = _estimation(EstimationConfig(estimator=Estimator.ALWAYS_ZERO, **kw))
-    assert np.all(zero.theta_hat == 0.0)
-    assert np.all(zero.losses == 0.25)  # |0 - theta| = delta, never clipped
+    assert np.all(zero == 0.25)  # |0 - theta| = delta, never clipped
     sign = _estimation(EstimationConfig(estimator=Estimator.SIGN_COMMIT, **kw))
-    assert set(np.unique(sign.theta_hat)) <= {-0.25, 0.25}
-    assert set(np.unique(sign.losses)) <= {0.0, 0.5}
+    assert set(np.unique(sign)) == {0.0, 0.5}
     mean = _estimation(EstimationConfig(estimator=Estimator.SAMPLE_MEAN, **kw))
-    assert np.all((mean.losses >= 0.0) & (mean.losses <= 0.5))
-    assert np.all(np.abs(mean.theta) == 0.25)
+    assert np.all((mean >= 0.0) & (mean <= 0.5))
 
 
 def test_sign_commit_matches_exact_law():
@@ -180,10 +188,10 @@ def test_sign_commit_matches_exact_law():
     law = exact_sign_estimator_law(n, delta)
     p = dict(law.atoms)[2.0 * delta]
     assert p == pytest.approx(normal_upper_tail(math.sqrt(n) * delta), rel=1e-15)
-    batch = _estimation(
+    losses = _estimation(
         EstimationConfig(n=n, delta=delta, estimator=Estimator.SIGN_COMMIT, replicates=reps, seed=5)
     )
-    freq = float((batch.losses > delta).mean())
+    freq = float((losses > delta).mean())
     assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / reps)
 
 
@@ -212,49 +220,64 @@ def test_bandit_deterministic_and_prefix_stable():
         one = _bandit(BanditConfig(replicates=15, **kw))
         two = _bandit(BanditConfig(replicates=15, **kw))
         longer = _bandit(BanditConfig(replicates=40, **kw))
-        assert np.array_equal(one.actions, two.actions)
-        assert np.array_equal(one.losses, longer.losses[:15]), policy.name
+        assert np.array_equal(one, two)
+        assert np.array_equal(one, longer[:15]), policy.name
 
 
 def test_bandit_pair_identity():
-    # pulls sum to T and regrets under the two models sum to g*T, per transcript
+    # arm-1 pulls lie in [0, T] and regrets under the two models sum to g*T, per replicate
     for policy in ALL_POLICIES:
-        batch = _bandit(BanditConfig(horizon=30, gap=0.3, policy=policy, replicates=250, seed=3))
-        pulls = batch.pulls()
-        assert np.all(pulls.sum(axis=1) == 30)
+        config = BanditConfig(horizon=30, gap=0.3, policy=policy, replicates=250, seed=3)
+        draws = _predraw(config, range(250))
+        n1 = sim._rollout(policy, 30, (0.3,), draws.model, draws.own, draws.noise)[0]
+        n2 = 30 - n1
+        assert np.all((n1 >= 0) & (n2 >= 0))
         # model 1's suboptimal arm is arm 2, model 2's is arm 1
-        regret_1, regret_2 = 0.3 * pulls[:, 1], 0.3 * pulls[:, 0]
+        regret_1, regret_2 = 0.3 * n2, 0.3 * n1
         assert np.allclose(regret_1 + regret_2, 0.3 * 30, rtol=1e-12, atol=0.0)
-        expect = np.where(batch.model_index == 1, regret_1, regret_2)
-        assert np.array_equal(batch.losses, expect)
-        assert np.all((batch.losses >= 0.0) & (batch.losses <= 0.3 * 30))
+        losses = run_bandit(config, draws)
+        assert np.array_equal(losses, np.where(draws.model == 1, regret_1, regret_2))
+        assert np.all((losses >= 0.0) & (losses <= 0.3 * 30))
+
+
+def _oracle_and_counts(config):
+    """The round-loop oracle's (reps, T) actions and the rollout's arm-1
+    counts on every replicate of the config."""
+    draws = _predraw(config, range(config.replicates))
+    actions = _reference_rollout(config, draws.model, draws.own, draws.noise)
+    n1 = sim._rollout(config.policy, config.horizon, (config.gap,), draws.model, draws.own, draws.noise)[0]
+    return actions, n1
 
 
 def test_etc_structure():
     # tau pulls of arm 1, tau of arm 2, then a constant committed arm
     tau = 4
-    batch = _bandit(
+    acts, n1 = _oracle_and_counts(
         BanditConfig(horizon=20, gap=0.4, policy=ExploreThenCommit(tau=tau), replicates=60, seed=7)
     )
-    acts = batch.actions
     assert np.all(acts[:, :tau] == 1)
     assert np.all(acts[:, tau : 2 * tau] == 2)
     tail = acts[:, 2 * tau :]
     assert np.all(tail == tail[:, :1])  # committed
+    assert set(np.unique(n1)) <= {tau, 20 - tau}
+    assert np.array_equal(n1, (acts == 1).sum(axis=1))
 
 
 def test_ucb_forced_first_pulls():
-    batch = _bandit(BanditConfig(horizon=5, gap=0.4, policy=UCB(), replicates=30, seed=4))
-    assert np.all(batch.actions[:, 0] == 1)
-    assert np.all(batch.actions[:, 1] == 2)
+    acts, _ = _oracle_and_counts(BanditConfig(horizon=5, gap=0.4, policy=UCB(), replicates=30, seed=4))
+    assert np.all(acts[:, 0] == 1)
+    assert np.all(acts[:, 1] == 2)
+    # over two rounds UCB pulls each arm once, whatever the draws
+    _, n1 = _oracle_and_counts(BanditConfig(horizon=2, gap=0.4, policy=UCB(), replicates=30, seed=4))
+    assert np.all(n1 == 1)
 
 
 def test_uniform_matches_exact_law():
     g, T, reps = 1.0, 8, 20_000
     law = exact_uniform_bandit_law(g, T)
-    batch = _bandit(BanditConfig(horizon=T, gap=g, policy=UniformRandom(), replicates=reps, seed=11))
+    losses = _bandit(BanditConfig(horizon=T, gap=g, policy=UniformRandom(), replicates=reps, seed=11))
     for value, p in law.atoms:
-        freq = float((batch.losses == value).mean())
+        freq = float((losses == value).mean())
         assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / reps), value
 
 
@@ -296,16 +319,14 @@ def test_exact_loss_law_of_each_estimator():
 def test_uniform_reconstructs_from_streams():
     # replicate r: model integer, T arm draws, then T reward noises
     cfg = BanditConfig(horizon=6, gap=0.7, policy=UniformRandom(), replicates=5, seed=21)
-    batch = _bandit(cfg)
+    losses = _bandit(cfg)
     for r in range(5):
         rng = replicate_rng(21, r)
         model = 1 + int(rng.integers(0, 2))
         arms = rng.integers(1, 3, size=6, dtype=np.int8)
-        assert batch.model_index[r] == model
-        assert np.array_equal(batch.actions[r], arms)
         n2 = int((arms == 2).sum())
         want = 0.7 * n2 if model == 1 else 0.7 * (6 - n2)
-        assert batch.losses[r] == pytest.approx(want, abs=0.0)
+        assert losses[r] == pytest.approx(want, abs=0.0)
 
 
 def test_simulate_bandit_sampleset():
@@ -325,74 +346,16 @@ def test_predrawn_draws_are_shared_across_gaps():
         for gap in (0.1, 0.35, 2.0):
             cfg = BanditConfig(horizon=12, gap=gap, policy=policy, replicates=30, seed=8)
             alone = _bandit(cfg)
-            shared = run_bandit(cfg, draws)
-            assert np.array_equal(shared.actions, alone.actions), policy.name
-            assert np.array_equal(shared.losses, alone.losses), policy.name
+            assert np.array_equal(run_bandit(cfg, draws), alone), policy.name
             part = run_bandit(cfg, _predraw(cfg, range(11, 23)))
-            assert np.array_equal(part.losses, alone.losses[11:23])
+            assert np.array_equal(part, alone[11:23])
     for estimator in Estimator:
         draws = _predraw_estimation(
             EstimationConfig(n=5, delta=0.1, estimator=Estimator.SAMPLE_MEAN, replicates=40, seed=4), range(40)
         )
         for delta in (0.1, 0.45):
             cfg = EstimationConfig(n=5, delta=delta, estimator=estimator, replicates=40, seed=4)
-            alone = _estimation(cfg)
-            shared = run_estimation(cfg, draws)
-            for field in ("theta", "theta_hat", "losses"):
-                assert np.array_equal(getattr(shared, field), getattr(alone, field)), estimator
-
-
-def _reference_rollout(config: BanditConfig, model, own, noise) -> np.ndarray:
-    """The round loop that rolled out one gap at a time, kept as the oracle
-    of the batched rollout; returns the (reps, T) action array."""
-    policy = config.policy
-    if isinstance(policy, UniformRandom):
-        return own
-    reps, horizon, g = model.size, config.horizon, config.gap
-    mu_arm1 = np.where(model == 1, 0.5 * g, -0.5 * g)
-    actions = np.empty((reps, horizon), dtype=np.int8)
-    n1 = np.zeros(reps, dtype=np.int64)
-    s1 = np.zeros(reps)
-    n2 = np.zeros(reps, dtype=np.int64)
-    s2 = np.zeros(reps)
-    committed = None
-    tau = resolve_tau(policy, horizon) if isinstance(policy, ExploreThenCommit) else 0
-
-    for t in range(horizon):
-        if isinstance(policy, ExploreThenCommit):
-            if t < tau:
-                a = np.ones(reps, dtype=np.int8)
-            elif t < 2 * tau:
-                a = np.full(reps, 2, dtype=np.int8)
-            else:
-                if committed is None:
-                    # equal exploration counts, so compare sums; ties -> arm 1
-                    committed = np.where(s1 >= s2, 1, 2).astype(np.int8)
-                a = committed
-        elif isinstance(policy, UCB):
-            if t == 0:
-                a = np.ones(reps, dtype=np.int8)
-            elif t == 1:
-                a = np.full(reps, 2, dtype=np.int8)
-            else:
-                radius = policy.c_explore * math.sqrt(2.0 * math.log(t + 1))
-                idx1 = s1 / n1 + radius / np.sqrt(n1)
-                idx2 = s2 / n2 + radius / np.sqrt(n2)
-                a = np.where(idx1 >= idx2, 1, 2).astype(np.int8)
-        else:
-            d1 = n1 + 1.0
-            d2 = n2 + 1.0
-            draw1 = s1 / d1 + own[:, t, 0] / np.sqrt(d1)
-            draw2 = s2 / d2 + own[:, t, 1] / np.sqrt(d2)
-            a = np.where(draw1 >= draw2, 1, 2).astype(np.int8)
-        actions[:, t] = a
-        on1 = a == 1
-        y = np.where(on1, mu_arm1, -mu_arm1) + noise[:, t]
-        n1 += on1
-        n2 += ~on1
-        s1 += np.where(on1, y, 0.0)
-        s2 += np.where(on1, 0.0, y)
-    return actions
+            assert np.array_equal(run_estimation(cfg, draws), _estimation(cfg)), estimator
 
 
 def _reference_losses(config: BanditConfig, model, actions) -> np.ndarray:
@@ -426,9 +389,7 @@ def test_batched_rollout_matches_round_loop_oracle(monkeypatch):
             actions = _reference_rollout(config, draws.model, draws.own, draws.noise)
             losses = _reference_losses(config, draws.model, actions)
             assert np.array_equal(n1, (actions == 1).sum(axis=1)), config
-            batch = run_bandit(config, draws)
-            assert np.array_equal(batch.actions, actions), config
-            assert np.array_equal(batch.losses, losses), config
+            assert np.array_equal(run_bandit(config, draws), losses), config
             expected.append(losses)
     # drawn in chunks with a shorter last one, all rows in one call
     monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 50 * horizon * 24)
@@ -508,8 +469,23 @@ def test_run_bandit_rejects_draws_of_another_layout():
         run_bandit(BanditConfig(horizon=7, gap=0.2, policy=UCB(), replicates=4, seed=0), plain)
     with pytest.raises(ValueError):
         run_bandit(BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=1), plain)
+    with pytest.raises(ValueError):
+        run_bandit(BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=5, seed=0), plain)
     # explore-then-commit rolls out on UCB's draws
     run_bandit(BanditConfig(horizon=6, gap=0.2, policy=ExploreThenCommit(), replicates=4, seed=0), plain)
+    # an estimation refuses draws of another n, seed or replicate count
+    est = dict(n=5, delta=0.2, estimator=Estimator.SAMPLE_MEAN, replicates=4, seed=0)
+    est_draws = _predraw_estimation(EstimationConfig(**est), range(4))
+    for bad in (dict(n=6), dict(seed=1), dict(replicates=5), dict(replicates=3)):
+        with pytest.raises(ValueError):
+            run_estimation(EstimationConfig(**{**est, **bad}), est_draws)
+    # but runs any estimator and separation on them
+    run_estimation(EstimationConfig(**{**est, "estimator": Estimator.SIGN_COMMIT, "delta": 0.7}), est_draws)
+    # and neither problem runs on the other's draws
+    with pytest.raises(ValueError):
+        run_estimation(EstimationConfig(**est), plain)
+    with pytest.raises(ValueError):
+        run_bandit(BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=0), est_draws)
 
 
 _SWEEP = ["--alpha", "0", "--alpha", "0.5", "--alpha", "0.9", "--scale", "0.5", "--scale", "1", "--scale", "2"]
