@@ -128,12 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _numeric_or_optimal(raw: str | None) -> float | str | None:
-    if raw is None or raw == OPTIMAL:
-        return raw
+    """The number `raw` spells, or `raw` itself: OPTIMAL, None, or a string
+    that `validate` then reports under its field."""
     try:
         return float(raw)
-    except ValueError:
-        raise ConfigError({"parameter": f"expected a number or '{OPTIMAL}', got {raw!r}"}) from None
+    except (TypeError, ValueError):
+        return raw
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:

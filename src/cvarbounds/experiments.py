@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,8 +27,11 @@ from .sim import (
     ExploreThenCommit,
     Policy,
     UCB,
-    _check_policy,
-    _is_int,
+    _FIELD_PROBLEMS,
+    _estimator_problem,
+    _field_problems,
+    _is_real,
+    _policy_problem,
     exact_loss_law,
     simulate_shared,
 )
@@ -149,10 +151,6 @@ class ExperimentConfig:
             problems["scales"] = "at least one scale is required"
         elif any(not (_is_real(s) and 0.0 < s < math.inf) for s in self.scales):
             problems["scales"] = f"scales must be finite and > 0, got {self.scales!r}"
-        if not _is_int(self.replicates) or self.replicates < 1:
-            problems["replicates"] = f"must be an integer >= 1, got {self.replicates!r}"
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            problems["seed"] = f"must be an unsigned 64-bit integer, got {self.seed!r}"
 
         kind = self.kind
         if not isinstance(kind, ExperimentKind):
@@ -166,51 +164,36 @@ class ExperimentConfig:
             elif "rho_max" not in problems and self.rho_max / self.rho_step > _MAX_PSI_STEPS:
                 steps = self.rho_max / self.rho_step
                 problems["rho_step"] = f"rho_max / rho_step is {steps:.6g}, above {_MAX_PSI_STEPS} grid steps"
-        for subject in _SUBJECTS:
-            variants = getattr(self, subject.variants)
-            if not isinstance(variants, (tuple, list)) or not all(map(subject.is_variant, variants)):
-                problems[subject.variants] = f"must be a tuple of {subject.variant} objects, got {variants!r}"
         subjects = _subjects(self)
         if kind is ExperimentKind.BOUND and len(subjects) != 1:
             problems["kind"] = "bound needs exactly one of (n, delta) or (horizon, gap)"
             subjects = ()
+        sizes = {subject.size: getattr(self, subject.size) for subject in subjects}
+        problems.update(_field_problems({"replicates": self.replicates, "seed": self.seed, **sizes}))
         for subject in subjects:
-            size = getattr(self, subject.size)
-            if not _is_int(size) or size < 1:
-                problems[subject.size] = f"must be an integer >= 1, got {size!r}"
             raw = getattr(self, subject.field)
-            if not _valid_param(raw):
-                problems[subject.field] = f"must be a positive number or {OPTIMAL!r}, got {raw!r}"
-            if kind is ExperimentKind.BOUND or subject.variants in problems:
+            why = None if raw == OPTIMAL else _FIELD_PROBLEMS[subject.field](raw)
+            if why:
+                problems[subject.field] = f"{why} or {OPTIMAL!r}, got {raw!r}"
+        for subject in _SUBJECTS:
+            variants = getattr(self, subject.variants)
+            if not isinstance(variants, (tuple, list)):
+                problems[subject.variants] = f"must be a tuple of {subject.variant} objects, got {variants!r}"
                 continue
-            count = len(getattr(self, subject.variants))
+            size = getattr(self, subject.size)
+            for variant in variants:
+                why = subject.problem_of(size, variant)
+                if why:
+                    problems.setdefault(subject.variants, why)
+            if subject not in subjects or kind is ExperimentKind.BOUND:
+                continue
             if kind is ExperimentKind.VERIFY:
-                if not count:
-                    problems[subject.variants] = f"verify needs at least one {subject.variant}"
-            elif count != 1:
-                problems[subject.variants] = f"{kind.value} takes exactly one {subject.variant}"
-            if subject.size not in problems:
-                for variant in getattr(self, subject.variants):
-                    try:
-                        subject.check_variant(size, variant)
-                    except ValueError as exc:
-                        problems.setdefault(subject.variants, str(exc))
+                if not variants:
+                    problems.setdefault(subject.variants, f"verify needs at least one {subject.variant}")
+            elif len(variants) != 1:
+                problems.setdefault(subject.variants, f"{kind.value} takes exactly one {subject.variant}")
         if problems:
             raise ConfigError(problems)
-
-
-def _is_real(value: Any) -> bool:
-    """A real number; strings, None and bools are refused."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _valid_param(value: float | str | None) -> bool:
-    if value == OPTIMAL:
-        return True
-    try:
-        return value is not None and math.isfinite(float(value)) and float(value) > 0.0
-    except (TypeError, ValueError):
-        return False
 
 
 @dataclass(frozen=True)
@@ -289,9 +272,8 @@ class _Subject:
     size: str  # the config field fixing the problem size, "horizon" or "n"
     variants: str  # the config field of the simulated variants
     variant: str  # the variant's problem_params key
-    is_variant: Callable[[Any], bool]
     variant_name: Callable[[Any], str]
-    check_variant: Callable[[int, Any], None]  # (size, variant); raises ValueError if it cannot run
+    problem_of: Callable[[Any, Any], str | None]  # (size, variant) -> why it cannot run, or None
     optimum: Callable[[int, RiskLevel], float]  # (size, level) -> worst-case parameter
     bound: Callable[[int, float, RiskLevel], BoundResult]  # (size, parameter, level)
     sim_config: Callable[[ExperimentConfig, Any, float], BanditConfig | EstimationConfig]
@@ -304,9 +286,8 @@ _BANDIT = _Subject(
     size="horizon",
     variants="policies",
     variant="policy",
-    is_variant=lambda policy: isinstance(policy, get_args(Policy)),
     variant_name=lambda policy: policy.name,
-    check_variant=lambda horizon, policy: _check_policy(policy, horizon),
+    problem_of=lambda horizon, policy: _policy_problem(policy, horizon),
     optimum=lambda horizon, level: optimal_gap(horizon, level)[0],
     bound=lambda horizon, g, level: bandit_bound(g, horizon, level),
     sim_config=lambda config, policy, g: BanditConfig(
@@ -325,9 +306,8 @@ _ESTIMATION = _Subject(
     size="n",
     variants="estimators",
     variant="estimator",
-    is_variant=lambda estimator: isinstance(estimator, Estimator),
     variant_name=lambda estimator: estimator.value,
-    check_variant=lambda n, estimator: None,
+    problem_of=lambda n, estimator: _estimator_problem(estimator),
     optimum=lambda n, level: optimal_separation(n, level)[0],
     bound=lambda n, delta, level: estimation_bound(n, delta, level),
     sim_config=lambda config, estimator, delta: EstimationConfig(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -52,13 +52,10 @@ class SampleSet:
     """Finite batch of loss realizations, stored in nonincreasing order.
 
     Construction copies, sorts, and freezes the values; ordering is part of
-    the contract so tail slices are O(1) to locate.  `provenance` may record
-    how the samples were produced (seed, generator, problem parameters) and
-    never affects any computed quantity.
+    the contract so tail slices are O(1) to locate.
     """
 
     values: np.ndarray
-    provenance: Mapping[str, Any] | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)

@@ -47,7 +47,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Iterator, NamedTuple, Sequence, Union, get_args
+from typing import ClassVar, Iterator, Mapping, NamedTuple, Sequence, Union, get_args
 
 import numpy as np
 
@@ -144,18 +144,58 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_ints(config: object, names: tuple[str, ...]) -> None:
-    for name in names:
-        value = getattr(config, name)
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+def _is_real(value: object) -> bool:
+    """A real number; strings, None and bools are refused.  Floats are
+    tested first, because the numbers.Real test is several times slower."""
+    return isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
-def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
+def _count_problem(value: object) -> str | None:
+    return None if _is_int(value) and value >= 1 else "must be an int >= 1"
+
+
+def _seed_problem(value: object) -> str | None:
+    return None if _is_int(value) and 0 <= value < _SEED_LIMIT else "must be an unsigned 64-bit int"
+
+
+def _positive_problem(value: object) -> str | None:
+    return None if _is_real(value) and 0.0 < value < math.inf else "must be a finite real > 0"
+
+
+# what a value of each field the experiment and sim configs share must be:
+# the reason a value is refused, or None; every reader of these fields
+# checks them here
+_FIELD_PROBLEMS = {
+    "n": _count_problem,
+    "horizon": _count_problem,
+    "replicates": _count_problem,
+    "seed": _seed_problem,
+    "delta": _positive_problem,
+    "gap": _positive_problem,
+}
+
+
+def _field_problems(values: Mapping[str, object]) -> dict[str, str]:
+    """Why each value `_FIELD_PROBLEMS` refuses is refused, by field name;
+    names it does not hold are passed over."""
+    problems = {}
+    for name, value in values.items():
+        check = _FIELD_PROBLEMS.get(name)
+        why = check(value) if check else None
+        if why:
+            problems[name] = f"{why}, got {value!r}"
+    return problems
+
+
+def _check_fields(values: Mapping[str, object], **variant_problems: str | None) -> None:
+    """Raise one ValueError naming every value `_FIELD_PROBLEMS` refuses and
+    every variant given a problem."""
+    problems = _field_problems(values)
+    for name, why in variant_problems.items():
+        if why:
+            problems[name] = why
+    if problems:
+        raise ValueError("; ".join(f"{name}: {why}" for name, why in problems.items()))
 
 
 def resolve_tau(policy: ExploreThenCommit, horizon: int) -> int:
@@ -173,16 +213,26 @@ def resolve_tau(policy: ExploreThenCommit, horizon: int) -> int:
     return max(1, min(math.ceil(horizon ** (2.0 / 3.0)), horizon // 2))
 
 
-def _check_policy(policy: Policy, horizon: int) -> None:
-    """Raise ValueError if the policy cannot run at this horizon: an
-    explore-then-commit tau it cannot hold, or a UCB constant that is not a
-    finite real >= 0 (NaN would lose every index comparison)."""
-    if isinstance(policy, ExploreThenCommit):
-        resolve_tau(policy, horizon)
-    elif isinstance(policy, UCB):
-        c = policy.c_explore
-        if isinstance(c, bool) or not (isinstance(c, numbers.Real) and math.isfinite(c) and c >= 0.0):
-            raise ValueError(f"c_explore must be a finite real >= 0, got {c!r}")
+def _policy_problem(policy: object, horizon: object) -> str | None:
+    """Why the policy cannot run at this horizon, or None: it is not a
+    policy, its UCB constant is not a finite real >= 0 (NaN would lose every
+    index comparison), or its explore-then-commit tau does not fit the
+    horizon.  The tau is checked only at a horizon `_FIELD_PROBLEMS` takes."""
+    if not isinstance(policy, get_args(Policy)):
+        return f"must be a policy, got {policy!r}"
+    if isinstance(policy, UCB) and not (_is_real(policy.c_explore) and 0.0 <= policy.c_explore < math.inf):
+        return f"c_explore must be a finite real >= 0, got {policy.c_explore!r}"
+    if isinstance(policy, ExploreThenCommit) and _FIELD_PROBLEMS["horizon"](horizon) is None:
+        try:
+            resolve_tau(policy, horizon)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def _estimator_problem(estimator: object) -> str | None:
+    """Why the value is not an estimator, or None."""
+    return None if isinstance(estimator, Estimator) else f"must be an Estimator, got {estimator!r}"
 
 
 @dataclass(frozen=True)
@@ -194,18 +244,8 @@ class EstimationConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        _check_ints(self, ("n", "replicates", "seed"))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        d = float(self.delta)
-        if not (d > 0.0 and math.isfinite(d)):
-            raise ValueError(f"delta must be finite and > 0, got {self.delta!r}")
-        if not isinstance(self.estimator, Estimator):
-            raise ValueError(f"estimator must be an Estimator, got {self.estimator!r}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        _check_seed(self.seed)
-        object.__setattr__(self, "delta", d)
+        _check_fields(vars(self), estimator=_estimator_problem(self.estimator))
+        object.__setattr__(self, "delta", float(self.delta))
 
 
 @dataclass(frozen=True)
@@ -217,19 +257,8 @@ class BanditConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        _check_ints(self, ("horizon", "replicates", "seed"))
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        g = float(self.gap)
-        if not (g > 0.0 and math.isfinite(g)):
-            raise ValueError(f"gap must be finite and > 0, got {self.gap!r}")
-        if not isinstance(self.policy, get_args(Policy)):
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        _check_seed(self.seed)
-        object.__setattr__(self, "gap", g)
-        _check_policy(self.policy, self.horizon)
+        _check_fields(vars(self), policy=_policy_problem(self.policy, self.horizon))
+        object.__setattr__(self, "gap", float(self.gap))
 
 
 def replicate_rng(
@@ -242,8 +271,13 @@ def replicate_rng(
     re-keyed in place (counter 0, nothing buffered) and returned: the same
     stream as a fresh one, without building a Philox, whose constructor also
     reads os.urandom.
+
+    Both parts of the key must be ints in [0, 2**64); anything else raises
+    ValueError rather than being truncated into another replicate's key.
     """
-    key = [_check_seed(seed), int(replicate)]
+    if not (_is_int(seed) and _is_int(replicate) and 0 <= seed < _SEED_LIMIT and 0 <= replicate < _SEED_LIMIT):
+        raise ValueError(f"seed and replicate must be unsigned 64-bit ints, got {seed!r} and {replicate!r}")
+    key = [seed, replicate]
     if reuse is None:
         return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
     reuse.bit_generator.state = {
@@ -440,26 +474,6 @@ def _check_layout(config: BanditConfig | EstimationConfig, draws: BanditDraws | 
         )
 
 
-def _provenance(config: BanditConfig | EstimationConfig) -> dict:
-    if isinstance(config, EstimationConfig):
-        return {
-            "problem": "estimation",
-            "n": config.n,
-            "delta": config.delta,
-            "estimator": config.estimator.value,
-            "replicates": config.replicates,
-            "seed": config.seed,
-        }
-    return {
-        "problem": "bandit",
-        "horizon": config.horizon,
-        "gap": config.gap,
-        "policy": config.policy.name,
-        "replicates": config.replicates,
-        "seed": config.seed,
-    }
-
-
 def _chunk_losses(configs: Sequence[BanditConfig | EstimationConfig], draws) -> list[np.ndarray]:
     """Losses of configs of one draw layout on one chunk of its draws.  The
     bandit configs of one policy are rolled out together, in one lockstep
@@ -503,7 +517,7 @@ def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[
                 part.append(losses)
             del draws  # release this chunk before drawing the next
         for part, config, i in zip(parts, group, members):
-            samples[i] = SampleSet(np.concatenate(part), provenance=_provenance(config))
+            samples[i] = SampleSet(np.concatenate(part))
     return samples
 
 
@@ -523,16 +537,12 @@ def exact_uniform_bandit_law(g: float, horizon: int) -> DiscreteLossDistribution
     division per atom); horizons above 64 raise DomainError rather than
     silently losing precision.
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _check_fields({"horizon": horizon, "gap": g})
     if horizon > _MAX_EXACT_HORIZON:
         raise DomainError(
             f"exact uniform-policy law supports horizons up to {_MAX_EXACT_HORIZON}, got {horizon}"
         )
     g = float(g)
-    if not (g > 0.0 and math.isfinite(g)):
-        raise ValueError(f"gap must be finite and > 0, got {g!r}")
     denom = 1 << horizon
     atoms = tuple((g * k, math.comb(horizon, k) / denom) for k in range(horizon + 1))
     return DiscreteLossDistribution(atoms)
@@ -542,12 +552,8 @@ def exact_sign_estimator_law(n: int, delta: float) -> DiscreteLossDistribution:
     """Exact loss law of the sign-commit estimator: loss 0 with probability
     1 - p and 2 delta with p = P(Z > sqrt(n) delta), by symmetry of the two
     mean hypotheses."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_fields({"n": n, "delta": delta})
     delta = float(delta)
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     p = normal_upper_tail(math.sqrt(n) * delta)
     return DiscreteLossDistribution(((0.0, 1.0 - p), (2.0 * delta, p)))
 

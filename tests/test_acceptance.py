@@ -143,7 +143,8 @@ def test_05_monte_carlo_dominance(tmp_path):
     out = tmp_path / "verify.csv"
     rc = cli_main(["verify", "--out", str(out)])
     elapsed = time.perf_counter() - started
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as f:
+        rows = list(csv.DictReader(f))
     n_rows = len(rows)
     bad = [r for r in rows if r["dominated"] != "true"]
     # re-derive each verdict from the emitted numbers

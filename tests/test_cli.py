@@ -37,7 +37,8 @@ def test_psi_table(tmp_path, capsys):
     out = tmp_path / "psi.csv"
     rc = main(["psi", "--alpha", "0.5", "--rho-max", "0.2", "--rho-step", "0.1", "--out", str(out)])
     assert rc == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as f:
+        rows = list(csv.DictReader(f))
     assert [float(r["param_value"]) for r in rows] == [0.0, 0.1, 0.2]
     assert float(rows[0]["bound"]) == 0.5
     assert rows[0]["param_name"] == "rho"
@@ -70,9 +71,11 @@ def test_bound_requires_exactly_one_problem(capsys):
 
 
 def test_bound_rejects_garbage_param(capsys):
-    rc = main(["bound", "--n", "10", "--delta", "tiny"])
-    assert rc == 2
-    assert "optimal" in capsys.readouterr().err
+    # a value that is neither a number nor 'optimal' is reported under its field
+    for flag, size in (("--delta", "--n"), ("--gap", "--horizon")):
+        assert main(["bound", size, "10", flag, "tiny"]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[2:]}: " in err and "optimal" in err and "'tiny'" in err
 
 
 def test_simulate_bandit_json(tmp_path):
@@ -156,7 +159,8 @@ def test_verify_small_passes(tmp_path):
         ]
     )
     assert rc == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 2
     assert all(r["dominated"] == "true" for r in rows)
 

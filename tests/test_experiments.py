@@ -9,6 +9,7 @@ from cvarbounds.bounds import bandit_bound, bound_factor, estimation_bound, opti
 from cvarbounds.cli import main as cli_main
 from cvarbounds.experiments import (
     CSV_COLUMNS,
+    OPTIMAL,
     ConfigError,
     ExperimentConfig,
     ExperimentKind,
@@ -92,10 +93,18 @@ def test_validation_collects_all_problems():
     with pytest.raises(ConfigError) as exc:
         cfg.validate()
     assert set(exc.value.problems) == {"n", "horizon", "replicates", "seed"}
-    for bad in (dict(seed=1.0), dict(seed="0"), dict(horizon=True), dict(horizon=np.int64(16))):
+    # so are a gap or separation that is a bool or a string other than 'optimal'
+    for bad in (dict(seed=1.0), dict(seed="0"), dict(horizon=True), dict(horizon=np.int64(16)),
+                dict(gap=True), dict(gap="0.5"), dict(gap=math.nan)):
         with pytest.raises(ConfigError) as exc:
             _bandit_config(**bad).validate()
         assert set(exc.value.problems) == set(bad)
+    for bad in (dict(delta=True), dict(delta="0.1"), dict(gap=False, delta=True)):
+        with pytest.raises(ConfigError) as exc:
+            replace(_verify_config(100), **bad).validate()
+        assert set(exc.value.problems) == set(bad)
+        assert all(OPTIMAL in exc.value.problems[name] for name in bad)
+    replace(_verify_config(100), gap=np.float64(0.3), delta=np.float64(0.2)).validate()
     # non-numeric tail levels, scales and psi grid settings are reported too
     for bad in (dict(alphas=("x",)), dict(scales=("x",)), dict(scales=(None,)), dict(alphas=(True,)),
                 dict(scales=(math.inf,))):
@@ -152,6 +161,13 @@ def test_validation_collects_all_problems():
             replace(_verify_config(100), policies=(UCB(), policy), replicates=0).validate()
         assert set(exc.value.problems) == {"policies", "replicates"}, policy
     _bandit_config(policies=(UCB(c_explore=0.0),)).validate()
+    # a bad horizon skips only the tau check, which needs it: a policy that
+    # is bad at any horizon is reported with it
+    for policy in (UCB(c_explore=math.nan), ExploreThenCommit(tau=2.5)):
+        with pytest.raises(ConfigError) as exc:
+            _bandit_config(horizon=0, policies=(policy,)).validate()
+        want = {"horizon", "policies"} if isinstance(policy, UCB) else {"horizon"}
+        assert set(exc.value.problems) == want, policy
     with pytest.raises(ConfigError) as exc:
         replace(_verify_config(100), kind="verify", horizon=0).validate()
     # the subject checks are skipped for a kind that is not an ExperimentKind

@@ -51,12 +51,6 @@ def test_sample_set_sorted_and_frozen():
         SampleSet(np.array([1.0, float("nan")]))
 
 
-def test_sample_set_provenance_inert():
-    a = SampleSet(np.array([1.0, 2.0]))
-    b = SampleSet(np.array([1.0, 2.0]), provenance={"seed": 7})
-    assert empirical_cvar(a, RiskLevel(0.5)) == empirical_cvar(b, RiskLevel(0.5))
-
-
 def test_hinge_mean_examples():
     s = SampleSet(np.array([1.0, 2.0, 3.0, 4.0]))
     assert hinge_mean(s, 2.0) == pytest.approx(0.75, abs=1e-15)

@@ -60,6 +60,11 @@ def test_replicate_rng_streams():
         replicate_rng(-1, 0)
     with pytest.raises(ValueError):
         replicate_rng(2**64, 0)
+    # both parts of the key must be ints in [0, 2**64): nothing is truncated
+    # into another replicate's key, and an index out of range is a ValueError
+    for seed, replicate in ((1.5, 2.7), (True, 0), (1.5, 0), (0, 1.5), (0, -1), (0, 2**64), (0, np.int64(1))):
+        with pytest.raises(ValueError):
+            replicate_rng(seed, replicate)
 
 
 def _stream_sample(rng):
@@ -84,8 +89,9 @@ def test_rekeyed_stream_matches_fresh(seed):
         assert replicate_rng(seed, r, reuse) is reuse
         for a, b in zip(_stream_sample(reuse), _stream_sample(replicate_rng(seed, r))):
             assert np.array_equal(a, b), (seed, r)
-    with pytest.raises(ValueError):
-        replicate_rng(2**64, 0, reuse)
+    for key in ((2**64, 0), (seed, 1.5), (seed, True), (seed, -1), (seed, 2**64)):
+        with pytest.raises(ValueError):
+            replicate_rng(*key, reuse)
 
 
 def test_resolve_tau():
@@ -141,6 +147,27 @@ def test_config_validation():
     for bad in (dict(n=2.5), dict(replicates=3.0), dict(seed=True), dict(n=False), dict(seed=np.uint64(1))):
         with pytest.raises(ValueError):
             EstimationConfig(**{**estimation, **bad})
+    # the gap and separation must be reals: a bool or a string is refused,
+    # not coerced, and a numpy float is stored as a float
+    for bad in (dict(gap=True), dict(gap="0.5"), dict(gap=math.nan), dict(gap=None)):
+        with pytest.raises(ValueError, match="gap"):
+            BanditConfig(**{**bandit, **bad})
+    for bad in (dict(delta=True), dict(delta="0.1"), dict(delta=np.inf)):
+        with pytest.raises(ValueError, match="delta"):
+            EstimationConfig(**{**estimation, **bad})
+    gap = BanditConfig(**{**bandit, "gap": np.float64(0.25)}).gap
+    assert type(gap) is float and gap == 0.25
+    delta = EstimationConfig(**{**estimation, "delta": np.float32(0.5)}).delta
+    assert type(delta) is float and delta == 0.5
+    # one ValueError names every bad field, the policy among them
+    with pytest.raises(ValueError) as exc:
+        BanditConfig(horizon=0, gap=True, policy=UCB(c_explore=math.nan), replicates=0, seed=-1)
+    for name in ("horizon", "gap", "policy", "replicates", "seed"):
+        assert f"{name}:" in str(exc.value), name
+    with pytest.raises(ValueError) as exc:
+        EstimationConfig(n=0, delta="x", estimator="sign_commit", replicates=1, seed=0)
+    for name in ("n", "delta", "estimator"):
+        assert f"{name}:" in str(exc.value), name
 
 
 def test_policy_names():
@@ -206,8 +233,6 @@ def test_simulate_estimation_sampleset():
     cfg = EstimationConfig(n=2, delta=0.3, estimator=Estimator.SAMPLE_MEAN, replicates=50, seed=1)
     s = simulate_shared([cfg])[0]
     assert s.count == 50
-    assert s.provenance["seed"] == 1
-    assert s.provenance["problem"] == "estimation"
     assert np.all(np.diff(s.values) <= 0)
 
 
@@ -333,7 +358,6 @@ def test_simulate_bandit_sampleset():
     cfg = BanditConfig(horizon=10, gap=0.2, policy=ThompsonGaussian(), replicates=64, seed=6)
     s = simulate_shared([cfg])[0]
     assert s.count == 64
-    assert s.provenance["policy"] == "thompson"
     assert np.all(np.diff(s.values) <= 0)
 
 
@@ -408,7 +432,6 @@ def test_simulate_shared_matches_simulating_alone():
         for shared, config in zip(simulate_shared(configs), configs):
             alone = simulate_shared([config])[0]
             assert np.array_equal(shared.values, alone.values), policy.name
-            assert shared.provenance == alone.provenance
     configs = [
         EstimationConfig(n=4, delta=delta, estimator=estimator, replicates=25, seed=6)
         for estimator in Estimator
@@ -417,7 +440,6 @@ def test_simulate_shared_matches_simulating_alone():
     for shared, config in zip(simulate_shared(configs), configs):
         alone = simulate_shared([config])[0]
         assert np.array_equal(shared.values, alone.values), config.estimator
-        assert shared.provenance == alone.provenance
     assert simulate_shared([]) == []
 
 
@@ -454,7 +476,6 @@ def test_simulate_shared_groups_configs_drawn_apart(monkeypatch):
     assert isinstance(predraws[0].policy, ThompsonGaussian)
     for one, many, config in zip(alone, shared, configs):
         assert np.array_equal(one.values, many.values), config
-        assert one.provenance == many.provenance
     assert simulate_shared([]) == []
 
 
