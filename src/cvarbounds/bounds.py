@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .divergences import DivergenceKind, HellingerBudget, bandit_budget, estimation_budget
+from .errors import _FIELD_PROBLEMS, _check_fields, _is_real
 from .inversion import bernoulli_inverse
 from .risk import RiskLevel
 
@@ -82,14 +83,15 @@ class TwoPointSpec:
     budget: HellingerBudget
 
     def __post_init__(self) -> None:
-        lm = float(self.l_max)
-        if not (lm > 0.0 and math.isfinite(lm)):
-            raise ValueError(f"l_max must be finite and > 0, got {self.l_max!r}")
-        cs = float(self.c_sep)
-        if not (0.0 <= cs <= 2.0 * lm):
-            raise ValueError(f"c_sep must lie in [0, 2 l_max], got {self.c_sep!r}")
-        object.__setattr__(self, "l_max", lm)
-        object.__setattr__(self, "c_sep", cs)
+        l_max, c_sep = self.l_max, self.c_sep
+        # c_sep is held to [0, 2 l_max] only once l_max is good
+        l_max_ok = _FIELD_PROBLEMS["l_max"](l_max) is None
+        c_sep_ok = _is_real(c_sep) and (not l_max_ok or 0.0 <= c_sep <= 2.0 * l_max)
+        _check_fields(
+            {"l_max": l_max}, c_sep=None if c_sep_ok else f"must be a real in [0, 2 l_max], got {c_sep!r}"
+        )
+        object.__setattr__(self, "l_max", float(l_max))
+        object.__setattr__(self, "c_sep", float(c_sep))
 
 
 @dataclass(frozen=True)
@@ -100,13 +102,6 @@ class BoundResult:
     t_star: float
     branch: Branch
     method: Method
-
-
-def _check_rho(rho: float) -> float:
-    rho = float(rho)
-    if not (rho >= 0.0 and math.isfinite(rho)):
-        raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
-    return rho
 
 
 def bound_factor(level: RiskLevel, rho: float) -> FactorEvaluation:
@@ -121,7 +116,9 @@ def bound_factor(level: RiskLevel, rho: float) -> FactorEvaluation:
     Continuous at both breakpoints, equal to 1/2 at rho = 0, nonincreasing
     in rho, nondecreasing in alpha.
     """
-    rho = _check_rho(rho)
+    if not (type(rho) is float and 0.0 <= rho < math.inf):
+        _check_fields({"rho": rho})
+        rho = float(rho)
     alpha = level.alpha
     if rho >= 1.0:
         return FactorEvaluation(level, rho, 0.0, Branch.ZERO)
@@ -186,9 +183,8 @@ def two_point_bound(spec: TwoPointSpec, level: RiskLevel) -> BoundResult:
 def balanced_bound(l_max: float, budget: HellingerBudget, level: RiskLevel) -> BoundResult:
     """Template value when the pairwise loss sum floor equals the cap:
     l_max * bound_factor(alpha, sqrt(2 gamma)), fully closed form."""
+    _check_fields({"l_max": l_max})
     l_max = float(l_max)
-    if not (l_max > 0.0 and math.isfinite(l_max)):
-        raise ValueError(f"l_max must be finite and > 0, got {l_max!r}")
     rho = math.sqrt(2.0 * budget.gamma)
     ev = bound_factor(level, rho)
     if ev.branch is Branch.INTERIOR_QUADRATIC:
@@ -206,21 +202,21 @@ def estimation_bound(n: int, delta: float, level: RiskLevel) -> BoundResult:
     """Clipped-error CVaR bound 2 delta * bound_factor(alpha, 2 sqrt(n) delta)
     for estimating a unit-variance Gaussian mean known to be one of two
     points 2 delta apart, from n draws."""
-    return balanced_bound(2.0 * float(delta), estimation_budget(n, delta), level)
+    budget = estimation_budget(n, delta)
+    return balanced_bound(2.0 * float(delta), budget, level)
 
 
 def bandit_bound(g: float, horizon: int, level: RiskLevel) -> BoundResult:
     """Regret CVaR bound g T * bound_factor(alpha, g sqrt(T)) for the
     symmetric two-armed unit-variance Gaussian pair with per-arm gap g."""
-    return balanced_bound(float(g) * int(horizon), bandit_budget(g, horizon), level)
+    budget = bandit_budget(g, horizon)
+    return balanced_bound(float(g) * horizon, budget, level)
 
 
 def optimal_separation(n: int, level: RiskLevel) -> tuple[float, float]:
     """Worst-case separation for estimation: delta* = optimal_rho / (2 sqrt(n)),
     returned with its bound value optimal_bound_constant / sqrt(n)."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    _check_fields({"n": n})
     root_n = math.sqrt(n)
     return optimal_rho(level) / (2.0 * root_n), optimal_bound_constant(level) / root_n
 
@@ -228,9 +224,7 @@ def optimal_separation(n: int, level: RiskLevel) -> tuple[float, float]:
 def optimal_gap(horizon: int, level: RiskLevel) -> tuple[float, float]:
     """Worst-case arm gap for the bandit: g* = optimal_rho / sqrt(T), returned
     with its bound value optimal_bound_constant * sqrt(T)."""
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _check_fields({"horizon": horizon})
     root_t = math.sqrt(horizon)
     return optimal_rho(level) / root_t, optimal_bound_constant(level) * root_t
 
@@ -245,10 +239,5 @@ def hinge_lower_bound(
     the Bernoulli divergence-ball inverse, so the hinge expectation is at
     least l_max times that inverse.
     """
-    l_max = float(l_max)
-    if not (l_max > 0.0 and math.isfinite(l_max)):
-        raise ValueError(f"l_max must be finite and > 0, got {l_max!r}")
-    ref = float(reference_hinge)
-    if not 0.0 <= ref <= 1.0:
-        raise ValueError(f"reference_hinge must lie in [0, 1], got {reference_hinge!r}")
-    return l_max * bernoulli_inverse(kind, budget, ref).a_minus
+    _check_fields({"l_max": l_max, "budget": budget, "reference_hinge": reference_hinge})
+    return float(l_max) * bernoulli_inverse(kind, budget, reference_hinge).a_minus

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, _check_fields
 
 __all__ = [
     "DivergenceKind",
@@ -38,20 +38,19 @@ class HellingerBudget:
     gamma: float
 
     def __post_init__(self) -> None:
-        g = float(self.gamma)
-        if not (g >= 0.0 and math.isfinite(g)):
-            raise ValueError(f"budget must be finite and >= 0, got {self.gamma!r}")
-        object.__setattr__(self, "gamma", g)
+        _check_fields({"gamma": self.gamma})
+        object.__setattr__(self, "gamma", float(self.gamma))
 
     def __float__(self) -> float:
         return self.gamma
 
 
-def _check_unit(x: float, name: str) -> float:
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
-    return x
+def _check_unit(a: float, b: float) -> tuple[float, float]:
+    """The Bernoulli parameters a and b as floats, once the field table has
+    taken them.  Callers pass plain floats in [0, 1] without calling this,
+    since the bisection in `inversion` evaluates them on every step."""
+    _check_fields({"a": a, "b": b})
+    return float(a), float(b)
 
 
 def kl_bernoulli(a: float, b: float) -> float:
@@ -60,8 +59,8 @@ def kl_bernoulli(a: float, b: float) -> float:
     Raises DomainError where the divergence is infinite (a > 0 against b = 0,
     or a < 1 against b = 1).
     """
-    a = _check_unit(a, "a")
-    b = _check_unit(b, "b")
+    if not (type(a) is float and type(b) is float and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        a, b = _check_unit(a, b)
     if a > 0.0 and b == 0.0:
         raise DomainError("kl_bernoulli is infinite for a > 0, b = 0")
     if a < 1.0 and b == 1.0:
@@ -80,8 +79,8 @@ def hellinger2_bernoulli(a: float, b: float) -> float:
     Always finite; equivalently half the sum of squared root differences over
     the two outcomes.  Clamped at zero against sub-ulp rounding when a = b.
     """
-    a = _check_unit(a, "a")
-    b = _check_unit(b, "b")
+    if not (type(a) is float and type(b) is float and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        a, b = _check_unit(a, b)
     v = 1.0 - math.sqrt(a * b) - math.sqrt((1.0 - a) * (1.0 - b))
     return v if v > 0.0 else 0.0
 
@@ -94,12 +93,8 @@ def estimation_budget(n: int, delta: float) -> HellingerBudget:
     1 - exp(-n delta^2 / 2) <= 2 n delta^2; the linearized cap keeps the
     downstream closed forms polynomial in delta.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    _check_fields({"n": n, "delta": delta})
     d = float(delta)
-    if not (d > 0.0 and math.isfinite(d)):
-        raise ValueError(f"separation delta must be finite and > 0, got {delta!r}")
     return HellingerBudget(2.0 * n * d * d)
 
 
@@ -109,10 +104,6 @@ def bandit_budget(g: float, horizon: int) -> HellingerBudget:
     contributes g^2/2 to the transcript KL regardless of the arm pulled, and
     squared Hellinger never exceeds KL.
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _check_fields({"g": g, "horizon": horizon})
     gv = float(g)
-    if not (gv > 0.0 and math.isfinite(gv)):
-        raise ValueError(f"arm gap g must be finite and > 0, got {g!r}")
     return HellingerBudget(0.5 * gv * gv * horizon)

@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Mapping, get_args
 
 from .bounds import BoundResult, bandit_bound, bound_factor, estimation_bound, optimal_gap, optimal_separation
+from .errors import _FIELD_PROBLEMS, _field_problems
 from .risk import RiskLevel, SampleSet, empirical_cvar, exact_cvar
 from .sim import (
     BanditConfig,
@@ -27,10 +28,7 @@ from .sim import (
     ExploreThenCommit,
     Policy,
     UCB,
-    _FIELD_PROBLEMS,
     _estimator_problem,
-    _field_problems,
-    _is_real,
     _policy_problem,
     exact_loss_law,
     simulate_shared,
@@ -119,6 +117,12 @@ def parse_policy(name: str, tau: int | None = None, ucb_c: float = 1.0) -> Polic
     raise ConfigError({"policy": f"unknown policy {name!r}"})
 
 
+def _is_optimal(raw: object) -> bool:
+    """Whether a gap or separation field asks for the worst case; only a
+    string is compared, so an array there is refused by the field rules."""
+    return isinstance(raw, str) and raw == OPTIMAL
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment request; `validate` reports all problems at once."""
@@ -139,29 +143,23 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         problems: dict[str, str] = {}
-        if not isinstance(self.alphas, (tuple, list)):
-            problems["alphas"] = f"must be a tuple of tail levels, got {self.alphas!r}"
-        elif not self.alphas:
-            problems["alphas"] = "at least one tail level is required"
-        elif any(not (_is_real(a) and 0.0 <= a < 1.0) for a in self.alphas):
-            problems["alphas"] = f"every alpha must lie in [0, 1), got {self.alphas!r}"
-        if not isinstance(self.scales, (tuple, list)):
-            problems["scales"] = f"must be a tuple of scales, got {self.scales!r}"
-        elif not self.scales:
-            problems["scales"] = "at least one scale is required"
-        elif any(not (_is_real(s) and 0.0 < s < math.inf) for s in self.scales):
-            problems["scales"] = f"scales must be finite and > 0, got {self.scales!r}"
+        for name, item in (("alphas", "alpha"), ("scales", "scale")):
+            values = getattr(self, name)
+            if not isinstance(values, (tuple, list)):
+                problems[name] = f"must be a tuple of {item} values, got {values!r}"
+            elif not values:
+                problems[name] = f"at least one {item} is required"
+            elif why := next(filter(None, map(_FIELD_PROBLEMS[item], values)), None):
+                problems[name] = f"every {item} {why}, got {values!r}"
 
         kind = self.kind
         if not isinstance(kind, ExperimentKind):
             # _subjects covers no subject for it, so no subject is checked
             problems["kind"] = f"must be an ExperimentKind, got {kind!r}"
         if kind is ExperimentKind.PSI:
-            if not (_is_real(self.rho_max) and 0.0 < self.rho_max < math.inf):
-                problems["rho_max"] = f"must be finite and > 0, got {self.rho_max!r}"
-            if not (_is_real(self.rho_step) and 0.0 < self.rho_step < math.inf):
-                problems["rho_step"] = f"must be finite and > 0, got {self.rho_step!r}"
-            elif "rho_max" not in problems and self.rho_max / self.rho_step > _MAX_PSI_STEPS:
+            grid_problems = _field_problems({"rho_max": self.rho_max, "rho_step": self.rho_step})
+            problems.update(grid_problems)
+            if not grid_problems and self.rho_max / self.rho_step > _MAX_PSI_STEPS:
                 steps = self.rho_max / self.rho_step
                 problems["rho_step"] = f"rho_max / rho_step is {steps:.6g}, above {_MAX_PSI_STEPS} grid steps"
         subjects = _subjects(self)
@@ -172,7 +170,7 @@ class ExperimentConfig:
         problems.update(_field_problems({"replicates": self.replicates, "seed": self.seed, **sizes}))
         for subject in subjects:
             raw = getattr(self, subject.field)
-            why = None if raw == OPTIMAL else _FIELD_PROBLEMS[subject.field](raw)
+            why = None if _is_optimal(raw) else _FIELD_PROBLEMS[subject.field](raw)
             if why:
                 problems[subject.field] = f"{why} or {OPTIMAL!r}, got {raw!r}"
         for subject in _SUBJECTS:
@@ -360,7 +358,7 @@ def _subject_rows(config: ExperimentConfig, subject: _Subject) -> list[Experimen
         for alpha in config.alphas:
             level = RiskLevel(alpha)
             for scale in config.scales:
-                base = subject.optimum(size, level) if raw == OPTIMAL else float(raw)
+                base = subject.optimum(size, level) if _is_optimal(raw) else float(raw)
                 cases.append((variant, level, scale, scale * base))
     if simulate:
         sim_configs = [subject.sim_config(config, v, value) for v, _, _, value in cases]
@@ -472,22 +470,7 @@ def render_json(report: ExperimentReport) -> str:
     metadata = {k: v for k, v in report.metadata.items() if k not in _VOLATILE_METADATA}
     payload = {
         "metadata": metadata,
-        "rows": [
-            {
-                "alpha": row.alpha,
-                "param_name": row.param_name,
-                "param_value": row.param_value,
-                "problem_params": dict(row.problem_params),
-                "bound": row.bound,
-                "t_star": row.t_star,
-                "empirical_cvar": row.empirical_cvar,
-                "exact_cvar": row.exact_cvar,
-                "stderr": row.stderr,
-                "mc_slack": row.mc_slack,
-                "dominated": row.dominated,
-            }
-            for row in report.rows
-        ],
+        "rows": [asdict(row) for row in report.rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .divergences import DivergenceKind, hellinger2_bernoulli, kl_bernoulli
-from .errors import DomainError
+from .errors import DomainError, _check_fields
 
 __all__ = [
     "BRACKET_TOL",
@@ -56,12 +56,8 @@ def bernoulli_inverse(kind: DivergenceKind, budget: float, b: float) -> Inversio
     A zero budget returns b itself.  For KL with b in {0, 1} and a positive
     budget the reference is degenerate and a DomainError is raised.
     """
-    budget = float(budget)
-    if not (budget >= 0.0 and math.isfinite(budget)):
-        raise ValueError(f"budget must be finite and >= 0, got {budget!r}")
-    b = float(b)
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"reference probability must lie in [0, 1], got {b!r}")
+    _check_fields({"budget": budget, "b": b})
+    budget, b = float(budget), float(b)
     if budget == 0.0:
         return InversionResult(a_minus=b, achieved_divergence=0.0, iterations=0)
     if kind is DivergenceKind.KL and (b == 0.0 or b == 1.0):
@@ -96,11 +92,7 @@ def bernoulli_inverse(kind: DivergenceKind, budget: float, b: float) -> Inversio
 def hellinger_inverse_closed(budget: float, b: float) -> float:
     """Closed-form relaxation (sqrt(b) - sqrt(2 budget))_+^2 of the exact
     squared-Hellinger inverse; never above it, and exact at budget = 0."""
-    budget = float(budget)
-    if not (budget >= 0.0 and math.isfinite(budget)):
-        raise ValueError(f"budget must be finite and >= 0, got {budget!r}")
-    b = float(b)
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"reference probability must lie in [0, 1], got {b!r}")
+    _check_fields({"budget": budget, "b": b})
+    budget, b = float(budget), float(b)
     root = math.sqrt(b) - math.sqrt(2.0 * budget)
     return root * root if root > 0.0 else 0.0

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
+
+from .errors import _check_fields
 
 __all__ = [
     "EXACT_TOL",
@@ -37,10 +37,8 @@ class RiskLevel:
     alpha: float
 
     def __post_init__(self) -> None:
-        a = float(self.alpha)
-        if not 0.0 <= a < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha!r}")
-        object.__setattr__(self, "alpha", a)
+        _check_fields({"alpha": self.alpha})
+        object.__setattr__(self, "alpha", float(self.alpha))
 
     @property
     def tail_mass(self) -> float:
@@ -104,10 +102,6 @@ class DiscreteLossDistribution:
             raise ValueError(f"atom probabilities sum to {total!r}, expected 1 within {EXACT_TOL}")
         object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
 
-    def atoms_desc(self) -> Iterable[tuple[float, float]]:
-        """Atoms from the largest loss value down, the order CVaR consumes them."""
-        return tuple(reversed(self.atoms))
-
     def mean(self) -> float:
         return sum(v * p for v, p in self.atoms)
 
@@ -139,7 +133,7 @@ def exact_cvar(dist: DiscreteLossDistribution, level: RiskLevel) -> float:
     q = level.tail_mass
     remaining = q
     acc = 0.0
-    for value, prob in dist.atoms_desc():
+    for value, prob in reversed(dist.atoms):
         take = prob if prob < remaining else remaining
         acc += take * value
         remaining -= take

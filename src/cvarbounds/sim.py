@@ -44,14 +44,13 @@ the always-zero estimator.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Iterator, Mapping, NamedTuple, Sequence, Union, get_args
+from typing import ClassVar, Iterator, NamedTuple, Sequence, Union, get_args
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _FIELD_PROBLEMS, _SEED_LIMIT, DomainError, _check_fields, _is_int
 from .risk import DiscreteLossDistribution, SampleSet
 
 __all__ = [
@@ -75,7 +74,6 @@ __all__ = [
 ]
 
 _MAX_EXACT_HORIZON = 64
-_SEED_LIMIT = 2**64
 
 # predrawn values held at once; bandit and estimation draws are made in
 # chunks of consecutive replicates that fit it (the largest predraw of the
@@ -137,67 +135,6 @@ _OWN_DRAWS = {
 _NO_OWN_DRAWS = (0, None)
 
 
-def _is_int(value: object) -> bool:
-    """A Python int; floats, strings, bools and numpy integers are refused
-    rather than coerced (a numpy integer would reach problem_params, which
-    JSON cannot render)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value: object) -> bool:
-    """A real number; strings, None and bools are refused.  Floats are
-    tested first, because the numbers.Real test is several times slower."""
-    return isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
-
-
-def _count_problem(value: object) -> str | None:
-    return None if _is_int(value) and value >= 1 else "must be an int >= 1"
-
-
-def _seed_problem(value: object) -> str | None:
-    return None if _is_int(value) and 0 <= value < _SEED_LIMIT else "must be an unsigned 64-bit int"
-
-
-def _positive_problem(value: object) -> str | None:
-    return None if _is_real(value) and 0.0 < value < math.inf else "must be a finite real > 0"
-
-
-# what a value of each field the experiment and sim configs share must be:
-# the reason a value is refused, or None; every reader of these fields
-# checks them here
-_FIELD_PROBLEMS = {
-    "n": _count_problem,
-    "horizon": _count_problem,
-    "replicates": _count_problem,
-    "seed": _seed_problem,
-    "delta": _positive_problem,
-    "gap": _positive_problem,
-}
-
-
-def _field_problems(values: Mapping[str, object]) -> dict[str, str]:
-    """Why each value `_FIELD_PROBLEMS` refuses is refused, by field name;
-    names it does not hold are passed over."""
-    problems = {}
-    for name, value in values.items():
-        check = _FIELD_PROBLEMS.get(name)
-        why = check(value) if check else None
-        if why:
-            problems[name] = f"{why}, got {value!r}"
-    return problems
-
-
-def _check_fields(values: Mapping[str, object], **variant_problems: str | None) -> None:
-    """Raise one ValueError naming every value `_FIELD_PROBLEMS` refuses and
-    every variant given a problem."""
-    problems = _field_problems(values)
-    for name, why in variant_problems.items():
-        if why:
-            problems[name] = why
-    if problems:
-        raise ValueError("; ".join(f"{name}: {why}" for name, why in problems.items()))
-
-
 def resolve_tau(policy: ExploreThenCommit, horizon: int) -> int:
     """Per-arm exploration length, defaulting to ceil(T^(2/3)) clipped into
     [1, T // 2].  Explicit values must satisfy 1 <= tau <= T/2."""
@@ -220,8 +157,8 @@ def _policy_problem(policy: object, horizon: object) -> str | None:
     horizon.  The tau is checked only at a horizon `_FIELD_PROBLEMS` takes."""
     if not isinstance(policy, get_args(Policy)):
         return f"must be a policy, got {policy!r}"
-    if isinstance(policy, UCB) and not (_is_real(policy.c_explore) and 0.0 <= policy.c_explore < math.inf):
-        return f"c_explore must be a finite real >= 0, got {policy.c_explore!r}"
+    if isinstance(policy, UCB) and (why := _FIELD_PROBLEMS["c_explore"](policy.c_explore)):
+        return f"c_explore {why}, got {policy.c_explore!r}"
     if isinstance(policy, ExploreThenCommit) and _FIELD_PROBLEMS["horizon"](horizon) is None:
         try:
             resolve_tau(policy, horizon)

@@ -10,8 +10,8 @@ from functools import lru_cache
 import numpy as np
 
 from cvarbounds import sim
-from cvarbounds.bounds import _check_rho
 from cvarbounds.divergences import hellinger2_bernoulli, kl_bernoulli
+from cvarbounds.errors import _check_fields
 from cvarbounds.risk import EXACT_TOL, DiscreteLossDistribution, RiskLevel, SampleSet, empirical_cvar
 from cvarbounds.sim import BanditConfig, ExploreThenCommit, UCB, UniformRandom, resolve_tau
 
@@ -41,7 +41,8 @@ def bound_factor_grid_min(level: RiskLevel, rho: float, grid_points: int) -> flo
     grid_points = int(grid_points)
     if grid_points < _MIN_ORACLE_GRID:
         raise ValueError(f"grid_points must be >= {_MIN_ORACLE_GRID}, got {grid_points}")
-    rho = _check_rho(rho)
+    _check_fields({"rho": rho})
+    rho = float(rho)
     xs, roots = _half_unit_grid(grid_points)
     gap = np.maximum(roots - rho / math.sqrt(2.0), 0.0)
     vals = 0.5 - xs + gap * gap / (1.0 - level.alpha)

@@ -23,7 +23,14 @@ from cvarbounds.bounds import (
     optimal_separation,
     two_point_bound,
 )
-from cvarbounds.divergences import DivergenceKind, HellingerBudget
+from cvarbounds.divergences import (
+    DivergenceKind,
+    HellingerBudget,
+    bandit_budget,
+    estimation_budget,
+    hellinger2_bernoulli,
+    kl_bernoulli,
+)
 from cvarbounds.inversion import bernoulli_inverse, hellinger_inverse_closed
 from cvarbounds.risk import RiskLevel
 
@@ -271,3 +278,49 @@ def test_hinge_lower_bound_validation():
         hinge_lower_bound(0.0, 0.05, 0.4, DivergenceKind.KL)
     with pytest.raises(ValueError):
         hinge_lower_bound(1.0, 0.05, 1.4, DivergenceKind.KL)
+
+
+_KL = DivergenceKind.KL
+
+
+# (closed form, arguments, the argument it must refuse by name)
+_REFUSED = [
+    (optimal_gap, (10.7, L(0.5)), "horizon"),
+    (optimal_separation, (10.7, L(0.5)), "n"),
+    (bandit_bound, (True, 10, L(0.5)), "g"),
+    (bandit_bound, (0.1, 10.5, L(0.5)), "horizon"),
+    (estimation_bound, (10, "0.1", L(0.5)), "delta"),
+    (estimation_budget, (10.9, 0.1), "n"),
+    (bandit_budget, ("0.1", 10), "g"),
+    (HellingerBudget, (True,), "gamma"),
+    (TwoPointSpec, ("1", 1.0, HellingerBudget(0.1)), "l_max"),
+    (bound_factor, (L(0.5), "0.3"), "rho"),
+    (hinge_lower_bound, ("2", 0.05, 0.4, _KL), "l_max"),
+    (kl_bernoulli, ("0.5", 0.5), "a"),
+    (hellinger2_bernoulli, (0.5, True), "b"),
+    (bernoulli_inverse, (_KL, "0.1", 0.5), "budget"),
+    (hellinger_inverse_closed, (0.1, "0.5"), "b"),
+    (RiskLevel, ("0.5",), "alpha"),
+]
+
+
+@pytest.mark.parametrize("fn, args, name", _REFUSED, ids=[f"{fn.__name__}-{name}" for fn, _, name in _REFUSED])
+def test_closed_forms_refuse_rather_than_coerce(fn, args, name):
+    # a float where an int is asked for, a bool or a string is refused under
+    # its argument's name, never truncated or parsed
+    with pytest.raises(ValueError, match=rf"(^|; ){name}: "):
+        fn(*args)
+
+
+def test_closed_forms_take_ints_and_numpy_floats():
+    lev = L(0.5)
+    assert bandit_bound(np.float64(0.1), 10, lev) == bandit_bound(0.1, 10, lev)
+    assert estimation_bound(10, np.float64(0.1), lev) == estimation_bound(10, 0.1, lev)
+    assert bound_factor(lev, np.float64(0.3)) == bound_factor(lev, 0.3)
+    assert bound_factor(lev, 0).rho == 0.0 and type(bound_factor(lev, 0).rho) is float
+    assert hellinger2_bernoulli(0, 1) == 1.0
+    assert kl_bernoulli(np.float64(0.25), 0.5) == kl_bernoulli(0.25, 0.5)
+    assert bernoulli_inverse(_KL, np.float64(0.1), 0.5) == bernoulli_inverse(_KL, 0.1, 0.5)
+    assert hinge_lower_bound(3, 0.05, 0.4, _KL) == hinge_lower_bound(3.0, 0.05, 0.4, _KL)
+    assert type(L(np.float64(0.5)).alpha) is float and L(0) == L(0.0)
+    assert TwoPointSpec(2, 1, HellingerBudget(0)) == TwoPointSpec(2.0, 1.0, HellingerBudget(0.0))

@@ -105,6 +105,11 @@ def test_validation_collects_all_problems():
         assert set(exc.value.problems) == set(bad)
         assert all(OPTIMAL in exc.value.problems[name] for name in bad)
     replace(_verify_config(100), gap=np.float64(0.3), delta=np.float64(0.2)).validate()
+    # an array there is refused under its field, not compared with 'optimal'
+    for bad in (dict(gap=np.array([0.1, 0.2])), dict(delta=np.array([0.1, 0.2]))):
+        with pytest.raises(ConfigError) as exc:
+            replace(_verify_config(100), **bad).validate()
+        assert set(exc.value.problems) == set(bad)
     # non-numeric tail levels, scales and psi grid settings are reported too
     for bad in (dict(alphas=("x",)), dict(scales=("x",)), dict(scales=(None,)), dict(alphas=(True,)),
                 dict(scales=(math.inf,))):
