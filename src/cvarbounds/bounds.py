@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .divergences import DivergenceKind, HellingerBudget, bandit_budget, estimation_budget
-from .errors import _FIELD_PROBLEMS, _check_fields, _is_real
-from .inversion import bernoulli_inverse
+from .errors import _FIELD_PROBLEMS, _check_fields, _is_real, _type_problem
+from .inversion import _kind_problem, bernoulli_inverse
 from .risk import RiskLevel
 
 __all__ = [
@@ -104,6 +104,11 @@ class BoundResult:
     method: Method
 
 
+def _check_level(level: RiskLevel) -> None:
+    if type(level) is not RiskLevel:
+        _check_fields({}, level=_type_problem(level, RiskLevel))
+
+
 def bound_factor(level: RiskLevel, rho: float) -> FactorEvaluation:
     """Normalized balanced-case profile: the bound equals l_max times this.
 
@@ -116,8 +121,8 @@ def bound_factor(level: RiskLevel, rho: float) -> FactorEvaluation:
     Continuous at both breakpoints, equal to 1/2 at rho = 0, nonincreasing
     in rho, nondecreasing in alpha.
     """
-    if not (type(rho) is float and 0.0 <= rho < math.inf):
-        _check_fields({"rho": rho})
+    if not (type(level) is RiskLevel and type(rho) is float and 0.0 <= rho < math.inf):
+        _check_fields({"rho": rho}, level=_type_problem(level, RiskLevel))
         rho = float(rho)
     alpha = level.alpha
     if rho >= 1.0:
@@ -137,6 +142,7 @@ def optimal_bound_constant(level: RiskLevel) -> float:
     The sqrt arrangement takes over from alpha = 1/3 because it lands on 1/9
     to the last ulp there; the rational form is one ulp off.
     """
+    _check_level(level)
     a = level.alpha
     if a < 1.0 / 3.0:
         return 2.0 / (27.0 * (1.0 - a))
@@ -145,6 +151,7 @@ def optimal_bound_constant(level: RiskLevel) -> float:
 
 def optimal_rho(level: RiskLevel) -> float:
     """argmax of rho * bound_factor: 1/3 below alpha = 1/3, then sqrt(alpha/3)."""
+    _check_level(level)
     a = level.alpha
     if a < 1.0 / 3.0:
         return 1.0 / 3.0
@@ -160,6 +167,8 @@ def two_point_bound(spec: TwoPointSpec, level: RiskLevel) -> BoundResult:
     i.e. t = 0.  It is exact; the tests check it against a dense threshold
     grid.
     """
+    if type(spec) is not TwoPointSpec or type(level) is not RiskLevel:
+        _check_fields({}, spec=_type_problem(spec, TwoPointSpec), level=_type_problem(level, RiskLevel))
     alpha = level.alpha
     l_max = spec.l_max
     x_hi = spec.c_sep / (2.0 * l_max)  # in [0, 1]
@@ -183,7 +192,9 @@ def two_point_bound(spec: TwoPointSpec, level: RiskLevel) -> BoundResult:
 def balanced_bound(l_max: float, budget: HellingerBudget, level: RiskLevel) -> BoundResult:
     """Template value when the pairwise loss sum floor equals the cap:
     l_max * bound_factor(alpha, sqrt(2 gamma)), fully closed form."""
-    _check_fields({"l_max": l_max})
+    _check_fields(
+        {"l_max": l_max}, budget=_type_problem(budget, HellingerBudget), level=_type_problem(level, RiskLevel)
+    )
     l_max = float(l_max)
     rho = math.sqrt(2.0 * budget.gamma)
     ev = bound_factor(level, rho)
@@ -202,6 +213,7 @@ def estimation_bound(n: int, delta: float, level: RiskLevel) -> BoundResult:
     """Clipped-error CVaR bound 2 delta * bound_factor(alpha, 2 sqrt(n) delta)
     for estimating a unit-variance Gaussian mean known to be one of two
     points 2 delta apart, from n draws."""
+    _check_fields({"n": n, "delta": delta}, level=_type_problem(level, RiskLevel))
     budget = estimation_budget(n, delta)
     return balanced_bound(2.0 * float(delta), budget, level)
 
@@ -209,6 +221,7 @@ def estimation_bound(n: int, delta: float, level: RiskLevel) -> BoundResult:
 def bandit_bound(g: float, horizon: int, level: RiskLevel) -> BoundResult:
     """Regret CVaR bound g T * bound_factor(alpha, g sqrt(T)) for the
     symmetric two-armed unit-variance Gaussian pair with per-arm gap g."""
+    _check_fields({"g": g, "horizon": horizon}, level=_type_problem(level, RiskLevel))
     budget = bandit_budget(g, horizon)
     return balanced_bound(float(g) * horizon, budget, level)
 
@@ -216,7 +229,7 @@ def bandit_bound(g: float, horizon: int, level: RiskLevel) -> BoundResult:
 def optimal_separation(n: int, level: RiskLevel) -> tuple[float, float]:
     """Worst-case separation for estimation: delta* = optimal_rho / (2 sqrt(n)),
     returned with its bound value optimal_bound_constant / sqrt(n)."""
-    _check_fields({"n": n})
+    _check_fields({"n": n}, level=_type_problem(level, RiskLevel))
     root_n = math.sqrt(n)
     return optimal_rho(level) / (2.0 * root_n), optimal_bound_constant(level) / root_n
 
@@ -224,7 +237,7 @@ def optimal_separation(n: int, level: RiskLevel) -> tuple[float, float]:
 def optimal_gap(horizon: int, level: RiskLevel) -> tuple[float, float]:
     """Worst-case arm gap for the bandit: g* = optimal_rho / sqrt(T), returned
     with its bound value optimal_bound_constant * sqrt(T)."""
-    _check_fields({"horizon": horizon})
+    _check_fields({"horizon": horizon}, level=_type_problem(level, RiskLevel))
     root_t = math.sqrt(horizon)
     return optimal_rho(level) / root_t, optimal_bound_constant(level) * root_t
 
@@ -239,5 +252,7 @@ def hinge_lower_bound(
     the Bernoulli divergence-ball inverse, so the hinge expectation is at
     least l_max times that inverse.
     """
-    _check_fields({"l_max": l_max, "budget": budget, "reference_hinge": reference_hinge})
+    _check_fields(
+        {"l_max": l_max, "budget": budget, "reference_hinge": reference_hinge}, kind=_kind_problem(kind)
+    )
     return float(l_max) * bernoulli_inverse(kind, budget, reference_hinge).a_minus

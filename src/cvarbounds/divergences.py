@@ -48,7 +48,7 @@ class HellingerBudget:
 def _check_unit(a: float, b: float) -> tuple[float, float]:
     """The Bernoulli parameters a and b as floats, once the field table has
     taken them.  Callers pass plain floats in [0, 1] without calling this,
-    since the bisection in `inversion` evaluates them on every step."""
+    since the root finders in `inversion` evaluate them on every step."""
     _check_fields({"a": a, "b": b})
     return float(a), float(b)
 

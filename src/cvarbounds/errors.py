@@ -38,12 +38,23 @@ def _is_real(value: object) -> bool:
     return isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
+def _type_problem(value: object, cls: type) -> str | None:
+    """Why `value` is refused where an instance of exactly `cls` is asked
+    for, or None; for the closed forms' object arguments, which no table
+    entry names."""
+    return None if type(value) is cls else f"must be a {cls.__name__}, got {value!r}"
+
+
 def _count_problem(value: object) -> str | None:
     return None if _is_int(value) and value >= 1 else "must be an int >= 1"
 
 
 def _seed_problem(value: object) -> str | None:
     return None if _is_int(value) and 0 <= value < _SEED_LIMIT else "must be an unsigned 64-bit int"
+
+
+def _finite_problem(value: object) -> str | None:
+    return None if _is_real(value) and -math.inf < value < math.inf else "must be a finite real"
 
 
 def _positive_problem(value: object) -> str | None:
@@ -84,6 +95,8 @@ _FIELD_PROBLEMS = {
     "b": _unit_problem,
     "reference_hinge": _unit_problem,
     "alpha": _level_problem,
+    "atom_value": _finite_problem,
+    "atom_probability": _nonnegative_problem,
 }
 
 

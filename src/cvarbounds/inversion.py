@@ -2,10 +2,12 @@
 
 Given a budget B and a reference success probability b, find the smallest
 a in [0, b] with D(Bern(a) || Bern(b)) <= B.  Both supported divergences are
-nonincreasing in a on [0, b], so the feasible set is an interval ending at b
-and bisection applies.  A closed-form relaxation of the squared-Hellinger
-inverse is also provided; it never exceeds the exact inverse, so substituting
-it preserves any lower bound built on top.
+nonincreasing in a on [0, b], so the feasible set is an interval ending at b.
+Squared Hellinger inverts in closed form through the angle arcsin sqrt(p);
+KL, convex in a, inverts by Newton's method kept inside a bracket on the
+root.  A closed-form relaxation of the squared-Hellinger inverse is also
+provided; it never exceeds the exact inverse, so substituting it preserves
+any lower bound built on top.
 """
 
 from __future__ import annotations
@@ -23,16 +25,22 @@ __all__ = [
     "hellinger_inverse_closed",
 ]
 
-# bisection keeps going until the bracket is this narrow AND the divergence
-# gap across it is <= _GAP_TOL, so near-singular references still round-trip
+# the KL bracket closes once it is this narrow AND the divergence gap across
+# it is <= _GAP_TOL, so near-singular references still round-trip
 BRACKET_TOL = 1e-12
 _GAP_TOL = 1e-10
 _MAX_ITERATIONS = 200
+# a Newton step this short has all but reached the root
+_PROBE_STEP = 0.5 * BRACKET_TOL
+# below a b = 2^-108, sqrt(a b) rounds away against 1 in H2(a, b), so no
+# such a reads below H2(0, b)
+_H2_FLOOR = 2.0**-108
 
 
 @dataclass(frozen=True)
 class InversionResult:
-    """Feasible endpoint of the bisection bracket and its achieved divergence.
+    """Smallest feasible a found, its achieved divergence, and the number of
+    divergence evaluations spent after the check that the budget is active.
 
     `a_minus` is always feasible: achieved_divergence <= budget.  When the
     budget is active (a_minus > 0) the achieved divergence also sits within
@@ -44,10 +52,8 @@ class InversionResult:
     iterations: int
 
 
-def _divergence(kind: DivergenceKind, a: float, b: float) -> float:
-    if kind is DivergenceKind.KL:
-        return kl_bernoulli(a, b)
-    return hellinger2_bernoulli(a, b)
+def _kind_problem(kind: object) -> str | None:
+    return None if type(kind) is DivergenceKind else f"must be a DivergenceKind, got {kind!r}"
 
 
 def bernoulli_inverse(kind: DivergenceKind, budget: float, b: float) -> InversionResult:
@@ -56,37 +62,81 @@ def bernoulli_inverse(kind: DivergenceKind, budget: float, b: float) -> Inversio
     A zero budget returns b itself.  For KL with b in {0, 1} and a positive
     budget the reference is degenerate and a DomainError is raised.
     """
-    _check_fields({"budget": budget, "b": b})
+    _check_fields({"budget": budget, "b": b}, kind=_kind_problem(kind))
     budget, b = float(budget), float(b)
     if budget == 0.0:
         return InversionResult(a_minus=b, achieved_divergence=0.0, iterations=0)
-    if kind is DivergenceKind.KL and (b == 0.0 or b == 1.0):
-        raise DomainError("binary KL inversion needs b in (0, 1) when the budget is positive")
-
-    d_zero = _divergence(kind, 0.0, b)
+    if kind is DivergenceKind.KL:
+        if b == 0.0 or b == 1.0:
+            raise DomainError("binary KL inversion needs b in (0, 1) when the budget is positive")
+        d_zero = kl_bernoulli(0.0, b)
+    else:
+        d_zero = hellinger2_bernoulli(0.0, b)
     if d_zero <= budget:
         return InversionResult(a_minus=0.0, achieved_divergence=d_zero, iterations=0)
+    if kind is DivergenceKind.KL:
+        return _kl_inverse(budget, b, d_zero)
+    return _hellinger_inverse(budget, b)
 
-    # invariant: divergence(lo) > budget >= divergence(hi)
-    lo, hi = 0.0, b
-    iterations = 0
-    while iterations < _MAX_ITERATIONS:
-        if hi - lo <= BRACKET_TOL:
-            if _divergence(kind, lo, b) - _divergence(kind, hi, b) <= _GAP_TOL:
-                break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _divergence(kind, mid, b) <= budget:
-            hi = mid
-        else:
-            lo = mid
+
+def _hellinger_inverse(budget: float, b: float) -> InversionResult:
+    """With theta = arcsin sqrt(p), H2(a, b) = 1 - cos(theta_b - theta_a),
+    so the root is a = sin^2(theta_b - 2 arcsin sqrt(B/2)); that form keeps
+    its precision at tiny B, where arccos(1 - B) loses it.
+
+    Rounding in H2 can leave the root a hair infeasible, so a is raised by
+    a doubling step until H2 reads within the budget; a = b always does.
+    """
+    angle = math.asin(math.sqrt(b)) - 2.0 * math.asin(math.sqrt(0.5 * budget))
+    a = min(math.sin(angle) ** 2, b) if angle > 0.0 else 0.0
+    step = max(math.ulp(a), _H2_FLOOR / b)
+    achieved = hellinger2_bernoulli(a, b)
+    iterations = 1
+    while achieved > budget:
+        a = min(a + step, b)
+        step += step
+        achieved = hellinger2_bernoulli(a, b)
         iterations += 1
-    return InversionResult(
-        a_minus=hi,
-        achieved_divergence=_divergence(kind, hi, b),
-        iterations=iterations,
-    )
+    return InversionResult(a_minus=a, achieved_divergence=achieved, iterations=iterations)
+
+
+def _kl_inverse(budget: float, b: float, d_zero: float) -> InversionResult:
+    """Newton's method on KL(a || b) = B inside a bracket [lo, hi] with
+    KL(lo) > B >= KL(hi), from the quadratic estimate b - sqrt(2 B b (1-b)).
+
+    A point that leaves the bracket is replaced by its midpoint.  KL is
+    convex in a, so every Newton point lands at or below the root and the
+    iterates climb it from the infeasible side.  Once a step is shorter than
+    _PROBE_STEP the next point probes past the root, which closes the far
+    end of the bracket onto it.
+    """
+    lo, d_lo = 0.0, d_zero
+    hi, d_hi = b, 0.0
+    x = b - math.sqrt(2.0 * budget * b * (1.0 - b))
+    iterations, probe = 0, 0.0
+    while iterations < _MAX_ITERATIONS:
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        d = kl_bernoulli(x, b)
+        iterations += 1
+        if d <= budget:
+            hi, d_hi = x, d
+        else:
+            lo, d_lo = x, d
+        if hi - lo <= BRACKET_TOL and d_lo - d_hi <= _GAP_TOL:
+            break
+        # the slope log(x (1-b) / (b (1-x))), kept < 0 for every x < b
+        slope = math.log(x / b) - math.log1p((b - x) / (1.0 - b))
+        step = (budget - d) / slope
+        if abs(step) <= _PROBE_STEP:
+            # so short a step all but reaches the root: go past it by twice
+            # the step, or twice the last probe while probes fall short
+            probe = max(2.0 * abs(step), 2.0 * probe, math.ulp(x))
+            step = probe if d > budget else -probe
+        x += step
+    return InversionResult(a_minus=hi, achieved_divergence=d_hi, iterations=iterations)
 
 
 def hellinger_inverse_closed(budget: float, b: float) -> float:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import _check_fields
+from .errors import _check_fields, _type_problem
 
 __all__ = [
     "EXACT_TOL",
@@ -89,13 +89,12 @@ class DiscreteLossDistribution:
     def __post_init__(self) -> None:
         merged: dict[float, float] = {}
         total = 0.0
-        for value, prob in self.atoms:
-            v = float(value)
-            p = float(prob)
-            if not math.isfinite(v):
-                raise ValueError(f"atom value must be finite, got {value!r}")
-            if not (p >= 0.0 and math.isfinite(p)):
-                raise ValueError(f"atom probability must be finite and >= 0, got {prob!r}")
+        for v, p in self.atoms:
+            # the package's own laws pass plain floats, tens of thousands of
+            # atoms a sweep; anything else goes through the field table
+            if not (type(v) is float and type(p) is float and -math.inf < v < math.inf and 0.0 <= p < math.inf):
+                _check_fields({"atom_value": v, "atom_probability": p})
+                v, p = float(v), float(p)
             merged[v] = merged.get(v, 0.0) + p
             total += p
         if abs(total - 1.0) > EXACT_TOL:
@@ -114,6 +113,10 @@ def empirical_cvar(samples: SampleSet, level: RiskLevel) -> float:
     samples plus a fractional share m - (k - 1) of the k-th worst, all
     divided by m.  This equals the minimum of the threshold form over t.
     """
+    if type(samples) is not SampleSet or type(level) is not RiskLevel:
+        _check_fields(
+            {}, samples=_type_problem(samples, SampleSet), level=_type_problem(level, RiskLevel)
+        )
     xs = samples.values
     m = level.tail_mass * samples.count
     if m <= 1.0:
@@ -130,6 +133,10 @@ def exact_cvar(dist: DiscreteLossDistribution, level: RiskLevel) -> float:
     (1 - alpha) mass is reached; the boundary atom contributes fractionally.
     For alpha = 0 this is the plain mean.
     """
+    if type(dist) is not DiscreteLossDistribution or type(level) is not RiskLevel:
+        _check_fields(
+            {}, dist=_type_problem(dist, DiscreteLossDistribution), level=_type_problem(level, RiskLevel)
+        )
     q = level.tail_mass
     remaining = q
     acc = 0.0

@@ -10,8 +10,9 @@ from functools import lru_cache
 import numpy as np
 
 from cvarbounds import sim
-from cvarbounds.divergences import hellinger2_bernoulli, kl_bernoulli
+from cvarbounds.divergences import DivergenceKind, hellinger2_bernoulli, kl_bernoulli
 from cvarbounds.errors import _check_fields
+from cvarbounds.inversion import BRACKET_TOL, InversionResult
 from cvarbounds.risk import EXACT_TOL, DiscreteLossDistribution, RiskLevel, SampleSet, empirical_cvar
 from cvarbounds.sim import BanditConfig, ExploreThenCommit, UCB, UniformRandom, resolve_tau
 
@@ -61,6 +62,42 @@ def kl_gaussian_unit_var(mu1: float, mu2: float) -> float:
 def hellinger_le_kl_check(a: float, b: float) -> bool:
     """Squared Hellinger <= KL on the Bernoulli family (within rounding)."""
     return hellinger2_bernoulli(a, b) <= kl_bernoulli(a, b) + _ORDER_TOL
+
+
+# ---------------------------------------------------------------- inversion
+
+# the bisection stops once its bracket is BRACKET_TOL narrow AND the
+# divergence gap across it is <= _BISECTION_GAP_TOL
+_BISECTION_GAP_TOL = 1e-10
+_MAX_BISECTIONS = 200
+
+
+def bernoulli_inverse_bisection(kind: DivergenceKind, budget: float, b: float) -> InversionResult:
+    """The bisection that `bernoulli_inverse` replaced, kept as its oracle:
+    the smallest a in [0, b] with divergence from Bern(b) within the budget,
+    as the feasible end of a bracket that halves until it closes.  Takes
+    in-range floats only; `iterations` counts halvings."""
+    div = kl_bernoulli if kind is DivergenceKind.KL else hellinger2_bernoulli
+    if budget == 0.0:
+        return InversionResult(a_minus=b, achieved_divergence=0.0, iterations=0)
+    d_zero = div(0.0, b)
+    if d_zero <= budget:
+        return InversionResult(a_minus=0.0, achieved_divergence=d_zero, iterations=0)
+    # invariant: div(lo) > budget >= div(hi)
+    lo, hi = 0.0, b
+    iterations = 0
+    while iterations < _MAX_BISECTIONS:
+        if hi - lo <= BRACKET_TOL and div(lo, b) - div(hi, b) <= _BISECTION_GAP_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if div(mid, b) <= budget:
+            hi = mid
+        else:
+            lo = mid
+        iterations += 1
+    return InversionResult(a_minus=hi, achieved_divergence=div(hi, b), iterations=iterations)
 
 
 # --------------------------------------------------------------------- risk

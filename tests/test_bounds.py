@@ -32,7 +32,7 @@ from cvarbounds.divergences import (
     kl_bernoulli,
 )
 from cvarbounds.inversion import bernoulli_inverse, hellinger_inverse_closed
-from cvarbounds.risk import RiskLevel
+from cvarbounds.risk import DiscreteLossDistribution, RiskLevel, exact_cvar
 
 L = RiskLevel
 
@@ -301,6 +301,18 @@ _REFUSED = [
     (bernoulli_inverse, (_KL, "0.1", 0.5), "budget"),
     (hellinger_inverse_closed, (0.1, "0.5"), "b"),
     (RiskLevel, ("0.5",), "alpha"),
+    # a DivergenceKind's value, or no kind, is not read as squared Hellinger
+    (bernoulli_inverse, ("kl", 0.1, 0.5), "kind"),
+    (bernoulli_inverse, (None, 0.1, 0.5), "kind"),
+    (hinge_lower_bound, (1.0, 0.05, 0.4, "kl"), "kind"),
+    # an object argument of the wrong type is named, not an AttributeError
+    (bound_factor, (0.5, 0.3), "level"),
+    (two_point_bound, (TwoPointSpec(1.0, 1.0, HellingerBudget(0.1)), 0.5), "level"),
+    (balanced_bound, (1.0, 0.1, L(0.5)), "budget"),
+    (exact_cvar, (DiscreteLossDistribution(((1.0, 1.0),)), 0.5), "level"),
+    (exact_cvar, ({1.0: 1.0}, L(0.5)), "dist"),
+    (DiscreteLossDistribution, ((("2.5", 1.0),),), "atom_value"),
+    (DiscreteLossDistribution, (((2.5, True),),), "atom_probability"),
 ]
 
 
@@ -324,3 +336,6 @@ def test_closed_forms_take_ints_and_numpy_floats():
     assert hinge_lower_bound(3, 0.05, 0.4, _KL) == hinge_lower_bound(3.0, 0.05, 0.4, _KL)
     assert type(L(np.float64(0.5)).alpha) is float and L(0) == L(0.0)
     assert TwoPointSpec(2, 1, HellingerBudget(0)) == TwoPointSpec(2.0, 1.0, HellingerBudget(0.0))
+    law = DiscreteLossDistribution(((1, np.float64(0.5)), (np.float32(2.0), 0.5)))
+    assert law == DiscreteLossDistribution(((1.0, 0.5), (2.0, 0.5)))
+    assert all(type(v) is float and type(p) is float for v, p in law.atoms)
