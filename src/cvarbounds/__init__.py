@@ -40,7 +40,7 @@ from .experiments import (
     render_json,
     run_experiment,
 )
-from .inversion import InversionResult, bernoulli_inverse, hellinger_inverse_closed
+from .inversion import InversionResult, bernoulli_inverse
 from .risk import (
     DiscreteLossDistribution,
     RiskLevel,

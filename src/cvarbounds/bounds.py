@@ -8,16 +8,24 @@ distance gamma, the CVaR of the loss under the uniform two-point prior obeys
     CVaR_alpha >= min over t in [0, l_max] of
         t + (l_max / (1 - alpha)) * (sqrt(((c/2 - t)/l_max)_+) - sqrt(gamma))_+^2.
 
-Substituting x = (c/2 - t)/l_max turns this into minimizing
+Substituting x = (c/2 - t)/l_max turns this into l_max times the minimum of
 
-    F(x) = c/(2 l_max) - x + (sqrt(x) - sqrt(gamma))_+^2 / (1 - alpha)
+    F(x) = x_hi - x + (sqrt(x) - sqrt(gamma))_+^2 / (1 - alpha)
 
-over x in [0, c/(2 l_max)], which has a three-branch piecewise solution: an
-interior stationary point of the quadratic part, the right boundary, or zero
-once the budget swallows the separation.  The balanced case c = l_max gives
-the normalized profile `bound_factor` with its optimized constant, and the
-two decision problems (Gaussian mean estimation, two-armed Gaussian bandit)
-plug in their own budgets.
+over x in [0, x_hi], with x_hi = c/(2 l_max) in [0, 1].  Once gamma >= x_hi
+the bracket vanishes on the whole interval and the minimum is zero, at
+x = x_hi, i.e. t = 0.  Otherwise write x = 2 x_hi s with s in [0, 1/2] and
+rho = sqrt(gamma / x_hi) < 1; then
+
+    F(2 x_hi s) = 2 x_hi * (1/2 - s + (sqrt(s) - rho/sqrt(2))_+^2 / (1 - alpha)),
+
+and the bracket's minimum over s is the balanced profile `bound_factor`
+(alpha, rho).  So the template is c * bound_factor(alpha, sqrt(gamma / x_hi)),
+attained at t = c (1/2 - s*): s* = rho^2 / (2 alpha^2) on the interior
+branch and s* = 1/2, i.e. t = 0, on the other two.  The balanced case
+c = l_max has x_hi = 1/2 and rho = sqrt(2 gamma), and the two decision
+problems (Gaussian mean estimation, two-armed Gaussian bandit) plug in their
+own budgets.
 """
 
 from __future__ import annotations
@@ -158,35 +166,31 @@ def optimal_rho(level: RiskLevel) -> float:
     return math.sqrt(a / 3.0)
 
 
-def two_point_bound(spec: TwoPointSpec, level: RiskLevel) -> BoundResult:
-    """General template bound, minimized over thresholds t in [0, l_max].
+def _scaled(scale: float, ev: FactorEvaluation) -> BoundResult:
+    """The template bound scale * bound_factor, with the threshold attaining
+    it: scale (1/2 - (rho/alpha)^2 / 2) on the interior branch, where
+    rho <= alpha keeps the ratio in [0, 1], and 0 on the other two."""
+    t_star = 0.0
+    if ev.branch is Branch.INTERIOR_QUADRATIC:
+        ratio = ev.rho / ev.level.alpha
+        t_star = scale * (0.5 - 0.5 * ratio * ratio)
+    return BoundResult(scale * ev.value, t_star, ev.branch, Method.CLOSED_FORM)
 
-    The minimum is the three-branch closed form of the module docstring:
-    zero once the budget reaches the separation, the interior stationary
-    point of the quadratic part, or the right boundary x = c/(2 l_max),
-    i.e. t = 0.  It is exact; the tests check it against a dense threshold
-    grid.
+
+def two_point_bound(spec: TwoPointSpec, level: RiskLevel) -> BoundResult:
+    """General template bound, minimized over thresholds t in [0, l_max]:
+    zero once the budget reaches x_hi = c/(2 l_max), and
+    c * bound_factor(alpha, sqrt(gamma / x_hi)) below it, as the module
+    docstring derives.  The tests check it against a dense threshold grid.
     """
     if type(spec) is not TwoPointSpec or type(level) is not RiskLevel:
         _check_fields({}, spec=_type_problem(spec, TwoPointSpec), level=_type_problem(level, RiskLevel))
-    alpha = level.alpha
-    l_max = spec.l_max
-    x_hi = spec.c_sep / (2.0 * l_max)  # in [0, 1]
-    h = math.sqrt(spec.budget.gamma)
-
-    if h * h >= x_hi:
-        value, x_star, branch = 0.0, x_hi, Branch.ZERO
-    elif alpha > 0.0 and h <= alpha * math.sqrt(x_hi):
-        x_star = h * h / (alpha * alpha)
-        value = l_max * (x_hi - h * h / alpha)
-        branch = Branch.INTERIOR_QUADRATIC
-    else:
-        root_gap = math.sqrt(x_hi) - h
-        value = l_max * root_gap * root_gap / (1.0 - alpha)
-        x_star = x_hi
-        branch = Branch.BOUNDARY
-    t_star = max(0.0, 0.5 * spec.c_sep - l_max * x_star)
-    return BoundResult(value=value, t_star=t_star, branch=branch, method=Method.CLOSED_FORM)
+    x_hi = spec.c_sep / (2.0 * spec.l_max)
+    gamma = spec.budget.gamma
+    if gamma >= x_hi:
+        # also covers c_sep = 0; past here rho < 1
+        return BoundResult(0.0, 0.0, Branch.ZERO, Method.CLOSED_FORM)
+    return _scaled(spec.c_sep, bound_factor(level, math.sqrt(gamma / x_hi)))
 
 
 def balanced_bound(l_max: float, budget: HellingerBudget, level: RiskLevel) -> BoundResult:
@@ -195,18 +199,7 @@ def balanced_bound(l_max: float, budget: HellingerBudget, level: RiskLevel) -> B
     _check_fields(
         {"l_max": l_max}, budget=_type_problem(budget, HellingerBudget), level=_type_problem(level, RiskLevel)
     )
-    l_max = float(l_max)
-    rho = math.sqrt(2.0 * budget.gamma)
-    ev = bound_factor(level, rho)
-    if ev.branch is Branch.INTERIOR_QUADRATIC:
-        x_star = rho * rho / (2.0 * level.alpha * level.alpha)
-        t_star = l_max * max(0.0, 0.5 - x_star)
-    else:
-        # boundary and zero branches both sit at x = 1/2, i.e. t = 0
-        t_star = 0.0
-    return BoundResult(
-        value=l_max * ev.value, t_star=t_star, branch=ev.branch, method=Method.CLOSED_FORM
-    )
+    return _scaled(float(l_max), bound_factor(level, math.sqrt(2.0 * budget.gamma)))
 
 
 def estimation_bound(n: int, delta: float, level: RiskLevel) -> BoundResult:

@@ -76,13 +76,18 @@ def kl_bernoulli(a: float, b: float) -> float:
 def hellinger2_bernoulli(a: float, b: float) -> float:
     """Squared Hellinger distance 1 - sqrt(ab) - sqrt((1-a)(1-b)) on [0, 1]^2.
 
-    Always finite; equivalently half the sum of squared root differences over
-    the two outcomes.  Clamped at zero against sub-ulp rounding when a = b.
+    Always finite.  Computed as half the sum of squared root differences over
+    the two outcomes, each difference written as (a - b) over a sum of roots,
+    so nothing cancels near a = b, where the form above loses every digit.
     """
     if not (type(a) is float and type(b) is float and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         a, b = _check_unit(a, b)
-    v = 1.0 - math.sqrt(a * b) - math.sqrt((1.0 - a) * (1.0 - b))
-    return v if v > 0.0 else 0.0
+    if a == b:
+        return 0.0
+    d = a - b
+    u = d / (math.sqrt(a) + math.sqrt(b))
+    v = d / (math.sqrt(1.0 - a) + math.sqrt(1.0 - b))
+    return 0.5 * (u * u + v * v)
 
 
 def estimation_budget(n: int, delta: float) -> HellingerBudget:
@@ -95,7 +100,10 @@ def estimation_budget(n: int, delta: float) -> HellingerBudget:
     """
     _check_fields({"n": n, "delta": delta})
     d = float(delta)
-    return HellingerBudget(2.0 * n * d * d)
+    gamma = 2.0 * n * d * d
+    if gamma == math.inf:
+        _check_fields({}, delta=f"2 n delta^2 overflows a float at n = {n}, got {delta!r}")
+    return HellingerBudget(gamma)
 
 
 def bandit_budget(g: float, horizon: int) -> HellingerBudget:
@@ -106,4 +114,7 @@ def bandit_budget(g: float, horizon: int) -> HellingerBudget:
     """
     _check_fields({"g": g, "horizon": horizon})
     gv = float(g)
-    return HellingerBudget(0.5 * gv * gv * horizon)
+    gamma = 0.5 * gv * gv * horizon
+    if gamma == math.inf:
+        _check_fields({}, g=f"g^2 horizon / 2 overflows a float at horizon = {horizon}, got {g!r}")
+    return HellingerBudget(gamma)

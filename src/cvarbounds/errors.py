@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from typing import Mapping
 
 _SEED_LIMIT = 2**64
@@ -46,7 +47,9 @@ def _type_problem(value: object, cls: type) -> str | None:
 
 
 def _count_problem(value: object) -> str | None:
-    return None if _is_int(value) and value >= 1 else "must be an int >= 1"
+    # a count no float can hold would overflow the closed forms' arithmetic
+    ok = _is_int(value) and 1 <= value <= sys.float_info.max
+    return None if ok else "must be an int >= 1 that a float can hold"
 
 
 def _seed_problem(value: object) -> str | None:

@@ -5,9 +5,7 @@ a in [0, b] with D(Bern(a) || Bern(b)) <= B.  Both supported divergences are
 nonincreasing in a on [0, b], so the feasible set is an interval ending at b.
 Squared Hellinger inverts in closed form through the angle arcsin sqrt(p);
 KL, convex in a, inverts by Newton's method kept inside a bracket on the
-root.  A closed-form relaxation of the squared-Hellinger inverse is also
-provided; it never exceeds the exact inverse, so substituting it preserves
-any lower bound built on top.
+root.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ __all__ = [
     "BRACKET_TOL",
     "InversionResult",
     "bernoulli_inverse",
-    "hellinger_inverse_closed",
 ]
 
 # the KL bracket closes once it is this narrow AND the divergence gap across
@@ -32,8 +29,9 @@ _GAP_TOL = 1e-10
 _MAX_ITERATIONS = 200
 # a Newton step this short has all but reached the root
 _PROBE_STEP = 0.5 * BRACKET_TOL
-# below a b = 2^-108, sqrt(a b) rounds away against 1 in H2(a, b), so no
-# such a reads below H2(0, b)
+# the doubling step in _hellinger_inverse starts at a b = 2^-108 or above,
+# where sqrt(a b) = 2^-54 is about the smallest change H2 near 1 can show;
+# started from ulp(0), the doubling would take about 1,000 steps
 _H2_FLOOR = 2.0**-108
 
 
@@ -138,11 +136,3 @@ def _kl_inverse(budget: float, b: float, d_zero: float) -> InversionResult:
         x += step
     return InversionResult(a_minus=hi, achieved_divergence=d_hi, iterations=iterations)
 
-
-def hellinger_inverse_closed(budget: float, b: float) -> float:
-    """Closed-form relaxation (sqrt(b) - sqrt(2 budget))_+^2 of the exact
-    squared-Hellinger inverse; never above it, and exact at budget = 0."""
-    _check_fields({"budget": budget, "b": b})
-    budget, b = float(budget), float(b)
-    root = math.sqrt(b) - math.sqrt(2.0 * budget)
-    return root * root if root > 0.0 else 0.0

@@ -100,6 +100,16 @@ def bernoulli_inverse_bisection(kind: DivergenceKind, budget: float, b: float) -
     return InversionResult(a_minus=hi, achieved_divergence=div(hi, b), iterations=iterations)
 
 
+def hellinger_inverse_closed(budget: float, b: float) -> float:
+    """The relaxation oracle (sqrt(b) - sqrt(2 budget))_+^2: the bound
+    template's move across a squared-Hellinger ball.  Never above the exact
+    inverse, and exact at budget = 0."""
+    _check_fields({"budget": budget, "b": b})
+    budget, b = float(budget), float(b)
+    root = math.sqrt(b) - math.sqrt(2.0 * budget)
+    return root * root if root > 0.0 else 0.0
+
+
 # --------------------------------------------------------------------- risk
 
 

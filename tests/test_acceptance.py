@@ -7,7 +7,7 @@ import random
 import time
 
 import numpy as np
-from oracles import bound_factor_grid_min, cvar_dominates_mean, mc_transcript_kl
+from oracles import bound_factor_grid_min, cvar_dominates_mean, hellinger_inverse_closed, mc_transcript_kl
 
 from cvarbounds.bounds import (
     TwoPointSpec,
@@ -27,7 +27,7 @@ from cvarbounds.divergences import (
     hellinger2_bernoulli,
     kl_bernoulli,
 )
-from cvarbounds.inversion import bernoulli_inverse, hellinger_inverse_closed
+from cvarbounds.inversion import bernoulli_inverse
 from cvarbounds.risk import RiskLevel, SampleSet
 from cvarbounds.sim import (
     BanditConfig,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bound_factor_grid_min
+from oracles import bound_factor_grid_min, hellinger_inverse_closed
 
 from cvarbounds.bounds import (
     BoundResult,
@@ -31,7 +31,7 @@ from cvarbounds.divergences import (
     hellinger2_bernoulli,
     kl_bernoulli,
 )
-from cvarbounds.inversion import bernoulli_inverse, hellinger_inverse_closed
+from cvarbounds.inversion import bernoulli_inverse
 from cvarbounds.risk import DiscreteLossDistribution, RiskLevel, exact_cvar
 
 L = RiskLevel
@@ -186,11 +186,21 @@ def test_balanced_matches_two_point():
         gamma = float(rng.uniform(0.0, 0.8))
         alpha = float(rng.uniform(0.0, 0.999))
         bal = balanced_bound(lm, HellingerBudget(gamma), L(alpha))
-        tp = two_point_bound(TwoPointSpec(lm, lm, HellingerBudget(gamma)), L(alpha))
-        assert bal.value == pytest.approx(tp.value, abs=1e-9)
-        assert bal.t_star == pytest.approx(tp.t_star, abs=1e-9)
-        assert bal.branch is tp.branch
+        # both scale the same bound_factor evaluation, so they agree exactly
+        assert two_point_bound(TwoPointSpec(lm, lm, HellingerBudget(gamma)), L(alpha)) == bal
         assert bal.method is Method.CLOSED_FORM
+
+
+@pytest.mark.parametrize("alpha", [1e-200, 5e-324])
+def test_tiny_tail_level_keeps_half_the_cap(alpha):
+    # alpha^2 underflows to 0 here; the threshold reads rho / alpha instead
+    lev = L(alpha)
+    for res in (
+        balanced_bound(3.0, HellingerBudget(0.0), lev),
+        two_point_bound(TwoPointSpec(3.0, 3.0, HellingerBudget(0.0)), lev),
+    ):
+        assert res.value == 1.5 and res.t_star == 1.5
+        assert res.branch is Branch.INTERIOR_QUADRATIC
 
 
 def test_balanced_degrades_with_budget():
@@ -299,7 +309,6 @@ _REFUSED = [
     (kl_bernoulli, ("0.5", 0.5), "a"),
     (hellinger2_bernoulli, (0.5, True), "b"),
     (bernoulli_inverse, (_KL, "0.1", 0.5), "budget"),
-    (hellinger_inverse_closed, (0.1, "0.5"), "b"),
     (RiskLevel, ("0.5",), "alpha"),
     # a DivergenceKind's value, or no kind, is not read as squared Hellinger
     (bernoulli_inverse, ("kl", 0.1, 0.5), "kind"),

@@ -78,6 +78,34 @@ def test_bound_rejects_garbage_param(capsys):
         assert f"{flag[2:]}: " in err and "optimal" in err and "'tiny'" in err
 
 
+def test_bound_at_underflowing_tail_level(capsys):
+    # alpha^2 underflows to 0 at this level; the bound still renders
+    assert main(["bound", "--alpha", "1e-200", "--horizon", "10", "--gap", "1e-300"]) == 0
+    cells = capsys.readouterr().out.strip().split("\n")[1].split(",")
+    assert float(cells[3]) == float(cells[4]) == 5e-300
+
+
+_HUGE = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["bound", "--horizon", _HUGE, "--gap", "0.1"], "horizon"),
+        (["bound", "--n", _HUGE, "--delta", "optimal"], "n"),
+        (["bound", "--horizon", "5", "--gap", "1e308"], "g"),
+        (["simulate", "--n", "1", "--delta", "1e200", "--estimator", "sample_mean"], "delta"),
+    ],
+    ids=["huge-horizon", "huge-n", "overflowing-bandit-budget", "overflowing-estimation-budget"],
+)
+def test_overflowing_input_is_usage_error(argv, name, capsys):
+    # a size no float holds, or a budget that overflows, is refused under the
+    # argument that was passed, not as a traceback or as the budget's gamma
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f" {name}: " in err and "gamma" not in err
+
+
 def test_simulate_bandit_json(tmp_path):
     out = tmp_path / "sim.json"
     rc = main(

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,18 @@ def test_hellinger_two_forms_agree(a, b):
     assert direct == pytest.approx(half_sum, abs=1e-14)
     assert 0.0 <= direct <= 1.0
     assert hellinger2_bernoulli(a, b) == hellinger2_bernoulli(b, a)
+
+
+def test_hellinger_keeps_its_digits_near_equal_arguments():
+    # 1 - sqrt(ab) - sqrt((1-a)(1-b)) cancels here, to relative errors of 1e4
+    rng = np.random.default_rng(17)
+    with mpmath.workdps(50):
+        for _ in range(2000):
+            b = float(rng.uniform(0.0, 1.0))
+            a = b * (1.0 - 10.0 ** rng.uniform(-15.0, -3.0))
+            A, B = mpmath.mpf(a), mpmath.mpf(b)
+            want = 1 - mpmath.sqrt(A * B) - mpmath.sqrt((1 - A) * (1 - B))
+            assert abs(hellinger2_bernoulli(a, b) - want) <= 2e-15 * want
 
 
 @given(a=unit, b=unit)

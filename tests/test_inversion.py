@@ -3,11 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from oracles import bernoulli_inverse_bisection
+from oracles import bernoulli_inverse_bisection, hellinger_inverse_closed
 
 from cvarbounds.divergences import DivergenceKind, hellinger2_bernoulli, kl_bernoulli
 from cvarbounds.errors import DomainError
-from cvarbounds.inversion import BRACKET_TOL, bernoulli_inverse, hellinger_inverse_closed
+from cvarbounds.inversion import BRACKET_TOL, bernoulli_inverse
 
 KINDS = (DivergenceKind.KL, DivergenceKind.SQUARED_HELLINGER)
 
