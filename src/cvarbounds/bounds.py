@@ -216,7 +216,10 @@ def bandit_bound(g: float, horizon: int, level: RiskLevel) -> BoundResult:
     symmetric two-armed unit-variance Gaussian pair with per-arm gap g."""
     _check_fields({"g": g, "horizon": horizon}, level=_type_problem(level, RiskLevel))
     budget = bandit_budget(g, horizon)
-    return balanced_bound(float(g) * horizon, budget, level)
+    l_max = float(g) * horizon
+    if l_max == math.inf:
+        _check_fields({}, g=f"g horizon overflows a float at horizon = {horizon}, got {g!r}")
+    return balanced_bound(l_max, budget, level)
 
 
 def optimal_separation(n: int, level: RiskLevel) -> tuple[float, float]:

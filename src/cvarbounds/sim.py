@@ -11,14 +11,17 @@ Two problem families:
   g * (pulls of the suboptimal arm).
 
 Randomness contract: replicate r of a run with master seed s draws
-everything from a Philox stream keyed by (s, r).  Per replicate the stream
-is consumed in a fixed order (model draw, then any policy draws, then the
-reward/observation noise), so results are independent of batch size and the
-first replicates of a longer run reproduce a shorter one bit for bit.  The
-rollout runs round by round in lockstep over replicates x gaps: a policy's
-rows at every gap are one pass.  Explore-then-commit needs only its 2 tau
-exploration rounds, since their two sums decide its commit, and the
-uniform policy needs none, since its actions are its arm draws.
+everything from a Philox stream keyed by (s, r), read in one order for both
+problems: one integer for the model (the bandit's model index, the
+estimation's sign of theta), then the policy's own draws if it makes any,
+then `size` standard normals, the T reward noises or the n observation
+noises, of which an estimation keeps only the mean.  So results are
+independent of batch size and the first replicates of a longer run
+reproduce a shorter one bit for bit.  The rollout runs round by round in
+lockstep over replicates x gaps: a policy's rows at every gap are one pass.
+Explore-then-commit needs only its 2 tau exploration rounds, since their two
+sums decide its commit, and the uniform policy needs none, since its actions
+are its arm draws.
 
 The draws do not depend on the gap, separation or estimator.
 `simulate_shared` takes any list of configs, groups those whose draws
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Iterator, NamedTuple, Sequence, Union, get_args
+from typing import ClassVar, NamedTuple, Sequence, Union, get_args
 
 import numpy as np
 
@@ -228,13 +231,29 @@ def replicate_rng(
     return reuse
 
 
-def _replicate_bytes(config: BanditConfig | EstimationConfig) -> int:
-    """Bytes predrawn per replicate: T times the bytes drawn per round for a
-    bandit, the sign and noise mean for an estimation."""
+# ------------------------------------------------------------------- draws
+
+
+class _Stream(NamedTuple):
+    """What a replicate's stream holds after its model draw."""
+
+    size: int  # standard normals drawn: the T reward noises or the n observation noises
+    own: tuple  # the policy's own draws, drawn before the normals: an `_OWN_DRAWS` entry
+    mean_only: bool  # whether only the normals' mean is kept, the estimation's sufficient statistic
+
+
+def _stream(config: BanditConfig | EstimationConfig) -> _Stream:
+    """The config's replicate stream, which `_predraw` reads."""
     if isinstance(config, EstimationConfig):
-        return 1 + 8
-    own_bytes, _ = _OWN_DRAWS.get(type(config.policy), _NO_OWN_DRAWS)
-    return config.horizon * (8 + own_bytes)
+        return _Stream(config.n, _NO_OWN_DRAWS, True)
+    return _Stream(config.horizon, _OWN_DRAWS.get(type(config.policy), _NO_OWN_DRAWS), False)
+
+
+def _replicate_bytes(config: BanditConfig | EstimationConfig) -> int:
+    """Bytes predrawn per replicate besides its one-byte model index: the
+    normals kept and the policy's own draws."""
+    size, (own_bytes, _), mean_only = _stream(config)
+    return 8 * (1 if mean_only else size) + own_bytes * size
 
 
 def _replicate_chunks(config: BanditConfig | EstimationConfig) -> list[range]:
@@ -244,47 +263,62 @@ def _replicate_chunks(config: BanditConfig | EstimationConfig) -> list[range]:
     return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
 
 
-def _chunk_draws(config: BanditConfig | EstimationConfig) -> Iterator[BanditDraws | EstimationDraws]:
-    """The config's predrawn values, one chunk of replicates at a time."""
-    predraw = _predraw_estimation if isinstance(config, EstimationConfig) else _predraw
-    for chunk in _replicate_chunks(config):
-        yield predraw(config, chunk)
+class Draws(NamedTuple):
+    """Predrawn stream values of consecutive replicates."""
+
+    model: np.ndarray  # model index in {1, 2}; for an estimation, theta is +delta under model 2
+    own: np.ndarray | None  # the policy's own draws per replicate, if it makes any
+    noise: np.ndarray  # (reps, T) reward noises, or the (reps,) means of the n observation noises
+    layout: tuple  # the `_draw_layout` they were drawn for
+
+
+def _draw_layout(config: BanditConfig | EstimationConfig) -> tuple:
+    """What a config's draws depend on; configs that agree share them.  The
+    problem is part of it, so neither problem runs on the other's draws."""
+    return (type(config).__name__, config.seed, config.replicates, _stream(config))
+
+
+def _check_layout(config: BanditConfig | EstimationConfig, draws: Draws) -> None:
+    if draws.layout != _draw_layout(config):
+        raise ValueError(
+            "draws do not match the config's problem, seed, replicates, size and the policy's own draws"
+        )
+
+
+def _predraw(config: BanditConfig | EstimationConfig, replicates: range) -> Draws:
+    """Consume each replicate's stream up front, in the documented order.
+    The draws depend on the seed, the problem and its size, and the policy's
+    own draws, not on the gap, separation or estimator."""
+    size, (_, own_draw), mean_only = _stream(config)
+    reps = len(replicates)
+    model = np.empty(reps, dtype=np.int8)
+    noise = np.empty(reps if mean_only else (reps, size))
+    own = None
+    rng = None
+    for i, r in enumerate(replicates):
+        rng = replicate_rng(config.seed, r, rng)
+        model[i] = 1 + int(rng.integers(0, 2))
+        if own_draw is not None:
+            values = own_draw(rng, size)
+            if own is None:
+                own = np.empty((reps, *values.shape), dtype=values.dtype)
+            own[i] = values
+        normals = rng.standard_normal(size)
+        noise[i] = normals.mean() if mean_only else normals
+    return Draws(model, own, noise, _draw_layout(config))
 
 
 # ---------------------------------------------------------------- estimation
 
 
-class EstimationDraws(NamedTuple):
-    """Predrawn stream values of consecutive estimation replicates."""
-
-    positive: np.ndarray  # sign draw: theta is +delta where True
-    noise_mean: np.ndarray  # mean of the n observation noises
-    layout: tuple  # the `_draw_layout` they were drawn for
-
-
-def _predraw_estimation(config: EstimationConfig, replicates: range) -> EstimationDraws:
-    """Consume each replicate's stream in the documented order: one integer
-    for the sign of theta, then the n standard normal observation noises
-    (observations are theta + noise), kept as their mean.  Neither depends
-    on delta or the estimator."""
-    positive = np.empty(len(replicates), dtype=bool)
-    noise_mean = np.empty(len(replicates))
-    rng = None
-    for i, r in enumerate(replicates):
-        rng = replicate_rng(config.seed, r, rng)
-        positive[i] = rng.integers(0, 2) == 1
-        noise_mean[i] = rng.standard_normal(config.n).mean()
-    return EstimationDraws(positive, noise_mean, _draw_layout(config))
-
-
-def run_estimation(config: EstimationConfig, draws: EstimationDraws) -> np.ndarray:
+def run_estimation(config: EstimationConfig, draws: Draws) -> np.ndarray:
     """(reps,) losses of the configured estimator on the replicates `draws`
-    hold; `draws` come from `_predraw_estimation` for a config of this one's
-    draw layout."""
+    hold; `draws` come from `_predraw` for a config of this one's draw
+    layout."""
     _check_layout(config, draws)
     delta = config.delta
-    theta = np.where(draws.positive, delta, -delta)
-    ybar = theta + draws.noise_mean
+    theta = np.where(draws.model == 2, delta, -delta)
+    ybar = theta + draws.noise
     if config.estimator is Estimator.SAMPLE_MEAN:
         theta_hat = ybar
     elif config.estimator is Estimator.SIGN_COMMIT:
@@ -296,37 +330,6 @@ def run_estimation(config: EstimationConfig, draws: EstimationDraws) -> np.ndarr
 
 
 # -------------------------------------------------------------------- bandit
-
-
-class BanditDraws(NamedTuple):
-    """Predrawn stream values of consecutive bandit replicates."""
-
-    model: np.ndarray  # model index in {1, 2}
-    own: np.ndarray | None  # the policy's own draws per replicate, if it makes any
-    noise: np.ndarray  # (reps, T) reward noises
-    layout: tuple  # the `_draw_layout` they were drawn for
-
-
-def _predraw(config: BanditConfig, replicates: range) -> BanditDraws:
-    """Consume each replicate's stream up front, in the documented order.
-    The draws depend on the seed, horizon and the policy's own draws, not
-    the gap."""
-    reps, horizon = len(replicates), config.horizon
-    model = np.empty(reps, dtype=np.int64)
-    noise = np.empty((reps, horizon))
-    _, own_draw = _OWN_DRAWS.get(type(config.policy), _NO_OWN_DRAWS)
-    own = None
-    rng = None
-    for i, r in enumerate(replicates):
-        rng = replicate_rng(config.seed, r, rng)
-        model[i] = 1 + int(rng.integers(0, 2))
-        if own_draw is not None:
-            values = own_draw(rng, horizon)
-            if own is None:
-                own = np.empty((reps, *values.shape), dtype=values.dtype)
-            own[i] = values
-        noise[i] = rng.standard_normal(horizon)
-    return BanditDraws(model, own, noise, _draw_layout(config))
 
 
 def _rollout(policy: Policy, horizon: int, gaps, model, own, noise) -> np.ndarray:
@@ -383,7 +386,7 @@ def _regret(gaps, horizon: int, model, n1) -> np.ndarray:
     return np.where(model == 1, g * (horizon - n1), g * n1)
 
 
-def run_bandit(config: BanditConfig, draws: BanditDraws) -> np.ndarray:
+def run_bandit(config: BanditConfig, draws: Draws) -> np.ndarray:
     """(reps,) losses of the replicates `draws` hold, each rolled out under
     its drawn model; `draws` come from `_predraw` for a config of this one's
     draw layout."""
@@ -396,26 +399,11 @@ def run_bandit(config: BanditConfig, draws: BanditDraws) -> np.ndarray:
 # ------------------------------------------------------------ shared draws
 
 
-def _draw_layout(config: BanditConfig | EstimationConfig) -> tuple:
-    """What a config's draws depend on; configs that agree share them."""
-    if isinstance(config, EstimationConfig):
-        return ("estimation", config.seed, config.replicates, config.n)
-    own = _OWN_DRAWS.get(type(config.policy), _NO_OWN_DRAWS)
-    return ("bandit", config.seed, config.replicates, config.horizon, own)
-
-
-def _check_layout(config: BanditConfig | EstimationConfig, draws: BanditDraws | EstimationDraws) -> None:
-    if draws.layout != _draw_layout(config):
-        raise ValueError(
-            "draws do not match the config's seed, replicates, problem size and the policy's own draws"
-        )
-
-
-def _chunk_losses(configs: Sequence[BanditConfig | EstimationConfig], draws) -> list[np.ndarray]:
+def _chunk_losses(configs: Sequence[BanditConfig | EstimationConfig], draws: Draws) -> list[np.ndarray]:
     """Losses of configs of one draw layout on one chunk of its draws.  The
     bandit configs of one policy are rolled out together, in one lockstep
     pass over their distinct gaps."""
-    if isinstance(draws, EstimationDraws):
+    if isinstance(configs[0], EstimationConfig):
         return [run_estimation(config, draws) for config in configs]
     by_policy: dict[Policy, list[int]] = {}
     for j, config in enumerate(configs):
@@ -449,10 +437,10 @@ def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[
     for members in sorted(groups.values(), key=lambda m: _replicate_bytes(configs[m[0]]), reverse=True):
         group = [configs[i] for i in members]
         parts: list[list[np.ndarray]] = [[] for _ in members]
-        for draws in _chunk_draws(group[0]):
-            for part, losses in zip(parts, _chunk_losses(group, draws)):
+        for chunk in _replicate_chunks(group[0]):
+            # the draws are a temporary, released before the next chunk is drawn
+            for part, losses in zip(parts, _chunk_losses(group, _predraw(group[0], chunk))):
                 part.append(losses)
-            del draws  # release this chunk before drawing the next
         for part, config, i in zip(parts, group, members):
             samples[i] = SampleSet(np.concatenate(part))
     return samples

@@ -209,7 +209,8 @@ def mc_transcript_kl(config: BanditConfig) -> tuple[float, float]:
         )
     half_g = 0.5 * config.gap
     parts = []
-    for draws in sim._chunk_draws(config):
+    for chunk in sim._replicate_chunks(config):
+        draws = sim._predraw(config, chunk)
         forced = np.ones(draws.model.size, dtype=np.int64)
         actions = _reference_rollout(config, forced, draws.own, draws.noise)
         mu1 = np.where(actions == 1, half_g, -half_g)  # chosen-arm mean under model 1

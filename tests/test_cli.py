@@ -1,8 +1,10 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
+from cvarbounds import experiments
 from cvarbounds.bounds import estimation_bound
 from cvarbounds.cli import main
 from cvarbounds.risk import RiskLevel
@@ -95,8 +97,16 @@ _HUGE = str(10**400)
         (["bound", "--n", _HUGE, "--delta", "optimal"], "n"),
         (["bound", "--horizon", "5", "--gap", "1e308"], "g"),
         (["simulate", "--n", "1", "--delta", "1e200", "--estimator", "sample_mean"], "delta"),
+        # g^2 T / 2 fits a float but the regret cap g T does not
+        (["bound", "--horizon", str(15 * 10**307), "--gap", "1.5"], "g"),
     ],
-    ids=["huge-horizon", "huge-n", "overflowing-bandit-budget", "overflowing-estimation-budget"],
+    ids=[
+        "huge-horizon",
+        "huge-n",
+        "overflowing-bandit-budget",
+        "overflowing-estimation-budget",
+        "overflowing-regret-cap",
+    ],
 )
 def test_overflowing_input_is_usage_error(argv, name, capsys):
     # a size no float holds, or a budget that overflows, is refused under the
@@ -193,10 +203,9 @@ def test_verify_small_passes(tmp_path):
     assert all(r["dominated"] == "true" for r in rows)
 
 
-def test_verify_violation_exit_code(capsys):
-    # two-replicate fluke: with alpha = 0.9 the tail block is a single sample,
-    # Monte Carlo slack is zero, and a lucky pair of transcripts undershoots
-    # the bound; seed 4 is pinned to such a draw and must exit 1
+def test_verify_violation_exit_code(monkeypatch, capsys):
+    # a bound above every sample, whatever the Monte Carlo slack, is a
+    # violation and must exit 1
     args = [
         "verify",
         "--horizon", "4",
@@ -205,10 +214,33 @@ def test_verify_violation_exit_code(capsys):
         "--estimator", "sample_mean",
         "--alpha", "0.9",
         "--scale", "1",
-        "--replicates", "2",
+        "--replicates", "200",
     ]
-    assert main(args + ["--seed", "4"]) == 1
-    assert main(args + ["--seed", "0"]) == 0
+    assert main(args) == 0
+    bound = experiments.bandit_bound
+
+    def above_every_sample(g, horizon, level):
+        return replace(bound(g, horizon, level), value=2.0 * g * horizon)
+
+    monkeypatch.setattr(experiments, "bandit_bound", above_every_sample)
+    assert main(args) == 1
+    assert ",false" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_one_sample_tail_block_is_usage_error(command, capsys):
+    # with 1 replicate, or 2 at alpha = 0.9, the tail block is a single sample
+    # with no standard error, so no Monte Carlo slack: refused, not reported
+    # as a violated bound
+    sides = ["--horizon", "8", "--gap", "optimal", "--policy", "uniform"]
+    if command == "verify":
+        sides += ["--n", "4"]
+    assert main([command, *sides, "--replicates", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "config: replicates: must leave at least 2 samples in every tail block" in err and ";" not in err
+    assert main([command, *sides, "--alpha", "0.9", "--replicates", "2"]) == 2
+    assert "leaves 1 at alpha = 0.9" in capsys.readouterr().err
+    assert main([command, *sides, "--alpha", "0.9", "--replicates", "11"]) == 0
     capsys.readouterr()
 
 

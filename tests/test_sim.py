@@ -20,7 +20,6 @@ from cvarbounds.sim import (
     UCB,
     UniformRandom,
     _predraw,
-    _predraw_estimation,
     exact_loss_law,
     exact_sign_estimator_law,
     exact_uniform_bandit_law,
@@ -42,7 +41,7 @@ def _bandit(config):
 
 def _estimation(config):
     """The losses of every replicate, drawn at once."""
-    return run_estimation(config, _predraw_estimation(config, range(config.replicates)))
+    return run_estimation(config, _predraw(config, range(config.replicates)))
 
 
 # ----------------------------------------------------------------- plumbing
@@ -374,7 +373,7 @@ def test_predrawn_draws_are_shared_across_gaps():
             part = run_bandit(cfg, _predraw(cfg, range(11, 23)))
             assert np.array_equal(part, alone[11:23])
     for estimator in Estimator:
-        draws = _predraw_estimation(
+        draws = _predraw(
             EstimationConfig(n=5, delta=0.1, estimator=Estimator.SAMPLE_MEAN, replicates=40, seed=4), range(40)
         )
         for delta in (0.1, 0.45):
@@ -462,14 +461,13 @@ def test_simulate_shared_groups_configs_drawn_apart(monkeypatch):
     ]
     alone = [simulate_shared([config])[0] for config in configs]
     predraws = []
-    for name in ("_predraw", "_predraw_estimation"):
-        original = getattr(sim, name)
+    original = sim._predraw
 
-        def counted(config, replicates, original=original):
-            predraws.append(config)
-            return original(config, replicates)
+    def counted(config, replicates):
+        predraws.append(config)
+        return original(config, replicates)
 
-        monkeypatch.setattr(sim, name, counted)
+    monkeypatch.setattr(sim, "_predraw", counted)
     shared = simulate_shared(configs)
     assert len(predraws) == 7
     # the largest predraw per replicate (Thompson) is drawn first
@@ -496,7 +494,7 @@ def test_run_bandit_rejects_draws_of_another_layout():
     run_bandit(BanditConfig(horizon=6, gap=0.2, policy=ExploreThenCommit(), replicates=4, seed=0), plain)
     # an estimation refuses draws of another n, seed or replicate count
     est = dict(n=5, delta=0.2, estimator=Estimator.SAMPLE_MEAN, replicates=4, seed=0)
-    est_draws = _predraw_estimation(EstimationConfig(**est), range(4))
+    est_draws = _predraw(EstimationConfig(**est), range(4))
     for bad in (dict(n=6), dict(seed=1), dict(replicates=5), dict(replicates=3)):
         with pytest.raises(ValueError):
             run_estimation(EstimationConfig(**{**est, **bad}), est_draws)
@@ -507,6 +505,21 @@ def test_run_bandit_rejects_draws_of_another_layout():
         run_estimation(EstimationConfig(**est), plain)
     with pytest.raises(ValueError):
         run_bandit(BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=0), est_draws)
+
+
+def test_estimation_predraw_keeps_one_float_per_replicate():
+    # the estimation keeps the mean of its n observation noises, their
+    # sufficient statistic, so its predraw does not grow with n
+    for n in (1, 6, 100_000):
+        config = EstimationConfig(n=n, delta=0.2, estimator=Estimator.SAMPLE_MEAN, replicates=3, seed=2)
+        draws = _predraw(config, range(3))
+        assert draws.noise.shape == (3,)
+        assert draws.model.nbytes + draws.noise.nbytes == 3 * (1 + 8)
+        assert sim._replicate_bytes(config) == 8
+        for r in range(3):
+            rng = replicate_rng(2, r)
+            assert draws.model[r] == 1 + rng.integers(0, 2)
+            assert draws.noise[r] == rng.standard_normal(n).mean()
 
 
 _SWEEP = ["--alpha", "0", "--alpha", "0.5", "--alpha", "0.9", "--scale", "0.5", "--scale", "1", "--scale", "2"]
