@@ -56,15 +56,54 @@ def _add_common(sub: argparse.ArgumentParser, default_alphas: tuple[float, ...])
     sub.set_defaults(default_alphas=default_alphas)
 
 
-def _add_scale(sub: argparse.ArgumentParser, default: tuple[float, ...]) -> None:
+def _numeric_or_optimal(raw: str) -> float | str:
+    """The number `raw` spells, or `raw` itself: OPTIMAL, or a string that
+    `validate` then reports under its field."""
+    try:
+        return float(raw)
+    except ValueError:
+        return raw
+
+
+def _add_problem(
+    sub: argparse.ArgumentParser,
+    default_scales: tuple[float, ...],
+    n: int | None = None,
+    delta: str | None = None,
+    horizon: int | None = None,
+    gap: str | None = None,
+) -> None:
+    """The scale flag and both problems' flags.  A size with a default goes
+    without help, and a parameter's help names its default."""
     sub.add_argument(
         "--scale",
         action="append",
         type=float,
         default=None,
-        help=f"multiplier on the separation/gap; repeatable (default {list(default)})",
+        help=f"multiplier on the separation/gap; repeatable (default {list(default_scales)})",
     )
-    sub.set_defaults(default_scales=default)
+    sub.set_defaults(default_scales=default_scales)
+    for size, size_default, size_help, param, param_default, what in (
+        ("--n", n, "estimation sample count", "--delta", delta, "separation"),
+        ("--horizon", horizon, "bandit horizon T", "--gap", gap, "arm gap g"),
+    ):
+        sub.add_argument(size, type=int, default=size_default, help=size_help if size_default is None else None)
+        text = f"{what}, or '{OPTIMAL}'" if param_default is None else f"{what} (default '{OPTIMAL}')"
+        sub.add_argument(param, type=_numeric_or_optimal, default=param_default, help=text)
+
+
+def _add_variants(sub: argparse.ArgumentParser, action: str, default_replicates: int) -> None:
+    """The variant flags; with action 'append' the estimator and policy flags
+    repeat, and each defaults to every choice."""
+    for flag, choices, every in (
+        ("--estimator", _ESTIMATOR_CHOICES, "all three estimators"),
+        ("--policy", _POLICY_CHOICES, "all four policies"),
+    ):
+        text = f"repeatable; default {every}" if action == "append" else None
+        sub.add_argument(flag, action=action, choices=choices, default=None, help=text)
+    sub.add_argument("--tau", type=int, default=None, help="explore length per arm (etc)")
+    sub.add_argument("--ucb-c", type=float, default=1.0, help="ucb exploration constant")
+    sub.add_argument("--replicates", type=int, default=default_replicates)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,59 +120,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     bound = subs.add_parser("bound", help="closed-form bounds for one problem")
     _add_common(bound, (0.0,))
-    _add_scale(bound, (1.0,))
-    bound.add_argument("--n", type=int, default=None, help="estimation sample count")
-    bound.add_argument("--delta", default=None, help=f"separation, or '{OPTIMAL}'")
-    bound.add_argument("--horizon", type=int, default=None, help="bandit horizon T")
-    bound.add_argument("--gap", default=None, help=f"arm gap g, or '{OPTIMAL}'")
+    _add_problem(bound, (1.0,))
 
     sim = subs.add_parser("simulate", help="Monte Carlo CVaR vs bound")
     _add_common(sim, (0.0,))
-    _add_scale(sim, (1.0,))
-    sim.add_argument("--n", type=int, default=None, help="estimation sample count")
-    sim.add_argument("--delta", default=None, help=f"separation, or '{OPTIMAL}'")
-    sim.add_argument("--estimator", choices=_ESTIMATOR_CHOICES, default=None)
-    sim.add_argument("--horizon", type=int, default=None, help="bandit horizon T")
-    sim.add_argument("--gap", default=None, help=f"arm gap g, or '{OPTIMAL}'")
-    sim.add_argument("--policy", choices=_POLICY_CHOICES, default=None)
-    sim.add_argument("--tau", type=int, default=None, help="explore length per arm (etc)")
-    sim.add_argument("--ucb-c", type=float, default=1.0, help="ucb exploration constant")
-    sim.add_argument("--replicates", type=int, default=10_000)
+    _add_problem(sim, (1.0,))
+    _add_variants(sim, "store", 10_000)
 
     verify = subs.add_parser("verify", help="check dominance across policy/estimator batteries")
     _add_common(verify, (0.0, 0.5, 0.9))
-    _add_scale(verify, (0.5, 1.0, 2.0))
-    verify.add_argument("--horizon", type=int, default=200)
-    verify.add_argument("--n", type=int, default=100)
-    verify.add_argument("--gap", default=OPTIMAL, help=f"arm gap g (default '{OPTIMAL}')")
-    verify.add_argument("--delta", default=OPTIMAL, help=f"separation (default '{OPTIMAL}')")
-    verify.add_argument(
-        "--policy",
-        action="append",
-        choices=_POLICY_CHOICES,
-        default=None,
-        help="repeatable; default all four policies",
-    )
-    verify.add_argument(
-        "--estimator",
-        action="append",
-        choices=_ESTIMATOR_CHOICES,
-        default=None,
-        help="repeatable; default all three estimators",
-    )
-    verify.add_argument("--tau", type=int, default=None, help="explore length per arm (etc)")
-    verify.add_argument("--ucb-c", type=float, default=1.0, help="ucb exploration constant")
-    verify.add_argument("--replicates", type=int, default=50_000)
+    _add_problem(verify, (0.5, 1.0, 2.0), n=100, delta=OPTIMAL, horizon=200, gap=OPTIMAL)
+    _add_variants(verify, "append", 50_000)
     return parser
-
-
-def _numeric_or_optimal(raw: str | None) -> float | str | None:
-    """The number `raw` spells, or `raw` itself: OPTIMAL, None, or a string
-    that `validate` then reports under its field."""
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        return raw
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -143,17 +141,11 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         return ExperimentConfig(
             kind=ExperimentKind.PSI, rho_max=args.rho_max, rho_step=args.rho_step, **common
         )
-    scales = tuple(args.scale) if args.scale else args.default_scales
-    if args.command == "bound":
-        return ExperimentConfig(
-            kind=ExperimentKind.BOUND,
-            n=args.n,
-            delta=_numeric_or_optimal(args.delta),
-            horizon=args.horizon,
-            gap=_numeric_or_optimal(args.gap),
-            scales=scales,
-            **common,
-        )
+    # bound takes no variant flags: its name tuples stay empty, and its
+    # config keeps the default replicate count
+    kind, policy_names, estimator_names = ExperimentKind.BOUND, (), ()
+    if args.command in ("simulate", "verify"):
+        common["replicates"] = args.replicates
     if args.command == "simulate":
         bandit_side = args.policy is not None or args.horizon is not None or args.gap is not None
         est_side = args.estimator is not None or args.n is not None or args.delta is not None
@@ -165,20 +157,19 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         kind = ExperimentKind.SIMULATE_BANDIT if bandit_side else ExperimentKind.SIMULATE_ESTIMATION
         policy_names = () if args.policy is None else (args.policy,)
         estimator_names = () if args.estimator is None else (args.estimator,)
-    else:
+    elif args.command == "verify":
         kind = ExperimentKind.VERIFY
         policy_names = tuple(args.policy) if args.policy else _POLICY_CHOICES
         estimator_names = tuple(args.estimator) if args.estimator else _ESTIMATOR_CHOICES
     return ExperimentConfig(
         kind=kind,
         n=args.n,
-        delta=_numeric_or_optimal(args.delta),
+        delta=args.delta,
         horizon=args.horizon,
-        gap=_numeric_or_optimal(args.gap),
+        gap=args.gap,
         policies=tuple(parse_policy(p, args.tau, args.ucb_c) for p in policy_names),
         estimators=tuple(Estimator(e) for e in estimator_names),
-        replicates=args.replicates,
-        scales=scales,
+        scales=tuple(args.scale) if args.scale else args.default_scales,
         **common,
     )
 

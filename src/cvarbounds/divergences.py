@@ -41,9 +41,6 @@ class HellingerBudget:
         _check_fields({"gamma": self.gamma})
         object.__setattr__(self, "gamma", float(self.gamma))
 
-    def __float__(self) -> float:
-        return self.gamma
-
 
 def _check_unit(a: float, b: float) -> tuple[float, float]:
     """The Bernoulli parameters a and b as floats, once the field table has
@@ -53,24 +50,37 @@ def _check_unit(a: float, b: float) -> tuple[float, float]:
     return float(a), float(b)
 
 
+def _kl_term(p: float, q: float, d: float) -> float:
+    """p log(p/q) - d for p = q + d > 0 with q > 0, or q at p = 0: the
+    nonnegative q h(d/q), with h(u) = (1 + u) log(1 + u) - u.  Near d = 0,
+    where the closed form cancels, h is summed by its alternating series
+    sum_k>=2 (-u)^k / (k (k-1)), to the first term below 1e-17 of the sum."""
+    u = d / q
+    if u > 1e-2 or u < -1e-2:
+        return p * math.log1p(u) - d if p > 0.0 else q
+    return q * u * u * (1 / 2 - u * (1 / 6 - u * (1 / 12 - u * (1 / 20 - u * (
+        1 / 30 - u * (1 / 42 - u * (1 / 56 - u / 72))
+    )))))
+
+
 def kl_bernoulli(a: float, b: float) -> float:
     """Binary KL a log(a/b) + (1-a) log((1-a)/(1-b)), with 0 log 0 = 0.
 
-    Raises DomainError where the divergence is infinite (a > 0 against b = 0,
-    or a < 1 against b = 1).
+    The two terms cancel near a = b, where that form even turns negative, so
+    each is taken less its share of a - b, which sums to zero, leaving two
+    nonnegative terms.  Raises DomainError where the divergence is infinite
+    (a > 0 against b = 0, or a < 1 against b = 1).
     """
     if not (type(a) is float and type(b) is float and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         a, b = _check_unit(a, b)
-    if a > 0.0 and b == 0.0:
+    if a == b:
+        return 0.0
+    if b == 0.0:
         raise DomainError("kl_bernoulli is infinite for a > 0, b = 0")
-    if a < 1.0 and b == 1.0:
+    if b == 1.0:
         raise DomainError("kl_bernoulli is infinite for a < 1, b = 1")
-    out = 0.0
-    if a > 0.0:
-        out += a * math.log(a / b)
-    if a < 1.0:
-        out += (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
-    return out
+    d = a - b
+    return _kl_term(a, b, d) + _kl_term(1.0 - a, 1.0 - b, -d)
 
 
 def hellinger2_bernoulli(a: float, b: float) -> float:

@@ -1,5 +1,9 @@
 """Experiment orchestration: resolve a config into rows, render CSV/JSON.
 
+A `bound`, `simulate` or `verify` config becomes one battery of cases, one
+per subject, variant, tail level and scale.  Every case is bounded before
+any is drawn, and all simulated cases are drawn in one pass.
+
 Row schema is pinned for downstream tooling: columns
 alpha, param_name, param_value, bound, t_star, empirical_cvar, exact_cvar,
 stderr, mc_slack, dominated.  Numeric cells are rendered with 12 significant
@@ -277,8 +281,10 @@ def _psi_rows(config: ExperimentConfig) -> list[ExperimentRow]:
 class _Subject:
     """One problem family as the row loop sees it.
 
-    The callables reach the library through this module's global names when
+    The lambdas reach the library through this module's global names when
     they are called, so a later rebinding of those names is honoured.
+    `sim_config` is the subject's config class, whose fields run (size,
+    parameter, variant, replicates, seed).
     """
 
     problem: str  # problem_params["problem"]
@@ -291,7 +297,7 @@ class _Subject:
     problem_of: Callable[[Any, Any], str | None]  # (size, variant) -> why it cannot run, or None
     optimum: Callable[[int, RiskLevel], float]  # (size, level) -> worst-case parameter
     bound: Callable[[int, float, RiskLevel], BoundResult]  # (size, parameter, level)
-    sim_config: Callable[[ExperimentConfig, Any, float], BanditConfig | EstimationConfig]
+    sim_config: type[BanditConfig] | type[EstimationConfig]
 
 
 _BANDIT = _Subject(
@@ -305,13 +311,7 @@ _BANDIT = _Subject(
     problem_of=lambda horizon, policy: _policy_problem(policy, horizon),
     optimum=lambda horizon, level: optimal_gap(horizon, level)[0],
     bound=lambda horizon, g, level: bandit_bound(g, horizon, level),
-    sim_config=lambda config, policy, g: BanditConfig(
-        horizon=config.horizon,
-        gap=g,
-        policy=policy,
-        replicates=config.replicates,
-        seed=config.seed,
-    ),
+    sim_config=BanditConfig,
 )
 
 _ESTIMATION = _Subject(
@@ -325,13 +325,7 @@ _ESTIMATION = _Subject(
     problem_of=lambda n, estimator: _estimator_problem(estimator),
     optimum=lambda n, level: optimal_separation(n, level)[0],
     bound=lambda n, delta, level: estimation_bound(n, delta, level),
-    sim_config=lambda config, estimator, delta: EstimationConfig(
-        n=config.n,
-        delta=delta,
-        estimator=estimator,
-        replicates=config.replicates,
-        seed=config.seed,
-    ),
+    sim_config=EstimationConfig,
 )
 
 _SUBJECTS = (_BANDIT, _ESTIMATION)
@@ -356,35 +350,41 @@ def _subjects(config: ExperimentConfig) -> tuple[_Subject, ...]:
     return ()
 
 
-def _subject_rows(config: ExperimentConfig, subject: _Subject) -> list[ExperimentRow]:
-    """Rows of one subject, variant by variant, then by alpha, then by scale.
+def _battery_rows(config: ExperimentConfig) -> list[ExperimentRow]:
+    """Rows of every subject the kind covers: subject by subject, variant by
+    variant, then by alpha, then by scale.
 
-    `bound` rows carry the bound alone.  Simulated rows are drawn in one call
-    to `simulate_shared`, which draws once for every variant whose draws
-    coincide, and carry the Monte Carlo statistics and, where `exact_loss_law`
-    knows one, the exact law's CVaR; in `verify` their parameter names are
+    Every case is bounded before any is drawn, so a parameter the closed
+    forms refuse is reported before any Monte Carlo time is spent.  `bound`
+    rows carry the bound alone.  Simulated rows are drawn in one call to
+    `simulate_shared`, which draws once for every case whose draws coincide,
+    and carry the Monte Carlo statistics and, where `exact_loss_law` knows
+    one, the exact law's CVaR; in `verify` their parameter names are
     qualified by the variant.
     """
     simulate = config.kind is not ExperimentKind.BOUND
     qualify = config.kind is ExperimentKind.VERIFY
-    size = getattr(config, subject.size)
-    raw = getattr(config, subject.field)
-    variants = getattr(config, subject.variants) if simulate else (None,)
     cases = []
-    for variant in variants:
-        for alpha in config.alphas:
-            level = RiskLevel(alpha)
-            for scale in config.scales:
+    for subject in _subjects(config):
+        size = getattr(config, subject.size)
+        raw = getattr(config, subject.field)
+        for variant in getattr(config, subject.variants) if simulate else (None,):
+            for alpha in config.alphas:
+                level = RiskLevel(alpha)
                 base = subject.optimum(size, level) if _is_optimal(raw) else float(raw)
-                cases.append((variant, level, scale, scale * base))
-    if simulate:
-        sim_configs = [subject.sim_config(config, v, value) for v, _, _, value in cases]
-        samples = simulate_shared(sim_configs)
-    else:
-        sim_configs = samples = [None] * len(cases)
+                cases += [(subject, size, variant, level, scale, scale * base) for scale in config.scales]
+    # the sim configs are built first, so a bad parameter is refused under its
+    # config field rather than under the closed forms' name for it
+    sim_configs = [
+        s.sim_config(size, value, v, config.replicates, config.seed) if simulate else None
+        for s, size, v, _, _, value in cases
+    ]
+    results = [s.bound(size, value, level) for s, size, _, level, _, value in cases]
+    samples = simulate_shared(sim_configs) if simulate else sim_configs
     rows = []
-    for (variant, level, scale, value), sim_config, case_samples in zip(cases, sim_configs, samples):
-        result = subject.bound(size, value, level)
+    for (subject, size, variant, level, scale, value), result, sim_config, case_samples in zip(
+        cases, results, sim_configs, samples
+    ):
         params: dict[str, Any] = {subject.size: size, subject.param: value, "scale": scale}
         name = subject.param
         emp = stderr = slack = exact = None
@@ -422,10 +422,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Validate, dispatch on kind, and assemble the report."""
     config.validate()
     started = time.perf_counter()
-    if config.kind is ExperimentKind.PSI:
-        rows = _psi_rows(config)
-    else:
-        rows = [row for subject in _subjects(config) for row in _subject_rows(config, subject)]
+    rows = _psi_rows(config) if config.kind is ExperimentKind.PSI else _battery_rows(config)
     metadata: dict[str, Any] = {
         "kind": config.kind.value,
         "alphas": list(config.alphas),

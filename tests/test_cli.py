@@ -4,9 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from cvarbounds import experiments
+from cvarbounds import experiments, sim
 from cvarbounds.bounds import estimation_bound
-from cvarbounds.cli import main
+from cvarbounds.cli import _config_from_args, build_parser, main
 from cvarbounds.risk import RiskLevel
 
 
@@ -114,6 +114,56 @@ def test_overflowing_input_is_usage_error(argv, name, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f" {name}: " in err and "gamma" not in err
+
+
+@pytest.mark.parametrize("flag, name", [("--gap", "g"), ("--delta", "delta")])
+def test_verify_refuses_an_overflowing_parameter_before_drawing(flag, name, monkeypatch, capsys):
+    # every case is bounded before any is drawn, so a parameter the closed
+    # forms refuse costs no Monte Carlo time
+    predraw, calls = sim._predraw, []
+
+    def counted(*args):
+        calls.append(args)
+        return predraw(*args)
+
+    monkeypatch.setattr(sim, "_predraw", counted)
+    assert main(["verify", "--replicates", "2000", flag, "1e200"]) == 2
+    assert f" {name}: " in capsys.readouterr().err
+    assert calls == []
+
+
+# the verify command line the benchmark's verify-default workload builds; it
+# reads these attributes of the parsed line to build its config
+_BENCH_VERIFY_ARGV = [
+    "verify", "--replicates", "1000", "--seed", "7",
+    "--alpha=0", "--alpha=0.5", "--alpha=0.9", "--scale=0.5", "--scale=1", "--scale=2",
+    "--horizon", "200", "--n", "100", "--gap", "optimal", "--delta", "optimal",
+    "--policy=uniform", "--policy=etc", "--policy=ucb", "--policy=thompson",
+    "--estimator=sample_mean", "--estimator=sign_commit", "--estimator=always_zero",
+]
+
+
+def test_parsed_verify_line_keeps_the_names_the_benchmark_reads():
+    args = build_parser().parse_args(_BENCH_VERIFY_ARGV)
+    assert args.alpha == [0.0, 0.5, 0.9] and args.scale == [0.5, 1.0, 2.0]
+    assert args.policy == ["uniform", "etc", "ucb", "thompson"]
+    assert args.estimator == ["sample_mean", "sign_commit", "always_zero"]
+    assert (args.horizon, args.n, args.gap, args.delta) == (200, 100, "optimal", "optimal")
+    assert (args.tau, args.ucb_c, args.replicates, args.seed) == (None, 1.0, 1000, 7)
+    # and the config built from them is the one the command runs
+    assert experiments.ExperimentConfig(
+        kind=experiments.ExperimentKind.VERIFY,
+        alphas=tuple(args.alpha),
+        scales=tuple(args.scale),
+        horizon=args.horizon,
+        gap=args.gap,
+        policies=tuple(experiments.parse_policy(p, args.tau, args.ucb_c) for p in args.policy),
+        replicates=args.replicates,
+        seed=args.seed,
+        n=args.n,
+        delta=args.delta,
+        estimators=tuple(sim.Estimator(e) for e in args.estimator),
+    ) == _config_from_args(args)
 
 
 def test_simulate_bandit_json(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import hellinger_le_kl_check, kl_gaussian_unit_var
 
 from cvarbounds.divergences import (
+    DivergenceKind,
     HellingerBudget,
     bandit_budget,
     estimation_budget,
@@ -15,6 +16,7 @@ from cvarbounds.divergences import (
     kl_bernoulli,
 )
 from cvarbounds.errors import DomainError
+from cvarbounds.inversion import bernoulli_inverse
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 interior = st.floats(1e-6, 1.0 - 1e-6, allow_nan=False)
@@ -96,6 +98,24 @@ def test_hellinger_keeps_its_digits_near_equal_arguments():
             assert abs(hellinger2_bernoulli(a, b) - want) <= 2e-15 * want
 
 
+def test_kl_keeps_its_digits_near_equal_arguments():
+    # a log(a/b) + (1-a) log((1-a)/(1-b)) cancels here, to relative errors of
+    # 1e15 and to negative values; a is drawn below b, and 1 - a below 1 - b
+    rng = np.random.default_rng(29)
+    with mpmath.workdps(50):
+        for i in range(4000):
+            b = float(rng.uniform(0.0, 1.0))
+            shrink = 1.0 - 10.0 ** rng.uniform(-15.0, -3.0)
+            a = b * shrink if i % 2 else 1.0 - (1.0 - b) * shrink
+            A, B = mpmath.mpf(a), mpmath.mpf(b)
+            want = A * mpmath.log(A / B) + (1 - A) * mpmath.log((1 - A) / (1 - B))
+            got = kl_bernoulli(a, b)
+            assert got >= 0.0 and abs(got - want) <= 1e-13 * want, (a, b)
+    # the smallest budget no longer admits an a below b at a negative divergence
+    res = bernoulli_inverse(DivergenceKind.KL, 5e-324, 0.5)
+    assert (res.a_minus, res.achieved_divergence) == (0.5, 0.0)
+
+
 @given(a=unit, b=unit)
 @settings(max_examples=300, deadline=None)
 def test_hellinger_zero_iff_equal(a, b):
@@ -115,10 +135,10 @@ def test_hellinger_le_kl_battery():
 
 
 def test_budget_values():
-    assert float(estimation_budget(100, 0.05)) == pytest.approx(0.5, rel=1e-15)
-    assert float(estimation_budget(1, 1.0)) == 2.0
-    assert float(bandit_budget(0.1, 200)) == pytest.approx(1.0, rel=1e-15)
-    assert float(bandit_budget(2.0, 1)) == 2.0
+    assert estimation_budget(100, 0.05).gamma == pytest.approx(0.5, rel=1e-15)
+    assert estimation_budget(1, 1.0).gamma == 2.0
+    assert bandit_budget(0.1, 200).gamma == pytest.approx(1.0, rel=1e-15)
+    assert bandit_budget(2.0, 1).gamma == 2.0
 
 
 def test_budget_dominates_exact_hellinger():
@@ -128,7 +148,7 @@ def test_budget_dominates_exact_hellinger():
         n = int(rng.integers(1, 500))
         delta = float(rng.uniform(1e-4, 2.0))
         exact = 1.0 - math.exp(-n * delta * delta / 2.0)
-        assert exact <= float(estimation_budget(n, delta)) + 1e-15
+        assert exact <= estimation_budget(n, delta).gamma + 1e-15
 
 
 def test_budget_validation():
@@ -150,6 +170,6 @@ def test_budget_validation():
 
 def test_bandit_budget_policy_free_form():
     # g^2 T / 2, linear in T and quadratic in g
-    b1 = float(bandit_budget(0.3, 100))
-    assert float(bandit_budget(0.3, 400)) == pytest.approx(4.0 * b1, rel=1e-14)
-    assert float(bandit_budget(0.6, 100)) == pytest.approx(4.0 * b1, rel=1e-14)
+    b1 = bandit_budget(0.3, 100).gamma
+    assert bandit_budget(0.3, 400).gamma == pytest.approx(4.0 * b1, rel=1e-14)
+    assert bandit_budget(0.6, 100).gamma == pytest.approx(4.0 * b1, rel=1e-14)

@@ -558,6 +558,10 @@ _PINNED_OUTPUTS = {
         ["psi", "--alpha", "0", "--alpha", "0.5", "--format", "json"],
         "618a97ea6d5cfbcdec66315c0dcc7391b6a73df3d83c2ac1ede64155f9c288d1",
     ),
+    "psi-csv": (
+        ["psi", "--alpha", "0", "--alpha", "0.5", "--alpha", "0.9", "--rho-max", "1.2", "--rho-step", "0.01"],
+        "b0f2991ce7124aa94bcf9c5d70d47774db65b2b36c302a7e1f11bd25c910cf79",
+    ),
 }
 
 
