@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .divergences import DivergenceKind, HellingerBudget, bandit_budget, estimation_budget
 from .errors import _FIELD_PROBLEMS, _check_fields, _is_real, _type_problem
 from .inversion import _kind_problem, bernoulli_inverse
@@ -128,6 +130,10 @@ def bound_factor(level: RiskLevel, rho: float) -> FactorEvaluation:
 
     Continuous at both breakpoints, equal to 1/2 at rho = 0, nonincreasing
     in rho, nondecreasing in alpha.
+
+    `_bound_factor_runs` evaluates it over a whole rho grid at once, and
+    tests/test_experiments.py::test_psi_rows_match_bound_factor holds the two
+    equal bit for bit.
     """
     if not (type(level) is RiskLevel and type(rho) is float and 0.0 <= rho < math.inf):
         _check_fields({"rho": rho}, level=_type_problem(level, RiskLevel))
@@ -141,6 +147,28 @@ def bound_factor(level: RiskLevel, rho: float) -> FactorEvaluation:
     one_minus = 1.0 - rho
     value = one_minus * one_minus / (2.0 * (1.0 - alpha))
     return FactorEvaluation(level, rho, value, Branch.BOUNDARY)
+
+
+def _bound_factor_runs(level: RiskLevel, rhos: np.ndarray) -> list[tuple[Branch, np.ndarray]]:
+    """`bound_factor` over an increasing grid of finite rho >= 0, as
+    (branch, values) for the grid's consecutive runs on the interior,
+    boundary and zero branches, in that order; together they cover the grid.
+
+    Each run gets `bound_factor`'s own float expressions, so every value and
+    branch is bit-identical to it.  No expression is evaluated outside its
+    own run: the interior quotient overflows past rho = alpha at a subnormal
+    alpha.
+    """
+    alpha = level.alpha
+    interior_end = int(np.searchsorted(rhos, alpha, side="right")) if alpha > 0.0 else 0
+    boundary_end = int(np.searchsorted(rhos, 1.0, side="left"))
+    interior = rhos[:interior_end]
+    one_minus = 1.0 - rhos[interior_end:boundary_end]
+    return [
+        (Branch.INTERIOR_QUADRATIC, 0.5 - interior * interior / (2.0 * alpha)),
+        (Branch.BOUNDARY, one_minus * one_minus / (2.0 * (1.0 - alpha))),
+        (Branch.ZERO, np.zeros(len(rhos) - boundary_end)),
+    ]
 
 
 def optimal_bound_constant(level: RiskLevel) -> float:

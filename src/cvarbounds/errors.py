@@ -61,7 +61,11 @@ def _finite_problem(value: object) -> str | None:
 
 
 def _positive_problem(value: object) -> str | None:
-    return None if _is_real(value) and 0.0 < value < math.inf else "must be a finite real > 0"
+    # an int no float can hold is refused too, as the arithmetic would
+    # overflow; only an int is compared with the largest float, which a
+    # numpy float32 cannot hold
+    ok = _is_real(value) and 0.0 < value < math.inf and not (isinstance(value, int) and value > sys.float_info.max)
+    return None if ok else "must be a finite real > 0"
 
 
 def _nonnegative_problem(value: object) -> str | None:

@@ -23,7 +23,9 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, get_args
 
-from .bounds import BoundResult, bandit_bound, bound_factor, estimation_bound, optimal_gap, optimal_separation
+import numpy as np
+
+from .bounds import BoundResult, _bound_factor_runs, bandit_bound, estimation_bound, optimal_gap, optimal_separation
 from .errors import _FIELD_PROBLEMS, _field_problems
 from .risk import RiskLevel, SampleSet, empirical_cvar, exact_cvar
 from .sim import (
@@ -67,6 +69,11 @@ _SLACK_SIGMAS = 5.0
 
 # most rho steps a psi table may take (the rows are built as a list)
 _MAX_PSI_STEPS = 10**6
+
+# a psi grid keeps an endpoint that rounding puts this little (relative)
+# above rho_max: 1.2 / 1e-4 is 11999.999999999998, and 3 * 0.1 is
+# 0.30000000000000004; such rounding is a few ulps, about 1e-16 each
+_PSI_ENDPOINT_RTOL = 1e-12
 
 CSV_COLUMNS = (
     "alpha",
@@ -168,9 +175,9 @@ class ExperimentConfig:
         if kind is ExperimentKind.PSI:
             grid_problems = _field_problems({"rho_max": self.rho_max, "rho_step": self.rho_step})
             problems.update(grid_problems)
-            if not grid_problems and self.rho_max / self.rho_step > _MAX_PSI_STEPS:
-                steps = self.rho_max / self.rho_step
-                problems["rho_step"] = f"rho_max / rho_step is {steps:.6g}, above {_MAX_PSI_STEPS} grid steps"
+            if not grid_problems and _psi_steps(self.rho_max, self.rho_step) > _MAX_PSI_STEPS:
+                ratio = self.rho_max / self.rho_step
+                problems["rho_step"] = f"rho_max / rho_step is {ratio:.6g}, above {_MAX_PSI_STEPS} grid steps"
         subjects = _subjects(self)
         if kind is ExperimentKind.BOUND and len(subjects) != 1:
             problems["kind"] = "bound needs exactly one of (n, delta) or (horizon, gap)"
@@ -191,6 +198,15 @@ class ExperimentConfig:
             why = None if _is_optimal(raw) else _FIELD_PROBLEMS[subject.field](raw)
             if why:
                 problems[subject.field] = f"{why} or {OPTIMAL!r}, got {raw!r}"
+            elif not _is_optimal(raw) and "scales" not in problems:
+                # a scaled value out of range is refused under the field given
+                for scale in self.scales:
+                    value = float(raw) * float(scale)
+                    if not 0.0 < value < math.inf:
+                        how = "overflows a float" if value else "underflows to 0"
+                        why = f"{subject.field} times scale {how} at scale = {scale!r}"
+                        problems[subject.field] = f"{why}, got {raw!r}"
+                        break
         for subject in _SUBJECTS:
             variants = getattr(self, subject.variants)
             if not isinstance(variants, (tuple, list)):
@@ -257,23 +273,31 @@ def _dominated(bound: float, emp: float, slack: float, exact: float | None) -> b
     return exact is None or exact >= bound - _EXACT_SLACK
 
 
+def _psi_steps(rho_max: float, rho_step: float) -> int:
+    """Steps in the psi grid 0, rho_step, 2 rho_step, ...: to the last point
+    not above rho_max, or a hair above it (`_PSI_ENDPOINT_RTOL`).  Any count
+    above `_MAX_PSI_STEPS` reads as one more, so an overflowing ratio is
+    never floored."""
+    ratio = rho_max / rho_step * (1.0 + _PSI_ENDPOINT_RTOL)
+    return math.floor(min(ratio, _MAX_PSI_STEPS + 1))
+
+
 def _psi_rows(config: ExperimentConfig) -> list[ExperimentRow]:
-    steps = int(round(config.rho_max / config.rho_step))
-    rhos = [i * config.rho_step for i in range(steps + 1)]
-    rows = []
+    # exactly i * rho_step: each product of an index and the step rounds once
+    rhos = np.arange(_psi_steps(config.rho_max, config.rho_step) + 1) * config.rho_step
+    rho_values = rhos.tolist()  # one float per point, shared by every level's rows
+    rows: list[ExperimentRow] = []
     for alpha in config.alphas:
         level = RiskLevel(alpha)
-        for rho in rhos:
-            ev = bound_factor(level, rho)
-            rows.append(
-                ExperimentRow(
-                    alpha=level.alpha,
-                    param_name="rho",
-                    param_value=rho,
-                    problem_params={"branch": ev.branch.value},
-                    bound=ev.value,
-                )
-            )
+        start = 0
+        for branch, values in _bound_factor_runs(level, rhos):
+            name, stop = branch.value, start + len(values)
+            # positional: keyword parsing is a large share of a row's cost
+            rows += [
+                ExperimentRow(level.alpha, "rho", rho, {"branch": name}, value)
+                for rho, value in zip(rho_values[start:stop], values.tolist())
+            ]
+            start = stop
     return rows
 
 

@@ -107,10 +107,16 @@ def _kl_inverse(budget: float, b: float, d_zero: float) -> InversionResult:
     iterates climb it from the infeasible side.  Once a step is shorter than
     _PROBE_STEP the next point probes past the root, which closes the far
     end of the bracket onto it.
+
+    When the estimate rounds to b itself, b is the answer: the spacing of
+    floats below b is then at least twice the estimate's step, and KL there
+    is at least 0.77 times its quadratic form, so every a < b is infeasible.
     """
     lo, d_lo = 0.0, d_zero
     hi, d_hi = b, 0.0
     x = b - math.sqrt(2.0 * budget * b * (1.0 - b))
+    if x == b:
+        return InversionResult(a_minus=b, achieved_divergence=0.0, iterations=0)
     iterations, probe = 0, 0.0
     while iterations < _MAX_ITERATIONS:
         if not lo < x < hi:

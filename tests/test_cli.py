@@ -55,6 +55,18 @@ def test_psi_stdout(capsys):
     assert len(out.strip().split("\n")) == 3  # header + rho in {0, 0.1} at alpha 0
 
 
+@pytest.mark.parametrize(
+    "rho_max, rho_step, want",
+    [("1", "0.6", [0.0, 0.6]), ("0.36", "0.1", [0.0, 0.1, 0.2, 0.3]), ("0.3", "0.1", [0.0, 0.1, 0.2, 0.3])],
+)
+def test_psi_grid_ends_at_rho_max(rho_max, rho_step, want, capsys):
+    # the grid stops at the last point not above --rho-max, and keeps one
+    # that rounding puts a hair above it (3 * 0.1 is 0.30000000000000004)
+    assert main(["psi", "--rho-max", rho_max, "--rho-step", rho_step]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [float(r["param_value"]) for r in rows] == pytest.approx(want, abs=1e-12)
+
+
 def test_bound_estimation(capsys):
     rc = main(["bound", "--n", "100", "--delta", "0.0166666666667", "--alpha", "0"])
     assert rc == 0
@@ -99,6 +111,9 @@ _HUGE = str(10**400)
         (["simulate", "--n", "1", "--delta", "1e200", "--estimator", "sample_mean"], "delta"),
         # g^2 T / 2 fits a float but the regret cap g T does not
         (["bound", "--horizon", str(15 * 10**307), "--gap", "1.5"], "g"),
+        # the parameter fits a float but its product with a scale does not
+        (["simulate", "--horizon", "10", "--gap", "1e308", "--scale", "2", "--policy", "uniform"], "gap"),
+        (["simulate", "--n", "10", "--delta", "1e308", "--scale", "2", "--estimator", "sample_mean"], "delta"),
     ],
     ids=[
         "huge-horizon",
@@ -106,6 +121,8 @@ _HUGE = str(10**400)
         "overflowing-bandit-budget",
         "overflowing-estimation-budget",
         "overflowing-regret-cap",
+        "overflowing-scaled-gap",
+        "overflowing-scaled-delta",
     ],
 )
 def test_overflowing_input_is_usage_error(argv, name, capsys):
@@ -113,7 +130,10 @@ def test_overflowing_input_is_usage_error(argv, name, capsys):
     # argument that was passed, not as a traceback or as the budget's gamma
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f" {name}: " in err and "gamma" not in err
+    assert f" {name}: " in err and "gamma" not in err and "inf" not in err
+    if "--scale" in argv:
+        # named with the value given and the scale that overflows it
+        assert "got 1e+308" in err and "scale = 2.0" in err
 
 
 @pytest.mark.parametrize("flag, name", [("--gap", "g"), ("--delta", "delta")])

@@ -93,9 +93,10 @@ def test_validation_collects_all_problems():
     with pytest.raises(ConfigError) as exc:
         cfg.validate()
     assert set(exc.value.problems) == {"n", "horizon", "replicates", "seed"}
-    # so are a gap or separation that is a bool or a string other than 'optimal'
+    # so are a gap or separation that is a bool, a string other than 'optimal'
+    # or an int no float can hold
     for bad in (dict(seed=1.0), dict(seed="0"), dict(horizon=True), dict(horizon=np.int64(16)),
-                dict(gap=True), dict(gap="0.5"), dict(gap=math.nan)):
+                dict(gap=True), dict(gap="0.5"), dict(gap=math.nan), dict(gap=10**400)):
         with pytest.raises(ConfigError) as exc:
             _bandit_config(**bad).validate()
         assert set(exc.value.problems) == set(bad)
@@ -112,7 +113,7 @@ def test_validation_collects_all_problems():
         assert set(exc.value.problems) == set(bad)
     # non-numeric tail levels, scales and psi grid settings are reported too
     for bad in (dict(alphas=("x",)), dict(scales=("x",)), dict(scales=(None,)), dict(alphas=(True,)),
-                dict(scales=(math.inf,))):
+                dict(scales=(math.inf,)), dict(scales=(10**400,))):
         with pytest.raises(ConfigError) as exc:
             _bandit_config(**bad).validate()
         assert set(exc.value.problems) == set(bad)
@@ -201,7 +202,27 @@ def test_psi_rows():
     assert first.t_star is None
     assert report.all_dominated
     row = report.rows[4]  # alpha=0.5, rho=0.05
-    assert row.bound == pytest.approx(bound_factor(RiskLevel(0.5), 0.05).value)
+    assert row.bound == bound_factor(RiskLevel(0.5), 0.05).value
+
+
+@pytest.mark.parametrize("rho_max, rho_step", [(1.5, 0.01), (1.2, 1e-4)])
+def test_psi_rows_match_bound_factor(rho_max, rho_step):
+    # the table is evaluated a grid at a time; every row must be what the
+    # scalar profile gives, bit for bit, on grids that hit rho = alpha and
+    # rho = 1 exactly, at tail levels down to the smallest subnormal
+    alphas = (0.0, 5e-324, 1e-200, 0.25, 0.5, 0.9, 0.999)
+    cfg = ExperimentConfig(kind=ExperimentKind.PSI, alphas=alphas, rho_max=rho_max, rho_step=rho_step)
+    rows = run_experiment(cfg).rows
+    steps = round(rho_max / rho_step)
+    assert len(rows) == len(alphas) * (steps + 1)
+    grid = [row.param_value for row in rows[: steps + 1]]
+    assert 1.0 in grid and all(alpha in grid for alpha in (0.25, 0.5, 0.9))
+    for i, row in enumerate(rows):
+        alpha, rho = alphas[i // (steps + 1)], (i % (steps + 1)) * rho_step
+        want = bound_factor(RiskLevel(alpha), rho)
+        assert (row.alpha, row.param_value) == (alpha, rho)
+        assert type(row.param_value) is float and type(row.bound) is float
+        assert row.bound == want.value and row.problem_params == {"branch": want.branch.value}, (alpha, rho)
 
 
 def test_bound_rows_estimation_with_scales():

@@ -213,6 +213,18 @@ def test_edge_cases_stay_feasible_and_near_the_root(kind, budget, b):
     assert res.a_minus <= _mp_root(kind, budget, b) + _AGREE_TOL
 
 
+@pytest.mark.parametrize("budget", [5e-324, 1e-300])
+@pytest.mark.parametrize("b", [0.1, 0.5, 0.9, 1.0 - 2.0**-53])
+def test_kl_subnormal_budget_returns_the_reference_at_once(budget, b):
+    # the Newton start rounds to b, so no a < b is feasible; the inverse
+    # used to creep onto a = b in about 39 evaluations
+    res = bernoulli_inverse(DivergenceKind.KL, budget, b)
+    assert res.a_minus == b and res.achieved_divergence == 0.0
+    assert res.iterations <= 1
+    assert bernoulli_inverse_bisection(DivergenceKind.KL, budget, b).a_minus == b
+    assert kl_bernoulli(math.nextafter(b, 0.0), b) > budget
+
+
 def test_active_budget_costs_a_few_evaluations():
     # bisection spent about 37 evaluations a call; this catches a return to it
     counts = {kind: [] for kind in KINDS}

@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # each script with tiny arguments, so the smoke run takes a second or two
 _SCRIPTS = {
+    "bench_pairs": ["--help"],
     "dominance_demo": ["--replicates", "500", "--horizon", "16", "--n", "9"],
     "scaling_table": ["--alphas", "0", "0.9", "--horizons", "16", "64", "--samples", "9", "36"],
 }
@@ -27,3 +30,50 @@ def test_script_runs(name):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_lines(wall, rss, failed=0, sha="ab"):
+    # the last two lines bench/run.py prints: details, then the result
+    details = {"workload": "closed-forms", "sha256": sha, "failed": failed}
+    result = {
+        "correct": failed == 0,
+        "attempted": 100,
+        "failed": failed,
+        "metrics": {"wall_norm_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}},
+    }
+    return f"progress\n{json.dumps(details)}\n{json.dumps(result)}\n"
+
+
+def test_bench_pairs_summary():
+    bench_pairs = _bench_pairs()
+    end_to_end = [
+        {"name": "wall_norm_s", "unit": "s", "better": "lower", "bound": 0.2},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    ]
+    ref_walls = [0.50, 0.52, 0.54, 0.56, 0.58, 0.50, 0.52, 0.54, 0.56, 0.58]
+    pairs = [
+        (
+            bench_pairs.parse_run(_run_lines(w, 66.0)),
+            # the change wins 9 of 10 pairs on wall time, and ties every rss
+            bench_pairs.parse_run(
+                _run_lines(w - 0.1 if i else w + 0.01, 66.0, failed=int(i == 3), sha="cd" if i == 5 else "ab")
+            ),
+        )
+        for i, w in enumerate(ref_walls)
+    ]
+    wall, rss, ref_failed, change_failed, fingerprints = bench_pairs.summarize(pairs, end_to_end)
+    assert wall == (
+        "wall_norm_s (s, lower is better): ref 0.54 (0.515-0.565) -> change 0.45 (0.42-0.48), -16.7%,"
+        " change won 9/10, gain rule met"
+    )
+    assert "change won 0/10" in rss and "+0.0%" in rss and rss.endswith("gain rule not met")
+    assert ref_failed == "ref: 0 of 1000 operations failed"
+    assert change_failed == "change: 1 of 1000 operations failed"
+    assert fingerprints == "fingerprints differ in pairs [6]"
