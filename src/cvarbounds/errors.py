@@ -46,9 +46,15 @@ def _type_problem(value: object, cls: type) -> str | None:
     return None if type(value) is cls else f"must be a {cls.__name__}, got {value!r}"
 
 
+def _float_holds(value: object) -> bool:
+    """False for an int that no float can hold, whose arithmetic would
+    overflow; only an int is compared with the largest float, which a numpy
+    float32 cannot hold."""
+    return not (isinstance(value, int) and abs(value) > sys.float_info.max)
+
+
 def _count_problem(value: object) -> str | None:
-    # a count no float can hold would overflow the closed forms' arithmetic
-    ok = _is_int(value) and 1 <= value <= sys.float_info.max
+    ok = _is_int(value) and value >= 1 and _float_holds(value)
     return None if ok else "must be an int >= 1 that a float can hold"
 
 
@@ -57,19 +63,18 @@ def _seed_problem(value: object) -> str | None:
 
 
 def _finite_problem(value: object) -> str | None:
-    return None if _is_real(value) and -math.inf < value < math.inf else "must be a finite real"
+    ok = _is_real(value) and -math.inf < value < math.inf and _float_holds(value)
+    return None if ok else "must be a finite real"
 
 
 def _positive_problem(value: object) -> str | None:
-    # an int no float can hold is refused too, as the arithmetic would
-    # overflow; only an int is compared with the largest float, which a
-    # numpy float32 cannot hold
-    ok = _is_real(value) and 0.0 < value < math.inf and not (isinstance(value, int) and value > sys.float_info.max)
+    ok = _is_real(value) and 0.0 < value < math.inf and _float_holds(value)
     return None if ok else "must be a finite real > 0"
 
 
 def _nonnegative_problem(value: object) -> str | None:
-    return None if _is_real(value) and 0.0 <= value < math.inf else "must be a finite real >= 0"
+    ok = _is_real(value) and 0.0 <= value < math.inf and _float_holds(value)
+    return None if ok else "must be a finite real >= 0"
 
 
 def _unit_problem(value: object) -> str | None:

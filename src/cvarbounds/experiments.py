@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, get_args
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, get_args
 
 import numpy as np
 
@@ -228,12 +228,15 @@ class ExperimentConfig:
             raise ConfigError(problems)
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
+    """One report row: an immutable tuple, so `row._asdict()` and
+    `row._replace(...)` read and vary it.  Without `problem_params` a row
+    holds an empty read-only mapping, which no row can change for another."""
+
     alpha: float
     param_name: str
     param_value: float
-    problem_params: Mapping[str, Any] = field(default_factory=dict)
+    problem_params: Mapping[str, Any] = MappingProxyType({})
     bound: float = 0.0
     t_star: float | None = None
     empirical_cvar: float | None = None
@@ -292,7 +295,7 @@ def _psi_rows(config: ExperimentConfig) -> list[ExperimentRow]:
         start = 0
         for branch, values in _bound_factor_runs(level, rhos):
             name, stop = branch.value, start + len(values)
-            # positional: keyword parsing is a large share of a row's cost
+            # positional: keyword arguments would add about a third to a row's cost
             rows += [
                 ExperimentRow(level.alpha, "rho", rho, {"branch": name}, value)
                 for rho, value in zip(rho_values[start:stop], values.tolist())
@@ -469,21 +472,35 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def _cells(values: Iterable[float | str | bool | None]) -> list[str]:
     """CSV cells of one column: empty for None, a string as it is, a bool as
-    true/false and a number with 12 significant digits."""
-    return [
-        "" if value is None
-        else "true" if value is True
-        else "false" if value is False
-        else value if isinstance(value, str)
-        else "%.12g" % value
-        for value in values
-    ]
+    true/false and a number with 12 significant digits.  A value that is the
+    same object as the one before it reuses that cell's text, so a column
+    holding one alpha object per tail level formats it about once a level."""
+    cells: list[str] = []
+    previous: object = cells  # no value is this list
+    text = ""
+    for value in values:
+        if value is not previous:
+            previous = value
+            text = (
+                "" if value is None
+                else "true" if value is True
+                else "false" if value is False
+                else value if isinstance(value, str)
+                else "%.12g" % value
+            )
+        cells.append(text)
+    return cells
+
+
+# where each CSV column sits in a row; every field but problem_params
+_CSV_FIELDS = [ExperimentRow._fields.index(column) for column in CSV_COLUMNS]
 
 
 def render_csv(report: ExperimentReport) -> str:
-    # a column at a time, without a function call per cell, which made long
-    # psi tables measurably slower to render
-    columns = [_cells(map(attrgetter(column), report.rows)) for column in CSV_COLUMNS]
+    # the rows transposed once, then a column at a time: a function call or
+    # attribute lookup per cell made long psi tables measurably slower
+    fields = list(zip(*report.rows)) or [()] * len(ExperimentRow._fields)
+    columns = [_cells(fields[i]) for i in _CSV_FIELDS]
     return "\n".join([",".join(CSV_COLUMNS), *map(",".join, zip(*columns))]) + "\n"
 
 
@@ -496,7 +513,7 @@ def render_json(report: ExperimentReport) -> str:
     metadata = {k: v for k, v in report.metadata.items() if k not in _VOLATILE_METADATA}
     payload = {
         "metadata": metadata,
-        "rows": [asdict(row) for row in report.rows],
+        "rows": [{**row._asdict(), "problem_params": dict(row.problem_params)} for row in report.rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -18,3 +18,56 @@ def test_all_names_exist(name):
     module = importlib.import_module(f"cvarbounds.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+_HUGE = 10**400  # an int no float can hold
+
+
+@pytest.mark.parametrize(
+    "field, call",
+    [
+        ("budget", lambda: cvarbounds.bernoulli_inverse(cvarbounds.DivergenceKind.KL, _HUGE, 0.5)),
+        ("gamma", lambda: cvarbounds.HellingerBudget(_HUGE)),
+        ("rho", lambda: cvarbounds.bound_factor(cvarbounds.RiskLevel(0.5), _HUGE)),
+        ("atom_value", lambda: cvarbounds.DiscreteLossDistribution(((_HUGE, 1.0),))),
+        ("atom_value", lambda: cvarbounds.DiscreteLossDistribution(((-_HUGE, 1.0),))),
+        ("atom_probability", lambda: cvarbounds.DiscreteLossDistribution(((0.0, _HUGE),))),
+        ("g", lambda: cvarbounds.bandit_bound(_HUGE, 10, cvarbounds.RiskLevel(0.5))),
+        (
+            "policy",
+            lambda: cvarbounds.BanditConfig(10, 0.5, cvarbounds.UCB(c_explore=_HUGE), replicates=5, seed=0),
+        ),
+    ],
+    ids=[
+        "kl-budget",
+        "hellinger-gamma",
+        "profile-rho",
+        "atom-value",
+        "negative-atom-value",
+        "atom-probability",
+        "bandit-gap",
+        "ucb-constant",
+    ],
+)
+def test_int_no_float_can_hold_is_refused_by_name(field, call):
+    # refused up front with one ValueError, never an OverflowError mid-arithmetic
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError
+    assert str(exc.value).startswith(f"{field}: ")
+    assert ";" not in str(exc.value)
+
+
+def test_huge_ucb_constant_is_refused_before_any_draw():
+    config = cvarbounds.ExperimentConfig(
+        kind=cvarbounds.ExperimentKind.SIMULATE_BANDIT,
+        alphas=(0.5,),
+        horizon=10,
+        gap=0.5,
+        policies=(cvarbounds.UCB(c_explore=_HUGE),),
+        replicates=10,
+    )
+    with pytest.raises(cvarbounds.ConfigError) as exc:
+        cvarbounds.run_experiment(config)
+    assert set(exc.value.problems) == {"policies"}
+    assert "c_explore" in exc.value.problems["policies"]

@@ -320,6 +320,57 @@ def test_csv_header_only_when_empty():
     assert render_csv(report) == ",".join(CSV_COLUMNS) + "\n"
 
 
+def test_rows_are_immutable_named_tuples():
+    row = ExperimentRow(alpha=0.5, param_name="g", param_value=0.25, bound=0.1)
+    with pytest.raises(AttributeError):
+        row.bound = 1.0
+    # rows built without parameters share no mapping one of them can change
+    other = ExperimentRow(0.9, "delta", 0.5)
+    for params in (row.problem_params, other.problem_params):
+        with pytest.raises(TypeError):
+            params["scale"] = 2.0
+    assert row.problem_params == other.problem_params == {}
+    positional = ExperimentRow(0.5, "g", 0.25, {"horizon": 16}, 0.1, 1.5)
+    keyword = ExperimentRow(
+        alpha=0.5, param_name="g", param_value=0.25, problem_params={"horizon": 16}, bound=0.1, t_star=1.5
+    )
+    assert positional == keyword
+    assert repr(keyword) == (
+        "ExperimentRow(alpha=0.5, param_name='g', param_value=0.25, problem_params={'horizon': 16}, "
+        "bound=0.1, t_star=1.5, empirical_cvar=None, exact_cvar=None, stderr=None, mc_slack=None, "
+        "dominated=True)"
+    )
+    assert keyword._replace(bound=0.2).bound == 0.2 and keyword.bound == 0.1
+    # render_csv picks its columns out of the row tuple by these names
+    assert tuple(name for name in ExperimentRow._fields if name != "problem_params") == CSV_COLUMNS
+
+
+def test_csv_cells_never_conflate_adjacent_values():
+    # a cell reuses the text before it only for the very same object
+    shared = 2.0 / 9.0
+    values = [0.0, float("-0.0"), True, 1.0, shared, shared, shared]
+    t_stars = [None, shared, None, None, shared, 1.5, None]
+    rows = tuple(
+        ExperimentRow(0.5, "g", value, {}, shared, t_star, dominated=value is not True)
+        for value, t_star in zip(values, t_stars)
+    )
+    lines = render_csv(ExperimentReport(rows=rows, metadata={})).splitlines()[1:]
+    cells = [line.split(",") for line in lines]
+    assert [c[2] for c in cells] == ["0", "-0", "true", "1", "0.222222222222", "0.222222222222", "0.222222222222"]
+    assert [c[3] for c in cells] == ["0.222222222222"] * len(rows)
+    assert [c[4] for c in cells] == ["", "0.222222222222", "", "", "0.222222222222", "1.5", ""]
+    assert [c[-1] for c in cells] == ["true", "true", "false", "true", "true", "true", "true"]
+
+
+def test_json_renders_default_params_as_empty_object():
+    row = ExperimentRow(0.5, "g", 0.25, bound=0.1)
+    text = render_json(ExperimentReport(rows=(row,), metadata={}))
+    assert '"problem_params": {}' in text
+    payload = json.loads(text)
+    assert payload["rows"] == [{**row._asdict(), "problem_params": {}}]
+    assert list(payload["rows"][0]) == list(ExperimentRow._fields)
+
+
 def test_json_round_trip():
     report = run_experiment(_bandit_config())
     payload = json.loads(render_json(report))
