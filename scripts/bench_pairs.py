@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Compare a git ref with the working tree on one benchmark workload.
+"""Compare a git ref with the working tree on the benchmark workloads.
 
-    python3 scripts/bench_pairs.py --ref REF --workload W --pairs N --seed0 S --seconds T
+    python3 scripts/bench_pairs.py --ref REF [--workload W ...] --pairs N --seed0 S --seconds T
 
 Exports `git archive REF` to a temporary directory, removed on exit, and runs
 `bench/run.py --trace 0` alternately on that export and on the working tree,
-each from its own `bench/`.  Pair i (from 1) runs both sides at seed S + i - 1;
-odd-numbered pairs run the ref first and even-numbered ones the working tree.
+each from its own `bench/`.  `--workload` may repeat; without it every
+workload `BENCHMARK.json` lists is run, one after the other.  Pair i (from 1)
+of a workload runs both sides at seed S + i - 1; odd-numbered pairs run the
+ref first and even-numbered ones the working tree.
 
-For each end-to-end metric `BENCHMARK.json` lists, it prints each side's
+Once all pairs have run, it prints one summary per workload.  For each
+end-to-end metric `BENCHMARK.json` lists, a summary gives each side's
 median with its q1-q3, the relative change of the medians, how many pairs the
 change won (a tie counts for neither side) and whether the gain rule holds:
 at least 9 in 10 pairs won, and medians apart by more than the ref's q3 - q1.
@@ -78,6 +81,22 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[st
     return lines
 
 
+def workloads(chosen: list[str] | None, benchmark: dict) -> list[str]:
+    """The workloads to run: those chosen, in order and each once, or every
+    one `benchmark` (the parsed `BENCHMARK.json`) lists."""
+    return list(dict.fromkeys(chosen)) if chosen else [w["name"] for w in benchmark["workloads"]]
+
+
+def report(ref: str, results: dict[str, list[tuple[dict, dict]]], end_to_end: list[dict]) -> list[str]:
+    """One `summarize` block per workload of `results` (its name to its
+    pairs), each headed by the workload's name."""
+    lines = []
+    for workload, pairs in results.items():
+        lines.append(f"{workload}, ref {ref} against the working tree:")
+        lines.extend(summarize(pairs, end_to_end))
+    return lines
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -90,14 +109,17 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--ref", required=True, help="git ref to compare against, such as the parent commit")
-    parser.add_argument("--workload", required=True, help="benchmark workload name")
+    parser.add_argument(
+        "--workload", action="append", help="benchmark workload name; may repeat (default: every listed workload)"
+    )
     parser.add_argument("--pairs", type=int, default=10, help="pairs of runs (default 10)")
     parser.add_argument("--seed0", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=15.0, help="bench/run.py --seconds (default 15)")
     args = parser.parse_args(argv)
     # exit through an exception on SIGTERM, so the export is still removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end = benchmark["end_to_end"]
     archive = subprocess.run(["git", "archive", "--format=tar", args.ref], cwd=ROOT, capture_output=True)
     if archive.returncode != 0:
         print(f"error: git archive {args.ref}: {archive.stderr.decode()[-2000:]}", file=sys.stderr)
@@ -106,23 +128,24 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(export, filter="data")
-        pairs = []
-        for number in range(1, args.pairs + 1):
-            seed = args.seed0 + number - 1
-            trees = (export, ROOT) if number % 2 else (ROOT, export)
-            runs = {tree: _run(tree, args.workload, seed, args.seconds) for tree in trees}
-            pairs.append((runs[export], runs[ROOT]))
-            print(f"pair {number} seed {seed}: " + ", ".join(
-                f"{m['name']} {runs[export]['metrics'][m['name']]:.4g} -> {runs[ROOT]['metrics'][m['name']]:.4g}"
-                for m in end_to_end
-            ), flush=True)
+        results = {}
+        for workload in workloads(args.workload, benchmark):
+            pairs = results[workload] = []
+            for number in range(1, args.pairs + 1):
+                seed = args.seed0 + number - 1
+                trees = (export, ROOT) if number % 2 else (ROOT, export)
+                runs = {tree: _run(tree, workload, seed, args.seconds) for tree in trees}
+                pairs.append((runs[export], runs[ROOT]))
+                print(f"{workload} pair {number} seed {seed}: " + ", ".join(
+                    f"{m['name']} {runs[export]['metrics'][m['name']]:.4g} -> {runs[ROOT]['metrics'][m['name']]:.4g}"
+                    for m in end_to_end
+                ), flush=True)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         shutil.rmtree(export, ignore_errors=True)
-    print(f"{args.workload}, ref {args.ref} against the working tree:")
-    print("\n".join(summarize(pairs, end_to_end)))
+    print("\n".join(report(args.ref, results, end_to_end)))
     return 0
 
 

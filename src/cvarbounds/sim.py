@@ -19,6 +19,8 @@ noises, of which an estimation keeps only the mean.  So results are
 independent of batch size and the first replicates of a longer run
 reproduce a shorter one bit for bit.  The rollout runs round by round in
 lockstep over replicates x gaps: a policy's rows at every gap are one pass.
+UCB and Thompson pick each round's arm by exact 0/1 arithmetic in a fixed
+workspace allocated once per rollout, bit for bit the select it replaces.
 Explore-then-commit needs only its 2 tau exploration rounds, since their two
 sums decide its commit, and the uniform policy needs none, since its actions
 are its arm draws.
@@ -170,6 +172,15 @@ def _policy_problem(policy: object, horizon: object) -> str | None:
     return None
 
 
+def _regret_problem(gap: object, horizon: object) -> str | None:
+    """Why a gap and horizon that `_FIELD_PROBLEMS` take cannot be rolled
+    out, or None: the regret g T overflows a float.  A finite g T keeps
+    every arm sum finite."""
+    if _FIELD_PROBLEMS["gap"](gap) or _FIELD_PROBLEMS["horizon"](horizon) or math.isfinite(float(gap) * horizon):
+        return None
+    return f"g horizon overflows a float at horizon = {horizon}, got {gap!r}"
+
+
 def _estimator_problem(estimator: object) -> str | None:
     """Why the value is not an estimator, or None."""
     return None if isinstance(estimator, Estimator) else f"must be an Estimator, got {estimator!r}"
@@ -197,7 +208,11 @@ class BanditConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        _check_fields(vars(self), policy=_policy_problem(self.policy, self.horizon))
+        _check_fields(
+            vars(self),
+            gap=_regret_problem(self.gap, self.horizon),
+            policy=_policy_problem(self.policy, self.horizon),
+        )
         object.__setattr__(self, "gap", float(self.gap))
 
 
@@ -332,6 +347,15 @@ def run_estimation(config: EstimationConfig, draws: Draws) -> np.ndarray:
 # -------------------------------------------------------------------- bandit
 
 
+def _arm_index(s, m, w, out, tmp) -> None:
+    """out = s / m + w / sqrt(m), an arm's UCB index or Thompson draw, built
+    in the workspace arrays `out` and `tmp`; `m` may be `out` itself."""
+    np.divide(s, m, out=tmp)
+    np.sqrt(m, out=out)
+    np.divide(w, out, out=out)
+    out += tmp
+
+
 def _rollout(policy: Policy, horizon: int, gaps, model, own, noise) -> np.ndarray:
     """Arm-1 pull counts, shaped (k, reps), of the replicates rolled out at
     each of the k gaps, each replicate under its drawn model.
@@ -343,16 +367,30 @@ def _rollout(policy: Policy, horizon: int, gaps, model, own, noise) -> np.ndarra
     only its 2 tau exploration rounds, since the sums they leave decide its
     commit.  The uniform policy's actions are its own arm draws, whatever the
     gap, so its counts need no rollout.
+
+    UCB and Thompson pick the arm branch-free in a fixed workspace of
+    (k, reps) arrays made once per call: `pick` is 1.0 where arm 1 is pulled
+    and 0.0 elsewhere, the reward is y = mu1 (2 pick - 1) + noise, arm 1's sum
+    gains pick y and arm 2's gains y - pick y.  This is bit for bit the
+    select it replaces:
+
+    * mu1 * (+-1) is mu1 or -mu1 = mu2 exactly, zero signs included, also at
+      a subnormal gap whose half rounds to +-0;
+    * y is finite (the config refuses a gap whose g T overflows), so y * 0.0
+      is a signed zero, never NaN, and y - y is +0.0;
+    * both sums start at +0.0, and a round-to-nearest sum is -0.0 only when
+      both addends are, so neither sum is ever -0.0 and adding +-0.0 leaves
+      it unchanged, as adding the select's 0.0 did.
     """
     k, reps = len(gaps), model.size
     if isinstance(policy, UniformRandom):
         return np.broadcast_to((own == 1).sum(axis=1), (k, reps))
     half = 0.5 * np.asarray(gaps, dtype=float)[:, None]
     mu1 = np.where(model == 1, half, -half)  # arm 1's mean
-    mu2 = -mu1
     s1 = np.zeros((k, reps))
     s2 = np.zeros((k, reps))
     if isinstance(policy, ExploreThenCommit):
+        mu2 = -mu1
         tau = resolve_tau(policy, horizon)
         for t in range(tau):
             s1 += mu1 + noise[:, t]
@@ -362,21 +400,32 @@ def _rollout(policy: Policy, horizon: int, gaps, model, own, noise) -> np.ndarra
         commit1 = s1 >= s2
         return tau + (horizon - 2 * tau) * commit1
     n1 = np.zeros((k, reps))  # counts held as floats, exact up to 2**53
+    pick, y, idx1, idx2 = (np.empty((k, reps)) for _ in range(4))
     for t in range(horizon):
-        n2 = t - n1
         if isinstance(policy, ThompsonGaussian):
-            d1 = n1 + 1.0
-            d2 = n2 + 1.0
-            on1 = s1 / d1 + own[:, t, 0] / np.sqrt(d1) >= s2 / d2 + own[:, t, 1] / np.sqrt(d2)
+            np.add(n1, 1.0, out=idx1)
+            _arm_index(s1, idx1, own[:, t, 0], idx1, y)
+            np.subtract(t + 1.0, n1, out=idx2)  # arm 2's pulls + 1, exact
+            _arm_index(s2, idx2, own[:, t, 1], idx2, y)
+            np.greater_equal(idx1, idx2, out=pick)
         elif t < 2:
-            on1 = np.full((k, reps), t == 0)
+            pick.fill(t == 0)
         else:
             radius = policy.c_explore * math.sqrt(2.0 * math.log(t + 1))
-            on1 = s1 / n1 + radius / np.sqrt(n1) >= s2 / n2 + radius / np.sqrt(n2)
-        y = np.where(on1, mu1, mu2) + noise[:, t]
-        n1 += on1
-        s1 += np.where(on1, y, 0.0)
-        s2 += np.where(on1, 0.0, y)
+            _arm_index(s1, n1, radius, idx1, y)
+            np.subtract(t, n1, out=idx2)
+            _arm_index(s2, idx2, radius, idx2, y)
+            np.greater_equal(idx1, idx2, out=pick)
+        # y = mu1 (2 pick - 1) + noise; arm 1's sum gains pick y, arm 2's y - pick y
+        n1 += pick
+        np.multiply(pick, 2.0, out=y)
+        y -= 1.0
+        y *= mu1
+        y += noise[:, t]
+        pick *= y
+        s1 += pick
+        y -= pick
+        s2 += y
     return n1.astype(np.int64)
 
 

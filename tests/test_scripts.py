@@ -77,3 +77,22 @@ def test_bench_pairs_summary():
     assert ref_failed == "ref: 0 of 1000 operations failed"
     assert change_failed == "change: 1 of 1000 operations failed"
     assert fingerprints == "fingerprints differ in pairs [6]"
+    # one summary per workload, each headed by its name
+    lines = bench_pairs.report("HEAD", {"verify-default": pairs, "closed-forms": pairs[:1]}, end_to_end)
+    assert lines[0] == "verify-default, ref HEAD against the working tree:"
+    assert lines[1:6] == [wall, rss, ref_failed, change_failed, fingerprints]
+    assert lines[6] == "closed-forms, ref HEAD against the working tree:"
+    assert lines[7].endswith("change won 0/1, gain rule not met") and len(lines) == 12
+
+
+def test_bench_pairs_runs_every_listed_workload_by_default():
+    bench_pairs = _bench_pairs()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    listed = [w["name"] for w in benchmark["workloads"]]
+    assert len(listed) >= 2
+    assert bench_pairs.workloads(None, benchmark) == listed
+    # a repeated --workload runs each named workload once, in order
+    assert bench_pairs.workloads(["closed-forms", "verify-default", "closed-forms"], benchmark) == [
+        "closed-forms",
+        "verify-default",
+    ]

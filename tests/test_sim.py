@@ -422,6 +422,49 @@ def test_batched_rollout_matches_round_loop_oracle(monkeypatch):
         assert np.array_equal(sample.values, np.sort(losses, kind="stable")[::-1]), config
 
 
+@pytest.mark.parametrize("horizon", [1, 2, 3, 40])
+def test_rollout_matches_oracle_at_edge_gaps(horizon):
+    # a subnormal gap, whose half rounds to +-0 and flips only a zero's
+    # sign, a tiny and a huge one; UCB without exploration bonus; horizons
+    # that end inside UCB's forced rounds and just after them
+    reps = 129
+    gaps = (5e-324, 1e-300, 1e300)
+    for policy in (UCB(), UCB(c_explore=0.0), ThompsonGaussian()):
+        rows = [BanditConfig(horizon=horizon, gap=g, policy=policy, replicates=reps, seed=21) for g in gaps]
+        draws = _predraw(rows[0], range(reps))
+        counts = sim._rollout(policy, horizon, gaps, draws.model, draws.own, draws.noise)
+        for config, n1 in zip(rows, counts):
+            actions = _reference_rollout(config, draws.model, draws.own, draws.noise)
+            assert np.array_equal(n1, (actions == 1).sum(axis=1)), config
+            assert np.array_equal(run_bandit(config, draws), _reference_losses(config, draws.model, actions)), config
+
+
+@pytest.mark.parametrize(
+    "horizon, gap, policy", [(60, 1.7e308, UCB()), (10**6, 1e303, UniformRandom())], ids=["ucb", "uniform"]
+)
+def test_gap_whose_regret_overflows_is_refused_before_any_draw(monkeypatch, horizon, gap, policy):
+    def predraw(*args):
+        raise AssertionError("drew before refusing the gap")
+
+    monkeypatch.setattr(sim, "_predraw", predraw)
+    with pytest.raises(ValueError) as exc:
+        simulate_shared([BanditConfig(horizon=horizon, gap=gap, policy=policy, replicates=10, seed=3)])
+    assert str(exc.value).startswith("gap: ") and "overflows" in str(exc.value)
+
+
+def test_largest_gaps_roll_out_without_overflow():
+    # a finite regret g T keeps every arm sum, index and loss finite
+    horizon = 60
+    configs = [
+        BanditConfig(horizon=horizon, gap=1.7e308 / horizon, policy=policy, replicates=50, seed=3)
+        for policy in ALL_POLICIES
+    ]
+    with np.errstate(all="raise"):
+        samples = simulate_shared(configs)
+    for sample, config in zip(samples, configs):
+        assert np.all(np.isfinite(sample.values)) and sample.values.max() <= config.gap * horizon
+
+
 def test_simulate_shared_matches_simulating_alone():
     for policy in ALL_POLICIES:
         configs = [
