@@ -15,7 +15,11 @@ end-to-end metric `BENCHMARK.json` lists, a summary gives each side's
 median with its q1-q3, the relative change of the medians, how many pairs the
 change won (a tie counts for neither side) and whether the gain rule holds:
 at least 9 in 10 pairs won, and medians apart by more than the ref's q3 - q1.
-It then prints each side's failed operations and the pairs whose output
+It then gives the regression verdict, with the metric's `bound` read as a
+fraction of the ref's median: "worse beyond bound" when the change's median
+is worse by more than that; else "unresolved" when the ref's q3 - q1 exceeds
+it and not every change run beats every ref run; else "within bound".
+Last come each side's failed operations and the pairs whose output
 fingerprints (the details line's sha256) differ.
 """
 
@@ -66,11 +70,18 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[st
         (r1, rm, r3), (c1, cm, c3) = _quartiles(ref), _quartiles(new)
         wins = sum(sign * (r - c) > 0.0 for r, c in zip(ref, new))
         gain = 10 * wins >= 9 * len(pairs) and sign * (rm - cm) > r3 - r1
+        bound = metric["bound"]
+        if sign * (cm - rm) > bound * abs(rm):
+            verdict = "worse beyond bound"
+        elif r3 - r1 > bound * abs(rm) and not all(sign * (r - c) > 0.0 for r in ref for c in new):
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         change = f"{(cm - rm) / rm:+.1%}" if rm else "n/a"
         lines.append(
             f"{name} ({unit}, {metric['better']} is better): ref {rm:.4g} ({r1:.4g}-{r3:.4g})"
             f" -> change {cm:.4g} ({c1:.4g}-{c3:.4g}), {change}, change won {wins}/{len(pairs)},"
-            f" gain rule {'met' if gain else 'not met'}"
+            f" gain rule {'met' if gain else 'not met'}, bound {bound:g}: {verdict}"
         )
     for side, i in (("ref", 0), ("change", 1)):
         failed = sum(p[i]["failed"] for p in pairs)

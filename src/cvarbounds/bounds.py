@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .divergences import DivergenceKind, HellingerBudget, bandit_budget, estimation_budget
-from .errors import _FIELD_PROBLEMS, _check_fields, _is_real, _type_problem
+from .errors import _FIELD_PROBLEMS, _check_fields, _is_real, _regret_cap_problem, _type_problem
 from .inversion import _kind_problem, bernoulli_inverse
 from .risk import RiskLevel
 
@@ -139,14 +139,23 @@ def bound_factor(level: RiskLevel, rho: float) -> FactorEvaluation:
         _check_fields({"rho": rho}, level=_type_problem(level, RiskLevel))
         rho = float(rho)
     alpha = level.alpha
-    if rho >= 1.0:
-        return FactorEvaluation(level, rho, 0.0, Branch.ZERO)
-    if alpha > 0.0 and rho <= alpha:
-        value = 0.5 - rho * rho / (2.0 * alpha)
-        return FactorEvaluation(level, rho, value, Branch.INTERIOR_QUADRATIC)
-    one_minus = 1.0 - rho
-    value = one_minus * one_minus / (2.0 * (1.0 - alpha))
-    return FactorEvaluation(level, rho, value, Branch.BOUNDARY)
+    branch = (
+        Branch.ZERO if rho >= 1.0
+        else Branch.INTERIOR_QUADRATIC if alpha > 0.0 and rho <= alpha
+        else Branch.BOUNDARY
+    )
+    return FactorEvaluation(level, rho, _branch_value(branch, alpha, rho), branch)
+
+
+def _branch_value(branch: Branch, alpha: float, rho):
+    """The profile on `branch` at rho, a float or an array of floats: the
+    one statement of each branch's expression."""
+    if branch is Branch.INTERIOR_QUADRATIC:
+        return 0.5 - rho * rho / (2.0 * alpha)
+    if branch is Branch.BOUNDARY:
+        one_minus = 1.0 - rho
+        return one_minus * one_minus / (2.0 * (1.0 - alpha))
+    return 0.0 * rho
 
 
 def _bound_factor_runs(level: RiskLevel, rhos: np.ndarray) -> list[tuple[Branch, np.ndarray]]:
@@ -154,7 +163,7 @@ def _bound_factor_runs(level: RiskLevel, rhos: np.ndarray) -> list[tuple[Branch,
     (branch, values) for the grid's consecutive runs on the interior,
     boundary and zero branches, in that order; together they cover the grid.
 
-    Each run gets `bound_factor`'s own float expressions, so every value and
+    Each run gets `bound_factor`'s own `_branch_value`, so every value and
     branch is bit-identical to it.  No expression is evaluated outside its
     own run: the interior quotient overflows past rho = alpha at a subnormal
     alpha.
@@ -162,13 +171,9 @@ def _bound_factor_runs(level: RiskLevel, rhos: np.ndarray) -> list[tuple[Branch,
     alpha = level.alpha
     interior_end = int(np.searchsorted(rhos, alpha, side="right")) if alpha > 0.0 else 0
     boundary_end = int(np.searchsorted(rhos, 1.0, side="left"))
-    interior = rhos[:interior_end]
-    one_minus = 1.0 - rhos[interior_end:boundary_end]
-    return [
-        (Branch.INTERIOR_QUADRATIC, 0.5 - interior * interior / (2.0 * alpha)),
-        (Branch.BOUNDARY, one_minus * one_minus / (2.0 * (1.0 - alpha))),
-        (Branch.ZERO, np.zeros(len(rhos) - boundary_end)),
-    ]
+    # Branch lists the interior, boundary and zero branches in grid order
+    runs = zip(Branch, (0, interior_end, boundary_end), (interior_end, boundary_end, len(rhos)))
+    return [(branch, _branch_value(branch, alpha, rhos[start:stop])) for branch, start, stop in runs]
 
 
 def optimal_bound_constant(level: RiskLevel) -> float:
@@ -246,7 +251,7 @@ def bandit_bound(g: float, horizon: int, level: RiskLevel) -> BoundResult:
     budget = bandit_budget(g, horizon)
     l_max = float(g) * horizon
     if l_max == math.inf:
-        _check_fields({}, g=f"g horizon overflows a float at horizon = {horizon}, got {g!r}")
+        _check_fields({}, g=_regret_cap_problem(g, horizon))
     return balanced_bound(l_max, budget, level)
 
 

@@ -24,7 +24,7 @@ from .experiments import (
     run_experiment,
     emit_report,
 )
-from .sim import Estimator, Policy
+from .sim import UCB, Estimator, Policy
 
 __all__ = ["main", "build_parser"]
 
@@ -45,7 +45,7 @@ def _add_common(sub: argparse.ArgumentParser, default_alphas: tuple[float, ...])
         default=None,
         help=f"tail level in [0, 1); repeatable (default {list(default_alphas)})",
     )
-    sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    sub.add_argument("--seed", type=int, default=ExperimentConfig.seed, help="master seed (default %(default)s)")
     sub.add_argument(
         "--format",
         choices=[f.value for f in OutputFormat],
@@ -96,13 +96,13 @@ def _add_variants(sub: argparse.ArgumentParser, action: str, default_replicates:
     """The variant flags; with action 'append' the estimator and policy flags
     repeat, and each defaults to every choice."""
     for flag, choices, every in (
-        ("--estimator", _ESTIMATOR_CHOICES, "all three estimators"),
-        ("--policy", _POLICY_CHOICES, "all four policies"),
+        ("--estimator", _ESTIMATOR_CHOICES, "every estimator"),
+        ("--policy", _POLICY_CHOICES, "every policy"),
     ):
         text = f"repeatable; default {every}" if action == "append" else None
         sub.add_argument(flag, action=action, choices=choices, default=None, help=text)
     sub.add_argument("--tau", type=int, default=None, help="explore length per arm (etc)")
-    sub.add_argument("--ucb-c", type=float, default=1.0, help="ucb exploration constant")
+    sub.add_argument("--ucb-c", type=float, default=UCB.c_explore, help="ucb exploration constant")
     sub.add_argument("--replicates", type=int, default=default_replicates)
 
 
@@ -115,17 +115,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     psi = subs.add_parser("psi", help="tabulate the normalized bound profile")
     _add_common(psi, (0.0,))
-    psi.add_argument("--rho-max", type=float, default=1.2, help="largest rho (default 1.2)")
-    psi.add_argument("--rho-step", type=float, default=0.01, help="rho grid step (default 0.01)")
+    psi.add_argument(
+        "--rho-max", type=float, default=ExperimentConfig.rho_max, help="largest rho (default %(default)s)"
+    )
+    psi.add_argument(
+        "--rho-step", type=float, default=ExperimentConfig.rho_step, help="rho grid step (default %(default)s)"
+    )
 
     bound = subs.add_parser("bound", help="closed-form bounds for one problem")
     _add_common(bound, (0.0,))
-    _add_problem(bound, (1.0,))
+    _add_problem(bound, ExperimentConfig.scales)
 
     sim = subs.add_parser("simulate", help="Monte Carlo CVaR vs bound")
     _add_common(sim, (0.0,))
-    _add_problem(sim, (1.0,))
-    _add_variants(sim, "store", 10_000)
+    _add_problem(sim, ExperimentConfig.scales)
+    _add_variants(sim, "store", ExperimentConfig.replicates)
 
     verify = subs.add_parser("verify", help="check dominance across policy/estimator batteries")
     _add_common(verify, (0.0, 0.5, 0.9))

@@ -112,6 +112,15 @@ _FIELD_PROBLEMS = {
 }
 
 
+def _regret_cap_problem(gap: object, horizon: object) -> str | None:
+    """Why the regret cap g T of a gap and horizon that `_FIELD_PROBLEMS`
+    take overflows a float, or None.  A finite g T keeps every arm sum of a
+    rollout finite."""
+    if _positive_problem(gap) or _count_problem(horizon) or math.isfinite(float(gap) * horizon):
+        return None
+    return f"g horizon overflows a float at horizon = {horizon}, got {gap!r}"
+
+
 def _field_problems(values: Mapping[str, object]) -> dict[str, str]:
     """Why each value `_FIELD_PROBLEMS` refuses is refused, by name; names
     it does not hold are passed over."""

@@ -75,19 +75,6 @@ _MAX_PSI_STEPS = 10**6
 # 0.30000000000000004; such rounding is a few ulps, about 1e-16 each
 _PSI_ENDPOINT_RTOL = 1e-12
 
-CSV_COLUMNS = (
-    "alpha",
-    "param_name",
-    "param_value",
-    "bound",
-    "t_star",
-    "empirical_cvar",
-    "exact_cvar",
-    "stderr",
-    "mc_slack",
-    "dominated",
-)
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; lists every offending field."""
@@ -123,7 +110,7 @@ class OutputFormat(Enum):
     JSON = "json"
 
 
-def parse_policy(name: str, tau: int | None = None, ucb_c: float = 1.0) -> Policy:
+def parse_policy(name: str, tau: int | None = None, ucb_c: float = UCB.c_explore) -> Policy:
     """Policy from its name (uniform, etc, ucb, thompson); `tau` is passed to
     explore-then-commit and `ucb_c` to UCB."""
     for cls in get_args(Policy):
@@ -244,6 +231,12 @@ class ExperimentRow(NamedTuple):
     stderr: float | None = None
     mc_slack: float | None = None
     dominated: bool = True
+
+
+# where each CSV column sits in a row, and its name: every field but
+# problem_params, in row order
+_CSV_FIELDS = [i for i, name in enumerate(ExperimentRow._fields) if name != "problem_params"]
+CSV_COLUMNS = tuple(ExperimentRow._fields[i] for i in _CSV_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -389,7 +382,7 @@ def _battery_rows(config: ExperimentConfig) -> list[ExperimentRow]:
     one, the exact law's CVaR; in `verify` their parameter names are
     qualified by the variant.
     """
-    simulate = config.kind is not ExperimentKind.BOUND
+    simulate = config.kind in _SIMULATED_KINDS
     qualify = config.kind is ExperimentKind.VERIFY
     cases = []
     for subject in _subjects(config):
@@ -490,10 +483,6 @@ def _cells(values: Iterable[float | str | bool | None]) -> list[str]:
             )
         cells.append(text)
     return cells
-
-
-# where each CSV column sits in a row; every field but problem_params
-_CSV_FIELDS = [ExperimentRow._fields.index(column) for column in CSV_COLUMNS]
 
 
 def render_csv(report: ExperimentReport) -> str:

@@ -20,7 +20,8 @@ independent of batch size and the first replicates of a longer run
 reproduce a shorter one bit for bit.  The rollout runs round by round in
 lockstep over replicates x gaps: a policy's rows at every gap are one pass.
 UCB and Thompson pick each round's arm by exact 0/1 arithmetic in a fixed
-workspace allocated once per rollout, bit for bit the select it replaces.
+workspace allocated once per rollout; their sums are bit for bit those of
+`tests/oracles._reference_rollout`, which selects each reward into one sum.
 Explore-then-commit needs only its 2 tau exploration rounds, since their two
 sums decide its commit, and the uniform policy needs none, since its actions
 are its arm draws.
@@ -55,7 +56,7 @@ from typing import ClassVar, NamedTuple, Sequence, Union, get_args
 
 import numpy as np
 
-from .errors import _FIELD_PROBLEMS, _SEED_LIMIT, DomainError, _check_fields, _is_int
+from .errors import _FIELD_PROBLEMS, _SEED_LIMIT, DomainError, _check_fields, _is_int, _regret_cap_problem
 from .risk import DiscreteLossDistribution, SampleSet
 
 __all__ = [
@@ -172,15 +173,6 @@ def _policy_problem(policy: object, horizon: object) -> str | None:
     return None
 
 
-def _regret_problem(gap: object, horizon: object) -> str | None:
-    """Why a gap and horizon that `_FIELD_PROBLEMS` take cannot be rolled
-    out, or None: the regret g T overflows a float.  A finite g T keeps
-    every arm sum finite."""
-    if _FIELD_PROBLEMS["gap"](gap) or _FIELD_PROBLEMS["horizon"](horizon) or math.isfinite(float(gap) * horizon):
-        return None
-    return f"g horizon overflows a float at horizon = {horizon}, got {gap!r}"
-
-
 def _estimator_problem(estimator: object) -> str | None:
     """Why the value is not an estimator, or None."""
     return None if isinstance(estimator, Estimator) else f"must be an Estimator, got {estimator!r}"
@@ -210,7 +202,7 @@ class BanditConfig:
     def __post_init__(self) -> None:
         _check_fields(
             vars(self),
-            gap=_regret_problem(self.gap, self.horizon),
+            gap=_regret_cap_problem(self.gap, self.horizon),
             policy=_policy_problem(self.policy, self.horizon),
         )
         object.__setattr__(self, "gap", float(self.gap))
@@ -371,8 +363,9 @@ def _rollout(policy: Policy, horizon: int, gaps, model, own, noise) -> np.ndarra
     UCB and Thompson pick the arm branch-free in a fixed workspace of
     (k, reps) arrays made once per call: `pick` is 1.0 where arm 1 is pulled
     and 0.0 elsewhere, the reward is y = mu1 (2 pick - 1) + noise, arm 1's sum
-    gains pick y and arm 2's gains y - pick y.  This is bit for bit the
-    select it replaces:
+    gains pick y and arm 2's gains y - pick y.  The sums are bit for bit
+    those of the oracle `tests/oracles._reference_rollout`, which adds y to
+    the pulled arm's sum and 0.0 to the other's:
 
     * mu1 * (+-1) is mu1 or -mu1 = mu2 exactly, zero signs included, also at
       a subnormal gap whose half rounds to +-0;
@@ -380,7 +373,7 @@ def _rollout(policy: Policy, horizon: int, gaps, model, own, noise) -> np.ndarra
       is a signed zero, never NaN, and y - y is +0.0;
     * both sums start at +0.0, and a round-to-nearest sum is -0.0 only when
       both addends are, so neither sum is ever -0.0 and adding +-0.0 leaves
-      it unchanged, as adding the select's 0.0 did.
+      it unchanged, as adding the oracle's 0.0 does.
     """
     k, reps = len(gaps), model.size
     if isinstance(policy, UniformRandom):
@@ -440,9 +433,7 @@ def run_bandit(config: BanditConfig, draws: Draws) -> np.ndarray:
     its drawn model; `draws` come from `_predraw` for a config of this one's
     draw layout."""
     _check_layout(config, draws)
-    gaps = (config.gap,)
-    n1 = _rollout(config.policy, config.horizon, gaps, draws.model, draws.own, draws.noise)
-    return _regret(gaps, config.horizon, draws.model, n1)[0]
+    return _chunk_losses([config], draws)[0]
 
 
 # ------------------------------------------------------------ shared draws

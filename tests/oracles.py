@@ -43,11 +43,21 @@ def bound_factor_grid_min(level: RiskLevel, rho: float, grid_points: int) -> flo
     if grid_points < _MIN_ORACLE_GRID:
         raise ValueError(f"grid_points must be >= {_MIN_ORACLE_GRID}, got {grid_points}")
     _check_fields({"rho": rho})
-    rho = float(rho)
+    head, gap_squared = _rho_terms(float(rho), grid_points)
+    vals = head + gap_squared / (1.0 - level.alpha)
+    return float(vals.min())
+
+
+@lru_cache(maxsize=1)
+def _rho_terms(rho: float, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's 0.5 - x and gap * gap, gap = (sqrt(x) - rho/sqrt(2))_+,
+    which every alpha at this rho shares."""
     xs, roots = _half_unit_grid(grid_points)
     gap = np.maximum(roots - rho / math.sqrt(2.0), 0.0)
-    vals = 0.5 - xs + gap * gap / (1.0 - level.alpha)
-    return float(vals.min())
+    terms = (0.5 - xs, gap * gap)
+    for term in terms:
+        term.setflags(write=False)
+    return terms
 
 
 # -------------------------------------------------------------- divergences

@@ -32,7 +32,7 @@ from cvarbounds.divergences import (
     kl_bernoulli,
 )
 from cvarbounds.inversion import bernoulli_inverse
-from cvarbounds.risk import DiscreteLossDistribution, RiskLevel, exact_cvar
+from cvarbounds.risk import DiscreteLossDistribution, RiskLevel, SampleSet, empirical_cvar, exact_cvar
 
 L = RiskLevel
 
@@ -320,6 +320,10 @@ _REFUSED = [
     (balanced_bound, (1.0, 0.1, L(0.5)), "budget"),
     (exact_cvar, (DiscreteLossDistribution(((1.0, 1.0),)), 0.5), "level"),
     (exact_cvar, ({1.0: 1.0}, L(0.5)), "dist"),
+    (optimal_rho, (0.5,), "level"),
+    (optimal_bound_constant, (0.5,), "level"),
+    (empirical_cvar, (SampleSet([1.0, 2.0]), 0.5), "level"),
+    (empirical_cvar, ([1.0, 2.0], L(0.5)), "samples"),
     (DiscreteLossDistribution, ((("2.5", 1.0),),), "atom_value"),
     (DiscreteLossDistribution, (((2.5, True),),), "atom_probability"),
 ]

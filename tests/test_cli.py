@@ -186,6 +186,34 @@ def test_parsed_verify_line_keeps_the_names_the_benchmark_reads():
     ) == _config_from_args(args)
 
 
+_PSI, _BOUND, _SIMULATE = (experiments.ExperimentKind(k) for k in ("psi", "bound", "simulate-bandit"))
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        (["psi"], {"kind": _PSI}),
+        (["bound", "--horizon", "10", "--gap", "0.1"], {"kind": _BOUND, "horizon": 10, "gap": 0.1}),
+        (
+            ["simulate", "--policy", "ucb", "--horizon", "10", "--gap", "0.1"],
+            {"kind": _SIMULATE, "horizon": 10, "gap": 0.1, "policies": (sim.UCB(),)},
+        ),
+    ],
+    ids=["psi", "bound", "simulate"],
+)
+def test_unset_flags_take_the_library_defaults(argv, fields):
+    # seed, scales, replicates, the psi grid and the UCB constant
+    assert _config_from_args(build_parser().parse_args(argv)) == experiments.ExperimentConfig(
+        alphas=(0.0,), **fields
+    )
+
+
+def test_verify_defaults_its_seed_and_ucb_constant_from_the_library():
+    config = _config_from_args(build_parser().parse_args(["verify"]))
+    assert config.seed == experiments.ExperimentConfig.seed
+    assert sim.UCB() in config.policies
+
+
 def test_simulate_bandit_json(tmp_path):
     out = tmp_path / "sim.json"
     rc = main(

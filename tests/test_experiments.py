@@ -55,6 +55,7 @@ def test_parse_policy():
     assert parse_policy("uniform") == UniformRandom()
     assert parse_policy("etc", tau=5) == ExploreThenCommit(tau=5)
     assert parse_policy("ucb", ucb_c=2.0) == UCB(c_explore=2.0)
+    assert parse_policy("ucb") == UCB()
     with pytest.raises(ConfigError):
         parse_policy("greedy")
 
@@ -298,7 +299,10 @@ def test_csv_layout_and_determinism():
     text2 = render_csv(run_experiment(cfg))
     assert text1 == text2
     lines = text1.strip().split("\n")
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    # the schema downstream tooling reads, pinned apart from the rows it comes from
+    assert lines[0] == ",".join(CSV_COLUMNS) == (
+        "alpha,param_name,param_value,bound,t_star,empirical_cvar,exact_cvar,stderr,mc_slack,dominated"
+    )
     cells = lines[1].split(",")
     assert len(cells) == len(CSV_COLUMNS)
     assert cells[1] == "g"
@@ -341,8 +345,9 @@ def test_rows_are_immutable_named_tuples():
         "dominated=True)"
     )
     assert keyword._replace(bound=0.2).bound == 0.2 and keyword.bound == 0.1
-    # render_csv picks its columns out of the row tuple by these names
-    assert tuple(name for name in ExperimentRow._fields if name != "problem_params") == CSV_COLUMNS
+    # render_csv picks its columns out of the row tuple: every field but
+    # problem_params, which sits after param_value
+    assert ExperimentRow._fields == (*CSV_COLUMNS[:3], "problem_params", *CSV_COLUMNS[3:])
 
 
 def test_csv_cells_never_conflate_adjacent_values():

@@ -71,9 +71,10 @@ def test_bench_pairs_summary():
     wall, rss, ref_failed, change_failed, fingerprints = bench_pairs.summarize(pairs, end_to_end)
     assert wall == (
         "wall_norm_s (s, lower is better): ref 0.54 (0.515-0.565) -> change 0.45 (0.42-0.48), -16.7%,"
-        " change won 9/10, gain rule met"
+        " change won 9/10, gain rule met, bound 0.2: within bound"
     )
-    assert "change won 0/10" in rss and "+0.0%" in rss and rss.endswith("gain rule not met")
+    assert "change won 0/10" in rss and "+0.0%" in rss
+    assert rss.endswith("gain rule not met, bound 0.1: within bound")
     assert ref_failed == "ref: 0 of 1000 operations failed"
     assert change_failed == "change: 1 of 1000 operations failed"
     assert fingerprints == "fingerprints differ in pairs [6]"
@@ -82,7 +83,31 @@ def test_bench_pairs_summary():
     assert lines[0] == "verify-default, ref HEAD against the working tree:"
     assert lines[1:6] == [wall, rss, ref_failed, change_failed, fingerprints]
     assert lines[6] == "closed-forms, ref HEAD against the working tree:"
-    assert lines[7].endswith("change won 0/1, gain rule not met") and len(lines) == 12
+    assert lines[7].endswith("change won 0/1, gain rule not met, bound 0.2: within bound") and len(lines) == 12
+
+
+def _verdict(ref_walls, change_walls, better="lower"):
+    bench_pairs = _bench_pairs()
+    end_to_end = [{"name": "wall_norm_s", "unit": "s", "better": better, "bound": 0.2}]
+    pairs = [
+        (bench_pairs.parse_run(_run_lines(r, 66.0)), bench_pairs.parse_run(_run_lines(c, 66.0)))
+        for r, c in zip(ref_walls, change_walls)
+    ]
+    return bench_pairs.summarize(pairs, end_to_end)[0].rsplit(": ", 1)[1]
+
+
+def test_bench_pairs_regression_verdict():
+    steady = [0.50, 0.51, 0.52, 0.53, 0.54]
+    # worse by more than the bound's 20% of the ref median, however it spreads
+    assert _verdict(steady, [w * 1.3 for w in steady]) == "worse beyond bound"
+    assert _verdict(steady, [w * 1.1 for w in steady]) == "within bound"
+    # the ref's q3 - q1 is wider than the bound: only a clean sweep resolves it
+    wide = [0.30, 0.40, 0.50, 0.60, 0.70]
+    assert _verdict(wide, [w * 1.05 for w in wide]) == "unresolved"
+    assert _verdict(wide, [0.25, 0.26, 0.27, 0.28, 0.29]) == "within bound"
+    # where higher is better, a lower median is the worse one
+    assert _verdict(steady, [w * 0.7 for w in steady], better="higher") == "worse beyond bound"
+    assert _verdict(steady, [w * 1.3 for w in steady], better="higher") == "within bound"
 
 
 def test_bench_pairs_runs_every_listed_workload_by_default():

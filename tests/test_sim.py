@@ -6,7 +6,7 @@ import pytest
 from oracles import _reference_rollout, mc_transcript_kl
 
 from cvarbounds import sim
-from cvarbounds.bounds import optimal_gap
+from cvarbounds.bounds import bandit_bound, optimal_gap
 from cvarbounds.cli import main as cli_main
 from cvarbounds.errors import DomainError
 from cvarbounds.experiments import parse_policy
@@ -450,6 +450,17 @@ def test_gap_whose_regret_overflows_is_refused_before_any_draw(monkeypatch, hori
     with pytest.raises(ValueError) as exc:
         simulate_shared([BanditConfig(horizon=horizon, gap=gap, policy=policy, replicates=10, seed=3)])
     assert str(exc.value).startswith("gap: ") and "overflows" in str(exc.value)
+
+
+def test_config_and_bound_refuse_an_overflowing_regret_alike():
+    # g T overflows while g^2 T / 2 does not, so bandit_bound reaches its own check
+    horizon, gap = int(1.5e308), 1.5
+    with pytest.raises(ValueError) as config_exc:
+        BanditConfig(horizon=horizon, gap=gap, policy=UCB(), replicates=10, seed=3)
+    with pytest.raises(ValueError) as bound_exc:
+        bandit_bound(gap, horizon, RiskLevel(0.5))
+    why = f"g horizon overflows a float at horizon = {horizon}, got {gap!r}"
+    assert (str(config_exc.value), str(bound_exc.value)) == (f"gap: {why}", f"g: {why}")
 
 
 def test_largest_gaps_roll_out_without_overflow():
