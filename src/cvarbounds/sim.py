@@ -13,34 +13,41 @@ Two problem families:
 Randomness contract: replicate r of a run with master seed s draws
 everything from a Philox stream keyed by (s, r), read in one order for both
 problems: one integer for the model (the bandit's model index, the
-estimation's sign of theta), then the policy's own draws if it makes any,
-then `size` standard normals, the T reward noises or the n observation
-noises, of which an estimation keeps only the mean.  So results are
-independent of batch size and the first replicates of a longer run
-reproduce a shorter one bit for bit.  The rollout runs round by round in
-lockstep over replicates x gaps: a policy's rows at every gap are one pass.
-UCB and Thompson pick each round's arm by exact 0/1 arithmetic in a fixed
-workspace allocated once per rollout; their sums are bit for bit those of
-`tests/oracles._reference_rollout`, which selects each reward into one sum.
-Explore-then-commit needs only its 2 tau exploration rounds, since their two
-sums decide its commit, and the uniform policy needs none, since its actions
-are its arm draws.
+estimation's sign of theta), then the uniform policy's T arm draws if it is
+the policy, then standard normals: Thompson's 2T posterior normals, one pair
+a round, followed by the T reward noises, every other bandit's T reward
+noises, or the estimation's n observation noises, of which it keeps only
+the mean.  So results are independent of batch size and the first
+replicates of a longer run reproduce a shorter one bit for bit.  The
+rollout runs round by round in lockstep over replicates x gaps: a policy's
+rows at every gap are one pass.  UCB and Thompson pick each round's arm by
+exact 0/1 arithmetic in a fixed workspace allocated once per rollout; their
+sums are bit for bit those of `tests/oracles._reference_rollout`, which
+selects each reward into one sum.  Explore-then-commit needs only its 2 tau
+exploration rounds, since their two sums decide its commit, and the uniform
+policy needs none, since its actions are its arm draws.
 
-The draws do not depend on the gap, separation or estimator.
-`simulate_shared` takes any list of configs, groups those whose draws
-coincide, makes each group's draws once and runs every config of the group
-on them, rolling out each policy once over all its gaps.  A simulation
-keeps only each replicate's loss: a rollout yields arm-1 pull counts, which
-give the regret, and no transcript is recorded.  A verification battery
-draws once per kind of draw a policy makes for itself (the uniform policy's
-arms, Thompson's posterior normals, and none for explore-then-commit and
-UCB, which share one draw) and once for all its estimation rows.  Draws are
-made in chunks of consecutive replicates whose predraw fits a fixed byte
-budget, so memory stays bounded for any horizon and replicate count; the
-group with the largest predraw per replicate is drawn first, before any
-losses are held.  Every stream comes from one Philox generator re-keyed in
-place to (s, r) for each replicate (`replicate_rng` with `reuse`); the
-per-replicate contract above is unchanged.
+The draws do not depend on the gap, separation or estimator, and a counter
+based stream read further only extends what a shorter read gave: the first
+m normals of a longer run are the m normals a shorter one draws.  So every
+config of one seed and replicate count reads a prefix of one run of
+normals, except the uniform policy's, whose arm draws come first; those
+configs form one family, and the uniform policy's form one per horizon.
+`simulate_shared` draws each replicate of a family once, as far as its
+longest reader needs (Thompson's 3T, UCB's T, explore-then-commit's 2 tau,
+an estimation's n, none for the uniform policy), cuts every config's draws
+from it as views and rolls out each policy once over all its gaps.  A
+verification battery so re-keys each replicate twice: once for the uniform
+policy and once for every other row.  A simulation keeps only each
+replicate's loss: a rollout yields arm-1 pull counts, which give the
+regret, and no transcript is recorded.  Draws are made in chunks of
+consecutive replicates whose kept draws fit a fixed byte budget, so memory
+stays bounded for any horizon and replicate count, and a config whose one
+replicate's stream would not fit it is refused; the family with the
+largest draw per replicate is drawn first, before any losses are held.
+Every stream comes from one Philox generator re-keyed in place to (s, r)
+for each replicate (`replicate_rng` with `reuse`); the per-replicate
+contract above is unchanged.
 
 `exact_loss_law` gives a config's loss law in closed form where one is
 known: the uniform policy up to a horizon cap, the sign-commit estimator and
@@ -56,7 +63,15 @@ from typing import ClassVar, NamedTuple, Sequence, Union, get_args
 
 import numpy as np
 
-from .errors import _FIELD_PROBLEMS, _SEED_LIMIT, DomainError, _check_fields, _is_int, _regret_cap_problem
+from .errors import (
+    _FIELD_PROBLEMS,
+    _SEED_LIMIT,
+    DomainError,
+    _check_fields,
+    _is_int,
+    _regret_cap_problem,
+    _stream_problem,
+)
 from .risk import DiscreteLossDistribution, SampleSet
 
 __all__ = [
@@ -81,9 +96,10 @@ __all__ = [
 
 _MAX_EXACT_HORIZON = 64
 
-# predrawn values held at once; bandit and estimation draws are made in
-# chunks of consecutive replicates that fit it (the largest predraw of the
-# 1000-replicate, T = 200 verify battery, Thompson's 4.8 MB, is one chunk)
+# predrawn values held at once; a family's draws are made in chunks of
+# consecutive replicates that fit it (the 1000-replicate, T = 200 verify
+# battery's shared family, 600 normals a replicate or 4.8 MB, is one
+# chunk), and a config whose one replicate's stream outgrows it is refused
 _PREDRAW_BUDGET_BYTES = 128 * 2**20
 
 
@@ -129,16 +145,6 @@ class ThompsonGaussian:
 
 # the policy registry: parse_policy, the CLI's choices and BanditConfig read it
 Policy = Union[UniformRandom, ExploreThenCommit, UCB, ThompsonGaussian]
-
-
-# what a policy draws for itself in a replicate, after the model draw and
-# before the reward noise: (bytes per round, draw(rng, T) of all T rounds);
-# explore-then-commit and UCB draw nothing of their own
-_OWN_DRAWS = {
-    UniformRandom: (1, lambda rng, horizon: rng.integers(1, 3, size=horizon, dtype=np.int8)),
-    ThompsonGaussian: (16, lambda rng, horizon: rng.standard_normal((horizon, 2))),
-}
-_NO_OWN_DRAWS = (0, None)
 
 
 def resolve_tau(policy: ExploreThenCommit, horizon: int) -> int:
@@ -188,6 +194,7 @@ class EstimationConfig:
 
     def __post_init__(self) -> None:
         _check_fields(vars(self), estimator=_estimator_problem(self.estimator))
+        _check_fields({}, n=_stream_problem(self.n, _stream_bytes(self), _PREDRAW_BUDGET_BYTES))
         object.__setattr__(self, "delta", float(self.delta))
 
 
@@ -205,6 +212,7 @@ class BanditConfig:
             gap=_regret_cap_problem(self.gap, self.horizon),
             policy=_policy_problem(self.policy, self.horizon),
         )
+        _check_fields({}, horizon=_stream_problem(self.horizon, _stream_bytes(self), _PREDRAW_BUDGET_BYTES))
         object.__setattr__(self, "gap", float(self.gap))
 
 
@@ -241,48 +249,134 @@ def replicate_rng(
 # ------------------------------------------------------------------- draws
 
 
-class _Stream(NamedTuple):
-    """What a replicate's stream holds after its model draw."""
+class _Family(NamedTuple):
+    """Configs whose replicate streams are one stream, drawn once for all of
+    them: the same seed and replicate count, and the same arm draws after the
+    model draw, the uniform policy's T or none.  Past those, every member
+    reads a prefix of one run of standard normals."""
 
-    size: int  # standard normals drawn: the T reward noises or the n observation noises
-    own: tuple  # the policy's own draws, drawn before the normals: an `_OWN_DRAWS` entry
-    mean_only: bool  # whether only the normals' mean is kept, the estimation's sufficient statistic
-
-
-def _stream(config: BanditConfig | EstimationConfig) -> _Stream:
-    """The config's replicate stream, which `_predraw` reads."""
-    if isinstance(config, EstimationConfig):
-        return _Stream(config.n, _NO_OWN_DRAWS, True)
-    return _Stream(config.horizon, _OWN_DRAWS.get(type(config.policy), _NO_OWN_DRAWS), False)
+    seed: int
+    replicates: int
+    arms: int  # the uniform policy's arm draws per replicate, or 0
+    width: int  # leading normals kept per replicate: the longest run a bandit member reads
+    sizes: tuple  # the estimation sizes n, ascending, whose leading normals' mean is kept
 
 
-def _replicate_bytes(config: BanditConfig | EstimationConfig) -> int:
-    """Bytes predrawn per replicate besides its one-byte model index: the
-    normals kept and the policy's own draws."""
-    size, (own_bytes, _), mean_only = _stream(config)
-    return 8 * (1 if mean_only else size) + own_bytes * size
+def _bandit_normals(config: BanditConfig, whole: bool) -> int:
+    """Leading normals a bandit config reads: Thompson's 2T posterior normals
+    and T reward noises, UCB's T noises, explore-then-commit's 2 tau
+    exploration noises and none for the uniform policy, whose actions are its
+    arm draws; with `whole`, its whole contract stream, all T noises."""
+    horizon, policy = config.horizon, config.policy
+    if isinstance(policy, ThompsonGaussian):
+        return 3 * horizon
+    if whole or isinstance(policy, UCB):
+        return horizon
+    if isinstance(policy, ExploreThenCommit):
+        return 2 * resolve_tau(policy, horizon)
+    return 0
 
 
-def _replicate_chunks(config: BanditConfig | EstimationConfig) -> list[range]:
-    """Consecutive replicate ranges whose predraw fits _PREDRAW_BUDGET_BYTES."""
-    size = max(1, _PREDRAW_BUDGET_BYTES // _replicate_bytes(config))
-    reps = config.replicates
+def _families(configs: Sequence[BanditConfig | EstimationConfig], whole: bool = False) -> dict[_Family, list[int]]:
+    """The families of the configs, each with its members' indices in input
+    order; `whole` as in `_bandit_normals`."""
+    members: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        uniform = isinstance(config, BanditConfig) and isinstance(config.policy, UniformRandom)
+        arms = config.horizon if uniform else 0
+        members.setdefault((config.seed, config.replicates, arms), []).append(i)
+    families = {}
+    for key, rows in members.items():
+        group = [configs[i] for i in rows]
+        width = max((_bandit_normals(c, whole) for c in group if isinstance(c, BanditConfig)), default=0)
+        sizes = tuple(sorted({c.n for c in group if isinstance(c, EstimationConfig)}))
+        families[_Family(*key, width, sizes)] = rows
+    return families
+
+
+def _own_family(config: BanditConfig | EstimationConfig) -> _Family:
+    """The config alone as a family that draws its whole contract stream."""
+    return next(iter(_families([config], whole=True)))
+
+
+def _longest(family: _Family) -> int:
+    """Standard normals drawn per replicate: the family's longest run."""
+    return max(family.width, *family.sizes, 0)
+
+
+def _replicate_bytes(family: _Family) -> int:
+    """Bytes a family keeps per replicate besides its one-byte model index:
+    the arm draws, the bandit normals and one mean per estimation size."""
+    return family.arms + 8 * family.width + 8 * len(family.sizes)
+
+
+def _stream_bytes(config: BanditConfig | EstimationConfig) -> int:
+    """Bytes of one replicate's whole stream past its model draw: the arm
+    draws and every normal, all of which `_draw` holds at once."""
+    family = _own_family(config)
+    return family.arms + 8 * _longest(family)
+
+
+def _replicate_chunks(family: _Family) -> list[range]:
+    """Consecutive replicate ranges whose kept draws fit _PREDRAW_BUDGET_BYTES."""
+    size = max(1, _PREDRAW_BUDGET_BYTES // _replicate_bytes(family))
+    reps = family.replicates
     return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
 
 
+class _Drawn(NamedTuple):
+    """A family's draws of consecutive replicates."""
+
+    model: np.ndarray  # (reps,) model index in {1, 2}
+    arms: np.ndarray  # (reps, arms) the uniform policy's arm draws in {1, 2}
+    kept: np.ndarray  # (reps, width) leading normals
+    means: np.ndarray  # (len(sizes), reps) mean of each estimation size's leading normals
+
+
+def _draw(family: _Family, replicates: range) -> _Drawn:
+    """Consume each replicate's stream once, in the documented order: the
+    one drawing loop.  Every replicate's normals are drawn into one reused
+    buffer, and only the family's prefix and means are kept.  A mean is the
+    float64 sum and division of `normals[:n].mean()`, without its Python
+    overhead."""
+    reps = len(replicates)
+    model = np.empty(reps, dtype=np.int8)
+    arms = np.empty((reps, family.arms), dtype=np.int8)
+    kept = np.empty((reps, family.width))
+    means = np.empty((len(family.sizes), reps))
+    normals = np.empty(_longest(family))
+    rng = None
+    for i, r in enumerate(replicates):
+        rng = replicate_rng(family.seed, r, rng)
+        model[i] = 1 + int(rng.integers(0, 2))
+        if family.arms:
+            arms[i] = rng.integers(1, 3, size=family.arms, dtype=np.int8)
+        rng.standard_normal(out=normals)
+        kept[i] = normals[: family.width]
+        for j, n in enumerate(family.sizes):
+            means[j, i] = np.add.reduce(normals[:n]) / n
+    return _Drawn(model, arms, kept, means)
+
+
 class Draws(NamedTuple):
-    """Predrawn stream values of consecutive replicates."""
+    """Predrawn stream values of consecutive replicates, as one config reads
+    them: views into its family's draws."""
 
     model: np.ndarray  # model index in {1, 2}; for an estimation, theta is +delta under model 2
     own: np.ndarray | None  # the policy's own draws per replicate, if it makes any
     noise: np.ndarray  # (reps, T) reward noises, or the (reps,) means of the n observation noises
-    layout: tuple  # the `_draw_layout` they were drawn for
+    layout: tuple  # the `_draw_layout` they were cut for
 
 
 def _draw_layout(config: BanditConfig | EstimationConfig) -> tuple:
-    """What a config's draws depend on; configs that agree share them.  The
-    problem is part of it, so neither problem runs on the other's draws."""
-    return (type(config).__name__, config.seed, config.replicates, _stream(config))
+    """What a config's draws depend on; configs that agree run on the same
+    `Draws`.  The problem is part of it, so neither problem runs on the
+    other's draws, and so are the policy's own draws: the uniform policy's
+    arms or Thompson's posterior normals, none for explore-then-commit and UCB."""
+    if isinstance(config, EstimationConfig):
+        return ("estimation", config.seed, config.replicates, config.n)
+    own = config.policy.name if isinstance(config.policy, (UniformRandom, ThompsonGaussian)) else None
+    return ("bandit", config.seed, config.replicates, config.horizon, own)
 
 
 def _check_layout(config: BanditConfig | EstimationConfig, draws: Draws) -> None:
@@ -292,27 +386,28 @@ def _check_layout(config: BanditConfig | EstimationConfig, draws: Draws) -> None
         )
 
 
+def _cut(config: BanditConfig | EstimationConfig, family: _Family, drawn: _Drawn) -> Draws:
+    """The config's `Draws` as views into its family's draws: Thompson's
+    posterior normals lead its reward noises, and every other bandit reads
+    the leading normals as its reward noises (explore-then-commit's stop
+    after its 2 tau exploration rounds in a family of no wider member)."""
+    layout = _draw_layout(config)
+    if isinstance(config, EstimationConfig):
+        return Draws(drawn.model, None, drawn.means[family.sizes.index(config.n)], layout)
+    horizon, kept = config.horizon, drawn.kept
+    if isinstance(config.policy, ThompsonGaussian):
+        own = kept[:, : 2 * horizon].reshape(len(kept), horizon, 2)
+        return Draws(drawn.model, own, kept[:, 2 * horizon : 3 * horizon], layout)
+    own = drawn.arms if isinstance(config.policy, UniformRandom) else None
+    return Draws(drawn.model, own, kept[:, :horizon], layout)
+
+
 def _predraw(config: BanditConfig | EstimationConfig, replicates: range) -> Draws:
-    """Consume each replicate's stream up front, in the documented order.
-    The draws depend on the seed, the problem and its size, and the policy's
-    own draws, not on the gap, separation or estimator."""
-    size, (_, own_draw), mean_only = _stream(config)
-    reps = len(replicates)
-    model = np.empty(reps, dtype=np.int8)
-    noise = np.empty(reps if mean_only else (reps, size))
-    own = None
-    rng = None
-    for i, r in enumerate(replicates):
-        rng = replicate_rng(config.seed, r, rng)
-        model[i] = 1 + int(rng.integers(0, 2))
-        if own_draw is not None:
-            values = own_draw(rng, size)
-            if own is None:
-                own = np.empty((reps, *values.shape), dtype=values.dtype)
-            own[i] = values
-        normals = rng.standard_normal(size)
-        noise[i] = normals.mean() if mean_only else normals
-    return Draws(model, own, noise, _draw_layout(config))
+    """The config's draws alone, its whole contract stream: a one-member
+    family.  The draws depend on the seed, the problem and its size, and the
+    policy's own draws, not on the gap, separation or estimator."""
+    family = _own_family(config)
+    return _cut(config, family, _draw(family, replicates))
 
 
 # ---------------------------------------------------------------- estimation
@@ -320,8 +415,7 @@ def _predraw(config: BanditConfig | EstimationConfig, replicates: range) -> Draw
 
 def run_estimation(config: EstimationConfig, draws: Draws) -> np.ndarray:
     """(reps,) losses of the configured estimator on the replicates `draws`
-    hold; `draws` come from `_predraw` for a config of this one's draw
-    layout."""
+    hold; `draws` are cut for a config of this one's draw layout."""
     _check_layout(config, draws)
     delta = config.delta
     theta = np.where(draws.model == 2, delta, -delta)
@@ -430,8 +524,8 @@ def _regret(gaps, horizon: int, model, n1) -> np.ndarray:
 
 def run_bandit(config: BanditConfig, draws: Draws) -> np.ndarray:
     """(reps,) losses of the replicates `draws` hold, each rolled out under
-    its drawn model; `draws` come from `_predraw` for a config of this one's
-    draw layout."""
+    its drawn model; `draws` are cut for a config of this one's draw
+    layout."""
     _check_layout(config, draws)
     return _chunk_losses([config], draws)[0]
 
@@ -462,27 +556,30 @@ def _chunk_losses(configs: Sequence[BanditConfig | EstimationConfig], draws: Dra
 def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[SampleSet]:
     """Loss samples of the configs, in their order.
 
-    Configs whose draws coincide (the same seed and replicate count, and the
-    same horizon and own draws of the policy for a bandit or the same n for
-    an estimation) form one group.  Each chunk of a group's replicates is drawn
-    once and run for every config of the group, one rollout per policy over
-    all its gaps, and the losses are joined per config; every sample equals
-    that of simulating its config alone.  The group with the largest predraw
-    per replicate is drawn first, while no losses are held.
+    Configs of one seed and replicate count form one family, apart from the
+    uniform policy's configs, one family per horizon.  Each chunk of a
+    family's replicates is drawn once and cut into views for every config,
+    each policy is rolled out once per draw layout over all its gaps, and
+    the losses are joined per config; every sample equals that of
+    simulating its config alone.  The family with the largest draw per
+    replicate is drawn first, while no losses are held.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, config in enumerate(configs):
-        groups.setdefault(_draw_layout(config), []).append(i)
     samples: list[SampleSet | None] = [None] * len(configs)
-    for members in sorted(groups.values(), key=lambda m: _replicate_bytes(configs[m[0]]), reverse=True):
-        group = [configs[i] for i in members]
-        parts: list[list[np.ndarray]] = [[] for _ in members]
-        for chunk in _replicate_chunks(group[0]):
-            # the draws are a temporary, released before the next chunk is drawn
-            for part, losses in zip(parts, _chunk_losses(group, _predraw(group[0], chunk))):
-                part.append(losses)
-        for part, config, i in zip(parts, group, members):
-            samples[i] = SampleSet(np.concatenate(part))
+    families = sorted(_families(configs).items(), key=lambda item: _replicate_bytes(item[0]), reverse=True)
+    for family, members in families:
+        layouts: dict[tuple, list[int]] = {}
+        for i in members:
+            layouts.setdefault(_draw_layout(configs[i]), []).append(i)
+        parts: dict[int, list[np.ndarray]] = {i: [] for i in members}
+        for chunk in _replicate_chunks(family):
+            drawn = _draw(family, chunk)
+            for rows in layouts.values():
+                group = [configs[i] for i in rows]
+                for i, losses in zip(rows, _chunk_losses(group, _cut(group[0], family, drawn))):
+                    parts[i].append(losses)
+            del drawn  # released before the next chunk is drawn
+        for i in members:
+            samples[i] = SampleSet(np.concatenate(parts[i]))
     return samples
 
 

@@ -219,7 +219,7 @@ def mc_transcript_kl(config: BanditConfig) -> tuple[float, float]:
         )
     half_g = 0.5 * config.gap
     parts = []
-    for chunk in sim._replicate_chunks(config):
+    for chunk in sim._replicate_chunks(sim._own_family(config)):
         draws = sim._predraw(config, chunk)
         forced = np.ones(draws.model.size, dtype=np.int64)
         actions = _reference_rollout(config, forced, draws.own, draws.noise)

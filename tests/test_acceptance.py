@@ -11,6 +11,7 @@ from oracles import bound_factor_grid_min, cvar_dominates_mean, hellinger_invers
 
 from cvarbounds.bounds import (
     TwoPointSpec,
+    _bound_factor_runs,
     balanced_bound,
     bandit_bound,
     bound_factor,
@@ -72,7 +73,9 @@ def test_02_optimal_constant_matches_grid_argmax():
     worst = 0.0
     for alpha in ALPHA_GRID:
         level = RiskLevel(alpha)
-        best = max(r * bound_factor(level, float(r)).value for r in grid)
+        # bound_factor over the whole grid, bit for bit (test_psi_rows_match_bound_factor)
+        factors = np.concatenate([values for _, values in _bound_factor_runs(level, grid)])
+        best = float((grid * factors).max())
         worst = max(worst, abs(best - optimal_bound_constant(level)))
     exact_anchors = (
         optimal_bound_constant(RiskLevel(0.0)) == 2.0 / 27.0

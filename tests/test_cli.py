@@ -137,19 +137,42 @@ def test_overflowing_input_is_usage_error(argv, name, capsys):
 
 
 @pytest.mark.parametrize("flag, name", [("--gap", "g"), ("--delta", "delta")])
-def test_verify_refuses_an_overflowing_parameter_before_drawing(flag, name, monkeypatch, capsys):
+def test_verify_refuses_an_overflowing_parameter_before_drawing(flag, name, monkeypatch, capsys, tmp_path):
     # every case is bounded before any is drawn, so a parameter the closed
     # forms refuse costs no Monte Carlo time
-    predraw, calls = sim._predraw, []
+    draw, calls = sim._draw, []
 
     def counted(*args):
         calls.append(args)
-        return predraw(*args)
+        return draw(*args)
 
-    monkeypatch.setattr(sim, "_predraw", counted)
+    monkeypatch.setattr(sim, "_draw", counted)
     assert main(["verify", "--replicates", "2000", flag, "1e200"]) == 2
     assert f" {name}: " in capsys.readouterr().err
     assert calls == []
+    # the counter sees the draws of a run that is not refused
+    assert main(["verify", "--replicates", "40", "--horizon", "8", "--n", "4", "--out", str(tmp_path / "r")]) in (0, 1)
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--horizon", "1000000000000", "--gap", "1e-9", "--policy", "ucb"], "horizon"),
+        (["--n", "1000000000000", "--delta", "0.001", "--estimator", "sample_mean"], "n"),
+    ],
+    ids=["horizon", "n"],
+)
+def test_simulate_refuses_a_stream_over_the_draw_budget(argv, name, monkeypatch, capsys):
+    # one replicate's stream larger than the draw budget is refused under
+    # its size before any draw, not met by a failed allocation
+    def draw(*args):
+        raise AssertionError("drew before refusing the stream")
+
+    monkeypatch.setattr(sim, "_draw", draw)
+    assert main(["simulate", *argv, "--replicates", "4"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {name}: one replicate's stream of " in err and "draw budget" in err
 
 
 # the verify command line the benchmark's verify-default workload builds; it

@@ -480,19 +480,23 @@ def test_chunked_draws_render_identical_csv(monkeypatch):
     cfg = _verify_config(replicates=257)
     whole = render_csv(run_experiment(cfg))
     monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 1000)
-    # every battery is drawn in several chunks with a shorter last one
+    # both families, the uniform policy's and the one every other row
+    # shares, are drawn in several chunks with a shorter last one
     firsts = [BanditConfig(horizon=16, gap=1.0, policy=p, replicates=257, seed=3) for p in cfg.policies]
     firsts.append(EstimationConfig(n=9, delta=1.0, estimator=Estimator.SAMPLE_MEAN, replicates=257, seed=3))
-    for first in firsts:
-        chunks = sim._replicate_chunks(first)
+    families = sim._families(firsts)
+    assert len(families) == 2
+    for family in families:
+        chunks = sim._replicate_chunks(family)
         assert len(chunks) > 2 and len(chunks[-1]) < len(chunks[0])
     assert render_csv(run_experiment(cfg)) == whole
 
 
 def test_verify_draws_each_stream_once_per_layout(monkeypatch):
     # 4 policies and 3 estimators: one draw of every replicate stream for
-    # the uniform policy, one for Thompson, one shared by explore-then-commit
-    # and UCB, and one for the whole estimation battery
+    # the uniform policy's arms, and one whose normals every other row reads
+    # a prefix of: Thompson's 3T, UCB's T, explore-then-commit's 2 tau and
+    # the estimation battery's n
     keys = []
     original = sim.replicate_rng
 
@@ -503,14 +507,14 @@ def test_verify_draws_each_stream_once_per_layout(monkeypatch):
     monkeypatch.setattr(sim, "replicate_rng", counted)
     report = run_experiment(_verify_config(replicates=60))
     assert len(report.rows) == (4 + 3) * 2 * 2
-    assert len(keys) == 4 * 60
+    assert len(keys) == 2 * 60
     assert len(set(keys)) == 60
 
 
 @pytest.mark.parametrize("budget", [None, 20 * 200 * 24])
 def test_verify_rolls_out_each_policy_once_per_chunk(monkeypatch, tmp_path, budget):
     # the default verify shape: each policy's 9 gaps are rolled out in one
-    # lockstep pass per chunk of its draws, never one rollout per row
+    # lockstep pass per chunk of its family's draws, never one rollout per row
     if budget is not None:
         monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", budget)
     calls = []
@@ -522,10 +526,16 @@ def test_verify_rolls_out_each_policy_once_per_chunk(monkeypatch, tmp_path, budg
 
     monkeypatch.setattr(sim, "_rollout", counted)
     assert cli_main(["verify", "--replicates", "60", "--out", str(tmp_path / "report.csv")]) == 0
+    battery = [
+        BanditConfig(horizon=200, gap=1.0, policy=policy, replicates=60, seed=0)
+        for policy in (UniformRandom(), ExploreThenCommit(), UCB(), ThompsonGaussian())
+    ]
+    battery.append(EstimationConfig(n=100, delta=1.0, estimator=Estimator.SAMPLE_MEAN, replicates=60, seed=0))
     expected = []
-    for policy in (UniformRandom(), ExploreThenCommit(), UCB(), ThompsonGaussian()):
-        chunks = sim._replicate_chunks(BanditConfig(horizon=200, gap=1.0, policy=policy, replicates=60, seed=0))
-        expected += [(policy.name, 9)] * len(chunks)
+    for family, members in sim._families(battery).items():
+        chunks = sim._replicate_chunks(family)
+        expected += [(battery[i].policy.name, 9) for i in members if i < 4] * len(chunks)
     assert sorted(calls) == sorted(expected)
     if budget is not None:
-        assert calls.count(("thompson", 9)) == 3
+        # 19 replicates of 600 normals and one estimation mean fit the budget
+        assert calls.count(("thompson", 9)) == 4

@@ -414,10 +414,13 @@ def test_batched_rollout_matches_round_loop_oracle(monkeypatch):
             assert np.array_equal(n1, (actions == 1).sum(axis=1)), config
             assert np.array_equal(run_bandit(config, draws), losses), config
             expected.append(losses)
-    # drawn in chunks with a shorter last one, all rows in one call
-    monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 50 * horizon * 24)
-    assert len(sim._replicate_chunks(configs[-1])) >= 3  # Thompson's
-    assert len(sim._replicate_chunks(configs[0])) >= 2  # the uniform policy's
+    # drawn in chunks with a shorter last one, all rows in one call: the
+    # shared family keeps Thompson's 3T normals, 24T bytes a replicate, and
+    # the uniform policy's its T arm draws
+    monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 100 * horizon)
+    chunks = {family.arms: sim._replicate_chunks(family) for family in sim._families(configs)}
+    assert len(chunks[0]) >= 3 and len(chunks[horizon]) >= 2
+    assert all(len(c[-1]) < len(c[0]) for c in chunks.values())
     for sample, config, losses in zip(simulate_shared(configs), configs, expected):
         assert np.array_equal(sample.values, np.sort(losses, kind="stable")[::-1]), config
 
@@ -443,10 +446,10 @@ def test_rollout_matches_oracle_at_edge_gaps(horizon):
     "horizon, gap, policy", [(60, 1.7e308, UCB()), (10**6, 1e303, UniformRandom())], ids=["ucb", "uniform"]
 )
 def test_gap_whose_regret_overflows_is_refused_before_any_draw(monkeypatch, horizon, gap, policy):
-    def predraw(*args):
+    def draw(*args):
         raise AssertionError("drew before refusing the gap")
 
-    monkeypatch.setattr(sim, "_predraw", predraw)
+    monkeypatch.setattr(sim, "_draw", draw)
     with pytest.raises(ValueError) as exc:
         simulate_shared([BanditConfig(horizon=horizon, gap=gap, policy=policy, replicates=10, seed=3)])
     assert str(exc.value).startswith("gap: ") and "overflows" in str(exc.value)
@@ -498,7 +501,7 @@ def test_simulate_shared_matches_simulating_alone():
 
 def test_simulate_shared_groups_configs_drawn_apart(monkeypatch):
     # configs of every draw layout, interleaved in one call: each sample
-    # equals simulating its config alone, and each layout is drawn once
+    # equals simulating its config alone, and each family is drawn once
     configs = [
         BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=0),
         EstimationConfig(n=6, delta=0.2, estimator=Estimator.SAMPLE_MEAN, replicates=4, seed=0),
@@ -512,20 +515,24 @@ def test_simulate_shared_groups_configs_drawn_apart(monkeypatch):
         EstimationConfig(n=3, delta=0.2, estimator=Estimator.SIGN_COMMIT, replicates=4, seed=0),
         BanditConfig(horizon=7, gap=0.2, policy=UniformRandom(), replicates=4, seed=0),
         EstimationConfig(n=6, delta=0.7, estimator=Estimator.ALWAYS_ZERO, replicates=4, seed=0),
+        # another horizon reads a prefix of the same normals
+        BanditConfig(horizon=4, gap=0.2, policy=UCB(), replicates=4, seed=0),
     ]
     alone = [simulate_shared([config])[0] for config in configs]
-    predraws = []
-    original = sim._predraw
+    drawn = []
+    original = sim._draw
 
-    def counted(config, replicates):
-        predraws.append(config)
-        return original(config, replicates)
+    def counted(family, replicates):
+        drawn.append(family)
+        return original(family, replicates)
 
-    monkeypatch.setattr(sim, "_predraw", counted)
+    monkeypatch.setattr(sim, "_draw", counted)
     shared = simulate_shared(configs)
-    assert len(predraws) == 7
-    # the largest predraw per replicate (Thompson) is drawn first
-    assert isinstance(predraws[0].policy, ThompsonGaussian)
+    # seed 0 with 4 replicates, seed 1, 5 replicates, and the uniform policy
+    assert len(drawn) == 4
+    # the largest draw per replicate, the family of Thompson's 3T normals, is drawn first
+    assert drawn[0] == (0, 4, 0, 3 * 6, (3, 6))
+    assert {family.arms for family in drawn} == {0, 7}
     for one, many, config in zip(alone, shared, configs):
         assert np.array_equal(one.values, many.values), config
     assert simulate_shared([]) == []
@@ -569,12 +576,86 @@ def test_estimation_predraw_keeps_one_float_per_replicate():
         draws = _predraw(config, range(3))
         assert draws.noise.shape == (3,)
         assert draws.model.nbytes + draws.noise.nbytes == 3 * (1 + 8)
-        assert sim._replicate_bytes(config) == 8
+        assert sim._replicate_bytes(sim._own_family(config)) == 8
         for r in range(3):
             rng = replicate_rng(2, r)
             assert draws.model[r] == 1 + rng.integers(0, 2)
             assert draws.noise[r] == rng.standard_normal(n).mean()
 
+
+
+def _assert_cut_is_own_stream(config, family, drawn, chunk):
+    """The config's cut of its family's draws equals the draws of its own
+    stream, its reward noises a prefix of them, and copies none of them."""
+    cut, own = sim._cut(config, family, drawn), _predraw(config, chunk)
+    assert cut.layout == own.layout and cut.model is drawn.model
+    assert np.array_equal(cut.model, own.model)
+    assert (cut.own is None) == (own.own is None)
+    if own.own is not None:
+        assert np.array_equal(cut.own, own.own)
+        assert cut.own is drawn.arms or np.shares_memory(cut.own, drawn.kept)
+    if isinstance(config, EstimationConfig):
+        assert np.array_equal(cut.noise, own.noise) and np.shares_memory(cut.noise, drawn.means)
+    else:
+        assert np.array_equal(cut.noise, own.noise[:, : cut.noise.shape[1]])
+        assert cut.noise.size == 0 or np.shares_memory(cut.noise, drawn.kept)
+    return cut
+
+
+def test_shared_prefixes_match_each_configs_own_stream(monkeypatch):
+    horizon, reps = 8, 13  # 13 is prime, so no chunk size below it divides it
+    bandits = [BanditConfig(horizon=horizon, gap=0.4, policy=p, replicates=reps, seed=5) for p in ALL_POLICIES]
+    estimations = [
+        EstimationConfig(n=n, delta=0.3, estimator=Estimator.SAMPLE_MEAN, replicates=reps, seed=5)
+        for n in (1, horizon, 3 * horizon + 5)
+    ]
+    etc = bandits[1]
+    tau = resolve_tau(etc.policy, horizon)
+    # each family by its arm draws: (normals kept, normals drawn) a replicate
+    cases = [
+        # the uniform policy's family keeps its arms and no normals; every
+        # other config reads one family, Thompson's 3T normals kept and the
+        # estimation at n > 3T the longest run drawn
+        (bandits + estimations, {horizon: (0, 0), 0: (3 * horizon, 3 * horizon + 5)}),
+        # explore-then-commit alone keeps its 2 tau exploration noises
+        ([etc, estimations[1]], {0: (2 * tau, horizon)}),
+    ]
+    for configs, widths in cases:
+        families = sim._families(configs)
+        assert {family.arms: (family.width, sim._longest(family)) for family in families} == widths
+        for family, members in families.items():
+            # chunks of 3 replicates, and a last one of 1
+            monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 3 * sim._replicate_bytes(family))
+            chunks = sim._replicate_chunks(family)
+            assert [len(chunk) for chunk in chunks] == [3, 3, 3, 3, 1]
+            for chunk in chunks:
+                drawn = sim._draw(family, chunk)
+                cuts = {configs[i]: _assert_cut_is_own_stream(configs[i], family, drawn, chunk) for i in members}
+                if etc in cuts:
+                    assert cuts[etc].noise.shape[1] == (2 * tau if len(configs) == 2 else horizon)
+                if bandits[3] in cuts:
+                    assert cuts[bandits[3]].own.shape == (len(chunk), horizon, 2)
+
+
+def test_stream_over_the_draw_budget_is_refused_under_its_size(monkeypatch):
+    # a replicate's whole stream past its model draw, 8 bytes a normal and
+    # 1 an arm draw, must fit the draw budget; checked without drawing
+    def draw(*args):
+        raise AssertionError("drew while checking a config")
+
+    monkeypatch.setattr(sim, "_draw", draw)
+    per_unit = [(UniformRandom(), 9), (ExploreThenCommit(), 8), (UCB(), 8), (ThompsonGaussian(), 24), (None, 8)]
+    for policy, unit in per_unit:
+        monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 10 * unit)
+        if policy is None:
+            name, make = "n", lambda n: EstimationConfig(n, 0.2, Estimator.SAMPLE_MEAN, 4, 0)
+        else:
+            name, make = "horizon", lambda horizon: BanditConfig(horizon, 0.2, policy, 4, 0)
+        make(10)
+        with pytest.raises(ValueError) as exc:
+            make(11)
+        why = f"one replicate's stream of {11 * unit} bytes outgrows the {10 * unit}-byte draw budget, got 11"
+        assert str(exc.value) == f"{name}: {why}"
 
 _SWEEP = ["--alpha", "0", "--alpha", "0.5", "--alpha", "0.9", "--scale", "0.5", "--scale", "1", "--scale", "2"]
 _TAILS = ["--alpha", "0", "--alpha", "0.9"]
