@@ -6,9 +6,10 @@ which each simulated CVaR clears its lower bound.
 """
 
 import argparse
+from typing import get_args
 
-from cvarbounds.experiments import ExperimentConfig, ExperimentKind, run_experiment
-from cvarbounds.sim import Estimator, ExploreThenCommit, ThompsonGaussian, UCB, UniformRandom
+from cvarbounds.experiments import ExperimentConfig, ExperimentKind, parse_policy, run_experiment
+from cvarbounds.sim import Estimator, Policy
 
 
 def main() -> None:
@@ -26,7 +27,7 @@ def main() -> None:
         gap="optimal",
         n=args.n,
         delta="optimal",
-        policies=(UniformRandom(), ExploreThenCommit(), UCB(), ThompsonGaussian()),
+        policies=tuple(parse_policy(cls.name) for cls in get_args(Policy)),
         estimators=tuple(Estimator),
         replicates=args.replicates,
         seed=args.seed,

@@ -35,8 +35,9 @@ normals, except the uniform policy's, whose arm draws come first; those
 configs form one family, and the uniform policy's form one per horizon.
 `simulate_shared` draws each replicate of a family once, as far as its
 longest reader needs (Thompson's 3T, UCB's T, explore-then-commit's 2 tau,
-an estimation's n, none for the uniform policy), cuts every config's draws
-from it as views and rolls out each policy once over all its gaps.  A
+an estimation's n, none for the uniform policy), into one `Draws` record;
+each config cuts its reads from it as views at its rollout (`_reads`), and
+each policy is rolled out once per horizon over all its gaps.  A
 verification battery so re-keys each replicate twice: once for the uniform
 policy and once for every other row.  A simulation keeps only each
 replicate's loss: a rollout yields arm-1 pull counts, which give the
@@ -277,14 +278,18 @@ def _bandit_normals(config: BanditConfig, whole: bool) -> int:
     return 0
 
 
+def _family_key(config: BanditConfig | EstimationConfig) -> tuple:
+    """The (seed, replicates, arm draws) that place a config in its family."""
+    uniform = isinstance(config, BanditConfig) and isinstance(config.policy, UniformRandom)
+    return (config.seed, config.replicates, config.horizon if uniform else 0)
+
+
 def _families(configs: Sequence[BanditConfig | EstimationConfig], whole: bool = False) -> dict[_Family, list[int]]:
     """The families of the configs, each with its members' indices in input
     order; `whole` as in `_bandit_normals`."""
     members: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
-        uniform = isinstance(config, BanditConfig) and isinstance(config.policy, UniformRandom)
-        arms = config.horizon if uniform else 0
-        members.setdefault((config.seed, config.replicates, arms), []).append(i)
+        members.setdefault(_family_key(config), []).append(i)
     families = {}
     for key, rows in members.items():
         group = [configs[i] for i in rows]
@@ -312,7 +317,9 @@ def _replicate_bytes(family: _Family) -> int:
 
 def _stream_bytes(config: BanditConfig | EstimationConfig) -> int:
     """Bytes of one replicate's whole stream past its model draw: the arm
-    draws and every normal, all of which `_draw` holds at once."""
+    draws and every normal.  No family that serves the config draws more
+    per replicate, so a stream within the budget is drawn in chunks of at
+    least one replicate."""
     family = _own_family(config)
     return family.arms + 8 * _longest(family)
 
@@ -324,16 +331,18 @@ def _replicate_chunks(family: _Family) -> list[range]:
     return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
 
 
-class _Drawn(NamedTuple):
-    """A family's draws of consecutive replicates."""
+class Draws(NamedTuple):
+    """A family's draws of consecutive replicates, the one draw record: each
+    config cuts its reads from them with `_reads`."""
 
-    model: np.ndarray  # (reps,) model index in {1, 2}
+    family: _Family
+    model: np.ndarray  # (reps,) model index in {1, 2}; for an estimation, theta is +delta under model 2
     arms: np.ndarray  # (reps, arms) the uniform policy's arm draws in {1, 2}
     kept: np.ndarray  # (reps, width) leading normals
     means: np.ndarray  # (len(sizes), reps) mean of each estimation size's leading normals
 
 
-def _draw(family: _Family, replicates: range) -> _Drawn:
+def _draw(family: _Family, replicates: range) -> Draws:
     """Consume each replicate's stream once, in the documented order: the
     one drawing loop.  Every replicate's normals are drawn into one reused
     buffer, and only the family's prefix and means are kept.  A mean is the
@@ -355,59 +364,40 @@ def _draw(family: _Family, replicates: range) -> _Drawn:
         kept[i] = normals[: family.width]
         for j, n in enumerate(family.sizes):
             means[j, i] = np.add.reduce(normals[:n]) / n
-    return _Drawn(model, arms, kept, means)
-
-
-class Draws(NamedTuple):
-    """Predrawn stream values of consecutive replicates, as one config reads
-    them: views into its family's draws."""
-
-    model: np.ndarray  # model index in {1, 2}; for an estimation, theta is +delta under model 2
-    own: np.ndarray | None  # the policy's own draws per replicate, if it makes any
-    noise: np.ndarray  # (reps, T) reward noises, or the (reps,) means of the n observation noises
-    layout: tuple  # the `_draw_layout` they were cut for
-
-
-def _draw_layout(config: BanditConfig | EstimationConfig) -> tuple:
-    """What a config's draws depend on; configs that agree run on the same
-    `Draws`.  The problem is part of it, so neither problem runs on the
-    other's draws, and so are the policy's own draws: the uniform policy's
-    arms or Thompson's posterior normals, none for explore-then-commit and UCB."""
-    if isinstance(config, EstimationConfig):
-        return ("estimation", config.seed, config.replicates, config.n)
-    own = config.policy.name if isinstance(config.policy, (UniformRandom, ThompsonGaussian)) else None
-    return ("bandit", config.seed, config.replicates, config.horizon, own)
-
-
-def _check_layout(config: BanditConfig | EstimationConfig, draws: Draws) -> None:
-    if draws.layout != _draw_layout(config):
-        raise ValueError(
-            "draws do not match the config's problem, seed, replicates, size and the policy's own draws"
-        )
-
-
-def _cut(config: BanditConfig | EstimationConfig, family: _Family, drawn: _Drawn) -> Draws:
-    """The config's `Draws` as views into its family's draws: Thompson's
-    posterior normals lead its reward noises, and every other bandit reads
-    the leading normals as its reward noises (explore-then-commit's stop
-    after its 2 tau exploration rounds in a family of no wider member)."""
-    layout = _draw_layout(config)
-    if isinstance(config, EstimationConfig):
-        return Draws(drawn.model, None, drawn.means[family.sizes.index(config.n)], layout)
-    horizon, kept = config.horizon, drawn.kept
-    if isinstance(config.policy, ThompsonGaussian):
-        own = kept[:, : 2 * horizon].reshape(len(kept), horizon, 2)
-        return Draws(drawn.model, own, kept[:, 2 * horizon : 3 * horizon], layout)
-    own = drawn.arms if isinstance(config.policy, UniformRandom) else None
-    return Draws(drawn.model, own, kept[:, :horizon], layout)
+    return Draws(family, model, arms, kept, means)
 
 
 def _predraw(config: BanditConfig | EstimationConfig, replicates: range) -> Draws:
     """The config's draws alone, its whole contract stream: a one-member
-    family.  The draws depend on the seed, the problem and its size, and the
-    policy's own draws, not on the gap, separation or estimator."""
-    family = _own_family(config)
-    return _cut(config, family, _draw(family, replicates))
+    family."""
+    return _draw(_own_family(config), replicates)
+
+
+def _reads(config: BanditConfig | EstimationConfig, draws: Draws) -> tuple[np.ndarray | None, np.ndarray]:
+    """The config's own draws, if it makes any, and its (reps, T) reward
+    noises or (reps,) observation-noise means, as views into a family's
+    draws: Thompson's posterior normals lead its reward noises, and every
+    other bandit reads the leading normals as its reward noises
+    (explore-then-commit's stop after its 2 tau exploration rounds in a
+    family of no wider member).
+
+    Raises ValueError unless the draws hold the config's stream: its
+    family's seed, replicate count and arm draws, and its normals among
+    those kept or its n among the sizes whose means are kept."""
+    family = draws.family
+    if isinstance(config, EstimationConfig):
+        held = config.n in family.sizes
+    else:
+        held = _bandit_normals(config, False) <= family.width
+    if not held or _family_key(config) != (family.seed, family.replicates, family.arms):
+        raise ValueError("draws do not hold the config's stream: its seed, replicates, arm draws and normals")
+    if isinstance(config, EstimationConfig):
+        return None, draws.means[family.sizes.index(config.n)]
+    horizon, kept = config.horizon, draws.kept
+    if isinstance(config.policy, ThompsonGaussian):
+        return kept[:, : 2 * horizon].reshape(len(kept), horizon, 2), kept[:, 2 * horizon : 3 * horizon]
+    own = draws.arms if isinstance(config.policy, UniformRandom) else None
+    return own, kept[:, :horizon]
 
 
 # ---------------------------------------------------------------- estimation
@@ -415,11 +405,11 @@ def _predraw(config: BanditConfig | EstimationConfig, replicates: range) -> Draw
 
 def run_estimation(config: EstimationConfig, draws: Draws) -> np.ndarray:
     """(reps,) losses of the configured estimator on the replicates `draws`
-    hold; `draws` are cut for a config of this one's draw layout."""
-    _check_layout(config, draws)
+    hold; the draws must hold the config's stream (see `_reads`)."""
+    _, noise = _reads(config, draws)
     delta = config.delta
     theta = np.where(draws.model == 2, delta, -delta)
-    ybar = theta + draws.noise
+    ybar = theta + noise
     if config.estimator is Estimator.SAMPLE_MEAN:
         theta_hat = ybar
     elif config.estimator is Estimator.SIGN_COMMIT:
@@ -524,32 +514,35 @@ def _regret(gaps, horizon: int, model, n1) -> np.ndarray:
 
 def run_bandit(config: BanditConfig, draws: Draws) -> np.ndarray:
     """(reps,) losses of the replicates `draws` hold, each rolled out under
-    its drawn model; `draws` are cut for a config of this one's draw
-    layout."""
-    _check_layout(config, draws)
-    return _chunk_losses([config], draws)[0]
+    its drawn model; the draws must hold the config's stream (see
+    `_reads`)."""
+    return _losses([config], draws)[0]
 
 
 # ------------------------------------------------------------ shared draws
 
 
-def _chunk_losses(configs: Sequence[BanditConfig | EstimationConfig], draws: Draws) -> list[np.ndarray]:
-    """Losses of configs of one draw layout on one chunk of its draws.  The
-    bandit configs of one policy are rolled out together, in one lockstep
-    pass over their distinct gaps."""
-    if isinstance(configs[0], EstimationConfig):
-        return [run_estimation(config, draws) for config in configs]
-    by_policy: dict[Policy, list[int]] = {}
+def _losses(configs: Sequence[BanditConfig | EstimationConfig], draws: Draws) -> list[np.ndarray]:
+    """Losses of members of one family on one chunk of its draws.  Each
+    estimation runs on its mean, and the bandit configs of one policy and
+    horizon are rolled out together, in one lockstep pass over their
+    distinct gaps."""
+    passes: dict[tuple, list[int]] = {}
     for j, config in enumerate(configs):
-        by_policy.setdefault(config.policy, []).append(j)
+        if isinstance(config, BanditConfig):
+            passes.setdefault((config.policy, config.horizon), []).append(j)
     losses: list[np.ndarray | None] = [None] * len(configs)
-    horizon = configs[0].horizon
-    for policy, rows in by_policy.items():
+    for (policy, horizon), rows in passes.items():
+        own, noise = _reads(configs[rows[0]], draws)
         gaps, row_gap = np.unique([configs[j].gap for j in rows], return_inverse=True)
-        n1 = _rollout(policy, horizon, gaps, draws.model, draws.own, draws.noise)
-        regret = _regret(gaps, horizon, draws.model, n1)
+        # no pass's counts outlive it into the next rollout
+        regret = _regret(gaps, horizon, draws.model, _rollout(policy, horizon, gaps, draws.model, own, noise))
         for j, g in zip(rows, row_gap):
             losses[j] = regret[g]
+    # estimations run last, so their losses are not held beside a rollout's workspace
+    for j, config in enumerate(configs):
+        if isinstance(config, EstimationConfig):
+            losses[j] = run_estimation(config, draws)
     return losses
 
 
@@ -558,28 +551,20 @@ def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[
 
     Configs of one seed and replicate count form one family, apart from the
     uniform policy's configs, one family per horizon.  Each chunk of a
-    family's replicates is drawn once and cut into views for every config,
-    each policy is rolled out once per draw layout over all its gaps, and
-    the losses are joined per config; every sample equals that of
-    simulating its config alone.  The family with the largest draw per
-    replicate is drawn first, while no losses are held.
+    family's replicates is drawn once, every config reads its views of
+    those draws at its rollout, each policy is rolled out once per horizon
+    over all its gaps, and the losses are joined per config; every sample
+    equals that of simulating its config alone.  The family with the
+    largest draw per replicate is drawn first, while no losses are held.
     """
     samples: list[SampleSet | None] = [None] * len(configs)
     families = sorted(_families(configs).items(), key=lambda item: _replicate_bytes(item[0]), reverse=True)
     for family, members in families:
-        layouts: dict[tuple, list[int]] = {}
-        for i in members:
-            layouts.setdefault(_draw_layout(configs[i]), []).append(i)
-        parts: dict[int, list[np.ndarray]] = {i: [] for i in members}
-        for chunk in _replicate_chunks(family):
-            drawn = _draw(family, chunk)
-            for rows in layouts.values():
-                group = [configs[i] for i in rows]
-                for i, losses in zip(rows, _chunk_losses(group, _cut(group[0], family, drawn))):
-                    parts[i].append(losses)
-            del drawn  # released before the next chunk is drawn
-        for i in members:
-            samples[i] = SampleSet(np.concatenate(parts[i]))
+        group = [configs[i] for i in members]
+        # each chunk's draws are released once its losses are taken
+        parts = [_losses(group, _draw(family, chunk)) for chunk in _replicate_chunks(family)]
+        for i, losses in zip(members, zip(*parts)):
+            samples[i] = SampleSet(np.concatenate(losses))
     return samples
 
 
@@ -605,6 +590,8 @@ def exact_uniform_bandit_law(g: float, horizon: int) -> DiscreteLossDistribution
             f"exact uniform-policy law supports horizons up to {_MAX_EXACT_HORIZON}, got {horizon}"
         )
     g = float(g)
+    if g * horizon == math.inf:
+        _check_fields({}, gap=_regret_cap_problem(g, horizon))
     denom = 1 << horizon
     atoms = tuple((g * k, math.comb(horizon, k) / denom) for k in range(horizon + 1))
     return DiscreteLossDistribution(atoms)
@@ -616,6 +603,8 @@ def exact_sign_estimator_law(n: int, delta: float) -> DiscreteLossDistribution:
     mean hypotheses."""
     _check_fields({"n": n, "delta": delta})
     delta = float(delta)
+    if 2.0 * delta == math.inf:
+        _check_fields({}, delta=f"2 delta overflows a float, got {delta!r}")
     p = normal_upper_tail(math.sqrt(n) * delta)
     return DiscreteLossDistribution(((0.0, 1.0 - p), (2.0 * delta, p)))
 

@@ -221,10 +221,11 @@ def mc_transcript_kl(config: BanditConfig) -> tuple[float, float]:
     parts = []
     for chunk in sim._replicate_chunks(sim._own_family(config)):
         draws = sim._predraw(config, chunk)
+        own, noise = sim._reads(config, draws)
         forced = np.ones(draws.model.size, dtype=np.int64)
-        actions = _reference_rollout(config, forced, draws.own, draws.noise)
+        actions = _reference_rollout(config, forced, own, noise)
         mu1 = np.where(actions == 1, half_g, -half_g)  # chosen-arm mean under model 1
-        y = mu1 + draws.noise
+        y = mu1 + noise
         parts.append(0.5 * ((y + mu1) ** 2 - (y - mu1) ** 2).sum(axis=1))
     per_transcript = np.concatenate(parts)
     estimate = float(per_transcript.mean())

@@ -33,6 +33,7 @@ from cvarbounds.divergences import (
 )
 from cvarbounds.inversion import bernoulli_inverse
 from cvarbounds.risk import DiscreteLossDistribution, RiskLevel, SampleSet, empirical_cvar, exact_cvar
+from cvarbounds.sim import exact_sign_estimator_law, exact_uniform_bandit_law
 
 L = RiskLevel
 
@@ -326,6 +327,9 @@ _REFUSED = [
     (empirical_cvar, ([1.0, 2.0], L(0.5)), "samples"),
     (DiscreteLossDistribution, ((("2.5", 1.0),),), "atom_value"),
     (DiscreteLossDistribution, (((2.5, True),),), "atom_probability"),
+    # an exact law whose top atom overflows names the argument, not the atom
+    (exact_uniform_bandit_law, (1e308, 64), "gap"),
+    (exact_sign_estimator_law, (3, 1e308), "delta"),
 ]
 
 

@@ -492,7 +492,7 @@ def test_chunked_draws_render_identical_csv(monkeypatch):
     assert render_csv(run_experiment(cfg)) == whole
 
 
-def test_verify_draws_each_stream_once_per_layout(monkeypatch):
+def test_verify_draws_each_stream_once_per_family(monkeypatch):
     # 4 policies and 3 estimators: one draw of every replicate stream for
     # the uniform policy's arms, and one whose normals every other row reads
     # a prefix of: Thompson's 3T, UCB's T, explore-then-commit's 2 tau and

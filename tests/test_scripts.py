@@ -4,8 +4,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_args
 
 import pytest
+
+from cvarbounds.sim import Policy
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,6 +33,10 @@ def test_script_runs(name):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    if name == "dominance_demo":
+        # every registered policy has rows, so a new one cannot be missed
+        for cls in get_args(Policy):
+            assert f"\n{cls.name}:" in done.stdout, cls.name
 
 
 def _bench_pairs():

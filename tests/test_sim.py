@@ -253,7 +253,7 @@ def test_bandit_pair_identity():
     for policy in ALL_POLICIES:
         config = BanditConfig(horizon=30, gap=0.3, policy=policy, replicates=250, seed=3)
         draws = _predraw(config, range(250))
-        n1 = sim._rollout(policy, 30, (0.3,), draws.model, draws.own, draws.noise)[0]
+        n1 = sim._rollout(policy, 30, (0.3,), draws.model, *sim._reads(config, draws))[0]
         n2 = 30 - n1
         assert np.all((n1 >= 0) & (n2 >= 0))
         # model 1's suboptimal arm is arm 2, model 2's is arm 1
@@ -268,8 +268,9 @@ def _oracle_and_counts(config):
     """The round-loop oracle's (reps, T) actions and the rollout's arm-1
     counts on every replicate of the config."""
     draws = _predraw(config, range(config.replicates))
-    actions = _reference_rollout(config, draws.model, draws.own, draws.noise)
-    n1 = sim._rollout(config.policy, config.horizon, (config.gap,), draws.model, draws.own, draws.noise)[0]
+    own, noise = sim._reads(config, draws)
+    actions = _reference_rollout(config, draws.model, own, noise)
+    n1 = sim._rollout(config.policy, config.horizon, (config.gap,), draws.model, own, noise)[0]
     return actions, n1
 
 
@@ -353,6 +354,29 @@ def test_uniform_reconstructs_from_streams():
         assert losses[r] == pytest.approx(want, abs=0.0)
 
 
+def test_bandit_reconstructs_from_streams():
+    # replicate r: model integer, then Thompson's 2T posterior normals, one
+    # pair a round, and its T reward noises, or another policy's T noises
+    horizon, reps, seed = 7, 6, 23
+    configs = [
+        BanditConfig(horizon=horizon, gap=0.6, policy=p, replicates=reps, seed=seed)
+        for p in (ExploreThenCommit(), UCB(), ThompsonGaussian())
+    ]
+    for config, sample in zip(configs, simulate_shared(configs)):
+        model = np.empty(reps, dtype=np.int8)
+        own = np.empty((reps, horizon, 2)) if isinstance(config.policy, ThompsonGaussian) else None
+        noise = np.empty((reps, horizon))
+        for r in range(reps):
+            rng = replicate_rng(seed, r)
+            model[r] = 1 + int(rng.integers(0, 2))
+            if own is not None:
+                own[r] = rng.standard_normal((horizon, 2))
+            noise[r] = rng.standard_normal(horizon)
+        actions = _reference_rollout(config, model, own, noise)
+        want = _reference_losses(config, model, actions)
+        assert np.array_equal(sample.values, np.sort(want, kind="stable")[::-1]), config.policy.name
+
+
 def test_simulate_bandit_sampleset():
     cfg = BanditConfig(horizon=10, gap=0.2, policy=ThompsonGaussian(), replicates=64, seed=6)
     s = simulate_shared([cfg])[0]
@@ -407,9 +431,10 @@ def test_batched_rollout_matches_round_loop_oracle(monkeypatch):
     for policy in policies:
         rows = [config for config in configs if config.policy == policy]
         draws = _predraw(rows[0], range(reps))
-        counts = sim._rollout(policy, horizon, gaps, draws.model, draws.own, draws.noise)
+        own, noise = sim._reads(rows[0], draws)
+        counts = sim._rollout(policy, horizon, gaps, draws.model, own, noise)
         for config, n1 in zip(rows, counts):
-            actions = _reference_rollout(config, draws.model, draws.own, draws.noise)
+            actions = _reference_rollout(config, draws.model, own, noise)
             losses = _reference_losses(config, draws.model, actions)
             assert np.array_equal(n1, (actions == 1).sum(axis=1)), config
             assert np.array_equal(run_bandit(config, draws), losses), config
@@ -435,9 +460,10 @@ def test_rollout_matches_oracle_at_edge_gaps(horizon):
     for policy in (UCB(), UCB(c_explore=0.0), ThompsonGaussian()):
         rows = [BanditConfig(horizon=horizon, gap=g, policy=policy, replicates=reps, seed=21) for g in gaps]
         draws = _predraw(rows[0], range(reps))
-        counts = sim._rollout(policy, horizon, gaps, draws.model, draws.own, draws.noise)
+        own, noise = sim._reads(rows[0], draws)
+        counts = sim._rollout(policy, horizon, gaps, draws.model, own, noise)
         for config, n1 in zip(rows, counts):
-            actions = _reference_rollout(config, draws.model, draws.own, draws.noise)
+            actions = _reference_rollout(config, draws.model, own, noise)
             assert np.array_equal(n1, (actions == 1).sum(axis=1)), config
             assert np.array_equal(run_bandit(config, draws), _reference_losses(config, draws.model, actions)), config
 
@@ -500,7 +526,7 @@ def test_simulate_shared_matches_simulating_alone():
 
 
 def test_simulate_shared_groups_configs_drawn_apart(monkeypatch):
-    # configs of every draw layout, interleaved in one call: each sample
+    # configs of several families and readers, interleaved in one call: each sample
     # equals simulating its config alone, and each family is drawn once
     configs = [
         BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=0),
@@ -538,7 +564,7 @@ def test_simulate_shared_groups_configs_drawn_apart(monkeypatch):
     assert simulate_shared([]) == []
 
 
-def test_run_bandit_rejects_draws_of_another_layout():
+def test_run_bandit_rejects_draws_that_do_not_hold_its_stream():
     uniform = _predraw(BanditConfig(horizon=6, gap=0.2, policy=UniformRandom(), replicates=4, seed=0), range(4))
     plain = _predraw(BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=0), range(4))
     with pytest.raises(ValueError):
@@ -568,38 +594,55 @@ def test_run_bandit_rejects_draws_of_another_layout():
         run_bandit(BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=0), est_draws)
 
 
+def test_run_on_draws_of_another_family_member_equals_its_own():
+    # draws that hold a config's stream serve it, whoever they were drawn for
+    ucb4 = BanditConfig(horizon=4, gap=0.3, policy=UCB(), replicates=5, seed=2)
+    ucb6 = BanditConfig(horizon=6, gap=0.3, policy=UCB(), replicates=5, seed=2)
+    thompson6 = BanditConfig(horizon=6, gap=0.3, policy=ThompsonGaussian(), replicates=5, seed=2)
+    for config, other in ((ucb4, ucb6), (ucb6, thompson6)):
+        draws = _predraw(other, range(5))
+        assert np.array_equal(run_bandit(config, draws), _bandit(config)), (config, other)
+    estimation = EstimationConfig(n=4, delta=0.3, estimator=Estimator.SAMPLE_MEAN, replicates=5, seed=2)
+    (family,) = sim._families([thompson6, estimation, ucb4])
+    assert family.sizes == (4,)
+    draws = sim._draw(family, range(5))
+    assert np.array_equal(run_estimation(estimation, draws), _estimation(estimation))
+    assert np.array_equal(run_bandit(ucb4, draws), _bandit(ucb4))
+
+
 def test_estimation_predraw_keeps_one_float_per_replicate():
     # the estimation keeps the mean of its n observation noises, their
     # sufficient statistic, so its predraw does not grow with n
     for n in (1, 6, 100_000):
         config = EstimationConfig(n=n, delta=0.2, estimator=Estimator.SAMPLE_MEAN, replicates=3, seed=2)
         draws = _predraw(config, range(3))
-        assert draws.noise.shape == (3,)
-        assert draws.model.nbytes + draws.noise.nbytes == 3 * (1 + 8)
+        own, noise = sim._reads(config, draws)
+        assert own is None and noise.shape == (3,)
+        assert sum(a.nbytes for a in draws[1:]) == 3 * (1 + 8)
         assert sim._replicate_bytes(sim._own_family(config)) == 8
         for r in range(3):
             rng = replicate_rng(2, r)
             assert draws.model[r] == 1 + rng.integers(0, 2)
-            assert draws.noise[r] == rng.standard_normal(n).mean()
+            assert noise[r] == rng.standard_normal(n).mean()
 
 
 
-def _assert_cut_is_own_stream(config, family, drawn, chunk):
-    """The config's cut of its family's draws equals the draws of its own
-    stream, its reward noises a prefix of them, and copies none of them."""
-    cut, own = sim._cut(config, family, drawn), _predraw(config, chunk)
-    assert cut.layout == own.layout and cut.model is drawn.model
-    assert np.array_equal(cut.model, own.model)
-    assert (cut.own is None) == (own.own is None)
-    if own.own is not None:
-        assert np.array_equal(cut.own, own.own)
-        assert cut.own is drawn.arms or np.shares_memory(cut.own, drawn.kept)
+def _assert_reads_are_own_stream(config, drawn, chunk):
+    """The config's reads of its family's draws equal those of its own
+    stream, its reward noises a prefix of them, and copy none of them."""
+    (own, noise), alone = sim._reads(config, drawn), _predraw(config, chunk)
+    own_alone, noise_alone = sim._reads(config, alone)
+    assert np.array_equal(drawn.model, alone.model)
+    assert (own is None) == (own_alone is None)
+    if own is not None:
+        assert np.array_equal(own, own_alone)
+        assert own is drawn.arms or np.shares_memory(own, drawn.kept)
     if isinstance(config, EstimationConfig):
-        assert np.array_equal(cut.noise, own.noise) and np.shares_memory(cut.noise, drawn.means)
+        assert np.array_equal(noise, noise_alone) and np.shares_memory(noise, drawn.means)
     else:
-        assert np.array_equal(cut.noise, own.noise[:, : cut.noise.shape[1]])
-        assert cut.noise.size == 0 or np.shares_memory(cut.noise, drawn.kept)
-    return cut
+        assert np.array_equal(noise, noise_alone[:, : noise.shape[1]])
+        assert noise.size == 0 or np.shares_memory(noise, drawn.kept)
+    return own, noise
 
 
 def test_shared_prefixes_match_each_configs_own_stream(monkeypatch):
@@ -630,11 +673,11 @@ def test_shared_prefixes_match_each_configs_own_stream(monkeypatch):
             assert [len(chunk) for chunk in chunks] == [3, 3, 3, 3, 1]
             for chunk in chunks:
                 drawn = sim._draw(family, chunk)
-                cuts = {configs[i]: _assert_cut_is_own_stream(configs[i], family, drawn, chunk) for i in members}
-                if etc in cuts:
-                    assert cuts[etc].noise.shape[1] == (2 * tau if len(configs) == 2 else horizon)
-                if bandits[3] in cuts:
-                    assert cuts[bandits[3]].own.shape == (len(chunk), horizon, 2)
+                reads = {configs[i]: _assert_reads_are_own_stream(configs[i], drawn, chunk) for i in members}
+                if etc in reads:
+                    assert reads[etc][1].shape[1] == (2 * tau if len(configs) == 2 else horizon)
+                if bandits[3] in reads:
+                    assert reads[bandits[3]][0].shape == (len(chunk), horizon, 2)
 
 
 def test_stream_over_the_draw_budget_is_refused_under_its_size(monkeypatch):
