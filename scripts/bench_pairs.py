@@ -20,7 +20,9 @@ fraction of the ref's median: "worse beyond bound" when the change's median
 is worse by more than that; else "unresolved" when the ref's q3 - q1 exceeds
 it and not every change run beats every ref run; else "within bound".
 Last come each side's failed operations and the pairs whose output
-fingerprints (the details line's sha256) differ.
+fingerprints (the details line's sha256) differ.  The report ends with the
+line count of `src/**/*.py` in the export and in the working tree, and the
+difference: the change's net line delta.
 """
 
 from __future__ import annotations
@@ -108,6 +110,15 @@ def report(ref: str, results: dict[str, list[tuple[dict, dict]]], end_to_end: li
     return lines
 
 
+def src_line_delta(ref: Path, tree: Path) -> str:
+    """The report line comparing the lines (newlines, as `wc -l` counts them)
+    of every `src/**/*.py` file in the ref's export and in the tree."""
+    ref_lines, tree_lines = (
+        sum(path.read_bytes().count(b"\n") for path in (root / "src").rglob("*.py")) for root in (ref, tree)
+    )
+    return f"src/**/*.py lines: ref {ref_lines}, working tree {tree_lines}, difference {tree_lines - ref_lines:+d}"
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -139,6 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(export, filter="data")
+        lines = src_line_delta(export, ROOT)
         results = {}
         for workload in workloads(args.workload, benchmark):
             pairs = results[workload] = []
@@ -156,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     finally:
         shutil.rmtree(export, ignore_errors=True)
-    print("\n".join(report(args.ref, results, end_to_end)))
+    print("\n".join([*report(args.ref, results, end_to_end), lines]))
     return 0
 
 

@@ -13,7 +13,7 @@ Substituting x = (c/2 - t)/l_max turns this into l_max times the minimum of
     F(x) = x_hi - x + (sqrt(x) - sqrt(gamma))_+^2 / (1 - alpha)
 
 over x in [0, x_hi], with x_hi = c/(2 l_max) in [0, 1].  Once gamma >= x_hi
-the bracket vanishes on the whole interval and the minimum is zero, at
+the bracket vanishes on all of the interval and the minimum is zero, at
 x = x_hi, i.e. t = 0.  Otherwise write x = 2 x_hi s with s in [0, 1/2] and
 rho = sqrt(gamma / x_hi) < 1; then
 
@@ -131,7 +131,7 @@ def bound_factor(level: RiskLevel, rho: float) -> FactorEvaluation:
     Continuous at both breakpoints, equal to 1/2 at rho = 0, nonincreasing
     in rho, nondecreasing in alpha.
 
-    `_bound_factor_runs` evaluates it over a whole rho grid at once, and
+    `_bound_factor_runs` evaluates it over a full rho grid at once, and
     tests/test_experiments.py::test_psi_rows_match_bound_factor holds the two
     equal bit for bit.
     """

@@ -122,10 +122,10 @@ def _regret_cap_problem(gap: object, horizon: object) -> str | None:
 
 
 def _stream_problem(size: object, nbytes: int, budget: int) -> str | None:
-    """Why one replicate's stream, `nbytes` bytes at a size that
-    `_FIELD_PROBLEMS` takes, outgrows the `budget` of bytes drawn at once,
-    or None.  Draws are made in chunks of whole replicates, so no chunk
-    could hold it.  The stream's size depends on every other field, so it
+    """Why one replicate's stream, the `nbytes` bytes it draws at a size
+    that `_FIELD_PROBLEMS` takes, outgrows the `budget` of bytes drawn at
+    once, or None.  Draws are made in chunks of one replicate or more, so no
+    chunk could hold it.  The stream's size depends on every other field, so it
     is checked once they all pass."""
     if nbytes <= budget:
         return None

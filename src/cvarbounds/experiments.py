@@ -370,17 +370,31 @@ def _subjects(config: ExperimentConfig) -> tuple[_Subject, ...]:
     return ()
 
 
+def _closed_form_refusal(config: ExperimentConfig, subject: _Subject, scale: float, exc: ValueError) -> dict[str, str]:
+    """A closed form's refusal of one case, under the config field the user
+    set: the parameter's field, naming the value given and the scale, or
+    `scales` when the parameter is the worst case.  The closed forms name
+    the parameter times scale by their own argument: "g: why, got value"."""
+    why = str(exc).partition(": ")[2].rpartition(", got ")[0]
+    raw = getattr(config, subject.field)
+    optimal = _is_optimal(raw)
+    what = f"{subject.param} is the {OPTIMAL if optimal else 'given'} {subject.field} times scale"
+    if optimal:
+        return {"scales": f"{why}, where {what}, got {scale!r}"}
+    return {subject.field: f"{why}, where {what} = {scale!r}, got {raw!r}"}
+
+
 def _battery_rows(config: ExperimentConfig) -> list[ExperimentRow]:
     """Rows of every subject the kind covers: subject by subject, variant by
     variant, then by alpha, then by scale.
 
     Every case is bounded before any is drawn, so a parameter the closed
-    forms refuse is reported before any Monte Carlo time is spent.  `bound`
-    rows carry the bound alone.  Simulated rows are drawn in one call to
-    `simulate_shared`, which draws once for every case whose draws coincide,
-    and carry the Monte Carlo statistics and, where `exact_loss_law` knows
-    one, the exact law's CVaR; in `verify` their parameter names are
-    qualified by the variant.
+    forms refuse is reported, under the field the user set, before any
+    Monte Carlo time is spent.  `bound` rows carry the bound alone.
+    Simulated rows are drawn in one call to `simulate_shared`, which draws
+    once for every case whose draws coincide, and carry the Monte Carlo
+    statistics and, where `exact_loss_law` knows one, the exact law's CVaR;
+    in `verify` their parameter names are qualified by the variant.
     """
     simulate = config.kind in _SIMULATED_KINDS
     qualify = config.kind is ExperimentKind.VERIFY
@@ -393,13 +407,16 @@ def _battery_rows(config: ExperimentConfig) -> list[ExperimentRow]:
                 level = RiskLevel(alpha)
                 base = subject.optimum(size, level) if _is_optimal(raw) else float(raw)
                 cases += [(subject, size, variant, level, scale, scale * base) for scale in config.scales]
-    # the sim configs are built first, so a bad parameter is refused under its
-    # config field rather than under the closed forms' name for it
+    results = []
+    for subject, size, _, level, scale, value in cases:
+        try:
+            results.append(subject.bound(size, value, level))
+        except ValueError as exc:
+            raise ConfigError(_closed_form_refusal(config, subject, scale, exc)) from None
     sim_configs = [
         s.sim_config(size, value, v, config.replicates, config.seed) if simulate else None
         for s, size, v, _, _, value in cases
     ]
-    results = [s.bound(size, value, level) for s, size, _, level, _, value in cases]
     samples = simulate_shared(sim_configs) if simulate else sim_configs
     rows = []
     for (subject, size, variant, level, scale, value), result, sim_config, case_samples in zip(

@@ -69,12 +69,6 @@ class SampleSet:
     def count(self) -> int:
         return int(self.values.size)
 
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    def max_value(self) -> float:
-        return float(self.values[0])
-
 
 @dataclass(frozen=True)
 class DiscreteLossDistribution:

@@ -33,22 +33,24 @@ m normals of a longer run are the m normals a shorter one draws.  So every
 config of one seed and replicate count reads a prefix of one run of
 normals, except the uniform policy's, whose arm draws come first; those
 configs form one family, and the uniform policy's form one per horizon.
-`simulate_shared` draws each replicate of a family once, as far as its
-longest reader needs (Thompson's 3T, UCB's T, explore-then-commit's 2 tau,
-an estimation's n, none for the uniform policy), into one `Draws` record;
-each config cuts its reads from it as views at its rollout (`_reads`), and
-each policy is rolled out once per horizon over all its gaps.  A
-verification battery so re-keys each replicate twice: once for the uniform
-policy and once for every other row.  A simulation keeps only each
-replicate's loss: a rollout yields arm-1 pull counts, which give the
+`_read_counts` names what one replicate of a config reads: the uniform
+policy's T arm draws and no normals, Thompson's 3T normals, UCB's T,
+explore-then-commit's 2 tau or an estimation's n.  `simulate_shared` draws
+each replicate of a family once, as far as its longest reader needs, into
+one `Draws` record; each config cuts its reads from it as views at its
+rollout (`_reads`), and each policy is rolled out once per horizon over all
+its gaps.  A verification battery so re-keys each replicate twice: once for
+the uniform policy and once for every other row.  A simulation keeps only
+each replicate's loss: a rollout yields arm-1 pull counts, which give the
 regret, and no transcript is recorded.  Draws are made in chunks of
 consecutive replicates whose kept draws fit a fixed byte budget, so memory
-stays bounded for any horizon and replicate count, and a config whose one
-replicate's stream would not fit it is refused; the family with the
-largest draw per replicate is drawn first, before any losses are held.
-Every stream comes from one Philox generator re-keyed in place to (s, r)
-for each replicate (`replicate_rng` with `reuse`); the per-replicate
-contract above is unchanged.
+stays bounded for any horizon and replicate count, and a config is refused
+when one replicate's draw, its arm draws and 8 bytes for each normal it
+reads, outgrows the budget; the family with the largest draw per replicate
+is drawn first, before any losses are held.  Every stream comes from one
+Philox generator re-keyed in place to (s, r) for each replicate
+(`replicate_rng` with `reuse`); the per-replicate contract above is
+unchanged.
 
 `exact_loss_law` gives a config's loss law in closed form where one is
 known: the uniform policy up to a horizon cap, the sign-commit estimator and
@@ -263,45 +265,36 @@ class _Family(NamedTuple):
     sizes: tuple  # the estimation sizes n, ascending, whose leading normals' mean is kept
 
 
-def _bandit_normals(config: BanditConfig, whole: bool) -> int:
-    """Leading normals a bandit config reads: Thompson's 2T posterior normals
-    and T reward noises, UCB's T noises, explore-then-commit's 2 tau
-    exploration noises and none for the uniform policy, whose actions are its
-    arm draws; with `whole`, its whole contract stream, all T noises."""
+def _read_counts(config: BanditConfig | EstimationConfig) -> tuple[int, int]:
+    """(arm draws, leading normals) one replicate of the config reads past
+    its model draw: the uniform policy's T arm draws, which are its actions,
+    Thompson's 2T posterior normals and T reward noises, UCB's T noises,
+    explore-then-commit's 2 tau exploration noises or an estimation's n."""
+    if isinstance(config, EstimationConfig):
+        return 0, config.n
     horizon, policy = config.horizon, config.policy
+    if isinstance(policy, UniformRandom):
+        return horizon, 0
     if isinstance(policy, ThompsonGaussian):
-        return 3 * horizon
-    if whole or isinstance(policy, UCB):
-        return horizon
+        return 0, 3 * horizon
     if isinstance(policy, ExploreThenCommit):
-        return 2 * resolve_tau(policy, horizon)
-    return 0
+        return 0, 2 * resolve_tau(policy, horizon)
+    return 0, horizon
 
 
-def _family_key(config: BanditConfig | EstimationConfig) -> tuple:
-    """The (seed, replicates, arm draws) that place a config in its family."""
-    uniform = isinstance(config, BanditConfig) and isinstance(config.policy, UniformRandom)
-    return (config.seed, config.replicates, config.horizon if uniform else 0)
-
-
-def _families(configs: Sequence[BanditConfig | EstimationConfig], whole: bool = False) -> dict[_Family, list[int]]:
+def _families(configs: Sequence[BanditConfig | EstimationConfig]) -> dict[_Family, list[int]]:
     """The families of the configs, each with its members' indices in input
-    order; `whole` as in `_bandit_normals`."""
+    order."""
     members: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
-        members.setdefault(_family_key(config), []).append(i)
+        members.setdefault((config.seed, config.replicates, _read_counts(config)[0]), []).append(i)
     families = {}
     for key, rows in members.items():
         group = [configs[i] for i in rows]
-        width = max((_bandit_normals(c, whole) for c in group if isinstance(c, BanditConfig)), default=0)
+        width = max((_read_counts(c)[1] for c in group if isinstance(c, BanditConfig)), default=0)
         sizes = tuple(sorted({c.n for c in group if isinstance(c, EstimationConfig)}))
         families[_Family(*key, width, sizes)] = rows
     return families
-
-
-def _own_family(config: BanditConfig | EstimationConfig) -> _Family:
-    """The config alone as a family that draws its whole contract stream."""
-    return next(iter(_families([config], whole=True)))
 
 
 def _longest(family: _Family) -> int:
@@ -316,12 +309,13 @@ def _replicate_bytes(family: _Family) -> int:
 
 
 def _stream_bytes(config: BanditConfig | EstimationConfig) -> int:
-    """Bytes of one replicate's whole stream past its model draw: the arm
-    draws and every normal.  No family that serves the config draws more
-    per replicate, so a stream within the budget is drawn in chunks of at
-    least one replicate."""
-    family = _own_family(config)
-    return family.arms + 8 * _longest(family)
+    """Bytes one replicate of the config draws past its model draw: its arm
+    draws and, at 8 bytes each, the normals it reads.  A family draws per
+    replicate its members' arm draws and its longest reader's normals, the
+    most any member draws, so a family of configs within the budget draws
+    at least one replicate within it."""
+    arms, normals = _read_counts(config)
+    return arms + 8 * normals
 
 
 def _replicate_chunks(family: _Family) -> list[range]:
@@ -367,37 +361,28 @@ def _draw(family: _Family, replicates: range) -> Draws:
     return Draws(family, model, arms, kept, means)
 
 
-def _predraw(config: BanditConfig | EstimationConfig, replicates: range) -> Draws:
-    """The config's draws alone, its whole contract stream: a one-member
-    family."""
-    return _draw(_own_family(config), replicates)
-
-
 def _reads(config: BanditConfig | EstimationConfig, draws: Draws) -> tuple[np.ndarray | None, np.ndarray]:
-    """The config's own draws, if it makes any, and its (reps, T) reward
-    noises or (reps,) observation-noise means, as views into a family's
-    draws: Thompson's posterior normals lead its reward noises, and every
-    other bandit reads the leading normals as its reward noises
-    (explore-then-commit's stop after its 2 tau exploration rounds in a
-    family of no wider member).
+    """The config's own draws, if it makes any, and the normals it reads
+    (`_read_counts`) or its (reps,) observation-noise mean, as views into a
+    family's draws: Thompson's (reps, T, 2) posterior normals lead its
+    (reps, T) reward noises, and every other bandit reads exactly its count
+    of leading normals as its reward noises, whatever family they come from.
 
     Raises ValueError unless the draws hold the config's stream: its
     family's seed, replicate count and arm draws, and its normals among
     those kept or its n among the sizes whose means are kept."""
     family = draws.family
-    if isinstance(config, EstimationConfig):
-        held = config.n in family.sizes
-    else:
-        held = _bandit_normals(config, False) <= family.width
-    if not held or _family_key(config) != (family.seed, family.replicates, family.arms):
+    arms, normals = _read_counts(config)
+    estimation = isinstance(config, EstimationConfig)
+    held = config.n in family.sizes if estimation else normals <= family.width
+    if not held or (config.seed, config.replicates, arms) != family[:3]:
         raise ValueError("draws do not hold the config's stream: its seed, replicates, arm draws and normals")
-    if isinstance(config, EstimationConfig):
+    if estimation:
         return None, draws.means[family.sizes.index(config.n)]
     horizon, kept = config.horizon, draws.kept
     if isinstance(config.policy, ThompsonGaussian):
-        return kept[:, : 2 * horizon].reshape(len(kept), horizon, 2), kept[:, 2 * horizon : 3 * horizon]
-    own = draws.arms if isinstance(config.policy, UniformRandom) else None
-    return own, kept[:, :horizon]
+        return kept[:, : 2 * horizon].reshape(len(kept), horizon, 2), kept[:, 2 * horizon : normals]
+    return draws.arms if arms else None, kept[:, :normals]
 
 
 # ---------------------------------------------------------------- estimation

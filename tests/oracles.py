@@ -14,7 +14,7 @@ from cvarbounds.divergences import DivergenceKind, hellinger2_bernoulli, kl_bern
 from cvarbounds.errors import _check_fields
 from cvarbounds.inversion import BRACKET_TOL, InversionResult
 from cvarbounds.risk import EXACT_TOL, DiscreteLossDistribution, RiskLevel, SampleSet, empirical_cvar
-from cvarbounds.sim import BanditConfig, ExploreThenCommit, UCB, UniformRandom, resolve_tau
+from cvarbounds.sim import BanditConfig, ExploreThenCommit, ThompsonGaussian, UCB, UniformRandom, resolve_tau
 
 _MIN_ORACLE_GRID = 1_000
 _MIN_KL_REPLICATES = 1_000
@@ -144,10 +144,27 @@ def cvar_dominates_mean(samples: SampleSet, level: RiskLevel) -> bool:
     The inequality is an identity of the tail average, so a False return
     indicates a numerical defect rather than a property of the data.
     """
-    return empirical_cvar(samples, level) >= samples.mean() - EXACT_TOL
+    return empirical_cvar(samples, level) >= float(samples.values.mean()) - EXACT_TOL
 
 
 # ------------------------------------------------------------------ bandits
+
+
+def whole_family(config: BanditConfig) -> sim._Family:
+    """The config alone as a family that draws its whole contract stream:
+    past the normals the package reads, all T reward noises, which a
+    transcript replays."""
+    arms, normals = sim._read_counts(config)
+    width = normals if isinstance(config.policy, ThompsonGaussian) else config.horizon
+    return sim._Family(config.seed, config.replicates, arms, width, ())
+
+
+def transcript_draws(config: BanditConfig, replicates: range) -> tuple[sim.Draws, np.ndarray | None, np.ndarray]:
+    """The config's whole-stream draws of the replicates, with its own draws
+    and its (reps, T) reward noises cut from them, the last T normals kept."""
+    draws = sim._draw(whole_family(config), replicates)
+    own, _ = sim._reads(config, draws)
+    return draws, own, draws.kept[:, -config.horizon :]
 
 
 def _reference_rollout(config: BanditConfig, model, own, noise) -> np.ndarray:
@@ -219,9 +236,8 @@ def mc_transcript_kl(config: BanditConfig) -> tuple[float, float]:
         )
     half_g = 0.5 * config.gap
     parts = []
-    for chunk in sim._replicate_chunks(sim._own_family(config)):
-        draws = sim._predraw(config, chunk)
-        own, noise = sim._reads(config, draws)
+    for chunk in sim._replicate_chunks(whole_family(config)):
+        draws, own, noise = transcript_draws(config, chunk)
         forced = np.ones(draws.model.size, dtype=np.int64)
         actions = _reference_rollout(config, forced, own, noise)
         mu1 = np.where(actions == 1, half_g, -half_g)  # chosen-arm mean under model 1

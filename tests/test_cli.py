@@ -107,10 +107,10 @@ _HUGE = str(10**400)
     [
         (["bound", "--horizon", _HUGE, "--gap", "0.1"], "horizon"),
         (["bound", "--n", _HUGE, "--delta", "optimal"], "n"),
-        (["bound", "--horizon", "5", "--gap", "1e308"], "g"),
+        (["bound", "--horizon", "5", "--gap", "1e308"], "gap"),
         (["simulate", "--n", "1", "--delta", "1e200", "--estimator", "sample_mean"], "delta"),
         # g^2 T / 2 fits a float but the regret cap g T does not
-        (["bound", "--horizon", str(15 * 10**307), "--gap", "1.5"], "g"),
+        (["bound", "--horizon", str(15 * 10**307), "--gap", "1.5"], "gap"),
         # the parameter fits a float but its product with a scale does not
         (["simulate", "--horizon", "10", "--gap", "1e308", "--scale", "2", "--policy", "uniform"], "gap"),
         (["simulate", "--n", "10", "--delta", "1e308", "--scale", "2", "--estimator", "sample_mean"], "delta"),
@@ -136,8 +136,8 @@ def test_overflowing_input_is_usage_error(argv, name, capsys):
         assert "got 1e+308" in err and "scale = 2.0" in err
 
 
-@pytest.mark.parametrize("flag, name", [("--gap", "g"), ("--delta", "delta")])
-def test_verify_refuses_an_overflowing_parameter_before_drawing(flag, name, monkeypatch, capsys, tmp_path):
+@pytest.mark.parametrize("flag", ["--gap", "--delta"])
+def test_verify_refuses_an_overflowing_parameter_before_drawing(flag, monkeypatch, capsys, tmp_path):
     # every case is bounded before any is drawn, so a parameter the closed
     # forms refuse costs no Monte Carlo time
     draw, calls = sim._draw, []
@@ -148,11 +148,30 @@ def test_verify_refuses_an_overflowing_parameter_before_drawing(flag, name, monk
 
     monkeypatch.setattr(sim, "_draw", counted)
     assert main(["verify", "--replicates", "2000", flag, "1e200"]) == 2
-    assert f" {name}: " in capsys.readouterr().err
+    assert f" {flag[2:]}: " in capsys.readouterr().err
     assert calls == []
     # the counter sees the draws of a run that is not refused
     assert main(["verify", "--replicates", "40", "--horizon", "8", "--n", "4", "--out", str(tmp_path / "r")]) in (0, 1)
     assert calls
+
+
+@pytest.mark.parametrize(
+    "argv, name, got",
+    [
+        (["bound", "--horizon", "200", "--gap", "1e200"], "gap", "scale = 1.0, got 1e+200"),
+        (["verify", "--gap", "1e200", "--replicates", "20"], "gap", "scale = 0.5, got 1e+200"),
+        (["bound", "--horizon", "200", "--gap", "optimal", "--scale", "1e200"], "scales", "got 1e+200"),
+        (["bound", "--n", "100", "--delta", "optimal", "--scale", "1e200"], "scales", "got 1e+200"),
+    ],
+    ids=["bound-gap", "verify-gap", "bound-optimal-gap", "bound-optimal-delta"],
+)
+def test_closed_form_refusal_names_the_field_set(argv, name, got, capsys):
+    # a case the closed forms refuse is reported under the field the user
+    # set, with the value given, not under the closed forms' g at the scaled value
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert not err.startswith("error: g:")
+    assert f" {name}: " in err and err.rstrip().endswith(got), err
 
 
 @pytest.mark.parametrize(
@@ -173,6 +192,28 @@ def test_simulate_refuses_a_stream_over_the_draw_budget(argv, name, monkeypatch,
     assert main(["simulate", *argv, "--replicates", "4"]) == 2
     err = capsys.readouterr().err
     assert f"error: {name}: one replicate's stream of " in err and "draw budget" in err
+
+
+def test_simulate_refuses_a_config_by_what_it_draws(monkeypatch, capsys, tmp_path):
+    # at T = 2e7 one replicate of explore-then-commit draws its 2 tau normals,
+    # 1.2 MB, and the uniform policy its T arm draws, 20 MB: both run, while
+    # UCB's T normals, 160 MB, outgrow the draw budget
+    argv = ["simulate", "--horizon", "20000000", "--gap", "1e-9", "--replicates", "2"]
+    assert main([*argv, "--policy", "etc", "--out", str(tmp_path / "etc")]) == 0
+
+    class Drew(Exception):
+        pass
+
+    def draw(*args):
+        raise Drew
+
+    # the uniform policy's rollout takes about 130 MB, so it is run up to its draw
+    monkeypatch.setattr(sim, "_draw", draw)
+    with pytest.raises(Drew):
+        main([*argv, "--policy", "uniform"])
+    assert main([*argv, "--policy", "ucb"]) == 2
+    why = "one replicate's stream of 160000000 bytes outgrows the 134217728-byte draw budget, got 20000000"
+    assert capsys.readouterr().err == f"error: horizon: {why}\n"
 
 
 # the verify command line the benchmark's verify-default workload builds; it

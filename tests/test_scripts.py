@@ -128,3 +128,19 @@ def test_bench_pairs_runs_every_listed_workload_by_default():
         "closed-forms",
         "verify-default",
     ]
+
+
+def test_bench_pairs_counts_the_src_line_delta(tmp_path):
+    # newlines of every src/**/*.py file, nested ones too; other files and
+    # Python outside src/ are not counted
+    ref, tree = tmp_path / "ref", tmp_path / "tree"
+    for root, files in (
+        (ref, {"src/pkg/a.py": "x = 1\ny = 2\n", "src/b.py": "z = 3\n", "src/notes.txt": "1\n2\n"}),
+        (tree, {"src/pkg/a.py": "x = 1\n", "tests/test_a.py": "assert True\n"}),
+    ):
+        for name, text in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+    line = _bench_pairs().src_line_delta(ref, tree)
+    assert line == "src/**/*.py lines: ref 3, working tree 1, difference -2"
+    assert _bench_pairs().src_line_delta(ROOT, ROOT).endswith("difference +0")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import _reference_rollout, mc_transcript_kl
+from oracles import _reference_rollout, mc_transcript_kl, transcript_draws
 
 from cvarbounds import sim
 from cvarbounds.bounds import bandit_bound, optimal_gap
@@ -19,7 +19,6 @@ from cvarbounds.sim import (
     ThompsonGaussian,
     UCB,
     UniformRandom,
-    _predraw,
     exact_loss_law,
     exact_sign_estimator_law,
     exact_uniform_bandit_law,
@@ -34,14 +33,20 @@ from cvarbounds.sim import (
 ALL_POLICIES = (UniformRandom(), ExploreThenCommit(), UCB(), ThompsonGaussian())
 
 
+def _own_draws(config, replicates):
+    """The config's draws alone, of its one-member family."""
+    (family,) = sim._families([config])
+    return sim._draw(family, replicates)
+
+
 def _bandit(config):
     """The losses of every replicate, drawn at once."""
-    return run_bandit(config, _predraw(config, range(config.replicates)))
+    return run_bandit(config, _own_draws(config, range(config.replicates)))
 
 
 def _estimation(config):
     """The losses of every replicate, drawn at once."""
-    return run_estimation(config, _predraw(config, range(config.replicates)))
+    return run_estimation(config, _own_draws(config, range(config.replicates)))
 
 
 # ----------------------------------------------------------------- plumbing
@@ -252,7 +257,7 @@ def test_bandit_pair_identity():
     # arm-1 pulls lie in [0, T] and regrets under the two models sum to g*T, per replicate
     for policy in ALL_POLICIES:
         config = BanditConfig(horizon=30, gap=0.3, policy=policy, replicates=250, seed=3)
-        draws = _predraw(config, range(250))
+        draws = _own_draws(config, range(250))
         n1 = sim._rollout(policy, 30, (0.3,), draws.model, *sim._reads(config, draws))[0]
         n2 = 30 - n1
         assert np.all((n1 >= 0) & (n2 >= 0))
@@ -267,8 +272,7 @@ def test_bandit_pair_identity():
 def _oracle_and_counts(config):
     """The round-loop oracle's (reps, T) actions and the rollout's arm-1
     counts on every replicate of the config."""
-    draws = _predraw(config, range(config.replicates))
-    own, noise = sim._reads(config, draws)
+    draws, own, noise = transcript_draws(config, range(config.replicates))
     actions = _reference_rollout(config, draws.model, own, noise)
     n1 = sim._rollout(config.policy, config.horizon, (config.gap,), draws.model, own, noise)[0]
     return actions, n1
@@ -389,15 +393,15 @@ def test_predrawn_draws_are_shared_across_gaps():
     # predraw serves every gap, and a chunk of it serves its replicates
     for policy in ALL_POLICIES:
         base = BanditConfig(horizon=12, gap=0.1, policy=policy, replicates=30, seed=8)
-        draws = _predraw(base, range(30))
+        draws = _own_draws(base, range(30))
         for gap in (0.1, 0.35, 2.0):
             cfg = BanditConfig(horizon=12, gap=gap, policy=policy, replicates=30, seed=8)
             alone = _bandit(cfg)
             assert np.array_equal(run_bandit(cfg, draws), alone), policy.name
-            part = run_bandit(cfg, _predraw(cfg, range(11, 23)))
+            part = run_bandit(cfg, _own_draws(cfg, range(11, 23)))
             assert np.array_equal(part, alone[11:23])
     for estimator in Estimator:
-        draws = _predraw(
+        draws = _own_draws(
             EstimationConfig(n=5, delta=0.1, estimator=Estimator.SAMPLE_MEAN, replicates=40, seed=4), range(40)
         )
         for delta in (0.1, 0.45):
@@ -430,8 +434,7 @@ def test_batched_rollout_matches_round_loop_oracle(monkeypatch):
     expected = []
     for policy in policies:
         rows = [config for config in configs if config.policy == policy]
-        draws = _predraw(rows[0], range(reps))
-        own, noise = sim._reads(rows[0], draws)
+        draws, own, noise = transcript_draws(rows[0], range(reps))
         counts = sim._rollout(policy, horizon, gaps, draws.model, own, noise)
         for config, n1 in zip(rows, counts):
             actions = _reference_rollout(config, draws.model, own, noise)
@@ -459,8 +462,7 @@ def test_rollout_matches_oracle_at_edge_gaps(horizon):
     gaps = (5e-324, 1e-300, 1e300)
     for policy in (UCB(), UCB(c_explore=0.0), ThompsonGaussian()):
         rows = [BanditConfig(horizon=horizon, gap=g, policy=policy, replicates=reps, seed=21) for g in gaps]
-        draws = _predraw(rows[0], range(reps))
-        own, noise = sim._reads(rows[0], draws)
+        draws, own, noise = transcript_draws(rows[0], range(reps))
         counts = sim._rollout(policy, horizon, gaps, draws.model, own, noise)
         for config, n1 in zip(rows, counts):
             actions = _reference_rollout(config, draws.model, own, noise)
@@ -565,8 +567,8 @@ def test_simulate_shared_groups_configs_drawn_apart(monkeypatch):
 
 
 def test_run_bandit_rejects_draws_that_do_not_hold_its_stream():
-    uniform = _predraw(BanditConfig(horizon=6, gap=0.2, policy=UniformRandom(), replicates=4, seed=0), range(4))
-    plain = _predraw(BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=0), range(4))
+    uniform = _own_draws(BanditConfig(horizon=6, gap=0.2, policy=UniformRandom(), replicates=4, seed=0), range(4))
+    plain = _own_draws(BanditConfig(horizon=6, gap=0.2, policy=UCB(), replicates=4, seed=0), range(4))
     with pytest.raises(ValueError):
         run_bandit(BanditConfig(horizon=6, gap=0.2, policy=ThompsonGaussian(), replicates=4, seed=0), uniform)
     with pytest.raises(ValueError):
@@ -581,7 +583,7 @@ def test_run_bandit_rejects_draws_that_do_not_hold_its_stream():
     run_bandit(BanditConfig(horizon=6, gap=0.2, policy=ExploreThenCommit(), replicates=4, seed=0), plain)
     # an estimation refuses draws of another n, seed or replicate count
     est = dict(n=5, delta=0.2, estimator=Estimator.SAMPLE_MEAN, replicates=4, seed=0)
-    est_draws = _predraw(EstimationConfig(**est), range(4))
+    est_draws = _own_draws(EstimationConfig(**est), range(4))
     for bad in (dict(n=6), dict(seed=1), dict(replicates=5), dict(replicates=3)):
         with pytest.raises(ValueError):
             run_estimation(EstimationConfig(**{**est, **bad}), est_draws)
@@ -600,7 +602,7 @@ def test_run_on_draws_of_another_family_member_equals_its_own():
     ucb6 = BanditConfig(horizon=6, gap=0.3, policy=UCB(), replicates=5, seed=2)
     thompson6 = BanditConfig(horizon=6, gap=0.3, policy=ThompsonGaussian(), replicates=5, seed=2)
     for config, other in ((ucb4, ucb6), (ucb6, thompson6)):
-        draws = _predraw(other, range(5))
+        draws = _own_draws(other, range(5))
         assert np.array_equal(run_bandit(config, draws), _bandit(config)), (config, other)
     estimation = EstimationConfig(n=4, delta=0.3, estimator=Estimator.SAMPLE_MEAN, replicates=5, seed=2)
     (family,) = sim._families([thompson6, estimation, ucb4])
@@ -615,11 +617,11 @@ def test_estimation_predraw_keeps_one_float_per_replicate():
     # sufficient statistic, so its predraw does not grow with n
     for n in (1, 6, 100_000):
         config = EstimationConfig(n=n, delta=0.2, estimator=Estimator.SAMPLE_MEAN, replicates=3, seed=2)
-        draws = _predraw(config, range(3))
+        draws = _own_draws(config, range(3))
         own, noise = sim._reads(config, draws)
         assert own is None and noise.shape == (3,)
         assert sum(a.nbytes for a in draws[1:]) == 3 * (1 + 8)
-        assert sim._replicate_bytes(sim._own_family(config)) == 8
+        assert sim._replicate_bytes(draws.family) == 8
         for r in range(3):
             rng = replicate_rng(2, r)
             assert draws.model[r] == 1 + rng.integers(0, 2)
@@ -629,8 +631,8 @@ def test_estimation_predraw_keeps_one_float_per_replicate():
 
 def _assert_reads_are_own_stream(config, drawn, chunk):
     """The config's reads of its family's draws equal those of its own
-    stream, its reward noises a prefix of them, and copy none of them."""
-    (own, noise), alone = sim._reads(config, drawn), _predraw(config, chunk)
+    family's draws, and copy none of them."""
+    (own, noise), alone = sim._reads(config, drawn), _own_draws(config, chunk)
     own_alone, noise_alone = sim._reads(config, alone)
     assert np.array_equal(drawn.model, alone.model)
     assert (own is None) == (own_alone is None)
@@ -640,7 +642,7 @@ def _assert_reads_are_own_stream(config, drawn, chunk):
     if isinstance(config, EstimationConfig):
         assert np.array_equal(noise, noise_alone) and np.shares_memory(noise, drawn.means)
     else:
-        assert np.array_equal(noise, noise_alone[:, : noise.shape[1]])
+        assert np.array_equal(noise, noise_alone)
         assert noise.size == 0 or np.shares_memory(noise, drawn.kept)
     return own, noise
 
@@ -675,30 +677,59 @@ def test_shared_prefixes_match_each_configs_own_stream(monkeypatch):
                 drawn = sim._draw(family, chunk)
                 reads = {configs[i]: _assert_reads_are_own_stream(configs[i], drawn, chunk) for i in members}
                 if etc in reads:
-                    assert reads[etc][1].shape[1] == (2 * tau if len(configs) == 2 else horizon)
+                    assert reads[etc][1].shape[1] == 2 * tau
                 if bandits[3] in reads:
                     assert reads[bandits[3]][0].shape == (len(chunk), horizon, 2)
 
 
+def test_reads_do_not_depend_on_the_family():
+    # each config's reads cut from its own family's draws equal those cut
+    # from a family shared with Thompson, UCB and estimation members: every
+    # bandit but Thompson reads exactly its count of leading normals
+    horizon, reps, seed = 9, 4, 3
+    configs = [
+        BanditConfig(horizon, 0.5, policy, reps, seed) for policy in (*ALL_POLICIES, ExploreThenCommit(tau=2))
+    ]
+    configs.append(EstimationConfig(5, 0.3, Estimator.SAMPLE_MEAN, reps, seed))
+    (shared,) = (family for family in sim._families(configs) if family.arms == 0)
+    assert shared.width == 3 * horizon and shared.sizes == (5,)
+    # the uniform policy's arm draws head a family as wide as the shared one
+    families = {0: shared, horizon: shared._replace(arms=horizon)}
+    columns = {}
+    for config in configs:
+        cut = sim._reads(config, sim._draw(families[sim._read_counts(config)[0]], range(reps)))
+        for mine, theirs in zip(sim._reads(config, _own_draws(config, range(reps))), cut):
+            assert (mine is None) == (theirs is None), config
+            assert mine is None or (mine.shape == theirs.shape and np.array_equal(mine, theirs)), config
+        columns[config] = cut[1].shape[1:]
+    tau = resolve_tau(ExploreThenCommit(), horizon)
+    assert [columns[config] for config in configs] == [(0,), (2 * tau,), (horizon,), (horizon,), (4,), ()]
+
+
 def test_stream_over_the_draw_budget_is_refused_under_its_size(monkeypatch):
-    # a replicate's whole stream past its model draw, 8 bytes a normal and
-    # 1 an arm draw, must fit the draw budget; checked without drawing
+    # what one replicate draws past its model draw, 1 byte an arm draw and
+    # 8 a normal it reads, must fit the draw budget; checked without drawing
     def draw(*args):
         raise AssertionError("drew while checking a config")
 
     monkeypatch.setattr(sim, "_draw", draw)
-    per_unit = [(UniformRandom(), 9), (ExploreThenCommit(), 8), (UCB(), 8), (ThompsonGaussian(), 24), (None, 8)]
+    # bytes a round, per n for the estimation, per tau for explore-then-commit
+    per_unit = [(UniformRandom(), 1), (UCB(), 8), (ThompsonGaussian(), 24), (None, 8), (ExploreThenCommit, 16)]
     for policy, unit in per_unit:
         monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 10 * unit)
         if policy is None:
-            name, make = "n", lambda n: EstimationConfig(n, 0.2, Estimator.SAMPLE_MEAN, 4, 0)
+            name, size, make = "n", 11, lambda n: EstimationConfig(n, 0.2, Estimator.SAMPLE_MEAN, 4, 0)
+        elif policy is ExploreThenCommit:
+            # its 2 tau exploration noises, whatever the horizon
+            name, size, make = "horizon", 100, lambda tau: BanditConfig(100, 0.2, ExploreThenCommit(tau), 4, 0)
         else:
-            name, make = "horizon", lambda horizon: BanditConfig(horizon, 0.2, policy, 4, 0)
+            name, size, make = "horizon", 11, lambda horizon: BanditConfig(horizon, 0.2, policy, 4, 0)
         make(10)
         with pytest.raises(ValueError) as exc:
             make(11)
-        why = f"one replicate's stream of {11 * unit} bytes outgrows the {10 * unit}-byte draw budget, got 11"
+        why = f"one replicate's stream of {11 * unit} bytes outgrows the {10 * unit}-byte draw budget, got {size}"
         assert str(exc.value) == f"{name}: {why}"
+
 
 _SWEEP = ["--alpha", "0", "--alpha", "0.5", "--alpha", "0.9", "--scale", "0.5", "--scale", "1", "--scale", "2"]
 _TAILS = ["--alpha", "0", "--alpha", "0.9"]
