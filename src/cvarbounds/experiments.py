@@ -1,8 +1,8 @@
 """Experiment orchestration: resolve a config into rows, render CSV/JSON.
 
 A `bound`, `simulate` or `verify` config becomes one battery of cases, one
-per subject, variant, tail level and scale.  Every case is bounded before
-any is drawn, and all simulated cases are drawn in one pass.
+per subject, variant, tail level and scale.  Its refusals are raised as one
+`ConfigError` before any case is drawn, and simulated cases share one pass.
 
 Row schema is pinned for downstream tooling: columns
 alpha, param_name, param_value, bound, t_star, empirical_cvar, exact_cvar,
@@ -145,6 +145,8 @@ class ExperimentConfig:
     rho_step: float = 0.01
 
     def validate(self) -> None:
+        """Apply the field rules; `run_experiment` then refuses, before it
+        draws, the cases the closed forms or the draw budget cannot run."""
         problems: dict[str, str] = {}
         for name, item in (("alphas", "alpha"), ("scales", "scale")):
             values = getattr(self, name)
@@ -185,15 +187,6 @@ class ExperimentConfig:
             why = None if _is_optimal(raw) else _FIELD_PROBLEMS[subject.field](raw)
             if why:
                 problems[subject.field] = f"{why} or {OPTIMAL!r}, got {raw!r}"
-            elif not _is_optimal(raw) and "scales" not in problems:
-                # a scaled value out of range is refused under the field given
-                for scale in self.scales:
-                    value = float(raw) * float(scale)
-                    if not 0.0 < value < math.inf:
-                        how = "overflows a float" if value else "underflows to 0"
-                        why = f"{subject.field} times scale {how} at scale = {scale!r}"
-                        problems[subject.field] = f"{why}, got {raw!r}"
-                        break
         for subject in _SUBJECTS:
             variants = getattr(self, subject.variants)
             if not isinstance(variants, (tuple, list)):
@@ -370,27 +363,32 @@ def _subjects(config: ExperimentConfig) -> tuple[_Subject, ...]:
     return ()
 
 
-def _closed_form_refusal(config: ExperimentConfig, subject: _Subject, scale: float, exc: ValueError) -> dict[str, str]:
-    """A closed form's refusal of one case, under the config field the user
-    set: the parameter's field, naming the value given and the scale, or
-    `scales` when the parameter is the worst case.  The closed forms name
-    the parameter times scale by their own argument: "g: why, got value"."""
-    why = str(exc).partition(": ")[2].rpartition(", got ")[0]
+def _refusal(config: ExperimentConfig, subject: _Subject, scale: float, exc: ValueError) -> tuple[str, str]:
+    """One case's refusal, as (field, why), under the config field the user
+    set.  A sim config names that field itself: "horizon: why".  A closed
+    form names the parameter times scale by its own argument, "g: why, got
+    value"; that goes under the parameter's field, naming the value given
+    and the scale, or under `scales` when the parameter is the worst case."""
+    name, _, why = str(exc).partition(": ")
+    if name != subject.param:
+        return name, why
+    why = why.rpartition(", got ")[0]
     raw = getattr(config, subject.field)
     optimal = _is_optimal(raw)
     what = f"{subject.param} is the {OPTIMAL if optimal else 'given'} {subject.field} times scale"
     if optimal:
-        return {"scales": f"{why}, where {what}, got {scale!r}"}
-    return {subject.field: f"{why}, where {what} = {scale!r}, got {raw!r}"}
+        return "scales", f"{why}, where {what}, got {scale!r}"
+    return subject.field, f"{why}, where {what} = {scale!r}, got {raw!r}"
 
 
 def _battery_rows(config: ExperimentConfig) -> list[ExperimentRow]:
     """Rows of every subject the kind covers: subject by subject, variant by
     variant, then by alpha, then by scale.
 
-    Every case is bounded before any is drawn, so a parameter the closed
-    forms refuse is reported, under the field the user set, before any
-    Monte Carlo time is spent.  `bound` rows carry the bound alone.
+    Every case is bounded, and its sim config built, before any is drawn:
+    the cases the closed forms or the draw budget refuse are reported
+    together, each field's first refusal under the field the user set, and
+    cost no Monte Carlo time.  `bound` rows carry the bound alone.
     Simulated rows are drawn in one call to `simulate_shared`, which draws
     once for every case whose draws coincide, and carry the Monte Carlo
     statistics and, where `exact_loss_law` knows one, the exact law's CVaR;
@@ -398,7 +396,7 @@ def _battery_rows(config: ExperimentConfig) -> list[ExperimentRow]:
     """
     simulate = config.kind in _SIMULATED_KINDS
     qualify = config.kind is ExperimentKind.VERIFY
-    cases = []
+    cases, problems = [], {}
     for subject in _subjects(config):
         size = getattr(config, subject.size)
         raw = getattr(config, subject.field)
@@ -406,22 +404,22 @@ def _battery_rows(config: ExperimentConfig) -> list[ExperimentRow]:
             for alpha in config.alphas:
                 level = RiskLevel(alpha)
                 base = subject.optimum(size, level) if _is_optimal(raw) else float(raw)
-                cases += [(subject, size, variant, level, scale, scale * base) for scale in config.scales]
-    results = []
-    for subject, size, _, level, scale, value in cases:
-        try:
-            results.append(subject.bound(size, value, level))
-        except ValueError as exc:
-            raise ConfigError(_closed_form_refusal(config, subject, scale, exc)) from None
-    sim_configs = [
-        s.sim_config(size, value, v, config.replicates, config.seed) if simulate else None
-        for s, size, v, _, _, value in cases
-    ]
-    samples = simulate_shared(sim_configs) if simulate else sim_configs
+                for scale in config.scales:
+                    value = scale * base
+                    try:
+                        result = subject.bound(size, value, level)
+                        sim_config = (
+                            subject.sim_config(size, value, variant, config.replicates, config.seed) if simulate else None
+                        )
+                    except ValueError as exc:
+                        problems.setdefault(*_refusal(config, subject, scale, exc))
+                        continue
+                    cases.append((subject, size, variant, level, scale, value, result, sim_config))
+    if problems:
+        raise ConfigError(problems)
+    samples = simulate_shared([case[-1] for case in cases]) if simulate else [None] * len(cases)
     rows = []
-    for (subject, size, variant, level, scale, value), result, sim_config, case_samples in zip(
-        cases, results, sim_configs, samples
-    ):
+    for (subject, size, variant, level, scale, value, result, sim_config), case_samples in zip(cases, samples):
         params: dict[str, Any] = {subject.size: size, subject.param: value, "scale": scale}
         name = subject.param
         emp = stderr = slack = exact = None

@@ -2,6 +2,7 @@
 FAIL line with the measured quantity so the run log doubles as a report."""
 
 import csv
+import hashlib
 import math
 import random
 import time
@@ -142,11 +143,17 @@ def test_04_exact_law_dominance():
     )
 
 
+# sha256 of the default verify report at seed 0; a change to drawing, row
+# building, the bounds or the Monte Carlo statistics must keep every byte
+_DEFAULT_VERIFY_SHA256 = "e2c227c5241fcb663270357d7757ed406e45216fecc005d6ac0049cb6b81338b"
+
+
 def test_05_monte_carlo_dominance(tmp_path):
     started = time.perf_counter()
     out = tmp_path / "verify.csv"
     rc = cli_main(["verify", "--out", str(out)])
     elapsed = time.perf_counter() - started
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
     with out.open() as f:
         rows = list(csv.DictReader(f))
     n_rows = len(rows)
@@ -162,8 +169,8 @@ def test_05_monte_carlo_dominance(tmp_path):
         consistent &= (emp_ok and exact_ok) == (r["dominated"] == "true")
     _criterion(
         "full verify battery dominates within Monte Carlo slack and exits 0",
-        rc == 0 and n_rows == 63 and not bad and consistent and elapsed <= 180.0,
-        f"exit {rc}, {n_rows} rows, {len(bad)} violations, {elapsed:.0f}s",
+        rc == 0 and n_rows == 63 and not bad and consistent and elapsed <= 180.0 and digest == _DEFAULT_VERIFY_SHA256,
+        f"exit {rc}, {n_rows} rows, {len(bad)} violations, {elapsed:.0f}s, sha256 {digest[:12]}",
     )
 
 

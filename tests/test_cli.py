@@ -191,7 +191,7 @@ def test_simulate_refuses_a_stream_over_the_draw_budget(argv, name, monkeypatch,
     monkeypatch.setattr(sim, "_draw", draw)
     assert main(["simulate", *argv, "--replicates", "4"]) == 2
     err = capsys.readouterr().err
-    assert f"error: {name}: one replicate's stream of " in err and "draw budget" in err
+    assert f"error: invalid experiment config: {name}: one replicate's stream of " in err and "draw budget" in err
 
 
 def test_simulate_refuses_a_config_by_what_it_draws(monkeypatch, capsys, tmp_path):
@@ -213,7 +213,7 @@ def test_simulate_refuses_a_config_by_what_it_draws(monkeypatch, capsys, tmp_pat
         main([*argv, "--policy", "uniform"])
     assert main([*argv, "--policy", "ucb"]) == 2
     why = "one replicate's stream of 160000000 bytes outgrows the 134217728-byte draw budget, got 20000000"
-    assert capsys.readouterr().err == f"error: horizon: {why}\n"
+    assert capsys.readouterr().err == f"error: invalid experiment config: horizon: {why}\n"
 
 
 # the verify command line the benchmark's verify-default workload builds; it

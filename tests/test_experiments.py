@@ -453,6 +453,36 @@ def _verify_config(replicates, seed=3):
     )
 
 
+@pytest.mark.parametrize(
+    "config, why",
+    [
+        (replace(_verify_config(20), gap=1e200, delta=1e200), {"gap": "got 1e+200", "delta": "got 1e+200"}),
+        (
+            _bandit_config(horizon=10**12, gap=1e-9, policies=(UCB(),), replicates=4),
+            {"horizon": "stream of 8000000000000 bytes"},
+        ),
+        (
+            replace(_verify_config(20), horizon=10**7, delta=1e200),
+            {"delta": "got 1e+200", "horizon": "stream of 240000000 bytes"},
+        ),
+    ],
+    ids=["gap-and-delta", "ucb-stream", "delta-and-thompson-stream"],
+)
+def test_a_battery_refuses_every_field_before_drawing(config, why, monkeypatch):
+    # the closed forms' and the draw budget's refusals of a battery come out
+    # as one ConfigError naming every refused field, before anything is drawn
+    def draw(*args):
+        raise AssertionError("drew before refusing the battery")
+
+    monkeypatch.setattr(sim, "_draw", draw)
+    config.validate()
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(config)
+    assert set(exc.value.problems) == set(why)
+    for name, text in why.items():
+        assert text in exc.value.problems[name], name
+
+
 def test_shared_draw_rows_match_per_row_simulation():
     cfg = _verify_config(replicates=60)
     report = run_experiment(cfg)
