@@ -446,7 +446,8 @@ def _rollout(policy: Policy, horizon: int, gaps, model, own, noise) -> np.ndarra
     """
     k, reps = len(gaps), model.size
     if isinstance(policy, UniformRandom):
-        return np.broadcast_to((own == 1).sum(axis=1), (k, reps))
+        # arm draws are 1 or 2, so a row sums to 2 T less its arm-1 pulls
+        return np.broadcast_to(2 * horizon - own.sum(axis=1, dtype=np.int64), (k, reps))
     half = 0.5 * np.asarray(gaps, dtype=float)[:, None]
     mu1 = np.where(model == 1, half, -half)  # arm 1's mean
     s1 = np.zeros((k, reps))

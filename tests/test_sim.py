@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,6 +357,22 @@ def test_uniform_reconstructs_from_streams():
         n2 = int((arms == 2).sum())
         want = 0.7 * n2 if model == 1 else 0.7 * (6 - n2)
         assert losses[r] == pytest.approx(want, abs=0.0)
+
+
+def test_uniform_rollout_allocates_less_than_its_arm_draws():
+    # the counts come from the arm draws' row sums, with no (reps, T) array
+    # beside them, so a uniform chunk peaks near its budgeted draw
+    reps, horizon = 4, 10**6
+    own = np.random.default_rng(0).integers(1, 3, size=(reps, horizon), dtype=np.int8)
+    model = np.ones(reps, dtype=np.int8)
+    tracemalloc.start()
+    try:
+        n1 = sim._rollout(UniformRandom(), horizon, [0.1, 0.2], model, own, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < reps * horizon
+    assert np.array_equal(n1, np.broadcast_to((own == 1).sum(axis=1), (2, reps)))
 
 
 def test_bandit_reconstructs_from_streams():
