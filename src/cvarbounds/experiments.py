@@ -248,11 +248,14 @@ def _tail_block(level: RiskLevel, count: int) -> int:
 
 
 def _tail_stats(samples: SampleSet, level: RiskLevel) -> tuple[float, float, float]:
-    """Empirical CVaR with a standard error over the averaged tail block,
-    which `ExperimentConfig.validate` keeps at 2 samples or more."""
+    """Empirical CVaR with its influence-function standard error
+    sd((L - VaR)+) / ((1 - alpha) sqrt(N)), VaR being the last sample of the
+    tail block (Manistre and Hancock, NAAJ 2005); `ExperimentConfig.validate`
+    keeps that block at 2 samples or more."""
     emp = empirical_cvar(samples, level)
-    m = _tail_block(level, samples.count)
-    stderr = float(samples.values[:m].std(ddof=1)) / math.sqrt(m)
+    values = samples.values
+    excess = np.maximum(values - values[_tail_block(level, samples.count) - 1], 0.0)
+    stderr = float(excess.std(ddof=1)) / (level.tail_mass * math.sqrt(samples.count))
     return emp, stderr, _SLACK_SIGMAS * stderr
 
 

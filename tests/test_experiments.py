@@ -21,10 +21,11 @@ from cvarbounds.experiments import (
     parse_policy,
     render_csv,
     render_json,
+    _tail_stats,
     run_experiment,
 )
 from cvarbounds import sim
-from cvarbounds.risk import RiskLevel, empirical_cvar
+from cvarbounds.risk import RiskLevel, SampleSet, empirical_cvar, exact_cvar
 from cvarbounds.sim import (
     BanditConfig,
     EstimationConfig,
@@ -33,6 +34,7 @@ from cvarbounds.sim import (
     ThompsonGaussian,
     UCB,
     UniformRandom,
+    exact_uniform_bandit_law,
     simulate_shared,
 )
 
@@ -435,6 +437,23 @@ def test_estimation_sim_rows_exact_values():
     assert row.exact_cvar == pytest.approx(0.1, abs=1e-15)
     assert row.stderr <= 1e-15  # tail of identical values, rounding only
     assert row.dominated
+
+
+def test_tail_stderr_is_calibrated_against_an_exact_law():
+    # the uniform policy's loss is g Binomial(T, 1/2); over independent
+    # batches, z = (empirical - exact CVaR) / stderr must have unit spread,
+    # so that the gate's slack of 5 standard errors is 5 real ones
+    horizon, gap, count, trials = 64, 0.05, 20_000, 300
+    law = exact_uniform_bandit_law(gap, horizon)
+    rng = np.random.default_rng(2005)
+    for alpha in (0.5, 0.9, 0.99):
+        level = RiskLevel(alpha)
+        exact = exact_cvar(law, level)
+        z = []
+        for _ in range(trials):
+            emp, stderr, _ = _tail_stats(SampleSet(gap * rng.binomial(horizon, 0.5, size=count)), level)
+            z.append((emp - exact) / stderr)
+        assert 0.85 <= np.std(z, ddof=1) <= 1.15, alpha
 
 
 def _verify_config(replicates, seed=3):

@@ -756,11 +756,11 @@ _TAILS = ["--alpha", "0", "--alpha", "0.9"]
 _PINNED_OUTPUTS = {
     "verify-csv": (
         ["verify", "--replicates", "5000", "--seed", "1"],
-        "05291fc6a6d829ff8da59be876cc1e5a28f2fa3aa71b6fedb270bb240c41fbe2",
+        "67a154a7d9bf5e97074447030a30f410a11aeab8a1dfbd77188a41834371562f",
     ),
     "verify-json": (
         ["verify", "--replicates", "2000", "--seed", "1", "--format", "json"],
-        "82db853d55bb10896deabf75f07bed37c92d1cdd393f2c6d55b5fad2342eff28",
+        "1b516cc79cd6e6a124f87731595c87bb0ce59d46732b1f5a83bc61663e9272b1",
     ),
     "bound-bandit": (
         ["bound", "--horizon", "200", "--gap", "optimal", *_SWEEP, "--format", "json"],
@@ -773,12 +773,12 @@ _PINNED_OUTPUTS = {
     "simulate-bandit": (
         ["simulate", "--horizon", "200", "--gap", "optimal", "--policy", "uniform",
          "--replicates", "2000", "--seed", "3", *_TAILS, "--format", "json"],
-        "7b4e64cdc0c33b7fa6f93c43bc10afd6c4c517409f40c428dfdb8214e573a605",
+        "081f40c84780b13fc1568c34f21b08e34d94f08a582dd8e2f172808c772351a6",
     ),
     "simulate-estimation": (
         ["simulate", "--n", "100", "--delta", "optimal", "--estimator", "sign_commit",
          "--replicates", "2000", "--seed", "3", *_TAILS, "--format", "json"],
-        "74dd13086344df8bbb6bbf8c996ebf635046f42bce97a900ac885e0854ed8a7e",
+        "09aa7b1f80004ab1b17d58dd7f3a2d2c74c6644c718bb134f239ef994a0e13be",
     ),
     "psi": (
         ["psi", "--alpha", "0", "--alpha", "0.5", "--format", "json"],
