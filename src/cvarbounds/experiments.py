@@ -128,7 +128,7 @@ def _is_optimal(raw: object) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment request; `validate` reports all problems at once."""
+    """One experiment request; `validate` reports all field problems at once."""
 
     kind: ExperimentKind
     alphas: tuple[float, ...]
