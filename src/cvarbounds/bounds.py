@@ -22,10 +22,10 @@ rho = sqrt(gamma / x_hi) < 1; then
 and the bracket's minimum over s is the balanced profile `bound_factor`
 (alpha, rho).  So the template is c * bound_factor(alpha, sqrt(gamma / x_hi)),
 attained at t = c (1/2 - s*): s* = rho^2 / (2 alpha^2) on the interior
-branch and s* = 1/2, i.e. t = 0, on the other two.  The balanced case
-c = l_max has x_hi = 1/2 and rho = sqrt(2 gamma), and the two decision
-problems (Gaussian mean estimation, two-armed Gaussian bandit) plug in their
-own budgets.
+branch and s* = 1/2, i.e. t = 0, on the other two.  `_template` states this
+once, and every bound here is one call to it: the balanced case c = l_max
+(x_hi = 1/2, rho = sqrt(2 gamma)), which the two decision problems (Gaussian
+mean estimation, two-armed Gaussian bandit) take with their own budgets.
 """
 
 from __future__ import annotations
@@ -199,31 +199,31 @@ def optimal_rho(level: RiskLevel) -> float:
     return math.sqrt(a / 3.0)
 
 
-def _scaled(scale: float, ev: FactorEvaluation) -> BoundResult:
-    """The template bound scale * bound_factor, with the threshold attaining
-    it: scale (1/2 - (rho/alpha)^2 / 2) on the interior branch, where
-    rho <= alpha keeps the ratio in [0, 1], and 0 on the other two."""
+def _template(l_max: float, c: float, gamma: float, level: RiskLevel) -> BoundResult:
+    """The template c * bound_factor(alpha, sqrt(gamma / x_hi)), x_hi = c/(2 l_max),
+    zero once gamma reaches x_hi, with the threshold attaining it: c (1/2 -
+    (rho/alpha)^2 / 2) on the interior branch, where rho <= alpha keeps the
+    ratio in [0, 1], and 0 on the other two.  The one statement of the
+    template; callers check their inputs."""
+    x_hi = 0.5 * (c / l_max)  # 2 l_max may overflow
+    if gamma >= x_hi:
+        # also covers c = 0; past here rho < 1
+        return BoundResult(0.0, 0.0, Branch.ZERO, Method.CLOSED_FORM)
+    ev = bound_factor(level, math.sqrt(gamma / x_hi))
     t_star = 0.0
     if ev.branch is Branch.INTERIOR_QUADRATIC:
-        ratio = ev.rho / ev.level.alpha
-        t_star = scale * (0.5 - 0.5 * ratio * ratio)
-    return BoundResult(scale * ev.value, t_star, ev.branch, Method.CLOSED_FORM)
+        ratio = ev.rho / level.alpha
+        t_star = c * (0.5 - 0.5 * ratio * ratio)
+    return BoundResult(c * ev.value, t_star, ev.branch, Method.CLOSED_FORM)
 
 
 def two_point_bound(spec: TwoPointSpec, level: RiskLevel) -> BoundResult:
-    """General template bound, minimized over thresholds t in [0, l_max]:
-    zero once the budget reaches x_hi = c/(2 l_max), and
-    c * bound_factor(alpha, sqrt(gamma / x_hi)) below it, as the module
-    docstring derives.  The tests check it against a dense threshold grid.
-    """
+    """General template bound, minimized over thresholds t in [0, l_max], as
+    the module docstring derives.  The tests check it against a dense
+    threshold grid."""
     if type(spec) is not TwoPointSpec or type(level) is not RiskLevel:
         _check_fields({}, spec=_type_problem(spec, TwoPointSpec), level=_type_problem(level, RiskLevel))
-    x_hi = spec.c_sep / (2.0 * spec.l_max)
-    gamma = spec.budget.gamma
-    if gamma >= x_hi:
-        # also covers c_sep = 0; past here rho < 1
-        return BoundResult(0.0, 0.0, Branch.ZERO, Method.CLOSED_FORM)
-    return _scaled(spec.c_sep, bound_factor(level, math.sqrt(gamma / x_hi)))
+    return _template(spec.l_max, spec.c_sep, spec.budget.gamma, level)
 
 
 def balanced_bound(l_max: float, budget: HellingerBudget, level: RiskLevel) -> BoundResult:
@@ -232,7 +232,7 @@ def balanced_bound(l_max: float, budget: HellingerBudget, level: RiskLevel) -> B
     _check_fields(
         {"l_max": l_max}, budget=_type_problem(budget, HellingerBudget), level=_type_problem(level, RiskLevel)
     )
-    return _scaled(float(l_max), bound_factor(level, math.sqrt(2.0 * budget.gamma)))
+    return _template(float(l_max), float(l_max), budget.gamma, level)
 
 
 def estimation_bound(n: int, delta: float, level: RiskLevel) -> BoundResult:
@@ -240,19 +240,19 @@ def estimation_bound(n: int, delta: float, level: RiskLevel) -> BoundResult:
     for estimating a unit-variance Gaussian mean known to be one of two
     points 2 delta apart, from n draws."""
     _check_fields({"n": n, "delta": delta}, level=_type_problem(level, RiskLevel))
-    budget = estimation_budget(n, delta)
-    return balanced_bound(2.0 * float(delta), budget, level)
+    l_max = 2.0 * float(delta)
+    return _template(l_max, l_max, estimation_budget(n, delta).gamma, level)
 
 
 def bandit_bound(g: float, horizon: int, level: RiskLevel) -> BoundResult:
     """Regret CVaR bound g T * bound_factor(alpha, g sqrt(T)) for the
     symmetric two-armed unit-variance Gaussian pair with per-arm gap g."""
     _check_fields({"g": g, "horizon": horizon}, level=_type_problem(level, RiskLevel))
-    budget = bandit_budget(g, horizon)
+    gamma = bandit_budget(g, horizon).gamma
     l_max = float(g) * horizon
     if l_max == math.inf:
         _check_fields({}, g=_regret_cap_problem(g, horizon))
-    return balanced_bound(l_max, budget, level)
+    return _template(l_max, l_max, gamma, level)
 
 
 def optimal_separation(n: int, level: RiskLevel) -> tuple[float, float]:

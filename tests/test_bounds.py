@@ -182,14 +182,35 @@ def test_two_point_spec_validation():
 
 def test_balanced_matches_two_point():
     rng = np.random.default_rng(5)
-    for _ in range(500):
-        lm = float(rng.uniform(0.05, 20.0))
-        gamma = float(rng.uniform(0.0, 0.8))
+    # 2 l_max overflows at the last two caps; x_hi is still 1/2 there
+    cases = [(float(rng.uniform(0.05, 20.0)), float(rng.uniform(0.0, 0.8))) for _ in range(500)]
+    cases += [(lm, gamma) for lm in (9e307, 1e308) for gamma in (0.0, 0.1, 0.49)]
+    for lm, gamma in cases:
         alpha = float(rng.uniform(0.0, 0.999))
         bal = balanced_bound(lm, HellingerBudget(gamma), L(alpha))
-        # both scale the same bound_factor evaluation, so they agree exactly
+        # both are one call to the same template, so they agree exactly
         assert two_point_bound(TwoPointSpec(lm, lm, HellingerBudget(gamma)), L(alpha)) == bal
         assert bal.method is Method.CLOSED_FORM
+    assert balanced_bound(1e308, HellingerBudget(0.0), L(0.0)).value == 5e307
+
+
+def test_problem_bounds_are_the_balanced_template():
+    # each problem bound is the template at c = l_max = its regret or error
+    # cap under its own budget, bit for bit; at the largest size and
+    # parameter twice the bandit's budget overflows
+    for alpha in (0.0, 0.3, 0.5, 0.9, 0.99):
+        lev = L(alpha)
+        for size in (1, 7, 200, 10**6, 575430887498):
+            for param in (1e-300, 1e-6, 0.01, 0.0471, 0.3, 2.0, 2.1751529111410354e148):
+                for bound, args, cap, budget in (
+                    (bandit_bound, (param, size), param * size, bandit_budget),
+                    (estimation_bound, (size, param), 2.0 * param, estimation_budget),
+                ):
+                    try:
+                        spec = TwoPointSpec(cap, cap, budget(*args))
+                    except ValueError:  # the budget or the cap overflows
+                        continue
+                    assert bound(*args, lev) == two_point_bound(spec, lev)
 
 
 @pytest.mark.parametrize("alpha", [1e-200, 5e-324])
