@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .divergences import DivergenceKind, HellingerBudget, bandit_budget, estimation_budget
-from .errors import _FIELD_PROBLEMS, _check_fields, _is_real, _regret_cap_problem, _type_problem
+from .errors import _FIELD_PROBLEMS, _check_fields, _nonnegative_problem, _regret_cap_problem, _type_problem
 from .inversion import _kind_problem, bernoulli_inverse
 from .risk import RiskLevel
 
@@ -94,11 +94,11 @@ class TwoPointSpec:
 
     def __post_init__(self) -> None:
         l_max, c_sep = self.l_max, self.c_sep
-        # c_sep is held to [0, 2 l_max] only once l_max is good
+        # c_sep is held to [0, 2 l_max] only once l_max is good; 2 l_max may overflow
         l_max_ok = _FIELD_PROBLEMS["l_max"](l_max) is None
-        c_sep_ok = _is_real(c_sep) and (not l_max_ok or 0.0 <= c_sep <= 2.0 * l_max)
+        c_sep_ok = _nonnegative_problem(c_sep) is None and (not l_max_ok or 0.5 * c_sep <= l_max)
         _check_fields(
-            {"l_max": l_max}, c_sep=None if c_sep_ok else f"must be a real in [0, 2 l_max], got {c_sep!r}"
+            {"l_max": l_max}, c_sep=None if c_sep_ok else f"must be a finite real in [0, 2 l_max], got {c_sep!r}"
         )
         object.__setattr__(self, "l_max", float(l_max))
         object.__setattr__(self, "c_sep", float(c_sep))

@@ -180,6 +180,15 @@ def test_two_point_spec_validation():
         TwoPointSpec(1.0, -0.5, HellingerBudget(0.1))
 
 
+def test_two_point_spec_range_does_not_overflow():
+    # 2 l_max overflows past about 8.99e307; the range check must not read it
+    for l_max, c_sep in ((1e308, math.inf), (1e308, math.nan), (5e307, 1.5e308)):
+        with pytest.raises(ValueError, match=r"^c_sep: must be a finite real in \[0, 2 l_max\]"):
+            TwoPointSpec(l_max, c_sep, HellingerBudget(0.0))
+    res = two_point_bound(TwoPointSpec(1e308, 1.5e308, HellingerBudget(0.0)), L(0.0))
+    assert res.value == 7.5e307 and res.branch is Branch.BOUNDARY
+
+
 def test_balanced_matches_two_point():
     rng = np.random.default_rng(5)
     # 2 l_max overflows at the last two caps; x_hi is still 1/2 there
