@@ -61,7 +61,7 @@ __all__ = [
 # sentinel accepted wherever a numeric separation/gap is expected
 OPTIMAL = "optimal"
 
-# exact-law comparisons get a pure rounding allowance, no Monte Carlo slack
+# relative rounding allowance below a bound, for the empirical and the exact CVaR
 _EXACT_SLACK = 1e-9
 
 # multiplier turning a tail standard error into Monte Carlo slack
@@ -251,18 +251,21 @@ def _tail_stats(samples: SampleSet, level: RiskLevel) -> tuple[float, float, flo
     """Empirical CVaR with its influence-function standard error
     sd((L - VaR)+) / ((1 - alpha) sqrt(N)), VaR being the last sample of the
     tail block (Manistre and Hancock, NAAJ 2005); `ExperimentConfig.validate`
-    keeps that block at 2 samples or more."""
+    keeps that block at 2 samples or more.  The sd is taken of the excess
+    scaled by a power of two near the largest loss, so its squares neither
+    underflow nor overflow, and the scaling is exact."""
     emp = empirical_cvar(samples, level)
     values = samples.values
     excess = np.maximum(values - values[_tail_block(level, samples.count) - 1], 0.0)
-    stderr = float(excess.std(ddof=1)) / (level.tail_mass * math.sqrt(samples.count))
+    e = math.frexp(values[0])[1]
+    sd = math.ldexp(float(np.ldexp(excess, -e).std(ddof=1)), e)
+    stderr = sd / (level.tail_mass * math.sqrt(samples.count))
     return emp, stderr, _SLACK_SIGMAS * stderr
 
 
 def _dominated(bound: float, emp: float, slack: float, exact: float | None) -> bool:
-    if emp < bound - slack:
-        return False
-    return exact is None or exact >= bound - _EXACT_SLACK
+    floor = bound - _EXACT_SLACK * bound
+    return emp >= floor - slack and (exact is None or exact >= floor)
 
 
 def _psi_steps(rho_max: float, rho_step: float) -> int:

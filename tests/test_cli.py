@@ -365,6 +365,13 @@ def test_verify_small_passes(tmp_path):
     assert all(r["dominated"] == "true" for r in rows)
 
 
+@pytest.mark.parametrize("scale", ["1e-100", "1e-200"])
+def test_verify_gate_holds_at_tiny_scales(scale):
+    # at 1e-100 a constant tail block has stderr 0 and its CVaR one ulp below
+    # an equal bound; at 1e-200 the losses' squares underflow
+    assert main(["verify", "--replicates", "20", "--scale", scale]) == 0
+
+
 def test_verify_violation_exit_code(monkeypatch, capsys):
     # a bound above every sample, whatever the Monte Carlo slack, is a
     # violation and must exit 1

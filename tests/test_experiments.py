@@ -24,8 +24,8 @@ from cvarbounds.experiments import (
     _tail_stats,
     run_experiment,
 )
-from cvarbounds import sim
-from cvarbounds.risk import RiskLevel, SampleSet, empirical_cvar, exact_cvar
+from cvarbounds import experiments, sim
+from cvarbounds.risk import DiscreteLossDistribution, RiskLevel, SampleSet, empirical_cvar, exact_cvar
 from cvarbounds.sim import (
     BanditConfig,
     EstimationConfig,
@@ -454,6 +454,41 @@ def test_tail_stderr_is_calibrated_against_an_exact_law():
             emp, stderr, _ = _tail_stats(SampleSet(gap * rng.binomial(horizon, 0.5, size=count)), level)
             z.append((emp - exact) / stderr)
         assert 0.85 <= np.std(z, ddof=1) <= 1.15, alpha
+
+
+def test_tail_stderr_does_not_underflow_at_tiny_losses():
+    # the squares of losses near 1e-200 underflow; the sd of the excess is
+    # taken at a power-of-two scale, so it scales with the losses exactly
+    values = np.random.default_rng(1).exponential(size=400)
+    level = RiskLevel(0.5)
+    _, stderr, slack = _tail_stats(SampleSet(values), level)
+    for e in (-700, -400, 400):
+        emp, tiny_stderr, tiny_slack = _tail_stats(SampleSet(np.ldexp(values, e)), level)
+        assert (tiny_stderr, tiny_slack) == (math.ldexp(stderr, e), math.ldexp(slack, e))
+
+
+def test_exact_law_below_the_bound_fails_at_any_scale(monkeypatch):
+    # the always-zero estimator's loss is delta, which its bound meets to
+    # rounding at scale 1e-100; an exact law of half that lies below the
+    # bound, and an absolute rounding allowance of 1e-9 would pass it unseen
+    config = ExperimentConfig(
+        kind=ExperimentKind.SIMULATE_ESTIMATION,
+        alphas=(0.9,),
+        n=9,
+        delta="optimal",
+        estimators=(Estimator.ALWAYS_ZERO,),
+        replicates=200,
+        scales=(1e-100,),
+    )
+    assert run_experiment(config).all_dominated
+    law = experiments.exact_loss_law
+
+    def half_law(sim_config):
+        return DiscreteLossDistribution(tuple((0.5 * value, p) for value, p in law(sim_config).atoms))
+
+    monkeypatch.setattr(experiments, "exact_loss_law", half_law)
+    (row,) = run_experiment(config).rows
+    assert row.exact_cvar < row.bound and not row.dominated
 
 
 def _verify_config(replicates, seed=3):
