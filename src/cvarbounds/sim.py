@@ -25,7 +25,7 @@ exact 0/1 arithmetic in a fixed workspace allocated once per rollout; their
 sums are bit for bit those of `tests/oracles._reference_rollout`, which
 selects each reward into one sum.  Explore-then-commit needs only its 2 tau
 exploration rounds, since their two sums decide its commit, and the uniform
-policy needs none, since its actions are its arm draws.
+policy needs none: its arm-1 pull counts are taken as its arms are drawn.
 
 The draws do not depend on the gap, separation or estimator, and a counter
 based stream read further only extends what a shorter read gave: the first
@@ -304,8 +304,9 @@ def _longest(family: _Family) -> int:
 
 def _replicate_bytes(family: _Family) -> int:
     """Bytes a family keeps per replicate besides its one-byte model index:
-    the arm draws, the bandit normals and one mean per estimation size."""
-    return family.arms + 8 * family.width + 8 * len(family.sizes)
+    the uniform policy's arm-1 pull count, the bandit normals and one mean per
+    estimation size."""
+    return 8 * ((family.arms > 0) + family.width + len(family.sizes))
 
 
 def _stream_bytes(config: BanditConfig | EstimationConfig) -> int:
@@ -331,7 +332,7 @@ class Draws(NamedTuple):
 
     family: _Family
     model: np.ndarray  # (reps,) model index in {1, 2}; for an estimation, theta is +delta under model 2
-    arms: np.ndarray  # (reps, arms) the uniform policy's arm draws in {1, 2}
+    pulls: np.ndarray  # (reps,) the uniform policy's arm-1 pull counts, or empty
     kept: np.ndarray  # (reps, width) leading normals
     means: np.ndarray  # (len(sizes), reps) mean of each estimation size's leading normals
 
@@ -339,12 +340,13 @@ class Draws(NamedTuple):
 def _draw(family: _Family, replicates: range) -> Draws:
     """Consume each replicate's stream once, in the documented order: the
     one drawing loop.  Every replicate's normals are drawn into one reused
-    buffer, and only the family's prefix and means are kept.  A mean is the
-    float64 sum and division of `normals[:n].mean()`, without its Python
-    overhead."""
+    buffer, and only the family's prefix and means are kept.  Arm draws are
+    1 or 2, so a replicate's sum to 2 T less its arm-1 pulls; only that count
+    is kept.  A mean is the float64 sum and division of `normals[:n].mean()`,
+    without its Python overhead."""
     reps = len(replicates)
     model = np.empty(reps, dtype=np.int8)
-    arms = np.empty((reps, family.arms), dtype=np.int8)
+    pulls = np.empty(reps if family.arms else 0, dtype=np.int64)
     kept = np.empty((reps, family.width))
     means = np.empty((len(family.sizes), reps))
     normals = np.empty(_longest(family))
@@ -353,12 +355,12 @@ def _draw(family: _Family, replicates: range) -> Draws:
         rng = replicate_rng(family.seed, r, rng)
         model[i] = 1 + int(rng.integers(0, 2))
         if family.arms:
-            arms[i] = rng.integers(1, 3, size=family.arms, dtype=np.int8)
+            pulls[i] = 2 * family.arms - rng.integers(1, 3, size=family.arms, dtype=np.int8).sum(dtype=np.int64)
         rng.standard_normal(out=normals)
         kept[i] = normals[: family.width]
         for j, n in enumerate(family.sizes):
             means[j, i] = np.add.reduce(normals[:n]) / n
-    return Draws(family, model, arms, kept, means)
+    return Draws(family, model, pulls, kept, means)
 
 
 def _reads(config: BanditConfig | EstimationConfig, draws: Draws) -> tuple[np.ndarray | None, np.ndarray]:
@@ -382,7 +384,7 @@ def _reads(config: BanditConfig | EstimationConfig, draws: Draws) -> tuple[np.nd
     horizon, kept = config.horizon, draws.kept
     if isinstance(config.policy, ThompsonGaussian):
         return kept[:, : 2 * horizon].reshape(len(kept), horizon, 2), kept[:, 2 * horizon : normals]
-    return draws.arms if arms else None, kept[:, :normals]
+    return draws.pulls if arms else None, kept[:, :normals]
 
 
 # ---------------------------------------------------------------- estimation
@@ -426,8 +428,8 @@ def _rollout(policy: Policy, horizon: int, gaps, model, own, noise) -> np.ndarra
     Thompson normals broadcast across the gaps, so every element sees the
     float operations of a rollout at its gap alone.  Explore-then-commit runs
     only its 2 tau exploration rounds, since the sums they leave decide its
-    commit.  The uniform policy's actions are its own arm draws, whatever the
-    gap, so its counts need no rollout.
+    commit.  The uniform policy's counts, its `own` draws, do not depend on
+    the gap and need no rollout.
 
     UCB and Thompson pick the arm branch-free in a fixed workspace of
     (k, reps) arrays made once per call: `pick` is 1.0 where arm 1 is pulled
@@ -446,8 +448,7 @@ def _rollout(policy: Policy, horizon: int, gaps, model, own, noise) -> np.ndarra
     """
     k, reps = len(gaps), model.size
     if isinstance(policy, UniformRandom):
-        # arm draws are 1 or 2, so a row sums to 2 T less its arm-1 pulls
-        return np.broadcast_to(2 * horizon - own.sum(axis=1, dtype=np.int64), (k, reps))
+        return np.broadcast_to(own, (k, reps))
     half = 0.5 * np.asarray(gaps, dtype=float)[:, None]
     mu1 = np.where(model == 1, half, -half)  # arm 1's mean
     s1 = np.zeros((k, reps))

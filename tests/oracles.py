@@ -161,9 +161,18 @@ def whole_family(config: BanditConfig) -> sim._Family:
 
 def transcript_draws(config: BanditConfig, replicates: range) -> tuple[sim.Draws, np.ndarray | None, np.ndarray]:
     """The config's whole-stream draws of the replicates, with its own draws
-    and its (reps, T) reward noises cut from them, the last T normals kept."""
+    and its (reps, T) reward noises cut from them, the last T normals kept.
+    The package keeps only the uniform policy's pull counts, so its (reps, T)
+    arm draws, the actions a transcript replays, are read again from each
+    replicate's stream, past the model draw."""
     draws = sim._draw(whole_family(config), replicates)
     own, _ = sim._reads(config, draws)
+    if isinstance(config.policy, UniformRandom):
+        own, rng = np.empty((len(replicates), config.horizon), dtype=np.int8), None
+        for i, r in enumerate(replicates):
+            rng = sim.replicate_rng(config.seed, r, rng)
+            rng.integers(0, 2)
+            own[i] = rng.integers(1, 3, size=config.horizon, dtype=np.int8)
     return draws, own, draws.kept[:, -config.horizon :]
 
 

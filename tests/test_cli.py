@@ -207,7 +207,7 @@ def test_simulate_refuses_a_config_by_what_it_draws(monkeypatch, capsys, tmp_pat
     def draw(*args):
         raise Drew
 
-    # the uniform policy's run peaks at about 93 MB, so it is run up to its draw
+    # the uniform policy's run peaks at about 55 MB, so it is run up to its draw
     monkeypatch.setattr(sim, "_draw", draw)
     with pytest.raises(Drew):
         main([*argv, "--policy", "uniform"])

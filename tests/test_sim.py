@@ -359,20 +359,26 @@ def test_uniform_reconstructs_from_streams():
         assert losses[r] == pytest.approx(want, abs=0.0)
 
 
-def test_uniform_rollout_allocates_less_than_its_arm_draws():
-    # the counts come from the arm draws' row sums, with no (reps, T) array
-    # beside them, so a uniform chunk peaks near its budgeted draw
+def test_uniform_draw_keeps_counts_not_arm_draws():
+    # a uniform chunk keeps each replicate's arm-1 pull count, not its T arm
+    # draws, so it peaks near one replicate's arm draws, not the chunk's
     reps, horizon = 4, 10**6
-    own = np.random.default_rng(0).integers(1, 3, size=(reps, horizon), dtype=np.int8)
-    model = np.ones(reps, dtype=np.int8)
+    config = BanditConfig(horizon=horizon, gap=0.1, policy=UniformRandom(), replicates=reps, seed=9)
+    (family,) = sim._families([config])
+    assert sim._replicate_bytes(family) == 8
     tracemalloc.start()
     try:
-        n1 = sim._rollout(UniformRandom(), horizon, [0.1, 0.2], model, own, None)
+        draws = sim._draw(family, range(reps))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < reps * horizon
-    assert np.array_equal(n1, np.broadcast_to((own == 1).sum(axis=1), (2, reps)))
+    assert peak < 2 * horizon
+    for r in range(reps):
+        rng = replicate_rng(9, r)
+        rng.integers(0, 2)
+        assert draws.pulls[r] == (rng.integers(1, 3, size=horizon, dtype=np.int8) == 1).sum()
+    n1 = sim._rollout(UniformRandom(), horizon, [0.1, 0.2], draws.model, draws.pulls, None)
+    assert np.array_equal(n1, np.broadcast_to(draws.pulls, (2, reps)))
 
 
 def test_bandit_reconstructs_from_streams():
@@ -452,7 +458,8 @@ def test_batched_rollout_matches_round_loop_oracle(monkeypatch):
     for policy in policies:
         rows = [config for config in configs if config.policy == policy]
         draws, own, noise = transcript_draws(rows[0], range(reps))
-        counts = sim._rollout(policy, horizon, gaps, draws.model, own, noise)
+        # the package rolls out its own reads: the uniform policy's counts
+        counts = sim._rollout(policy, horizon, gaps, draws.model, sim._reads(rows[0], draws)[0], noise)
         for config, n1 in zip(rows, counts):
             actions = _reference_rollout(config, draws.model, own, noise)
             losses = _reference_losses(config, draws.model, actions)
@@ -461,13 +468,14 @@ def test_batched_rollout_matches_round_loop_oracle(monkeypatch):
             expected.append(losses)
     # drawn in chunks with a shorter last one, all rows in one call: the
     # shared family keeps Thompson's 3T normals, 24T bytes a replicate, and
-    # the uniform policy's its T arm draws
-    monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 100 * horizon)
-    chunks = {family.arms: sim._replicate_chunks(family) for family in sim._families(configs)}
-    assert len(chunks[0]) >= 3 and len(chunks[horizon]) >= 2
-    assert all(len(c[-1]) < len(c[0]) for c in chunks.values())
-    for sample, config, losses in zip(simulate_shared(configs), configs, expected):
-        assert np.array_equal(sample.values, np.sort(losses, kind="stable")[::-1]), config
+    # the uniform policy's one 8-byte pull count, so each family is cut
+    # into several chunks at a budget of its own
+    for budget, arms in ((100 * horizon, 0), (800, horizon)):
+        monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", budget)
+        chunks = {family.arms: sim._replicate_chunks(family) for family in sim._families(configs)}[arms]
+        assert len(chunks) >= 3 and len(chunks[-1]) < len(chunks[0])
+        for sample, config, losses in zip(simulate_shared(configs), configs, expected):
+            assert np.array_equal(sample.values, np.sort(losses, kind="stable")[::-1]), config
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3, 40])
@@ -480,7 +488,8 @@ def test_rollout_matches_oracle_at_edge_gaps(horizon):
     for policy in (UCB(), UCB(c_explore=0.0), ThompsonGaussian()):
         rows = [BanditConfig(horizon=horizon, gap=g, policy=policy, replicates=reps, seed=21) for g in gaps]
         draws, own, noise = transcript_draws(rows[0], range(reps))
-        counts = sim._rollout(policy, horizon, gaps, draws.model, own, noise)
+        # the package rolls out its own reads: the uniform policy's counts
+        counts = sim._rollout(policy, horizon, gaps, draws.model, sim._reads(rows[0], draws)[0], noise)
         for config, n1 in zip(rows, counts):
             actions = _reference_rollout(config, draws.model, own, noise)
             assert np.array_equal(n1, (actions == 1).sum(axis=1)), config
@@ -655,7 +664,7 @@ def _assert_reads_are_own_stream(config, drawn, chunk):
     assert (own is None) == (own_alone is None)
     if own is not None:
         assert np.array_equal(own, own_alone)
-        assert own is drawn.arms or np.shares_memory(own, drawn.kept)
+        assert own is drawn.pulls or np.shares_memory(own, drawn.kept)
     if isinstance(config, EstimationConfig):
         assert np.array_equal(noise, noise_alone) and np.shares_memory(noise, drawn.means)
     else:
