@@ -164,13 +164,18 @@ def test_05_monte_carlo_dominance(tmp_path):
         emp = float(r["empirical_cvar"])
         slack = float(r["mc_slack"])
         bound = float(r["bound"])
-        emp_ok = emp >= bound - slack
-        exact_ok = r["exact_cvar"] == "" or float(r["exact_cvar"]) >= bound - 1e-9
+        # the gate's one relative rounding allowance, on both sides
+        floor = bound - 1e-9 * bound
+        emp_ok = emp >= floor - slack
+        exact_ok = r["exact_cvar"] == "" or float(r["exact_cvar"]) >= floor
         consistent &= (emp_ok and exact_ok) == (r["dominated"] == "true")
+    pinned = digest == _DEFAULT_VERIFY_SHA256
+    # a numpy upgrade may move the streams (NEP 19), and with them the digest
+    numpy_note = "" if pinned else f", pinned under numpy 2.4.6, running numpy {np.__version__}"
     _criterion(
         "full verify battery dominates within Monte Carlo slack and exits 0",
-        rc == 0 and n_rows == 63 and not bad and consistent and elapsed <= 180.0 and digest == _DEFAULT_VERIFY_SHA256,
-        f"exit {rc}, {n_rows} rows, {len(bad)} violations, {elapsed:.0f}s, sha256 {digest[:12]}",
+        rc == 0 and n_rows == 63 and not bad and consistent and elapsed <= 180.0 and pinned,
+        f"exit {rc}, {n_rows} rows, {len(bad)} violations, {elapsed:.0f}s, sha256 {digest[:12]}{numpy_note}",
     )
 
 

@@ -805,7 +805,10 @@ def test_output_hash_is_pinned(name, tmp_path):
     argv, digest = _PINNED_OUTPUTS[name]
     out = tmp_path / "report"
     assert cli_main([*argv, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    # NEP 19 does not promise that a Generator's streams stay the same
+    # across numpy releases, so a numpy upgrade may move the simulated hashes
+    got = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == digest, f"sha256 {got}, pinned under numpy 2.4.6, running numpy {np.__version__}"
 
 
 # ----------------------------------------------------------- transcript KL
