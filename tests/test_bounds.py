@@ -178,9 +178,6 @@ def test_two_point_spec_validation():
         TwoPointSpec(1.0, 2.5, HellingerBudget(0.1))
     with pytest.raises(ValueError):
         TwoPointSpec(1.0, -0.5, HellingerBudget(0.1))
-
-
-def test_two_point_spec_range_does_not_overflow():
     # 2 l_max overflows past about 8.99e307; the range check must not read it
     for l_max, c_sep in ((1e308, math.inf), (1e308, math.nan), (5e307, 1.5e308)):
         with pytest.raises(ValueError, match=r"^c_sep: must be a finite real in \[0, 2 l_max\]"):
