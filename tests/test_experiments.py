@@ -463,8 +463,8 @@ def test_tail_stderr_does_not_underflow_at_tiny_losses():
     level = RiskLevel(0.5)
     _, stderr, slack = _tail_stats(SampleSet(values), level)
     for e in (-700, -400, 400):
-        emp, tiny_stderr, tiny_slack = _tail_stats(SampleSet(np.ldexp(values, e)), level)
-        assert (tiny_stderr, tiny_slack) == (math.ldexp(stderr, e), math.ldexp(slack, e))
+        _, scaled_stderr, scaled_slack = _tail_stats(SampleSet(np.ldexp(values, e)), level)
+        assert (scaled_stderr, scaled_slack) == (math.ldexp(stderr, e), math.ldexp(slack, e))
 
 
 def test_exact_law_below_the_bound_fails_at_any_scale(monkeypatch):
