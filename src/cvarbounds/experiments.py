@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -25,7 +26,9 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple, get_args
 
 import numpy as np
 
-from .bounds import BoundResult, _bound_factor_runs, bandit_bound, estimation_bound, optimal_gap, optimal_separation
+from .bounds import (
+    BoundResult, Branch, _bound_factor_runs, bandit_bound, estimation_bound, optimal_gap, optimal_separation
+)
 from .errors import _FIELD_PROBLEMS, _field_problems
 from .risk import RiskLevel, SampleSet, empirical_cvar, exact_cvar
 from .sim import (
@@ -277,6 +280,11 @@ def _psi_steps(rho_max: float, rho_step: float) -> int:
     return math.floor(min(ratio, _MAX_PSI_STEPS + 1))
 
 
+# every psi row's problem_params: one read-only mapping per branch, shared
+# by all the rows on it
+_BRANCH_PARAMS = {branch: MappingProxyType({"branch": branch.value}) for branch in Branch}
+
+
 def _psi_rows(config: ExperimentConfig) -> list[ExperimentRow]:
     # exactly i * rho_step: each product of an index and the step rounds once
     rhos = np.arange(_psi_steps(config.rho_max, config.rho_step) + 1) * config.rho_step
@@ -286,10 +294,10 @@ def _psi_rows(config: ExperimentConfig) -> list[ExperimentRow]:
         level = RiskLevel(alpha)
         start = 0
         for branch, values in _bound_factor_runs(level, rhos):
-            name, stop = branch.value, start + len(values)
+            params, stop = _BRANCH_PARAMS[branch], start + len(values)
             # positional: keyword arguments would add about a third to a row's cost
             rows += [
-                ExperimentRow(level.alpha, "rho", rho, {"branch": name}, value)
+                ExperimentRow(level.alpha, "rho", rho, params, value)
                 for rho, value in zip(rho_values[start:stop], values.tolist())
             ]
             start = stop
@@ -392,9 +400,10 @@ def _battery_rows(config: ExperimentConfig) -> list[ExperimentRow]:
     variant, then by alpha, then by scale.
 
     Every case is bounded, and its sim config built, before any is drawn:
-    the cases the closed forms or the draw budget refuse are reported
-    together, each field's first refusal under the field the user set, and
-    cost no Monte Carlo time.  `bound` rows carry the bound alone.
+    the cases the closed forms or the draw budget refuse, and simulated
+    ones whose scaled parameter is subnormal, are reported together, each
+    field's first refusal under the field the user set, and cost no Monte
+    Carlo time.  `bound` rows carry the bound alone.
     Simulated rows are drawn in one call to `simulate_shared`, which draws
     once for every case whose draws coincide, and carry the Monte Carlo
     statistics and, where `exact_loss_law` knows one, the exact law's CVaR;
@@ -413,6 +422,10 @@ def _battery_rows(config: ExperimentConfig) -> list[ExperimentRow]:
                 for scale in config.scales:
                     value = scale * base
                     try:
+                        if simulate and value < sys.float_info.min:
+                            # a verdict's relative rounding allowance is 0 at subnormal losses
+                            why = f"must be at least the smallest normal float, {sys.float_info.min!r}"
+                            raise ValueError(f"{subject.param}: {why}, got {value!r}")
                         result = subject.bound(size, value, level)
                         sim_config = (
                             subject.sim_config(size, value, variant, config.replicates, config.seed) if simulate else None

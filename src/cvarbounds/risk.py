@@ -75,25 +75,37 @@ class DiscreteLossDistribution:
     """Finite atomic loss law; duplicate values are merged at construction.
 
     Atoms are kept sorted by ascending value.  Probabilities must be
-    nonnegative and sum to 1 within EXACT_TOL.
+    nonnegative and sum to 1 within EXACT_TOL.  A tuple of (float, float)
+    tuples with strictly increasing values and positive probabilities is
+    kept as given; any other input is merged and sorted.
     """
 
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        merged: dict[float, float] = {}
-        total = 0.0
-        for v, p in self.atoms:
+        as_given = type(self.atoms) is tuple
+        atoms = self.atoms if as_given else tuple(self.atoms)
+        total, last = 0.0, -math.inf
+        for atom in atoms:
+            v, p = atom
             # the package's own laws pass plain floats, tens of thousands of
             # atoms a sweep; anything else goes through the field table
-            if not (type(v) is float and type(p) is float and -math.inf < v < math.inf and 0.0 <= p < math.inf):
+            if type(v) is float and type(p) is float and -math.inf < v < math.inf and 0.0 <= p < math.inf:
+                # a merge adds each probability to +0.0, so a zero is merged
+                as_given = as_given and last < v and p > 0.0 and type(atom) is tuple
+                last = v
+            else:
                 _check_fields({"atom_value": v, "atom_probability": p})
-                v, p = float(v), float(p)
-            merged[v] = merged.get(v, 0.0) + p
+                p, as_given = float(p), False
             total += p
         if abs(total - 1.0) > EXACT_TOL:
             raise ValueError(f"atom probabilities sum to {total!r}, expected 1 within {EXACT_TOL}")
-        object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
+        if not as_given:
+            merged: dict[float, float] = {}
+            for v, p in atoms:
+                v, p = float(v), float(p)
+                merged[v] = merged.get(v, 0.0) + p
+            object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
 
     def mean(self) -> float:
         return sum(v * p for v, p in self.atoms)

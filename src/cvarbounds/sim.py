@@ -59,6 +59,7 @@ the always-zero estimator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -563,13 +564,21 @@ def normal_upper_tail(x: float) -> float:
     return 0.5 * math.erfc(float(x) / math.sqrt(2.0))
 
 
+@functools.lru_cache(maxsize=_MAX_EXACT_HORIZON)
+def _binomial_row(horizon: int) -> tuple[float, ...]:
+    """P(Binomial(T, 1/2) = k) for k = 0..T, each an exact integer divided
+    by 2^T (one correctly rounded float division); one row per horizon."""
+    denom = 1 << horizon
+    return tuple(math.comb(horizon, k) / denom for k in range(horizon + 1))
+
+
 def exact_uniform_bandit_law(g: float, horizon: int) -> DiscreteLossDistribution:
     """Exact regret law of the uniform-random policy: g * Binomial(T, 1/2).
 
     Under either model the suboptimal arm is pulled Binomial(T, 1/2) times.
-    Weights are exact integers divided by 2^T (one correctly rounded float
-    division per atom); horizons above 64 raise DomainError rather than
-    silently losing precision.
+    The weights are `_binomial_row`'s, cached for at most 64 horizons;
+    horizons above 64 raise DomainError rather than silently losing
+    precision.
     """
     _check_fields({"horizon": horizon, "gap": g})
     if horizon > _MAX_EXACT_HORIZON:
@@ -579,9 +588,7 @@ def exact_uniform_bandit_law(g: float, horizon: int) -> DiscreteLossDistribution
     g = float(g)
     if g * horizon == math.inf:
         _check_fields({}, gap=_regret_cap_problem(g, horizon))
-    denom = 1 << horizon
-    atoms = tuple((g * k, math.comb(horizon, k) / denom) for k in range(horizon + 1))
-    return DiscreteLossDistribution(atoms)
+    return DiscreteLossDistribution(tuple((g * k, p) for k, p in enumerate(_binomial_row(horizon))))
 
 
 def exact_sign_estimator_law(n: int, delta: float) -> DiscreteLossDistribution:

@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -365,11 +366,46 @@ def test_verify_small_passes(tmp_path):
     assert all(r["dominated"] == "true" for r in rows)
 
 
-@pytest.mark.parametrize("scale", ["1e-100", "1e-200"])
+@pytest.mark.parametrize("scale", ["1e-100", "1e-200", "1e-300"])
 def test_verify_gate_holds_at_tiny_scales(scale):
     # at 1e-100 a constant tail block has stderr 0 and its CVaR one ulp below
     # an equal bound; at 1e-200 the losses' squares underflow
     assert main(["verify", "--replicates", "20", "--scale", scale]) == 0
+
+
+_SMALLEST_NORMAL = repr(sys.float_info.min)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["verify", "--scale", "1e-310"], "scales"),
+        (["verify", "--scale", "1e-320"], "scales"),
+        (["simulate", "--n", "10", "--delta", "optimal", "--scale", "1e-320", "--estimator", "always_zero"], "scales"),
+        (["simulate", "--n", "10", "--delta", "1e-310", "--estimator", "always_zero"], "delta"),
+        (["simulate", "--horizon", "10", "--gap", "0.1", "--scale", "1e-309", "--policy", "uniform"], "gap"),
+    ],
+)
+def test_simulated_kinds_refuse_a_subnormal_parameter(argv, name, capsys):
+    # the verdict's relative rounding allowance is 0 at subnormal losses, so
+    # a gap or delta times scale below the smallest normal float is refused
+    # under the field the user set, the scales for the optimal one
+    assert main([*argv, "--replicates", "20"]) == 2
+    err = capsys.readouterr().err
+    assert f" {name}: must be at least the smallest normal float, {_SMALLEST_NORMAL}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "10", "--delta", _SMALLEST_NORMAL, "--estimator", "always_zero", "--replicates", "20"],
+        ["bound", "--horizon", "10", "--gap", "1e-310"],
+    ],
+)
+def test_a_smallest_normal_or_bound_only_parameter_is_accepted(argv, capsys):
+    # the smallest normal float passes, and `bound` prints no verdict to guard
+    assert main(argv) == 0
 
 
 def test_verify_violation_exit_code(monkeypatch, capsys):

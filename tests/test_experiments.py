@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cvarbounds.bounds import bandit_bound, bound_factor, estimation_bound, optimal_gap
+from cvarbounds.bounds import Branch, bandit_bound, bound_factor, estimation_bound, optimal_gap
 from cvarbounds.cli import main as cli_main
 from cvarbounds.experiments import (
     CSV_COLUMNS,
@@ -226,6 +226,28 @@ def test_psi_rows_match_bound_factor(rho_max, rho_step):
         assert (row.alpha, row.param_value) == (alpha, rho)
         assert type(row.param_value) is float and type(row.bound) is float
         assert row.bound == want.value and row.problem_params == {"branch": want.branch.value}, (alpha, rho)
+
+
+def test_psi_rows_share_one_read_only_mapping_per_branch():
+    cfg = ExperimentConfig(kind=ExperimentKind.PSI, alphas=(0.0, 0.5, 0.9), rho_max=1.2, rho_step=0.01)
+    rows = run_experiment(cfg).rows
+    mappings = {id(row.problem_params): row.problem_params for row in rows}
+    assert 1 < len(mappings) <= len(Branch)
+    for params in mappings.values():
+        with pytest.raises(TypeError):
+            params["branch"] = "zero"
+    assert {row.problem_params["branch"] for row in rows} == {params["branch"] for params in mappings.values()}
+    for row in rows:
+        assert row.problem_params == {"branch": bound_factor(RiskLevel(row.alpha), row.param_value).branch.value}
+    # a row varied with _replace takes its own mapping and leaves the shared one be
+    row = rows[0]
+    shared = dict(row.problem_params)
+    varied = row._replace(problem_params={"branch": "zero", "note": 1})
+    assert varied.problem_params == {"branch": "zero", "note": 1} and varied[:3] == row[:3]
+    assert row.problem_params == shared and mappings[id(row.problem_params)] == shared
+    # JSON renders the shared mapping as a plain object
+    head = json.loads(render_json(run_experiment(replace(cfg, rho_max=0.02))))["rows"][0]
+    assert head["problem_params"] == shared
 
 
 def test_bound_rows_estimation_with_scales():

@@ -1,4 +1,6 @@
 import math
+import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -111,6 +113,86 @@ def test_discrete_distribution_merges_and_validates():
         DiscreteLossDistribution(((0.0, -0.1), (1.0, 1.1)))
     with pytest.raises(ValueError):
         DiscreteLossDistribution(((float("inf"), 1.0),))
+
+
+class _Atom(NamedTuple):
+    value: float
+    probability: float
+
+
+def _merged_sorted(atoms):
+    # the law's atoms as the merge rule states them: duplicate values summed
+    # in input order onto 0.0, then sorted by value
+    merged = {}
+    for v, p in atoms:
+        v, p = float(v), float(p)
+        merged[v] = merged.get(v, 0.0) + p
+    return tuple(sorted(merged.items()))
+
+
+def _split_first(atoms):
+    (v, p), *rest = atoms
+    return ((v, p / 2), *rest, (v, p / 2))
+
+
+# input shapes that must not be kept as given
+_RESHAPES = {
+    "shuffled": lambda atoms, rnd: tuple(rnd.sample(atoms, len(atoms))),
+    "duplicated": lambda atoms, rnd: _split_first(atoms),
+    "descending": lambda atoms, rnd: atoms[::-1],
+    "list-typed": lambda atoms, rnd: [list(atom) for atom in atoms],
+    "namedtuple": lambda atoms, rnd: tuple(_Atom(*atom) for atom in atoms),
+    "numpy": lambda atoms, rnd: tuple((np.float64(v), np.float64(p)) for v, p in atoms),
+    "int": lambda atoms, rnd: tuple((int(v) if v.is_integer() else v, p) for v, p in atoms),
+    # a -0.0 value, and a -0.0 probability on a value of its own, in order
+    "negative zero": lambda atoms, rnd: (
+        *((-0.0 if v == 0.0 else v, p) for v, p in atoms),
+        (atoms[-1][0] + 1.0, -0.0),
+    ),
+}
+
+_values = st.one_of(st.just(0.0), st.integers(-1000, 1000).map(float), st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def _laws(draw):
+    values = sorted(draw(st.lists(_values, min_size=1, max_size=12, unique=True)))
+    weights = draw(st.lists(st.integers(1, 1000), min_size=len(values), max_size=len(values)))
+    total = sum(weights)
+    return tuple((v, w / total) for v, w in zip(values, weights))
+
+
+@pytest.mark.parametrize("shape", list(_RESHAPES))
+@given(atoms=_laws(), rnd=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_atoms_equal_their_merged_sorted_law(shape, atoms, rnd):
+    # sorted distinct plain floats with positive probabilities are kept as given
+    assert DiscreteLossDistribution(atoms).atoms is atoms
+    given_atoms = _RESHAPES[shape](atoms, rnd)
+    law = DiscreteLossDistribution(given_atoms)
+    want = DiscreteLossDistribution(_merged_sorted(given_atoms))
+    assert law == want and repr(law) == repr(want)
+    assert repr(law.atoms) == repr(_merged_sorted(given_atoms))
+    assert all(type(atom) is tuple and type(atom[0]) is float and type(atom[1]) is float for atom in law.atoms)
+
+
+@pytest.mark.parametrize("shape", ["as given", *_RESHAPES])
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        ((0.0, 0.6), (1.0, 0.6)),  # the sum is 1.2
+        ((0.0, 1.0 - 2e-12), (1.0, 1e-24)),  # the sum is 2e-12 short
+        ((0.0, -0.1), (1.0, 1.1)),  # a negative probability
+        ((0.0, 0.5), (math.inf, 0.5)),  # an infinite value
+        ((0.0, 0.5), (1.0, math.inf)),  # an infinite probability
+        ((-math.inf, 0.5), (1.0, 0.5)),
+        ((0.0, 0.5), (math.nan, 0.5)),
+    ],
+)
+def test_bad_atoms_raise_on_either_path(shape, atoms):
+    given_atoms = atoms if shape == "as given" else _RESHAPES[shape](atoms, random.Random(0))
+    with pytest.raises(ValueError):
+        DiscreteLossDistribution(given_atoms)
 
 
 def test_exact_cvar_binomial_example():

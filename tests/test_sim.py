@@ -324,6 +324,25 @@ def test_exact_uniform_law_structure():
         exact_uniform_bandit_law(0.0, 8)
 
 
+def test_exact_uniform_law_reads_one_cached_row_per_horizon():
+    # every atom bit for bit (g k, C(T, k) / 2^T), at gaps down to the smallest subnormal
+    for horizon in range(1, 65):
+        for g in (5e-324, 1e-300, 0.0471, 1.0, 3.0, 1e300):
+            law = exact_uniform_bandit_law(g, horizon)
+            want = tuple((g * k, math.comb(horizon, k) / 2**horizon) for k in range(horizon + 1))
+            assert law.atoms == want and repr(law.atoms) == repr(want), (g, horizon)
+    # one row per horizon, at most 64 of them
+    info = sim._binomial_row.cache_info()
+    assert info.currsize == info.maxsize == sim._MAX_EXACT_HORIZON
+    with pytest.raises(DomainError):
+        exact_uniform_bandit_law(1.0, 65)
+    # two laws of one horizon share the probability row, never the values
+    small, large = exact_uniform_bandit_law(0.5, 10), exact_uniform_bandit_law(2.0, 10)
+    assert [p for _, p in small.atoms] == [p for _, p in large.atoms]
+    assert [v for v, _ in small.atoms] == [0.5 * k for k in range(11)]
+    assert [v for v, _ in large.atoms] == [2.0 * k for k in range(11)]
+
+
 @pytest.mark.parametrize("horizon", [64, 65])
 def test_exact_loss_law_of_each_policy(horizon):
     # only the uniform policy has a closed-form law, and only up to T = 64
