@@ -20,9 +20,14 @@ fraction of the ref's median: "worse beyond bound" when the change's median
 is worse by more than that; else "unresolved" when the ref's q3 - q1 exceeds
 it and not every change run beats every ref run; else "within bound".
 Last come each side's failed operations and the pairs whose output
-fingerprints (the details line's sha256) differ.  The report ends with the
-line count of `src/**/*.py` in the export and in the working tree, and the
-difference: the change's net line delta.
+fingerprints (the details line's sha256) differ, with each side's short
+digest and whether they differ in every pair.  Each pair runs its own seed,
+so no digest repeats across pairs.  A difference in every pair reads as an
+output change that every seed's inputs reach; one in some pairs only may be
+nondeterminism, which a run also counts as failed operations when its own
+passes disagree.  The report ends with the line count of `src/**/*.py` in
+the export and in the working tree, and the difference: the change's net
+line delta.
 """
 
 from __future__ import annotations
@@ -90,7 +95,12 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[st
         attempted = sum(p[i]["attempted"] for p in pairs)
         lines.append(f"{side}: {failed} of {attempted} operations failed")
     differ = [n for n, (r, c) in enumerate(pairs, 1) if r["sha256"] != c["sha256"]]
-    lines.append(f"fingerprints differ in pairs {differ}" if differ else "fingerprints match in every pair")
+    if differ:
+        every = "every pair" if len(differ) == len(pairs) else "not every pair"
+        digests = ", ".join(f"{pairs[n - 1][0]['sha256'][:12]} -> {pairs[n - 1][1]['sha256'][:12]}" for n in differ)
+        lines.append(f"fingerprints differ in pairs {differ} ({every}), ref -> change: {digests}")
+    else:
+        lines.append("fingerprints match in every pair")
     return lines
 
 

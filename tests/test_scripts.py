@@ -84,7 +84,13 @@ def test_bench_pairs_summary():
     assert rss.endswith("gain rule not met, bound 0.1: within bound")
     assert ref_failed == "ref: 0 of 1000 operations failed"
     assert change_failed == "change: 1 of 1000 operations failed"
-    assert fingerprints == "fingerprints differ in pairs [6]"
+    # each side's short digest, and whether they differ in every pair
+    assert fingerprints == "fingerprints differ in pairs [6] (not every pair), ref -> change: ab -> cd"
+    moved = [(r, {**c, "sha256": f"{n}123456789abcdef"}) for n, (r, c) in enumerate(pairs[:2])]
+    assert bench_pairs.summarize(moved, end_to_end)[-1] == (
+        "fingerprints differ in pairs [1, 2] (every pair), ref -> change: ab -> 0123456789ab, ab -> 1123456789ab"
+    )
+    assert bench_pairs.summarize(pairs[:2], end_to_end)[-1] == "fingerprints match in every pair"
     # one summary per workload, each headed by its name
     lines = bench_pairs.report("HEAD", {"verify-default": pairs, "closed-forms": pairs[:1]}, end_to_end)
     assert lines[0] == "verify-default, ref HEAD against the working tree:"
