@@ -236,7 +236,8 @@ def test_psi_rows_share_one_read_only_mapping_per_branch():
     for params in mappings.values():
         with pytest.raises(TypeError):
             params["branch"] = "zero"
-    assert {row.problem_params["branch"] for row in rows} == {params["branch"] for params in mappings.values()}
+    # one mapping object per branch the table reaches
+    assert len({params["branch"] for params in mappings.values()}) == len(mappings)
     for row in rows:
         assert row.problem_params == {"branch": bound_factor(RiskLevel(row.alpha), row.param_value).branch.value}
     # a row varied with _replace takes its own mapping and leaves the shared one be
