@@ -38,7 +38,7 @@ import numpy as np
 
 from .divergences import DivergenceKind, HellingerBudget, bandit_budget, estimation_budget
 from .errors import _FIELD_PROBLEMS, _check_fields, _nonnegative_problem, _regret_cap_problem, _type_problem
-from .inversion import _kind_problem, bernoulli_inverse
+from .inversion import bernoulli_inverse
 from .risk import RiskLevel
 
 __all__ = [
@@ -282,6 +282,6 @@ def hinge_lower_bound(
     least l_max times that inverse.
     """
     _check_fields(
-        {"l_max": l_max, "budget": budget, "reference_hinge": reference_hinge}, kind=_kind_problem(kind)
+        {"l_max": l_max, "budget": budget, "reference_hinge": reference_hinge}, kind=_type_problem(kind, DivergenceKind)
     )
     return float(l_max) * bernoulli_inverse(kind, budget, reference_hinge).a_minus

@@ -2,9 +2,10 @@
 
 Subcommands: psi (profile table), bound (closed-form bounds), simulate
 (Monte Carlo for one policy or estimator), verify (bound vs simulation for
-batteries of policies and estimators).  Exit codes: 0 success (and, for
-verify, every row dominated), 1 verify found a violated bound, 2 usage or
-validation error, 3 report I/O failure.
+batteries of policies and estimators), each the `ExperimentKind` of its
+name.  Exit codes: 0 success (and, for verify, every row dominated), 1
+verify found a violated bound, 2 usage or validation error, 3 report I/O
+failure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import get_args
 
 from .experiments import (
     OPTIMAL,
-    ConfigError,
     ExperimentConfig,
     ExperimentKind,
     OutputFormat,
@@ -92,15 +92,12 @@ def _add_problem(
         sub.add_argument(param, type=_numeric_or_optimal, default=param_default, help=text)
 
 
-def _add_variants(sub: argparse.ArgumentParser, action: str, default_replicates: int) -> None:
-    """The variant flags; with action 'append' the estimator and policy flags
-    repeat, and each defaults to every choice."""
-    for flag, choices, every in (
-        ("--estimator", _ESTIMATOR_CHOICES, "every estimator"),
-        ("--policy", _POLICY_CHOICES, "every policy"),
-    ):
-        text = f"repeatable; default {every}" if action == "append" else None
-        sub.add_argument(flag, action=action, choices=choices, default=None, help=text)
+def _add_variants(sub: argparse.ArgumentParser, default_replicates: int) -> None:
+    """The variant flags; the estimator and policy flags repeat, so that
+    `validate` sees every value given, and refuses a second one to simulate."""
+    for flag, choices in (("--estimator", _ESTIMATOR_CHOICES), ("--policy", _POLICY_CHOICES)):
+        text = f"repeatable; simulate takes exactly one, verify defaults to every {flag[2:]}"
+        sub.add_argument(flag, action="append", choices=choices, help=text)
     sub.add_argument("--tau", type=int, default=None, help="explore length per arm (etc)")
     sub.add_argument("--ucb-c", type=float, default=UCB.c_explore, help="ucb exploration constant")
     sub.add_argument("--replicates", type=int, default=default_replicates)
@@ -129,44 +126,30 @@ def build_parser() -> argparse.ArgumentParser:
     sim = subs.add_parser("simulate", help="Monte Carlo CVaR vs bound")
     _add_common(sim, (0.0,))
     _add_problem(sim, ExperimentConfig.scales)
-    _add_variants(sim, "store", ExperimentConfig.replicates)
+    _add_variants(sim, ExperimentConfig.replicates)
 
     verify = subs.add_parser("verify", help="check dominance across policy/estimator batteries")
     _add_common(verify, (0.0, 0.5, 0.9))
     _add_problem(verify, (0.5, 1.0, 2.0), n=100, delta=OPTIMAL, horizon=200, gap=OPTIMAL)
-    _add_variants(verify, "append", 50_000)
+    _add_variants(verify, 50_000)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     alphas = tuple(args.alpha) if args.alpha else args.default_alphas
-    common = dict(alphas=alphas, seed=args.seed)
+    common = dict(kind=ExperimentKind(args.command), alphas=alphas, seed=args.seed)
     if args.command == "psi":
-        return ExperimentConfig(
-            kind=ExperimentKind.PSI, rho_max=args.rho_max, rho_step=args.rho_step, **common
-        )
-    # bound takes no variant flags: its name tuples stay empty, and its
-    # config keeps the default replicate count
-    kind, policy_names, estimator_names = ExperimentKind.BOUND, (), ()
+        return ExperimentConfig(rho_max=args.rho_max, rho_step=args.rho_step, **common)
+    # bound takes no variant flags and keeps the default replicate count;
+    # validate infers the problem of bound and simulate from the fields set
+    policy_names, estimator_names = (), ()
     if args.command in ("simulate", "verify"):
         common["replicates"] = args.replicates
-    if args.command == "simulate":
-        bandit_side = args.policy is not None or args.horizon is not None or args.gap is not None
-        est_side = args.estimator is not None or args.n is not None or args.delta is not None
-        if bandit_side == est_side:
-            raise ConfigError(
-                {"command": "simulate needs either --horizon/--gap/--policy or --n/--delta/--estimator"}
-            )
-        # validate reports a missing --policy or --estimator
-        kind = ExperimentKind.SIMULATE_BANDIT if bandit_side else ExperimentKind.SIMULATE_ESTIMATION
-        policy_names = () if args.policy is None else (args.policy,)
-        estimator_names = () if args.estimator is None else (args.estimator,)
-    elif args.command == "verify":
-        kind = ExperimentKind.VERIFY
-        policy_names = tuple(args.policy) if args.policy else _POLICY_CHOICES
-        estimator_names = tuple(args.estimator) if args.estimator else _ESTIMATOR_CHOICES
+        policy_names, estimator_names = tuple(args.policy or ()), tuple(args.estimator or ())
+    if args.command == "verify":
+        policy_names = policy_names or _POLICY_CHOICES
+        estimator_names = estimator_names or _ESTIMATOR_CHOICES
     return ExperimentConfig(
-        kind=kind,
         n=args.n,
         delta=args.delta,
         horizon=args.horizon,

@@ -30,7 +30,7 @@ from .bounds import (
     BoundResult, Branch, _bound_factor_runs, bandit_bound, estimation_bound, optimal_gap, optimal_separation
 )
 from .errors import _FIELD_PROBLEMS, _field_problems
-from .risk import RiskLevel, SampleSet, empirical_cvar, exact_cvar
+from .risk import RiskLevel, SampleSet, _tail_block, empirical_cvar, exact_cvar
 from .sim import (
     BanditConfig,
     EstimationConfig,
@@ -99,13 +99,12 @@ class ReportIOError(OSError):
 class ExperimentKind(Enum):
     PSI = "psi"
     BOUND = "bound"
-    SIMULATE_ESTIMATION = "simulate-estimation"
-    SIMULATE_BANDIT = "simulate-bandit"
+    SIMULATE = "simulate"
     VERIFY = "verify"
 
 
 # the kinds that simulate, and so report Monte Carlo statistics
-_SIMULATED_KINDS = (ExperimentKind.SIMULATE_BANDIT, ExperimentKind.SIMULATE_ESTIMATION, ExperimentKind.VERIFY)
+_SIMULATED_KINDS = (ExperimentKind.SIMULATE, ExperimentKind.VERIFY)
 
 
 class OutputFormat(Enum):
@@ -171,8 +170,9 @@ class ExperimentConfig:
                 ratio = self.rho_max / self.rho_step
                 problems["rho_step"] = f"rho_max / rho_step is {ratio:.6g}, above {_MAX_PSI_STEPS} grid steps"
         subjects = _subjects(self)
-        if kind is ExperimentKind.BOUND and len(subjects) != 1:
-            problems["kind"] = "bound needs exactly one of (n, delta) or (horizon, gap)"
+        if kind in (ExperimentKind.BOUND, ExperimentKind.SIMULATE) and len(subjects) != 1:
+            est, bandit = ("", "") if kind is ExperimentKind.BOUND else (", estimators", ", policies")
+            problems["kind"] = f"{kind.value} needs exactly one of (n, delta{est}) or (horizon, gap{bandit})"
             subjects = ()
         sizes = {subject.size: getattr(self, subject.size) for subject in subjects}
         problems.update(_field_problems({"replicates": self.replicates, "seed": self.seed, **sizes}))
@@ -200,13 +200,10 @@ class ExperimentConfig:
                 why = subject.problem_of(size, variant)
                 if why:
                     problems.setdefault(subject.variants, why)
-            if subject not in subjects or kind is ExperimentKind.BOUND:
-                continue
-            if kind is ExperimentKind.VERIFY:
-                if not variants:
-                    problems.setdefault(subject.variants, f"verify needs at least one {subject.variant}")
-            elif len(variants) != 1:
-                problems.setdefault(subject.variants, f"{kind.value} takes exactly one {subject.variant}")
+            if kind is ExperimentKind.VERIFY and not variants:
+                problems.setdefault(subject.variants, f"verify needs at least one {subject.variant}")
+            elif kind is ExperimentKind.SIMULATE and subject in subjects and len(variants) != 1:
+                problems.setdefault(subject.variants, f"simulate takes exactly one {subject.variant}")
         if problems:
             raise ConfigError(problems)
 
@@ -243,11 +240,6 @@ class ExperimentReport:
     @property
     def all_dominated(self) -> bool:
         return all(row.dominated for row in self.rows)
-
-
-def _tail_block(level: RiskLevel, count: int) -> int:
-    """Samples in the tail block an empirical CVaR of `count` samples averages."""
-    return math.ceil(level.tail_mass * count)
 
 
 def _tail_stats(samples: SampleSet, level: RiskLevel) -> tuple[float, float, float]:
@@ -359,22 +351,22 @@ _SUBJECTS = (_BANDIT, _ESTIMATION)
 
 
 def _subjects(config: ExperimentConfig) -> tuple[_Subject, ...]:
-    """The subjects a config's kind covers; for `bound`, those whose size or
-    parameter field is set."""
+    """The subjects a config's kind covers: every one for `verify`; for
+    `bound` and `simulate`, each whose size or parameter field is set, and
+    for `simulate` each given a variant too, so that a stray one is refused.
+    A variants field that is no tuple or list gives none; `validate` refuses it."""
     kind = config.kind
-    if kind is ExperimentKind.BOUND:
-        return tuple(
-            subject
-            for subject in _SUBJECTS
-            if getattr(config, subject.size) is not None or getattr(config, subject.field) is not None
-        )
-    if kind is ExperimentKind.SIMULATE_BANDIT:
-        return (_BANDIT,)
-    if kind is ExperimentKind.SIMULATE_ESTIMATION:
-        return (_ESTIMATION,)
-    if kind is ExperimentKind.VERIFY:
-        return _SUBJECTS
-    return ()
+    if kind not in (ExperimentKind.BOUND, ExperimentKind.SIMULATE):
+        return _SUBJECTS if kind is ExperimentKind.VERIFY else ()
+    return tuple(
+        subject
+        for subject in _SUBJECTS
+        if getattr(config, subject.size) is not None
+        or getattr(config, subject.field) is not None
+        or kind is ExperimentKind.SIMULATE
+        and isinstance(variants := getattr(config, subject.variants), (tuple, list))
+        and len(variants) > 0
+    )
 
 
 def _refusal(config: ExperimentConfig, subject: _Subject, scale: float, exc: ValueError) -> tuple[str, str]:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .divergences import DivergenceKind, hellinger2_bernoulli, kl_bernoulli
-from .errors import DomainError, _check_fields
+from .errors import DomainError, _check_fields, _type_problem
 
 __all__ = [
     "BRACKET_TOL",
@@ -50,17 +50,13 @@ class InversionResult:
     iterations: int
 
 
-def _kind_problem(kind: object) -> str | None:
-    return None if type(kind) is DivergenceKind else f"must be a DivergenceKind, got {kind!r}"
-
-
 def bernoulli_inverse(kind: DivergenceKind, budget: float, b: float) -> InversionResult:
     """Smallest a in [0, b] with divergence from Bern(b) within the budget.
 
     A zero budget returns b itself.  For KL with b in {0, 1} and a positive
     budget the reference is degenerate and a DomainError is raised.
     """
-    _check_fields({"budget": budget, "b": b}, kind=_kind_problem(kind))
+    _check_fields({"budget": budget, "b": b}, kind=_type_problem(kind, DivergenceKind))
     budget, b = float(budget), float(b)
     if budget == 0.0:
         return InversionResult(a_minus=b, achieved_divergence=0.0, iterations=0)

@@ -111,6 +111,11 @@ class DiscreteLossDistribution:
         return sum(v * p for v, p in self.atoms)
 
 
+def _tail_block(level: RiskLevel, count: int) -> int:
+    """Samples in the tail block, ceil((1 - alpha) count), that an empirical CVaR averages; the last is its VaR."""
+    return math.ceil(level.tail_mass * count)
+
+
 def empirical_cvar(samples: SampleSet, level: RiskLevel) -> float:
     """Plug-in CVaR of the empirical measure, in closed form.
 
@@ -127,7 +132,7 @@ def empirical_cvar(samples: SampleSet, level: RiskLevel) -> float:
     m = level.tail_mass * samples.count
     if m <= 1.0:
         return float(xs[0])
-    k = math.ceil(m)
+    k = _tail_block(level, samples.count)
     head = float(xs[: k - 1].sum())
     return (head + (m - (k - 1)) * float(xs[k - 1])) / m
 

@@ -60,7 +60,7 @@ def test_int_no_float_can_hold_is_refused_by_name(field, call):
 
 def test_huge_ucb_constant_is_refused_before_any_draw():
     config = cvarbounds.ExperimentConfig(
-        kind=cvarbounds.ExperimentKind.SIMULATE_BANDIT,
+        kind=cvarbounds.ExperimentKind.SIMULATE,
         alphas=(0.5,),
         horizon=10,
         gap=0.5,

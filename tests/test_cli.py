@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import sys
@@ -251,7 +252,7 @@ def test_parsed_verify_line_keeps_the_names_the_benchmark_reads():
     ) == _config_from_args(args)
 
 
-_PSI, _BOUND, _SIMULATE = (experiments.ExperimentKind(k) for k in ("psi", "bound", "simulate-bandit"))
+_PSI, _BOUND, _SIMULATE = (experiments.ExperimentKind(k) for k in ("psi", "bound", "simulate"))
 
 
 @pytest.mark.parametrize(
@@ -329,19 +330,51 @@ def test_bad_ucb_constant_is_usage_error(value, capsys):
         assert "policies" in capsys.readouterr().err
 
 
-def test_simulate_needs_one_side(capsys):
-    rc = main(["simulate", "--n", "4", "--delta", "0.2", "--policy", "ucb"])
-    assert rc == 2
-    rc = main(["simulate", "--replicates", "10"])
-    assert rc == 2
-    capsys.readouterr()
-    # one side without its policy or estimator: validate names the field
-    for argv, field in (
-        (["simulate", "--horizon", "10", "--gap", "0.1"], "policies"),
-        (["simulate", "--n", "4", "--delta", "0.2"], "estimators"),
-    ):
-        assert main(argv) == 2
-        assert field in capsys.readouterr().err
+_ONE_PROBLEM = "simulate needs exactly one of (n, delta, estimators) or (horizon, gap, policies)"
+
+
+@pytest.mark.parametrize(
+    "argv, field, why",
+    [
+        (["--n", "4", "--delta", "0.2", "--policy", "ucb"], "kind", _ONE_PROBLEM),
+        (["--horizon", "10", "--gap", "0.1", "--estimator", "sign_commit"], "kind", _ONE_PROBLEM),
+        (["--replicates", "10"], "kind", _ONE_PROBLEM),
+        (["--n", "4", "--delta", "0.2", "--horizon", "10", "--gap", "0.1"], "kind", _ONE_PROBLEM),
+        (["--horizon", "10", "--gap", "0.1"], "policies", "simulate takes exactly one policy"),
+        (["--n", "4", "--delta", "0.2"], "estimators", "simulate takes exactly one estimator"),
+        (
+            ["--horizon", "10", "--gap", "0.1", "--policy", "ucb", "--policy", "etc"],
+            "policies",
+            "simulate takes exactly one policy",
+        ),
+        (
+            ["--n", "4", "--delta", "0.1", "--estimator", "sign_commit", "--estimator", "always_zero"],
+            "estimators",
+            "simulate takes exactly one estimator",
+        ),
+    ],
+    ids=[
+        "stray-policy",
+        "stray-estimator",
+        "no-problem",
+        "both-problems",
+        "no-policy",
+        "no-estimator",
+        "repeated-policy",
+        "repeated-estimator",
+    ],
+)
+def test_simulate_takes_one_problem_and_one_variant(argv, field, why, capsys):
+    # validate infers the problem from the flags given, a variant flag
+    # included, and sees every value a repeated variant flag was given
+    assert main(["simulate", *argv]) == 2
+    assert capsys.readouterr().err == f"error: invalid experiment config: {field}: {why}\n"
+
+
+def test_each_subcommand_is_the_experiment_kind_of_its_name():
+    # _config_from_args builds a config's kind from the subcommand's name
+    (subcommands,) = (action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    assert sorted(subcommands.choices) == sorted(kind.value for kind in experiments.ExperimentKind)
 
 
 def test_verify_small_passes(tmp_path):

@@ -41,7 +41,7 @@ from cvarbounds.sim import (
 
 def _bandit_config(**overrides):
     base = dict(
-        kind=ExperimentKind.SIMULATE_BANDIT,
+        kind=ExperimentKind.SIMULATE,
         alphas=(0.5,),
         horizon=16,
         gap=0.25,
@@ -190,6 +190,24 @@ def test_validation_bound_needs_one_problem():
     cfg = ExperimentConfig(kind=ExperimentKind.BOUND, alphas=(0.1,))
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+def test_validation_simulate_needs_one_problem():
+    # simulate's problem is the one whose size, parameter or variants are
+    # set; a stray variant of the other problem is refused under kind
+    estimation = dict(kind=ExperimentKind.SIMULATE, alphas=(0.5,), n=4, delta=0.1, estimators=(Estimator.SIGN_COMMIT,))
+    ExperimentConfig(**estimation).validate()
+    for bad in (dict(policies=(UCB(),)), dict(horizon=10), dict(gap=0.1), dict(n=None, delta=None, estimators=())):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**{**estimation, **bad}).validate()
+        assert exc.value.problems == {
+            "kind": "simulate needs exactly one of (n, delta, estimators) or (horizon, gap, policies)"
+        }, bad
+    # a variants field that is no tuple or list picks no problem, and is refused under its name
+    for bad in (UCB(), np.array([UCB(), UCB()], dtype=object)):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**estimation, policies=bad).validate()
+        assert set(exc.value.problems) == {"policies"}
 
 
 def test_psi_rows():
@@ -410,7 +428,7 @@ def test_json_round_trip():
     assert row["empirical_cvar"] == report.rows[0].empirical_cvar
     assert row["bound"] == report.rows[0].bound
     assert row["problem_params"]["horizon"] == 16
-    assert payload["metadata"]["kind"] == "simulate-bandit"
+    assert payload["metadata"]["kind"] == "simulate"
 
 
 def test_json_deterministic():
@@ -445,7 +463,7 @@ def test_wall_time_not_rendered():
 
 def test_estimation_sim_rows_exact_values():
     cfg = ExperimentConfig(
-        kind=ExperimentKind.SIMULATE_ESTIMATION,
+        kind=ExperimentKind.SIMULATE,
         alphas=(0.5,),
         n=9,
         delta=0.1,
@@ -495,7 +513,7 @@ def test_exact_law_below_the_bound_fails_at_any_scale(monkeypatch):
     # rounding at scale 1e-100; an exact law of half that lies below the
     # bound, and an absolute rounding allowance of 1e-9 would pass it unseen
     config = ExperimentConfig(
-        kind=ExperimentKind.SIMULATE_ESTIMATION,
+        kind=ExperimentKind.SIMULATE,
         alphas=(0.9,),
         n=9,
         delta="optimal",

@@ -801,12 +801,12 @@ _PINNED_OUTPUTS = {
     "simulate-bandit": (
         ["simulate", "--horizon", "200", "--gap", "optimal", "--policy", "uniform",
          "--replicates", "2000", "--seed", "3", *_TAILS, "--format", "json"],
-        "081f40c84780b13fc1568c34f21b08e34d94f08a582dd8e2f172808c772351a6",
+        "29352db754cc9cce1280a20fbdf0e736787a756a758c062f6ee096d7f8489200",
     ),
     "simulate-estimation": (
         ["simulate", "--n", "100", "--delta", "optimal", "--estimator", "sign_commit",
          "--replicates", "2000", "--seed", "3", *_TAILS, "--format", "json"],
-        "09aa7b1f80004ab1b17d58dd7f3a2d2c74c6644c718bb134f239ef994a0e13be",
+        "017aff4e5cc8242ace272c4cdbf18d3838ec829cb64eb8fff3518d49cf3a5f76",
     ),
     "psi": (
         ["psi", "--alpha", "0", "--alpha", "0.5", "--format", "json"],
