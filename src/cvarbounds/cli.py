@@ -3,9 +3,11 @@
 Subcommands: psi (profile table), bound (closed-form bounds), simulate
 (Monte Carlo for one policy or estimator), verify (bound vs simulation for
 batteries of policies and estimators), each the `ExperimentKind` of its
-name.  Exit codes: 0 success (and, for verify, every row dominated), 1
-verify found a violated bound, 2 usage or validation error, 3 report I/O
-failure.
+name.  Each takes only flags it reads: `--seed`, `--tau` and `--ucb-c` go
+to simulate and verify alone, and a `--tau` or `--ucb-c` that no selected
+policy reads is refused.  Exit codes: 0 success (and, for verify, every
+row dominated), 1 verify found a violated bound, 2 usage or validation
+error, 3 report I/O failure.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ from typing import get_args
 
 from .experiments import (
     OPTIMAL,
+    ConfigError,
     ExperimentConfig,
     ExperimentKind,
     OutputFormat,
     ReportIOError,
+    _readers,
     parse_policy,
     run_experiment,
     emit_report,
@@ -45,7 +49,6 @@ def _add_common(sub: argparse.ArgumentParser, default_alphas: tuple[float, ...])
         default=None,
         help=f"tail level in [0, 1); repeatable (default {list(default_alphas)})",
     )
-    sub.add_argument("--seed", type=int, default=ExperimentConfig.seed, help="master seed (default %(default)s)")
     sub.add_argument(
         "--format",
         choices=[f.value for f in OutputFormat],
@@ -98,9 +101,11 @@ def _add_variants(sub: argparse.ArgumentParser, default_replicates: int) -> None
     for flag, choices in (("--estimator", _ESTIMATOR_CHOICES), ("--policy", _POLICY_CHOICES)):
         text = f"repeatable; simulate takes exactly one, verify defaults to every {flag[2:]}"
         sub.add_argument(flag, action="append", choices=choices, help=text)
-    sub.add_argument("--tau", type=int, default=None, help="explore length per arm (etc)")
-    sub.add_argument("--ucb-c", type=float, default=UCB.c_explore, help="ucb exploration constant")
+    # unset by default, so that the policy's field states its default
+    sub.add_argument("--tau", type=int, help="explore length per arm (etc only)")
+    sub.add_argument("--ucb-c", type=float, help=f"exploration constant (ucb only; default {UCB.c_explore})")
     sub.add_argument("--replicates", type=int, default=default_replicates)
+    sub.add_argument("--seed", type=int, default=ExperimentConfig.seed, help="master seed (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,19 +142,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     alphas = tuple(args.alpha) if args.alpha else args.default_alphas
-    common = dict(kind=ExperimentKind(args.command), alphas=alphas, seed=args.seed)
+    common = dict(kind=ExperimentKind(args.command), alphas=alphas)
     if args.command == "psi":
         return ExperimentConfig(rho_max=args.rho_max, rho_step=args.rho_step, **common)
-    # bound takes no variant flags and keeps the default replicate count;
-    # validate infers the problem of bound and simulate from the fields set
-    policy_names, estimator_names = (), ()
+    # bound takes no variant flags and keeps the default replicate count and
+    # seed; validate infers the problem of bound and simulate from the fields set
+    policy_names, estimator_names, settings = (), (), {}
     if args.command in ("simulate", "verify"):
-        common["replicates"] = args.replicates
+        common.update(replicates=args.replicates, seed=args.seed)
         policy_names, estimator_names = tuple(args.policy or ()), tuple(args.estimator or ())
+        settings = {"tau": args.tau, "ucb_c": args.ucb_c}
     if args.command == "verify":
         policy_names = policy_names or _POLICY_CHOICES
         estimator_names = estimator_names or _ESTIMATOR_CHOICES
-    return ExperimentConfig(
+    config = ExperimentConfig(
         n=args.n,
         delta=args.delta,
         horizon=args.horizon,
@@ -159,6 +165,20 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         scales=tuple(args.scale) if args.scale else args.default_scales,
         **common,
     )
+    # a setting no selected policy reads would change nothing: refused, with
+    # every other problem of the config
+    problems = {
+        setting: f"read by no selected policy, only by {', '.join(_readers(setting))}, got {value!r}"
+        for setting, value in settings.items()
+        if value is not None and not set(_readers(setting)) & set(policy_names)
+    }
+    if problems:
+        try:
+            config.validate()
+        except ConfigError as exc:
+            problems.update(exc.problems)
+        raise ConfigError(problems)
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:

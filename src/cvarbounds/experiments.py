@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
@@ -35,9 +35,7 @@ from .sim import (
     BanditConfig,
     EstimationConfig,
     Estimator,
-    ExploreThenCommit,
     Policy,
-    UCB,
     _estimator_problem,
     _policy_problem,
     exact_loss_law,
@@ -112,13 +110,30 @@ class OutputFormat(Enum):
     JSON = "json"
 
 
-def parse_policy(name: str, tau: int | None = None, ucb_c: float = UCB.c_explore) -> Policy:
-    """Policy from its name (uniform, etc, ucb, thompson); `tau` is passed to
-    explore-then-commit and `ucb_c` to UCB."""
+# parse_policy's settings, each by the policy field it sets
+_SETTING_FIELDS = {"tau": "tau", "ucb_c": "c_explore"}
+
+
+def _readers(setting: str) -> list[str]:
+    """Names of the policies that read a `parse_policy` setting: those whose
+    class has the field it sets."""
+    field = _SETTING_FIELDS[setting]
+    return [cls.name for cls in get_args(Policy) if field in {f.name for f in fields(cls)}]
+
+
+def parse_policy(name: str, tau: int | None = None, ucb_c: float | None = None) -> Policy:
+    """Policy from its name (uniform, etc, ucb, thompson).  A setting given,
+    one that is not None, sets its field (`tau`, and `ucb_c` as `c_explore`)
+    where the policy reads it (`_readers`); the policy's own defaults hold
+    for the rest."""
     for cls in get_args(Policy):
         if cls.name == name:
-            settings = {ExploreThenCommit: {"tau": tau}, UCB: {"c_explore": ucb_c}}
-            return cls(**settings.get(cls, {}))
+            given = {"tau": tau, "ucb_c": ucb_c}
+            return cls(**{
+                _SETTING_FIELDS[setting]: value
+                for setting, value in given.items()
+                if value is not None and name in _readers(setting)
+            })
     raise ConfigError({"policy": f"unknown policy {name!r}"})
 
 
@@ -467,6 +482,8 @@ def _battery_rows(config: ExperimentConfig) -> list[ExperimentRow]:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Validate, dispatch on kind, and assemble the report."""
     config.validate()
+    # a report carries Python floats: JSON renders no numpy float32
+    config = replace(config, alphas=tuple(map(float, config.alphas)), scales=tuple(map(float, config.scales)))
     started = time.perf_counter()
     rows = _psi_rows(config) if config.kind is ExperimentKind.PSI else _battery_rows(config)
     metadata: dict[str, Any] = {

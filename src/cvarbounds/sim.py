@@ -166,16 +166,29 @@ def resolve_tau(policy: ExploreThenCommit, horizon: int) -> int:
     return max(1, min(math.ceil(horizon ** (2.0 / 3.0)), horizon // 2))
 
 
+def _ucb_radius(c_explore: float, t: int) -> float:
+    """UCB's exploration radius c_explore sqrt(2 ln t) at 1-based round t."""
+    return c_explore * math.sqrt(2.0 * math.log(t))
+
+
 def _policy_problem(policy: object, horizon: object) -> str | None:
     """Why the policy cannot run at this horizon, or None: it is not a
     policy, its UCB constant is not a finite real >= 0 (NaN would lose every
-    index comparison), or its explore-then-commit tau does not fit the
-    horizon.  The tau is checked only at a horizon `_FIELD_PROBLEMS` takes."""
+    index comparison) or makes the last round's radius overflow (every
+    index would read inf, and the tie go to arm 1), or its
+    explore-then-commit tau does not fit the horizon.  The radius and the
+    tau are checked only at a horizon `_FIELD_PROBLEMS` takes."""
     if not isinstance(policy, get_args(Policy)):
         return f"must be a policy, got {policy!r}"
-    if isinstance(policy, UCB) and (why := _FIELD_PROBLEMS["c_explore"](policy.c_explore)):
-        return f"c_explore {why}, got {policy.c_explore!r}"
-    if isinstance(policy, ExploreThenCommit) and _FIELD_PROBLEMS["horizon"](horizon) is None:
+    horizon_ok = _FIELD_PROBLEMS["horizon"](horizon) is None
+    if isinstance(policy, UCB):
+        c = policy.c_explore
+        if why := _FIELD_PROBLEMS["c_explore"](c):
+            return f"c_explore {why}, got {c!r}"
+        # rounds 0 and 1 are forced, and the radius grows with the round
+        if horizon_ok and horizon >= 3 and not math.isfinite(_ucb_radius(c, horizon)):
+            return f"c_explore makes the radius c sqrt(2 ln T) overflow a float at T = {horizon}, got {c!r}"
+    if isinstance(policy, ExploreThenCommit) and horizon_ok:
         try:
             resolve_tau(policy, horizon)
         except ValueError as exc:
@@ -476,7 +489,7 @@ def _rollout(policy: Policy, horizon: int, gaps, model, own, noise) -> np.ndarra
         elif t < 2:
             pick.fill(t == 0)
         else:
-            radius = policy.c_explore * math.sqrt(2.0 * math.log(t + 1))
+            radius = _ucb_radius(policy.c_explore, t + 1)
             _arm_index(s1, n1, radius, idx1, y)
             np.subtract(t, n1, out=idx2)
             _arm_index(s2, idx2, radius, idx2, y)

@@ -235,7 +235,7 @@ def test_parsed_verify_line_keeps_the_names_the_benchmark_reads():
     assert args.policy == ["uniform", "etc", "ucb", "thompson"]
     assert args.estimator == ["sample_mean", "sign_commit", "always_zero"]
     assert (args.horizon, args.n, args.gap, args.delta) == (200, 100, "optimal", "optimal")
-    assert (args.tau, args.ucb_c, args.replicates, args.seed) == (None, 1.0, 1000, 7)
+    assert (args.tau, args.ucb_c, args.replicates, args.seed) == (None, None, 1000, 7)
     # and the config built from them is the one the command runs
     assert experiments.ExperimentConfig(
         kind=experiments.ExperimentKind.VERIFY,
@@ -321,13 +321,110 @@ def test_simulate_estimation_stdout(capsys):
     assert cells[-1] == "true"
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "1e308"])
 def test_bad_ucb_constant_is_usage_error(value, capsys):
-    # NaN would lose every index comparison and send each round to arm 2
+    # NaN would lose every index comparison and send each round to arm 2; at
+    # 1e308 the radius overflows from round 5 and every index reads inf
     for command in ("simulate", "verify"):
         argv = [command, "--horizon", "10", "--gap", "0.1", "--policy", "ucb", "--ucb-c", value]
         assert main([*argv, "--replicates", "10"]) == 2
         assert "policies" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["simulate", "--horizon", "10", "--gap", "0.1", "--policy", "ucb", "--tau", "3"],
+            "error: invalid experiment config: tau: read by no selected policy, only by etc, got 3\n",
+        ),
+        (
+            ["simulate", "--n", "4", "--delta", "0.1", "--estimator", "sign_commit", "--tau", "3", "--ucb-c", "5"],
+            "error: invalid experiment config: tau: read by no selected policy, only by etc, got 3; "
+            "ucb_c: read by no selected policy, only by ucb, got 5.0\n",
+        ),
+        (
+            ["verify", "--policy", "ucb", "--tau", "3"],
+            "error: invalid experiment config: tau: read by no selected policy, only by etc, got 3\n",
+        ),
+        (
+            ["simulate", "--horizon", "0", "--gap", "0.1", "--policy", "etc", "--ucb-c", "2"],
+            "error: invalid experiment config: horizon: must be an int >= 1 that a float can hold, got 0; "
+            "ucb_c: read by no selected policy, only by ucb, got 2.0\n",
+        ),
+    ],
+    ids=["simulate-ucb-tau", "simulate-estimation", "verify-ucb-tau", "with-other-problems"],
+)
+def test_a_setting_no_selected_policy_reads_is_refused(argv, err, capsys):
+    # it would change nothing, so it is refused with the config's other problems
+    assert main([*argv, "--replicates", "100"]) == 2
+    assert capsys.readouterr().err == err
+
+
+# each subcommand's report at a small base command line, one base per
+# problem it takes
+_FLAG_BASES = {
+    "psi": ["psi", "--rho-max", "0.2", "--rho-step", "0.1"],
+    "bound-bandit": ["bound", "--horizon", "100", "--gap", "0.1"],
+    "bound-estimation": ["bound", "--n", "100", "--delta", "0.1"],
+    "simulate-bandit": ["simulate", "--horizon", "10", "--gap", "0.1", "--policy", "ucb", "--replicates", "100"],
+    "simulate-estimation": [
+        "simulate", "--n", "4", "--delta", "0.1", "--estimator", "sign_commit", "--replicates", "100"
+    ],
+    "verify": ["verify", "--horizon", "8", "--n", "4", "--alpha", "0.5", "--scale", "1", "--replicates", "100"],
+}
+
+# a value each flag is not given in any base
+_NON_DEFAULT = {
+    "--alpha": "0.9",
+    "--seed": "4",
+    "--rho-max": "0.3",
+    "--rho-step": "0.05",
+    "--scale": "2",
+    "--n": "9",
+    "--delta": "0.2",
+    "--horizon": "12",
+    "--gap": "0.2",
+    "--estimator": "sample_mean",
+    "--policy": "etc",
+    "--tau": "3",
+    "--ucb-c": "2",
+    "--replicates": "200",
+}
+
+
+def _flags(command):
+    (subcommands,) = (action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    actions = subcommands.choices[command]._actions
+    return [a.option_strings[-1] for a in actions if a.option_strings and a.dest not in ("help", "format", "out")]
+
+
+def _report(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "base, flag", [(base, flag) for base, argv in _FLAG_BASES.items() for flag in _flags(argv[0])]
+)
+def test_every_flag_is_read_or_refused(base, flag, capsys):
+    # a flag that moves no row (or only the metadata) would be a settable
+    # value that changes nothing; given in place of the base's value, or
+    # added, each must change the rows or exit 2
+    argv = _FLAG_BASES[base]
+    assert flag in _NON_DEFAULT, f"no test value for {flag}"
+    changed = list(argv)
+    if flag in argv:
+        changed[argv.index(flag) + 1] = _NON_DEFAULT[flag]
+    else:
+        changed += [flag, _NON_DEFAULT[flag]]
+    code, rows = _report(argv, capsys)
+    assert code in (0, 1) and rows
+    code, changed_rows = _report(changed, capsys)
+    assert code == 2 or changed_rows != rows, f"{' '.join(changed)} exits {code} with the base's rows"
 
 
 _ONE_PROBLEM = "simulate needs exactly one of (n, delta, estimators) or (horizon, gap, policies)"

@@ -58,6 +58,13 @@ def test_parse_policy():
     assert parse_policy("etc", tau=5) == ExploreThenCommit(tau=5)
     assert parse_policy("ucb", ucb_c=2.0) == UCB(c_explore=2.0)
     assert parse_policy("ucb") == UCB()
+    # an unset setting leaves the policy's default, and one the policy has
+    # no field for is passed over
+    for cls in (UniformRandom, ExploreThenCommit, UCB, ThompsonGaussian):
+        assert parse_policy(cls.name, None, None) == parse_policy(cls.name) == cls()
+    assert parse_policy("ucb", tau=5) == UCB()
+    assert parse_policy("etc", tau=5, ucb_c=2.0) == ExploreThenCommit(tau=5)
+    assert experiments._readers("tau") == ["etc"] and experiments._readers("ucb_c") == ["ucb"]
     with pytest.raises(ConfigError):
         parse_policy("greedy")
 
@@ -170,6 +177,13 @@ def test_validation_collects_all_problems():
             replace(_verify_config(100), policies=(UCB(), policy), replicates=0).validate()
         assert set(exc.value.problems) == {"policies", "replicates"}, policy
     _bandit_config(policies=(UCB(c_explore=0.0),)).validate()
+    # a constant whose last radius overflows at the horizon is refused there
+    with pytest.raises(ConfigError) as exc:
+        _bandit_config(horizon=10, policies=(UCB(c_explore=1e308),)).validate()
+    assert exc.value.problems == {
+        "policies": "c_explore makes the radius c sqrt(2 ln T) overflow a float at T = 10, got 1e+308"
+    }
+    _bandit_config(horizon=10, policies=(UCB(c_explore=1e307),)).validate()
     # a bad horizon skips only the tau check, which needs it: a policy that
     # is bad at any horizon is reported with it
     for policy in (UCB(c_explore=math.nan), ExploreThenCommit(tau=2.5)):
@@ -429,6 +443,24 @@ def test_json_round_trip():
     assert row["bound"] == report.rows[0].bound
     assert row["problem_params"]["horizon"] == 16
     assert payload["metadata"]["kind"] == "simulate"
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(kind=ExperimentKind.BOUND, horizon=100, gap=0.1, scales=(2.0,)),
+        dict(kind=ExperimentKind.BOUND, n=100, delta=0.1),
+        dict(kind=ExperimentKind.PSI, rho_max=0.2, rho_step=0.1),
+    ],
+    ids=["bound-bandit", "bound-estimation", "psi"],
+)
+def test_numpy_float32_inputs_render_as_floats(fields):
+    # a report carries Python floats, so a float32 tail level or scale
+    # renders, and as the float of its value
+    want = ExperimentConfig(alphas=(0.5,), **fields)
+    got = replace(want, alphas=(np.float32(0.5),), scales=tuple(map(np.float32, want.scales)))
+    assert render_json(run_experiment(got)) == render_json(run_experiment(want))
+    assert render_csv(run_experiment(got)) == render_csv(run_experiment(want))
 
 
 def test_json_deterministic():

@@ -135,6 +135,12 @@ def test_config_validation():
         with pytest.raises(ValueError):
             BanditConfig(horizon=10, gap=0.1, policy=UCB(c_explore=c), replicates=5, seed=0)
     BanditConfig(horizon=10, gap=0.1, policy=UCB(c_explore=0), replicates=5, seed=0)
+    # nor one whose last radius c sqrt(2 ln T) overflows: every index would
+    # read inf and the tie send each round to arm 1; rounds 0 and 1 are forced
+    with pytest.raises(ValueError, match="^policy: c_explore makes the radius"):
+        BanditConfig(horizon=10, gap=0.1, policy=UCB(c_explore=1e308), replicates=5, seed=0)
+    BanditConfig(horizon=10, gap=0.1, policy=UCB(c_explore=1e307), replicates=5, seed=0)
+    BanditConfig(horizon=2, gap=0.1, policy=UCB(c_explore=1e308), replicates=5, seed=0)
     # integer fields must be Python ints: nothing is truncated or coerced
     bandit = dict(horizon=10, gap=0.1, policy=UCB(), replicates=5, seed=0)
     for bad in (
