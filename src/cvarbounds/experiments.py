@@ -29,7 +29,7 @@ import numpy as np
 from .bounds import (
     BoundResult, Branch, _bound_factor_runs, bandit_bound, estimation_bound, optimal_gap, optimal_separation
 )
-from .errors import _FIELD_PROBLEMS, _field_problems
+from .errors import _FIELD_PROBLEMS, _field_problems, _is_real
 from .risk import RiskLevel, SampleSet, _tail_block, empirical_cvar, exact_cvar
 from .sim import (
     BanditConfig,
@@ -137,6 +137,26 @@ def parse_policy(name: str, tau: int | None = None, ucb_c: float | None = None) 
     raise ConfigError({"policy": f"unknown policy {name!r}"})
 
 
+# the config fields no row of each kind reads: validate refuses one set away
+# from its default, which would change nothing but the report's metadata
+_UNREAD_FIELDS = {
+    ExperimentKind.PSI: ("n", "delta", "horizon", "gap", "policies", "estimators", "replicates", "seed", "scales"),
+    ExperimentKind.BOUND: ("policies", "estimators", "replicates", "seed", "rho_max", "rho_step"),
+    ExperimentKind.SIMULATE: ("rho_max", "rho_step"),
+    ExperimentKind.VERIFY: ("rho_max", "rho_step"),
+}
+
+
+def _is_default(value: object, default: object) -> bool:
+    """Whether a field holds its default: None, a real, or a tuple of
+    reals.  Only a real is compared with a real, so an array is never asked
+    for its truth value."""
+    if isinstance(default, tuple):
+        same_length = isinstance(value, (tuple, list)) and len(value) == len(default)
+        return same_length and all(map(_is_default, value, default))
+    return value is default or (_is_real(value) and value == default)
+
+
 def _is_optimal(raw: object) -> bool:
     """Whether a gap or separation field asks for the worst case; only a
     string is compared, so an array there is refused by the field rules."""
@@ -219,6 +239,10 @@ class ExperimentConfig:
                 problems.setdefault(subject.variants, f"verify needs at least one {subject.variant}")
             elif kind is ExperimentKind.SIMULATE and subject in subjects and len(variants) != 1:
                 problems.setdefault(subject.variants, f"simulate takes exactly one {subject.variant}")
+        for name in _UNREAD_FIELDS[kind] if isinstance(kind, ExperimentKind) else ():
+            value = getattr(self, name)
+            if not _is_default(value, getattr(ExperimentConfig, name)):
+                problems[name] = f"{kind.value} does not read it, got {value!r}"
         if problems:
             raise ConfigError(problems)
 

@@ -12,7 +12,10 @@ no numeric minimization) and the exact value on a finite atomic law.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Iterable
+
 import numpy as np
 
 from .errors import _check_fields, _type_problem
@@ -70,45 +73,74 @@ class SampleSet:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class DiscreteLossDistribution:
-    """Finite atomic loss law; duplicate values are merged at construction.
+    """Finite atomic loss law, held as two columns: `values`, finite floats
+    in strictly ascending order, and `probs`, finite floats >= 0 that sum to
+    1 within EXACT_TOL.
 
-    Atoms are kept sorted by ascending value.  Probabilities must be
-    nonnegative and sum to 1 within EXACT_TOL.  A tuple of (float, float)
-    tuples with strictly increasing values and positive probabilities is
-    kept as given; any other input is merged and sorted.
+    The constructor takes (value, probability) atoms, merges duplicate
+    values and sorts them; `atoms` reads the columns back as pairs, and a
+    law prints, compares and hashes as its atoms.
     """
 
-    atoms: tuple[tuple[float, float], ...]
+    values: tuple[float, ...]
+    probs: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        as_given = type(self.atoms) is tuple
-        atoms = self.atoms if as_given else tuple(self.atoms)
-        total, last = 0.0, -math.inf
-        for atom in atoms:
-            v, p = atom
-            # the package's own laws pass plain floats, tens of thousands of
-            # atoms a sweep; anything else goes through the field table
-            if type(v) is float and type(p) is float and -math.inf < v < math.inf and 0.0 <= p < math.inf:
-                # a merge adds each probability to +0.0, so a zero is merged
-                as_given = as_given and last < v and p > 0.0 and type(atom) is tuple
-                last = v
-            else:
+    def __init__(self, atoms: Iterable[tuple[float, float]]) -> None:
+        merged: dict[float, float] = {}
+        for v, p in atoms:
+            if type(v) is not float or type(p) is not float:
                 _check_fields({"atom_value": v, "atom_probability": p})
-                p, as_given = float(p), False
-            total += p
+                v, p = float(v), float(p)
+            # a merge adds each probability to +0.0, so -0.0 becomes 0.0
+            merged[v] = merged.get(v, 0.0) + p
+        values = tuple(sorted(merged))
+        self._set_columns(values, tuple(map(merged.__getitem__, values)))
+
+    @classmethod
+    def _from_columns(cls, values: tuple[float, ...], probs: tuple[float, ...]) -> DiscreteLossDistribution:
+        """A law from its columns as given, which the column rule checks;
+        the package's own laws are built this way and may share a column."""
+        law = object.__new__(cls)
+        law._set_columns(values, probs)
+        return law
+
+    def _set_columns(self, values: tuple[float, ...], probs: tuple[float, ...]) -> None:
+        """Apply the column rule, then hold the columns.  Each check is a
+        C-level pass; only a refused column is walked atom by atom, to name
+        the first bad atom."""
+        if len(values) != len(probs) or not probs:
+            raise ValueError(f"a law needs atoms, one probability per value, got {len(values)} and {len(probs)}")
+        if not (all(map(math.isfinite, values)) and all(map(math.isfinite, probs)) and min(probs) >= 0.0):
+            for v, p in zip(values, probs):
+                _check_fields({"atom_value": v, "atom_probability": p})
+        if not all(map(operator.lt, values, values[1:])):
+            raise ValueError(f"atom values must be strictly ascending, got {values!r}")
+        total = sum(probs)
         if abs(total - 1.0) > EXACT_TOL:
             raise ValueError(f"atom probabilities sum to {total!r}, expected 1 within {EXACT_TOL}")
-        if not as_given:
-            merged: dict[float, float] = {}
-            for v, p in atoms:
-                v, p = float(v), float(p)
-                merged[v] = merged.get(v, 0.0) + p
-            object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "probs", probs)
+
+    @property
+    def atoms(self) -> tuple[tuple[float, float], ...]:
+        """(value, probability) pairs in ascending value order."""
+        return tuple(zip(self.values, self.probs))
+
+    def __repr__(self) -> str:
+        return f"DiscreteLossDistribution(atoms={self.atoms!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not DiscreteLossDistribution:
+            return NotImplemented
+        return self.values == other.values and self.probs == other.probs
+
+    def __hash__(self) -> int:
+        return hash((self.atoms,))
 
     def mean(self) -> float:
-        return sum(v * p for v, p in self.atoms)
+        return sum(map(operator.mul, self.values, self.probs))
 
 
 def _tail_block(level: RiskLevel, count: int) -> int:
@@ -151,7 +183,7 @@ def exact_cvar(dist: DiscreteLossDistribution, level: RiskLevel) -> float:
     q = level.tail_mass
     remaining = q
     acc = 0.0
-    for value, prob in reversed(dist.atoms):
+    for value, prob in zip(reversed(dist.values), reversed(dist.probs)):
         take = prob if prob < remaining else remaining
         acc += take * value
         remaining -= take

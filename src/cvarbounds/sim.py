@@ -168,7 +168,9 @@ def resolve_tau(policy: ExploreThenCommit, horizon: int) -> int:
 
 def _ucb_radius(c_explore: float, t: int) -> float:
     """UCB's exploration radius c_explore sqrt(2 ln t) at 1-based round t."""
-    return c_explore * math.sqrt(2.0 * math.log(t))
+    # in float64 whatever the constant's type: a numpy float32 would round
+    # the radius to float32, and overflow it with a warning
+    return float(c_explore) * math.sqrt(2.0 * math.log(t))
 
 
 def _policy_problem(policy: object, horizon: object) -> str | None:
@@ -601,7 +603,8 @@ def exact_uniform_bandit_law(g: float, horizon: int) -> DiscreteLossDistribution
     g = float(g)
     if g * horizon == math.inf:
         _check_fields({}, gap=_regret_cap_problem(g, horizon))
-    return DiscreteLossDistribution(tuple((g * k, p) for k, p in enumerate(_binomial_row(horizon))))
+    # every law at this horizon shares the cached row as its probs column
+    return DiscreteLossDistribution._from_columns(tuple(map(g.__mul__, range(horizon + 1))), _binomial_row(horizon))
 
 
 def exact_sign_estimator_law(n: int, delta: float) -> DiscreteLossDistribution:
@@ -613,7 +616,8 @@ def exact_sign_estimator_law(n: int, delta: float) -> DiscreteLossDistribution:
     if 2.0 * delta == math.inf:
         _check_fields({}, delta=f"2 delta overflows a float, got {delta!r}")
     p = normal_upper_tail(math.sqrt(n) * delta)
-    return DiscreteLossDistribution(((0.0, 1.0 - p), (2.0 * delta, p)))
+    # p may underflow to 0.0; its atom is kept
+    return DiscreteLossDistribution._from_columns((0.0, 2.0 * delta), (1.0 - p, p))
 
 
 def exact_loss_law(config: BanditConfig | EstimationConfig) -> DiscreteLossDistribution | None:
@@ -630,5 +634,5 @@ def exact_loss_law(config: BanditConfig | EstimationConfig) -> DiscreteLossDistr
         return exact_sign_estimator_law(config.n, config.delta)
     if config.estimator is Estimator.ALWAYS_ZERO:
         # |0 - theta| = delta under either sign, with certainty
-        return DiscreteLossDistribution(((config.delta, 1.0),))
+        return DiscreteLossDistribution._from_columns((config.delta,), (1.0,))
     return None

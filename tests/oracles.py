@@ -129,6 +129,22 @@ def law_from_samples(samples: SampleSet) -> DiscreteLossDistribution:
     return DiscreteLossDistribution(tuple((float(v), 1.0 / n) for v in samples.values))
 
 
+def uniform_law_from_atoms(g: float, horizon: int) -> DiscreteLossDistribution:
+    """The uniform policy's exact law g Binomial(T, 1/2), built as
+    (value, probability) atoms through the public constructor, which merges
+    and sorts them: the reference for `sim.exact_uniform_bandit_law`'s
+    columns."""
+    row = sim._binomial_row(horizon)
+    return DiscreteLossDistribution(tuple((g * k, p) for k, p in enumerate(row)))
+
+
+def sign_law_from_atoms(n: int, delta: float) -> DiscreteLossDistribution:
+    """The sign-commit estimator's exact law, built as atoms through the
+    public constructor: the reference for `sim.exact_sign_estimator_law`."""
+    p = sim.normal_upper_tail(math.sqrt(n) * delta)
+    return DiscreteLossDistribution(((0.0, 1.0 - p), (2.0 * delta, p)))
+
+
 def hinge_mean(samples: SampleSet, t: float) -> float:
     """Empirical hinge expectation (1/N) sum_i (x_i - t)_+.
 

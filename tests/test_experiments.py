@@ -197,6 +197,33 @@ def test_validation_collects_all_problems():
     assert set(exc.value.problems) == {"kind"}
 
 
+def test_a_field_the_kind_does_not_read_is_refused():
+    # a field no row of the kind reads, set away from its default, would
+    # change nothing but the metadata: each is refused by name
+    psi = dict(kind=ExperimentKind.PSI, alphas=(0.5,), rho_max=0.1, rho_step=0.1)
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(ExperimentConfig(**psi, seed=9, scales=(2.0,)))
+    assert exc.value.problems == {
+        "seed": "psi does not read it, got 9",
+        "scales": "psi does not read it, got (2.0,)",
+    }
+    bound = dict(kind=ExperimentKind.BOUND, alphas=(0.5,), horizon=10, gap=0.1)
+    unread = dict(seed=3, replicates=10, policies=(UCB(),), rho_step=0.5)
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(**bound, **unread).validate()
+    assert set(exc.value.problems) == set(unread)
+    with pytest.raises(ConfigError) as exc:
+        replace(_verify_config(100), rho_max=2.0).validate()
+    assert set(exc.value.problems) == {"rho_max"}
+    # an array is refused with a message, never asked for its truth value
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(**psi, gap=np.array([0.1, 0.2]), scales=(np.array([1.0, 2.0]),)).validate()
+    assert set(exc.value.problems) == {"gap", "scales"}
+    # a default value given is no setting: a list, an int or a numpy float holding it passes
+    ExperimentConfig(**psi, seed=0, replicates=10_000, scales=[1], policies=[], estimators=()).validate()
+    ExperimentConfig(**bound, rho_max=np.float64(1.2), rho_step=0.01).validate()
+
+
 def test_validation_bound_needs_one_problem():
     cfg = ExperimentConfig(kind=ExperimentKind.BOUND, alphas=(0.1,), n=10, delta=0.1, horizon=5, gap=0.1)
     with pytest.raises(ConfigError):

@@ -135,7 +135,7 @@ def _split_first(atoms):
     return ((v, p / 2), *rest, (v, p / 2))
 
 
-# input shapes that must not be kept as given
+# input shapes the constructor must merge and sort into the same law
 _RESHAPES = {
     "shuffled": lambda atoms, rnd: tuple(rnd.sample(atoms, len(atoms))),
     "duplicated": lambda atoms, rnd: _split_first(atoms),
@@ -166,8 +166,6 @@ def _laws(draw):
 @given(atoms=_laws(), rnd=st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_atoms_equal_their_merged_sorted_law(shape, atoms, rnd):
-    # sorted distinct plain floats with positive probabilities are kept as given
-    assert DiscreteLossDistribution(atoms).atoms is atoms
     given_atoms = _RESHAPES[shape](atoms, rnd)
     law = DiscreteLossDistribution(given_atoms)
     want = DiscreteLossDistribution(_merged_sorted(given_atoms))
@@ -193,6 +191,25 @@ def test_bad_atoms_raise_on_either_path(shape, atoms):
     given_atoms = atoms if shape == "as given" else _RESHAPES[shape](atoms, random.Random(0))
     with pytest.raises(ValueError):
         DiscreteLossDistribution(given_atoms)
+    if shape == "as given":
+        # the package's own laws pass columns, and the same rule refuses them
+        values, probs = zip(*atoms)
+        with pytest.raises(ValueError):
+            DiscreteLossDistribution._from_columns(values, probs)
+
+
+@pytest.mark.parametrize(
+    "values, probs",
+    [
+        ((1.0, 0.0), (0.5, 0.5)),  # descending
+        ((0.0, 0.0), (0.5, 0.5)),  # a repeated value
+        ((0.0,), (0.5, 0.5)),  # one value short
+        ((), ()),
+    ],
+)
+def test_column_rule_refuses_unordered_or_unmatched_columns(values, probs):
+    with pytest.raises(ValueError):
+        DiscreteLossDistribution._from_columns(values, probs)
 
 
 def test_exact_cvar_binomial_example():

@@ -4,14 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import _reference_rollout, mc_transcript_kl, transcript_draws
+from oracles import (
+    _reference_rollout, mc_transcript_kl, sign_law_from_atoms, transcript_draws, uniform_law_from_atoms
+)
 
 from cvarbounds import sim
 from cvarbounds.bounds import bandit_bound, optimal_gap
 from cvarbounds.cli import main as cli_main
 from cvarbounds.errors import DomainError
 from cvarbounds.experiments import parse_policy
-from cvarbounds.risk import RiskLevel, exact_cvar
+from cvarbounds.risk import DiscreteLossDistribution, RiskLevel, exact_cvar
 from cvarbounds.sim import (
     BanditConfig,
     EstimationConfig,
@@ -308,6 +310,14 @@ def test_ucb_forced_first_pulls():
     assert np.all(n1 == 1)
 
 
+def test_float32_ucb_constant_is_read_in_float64():
+    # its radius neither rounds to float32 nor overflows float32 with a
+    # warning, which the suite's filter turns into an error
+    config = BanditConfig(10, 0.1, UCB(c_explore=np.float32(3e38)), 5, 0)
+    want = _bandit(BanditConfig(10, 0.1, UCB(c_explore=3e38), 5, 0))
+    assert np.array_equal(_bandit(config), want)
+
+
 def test_uniform_matches_exact_law():
     g, T, reps = 1.0, 8, 20_000
     law = exact_uniform_bandit_law(g, T)
@@ -330,6 +340,19 @@ def test_exact_uniform_law_structure():
         exact_uniform_bandit_law(0.0, 8)
 
 
+# tail levels at which a column law's CVaR must equal its atom law's
+_LAW_ALPHAS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0 - 2.0**-40)
+
+
+def _assert_same_law(law, want):
+    # bit for bit: atoms, repr, mean and the CVaR at every tail level
+    assert law == want and law.atoms == want.atoms and repr(law) == repr(want)
+    assert repr(law.mean()) == repr(want.mean())
+    for alpha in _LAW_ALPHAS:
+        level = RiskLevel(alpha)
+        assert repr(exact_cvar(law, level)) == repr(exact_cvar(want, level)), alpha
+
+
 def test_exact_uniform_law_reads_one_cached_row_per_horizon():
     # every atom bit for bit (g k, C(T, k) / 2^T), at gaps down to the smallest subnormal
     for horizon in range(1, 65):
@@ -337,6 +360,9 @@ def test_exact_uniform_law_reads_one_cached_row_per_horizon():
             law = exact_uniform_bandit_law(g, horizon)
             want = tuple((g * k, math.comb(horizon, k) / 2**horizon) for k in range(horizon + 1))
             assert law.atoms == want and repr(law.atoms) == repr(want), (g, horizon)
+            # the columns read as the law built from atoms, and hold the cached row itself
+            _assert_same_law(law, uniform_law_from_atoms(g, horizon))
+            assert law.probs is sim._binomial_row(horizon)
     # one row per horizon, at most 64 of them
     info = sim._binomial_row.cache_info()
     assert info.currsize == info.maxsize == sim._MAX_EXACT_HORIZON
@@ -347,6 +373,15 @@ def test_exact_uniform_law_reads_one_cached_row_per_horizon():
     assert [p for _, p in small.atoms] == [p for _, p in large.atoms]
     assert [v for v, _ in small.atoms] == [0.5 * k for k in range(11)]
     assert [v for v, _ in large.atoms] == [2.0 * k for k in range(11)]
+
+
+def test_estimator_laws_equal_their_atom_construction():
+    # p = P(Z > 100) underflows to 0.0, and its atom is kept
+    for n, delta in ((9, 0.2), (4, 1.0 / 12.0), (10_000, 1.0)):
+        _assert_same_law(exact_sign_estimator_law(n, delta), sign_law_from_atoms(n, delta))
+    assert exact_sign_estimator_law(10_000, 1.0).atoms == ((0.0, 1.0), (2.0, 0.0))
+    zero = exact_loss_law(EstimationConfig(n=9, delta=0.2, estimator=Estimator.ALWAYS_ZERO, replicates=1, seed=0))
+    _assert_same_law(zero, DiscreteLossDistribution(((0.2, 1.0),)))
 
 
 @pytest.mark.parametrize("horizon", [64, 65])
