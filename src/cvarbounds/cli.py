@@ -3,11 +3,12 @@
 Subcommands: psi (profile table), bound (closed-form bounds), simulate
 (Monte Carlo for one policy or estimator), verify (bound vs simulation for
 batteries of policies and estimators), each the `ExperimentKind` of its
-name.  Each takes only flags it reads: `--seed`, `--tau` and `--ucb-c` go
-to simulate and verify alone, and a `--tau` or `--ucb-c` that no selected
-policy reads is refused.  Exit codes: 0 success (and, for verify, every
-row dominated), 1 verify found a violated bound, 2 usage or validation
-error, 3 report I/O failure.
+name.  Each offers --alpha, --format, --out and a flag for each config
+field its kind reads (`experiments._READ_FIELDS`), with --tau and --ucb-c
+beside --policy; a --tau or --ucb-c that no selected policy reads is
+refused.  Exit codes: 0 success (and, for verify, every row dominated),
+1 verify found a violated bound, 2 usage or validation error, 3 report I/O
+failure.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .experiments import (
     ExperimentKind,
     OutputFormat,
     ReportIOError,
+    _READ_FIELDS,
     _readers,
     parse_policy,
     run_experiment,
@@ -41,24 +43,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _add_common(sub: argparse.ArgumentParser, default_alphas: tuple[float, ...]) -> None:
-    sub.add_argument(
-        "--alpha",
-        action="append",
-        type=float,
-        default=None,
-        help=f"tail level in [0, 1); repeatable (default {list(default_alphas)})",
-    )
-    sub.add_argument(
-        "--format",
-        choices=[f.value for f in OutputFormat],
-        default=OutputFormat.CSV.value,
-        help="report format (default csv)",
-    )
-    sub.add_argument("--out", default=None, metavar="PATH", help="write the report here instead of stdout")
-    sub.set_defaults(default_alphas=default_alphas)
-
-
 def _numeric_or_optimal(raw: str) -> float | str:
     """The number `raw` spells, or `raw` itself: OPTIMAL, or a string that
     `validate` then reports under its field."""
@@ -68,44 +52,45 @@ def _numeric_or_optimal(raw: str) -> float | str:
         return raw
 
 
-def _add_problem(
-    sub: argparse.ArgumentParser,
-    default_scales: tuple[float, ...],
-    n: int | None = None,
-    delta: str | None = None,
-    horizon: int | None = None,
-    gap: str | None = None,
-) -> None:
-    """The scale flag and both problems' flags.  A size with a default goes
-    without help, and a parameter's help names its default."""
-    sub.add_argument(
-        "--scale",
-        action="append",
-        type=float,
-        default=None,
-        help=f"multiplier on the separation/gap; repeatable (default {list(default_scales)})",
-    )
-    sub.set_defaults(default_scales=default_scales)
-    for size, size_default, size_help, param, param_default, what in (
-        ("--n", n, "estimation sample count", "--delta", delta, "separation"),
-        ("--horizon", horizon, "bandit horizon T", "--gap", gap, "arm gap g"),
-    ):
-        sub.add_argument(size, type=int, default=size_default, help=size_help if size_default is None else None)
-        text = f"{what}, or '{OPTIMAL}'" if param_default is None else f"{what} (default '{OPTIMAL}')"
-        sub.add_argument(param, type=_numeric_or_optimal, default=param_default, help=text)
+# each config field's flag, argparse settings and help; a subcommand takes
+# --alpha and the flags of the fields its kind reads (`_READ_FIELDS`), and a
+# repeatable flag defaults to None, so that `append` starts from an empty list
+_FLAGS = {
+    "alphas": ("--alpha", dict(action="append", type=float), "tail level in [0, 1); repeatable"),
+    "scales": ("--scale", dict(action="append", type=float), "multiplier on the separation/gap; repeatable"),
+    "n": ("--n", dict(type=int), "estimation sample count"),
+    "delta": ("--delta", dict(type=_numeric_or_optimal), f"separation, or '{OPTIMAL}'"),
+    "horizon": ("--horizon", dict(type=int), "bandit horizon T"),
+    "gap": ("--gap", dict(type=_numeric_or_optimal), f"arm gap g, or '{OPTIMAL}'"),
+    "estimators": ("--estimator", dict(action="append", choices=_ESTIMATOR_CHOICES), "estimator to run; repeatable"),
+    "policies": ("--policy", dict(action="append", choices=_POLICY_CHOICES), "policy to run; repeatable"),
+    "replicates": ("--replicates", dict(type=int), "Monte Carlo replicates"),
+    "seed": ("--seed", dict(type=int), "master seed"),
+    "rho_max": ("--rho-max", dict(type=float), "largest rho"),
+    "rho_step": ("--rho-step", dict(type=float), "rho grid step"),
+}
+
+_SUBCOMMAND_HELP = {
+    ExperimentKind.PSI: "tabulate the normalized bound profile",
+    ExperimentKind.BOUND: "closed-form bounds for one problem",
+    ExperimentKind.SIMULATE: "Monte Carlo CVaR vs bound",
+    ExperimentKind.VERIFY: "check dominance across policy/estimator batteries",
+}
+
+# verify's battery: three tail levels and scales at the worst-case gap and
+# separation, every policy and every estimator
+_VERIFY_DEFAULTS = dict(
+    alphas=(0.0, 0.5, 0.9), scales=(0.5, 1.0, 2.0), n=100, delta=OPTIMAL, horizon=200, gap=OPTIMAL,
+    replicates=50_000, policies=_POLICY_CHOICES, estimators=_ESTIMATOR_CHOICES,
+)
 
 
-def _add_variants(sub: argparse.ArgumentParser, default_replicates: int) -> None:
-    """The variant flags; the estimator and policy flags repeat, so that
-    `validate` sees every value given, and refuses a second one to simulate."""
-    for flag, choices in (("--estimator", _ESTIMATOR_CHOICES), ("--policy", _POLICY_CHOICES)):
-        text = f"repeatable; simulate takes exactly one, verify defaults to every {flag[2:]}"
-        sub.add_argument(flag, action="append", choices=choices, help=text)
-    # unset by default, so that the policy's field states its default
-    sub.add_argument("--tau", type=int, help="explore length per arm (etc only)")
-    sub.add_argument("--ucb-c", type=float, help=f"exploration constant (ucb only; default {UCB.c_explore})")
-    sub.add_argument("--replicates", type=int, default=default_replicates)
-    sub.add_argument("--seed", type=int, default=ExperimentConfig.seed, help="master seed (default %(default)s)")
+def _default(kind: ExperimentKind, field: str) -> object:
+    """What a subcommand takes for a field whose flag is not given: verify's
+    battery, else one tail level and the `ExperimentConfig` default."""
+    if kind is ExperimentKind.VERIFY and field in _VERIFY_DEFAULTS:
+        return _VERIFY_DEFAULTS[field]
+    return (0.0,) if field == "alphas" else getattr(ExperimentConfig, field)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,57 +99,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tail-risk lower bounds for two-point Gaussian decision problems.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    psi = subs.add_parser("psi", help="tabulate the normalized bound profile")
-    _add_common(psi, (0.0,))
-    psi.add_argument(
-        "--rho-max", type=float, default=ExperimentConfig.rho_max, help="largest rho (default %(default)s)"
-    )
-    psi.add_argument(
-        "--rho-step", type=float, default=ExperimentConfig.rho_step, help="rho grid step (default %(default)s)"
-    )
-
-    bound = subs.add_parser("bound", help="closed-form bounds for one problem")
-    _add_common(bound, (0.0,))
-    _add_problem(bound, ExperimentConfig.scales)
-
-    sim = subs.add_parser("simulate", help="Monte Carlo CVaR vs bound")
-    _add_common(sim, (0.0,))
-    _add_problem(sim, ExperimentConfig.scales)
-    _add_variants(sim, ExperimentConfig.replicates)
-
-    verify = subs.add_parser("verify", help="check dominance across policy/estimator batteries")
-    _add_common(verify, (0.0, 0.5, 0.9))
-    _add_problem(verify, (0.5, 1.0, 2.0), n=100, delta=OPTIMAL, horizon=200, gap=OPTIMAL)
-    _add_variants(verify, 50_000)
+    for kind in ExperimentKind:
+        sub = subs.add_parser(kind.value, help=_SUBCOMMAND_HELP[kind])
+        for field in ("alphas", *_READ_FIELDS[kind]):
+            flag, settings, text = _FLAGS[field]
+            default = _default(kind, field)
+            if default not in (None, ()):
+                text += f" (default {list(default) if isinstance(default, tuple) else default})"
+            sub.add_argument(flag, **settings, default=None if "action" in settings else default, help=text)
+            if field == "policies":
+                # unset by default, so that the policy's field states its default
+                sub.add_argument("--tau", type=int, help="explore length per arm (etc only)")
+                text = f"exploration constant (ucb only; default {UCB.c_explore})"
+                sub.add_argument("--ucb-c", type=float, help=text)
+        formats, csv = [f.value for f in OutputFormat], OutputFormat.CSV.value
+        sub.add_argument("--format", choices=formats, default=csv, help=f"report format (default {csv})")
+        sub.add_argument("--out", default=None, metavar="PATH", help="write the report here instead of stdout")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    alphas = tuple(args.alpha) if args.alpha else args.default_alphas
-    common = dict(kind=ExperimentKind(args.command), alphas=alphas)
-    if args.command == "psi":
-        return ExperimentConfig(rho_max=args.rho_max, rho_step=args.rho_step, **common)
-    # bound takes no variant flags and keeps the default replicate count and
-    # seed; validate infers the problem of bound and simulate from the fields set
-    policy_names, estimator_names, settings = (), (), {}
-    if args.command in ("simulate", "verify"):
-        common.update(replicates=args.replicates, seed=args.seed)
-        policy_names, estimator_names = tuple(args.policy or ()), tuple(args.estimator or ())
-        settings = {"tau": args.tau, "ucb_c": args.ucb_c}
-    if args.command == "verify":
-        policy_names = policy_names or _POLICY_CHOICES
-        estimator_names = estimator_names or _ESTIMATOR_CHOICES
-    config = ExperimentConfig(
-        n=args.n,
-        delta=args.delta,
-        horizon=args.horizon,
-        gap=args.gap,
-        policies=tuple(parse_policy(p, args.tau, args.ucb_c) for p in policy_names),
-        estimators=tuple(Estimator(e) for e in estimator_names),
-        scales=tuple(args.scale) if args.scale else args.default_scales,
-        **common,
-    )
+    kind = ExperimentKind(args.command)
+    values = {}
+    for field in ("alphas", *_READ_FIELDS[kind]):
+        given = getattr(args, _FLAGS[field][0][2:].replace("-", "_"))  # the flag's dest
+        if given is None:
+            given = _default(kind, field)
+        values[field] = tuple(given) if isinstance(given, list) else given
+    # variants are named on the command line; a kind that reads none keeps
+    # the empty default, and validate infers the problem of bound and
+    # simulate from the fields set
+    settings = {setting: getattr(args, setting, None) for setting in ("tau", "ucb_c")}
+    policy_names = values.get("policies", ())
+    values["policies"] = tuple(parse_policy(name, **settings) for name in policy_names)
+    values["estimators"] = tuple(map(Estimator, values.get("estimators", ())))
+    config = ExperimentConfig(kind=kind, **values)
     # a setting no selected policy reads would change nothing: refused, with
     # every other problem of the config
     problems = {

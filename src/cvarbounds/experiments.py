@@ -137,16 +137,6 @@ def parse_policy(name: str, tau: int | None = None, ucb_c: float | None = None) 
     raise ConfigError({"policy": f"unknown policy {name!r}"})
 
 
-# the config fields no row of each kind reads: validate refuses one set away
-# from its default, which would change nothing but the report's metadata
-_UNREAD_FIELDS = {
-    ExperimentKind.PSI: ("n", "delta", "horizon", "gap", "policies", "estimators", "replicates", "seed", "scales"),
-    ExperimentKind.BOUND: ("policies", "estimators", "replicates", "seed", "rho_max", "rho_step"),
-    ExperimentKind.SIMULATE: ("rho_max", "rho_step"),
-    ExperimentKind.VERIFY: ("rho_max", "rho_step"),
-}
-
-
 def _is_default(value: object, default: object) -> bool:
     """Whether a field holds its default: None, a real, or a tuple of
     reals.  Only a real is compared with a real, so an array is never asked
@@ -239,12 +229,28 @@ class ExperimentConfig:
                 problems.setdefault(subject.variants, f"verify needs at least one {subject.variant}")
             elif kind is ExperimentKind.SIMULATE and subject in subjects and len(variants) != 1:
                 problems.setdefault(subject.variants, f"simulate takes exactly one {subject.variant}")
-        for name in _UNREAD_FIELDS[kind] if isinstance(kind, ExperimentKind) else ():
+        for name, default in _UNREAD_FIELDS[kind] if isinstance(kind, ExperimentKind) else ():
             value = getattr(self, name)
-            if not _is_default(value, getattr(ExperimentConfig, name)):
+            if not _is_default(value, default):
                 problems[name] = f"{kind.value} does not read it, got {value!r}"
         if problems:
             raise ConfigError(problems)
+
+
+# the config fields each kind's rows read, besides kind and alphas: the cli
+# offers a flag for each
+_BOUND_FIELDS = ("scales", "n", "delta", "horizon", "gap")
+_READ_FIELDS = {
+    ExperimentKind.PSI: ("rho_max", "rho_step"),
+    ExperimentKind.BOUND: _BOUND_FIELDS,
+    **dict.fromkeys(_SIMULATED_KINDS, (*_BOUND_FIELDS, "estimators", "policies", "replicates", "seed")),
+}
+# the rest, with their defaults: validate refuses one set away from its
+# default, which would change nothing but the report's metadata
+_UNREAD_FIELDS = {
+    kind: tuple((f.name, f.default) for f in fields(ExperimentConfig) if f.name not in ("kind", "alphas", *reads))
+    for kind, reads in _READ_FIELDS.items()
+}
 
 
 class ExperimentRow(NamedTuple):

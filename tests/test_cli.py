@@ -474,6 +474,31 @@ def test_each_subcommand_is_the_experiment_kind_of_its_name():
     assert sorted(subcommands.choices) == sorted(kind.value for kind in experiments.ExperimentKind)
 
 
+# each default a subcommand's flags have, as its --help names it
+_HELP_DEFAULTS = {
+    "psi": ["[0.0]", "1.2", "0.01", "csv"],
+    "bound": ["[0.0]", "[1.0]", "csv"],
+    "simulate": ["[0.0]", "[1.0]", "1.0", "10000", "0", "csv"],
+    "verify": [
+        "[0.0, 0.5, 0.9]", "[0.5, 1.0, 2.0]", "100", "optimal", "200", "optimal",
+        "['sample_mean', 'sign_commit', 'always_zero']", "['uniform', 'etc', 'ucb', 'thompson']",
+        "1.0", "50000", "0", "csv",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HELP_DEFAULTS))
+def test_help_names_each_default(command, capsys):
+    # argparse formats a help string only when it prints it, so a stray %
+    # in one would raise only here
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert [d for d in _HELP_DEFAULTS[command] if f"default {d})" not in text] == []
+    assert text.count("default ") == len(_HELP_DEFAULTS[command])
+
+
 def test_verify_small_passes(tmp_path):
     out = tmp_path / "verify.csv"
     rc = main(

@@ -1,12 +1,13 @@
+import argparse
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from cvarbounds.bounds import Branch, bandit_bound, bound_factor, estimation_bound, optimal_gap
-from cvarbounds.cli import main as cli_main
+from cvarbounds.cli import build_parser, main as cli_main
 from cvarbounds.experiments import (
     CSV_COLUMNS,
     OPTIMAL,
@@ -197,30 +198,71 @@ def test_validation_collects_all_problems():
     assert set(exc.value.problems) == {"kind"}
 
 
-def test_a_field_the_kind_does_not_read_is_refused():
+# the fields each kind reads, besides kind and alphas, each with the dest of
+# its flag: stated here, so that an edit to the package's table shows
+_BOUND_READS = {"scales": "scale", "n": "n", "delta": "delta", "horizon": "horizon", "gap": "gap"}
+_SIMULATED_READS = {
+    **_BOUND_READS, "estimators": "estimator", "policies": "policy", "replicates": "replicates", "seed": "seed"
+}
+_READS = {
+    ExperimentKind.PSI: {"rho_max": "rho_max", "rho_step": "rho_step"},
+    ExperimentKind.BOUND: _BOUND_READS,
+    ExperimentKind.SIMULATE: _SIMULATED_READS,
+    ExperimentKind.VERIFY: _SIMULATED_READS,
+}
+# a config of each kind that validates, and a value away from each field's default
+_READ_BASES = {
+    ExperimentKind.PSI: dict(rho_max=0.1, rho_step=0.1),
+    ExperimentKind.BOUND: dict(horizon=10, gap=0.1),
+    ExperimentKind.SIMULATE: dict(horizon=10, gap=0.1, policies=(UCB(),), replicates=100),
+    ExperimentKind.VERIFY: dict(
+        horizon=10, gap=0.1, n=4, delta=0.1, policies=(UCB(),), estimators=(Estimator.SIGN_COMMIT,), replicates=100
+    ),
+}
+_NON_DEFAULT = dict(
+    n=5, delta=0.2, horizon=12, gap=0.2, policies=(ExploreThenCommit(),), estimators=(Estimator.SAMPLE_MEAN,),
+    replicates=200, seed=9, scales=(2.0,), rho_max=0.3, rho_step=0.05,
+)
+
+
+@pytest.mark.parametrize("kind", list(ExperimentKind), ids=lambda kind: kind.value)
+def test_a_field_the_kind_does_not_read_is_refused(kind):
     # a field no row of the kind reads, set away from its default, would
-    # change nothing but the metadata: each is refused by name
+    # change nothing but the metadata: each is refused by name, and the
+    # kind's subcommand offers exactly one flag for each field it reads
+    reads = _READS[kind]
+    (subcommands,) = (action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    dests = sorted(action.dest for action in subcommands.choices[kind.value]._actions)
+    settings = ("tau", "ucb_c") if "policies" in reads else ()
+    assert dests == sorted(("help", "alpha", *reads.values(), *settings, "format", "out"))
+    base = ExperimentConfig(kind=kind, alphas=(0.5,), **_READ_BASES[kind])
+    base.validate()
+    assert set(_NON_DEFAULT) == {f.name for f in fields(ExperimentConfig)} - {"kind", "alphas"}
+    for name, value in _NON_DEFAULT.items():
+        try:
+            replace(base, **{name: value}).validate()
+            problems = {}
+        except ConfigError as exc:
+            problems = exc.problems
+        if name in reads:
+            assert "does not read" not in problems.get(name, ""), (name, problems)
+        else:
+            assert problems == {name: f"{kind.value} does not read it, got {value!r}"}
+
+
+def test_an_unread_field_is_compared_with_its_default():
     psi = dict(kind=ExperimentKind.PSI, alphas=(0.5,), rho_max=0.1, rho_step=0.1)
+    # every unread field set is named at once
     with pytest.raises(ConfigError) as exc:
         run_experiment(ExperimentConfig(**psi, seed=9, scales=(2.0,)))
-    assert exc.value.problems == {
-        "seed": "psi does not read it, got 9",
-        "scales": "psi does not read it, got (2.0,)",
-    }
-    bound = dict(kind=ExperimentKind.BOUND, alphas=(0.5,), horizon=10, gap=0.1)
-    unread = dict(seed=3, replicates=10, policies=(UCB(),), rho_step=0.5)
-    with pytest.raises(ConfigError) as exc:
-        ExperimentConfig(**bound, **unread).validate()
-    assert set(exc.value.problems) == set(unread)
-    with pytest.raises(ConfigError) as exc:
-        replace(_verify_config(100), rho_max=2.0).validate()
-    assert set(exc.value.problems) == {"rho_max"}
+    assert set(exc.value.problems) == {"seed", "scales"}
     # an array is refused with a message, never asked for its truth value
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(**psi, gap=np.array([0.1, 0.2]), scales=(np.array([1.0, 2.0]),)).validate()
     assert set(exc.value.problems) == {"gap", "scales"}
     # a default value given is no setting: a list, an int or a numpy float holding it passes
     ExperimentConfig(**psi, seed=0, replicates=10_000, scales=[1], policies=[], estimators=()).validate()
+    bound = dict(kind=ExperimentKind.BOUND, alphas=(0.5,), horizon=10, gap=0.1)
     ExperimentConfig(**bound, rho_max=np.float64(1.2), rho_step=0.01).validate()
 
 
