@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
@@ -155,7 +155,7 @@ def _is_optimal(raw: object) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment request; `validate` reports all field problems at once."""
+    """One experiment request; `validate` refuses, all at once, what `run_experiment` would."""
 
     kind: ExperimentKind
     alphas: tuple[float, ...]
@@ -172,69 +172,8 @@ class ExperimentConfig:
     rho_step: float = 0.01
 
     def validate(self) -> None:
-        """Apply the field rules; `run_experiment` then refuses, before it
-        draws, the cases the closed forms or the draw budget cannot run."""
-        problems: dict[str, str] = {}
-        for name, item in (("alphas", "alpha"), ("scales", "scale")):
-            values = getattr(self, name)
-            if not isinstance(values, (tuple, list)):
-                problems[name] = f"must be a tuple of {item} values, got {values!r}"
-            elif not values:
-                problems[name] = f"at least one {item} is required"
-            elif why := next(filter(None, map(_FIELD_PROBLEMS[item], values)), None):
-                problems[name] = f"every {item} {why}, got {values!r}"
-
-        kind = self.kind
-        if not isinstance(kind, ExperimentKind):
-            # _subjects covers no subject for it, so no subject is checked
-            problems["kind"] = f"must be an ExperimentKind, got {kind!r}"
-        if kind is ExperimentKind.PSI:
-            grid_problems = _field_problems({"rho_max": self.rho_max, "rho_step": self.rho_step})
-            problems.update(grid_problems)
-            if not grid_problems and _psi_steps(self.rho_max, self.rho_step) > _MAX_PSI_STEPS:
-                ratio = self.rho_max / self.rho_step
-                problems["rho_step"] = f"rho_max / rho_step is {ratio:.6g}, above {_MAX_PSI_STEPS} grid steps"
-        subjects = _subjects(self)
-        if kind in (ExperimentKind.BOUND, ExperimentKind.SIMULATE) and len(subjects) != 1:
-            est, bandit = ("", "") if kind is ExperimentKind.BOUND else (", estimators", ", policies")
-            problems["kind"] = f"{kind.value} needs exactly one of (n, delta{est}) or (horizon, gap{bandit})"
-            subjects = ()
-        sizes = {subject.size: getattr(self, subject.size) for subject in subjects}
-        problems.update(_field_problems({"replicates": self.replicates, "seed": self.seed, **sizes}))
-        if kind in _SIMULATED_KINDS and not {"alphas", "replicates"} & problems.keys():
-            # a one-sample tail block has no standard error, so no Monte Carlo slack
-            alpha = max(self.alphas)
-            m = _tail_block(RiskLevel(alpha), self.replicates)
-            if m < 2:
-                problems["replicates"] = (
-                    f"must leave at least 2 samples in every tail block, got {self.replicates}, "
-                    f"which leaves {m} at alpha = {alpha}"
-                )
-        for subject in subjects:
-            raw = getattr(self, subject.field)
-            why = None if _is_optimal(raw) else _FIELD_PROBLEMS[subject.field](raw)
-            if why:
-                problems[subject.field] = f"{why} or {OPTIMAL!r}, got {raw!r}"
-        for subject in _SUBJECTS:
-            variants = getattr(self, subject.variants)
-            if not isinstance(variants, (tuple, list)):
-                problems[subject.variants] = f"must be a tuple of {subject.variant} objects, got {variants!r}"
-                continue
-            size = getattr(self, subject.size)
-            for variant in variants:
-                why = subject.problem_of(size, variant)
-                if why:
-                    problems.setdefault(subject.variants, why)
-            if kind is ExperimentKind.VERIFY and not variants:
-                problems.setdefault(subject.variants, f"verify needs at least one {subject.variant}")
-            elif kind is ExperimentKind.SIMULATE and subject in subjects and len(variants) != 1:
-                problems.setdefault(subject.variants, f"simulate takes exactly one {subject.variant}")
-        for name, default in _UNREAD_FIELDS[kind] if isinstance(kind, ExperimentKind) else ():
-            value = getattr(self, name)
-            if not _is_default(value, default):
-                problems[name] = f"{kind.value} does not read it, got {value!r}"
-        if problems:
-            raise ConfigError(problems)
+        """Refuse, as one `ConfigError`, exactly what `run_experiment` refuses."""
+        _cases(self)
 
 
 # the config fields each kind's rows read, besides kind and alphas: the cli
@@ -290,8 +229,8 @@ class ExperimentReport:
 def _tail_stats(samples: SampleSet, level: RiskLevel) -> tuple[float, float, float]:
     """Empirical CVaR with its influence-function standard error
     sd((L - VaR)+) / ((1 - alpha) sqrt(N)), VaR being the last sample of the
-    tail block (Manistre and Hancock, NAAJ 2005); `ExperimentConfig.validate`
-    keeps that block at 2 samples or more.  The sd is taken of the excess
+    tail block (Manistre and Hancock, NAAJ 2005); `_cases` keeps that block
+    at 2 samples or more.  The sd is taken of the excess
     scaled by a power of two near the largest loss, so its squares neither
     underflow nor overflow, and the scaling is exact."""
     emp = empirical_cvar(samples, level)
@@ -432,31 +371,85 @@ def _refusal(config: ExperimentConfig, subject: _Subject, scale: float, exc: Val
     return subject.field, f"{why}, where {what} = {scale!r}, got {raw!r}"
 
 
-def _battery_rows(config: ExperimentConfig) -> list[ExperimentRow]:
-    """Rows of every subject the kind covers: subject by subject, variant by
-    variant, then by alpha, then by scale.
-
-    Every case is bounded, and its sim config built, before any is drawn:
-    the cases the closed forms or the draw budget refuse, and simulated
-    ones whose scaled parameter is subnormal, are reported together, each
-    field's first refusal under the field the user set, and cost no Monte
-    Carlo time.  `bound` rows carry the bound alone.
-    Simulated rows are drawn in one call to `simulate_shared`, which draws
-    once for every case whose draws coincide, and carry the Monte Carlo
-    statistics and, where `exact_loss_law` knows one, the exact law's CVaR;
-    in `verify` their parameter names are qualified by the variant.
+def _cases(config: ExperimentConfig) -> list[tuple]:
+    """The one refusal phase: a config's cases, or one `ConfigError` naming
+    every field the field rules refuse, else every field whose cases the
+    closed forms or the draw budget refuse, or whose simulated parameter is
+    subnormal, each under the field the user set (`_refusal`).  A case is
+    one future row, bounded and with its sim config built: subject by
+    subject, variant by variant, then by alpha, then by scale; psi has none.
     """
-    simulate = config.kind in _SIMULATED_KINDS
-    qualify = config.kind is ExperimentKind.VERIFY
-    cases, problems = [], {}
-    for subject in _subjects(config):
+    problems: dict[str, str] = {}
+    for name, item in (("alphas", "alpha"), ("scales", "scale")):
+        values = getattr(config, name)
+        if not isinstance(values, (tuple, list)):
+            problems[name] = f"must be a tuple of {item} values, got {values!r}"
+        elif not values:
+            problems[name] = f"at least one {item} is required"
+        elif why := next(filter(None, map(_FIELD_PROBLEMS[item], values)), None):
+            problems[name] = f"every {item} {why}, got {values!r}"
+
+    kind = config.kind
+    if not isinstance(kind, ExperimentKind):
+        # _subjects covers no subject for it, so no subject is checked
+        problems["kind"] = f"must be an ExperimentKind, got {kind!r}"
+    if kind is ExperimentKind.PSI:
+        grid_problems = _field_problems({"rho_max": config.rho_max, "rho_step": config.rho_step})
+        problems.update(grid_problems)
+        if not grid_problems and _psi_steps(config.rho_max, config.rho_step) > _MAX_PSI_STEPS:
+            ratio = config.rho_max / config.rho_step
+            problems["rho_step"] = f"rho_max / rho_step is {ratio:.6g}, above {_MAX_PSI_STEPS} grid steps"
+    subjects = _subjects(config)
+    if kind in (ExperimentKind.BOUND, ExperimentKind.SIMULATE) and len(subjects) != 1:
+        est, bandit = ("", "") if kind is ExperimentKind.BOUND else (", estimators", ", policies")
+        problems["kind"] = f"{kind.value} needs exactly one of (n, delta{est}) or (horizon, gap{bandit})"
+        subjects = ()
+    sizes = {subject.size: getattr(config, subject.size) for subject in subjects}
+    problems.update(_field_problems({"replicates": config.replicates, "seed": config.seed, **sizes}))
+    if kind in _SIMULATED_KINDS and not {"alphas", "replicates"} & problems.keys():
+        # a one-sample tail block has no standard error, so no Monte Carlo slack
+        alpha = max(config.alphas)
+        m = _tail_block(RiskLevel(alpha), config.replicates)
+        if m < 2:
+            problems["replicates"] = (
+                f"must leave at least 2 samples in every tail block, got {config.replicates}, "
+                f"which leaves {m} at alpha = {alpha}"
+            )
+    for subject in subjects:
+        raw = getattr(config, subject.field)
+        why = None if _is_optimal(raw) else _FIELD_PROBLEMS[subject.field](raw)
+        if why:
+            problems[subject.field] = f"{why} or {OPTIMAL!r}, got {raw!r}"
+    for subject in _SUBJECTS:
+        variants = getattr(config, subject.variants)
+        if not isinstance(variants, (tuple, list)):
+            problems[subject.variants] = f"must be a tuple of {subject.variant} objects, got {variants!r}"
+            continue
+        size = getattr(config, subject.size)
+        for variant in variants:
+            why = subject.problem_of(size, variant)
+            if why:
+                problems.setdefault(subject.variants, why)
+        if kind is ExperimentKind.VERIFY and not variants:
+            problems.setdefault(subject.variants, f"verify needs at least one {subject.variant}")
+        elif kind is ExperimentKind.SIMULATE and subject in subjects and len(variants) != 1:
+            problems.setdefault(subject.variants, f"simulate takes exactly one {subject.variant}")
+    for name, default in _UNREAD_FIELDS[kind] if isinstance(kind, ExperimentKind) else ():
+        value = getattr(config, name)
+        if not _is_default(value, default):
+            problems[name] = f"{kind.value} does not read it, got {value!r}"
+    if problems:
+        raise ConfigError(problems)
+    simulate = kind in _SIMULATED_KINDS
+    cases = []
+    for subject in subjects:
         size = getattr(config, subject.size)
         raw = getattr(config, subject.field)
         for variant in getattr(config, subject.variants) if simulate else (None,):
             for alpha in config.alphas:
                 level = RiskLevel(alpha)
                 base = subject.optimum(size, level) if _is_optimal(raw) else float(raw)
-                for scale in config.scales:
+                for scale in map(float, config.scales):
                     value = scale * base
                     try:
                         if simulate and value < sys.float_info.min:
@@ -473,6 +466,17 @@ def _battery_rows(config: ExperimentConfig) -> list[ExperimentRow]:
                     cases.append((subject, size, variant, level, scale, value, result, sim_config))
     if problems:
         raise ConfigError(problems)
+    return cases
+
+
+def _battery_rows(config: ExperimentConfig, cases: list[tuple]) -> list[ExperimentRow]:
+    """Rows of a battery's `_cases`; `bound` rows carry the bound alone.
+    Simulated rows are drawn in one call to `simulate_shared`, which draws
+    once for every case whose draws coincide, and carry the Monte Carlo
+    statistics and, where `exact_loss_law` knows one, the exact law's CVaR;
+    in `verify` their parameter names are qualified by the variant."""
+    simulate = config.kind in _SIMULATED_KINDS
+    qualify = config.kind is ExperimentKind.VERIFY
     samples = simulate_shared([case[-1] for case in cases]) if simulate else [None] * len(cases)
     rows = []
     for (subject, size, variant, level, scale, value, result, sim_config), case_samples in zip(cases, samples):
@@ -510,16 +514,15 @@ def _battery_rows(config: ExperimentConfig) -> list[ExperimentRow]:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Validate, dispatch on kind, and assemble the report."""
-    config.validate()
-    # a report carries Python floats: JSON renders no numpy float32
-    config = replace(config, alphas=tuple(map(float, config.alphas)), scales=tuple(map(float, config.scales)))
+    """Build the cases (`_cases`), dispatch on kind, and assemble the report."""
     started = time.perf_counter()
-    rows = _psi_rows(config) if config.kind is ExperimentKind.PSI else _battery_rows(config)
+    cases = _cases(config)
+    rows = _psi_rows(config) if config.kind is ExperimentKind.PSI else _battery_rows(config, cases)
     metadata: dict[str, Any] = {
         "kind": config.kind.value,
-        "alphas": list(config.alphas),
-        "scales": list(config.scales),
+        # a report carries Python floats: JSON renders no numpy float32
+        "alphas": list(map(float, config.alphas)),
+        "scales": list(map(float, config.scales)),
         "seed": config.seed,
         "wall_time_s": time.perf_counter() - started,
     }

@@ -73,7 +73,7 @@ class SampleSet:
         return int(self.values.size)
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class DiscreteLossDistribution:
     """Finite atomic loss law, held as two columns: `values`, finite floats
     in strictly ascending order, and `probs`, finite floats >= 0 that sum to
@@ -81,7 +81,7 @@ class DiscreteLossDistribution:
 
     The constructor takes (value, probability) atoms, merges duplicate
     values and sorts them; `atoms` reads the columns back as pairs, and a
-    law prints, compares and hashes as its atoms.
+    law prints as its atoms and compares and hashes as its columns.
     """
 
     values: tuple[float, ...]
@@ -130,14 +130,6 @@ class DiscreteLossDistribution:
 
     def __repr__(self) -> str:
         return f"DiscreteLossDistribution(atoms={self.atoms!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not DiscreteLossDistribution:
-            return NotImplemented
-        return self.values == other.values and self.probs == other.probs
-
-    def __hash__(self) -> int:
-        return hash((self.atoms,))
 
     def mean(self) -> float:
         return sum(map(operator.mul, self.values, self.probs))

@@ -352,8 +352,14 @@ def test_bad_ucb_constant_is_usage_error(value, capsys):
             "error: invalid experiment config: horizon: must be an int >= 1 that a float can hold, got 0; "
             "ucb_c: read by no selected policy, only by ucb, got 2.0\n",
         ),
+        (
+            # a case refusal, which only bounding the battery's cases finds
+            ["verify", "--policy", "ucb", "--tau", "3", "--delta", "1e200"],
+            "error: invalid experiment config: delta: 2 n delta^2 overflows a float at n = 100, where delta is "
+            "the given delta times scale = 0.5, got 1e+200; tau: read by no selected policy, only by etc, got 3\n",
+        ),
     ],
-    ids=["simulate-ucb-tau", "simulate-estimation", "verify-ucb-tau", "with-other-problems"],
+    ids=["simulate-ucb-tau", "simulate-estimation", "verify-ucb-tau", "with-other-problems", "with-case-problems"],
 )
 def test_a_setting_no_selected_policy_reads_is_refused(argv, err, capsys):
     # it would change nothing, so it is refused with the config's other problems

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvarbounds.bounds import Branch, bandit_bound, bound_factor, estimation_bound, optimal_gap
 from cvarbounds.cli import build_parser, main as cli_main
@@ -666,17 +667,73 @@ def _verify_config(replicates, seed=3):
 )
 def test_a_battery_refuses_every_field_before_drawing(config, why, monkeypatch):
     # the closed forms' and the draw budget's refusals of a battery come out
-    # as one ConfigError naming every refused field, before anything is drawn
+    # as one ConfigError naming every refused field, before anything is
+    # drawn, and validate refuses the same
     def draw(*args):
         raise AssertionError("drew before refusing the battery")
 
     monkeypatch.setattr(sim, "_draw", draw)
-    config.validate()
+    with pytest.raises(ConfigError) as validated:
+        config.validate()
     with pytest.raises(ConfigError) as exc:
         run_experiment(config)
+    assert validated.value.problems == exc.value.problems
     assert set(exc.value.problems) == set(why)
     for name, text in why.items():
         assert text in exc.value.problems[name], name
+
+
+class _Drew(Exception):
+    """Raised in place of a draw: the run refused nothing."""
+
+
+def _problems(call):
+    """The problems of the ConfigError `call` raises, or None."""
+    try:
+        call()
+    except ConfigError as exc:
+        return exc.problems
+    except _Drew:
+        pass
+    return None
+
+
+_SIZES = (1, 9, 200, 10**7, 10**12)
+_PARAMETERS = (OPTIMAL, 1e-310, 0.1, 1e200)
+_POLICIES = (UniformRandom(), ExploreThenCommit(), UCB(), ThompsonGaussian())
+
+
+@st.composite
+def _battery_configs(draw):
+    kind = draw(st.sampled_from([ExperimentKind.BOUND, ExperimentKind.SIMULATE, ExperimentKind.VERIFY]))
+    # each subject's size, parameter and variants fields
+    subject_fields = [("horizon", "gap", "policies"), ("n", "delta", "estimators")]
+    subjects = subject_fields if kind is ExperimentKind.VERIFY else [draw(st.sampled_from(subject_fields))]
+    values = dict(
+        alphas=tuple(draw(st.lists(st.sampled_from([0.0, 0.5, 0.9]), min_size=1, max_size=2))),
+        scales=tuple(draw(st.lists(st.sampled_from([1e-320, 1e-300, 0.5, 2.0, 1e300]), min_size=1, max_size=2))),
+    )
+    for size, parameter, variants in subjects:
+        values[size] = draw(st.sampled_from(_SIZES))
+        values[parameter] = draw(st.sampled_from(_PARAMETERS))
+        if kind is not ExperimentKind.BOUND:
+            choices = _POLICIES if variants == "policies" else tuple(Estimator)
+            most = 1 if kind is ExperimentKind.SIMULATE else len(choices)
+            values[variants] = tuple(draw(st.lists(st.sampled_from(choices), min_size=1, max_size=most, unique=True)))
+            values["replicates"] = 20
+    return ExperimentConfig(kind=kind, **values)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_battery_configs())
+def test_validate_refuses_exactly_what_a_run_refuses(config):
+    def draw(*args):
+        raise _Drew
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_draw", draw)
+        run = _problems(lambda: run_experiment(config))
+    assert _problems(config.validate) == run
 
 
 def test_shared_draw_rows_match_per_row_simulation():

@@ -115,6 +115,16 @@ def test_discrete_distribution_merges_and_validates():
         DiscreteLossDistribution(((float("inf"), 1.0),))
 
 
+def test_a_law_equals_and_hashes_as_its_columns():
+    # the dataclass compares a law with a law of the same class, column by column
+    atoms = ((0.0, 0.25), (1.0, 0.75))
+    law = DiscreteLossDistribution(atoms)
+    same = DiscreteLossDistribution._from_columns((0.0, 1.0), (0.25, 0.75))
+    assert law == same and hash(law) == hash(same)
+    assert law != DiscreteLossDistribution(((0.0, 0.75), (1.0, 0.25)))
+    assert law != atoms and law.atoms == atoms
+
+
 class _Atom(NamedTuple):
     value: float
     probability: float
