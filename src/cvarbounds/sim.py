@@ -50,7 +50,9 @@ reads, outgrows the budget; the family with the largest draw per replicate
 is drawn first, before any losses are held.  Every stream comes from one
 Philox generator re-keyed in place to (s, r) for each replicate
 (`replicate_rng` with `reuse`); the per-replicate contract above is
-unchanged.
+unchanged.  A chunk is rolled out in blocks of replicates that stay in
+cache, and its replicates may be split over forked worker processes
+(`simulate_shared`) with every byte unchanged.
 
 `exact_loss_law` gives a config's loss law in closed form where one is
 known: the uniform policy up to a horizon cap, the sign-commit estimator and
@@ -61,6 +63,10 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, NamedTuple, Sequence, Union, get_args
@@ -103,8 +109,19 @@ _MAX_EXACT_HORIZON = 64
 # predrawn values held at once; a family's draws are made in chunks of
 # consecutive replicates that fit it (the 1000-replicate, T = 200 verify
 # battery's shared family, 600 normals a replicate or 4.8 MB, is one
-# chunk), and a config whose one replicate's stream outgrows it is refused
+# chunk), and a config whose one replicate's stream outgrows it is refused;
+# the workers draw disjoint ranges of a chunk, so it bounds them together
 _PREDRAW_BUDGET_BYTES = 128 * 2**20
+
+# elements of each (k, block) state array of a rollout: a chunk is rolled out
+# in blocks of replicates whose state stays in cache, 2048 at 9 gaps
+_ROLLOUT_ELEMENTS = 9 * 2048
+
+# work, in replicates x (normals + arm draws) summed over the families, that
+# each worker process must get before simulate_shared forks one: the T = 200
+# verify battery's 800 a replicate keep it serial at 300 replicates, where a
+# fork costs about what it saves, and give it two workers at 1000
+_WORK_PER_WORKER = 300_000
 
 
 class Estimator(Enum):
@@ -355,8 +372,9 @@ class Draws(NamedTuple):
 
 def _draw(family: _Family, replicates: range) -> Draws:
     """Consume each replicate's stream once, in the documented order: the
-    one drawing loop.  Every replicate's normals are drawn into one reused
-    buffer, and only the family's prefix and means are kept.  Arm draws are
+    one drawing loop.  A replicate's normals are drawn straight into its row
+    of `kept` when the bandit width is the longest run, else into one reused
+    buffer whose prefix is kept; the means read them there.  Arm draws are
     1 or 2, so a replicate's sum to 2 T less its arm-1 pulls; only that count
     is kept.  A mean is the float64 sum and division of `normals[:n].mean()`,
     without its Python overhead."""
@@ -365,15 +383,18 @@ def _draw(family: _Family, replicates: range) -> Draws:
     pulls = np.empty(reps if family.arms else 0, dtype=np.int64)
     kept = np.empty((reps, family.width))
     means = np.empty((len(family.sizes), reps))
-    normals = np.empty(_longest(family))
+    longest = _longest(family)
+    buffer = None if longest == family.width else np.empty(longest)
     rng = None
     for i, r in enumerate(replicates):
         rng = replicate_rng(family.seed, r, rng)
         model[i] = 1 + int(rng.integers(0, 2))
         if family.arms:
             pulls[i] = 2 * family.arms - rng.integers(1, 3, size=family.arms, dtype=np.int8).sum(dtype=np.int64)
+        normals = kept[i] if buffer is None else buffer
         rng.standard_normal(out=normals)
-        kept[i] = normals[: family.width]
+        if buffer is not None:
+            kept[i] = normals[: family.width]
         for j, n in enumerate(family.sizes):
             means[j, i] = np.add.reduce(normals[:n]) / n
     return Draws(family, model, pulls, kept, means)
@@ -529,17 +550,21 @@ def _losses(configs: Sequence[BanditConfig | EstimationConfig], draws: Draws) ->
     """Losses of members of one family on one chunk of its draws.  Each
     estimation runs on its mean, and the bandit configs of one policy and
     horizon are rolled out together, in one lockstep pass over their
-    distinct gaps."""
+    distinct gaps, block by block of _ROLLOUT_ELEMENTS // gaps replicates."""
     passes: dict[tuple, list[int]] = {}
     for j, config in enumerate(configs):
         if isinstance(config, BanditConfig):
             passes.setdefault((config.policy, config.horizon), []).append(j)
     losses: list[np.ndarray | None] = [None] * len(configs)
+    model = draws.model
     for (policy, horizon), rows in passes.items():
         own, noise = _reads(configs[rows[0]], draws)
         gaps, row_gap = np.unique([configs[j].gap for j in rows], return_inverse=True)
+        step = max(1, _ROLLOUT_ELEMENTS // len(gaps))
+        blocks = [slice(start, start + step) for start in range(0, model.size, step)]
+        n1 = [_rollout(policy, horizon, gaps, model[b], own if own is None else own[b], noise[b]) for b in blocks]
         # no pass's counts outlive it into the next rollout
-        regret = _regret(gaps, horizon, draws.model, _rollout(policy, horizon, gaps, draws.model, own, noise))
+        regret = _regret(gaps, horizon, model, np.concatenate(n1, axis=1))
         for j, g in zip(rows, row_gap):
             losses[j] = regret[g]
     # estimations run last, so their losses are not held beside a rollout's workspace
@@ -547,6 +572,17 @@ def _losses(configs: Sequence[BanditConfig | EstimationConfig], draws: Draws) ->
         if isinstance(config, EstimationConfig):
             losses[j] = run_estimation(config, draws)
     return losses
+
+
+def _workers(families: Sequence[_Family]) -> int:
+    """Processes that draw and roll out the families: one per usable CPU, as
+    far as each gets _WORK_PER_WORKER, and 1 where the process may not fork:
+    no os.fork or CPU affinity, or a second thread, which could hold a lock
+    that the child would never see released."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+        return 1
+    work = sum(family.replicates * (_longest(family) + family.arms) for family in families)
+    return max(1, min(len(os.sched_getaffinity(0)), work // _WORK_PER_WORKER))
 
 
 def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[SampleSet]:
@@ -559,15 +595,59 @@ def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[
     over all its gaps, and the losses are joined per config; every sample
     equals that of simulating its config alone.  The family with the
     largest draw per replicate is drawn first, while no losses are held.
+
+    Each chunk is split into one consecutive replicate range per worker
+    (`_workers`).  The process forks the other workers once, works the last
+    range of every chunk itself and reaps every child before it returns or
+    raises.  Workers write their losses into one shared anonymous mapping;
+    a replicate's draws depend only on (seed, replicate), so no byte changes.
     """
-    samples: list[SampleSet | None] = [None] * len(configs)
     families = sorted(_families(configs).items(), key=lambda item: _replicate_bytes(item[0]), reverse=True)
-    for family, members in families:
-        group = [configs[i] for i in members]
-        # each chunk's draws are released once its losses are taken
-        parts = [_losses(group, _draw(family, chunk)) for chunk in _replicate_chunks(family)]
-        for i, losses in zip(members, zip(*parts)):
-            samples[i] = SampleSet(np.concatenate(losses))
+    workers = _workers([family for family, _ in families])
+    # one (members, replicates) table of losses per family; the mapping is
+    # released with the last array that views it
+    sizes = [len(members) * family.replicates for family, members in families]
+    flat = np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), dtype=float)
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    tables = [part.reshape(len(members), -1) for part, (_, members) in zip(parts, families)]
+
+    def work(worker: int) -> None:
+        for (family, members), table in zip(families, tables):
+            group = [configs[i] for i in members]
+            for chunk in _replicate_chunks(family):
+                share = chunk[worker * len(chunk) // workers : (worker + 1) * len(chunk) // workers]
+                if share:
+                    # each chunk's draws are released once its losses are taken
+                    for row, losses in zip(table, _losses(group, _draw(family, share))):
+                        row[share.start : share.stop] = losses
+
+    pids = []
+    try:
+        for worker in range(workers - 1):
+            pid = os.fork()
+            if pid == 0:  # a child leaves only here, so it prints and flushes nothing
+                code = 1
+                try:
+                    work(worker)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        # the last range of a chunk is never empty, so the process draws
+        # every chunk, and what fails in every draw fails in it, as it raised
+        work(workers - 1)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+    if failed:
+        raise RuntimeError(f"{failed} of {len(pids)} simulation worker processes failed")
+    samples: list[SampleSet | None] = [None] * len(configs)
+    for (_, members), table in zip(families, tables):
+        for i, row in zip(members, table):
+            samples[i] = SampleSet(row)
     return samples
 
 

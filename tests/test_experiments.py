@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 from dataclasses import fields, replace
 
 import numpy as np
@@ -822,3 +823,42 @@ def test_verify_rolls_out_each_policy_once_per_chunk(monkeypatch, tmp_path, budg
     if budget is not None:
         # 19 replicates of 600 normals and one estimation mean fit the budget
         assert calls.count(("thompson", 9)) == 4
+
+
+def test_verify_rolls_out_each_policy_once_per_block(monkeypatch, tmp_path):
+    # at a state budget of 9 gaps x 16 replicates, the 60-replicate chunk of
+    # each family is rolled out in blocks of 16, 16, 16 and 12, one pass per
+    # policy and block, and the report keeps every byte
+    argv = ["verify", "--replicates", "60", "--out"]
+    assert cli_main([*argv, str(tmp_path / "whole.csv")]) == 0
+    monkeypatch.setattr(sim, "_ROLLOUT_ELEMENTS", 9 * 16)
+    calls = []
+    original = sim._rollout
+
+    def counted(policy, horizon, gaps, model, *args):
+        calls.append((policy.name, len(gaps), model.size))
+        return original(policy, horizon, gaps, model, *args)
+
+    monkeypatch.setattr(sim, "_rollout", counted)
+    assert cli_main([*argv, str(tmp_path / "blocks.csv")]) == 0
+    policies = ("uniform", "etc", "ucb", "thompson")
+    assert sorted(calls) == sorted((name, 9, size) for name in policies for size in (16, 16, 16, 12))
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("replicates, forks", [(60, 0), (300, 0), (1000, 1)])
+def test_verify_forks_a_worker_only_for_enough_work(monkeypatch, tmp_path, replicates, forks):
+    # the default battery draws 800 values a replicate, Thompson's 3T normals
+    # and the uniform policy's T arm draws: with two usable CPUs a second
+    # worker is forked only where each gets sim._WORK_PER_WORKER of them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    calls, fork = [], os.fork
+
+    def counted():
+        assert forks, "forked a worker for too little work"
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    assert cli_main(["verify", "--replicates", str(replicates), "--out", str(tmp_path / "report.csv")]) == 0
+    assert len(calls) == forks

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -650,6 +653,117 @@ def test_simulate_shared_groups_configs_drawn_apart(monkeypatch):
     for one, many, config in zip(alone, shared, configs):
         assert np.array_equal(one.values, many.values), config
     assert simulate_shared([]) == []
+
+
+# ---------------------------------------------------------- worker processes
+
+
+def _battery(n, replicates=50, seed=8):
+    """Every policy, one more UCB constant and every estimator, each at two
+    parameters: two families, the uniform policy's and the shared one."""
+    policies = (*ALL_POLICIES, UCB(2.0))
+    configs = [BanditConfig(12, gap, policy, replicates, seed) for policy in policies for gap in (0.3, 1.2)]
+    return configs + [EstimationConfig(n, delta, e, replicates, seed) for e in Estimator for delta in (0.2, 0.7)]
+
+
+def _fork_for_any_work(monkeypatch, cpus=3):
+    """Make simulate_shared fork one worker per CPU of `cpus` whatever its
+    work, more workers than this machine may have; returns the list each
+    fork appends to."""
+    monkeypatch.setattr(sim, "_WORK_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# an estimation size of 9 is read from the shared family's kept normals, 40
+# from the buffer past them (Thompson keeps 3T = 36); at a draw budget of 888
+# bytes, 3 replicates of 296, the shared family comes in 17 chunks, each split
+# one replicate a worker, and at 200 in chunks of one replicate, which one
+# worker draws while the others have no range
+@pytest.mark.parametrize("budget", [None, 888, 200])
+@pytest.mark.parametrize("n", [9, 40])
+def test_forked_workers_give_the_serial_losses(monkeypatch, budget, n):
+    configs = _battery(n)
+    serial = simulate_shared(configs)
+    if budget is not None:
+        monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", budget)
+    forks = _fork_for_any_work(monkeypatch)
+    forked = simulate_shared(configs)
+    assert len(forks) == 2
+    _assert_no_child_left()
+    for one, other, config in zip(serial, forked, configs):
+        assert np.array_equal(one.values, other.values), config
+
+
+class _Failed(Exception):
+    pass
+
+
+# at a draw budget of 8 bytes every chunk holds one replicate, which the
+# calling process draws while its children have none
+@pytest.mark.parametrize(
+    "where, budget", [("child", None), ("parent", None), ("every process", None), ("every process", 8)]
+)
+def test_a_failed_worker_fails_the_call_and_leaves_no_child(monkeypatch, capfd, where, budget):
+    configs = _battery(9)
+    if budget is not None:
+        monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", budget)
+    forks = _fork_for_any_work(monkeypatch)
+    parent, draw = os.getpid(), sim._draw
+
+    def failing(family, replicates):
+        in_child = os.getpid() != parent
+        if where == "every process" or in_child == (where == "child"):
+            raise _Failed
+        if in_child:
+            time.sleep(60)
+        return draw(family, replicates)
+
+    monkeypatch.setattr(sim, "_draw", failing)
+    # a failed child fails the call, and the calling process raises its own
+    # failure as raised, killing its children rather than waiting for them
+    started = time.monotonic()
+    with pytest.raises(RuntimeError if where == "child" else _Failed):
+        simulate_shared(configs)
+    assert time.monotonic() - started < 30
+    assert len(forks) == 2
+    _assert_no_child_left()
+    # a child prints nothing, not even its traceback, and flushes no buffer
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_process_with_a_second_thread_does_not_fork(monkeypatch):
+    configs = _battery(9)
+    serial = simulate_shared(configs)
+    _fork_for_any_work(monkeypatch)
+
+    def fork():
+        raise AssertionError("forked beside a second thread")
+
+    monkeypatch.setattr(os, "fork", fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        beside = simulate_shared(configs)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    for one, other, config in zip(serial, beside, configs):
+        assert np.array_equal(one.values, other.values), config
 
 
 def test_run_bandit_rejects_draws_that_do_not_hold_its_stream():
