@@ -67,6 +67,7 @@ import mmap
 import os
 import signal
 import threading
+import traceback
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, NamedTuple, Sequence, Union, get_args
@@ -574,12 +575,22 @@ def _losses(configs: Sequence[BanditConfig | EstimationConfig], draws: Draws) ->
     return losses
 
 
+def _threads() -> int:
+    """Threads of this process as CPython counts them when it warns of a
+    fork: the OS's count where /proc lists it, so numpy's BLAS pool counts
+    too, else the Python threads."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
 def _workers(families: Sequence[_Family]) -> int:
     """Processes that draw and roll out the families: one per usable CPU, as
     far as each gets _WORK_PER_WORKER, and 1 where the process may not fork:
-    no os.fork or CPU affinity, or a second thread, which could hold a lock
+    no os.fork or CPU affinity, or a second OS thread, which could hold a lock
     that the child would never see released."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or _threads() > 1:
         return 1
     work = sum(family.replicates * (_longest(family) + family.arms) for family in families)
     return max(1, min(len(os.sched_getaffinity(0)), work // _WORK_PER_WORKER))
@@ -598,8 +609,10 @@ def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[
 
     Each chunk is split into one consecutive replicate range per worker
     (`_workers`).  The process forks the other workers once, works the last
-    range of every chunk itself and reaps every child before it returns or
-    raises.  Workers write their losses into one shared anonymous mapping;
+    range of every chunk itself, and any range whose fork failed, and reaps
+    every child before it returns or raises.  A failed child writes its
+    traceback to stderr, and a child whose caller is gone stops at its next
+    chunk.  Workers write their losses into one shared anonymous mapping;
     a replicate's draws depend only on (seed, replicate), so no byte changes.
     """
     families = sorted(_families(configs).items(), key=lambda item: _replicate_bytes(item[0]), reverse=True)
@@ -611,10 +624,14 @@ def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[
     parts = np.split(flat, np.cumsum(sizes)[:-1])
     tables = [part.reshape(len(members), -1) for part, (_, members) in zip(parts, families)]
 
+    caller = os.getpid()
+
     def work(worker: int) -> None:
         for (family, members), table in zip(families, tables):
             group = [configs[i] for i in members]
             for chunk in _replicate_chunks(family):
+                if os.getpid() != caller and os.getppid() != caller:
+                    os._exit(1)  # the caller is gone, and nothing reads the losses
                 share = chunk[worker * len(chunk) // workers : (worker + 1) * len(chunk) // workers]
                 if share:
                     # each chunk's draws are released once its losses are taken
@@ -622,28 +639,41 @@ def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[
                         row[share.start : share.stop] = losses
 
     pids = []
+    # the last range of a chunk is never empty, so the process draws every
+    # chunk, and what fails in every draw fails in it, as it raised
+    own = [workers - 1]
     try:
         for worker in range(workers - 1):
-            pid = os.fork()
-            if pid == 0:  # a child leaves only here, so it prints and flushes nothing
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the caller works the rest
+                own += range(worker, workers - 1)
+                break
+            if pid == 0:  # a child leaves only here, so it flushes no buffer
                 code = 1
                 try:
                     work(worker)
                     code = 0
+                except Exception:
+                    # written past Python's buffers, so nothing is written twice
+                    os.write(2, traceback.format_exc().encode())
                 finally:
                     os._exit(code)
             pids.append(pid)
-        # the last range of a chunk is never empty, so the process draws
-        # every chunk, and what fails in every draw fails in it, as it raised
-        work(workers - 1)
+        for worker in own:
+            work(worker)
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    failed = [code for code in codes if code]
     if failed:
-        raise RuntimeError(f"{failed} of {len(pids)} simulation worker processes failed")
+        raise RuntimeError(
+            f"{len(failed)} of {len(pids)} simulation worker processes failed, exit codes {failed}"
+            " (-N: ended by signal N); one that raised wrote its traceback to stderr"
+        )
     samples: list[SampleSet | None] = [None] * len(configs)
     for (_, members), table in zip(families, tables):
         for i, row in zip(members, table):

@@ -1,6 +1,10 @@
+import errno
+import faulthandler
 import hashlib
 import math
 import os
+import select
+import signal
 import threading
 import time
 import tracemalloc
@@ -670,6 +674,7 @@ def _fork_for_any_work(monkeypatch, cpus=3):
     """Make simulate_shared fork one worker per CPU of `cpus` whatever its
     work, more workers than this machine may have; returns the list each
     fork appends to."""
+    assert sim._threads() == 1, "a second thread runs, so simulate_shared would not fork (see conftest.py)"
     monkeypatch.setattr(sim, "_WORK_PER_WORKER", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     forks, fork = [], os.fork
@@ -740,11 +745,115 @@ def test_a_failed_worker_fails_the_call_and_leaves_no_child(monkeypatch, capfd, 
     assert time.monotonic() - started < 30
     assert len(forks) == 2
     _assert_no_child_left()
-    # a child prints nothing, not even its traceback, and flushes no buffer
-    assert capfd.readouterr() == ("", "")
+    # a child flushes no buffer, and only a child that raised writes, its
+    # traceback; killed children may not have got so far
+    out, err = capfd.readouterr()
+    assert out == ""
+    if where == "child":
+        assert err.count("Traceback (most recent call last)") == err.count("._Failed\n") == 2
+    elif where == "every process" and budget is None:
+        assert err.count("Traceback (most recent call last)") == err.count("._Failed\n") <= 2
+    else:
+        assert err == ""
 
 
-def test_a_process_with_a_second_thread_does_not_fork(monkeypatch):
+@pytest.mark.parametrize("forked", [0, 1])
+def test_a_refused_fork_leaves_its_ranges_to_the_caller(monkeypatch, forked):
+    # a fork refused for want of processes or memory costs a worker, not the call
+    configs = _battery(9)
+    serial = simulate_shared(configs)
+    forks = _fork_for_any_work(monkeypatch)
+    counted = os.fork
+
+    def fork():
+        if len(forks) == forked:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return counted()
+
+    monkeypatch.setattr(os, "fork", fork)
+    alone = simulate_shared(configs)
+    assert len(forks) == forked
+    _assert_no_child_left()
+    for one, other, config in zip(serial, alone, configs):
+        assert np.array_equal(one.values, other.values), config
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_a_worker_whose_caller_is_killed_stops(monkeypatch):
+    # a timeout that SIGKILLs the calling process alone leaves its children
+    # to their parent's next chunk, where they stop rather than draw on: each
+    # child's 2 s draws over 17 chunks would otherwise run past 30 s
+    monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 888)
+    _fork_for_any_work(monkeypatch)
+    test, draw = os.getpid(), sim._draw
+    read, write = os.pipe()
+
+    def slow(family, replicates):
+        if os.getppid() == test:
+            time.sleep(60)  # the caller, until it is killed
+        else:
+            os.write(write, b"%d\n" % os.getpid())
+            time.sleep(2)
+        return draw(family, replicates)
+
+    monkeypatch.setattr(sim, "_draw", slow)
+    caller = os.fork()
+    if caller == 0:
+        try:
+            simulate_shared(_battery(9))
+        finally:
+            os._exit(0)
+    os.close(write)
+    workers, written = set(), b""
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers) < 2 and select.select([read], [], [], max(0, deadline - time.monotonic()))[0]:
+            written += os.read(read, 4096)
+            workers = {int(pid) for pid in written.split()}
+        assert len(workers) == 2
+        os.kill(caller, signal.SIGKILL)
+        os.waitpid(caller, 0)
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_running, workers))
+    finally:
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
+        os.close(read)
+    _assert_no_child_left()
+
+
+def _python_thread():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+
+    def stop():
+        release.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    return stop
+
+
+def _watchdog_thread():
+    # faulthandler's watchdog is an OS thread that the threading module does
+    # not list, as a BLAS pool's are
+    faulthandler.dump_traceback_later(600)
+    assert threading.active_count() == 1
+    return faulthandler.cancel_dump_traceback_later
+
+
+@pytest.mark.parametrize("start", [_python_thread, _watchdog_thread])
+def test_a_process_with_a_second_thread_does_not_fork(monkeypatch, start):
     configs = _battery(9)
     serial = simulate_shared(configs)
     _fork_for_any_work(monkeypatch)
@@ -753,15 +862,18 @@ def test_a_process_with_a_second_thread_does_not_fork(monkeypatch):
         raise AssertionError("forked beside a second thread")
 
     monkeypatch.setattr(os, "fork", fork)
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
+    stop = start()
     try:
+        assert sim._threads() == 2
         beside = simulate_shared(configs)
     finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
+        stop()
+        # a stopped thread's OS thread may outlive its join by a moment, and
+        # the fork tests after this one need a single thread
+        deadline = time.monotonic() + 10
+        while sim._threads() > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+    assert sim._threads() == 1
     for one, other, config in zip(serial, beside, configs):
         assert np.array_equal(one.values, other.values), config
 
