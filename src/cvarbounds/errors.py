@@ -121,17 +121,6 @@ def _regret_cap_problem(gap: object, horizon: object) -> str | None:
     return f"g horizon overflows a float at horizon = {horizon}, got {gap!r}"
 
 
-def _stream_problem(size: object, nbytes: int, budget: int) -> str | None:
-    """Why one replicate's stream, the `nbytes` bytes it draws at a size
-    that `_FIELD_PROBLEMS` takes, outgrows the `budget` of bytes drawn at
-    once, or None.  Draws are made in chunks of one replicate or more, so no
-    chunk could hold it.  The stream's size depends on every other field, so it
-    is checked once they all pass."""
-    if nbytes <= budget:
-        return None
-    return f"one replicate's stream of {nbytes} bytes outgrows the {budget}-byte draw budget, got {size!r}"
-
-
 def _field_problems(values: Mapping[str, object]) -> dict[str, str]:
     """Why each value `_FIELD_PROBLEMS` refuses is refused, by name; names
     it does not hold are passed over."""

@@ -35,6 +35,7 @@ from .sim import (
     BanditConfig,
     EstimationConfig,
     Estimator,
+    RNG_CONTRACT,
     Policy,
     _estimator_problem,
     _policy_problem,
@@ -374,8 +375,8 @@ def _refusal(config: ExperimentConfig, subject: _Subject, scale: float, exc: Val
 def _cases(config: ExperimentConfig) -> list[tuple]:
     """The one refusal phase: a config's cases, or one `ConfigError` naming
     every field the field rules refuse, else every field whose cases the
-    closed forms or the draw budget refuse, or whose simulated parameter is
-    subnormal, each under the field the user set (`_refusal`).  A case is
+    closed forms refuse, or whose simulated parameter is subnormal, each
+    under the field the user set (`_refusal`).  A case is
     one future row, bounded and with its sim config built: subject by
     subject, variant by variant, then by alpha, then by scale; psi has none.
     """
@@ -528,6 +529,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     }
     if config.kind in _SIMULATED_KINDS:
         metadata["replicates"] = config.replicates
+        metadata["rng_contract"] = RNG_CONTRACT
     if config.policies:
         metadata["policies"] = [p.name for p in config.policies]
     if config.estimators:

@@ -10,49 +10,36 @@ Two problem families:
   are unit-variance Gaussian, and the loss is the realized pseudo-regret
   g * (pulls of the suboptimal arm).
 
-Randomness contract: replicate r of a run with master seed s draws
-everything from a Philox stream keyed by (s, r), read in one order for both
-problems: one integer for the model (the bandit's model index, the
-estimation's sign of theta), then the uniform policy's T arm draws if it is
-the policy, then standard normals: Thompson's 2T posterior normals, one pair
-a round, followed by the T reward noises, every other bandit's T reward
-noises, or the estimation's n observation noises, of which it keeps only
-the mean.  So results are independent of batch size and the first
-replicates of a longer run reproduce a shorter one bit for bit.  The
-rollout runs round by round in lockstep over replicates x gaps: a policy's
-rows at every gap are one pass.  UCB and Thompson pick each round's arm by
-exact 0/1 arithmetic in a fixed workspace allocated once per rollout; their
-sums are bit for bit those of `tests/oracles._reference_rollout`, which
-selects each reward into one sum.  Explore-then-commit needs only its 2 tau
-exploration rounds, since their two sums decide its commit, and the uniform
-policy needs none: its arm-1 pull counts are taken as its arms are drawn.
+Randomness contract, `philox-seed-block-v2`: replicate r of a run with master
+seed s lies in block b = r // 256, and block b reads one Philox stream keyed
+by (s, b).  A pass reads it from counter 0: one policy at one horizon, or one
+estimation size.  It reads first `integers(0, 2, size=256, dtype=int8)`, each
+replicate's model less 1 (the bandit's model index, the estimation's sign of
+theta), then the pass's rows, round-major: row i holds the i-th value of all
+256 replicates.  The uniform policy reads T rows of arm draws,
+`integers(1, 3, dtype=int8)`.  The others read standard normals: Thompson
+three rows a round, its two posterior normals and then its reward noise;
+UCB its T reward noises; explore-then-commit the 2 tau of its exploration
+rounds; an estimation its n observation noises, of which it keeps the mean,
+summed row by row.  A run of R replicates reads ceil(R / 256) whole blocks
+and keeps the first R columns.  So a replicate's values depend on (s, r)
+alone: results are independent of batch size and worker count, and the
+first replicates of a longer run reproduce a shorter one bit for bit.
 
-The draws do not depend on the gap, separation or estimator, and a counter
-based stream read further only extends what a shorter read gave: the first
-m normals of a longer run are the m normals a shorter one draws.  So every
-config of one seed and replicate count reads a prefix of one run of
-normals, except the uniform policy's, whose arm draws come first; those
-configs form one family, and the uniform policy's form one per horizon.
-`_read_counts` names what one replicate of a config reads: the uniform
-policy's T arm draws and no normals, Thompson's 3T normals, UCB's T,
-explore-then-commit's 2 tau or an estimation's n.  `simulate_shared` draws
-each replicate of a family once, as far as its longest reader needs, into
-one `Draws` record; each config cuts its reads from it as views at its
-rollout (`_reads`), and each policy is rolled out once per horizon over all
-its gaps.  A verification battery so re-keys each replicate twice: once for
-the uniform policy and once for every other row.  A simulation keeps only
-each replicate's loss: a rollout yields arm-1 pull counts, which give the
-regret, and no transcript is recorded.  Draws are made in chunks of
-consecutive replicates whose kept draws fit a fixed byte budget, so memory
-stays bounded for any horizon and replicate count, and a config is refused
-when one replicate's draw, its arm draws and 8 bytes for each normal it
-reads, outgrows the budget; the family with the largest draw per replicate
-is drawn first, before any losses are held.  Every stream comes from one
-Philox generator re-keyed in place to (s, r) for each replicate
-(`replicate_rng` with `reuse`); the per-replicate contract above is
-unchanged.  A chunk is rolled out in blocks of replicates that stay in
-cache, and its replicates may be split over forked worker processes
-(`simulate_shared`) with every byte unchanged.
+A pass draws each block's rows in strips of at most _STRIP_ROWS and rolls
+a strip out before it draws the next; a counter-based stream drawn in strips
+gives exactly the values of one draw, and memory stays bounded for any
+horizon or size.  The rollout runs round by round in lockstep over a
+cache-sized group of blocks x gaps: a policy's rows at every gap are one
+pass.  UCB and Thompson pick each round's arm by exact 0/1 arithmetic in a
+fixed workspace allocated once per rollout; their sums are bit for bit those
+of `tests/oracles._reference_rollout`, which selects each reward into one
+sum.  Explore-then-commit needs only its 2 tau exploration rounds, since
+their two sums decide its commit, and the uniform policy needs none: its
+arm-1 pull counts are summed from its arm draws.  A simulation keeps only
+each replicate's loss, and no transcript is recorded.  A call's blocks may
+be split over forked worker processes (`simulate_shared`) with every byte
+unchanged.
 
 `exact_loss_law` gives a config's loss law in closed form where one is
 known: the uniform policy up to a horizon cap, the sign-commit estimator and
@@ -70,7 +57,7 @@ import threading
 import traceback
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, NamedTuple, Sequence, Union, get_args
+from typing import ClassVar, Iterator, Sequence, Union, get_args
 
 import numpy as np
 
@@ -81,7 +68,6 @@ from .errors import (
     _check_fields,
     _is_int,
     _regret_cap_problem,
-    _stream_problem,
 )
 from .risk import DiscreteLossDistribution, SampleSet
 
@@ -105,22 +91,26 @@ __all__ = [
     "exact_sign_estimator_law",
 ]
 
+# the randomness contract above, named in a simulated report's metadata
+RNG_CONTRACT = "philox-seed-block-v2"
+
 _MAX_EXACT_HORIZON = 64
 
-# predrawn values held at once; a family's draws are made in chunks of
-# consecutive replicates that fit it (the 1000-replicate, T = 200 verify
-# battery's shared family, 600 normals a replicate or 4.8 MB, is one
-# chunk), and a config whose one replicate's stream outgrows it is refused;
-# the workers draw disjoint ranges of a chunk, so it bounds them together
-_PREDRAW_BUDGET_BYTES = 128 * 2**20
+# replicates per stream block; part of the contract, so every Monte Carlo
+# output moves with it
+_BLOCK = 256
 
-# elements of each (k, block) state array of a rollout: a chunk is rolled out
-# in blocks of replicates whose state stays in cache, 2048 at 9 gaps
+# rows of a block's stream drawn at a time, rounded down to whole rounds:
+# the memory a pass holds does not grow with its horizon or size
+_STRIP_ROWS = 64
+
+# elements of each (k, blocks, 256) state array of a rollout: a pass is
+# rolled out over groups of blocks whose state stays in cache, 8 at 9 gaps
 _ROLLOUT_ELEMENTS = 9 * 2048
 
-# work, in replicates x (normals + arm draws) summed over the families, that
-# each worker process must get before simulate_shared forks one: the T = 200
-# verify battery's 800 a replicate keep it serial at 300 replicates, where a
+# work, in replicates x rows read summed over the passes, that each worker
+# process must get before simulate_shared forks one: the T = 200 verify
+# battery's 1170 rows a replicate keep it serial at 300 replicates, where a
 # fork costs about what it saves, and give it two workers at 1000
 _WORK_PER_WORKER = 300_000
 
@@ -221,6 +211,7 @@ def _estimator_problem(estimator: object) -> str | None:
     return None if isinstance(estimator, Estimator) else f"must be an Estimator, got {estimator!r}"
 
 
+
 @dataclass(frozen=True)
 class EstimationConfig:
     n: int
@@ -231,7 +222,6 @@ class EstimationConfig:
 
     def __post_init__(self) -> None:
         _check_fields(vars(self), estimator=_estimator_problem(self.estimator))
-        _check_fields({}, n=_stream_problem(self.n, _stream_bytes(self), _PREDRAW_BUDGET_BYTES))
         object.__setattr__(self, "delta", float(self.delta))
 
 
@@ -249,191 +239,100 @@ class BanditConfig:
             gap=_regret_cap_problem(self.gap, self.horizon),
             policy=_policy_problem(self.policy, self.horizon),
         )
-        _check_fields({}, horizon=_stream_problem(self.horizon, _stream_bytes(self), _PREDRAW_BUDGET_BYTES))
         object.__setattr__(self, "gap", float(self.gap))
 
 
-def replicate_rng(
-    seed: int, replicate: int, reuse: np.random.Generator | None = None
-) -> np.random.Generator:
-    """Counter-based stream for one replicate, keyed by (master seed, index);
-    streams for different keys are statistically independent and order free.
-
-    With `reuse`, a generator returned by an earlier call, that generator is
-    re-keyed in place (counter 0, nothing buffered) and returned: the same
-    stream as a fresh one, without building a Philox, whose constructor also
-    reads os.urandom.
+def replicate_rng(seed: int, block: int) -> np.random.Generator:
+    """Counter-based stream of one block of replicates, keyed by (master
+    seed, block index); streams for different keys are statistically
+    independent and order free.
 
     Both parts of the key must be ints in [0, 2**64); anything else raises
-    ValueError rather than being truncated into another replicate's key.
+    ValueError rather than being truncated into another block's key.
     """
-    if not (_is_int(seed) and _is_int(replicate) and 0 <= seed < _SEED_LIMIT and 0 <= replicate < _SEED_LIMIT):
-        raise ValueError(f"seed and replicate must be unsigned 64-bit ints, got {seed!r} and {replicate!r}")
-    key = [seed, replicate]
-    if reuse is None:
-        return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-    reuse.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return reuse
+    if not (_is_int(seed) and _is_int(block) and 0 <= seed < _SEED_LIMIT and 0 <= block < _SEED_LIMIT):
+        raise ValueError(f"seed and block must be unsigned 64-bit ints, got {seed!r} and {block!r}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
 # ------------------------------------------------------------------- draws
 
 
-class _Family(NamedTuple):
-    """Configs whose replicate streams are one stream, drawn once for all of
-    them: the same seed and replicate count, and the same arm draws after the
-    model draw, the uniform policy's T or none.  Past those, every member
-    reads a prefix of one run of standard normals."""
-
-    seed: int
-    replicates: int
-    arms: int  # the uniform policy's arm draws per replicate, or 0
-    width: int  # leading normals kept per replicate: the longest run a bandit member reads
-    sizes: tuple  # the estimation sizes n, ascending, whose leading normals' mean is kept
-
-
-def _read_counts(config: BanditConfig | EstimationConfig) -> tuple[int, int]:
-    """(arm draws, leading normals) one replicate of the config reads past
-    its model draw: the uniform policy's T arm draws, which are its actions,
-    Thompson's 2T posterior normals and T reward noises, UCB's T noises,
-    explore-then-commit's 2 tau exploration noises or an estimation's n."""
+def _reads(config: BanditConfig | EstimationConfig) -> tuple[int, int]:
+    """(rows, rows a round) that a pass of the config reads from each
+    block's stream past its model draw: the uniform policy's T rows of arm
+    draws, Thompson's 3T normals, three a round, UCB's T, explore-then-
+    commit's 2 tau or an estimation's n."""
     if isinstance(config, EstimationConfig):
-        return 0, config.n
+        return config.n, 1
     horizon, policy = config.horizon, config.policy
-    if isinstance(policy, UniformRandom):
-        return horizon, 0
     if isinstance(policy, ThompsonGaussian):
-        return 0, 3 * horizon
+        return 3 * horizon, 3
     if isinstance(policy, ExploreThenCommit):
-        return 0, 2 * resolve_tau(policy, horizon)
-    return 0, horizon
+        return 2 * resolve_tau(policy, horizon), 1
+    return horizon, 1
 
 
-def _families(configs: Sequence[BanditConfig | EstimationConfig]) -> dict[_Family, list[int]]:
-    """The families of the configs, each with its members' indices in input
-    order."""
-    members: dict[tuple, list[int]] = {}
-    for i, config in enumerate(configs):
-        members.setdefault((config.seed, config.replicates, _read_counts(config)[0]), []).append(i)
-    families = {}
-    for key, rows in members.items():
-        group = [configs[i] for i in rows]
-        width = max((_read_counts(c)[1] for c in group if isinstance(c, BanditConfig)), default=0)
-        sizes = tuple(sorted({c.n for c in group if isinstance(c, EstimationConfig)}))
-        families[_Family(*key, width, sizes)] = rows
-    return families
+def _pass_key(config: BanditConfig | EstimationConfig) -> tuple:
+    """Configs of one key form one pass: they read the same rows of the
+    same blocks, so each block is drawn once for all of them, and a bandit
+    pass is rolled out once over all its gaps."""
+    if isinstance(config, EstimationConfig):
+        return config.seed, config.replicates, config.n
+    return config.seed, config.replicates, config.policy, config.horizon
 
 
-def _longest(family: _Family) -> int:
-    """Standard normals drawn per replicate: the family's longest run."""
-    return max(family.width, *family.sizes, 0)
+def _blocks(replicates: int) -> range:
+    """The blocks that hold replicates 0 to R - 1."""
+    return range(-(-replicates // _BLOCK))
 
 
-def _replicate_bytes(family: _Family) -> int:
-    """Bytes a family keeps per replicate besides its one-byte model index:
-    the uniform policy's arm-1 pull count, the bandit normals and one mean per
-    estimation size."""
-    return 8 * ((family.arms > 0) + family.width + len(family.sizes))
+def _draw(seed: int, blocks: range, rows: int, per: int, arms: bool) -> Iterator[np.ndarray]:
+    """Read one pass's rows of the blocks' streams in the contract's order:
+    the one drawing loop.  Yields the (G, 256) models in {1, 2} of the G
+    blocks, then the `rows` rows in strips of whole rounds of `per` rows,
+    each (G, S, 256): standard normals, drawn into one reused buffer and so
+    valid until the next strip is drawn, or arm draws in {1, 2} if `arms`."""
+    rngs = [replicate_rng(seed, block) for block in blocks]
+    yield 1 + np.stack([rng.integers(0, 2, size=_BLOCK, dtype=np.int8) for rng in rngs])
+    size = max(1, _STRIP_ROWS // per) * per
+    strip = None if arms else np.empty((len(rngs), min(size, rows), _BLOCK))
+    for start in range(0, rows, size):
+        if arms:
+            shape = (min(size, rows - start), _BLOCK)
+            yield np.stack([rng.integers(1, 3, size=shape, dtype=np.int8) for rng in rngs])
+        else:
+            # each block's rows are one C-contiguous (S, 256) slab, as out= needs
+            part = strip[:, : rows - start]
+            for rng, out in zip(rngs, part):
+                rng.standard_normal(out=out)
+            yield part
 
 
-def _stream_bytes(config: BanditConfig | EstimationConfig) -> int:
-    """Bytes one replicate of the config draws past its model draw: its arm
-    draws and, at 8 bytes each, the normals it reads.  A family draws per
-    replicate its members' arm draws and its longest reader's normals, the
-    most any member draws, so a family of configs within the budget draws
-    at least one replicate within it."""
-    arms, normals = _read_counts(config)
-    return arms + 8 * normals
-
-
-def _replicate_chunks(family: _Family) -> list[range]:
-    """Consecutive replicate ranges whose kept draws fit _PREDRAW_BUDGET_BYTES."""
-    size = max(1, _PREDRAW_BUDGET_BYTES // _replicate_bytes(family))
-    reps = family.replicates
-    return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
-
-
-class Draws(NamedTuple):
-    """A family's draws of consecutive replicates, the one draw record: each
-    config cuts its reads from them with `_reads`."""
-
-    family: _Family
-    model: np.ndarray  # (reps,) model index in {1, 2}; for an estimation, theta is +delta under model 2
-    pulls: np.ndarray  # (reps,) the uniform policy's arm-1 pull counts, or empty
-    kept: np.ndarray  # (reps, width) leading normals
-    means: np.ndarray  # (len(sizes), reps) mean of each estimation size's leading normals
-
-
-def _draw(family: _Family, replicates: range) -> Draws:
-    """Consume each replicate's stream once, in the documented order: the
-    one drawing loop.  A replicate's normals are drawn straight into its row
-    of `kept` when the bandit width is the longest run, else into one reused
-    buffer whose prefix is kept; the means read them there.  Arm draws are
-    1 or 2, so a replicate's sum to 2 T less its arm-1 pulls; only that count
-    is kept.  A mean is the float64 sum and division of `normals[:n].mean()`,
-    without its Python overhead."""
-    reps = len(replicates)
-    model = np.empty(reps, dtype=np.int8)
-    pulls = np.empty(reps if family.arms else 0, dtype=np.int64)
-    kept = np.empty((reps, family.width))
-    means = np.empty((len(family.sizes), reps))
-    longest = _longest(family)
-    buffer = None if longest == family.width else np.empty(longest)
-    rng = None
-    for i, r in enumerate(replicates):
-        rng = replicate_rng(family.seed, r, rng)
-        model[i] = 1 + int(rng.integers(0, 2))
-        if family.arms:
-            pulls[i] = 2 * family.arms - rng.integers(1, 3, size=family.arms, dtype=np.int8).sum(dtype=np.int64)
-        normals = kept[i] if buffer is None else buffer
-        rng.standard_normal(out=normals)
-        if buffer is not None:
-            kept[i] = normals[: family.width]
-        for j, n in enumerate(family.sizes):
-            means[j, i] = np.add.reduce(normals[:n]) / n
-    return Draws(family, model, pulls, kept, means)
-
-
-def _reads(config: BanditConfig | EstimationConfig, draws: Draws) -> tuple[np.ndarray | None, np.ndarray]:
-    """The config's own draws, if it makes any, and the normals it reads
-    (`_read_counts`) or its (reps,) observation-noise mean, as views into a
-    family's draws: Thompson's (reps, T, 2) posterior normals lead its
-    (reps, T) reward noises, and every other bandit reads exactly its count
-    of leading normals as its reward noises, whatever family they come from.
-
-    Raises ValueError unless the draws hold the config's stream: its
-    family's seed, replicate count and arm draws, and its normals among
-    those kept or its n among the sizes whose means are kept."""
-    family = draws.family
-    arms, normals = _read_counts(config)
-    estimation = isinstance(config, EstimationConfig)
-    held = config.n in family.sizes if estimation else normals <= family.width
-    if not held or (config.seed, config.replicates, arms) != family[:3]:
-        raise ValueError("draws do not hold the config's stream: its seed, replicates, arm draws and normals")
-    if estimation:
-        return None, draws.means[family.sizes.index(config.n)]
-    horizon, kept = config.horizon, draws.kept
-    if isinstance(config.policy, ThompsonGaussian):
-        return kept[:, : 2 * horizon].reshape(len(kept), horizon, 2), kept[:, 2 * horizon : normals]
-    return draws.pulls if arms else None, kept[:, :normals]
+def _rounds(strips: Iterator[np.ndarray], per: int) -> Iterator[np.ndarray]:
+    """Each round's (G, per, 256) rows of a pass's strips, in order."""
+    for strip in strips:
+        for i in range(0, strip.shape[1], per):
+            yield strip[:, i : i + per]
 
 
 # ---------------------------------------------------------------- estimation
 
 
-def run_estimation(config: EstimationConfig, draws: Draws) -> np.ndarray:
-    """(reps,) losses of the configured estimator on the replicates `draws`
-    hold; the draws must hold the config's stream (see `_reads`)."""
-    _, noise = _reads(config, draws)
+def _noise_mean(n: int, shape: tuple, strips: Iterator[np.ndarray]) -> np.ndarray:
+    """Each replicate's mean of its n observation noises, summed row by row
+    in round order, so that no strip size changes a bit."""
+    total = np.zeros(shape)
+    for rows in _rounds(strips, 1):
+        total += rows[:, 0]
+    return total / n
+
+
+def _estimate(config: EstimationConfig, model: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """(reps,) losses of the configured estimator, given each replicate's
+    model (theta is +delta under model 2) and observation-noise mean."""
     delta = config.delta
-    theta = np.where(draws.model == 2, delta, -delta)
+    theta = np.where(model == 2, delta, -delta)
     ybar = theta + noise
     if config.estimator is Estimator.SAMPLE_MEAN:
         theta_hat = ybar
@@ -443,6 +342,11 @@ def run_estimation(config: EstimationConfig, draws: Draws) -> np.ndarray:
     else:
         theta_hat = np.zeros(theta.size)
     return np.minimum(np.abs(theta_hat - theta), 2.0 * delta)
+
+
+def run_estimation(config: EstimationConfig) -> np.ndarray:
+    """(reps,) losses of the config's replicates, drawn in this process."""
+    return _pass_losses([config], _blocks(config.replicates))[0]
 
 
 # -------------------------------------------------------------------- bandit
@@ -457,24 +361,25 @@ def _arm_index(s, m, w, out, tmp) -> None:
     out += tmp
 
 
-def _rollout(policy: Policy, horizon: int, gaps, model, own, noise) -> np.ndarray:
-    """Arm-1 pull counts, shaped (k, reps), of the replicates rolled out at
-    each of the k gaps, each replicate under its drawn model.
+def _rollout(policy: Policy, horizon: int, gaps, model, strips) -> np.ndarray:
+    """Arm-1 pull counts, shaped (k, G, 256), of a group of G blocks rolled
+    out at each of the k gaps, each replicate under its drawn model; `model`
+    and `strips` are the group's draws (`_draw`).
 
     The rollout runs in lockstep over replicates x gaps, one round at a
-    time: the state arrays are (k, reps) and each round's (reps,) noise and
-    Thompson normals broadcast across the gaps, so every element sees the
-    float operations of a rollout at its gap alone.  Explore-then-commit runs
-    only its 2 tau exploration rounds, since the sums they leave decide its
-    commit.  The uniform policy's counts, its `own` draws, do not depend on
-    the gap and need no rollout.
+    time: the state arrays are (k, G, 256) and each round's (G, 256) noise
+    and Thompson normals broadcast across the gaps, so every element sees
+    the float operations of a rollout at its gap alone.  Explore-then-commit
+    runs only its 2 tau exploration rounds, since the sums they leave decide
+    its commit.  The uniform policy's counts do not depend on the gap: m
+    rows of its arm draws, each 1 or 2, sum to 2 m less its arm-1 pulls.
 
     UCB and Thompson pick the arm branch-free in a fixed workspace of
-    (k, reps) arrays made once per call: `pick` is 1.0 where arm 1 is pulled
-    and 0.0 elsewhere, the reward is y = mu1 (2 pick - 1) + noise, arm 1's sum
-    gains pick y and arm 2's gains y - pick y.  The sums are bit for bit
-    those of the oracle `tests/oracles._reference_rollout`, which adds y to
-    the pulled arm's sum and 0.0 to the other's:
+    (k, G, 256) arrays made once per call: `pick` is 1.0 where arm 1 is
+    pulled and 0.0 elsewhere, the reward is y = mu1 (2 pick - 1) + noise,
+    arm 1's sum gains pick y and arm 2's gains y - pick y.  The sums are bit
+    for bit those of the oracle `tests/oracles._reference_rollout`, which
+    adds y to the pulled arm's sum and 0.0 to the other's:
 
     * mu1 * (+-1) is mu1 or -mu1 = mu2 exactly, zero signs included, also at
       a subnormal gap whose half rounds to +-0;
@@ -484,31 +389,37 @@ def _rollout(policy: Policy, horizon: int, gaps, model, own, noise) -> np.ndarra
       both addends are, so neither sum is ever -0.0 and adding +-0.0 leaves
       it unchanged, as adding the oracle's 0.0 does.
     """
-    k, reps = len(gaps), model.size
+    shape = (len(gaps), *model.shape)
     if isinstance(policy, UniformRandom):
-        return np.broadcast_to(own, (k, reps))
-    half = 0.5 * np.asarray(gaps, dtype=float)[:, None]
+        pulls = np.zeros(model.shape, dtype=np.int64)
+        for strip in strips:
+            pulls += 2 * strip.shape[1] - strip.sum(axis=1, dtype=np.int64)
+        return np.broadcast_to(pulls, shape)
+    half = 0.5 * np.asarray(gaps, dtype=float)[:, None, None]
     mu1 = np.where(model == 1, half, -half)  # arm 1's mean
-    s1 = np.zeros((k, reps))
-    s2 = np.zeros((k, reps))
+    s1 = np.zeros(shape)
+    s2 = np.zeros(shape)
+    thompson = isinstance(policy, ThompsonGaussian)
+    rounds = _rounds(strips, 3 if thompson else 1)
     if isinstance(policy, ExploreThenCommit):
         mu2 = -mu1
         tau = resolve_tau(policy, horizon)
-        for t in range(tau):
-            s1 += mu1 + noise[:, t]
-        for t in range(tau, 2 * tau):
-            s2 += mu2 + noise[:, t]
+        for t, rows in enumerate(rounds):
+            if t < tau:
+                s1 += mu1 + rows[:, 0]
+            else:
+                s2 += mu2 + rows[:, 0]
         # equal exploration counts, so compare sums; ties -> arm 1
         commit1 = s1 >= s2
         return tau + (horizon - 2 * tau) * commit1
-    n1 = np.zeros((k, reps))  # counts held as floats, exact up to 2**53
-    pick, y, idx1, idx2 = (np.empty((k, reps)) for _ in range(4))
-    for t in range(horizon):
-        if isinstance(policy, ThompsonGaussian):
+    n1 = np.zeros(shape)  # counts held as floats, exact up to 2**53
+    pick, y, idx1, idx2 = (np.empty(shape) for _ in range(4))
+    for t, rows in enumerate(rounds):
+        if thompson:
             np.add(n1, 1.0, out=idx1)
-            _arm_index(s1, idx1, own[:, t, 0], idx1, y)
+            _arm_index(s1, idx1, rows[:, 0], idx1, y)
             np.subtract(t + 1.0, n1, out=idx2)  # arm 2's pulls + 1, exact
-            _arm_index(s2, idx2, own[:, t, 1], idx2, y)
+            _arm_index(s2, idx2, rows[:, 1], idx2, y)
             np.greater_equal(idx1, idx2, out=pick)
         elif t < 2:
             pick.fill(t == 0)
@@ -523,7 +434,7 @@ def _rollout(policy: Policy, horizon: int, gaps, model, own, noise) -> np.ndarra
         np.multiply(pick, 2.0, out=y)
         y -= 1.0
         y *= mu1
-        y += noise[:, t]
+        y += rows[:, -1]
         pick *= y
         s1 += pick
         y -= pick
@@ -537,42 +448,48 @@ def _regret(gaps, horizon: int, model, n1) -> np.ndarray:
     return np.where(model == 1, g * (horizon - n1), g * n1)
 
 
-def run_bandit(config: BanditConfig, draws: Draws) -> np.ndarray:
-    """(reps,) losses of the replicates `draws` hold, each rolled out under
-    its drawn model; the draws must hold the config's stream (see
-    `_reads`)."""
-    return _losses([config], draws)[0]
+def run_bandit(config: BanditConfig) -> np.ndarray:
+    """(reps,) losses of the config's replicates, each rolled out under its
+    drawn model, in this process."""
+    return _pass_losses([config], _blocks(config.replicates))[0]
 
 
-# ------------------------------------------------------------ shared draws
+# ------------------------------------------------------------------ passes
 
 
-def _losses(configs: Sequence[BanditConfig | EstimationConfig], draws: Draws) -> list[np.ndarray]:
-    """Losses of members of one family on one chunk of its draws.  Each
-    estimation runs on its mean, and the bandit configs of one policy and
-    horizon are rolled out together, in one lockstep pass over their
-    distinct gaps, block by block of _ROLLOUT_ELEMENTS // gaps replicates."""
-    passes: dict[tuple, list[int]] = {}
-    for j, config in enumerate(configs):
-        if isinstance(config, BanditConfig):
-            passes.setdefault((config.policy, config.horizon), []).append(j)
-    losses: list[np.ndarray | None] = [None] * len(configs)
-    model = draws.model
-    for (policy, horizon), rows in passes.items():
-        own, noise = _reads(configs[rows[0]], draws)
-        gaps, row_gap = np.unique([configs[j].gap for j in rows], return_inverse=True)
-        step = max(1, _ROLLOUT_ELEMENTS // len(gaps))
-        blocks = [slice(start, start + step) for start in range(0, model.size, step)]
-        n1 = [_rollout(policy, horizon, gaps, model[b], own if own is None else own[b], noise[b]) for b in blocks]
-        # no pass's counts outlive it into the next rollout
-        regret = _regret(gaps, horizon, model, np.concatenate(n1, axis=1))
-        for j, g in zip(rows, row_gap):
-            losses[j] = regret[g]
-    # estimations run last, so their losses are not held beside a rollout's workspace
-    for j, config in enumerate(configs):
-        if isinstance(config, EstimationConfig):
-            losses[j] = run_estimation(config, draws)
-    return losses
+def _pass_losses(configs: Sequence[BanditConfig | EstimationConfig], blocks: range) -> list[np.ndarray]:
+    """Losses of the configs of one pass (`_pass_key`) on their replicates
+    in the blocks, in input order.  The blocks are drawn and rolled out in
+    groups whose (k, G, 256) state holds at most _ROLLOUT_ELEMENTS values,
+    or one block, k being the pass's distinct gaps, or 1 for an estimation,
+    whose configs all run on the one noise mean."""
+    first = configs[0]
+    rows, per = _reads(first)
+    estimation = isinstance(first, EstimationConfig)
+    if estimation:
+        k, arms = 1, False
+    else:
+        gaps, row_gap = np.unique([config.gap for config in configs], return_inverse=True)
+        k, arms = len(gaps), isinstance(first.policy, UniformRandom)
+    step = max(1, _ROLLOUT_ELEMENTS // (k * _BLOCK))
+    models, outs = [], []
+    for start in range(0, len(blocks), step):
+        draws = _draw(first.seed, blocks[start : start + step], rows, per, arms)
+        model = next(draws)
+        models.append(model)
+        if estimation:
+            outs.append(_noise_mean(rows, model.shape, draws))
+        else:
+            outs.append(_rollout(first.policy, first.horizon, gaps, model, draws))
+    # the last block's replicates past R are drawn, and dropped here
+    kept = min(blocks.stop * _BLOCK, first.replicates) - blocks.start * _BLOCK
+    model = np.concatenate(models).ravel()[:kept]
+    if estimation:
+        noise = np.concatenate(outs).ravel()[:kept]
+        return [_estimate(config, model, noise) for config in configs]
+    n1 = np.concatenate(outs, axis=1).reshape(k, -1)[:, :kept]
+    regret = _regret(gaps, first.horizon, model, n1)
+    return [regret[g] for g in row_gap]
 
 
 def _threads() -> int:
@@ -585,62 +502,68 @@ def _threads() -> int:
         return threading.active_count()
 
 
-def _workers(families: Sequence[_Family]) -> int:
-    """Processes that draw and roll out the families: one per usable CPU, as
-    far as each gets _WORK_PER_WORKER, and 1 where the process may not fork:
-    no os.fork or CPU affinity, or a second OS thread, which could hold a lock
-    that the child would never see released."""
+def _workers(passes: Sequence[BanditConfig | EstimationConfig]) -> int:
+    """Processes that draw and roll out the passes, given one config of
+    each: one per usable CPU, as far as each gets _WORK_PER_WORKER and a
+    block of some pass, and 1 where the process may not fork: no os.fork or
+    CPU affinity, or a second OS thread, which could hold a lock that the
+    child would never see released."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or _threads() > 1:
         return 1
-    work = sum(family.replicates * (_longest(family) + family.arms) for family in families)
-    return max(1, min(len(os.sched_getaffinity(0)), work // _WORK_PER_WORKER))
+    work = sum(config.replicates * _reads(config)[0] for config in passes)
+    blocks = max((len(_blocks(config.replicates)) for config in passes), default=1)
+    return max(1, min(len(os.sched_getaffinity(0)), work // _WORK_PER_WORKER, blocks))
 
 
 def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[SampleSet]:
     """Loss samples of the configs, in their order.
 
-    Configs of one seed and replicate count form one family, apart from the
-    uniform policy's configs, one family per horizon.  Each chunk of a
-    family's replicates is drawn once, every config reads its views of
-    those draws at its rollout, each policy is rolled out once per horizon
-    over all its gaps, and the losses are joined per config; every sample
-    equals that of simulating its config alone.  The family with the
-    largest draw per replicate is drawn first, while no losses are held.
+    Configs that read the same rows of the same blocks form one pass
+    (`_pass_key`): each block is drawn once for the pass, each policy is
+    rolled out once per horizon over all its gaps, and each estimation size
+    is drawn once for all its estimators and separations.  Every sample
+    equals that of simulating its config alone.
 
-    Each chunk is split into one consecutive replicate range per worker
+    Each pass's blocks are split into one consecutive range per worker
     (`_workers`).  The process forks the other workers once, works the last
-    range of every chunk itself, and any range whose fork failed, and reaps
+    range of every pass itself, and any range whose fork failed, and reaps
     every child before it returns or raises.  A failed child writes its
     traceback to stderr, and a child whose caller is gone stops at its next
-    chunk.  Workers write their losses into one shared anonymous mapping;
+    pass.  Workers write their losses into one shared anonymous mapping;
     a replicate's draws depend only on (seed, replicate), so no byte changes.
     """
-    families = sorted(_families(configs).items(), key=lambda item: _replicate_bytes(item[0]), reverse=True)
-    workers = _workers([family for family, _ in families])
-    # one (members, replicates) table of losses per family; the mapping is
+    passes: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        passes.setdefault(_pass_key(config), []).append(i)
+    groups = [[configs[i] for i in members] for members in passes.values()]
+    workers = _workers([group[0] for group in groups])
+    # one (members, replicates) table of losses per pass; the mapping is
     # released with the last array that views it
-    sizes = [len(members) * family.replicates for family, members in families]
+    sizes = [len(group) * group[0].replicates for group in groups]
     flat = np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), dtype=float)
     parts = np.split(flat, np.cumsum(sizes)[:-1])
-    tables = [part.reshape(len(members), -1) for part, (_, members) in zip(parts, families)]
+    tables = [part.reshape(len(group), -1) for part, group in zip(parts, groups)]
+    if workers > 1:
+        # loads numpy.random, which the children then inherit rather than
+        # each import it anew
+        replicate_rng(configs[0].seed, 0)
 
     caller = os.getpid()
 
     def work(worker: int) -> None:
-        for (family, members), table in zip(families, tables):
-            group = [configs[i] for i in members]
-            for chunk in _replicate_chunks(family):
-                if os.getpid() != caller and os.getppid() != caller:
-                    os._exit(1)  # the caller is gone, and nothing reads the losses
-                share = chunk[worker * len(chunk) // workers : (worker + 1) * len(chunk) // workers]
-                if share:
-                    # each chunk's draws are released once its losses are taken
-                    for row, losses in zip(table, _losses(group, _draw(family, share))):
-                        row[share.start : share.stop] = losses
+        for group, table in zip(groups, tables):
+            if os.getpid() != caller and os.getppid() != caller:
+                os._exit(1)  # the caller is gone, and nothing reads the losses
+            blocks = _blocks(group[0].replicates)
+            share = blocks[worker * len(blocks) // workers : (worker + 1) * len(blocks) // workers]
+            if share:
+                start = share.start * _BLOCK
+                for row, losses in zip(table, _pass_losses(group, share)):
+                    row[start : start + losses.size] = losses
 
     pids = []
-    # the last range of a chunk is never empty, so the process draws every
-    # chunk, and what fails in every draw fails in it, as it raised
+    # the last range of a pass is never empty, so the process draws from
+    # every pass, and what fails in every draw fails in it, as it raised
     own = [workers - 1]
     try:
         for worker in range(workers - 1):
@@ -675,7 +598,7 @@ def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[
             " (-N: ended by signal N); one that raised wrote its traceback to stderr"
         )
     samples: list[SampleSet | None] = [None] * len(configs)
-    for (_, members), table in zip(families, tables):
+    for members, table in zip(passes.values(), tables):
         for i, row in zip(members, table):
             samples[i] = SampleSet(row)
     return samples

@@ -166,30 +166,34 @@ def cvar_dominates_mean(samples: SampleSet, level: RiskLevel) -> bool:
 # ------------------------------------------------------------------ bandits
 
 
-def whole_family(config: BanditConfig) -> sim._Family:
-    """The config alone as a family that draws its whole contract stream:
-    past the normals the package reads, all T reward noises, which a
-    transcript replays."""
-    arms, normals = sim._read_counts(config)
-    width = normals if isinstance(config.policy, ThompsonGaussian) else config.horizon
-    return sim._Family(config.seed, config.replicates, arms, width, ())
+def transcript_draws(config: BanditConfig, blocks: range) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The config's reads of the replicates in the blocks under the
+    philox-seed-block-v2 contract, read again here in one draw a block, not
+    in the package's strips: (reps,) models, its own draws, the uniform
+    policy's (reps, T) arm draws or Thompson's (reps, T, 2) posterior
+    normals, and (reps, T) reward noises.  A transcript replays every
+    reward, so explore-then-commit reads T rows, past the 2 tau the package
+    reads, and the uniform policy, whose pass reads no normals, T rows of
+    normals past its arm draws."""
+    horizon, policy = config.horizon, config.policy
+    per = 3 if isinstance(policy, ThompsonGaussian) else 1
+    models, owns, noises = [], [], []
+    for block in blocks:
+        rng = sim.replicate_rng(config.seed, block)
+        models.append(1 + rng.integers(0, 2, size=256, dtype=np.int8))
+        if isinstance(policy, UniformRandom):
+            owns.append(rng.integers(1, 3, size=(horizon, 256), dtype=np.int8).T)
+        # round-major rows: row i holds the i-th value of every replicate
+        rounds = rng.standard_normal((horizon * per, 256)).T.reshape(256, horizon, per)
+        if per == 3:
+            owns.append(rounds[:, :, :2])
+        noises.append(rounds[:, :, -1])
+    kept = min(256 * blocks.stop, config.replicates) - 256 * blocks.start
 
+    def replicates(parts):
+        return np.concatenate(parts)[:kept] if parts else None
 
-def transcript_draws(config: BanditConfig, replicates: range) -> tuple[sim.Draws, np.ndarray | None, np.ndarray]:
-    """The config's whole-stream draws of the replicates, with its own draws
-    and its (reps, T) reward noises cut from them, the last T normals kept.
-    The package keeps only the uniform policy's pull counts, so its (reps, T)
-    arm draws, the actions a transcript replays, are read again from each
-    replicate's stream, past the model draw."""
-    draws = sim._draw(whole_family(config), replicates)
-    own, _ = sim._reads(config, draws)
-    if isinstance(config.policy, UniformRandom):
-        own, rng = np.empty((len(replicates), config.horizon), dtype=np.int8), None
-        for i, r in enumerate(replicates):
-            rng = sim.replicate_rng(config.seed, r, rng)
-            rng.integers(0, 2)
-            own[i] = rng.integers(1, 3, size=config.horizon, dtype=np.int8)
-    return draws, own, draws.kept[:, -config.horizon :]
+    return replicates(models), replicates(owns), replicates(noises)
 
 
 def _reference_rollout(config: BanditConfig, model, own, noise) -> np.ndarray:
@@ -250,8 +254,8 @@ def mc_transcript_kl(config: BanditConfig) -> tuple[float, float]:
     the two models, simulated under model 1.
 
     Each replicate accumulates sum_t [(Y_t - mu_2(A_t))^2 - (Y_t - mu_1(A_t))^2] / 2
-    along a transcript rolled out under model 1.  The model draw at the head
-    of each replicate stream is consumed but ignored so the remaining draws
+    along a transcript rolled out under model 1.  The model draws at the
+    head of each block's stream are read but ignored, so the remaining draws
     align with the package's simulations.  Population value is g^2 T / 2 for
     any policy.
     """
@@ -260,11 +264,12 @@ def mc_transcript_kl(config: BanditConfig) -> tuple[float, float]:
             f"mc_transcript_kl needs >= {_MIN_KL_REPLICATES} replicates, got {config.replicates}"
         )
     half_g = 0.5 * config.gap
+    blocks = range(-(-config.replicates // 256))
     parts = []
-    for chunk in sim._replicate_chunks(whole_family(config)):
-        draws, own, noise = transcript_draws(config, chunk)
-        forced = np.ones(draws.model.size, dtype=np.int64)
-        actions = _reference_rollout(config, forced, own, noise)
+    # 40 blocks of transcripts at a time, so memory does not grow with the replicates
+    for start in range(0, len(blocks), 40):
+        model, own, noise = transcript_draws(config, blocks[start : start + 40])
+        actions = _reference_rollout(config, np.ones_like(model), own, noise)
         mu1 = np.where(actions == 1, half_g, -half_g)  # chosen-arm mean under model 1
         y = mu1 + noise
         parts.append(0.5 * ((y + mu1) ** 2 - (y - mu1) ** 2).sum(axis=1))

@@ -1,11 +1,27 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import cvarbounds
 
 MODULES = [info.name for info in pkgutil.iter_modules(cvarbounds.__path__) if not info.name.startswith("_")]
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # simulate_shared loads numpy.random before it forks, so that its
+    # workers inherit it; importing the package or the CLI does not load
+    # it, so that its cost falls inside a simulation, not in every import
+    src = str(Path(cvarbounds.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, cvarbounds, cvarbounds.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_every_module_is_listed():

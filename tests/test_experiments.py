@@ -516,6 +516,16 @@ def test_json_round_trip():
     assert payload["metadata"]["kind"] == "simulate"
 
 
+def test_simulated_reports_name_their_rng_contract():
+    # in the JSON metadata only: the CSV columns stay as pinned, and a
+    # bound report, which draws nothing, names none
+    simulated = run_experiment(_bandit_config())
+    assert json.loads(render_json(simulated))["metadata"]["rng_contract"] == "philox-seed-block-v2"
+    assert render_csv(simulated).splitlines()[0] == ",".join(CSV_COLUMNS)
+    bound = run_experiment(ExperimentConfig(kind=ExperimentKind.BOUND, alphas=(0.5,), horizon=100, gap=0.1))
+    assert "rng_contract" not in bound.metadata
+
+
 @pytest.mark.parametrize(
     "fields",
     [
@@ -655,21 +665,15 @@ def _verify_config(replicates, seed=3):
     "config, why",
     [
         (replace(_verify_config(20), gap=1e200, delta=1e200), {"gap": "got 1e+200", "delta": "got 1e+200"}),
-        (
-            _bandit_config(horizon=10**12, gap=1e-9, policies=(UCB(),), replicates=4),
-            {"horizon": "stream of 8000000000000 bytes"},
-        ),
-        (
-            replace(_verify_config(20), horizon=10**7, delta=1e200),
-            {"delta": "got 1e+200", "horizon": "stream of 240000000 bytes"},
-        ),
+        # no horizon is refused for its length: strips bound what it draws
+        (replace(_verify_config(20), horizon=10**7, delta=1e200), {"delta": "got 1e+200"}),
     ],
-    ids=["gap-and-delta", "ucb-stream", "delta-and-thompson-stream"],
+    ids=["gap-and-delta", "delta-beside-a-long-horizon"],
 )
 def test_a_battery_refuses_every_field_before_drawing(config, why, monkeypatch):
-    # the closed forms' and the draw budget's refusals of a battery come out
-    # as one ConfigError naming every refused field, before anything is
-    # drawn, and validate refuses the same
+    # the closed forms' refusals of a battery come out as one ConfigError
+    # naming every refused field, before anything is drawn, and validate
+    # refuses the same
     def draw(*args):
         raise AssertionError("drew before refusing the battery")
 
@@ -759,98 +763,63 @@ def test_shared_draw_rows_match_per_row_simulation():
         assert row.empirical_cvar == empirical_cvar(samples, level), row.param_name
 
 
-def test_chunked_draws_render_identical_csv(monkeypatch):
-    # 257 is prime, so no chunk size below it divides the replicate count
+@pytest.mark.parametrize("strip", [1, 7])
+def test_strip_size_renders_identical_csv(monkeypatch, strip):
+    # 257 replicates fill one block and one replicate of the next; a strip
+    # of 1 or 7 rows cuts every pass, Thompson's into whole rounds of 3
     cfg = _verify_config(replicates=257)
     whole = render_csv(run_experiment(cfg))
-    monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", 1000)
-    # both families, the uniform policy's and the one every other row
-    # shares, are drawn in several chunks with a shorter last one
-    firsts = [BanditConfig(horizon=16, gap=1.0, policy=p, replicates=257, seed=3) for p in cfg.policies]
-    firsts.append(EstimationConfig(n=9, delta=1.0, estimator=Estimator.SAMPLE_MEAN, replicates=257, seed=3))
-    families = sim._families(firsts)
-    assert len(families) == 2
-    for family in families:
-        chunks = sim._replicate_chunks(family)
-        assert len(chunks) > 2 and len(chunks[-1]) < len(chunks[0])
+    monkeypatch.setattr(sim, "_STRIP_ROWS", strip)
     assert render_csv(run_experiment(cfg)) == whole
 
 
-def test_verify_draws_each_stream_once_per_family(monkeypatch):
-    # 4 policies and 3 estimators: one draw of every replicate stream for
-    # the uniform policy's arms, and one whose normals every other row reads
-    # a prefix of: Thompson's 3T, UCB's T, explore-then-commit's 2 tau and
-    # the estimation battery's n
+def test_verify_reads_each_block_once_per_pass(monkeypatch):
+    # 4 policies and 3 estimators make 5 passes, one per policy and one for
+    # every estimator, and each pass re-keys each of the 2 blocks of 300
+    # replicates once
     keys = []
     original = sim.replicate_rng
 
-    def counted(seed, replicate, reuse=None):
-        keys.append((seed, replicate))
-        return original(seed, replicate, reuse)
+    def counted(seed, block):
+        keys.append((seed, block))
+        return original(seed, block)
 
     monkeypatch.setattr(sim, "replicate_rng", counted)
-    report = run_experiment(_verify_config(replicates=60))
+    report = run_experiment(_verify_config(replicates=300))
     assert len(report.rows) == (4 + 3) * 2 * 2
-    assert len(keys) == 2 * 60
-    assert len(set(keys)) == 60
+    assert sorted(keys) == [(3, 0)] * 5 + [(3, 1)] * 5
 
 
-@pytest.mark.parametrize("budget", [None, 20 * 200 * 24])
-def test_verify_rolls_out_each_policy_once_per_chunk(monkeypatch, tmp_path, budget):
+@pytest.mark.parametrize("elements, blocks", [(None, (2,)), (9 * 256, (1, 1))])
+def test_verify_rolls_out_each_policy_once_per_group(monkeypatch, tmp_path, elements, blocks):
     # the default verify shape: each policy's 9 gaps are rolled out in one
-    # lockstep pass per chunk of its family's draws, never one rollout per row
-    if budget is not None:
-        monkeypatch.setattr(sim, "_PREDRAW_BUDGET_BYTES", budget)
-    calls = []
-    original = sim._rollout
-
-    def counted(policy, horizon, gaps, *args):
-        calls.append((policy.name, len(gaps)))
-        return original(policy, horizon, gaps, *args)
-
-    monkeypatch.setattr(sim, "_rollout", counted)
-    assert cli_main(["verify", "--replicates", "60", "--out", str(tmp_path / "report.csv")]) == 0
-    battery = [
-        BanditConfig(horizon=200, gap=1.0, policy=policy, replicates=60, seed=0)
-        for policy in (UniformRandom(), ExploreThenCommit(), UCB(), ThompsonGaussian())
-    ]
-    battery.append(EstimationConfig(n=100, delta=1.0, estimator=Estimator.SAMPLE_MEAN, replicates=60, seed=0))
-    expected = []
-    for family, members in sim._families(battery).items():
-        chunks = sim._replicate_chunks(family)
-        expected += [(battery[i].policy.name, 9) for i in members if i < 4] * len(chunks)
-    assert sorted(calls) == sorted(expected)
-    if budget is not None:
-        # 19 replicates of 600 normals and one estimation mean fit the budget
-        assert calls.count(("thompson", 9)) == 4
-
-
-def test_verify_rolls_out_each_policy_once_per_block(monkeypatch, tmp_path):
-    # at a state budget of 9 gaps x 16 replicates, the 60-replicate chunk of
-    # each family is rolled out in blocks of 16, 16, 16 and 12, one pass per
-    # policy and block, and the report keeps every byte
-    argv = ["verify", "--replicates", "60", "--out"]
+    # lockstep pass per group of blocks, never one rollout per row; at a
+    # state budget of 9 gaps x 256 replicates, the 2 blocks of 300
+    # replicates are rolled out one at a time, and the report keeps every byte
+    argv = ["verify", "--replicates", "300", "--out"]
     assert cli_main([*argv, str(tmp_path / "whole.csv")]) == 0
-    monkeypatch.setattr(sim, "_ROLLOUT_ELEMENTS", 9 * 16)
+    if elements is not None:
+        monkeypatch.setattr(sim, "_ROLLOUT_ELEMENTS", elements)
     calls = []
     original = sim._rollout
 
     def counted(policy, horizon, gaps, model, *args):
-        calls.append((policy.name, len(gaps), model.size))
+        calls.append((policy.name, len(gaps), len(model)))
         return original(policy, horizon, gaps, model, *args)
 
     monkeypatch.setattr(sim, "_rollout", counted)
-    assert cli_main([*argv, str(tmp_path / "blocks.csv")]) == 0
+    assert cli_main([*argv, str(tmp_path / "groups.csv")]) == 0
     policies = ("uniform", "etc", "ucb", "thompson")
-    assert sorted(calls) == sorted((name, 9, size) for name in policies for size in (16, 16, 16, 12))
-    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert sorted(calls) == sorted((name, 9, size) for name in policies for size in blocks)
+    assert (tmp_path / "groups.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 @pytest.mark.parametrize("replicates, forks", [(60, 0), (300, 0), (1000, 1)])
 def test_verify_forks_a_worker_only_for_enough_work(monkeypatch, tmp_path, replicates, forks):
-    # the default battery draws 800 values a replicate, Thompson's 3T normals
-    # and the uniform policy's T arm draws: with two usable CPUs a second
-    # worker is forked only where each gets sim._WORK_PER_WORKER of them
+    # the default battery reads 1170 rows a replicate: the uniform policy's
+    # T, explore-then-commit's 2 tau, UCB's T, Thompson's 3T and the
+    # estimation's n: with two usable CPUs a second worker is forked only
+    # where each gets sim._WORK_PER_WORKER of them
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     calls, fork = [], os.fork
 
