@@ -30,7 +30,7 @@ from .bounds import (
     BoundResult, Branch, _bound_factor_runs, bandit_bound, estimation_bound, optimal_gap, optimal_separation
 )
 from .errors import _FIELD_PROBLEMS, _field_problems, _is_real
-from .risk import RiskLevel, SampleSet, _tail_block, empirical_cvar, exact_cvar
+from .risk import DiscreteLossDistribution, RiskLevel, SampleSet, _tail_block, empirical_cvar, exact_cvar
 from .sim import (
     BanditConfig,
     EstimationConfig,
@@ -227,18 +227,32 @@ class ExperimentReport:
         return all(row.dominated for row in self.rows)
 
 
-def _tail_stats(samples: SampleSet, level: RiskLevel) -> tuple[float, float, float]:
+def _tail_stats(
+    samples: SampleSet, level: RiskLevel, law: DiscreteLossDistribution | None = None
+) -> tuple[float, float, float]:
     """Empirical CVaR with its influence-function standard error
     sd((L - VaR)+) / ((1 - alpha) sqrt(N)), VaR being the last sample of the
     tail block (Manistre and Hancock, NAAJ 2005); `_cases` keeps that block
     at 2 samples or more.  The sd is taken of the excess
     scaled by a power of two near the largest loss, so its squares neither
-    underflow nor overflow, and the scaling is exact."""
+    underflow nor overflow, and the scaling is exact.
+
+    A sample that holds one value shows no spread, whatever its law's.
+    Where the exact `law` is known, its sd of L stands in for the sample's:
+    it bounds sd((L - VaR)+) from above at any VaR, as x -> (x - VaR)+ is
+    1-Lipschitz, so the slack errs wide and never reads 0 for a law that
+    has spread."""
     emp = empirical_cvar(samples, level)
     values = samples.values
-    excess = np.maximum(values - values[_tail_block(level, samples.count) - 1], 0.0)
-    e = math.frexp(values[0])[1]
-    sd = math.ldexp(float(np.ldexp(excess, -e).std(ddof=1)), e)
+    if law is not None and values[0] == values[-1]:
+        e = math.frexp(law.values[-1])[1]
+        scaled = [math.ldexp(value, -e) for value in law.values]
+        mean = math.fsum(p * x for p, x in zip(law.probs, scaled))
+        sd = math.ldexp(math.sqrt(math.fsum(p * (x - mean) ** 2 for p, x in zip(law.probs, scaled))), e)
+    else:
+        e = math.frexp(values[0])[1]
+        excess = np.maximum(values - values[_tail_block(level, samples.count) - 1], 0.0)
+        sd = math.ldexp(float(np.ldexp(excess, -e).std(ddof=1)), e)
     stderr = sd / (level.tail_mass * math.sqrt(samples.count))
     return emp, stderr, _SLACK_SIGMAS * stderr
 
@@ -493,8 +507,8 @@ def _battery_rows(config: ExperimentConfig, cases: list[tuple]) -> list[Experime
                 "replicates": config.replicates,
             }
             name = f"{vname}:{name}" if qualify else name
-            emp, stderr, slack = _tail_stats(case_samples, level)
             law = exact_loss_law(sim_config)
+            emp, stderr, slack = _tail_stats(case_samples, level, law)
             exact = None if law is None else exact_cvar(law, level)
         rows.append(
             ExperimentRow(

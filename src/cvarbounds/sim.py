@@ -21,8 +21,9 @@ theta), then the pass's rows, round-major: row i holds the i-th value of all
 three rows a round, its two posterior normals and then its reward noise;
 UCB its T reward noises; explore-then-commit the 2 tau of its exploration
 rounds; an estimation its n observation noises, of which it keeps the mean,
-summed row by row.  A run of R replicates reads ceil(R / 256) whole blocks
-and keeps the first R columns.  So a replicate's values depend on (s, r)
+summed row by row.  A run of R replicates reads ceil(R / 256) whole blocks,
+as much for 1 replicate as for 256, and keeps the first R columns.  So a
+replicate's values depend on (s, r)
 alone: results are independent of batch size and worker count, and the
 first replicates of a longer run reproduce a shorter one bit for bit.
 
@@ -287,26 +288,27 @@ def _blocks(replicates: int) -> range:
     return range(-(-replicates // _BLOCK))
 
 
-def _draw(seed: int, blocks: range, rows: int, per: int, arms: bool) -> Iterator[np.ndarray]:
+def _draw(seed: int, blocks: range, rows: int, per: int, arms: bool, cols: int) -> Iterator[np.ndarray]:
     """Read one pass's rows of the blocks' streams in the contract's order:
-    the one drawing loop.  Yields the (G, 256) models in {1, 2} of the G
+    the one drawing loop.  Yields the (G, cols) models in {1, 2} of the G
     blocks, then the `rows` rows in strips of whole rounds of `per` rows,
-    each (G, S, 256): standard normals, drawn into one reused buffer and so
-    valid until the next strip is drawn, or arm draws in {1, 2} if `arms`."""
+    each (G, S, cols): standard normals, drawn into one reused buffer and so
+    valid until the next strip is drawn, or arm draws in {1, 2} if `arms`.
+    Every row is drawn whole; only its first `cols` replicates are yielded."""
     rngs = [replicate_rng(seed, block) for block in blocks]
-    yield 1 + np.stack([rng.integers(0, 2, size=_BLOCK, dtype=np.int8) for rng in rngs])
+    yield 1 + np.stack([rng.integers(0, 2, size=_BLOCK, dtype=np.int8) for rng in rngs])[:, :cols]
     size = max(1, _STRIP_ROWS // per) * per
     strip = None if arms else np.empty((len(rngs), min(size, rows), _BLOCK))
     for start in range(0, rows, size):
         if arms:
             shape = (min(size, rows - start), _BLOCK)
-            yield np.stack([rng.integers(1, 3, size=shape, dtype=np.int8) for rng in rngs])
+            yield np.stack([rng.integers(1, 3, size=shape, dtype=np.int8) for rng in rngs])[..., :cols]
         else:
             # each block's rows are one C-contiguous (S, 256) slab, as out= needs
             part = strip[:, : rows - start]
             for rng, out in zip(rngs, part):
                 rng.standard_normal(out=out)
-            yield part
+            yield part[..., :cols]
 
 
 def _rounds(strips: Iterator[np.ndarray], per: int) -> Iterator[np.ndarray]:
@@ -323,8 +325,9 @@ def _noise_mean(n: int, shape: tuple, strips: Iterator[np.ndarray]) -> np.ndarra
     """Each replicate's mean of its n observation noises, summed row by row
     in round order, so that no strip size changes a bit."""
     total = np.zeros(shape)
-    for rows in _rounds(strips, 1):
-        total += rows[:, 0]
+    for strip in strips:
+        for row in strip.swapaxes(0, 1):
+            total += row
     return total / n
 
 
@@ -462,7 +465,9 @@ def _pass_losses(configs: Sequence[BanditConfig | EstimationConfig], blocks: ran
     in the blocks, in input order.  The blocks are drawn and rolled out in
     groups whose (k, G, 256) state holds at most _ROLLOUT_ELEMENTS values,
     or one block, k being the pass's distinct gaps, or 1 for an estimation,
-    whose configs all run on the one noise mean."""
+    whose configs all run on the one noise mean.  A group of one block is
+    rolled out over the replicates it keeps only, so a short run does not
+    roll out a whole block."""
     first = configs[0]
     rows, per = _reads(first)
     estimation = isinstance(first, EstimationConfig)
@@ -474,20 +479,23 @@ def _pass_losses(configs: Sequence[BanditConfig | EstimationConfig], blocks: ran
     step = max(1, _ROLLOUT_ELEMENTS // (k * _BLOCK))
     models, outs = [], []
     for start in range(0, len(blocks), step):
-        draws = _draw(first.seed, blocks[start : start + step], rows, per, arms)
+        group = blocks[start : start + step]
+        # a group of one block rolls out only the replicates it keeps
+        cols = min(_BLOCK, first.replicates - group.start * _BLOCK) if len(group) == 1 else _BLOCK
+        draws = _draw(first.seed, group, rows, per, arms, cols)
         model = next(draws)
-        models.append(model)
+        models.append(model.ravel())
         if estimation:
-            outs.append(_noise_mean(rows, model.shape, draws))
+            outs.append(_noise_mean(rows, model.shape, draws).ravel())
         else:
-            outs.append(_rollout(first.policy, first.horizon, gaps, model, draws))
-    # the last block's replicates past R are drawn, and dropped here
+            outs.append(_rollout(first.policy, first.horizon, gaps, model, draws).reshape(k, -1))
+    # the replicates past R that a group of blocks rolled out are dropped here
     kept = min(blocks.stop * _BLOCK, first.replicates) - blocks.start * _BLOCK
-    model = np.concatenate(models).ravel()[:kept]
+    model = np.concatenate(models)[:kept]
     if estimation:
-        noise = np.concatenate(outs).ravel()[:kept]
+        noise = np.concatenate(outs)[:kept]
         return [_estimate(config, model, noise) for config in configs]
-    n1 = np.concatenate(outs, axis=1).reshape(k, -1)[:, :kept]
+    n1 = np.concatenate(outs, axis=1)[:, :kept]
     regret = _regret(gaps, first.horizon, model, n1)
     return [regret[g] for g in row_gap]
 

@@ -18,6 +18,9 @@ from cvarbounds.sim import BanditConfig, ExploreThenCommit, ThompsonGaussian, UC
 
 _MIN_ORACLE_GRID = 1_000
 _MIN_KL_REPLICATES = 1_000
+# blocks of transcripts that mc_transcript_kl holds at a time, so its memory
+# does not grow with the replicates
+_KL_CHUNK_BLOCKS = 40
 # slack for the hellinger <= kl comparison; both sides are closed forms
 _ORDER_TOL = 1e-12
 
@@ -266,9 +269,8 @@ def mc_transcript_kl(config: BanditConfig) -> tuple[float, float]:
     half_g = 0.5 * config.gap
     blocks = range(-(-config.replicates // 256))
     parts = []
-    # 40 blocks of transcripts at a time, so memory does not grow with the replicates
-    for start in range(0, len(blocks), 40):
-        model, own, noise = transcript_draws(config, blocks[start : start + 40])
+    for start in range(0, len(blocks), _KL_CHUNK_BLOCKS):
+        model, own, noise = transcript_draws(config, blocks[start : start + _KL_CHUNK_BLOCKS])
         actions = _reference_rollout(config, np.ones_like(model), own, noise)
         mu1 = np.where(actions == 1, half_g, -half_g)  # chosen-arm mean under model 1
         y = mu1 + noise

@@ -621,6 +621,25 @@ def test_tail_stderr_does_not_underflow_at_tiny_losses():
         assert (scaled_stderr, scaled_slack) == (math.ldexp(stderr, e), math.ldexp(slack, e))
 
 
+def test_a_sample_of_one_value_takes_its_slack_from_the_exact_law():
+    # 11 sign-commit losses, all 0, of a law that puts 0.45 on 2 delta: the
+    # sample shows no spread, so the law's sd of L stands in for its own
+    law = DiscreteLossDistribution([(0.0, 0.55), (0.2, 0.45)])
+    level = RiskLevel(0.9)
+    zeros = SampleSet(np.zeros(11))
+    emp, stderr, slack = _tail_stats(zeros, level, law)
+    assert emp == 0.0
+    assert stderr == pytest.approx(0.2 * math.sqrt(0.45 * 0.55) / (0.1 * math.sqrt(11)), rel=1e-12)
+    assert slack == 5.0 * stderr
+    # at a tiny scale the law's sd scales exactly, its squares taken scaled
+    tiny = DiscreteLossDistribution([(0.0, 0.55), (math.ldexp(0.2, -1000), 0.45)])
+    assert _tail_stats(zeros, level, tiny) == (0.0, math.ldexp(stderr, -1000), math.ldexp(slack, -1000))
+    # no law, or a sample with spread, keeps the sample's own error
+    assert _tail_stats(zeros, level) == (0.0, 0.0, 0.0)
+    spread = SampleSet(np.array([0.0] * 9 + [0.2] * 2))
+    assert _tail_stats(spread, level, law) == _tail_stats(spread, level)
+
+
 def test_exact_law_below_the_bound_fails_at_any_scale(monkeypatch):
     # the always-zero estimator's loss is delta, which its bound meets to
     # rounding at scale 1e-100; an exact law of half that lies below the

@@ -10,6 +10,7 @@ import time
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 from oracles import (
     _reference_rollout, mc_transcript_kl, sign_law_from_atoms, transcript_draws, uniform_law_from_atoms
@@ -48,7 +49,8 @@ def _counts(configs):
     their blocks drawn (`sim._draw`) and rolled out as one group."""
     first = configs[0]
     rows, per = sim._reads(first)
-    draws = sim._draw(first.seed, sim._blocks(first.replicates), rows, per, isinstance(first.policy, UniformRandom))
+    arms = isinstance(first.policy, UniformRandom)
+    draws = sim._draw(first.seed, sim._blocks(first.replicates), rows, per, arms, 256)
     model = next(draws)
     n1 = sim._rollout(first.policy, first.horizon, [config.gap for config in configs], model, draws)
     return n1.reshape(len(configs), -1)[:, : first.replicates]
@@ -80,19 +82,21 @@ def test_replicate_rng_streams():
 def test_strips_read_the_bits_of_one_draw(monkeypatch, strip):
     # a counter-based stream drawn in strips, one after another, gives
     # exactly the values of one draw: normals, Thompson's whole rounds of
-    # three rows and the uniform policy's arm draws alike
+    # three rows and the uniform policy's arm draws alike; a draw that keeps
+    # 5 columns yields the first 5 replicates of those values
     monkeypatch.setattr(sim, "_STRIP_ROWS", strip)
     blocks = range(2, 5)
     for rows, per, arms in ((200, 1, False), (63, 3, False), (200, 1, True)):
-        draws = sim._draw(11, blocks, rows, per, arms)
-        model = next(draws)
-        strips = [part.copy() for part in draws]
-        assert all(part.shape[1] % per == 0 for part in strips)
-        for i, block in enumerate(blocks):
-            rng = replicate_rng(11, block)
-            assert np.array_equal(model[i], 1 + rng.integers(0, 2, size=256, dtype=np.int8))
-            one = rng.integers(1, 3, size=(rows, 256), dtype=np.int8) if arms else rng.standard_normal((rows, 256))
-            assert np.array_equal(np.concatenate([part[i] for part in strips]), one), (rows, arms)
+        for cols in (256, 5):
+            draws = sim._draw(11, blocks, rows, per, arms, cols)
+            model = next(draws)
+            strips = [part.copy() for part in draws]
+            assert all(part.shape[1] % per == 0 and part.shape[2] == cols for part in strips)
+            for i, block in enumerate(blocks):
+                rng = replicate_rng(11, block)
+                assert np.array_equal(model[i], 1 + rng.integers(0, 2, size=256, dtype=np.int8)[:cols])
+                one = rng.integers(1, 3, size=(rows, 256), dtype=np.int8) if arms else rng.standard_normal((rows, 256))
+                assert np.array_equal(np.concatenate([part[i] for part in strips]), one[:, :cols]), (rows, arms)
 
 
 def test_resolve_tau():
@@ -203,10 +207,11 @@ def test_estimation_stream_layout():
 
 
 def test_estimation_prefix_stable():
-    # across a block boundary: 257 and 300 replicates are the first of 1000
+    # across a block boundary: 257 and 300 replicates are the first of 1000;
+    # so are 2 and 5, which one block holds and rolls out alone
     kw = dict(n=4, delta=0.2, estimator=Estimator.SAMPLE_MEAN, seed=3)
     long = run_estimation(EstimationConfig(replicates=1000, **kw))
-    for replicates in (257, 300):
+    for replicates in (2, 5, 257, 300):
         assert np.array_equal(run_estimation(EstimationConfig(replicates=replicates, **kw)), long[:replicates])
 
 
@@ -250,12 +255,13 @@ def test_simulate_estimation_sampleset():
 
 
 def test_bandit_deterministic_and_prefix_stable():
-    # across a block boundary: 257 and 300 replicates are the first of 1000
+    # across a block boundary: 257 and 300 replicates are the first of 1000;
+    # so are 2 and 5, which one block holds and rolls out alone
     for policy in ALL_POLICIES:
         kw = dict(horizon=40, gap=0.15, policy=policy, seed=12)
         longer = run_bandit(BanditConfig(replicates=1000, **kw))
         assert np.array_equal(run_bandit(BanditConfig(replicates=1000, **kw)), longer)
-        for replicates in (257, 300):
+        for replicates in (2, 5, 257, 300):
             assert np.array_equal(run_bandit(BanditConfig(replicates=replicates, **kw)), longer[:replicates]), policy.name
 
 
@@ -622,16 +628,19 @@ def test_simulate_shared_groups_configs_drawn_apart(monkeypatch):
     drawn = []
     original = sim._draw
 
-    def counted(seed, blocks, rows, per, arms):
-        drawn.append((seed, blocks, rows, per, arms))
-        return original(seed, blocks, rows, per, arms)
+    def counted(seed, blocks, rows, per, arms, cols):
+        drawn.append((seed, blocks, rows, per, arms, cols))
+        return original(seed, blocks, rows, per, arms, cols)
 
     monkeypatch.setattr(sim, "_draw", counted)
     shared = simulate_shared(configs)
     tau = resolve_tau(ExploreThenCommit(), 6)
     reads = [(6, 1), (6, 1), (6, 1), (18, 3), (6, 1), (2 * tau, 1), (6, 1), (3, 1), (7, 1), (4, 1)]
     seeds = [0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
-    assert drawn == [(seed, range(1), *read, arms) for seed, read, arms in zip(seeds, reads, [False] * 8 + [True, False])]
+    arms = [False] * 8 + [True, False]
+    # a lone block rolls out only the replicates it keeps: 4, or 5 for the 7th pass
+    cols = [4] * 6 + [5] + [4] * 3
+    assert drawn == [(seed, range(1), *read, *rest) for seed, read, *rest in zip(seeds, reads, arms, cols)]
     for one, many, config in zip(alone, shared, configs):
         assert np.array_equal(one.values, many.values), config
     assert simulate_shared([]) == []
@@ -972,9 +981,14 @@ def test_mc_transcript_kl_hits_budget():
         assert abs(est - target) <= 4.0 * stderr, policy.name
 
 
-def test_mc_transcript_kl_deterministic():
+def test_mc_transcript_kl_deterministic(monkeypatch):
+    # 2000 replicates end inside an 8th block; one block a chunk must join
+    # the chunks, and cut the last block's columns, to the same figures
     cfg = BanditConfig(horizon=50, gap=0.3, policy=UCB(), replicates=2000, seed=77)
-    assert mc_transcript_kl(cfg) == mc_transcript_kl(cfg)
+    whole = mc_transcript_kl(cfg)
+    assert mc_transcript_kl(cfg) == whole
+    monkeypatch.setattr(oracles, "_KL_CHUNK_BLOCKS", 1)
+    assert mc_transcript_kl(cfg) == whole
 
 
 def test_mc_transcript_kl_needs_replicates():
