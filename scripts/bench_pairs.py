@@ -15,6 +15,9 @@ end-to-end metric `BENCHMARK.json` lists, a summary gives each side's
 median with its q1-q3, the relative change of the medians, how many pairs the
 change won (a tie counts for neither side) and whether the gain rule holds:
 at least 9 in 10 pairs won, and medians apart by more than the ref's q3 - q1.
+Beside `wall_norm_s` it gives each side's median of the runs' raw `wall_s`
+(from the details line) and their relative change, so a claim can be seen
+to hold before the host-speed rescaling.
 It then gives the regression verdict, with the metric's `bound` read as a
 fraction of the ref's median: "worse beyond bound" when the change's median
 is worse by more than that; else "unresolved" when the ref's q3 - q1 exceeds
@@ -49,11 +52,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def parse_run(stdout: str) -> dict:
     """One run of `bench/run.py`: its last two lines are the details and the
-    result JSON.  Returns the metric medians, failed and attempted operation
-    counts and the output fingerprint."""
+    result JSON.  Returns the metric medians, the median raw `wall_s`,
+    failed and attempted operation counts and the output fingerprint."""
     details, result = (json.loads(line) for line in stdout.strip().splitlines()[-2:])
     return {
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "wall_s": details["end_to_end"]["wall_s"]["median"],
         "failed": result["failed"],
         "attempted": result["attempted"],
         "sha256": details["sha256"],
@@ -85,10 +89,14 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[st
         else:
             verdict = "within bound"
         change = f"{(cm - rm) / rm:+.1%}" if rm else "n/a"
+        raw = ""
+        if name == "wall_norm_s":
+            raw_ref, raw_new = (statistics.median(run["wall_s"] for run in side) for side in zip(*pairs))
+            raw = f", raw wall_s ref {raw_ref:.4g} -> change {raw_new:.4g} ({(raw_new - raw_ref) / raw_ref:+.1%})"
         lines.append(
             f"{name} ({unit}, {metric['better']} is better): ref {rm:.4g} ({r1:.4g}-{r3:.4g})"
             f" -> change {cm:.4g} ({c1:.4g}-{c3:.4g}), {change}, change won {wins}/{len(pairs)},"
-            f" gain rule {'met' if gain else 'not met'}, bound {bound:g}: {verdict}"
+            f" gain rule {'met' if gain else 'not met'}{raw}, bound {bound:g}: {verdict}"
         )
     for side, i in (("ref", 0), ("change", 1)):
         failed = sum(p[i]["failed"] for p in pairs)

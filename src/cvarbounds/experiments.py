@@ -228,7 +228,7 @@ class ExperimentReport:
 
 
 def _tail_stats(
-    samples: SampleSet, level: RiskLevel, law: DiscreteLossDistribution | None = None
+    samples: SampleSet, level: RiskLevel, law: DiscreteLossDistribution | None, l_max: float
 ) -> tuple[float, float, float]:
     """Empirical CVaR with its influence-function standard error
     sd((L - VaR)+) / ((1 - alpha) sqrt(N)), VaR being the last sample of the
@@ -237,22 +237,25 @@ def _tail_stats(
     scaled by a power of two near the largest loss, so its squares neither
     underflow nor overflow, and the scaling is exact.
 
-    A sample that holds one value shows no spread, whatever its law's.
-    Where the exact `law` is known, its sd of L stands in for the sample's:
-    it bounds sd((L - VaR)+) from above at any VaR, as x -> (x - VaR)+ is
-    1-Lipschitz, so the slack errs wide and never reads 0 for a law that
-    has spread."""
+    A sample that holds one value shows no spread, whatever its law's.  An
+    sd of L then stands in for the sample's: it bounds sd((L - VaR)+) from
+    above at any VaR, as x -> (x - VaR)+ is 1-Lipschitz, so the slack errs
+    wide and never reads 0 for a law that has spread.  It is the exact
+    `law`'s where that is known, else l_max / 2, which bounds the sd of any
+    loss in [0, l_max] (Popoviciu's inequality)."""
     emp = empirical_cvar(samples, level)
     values = samples.values
-    if law is not None and values[0] == values[-1]:
+    if values[0] != values[-1]:
+        e = math.frexp(values[0])[1]
+        excess = np.maximum(values - values[_tail_block(level, samples.count) - 1], 0.0)
+        sd = math.ldexp(float(np.ldexp(excess, -e).std(ddof=1)), e)
+    elif law is None:
+        sd = 0.5 * l_max
+    else:
         e = math.frexp(law.values[-1])[1]
         scaled = [math.ldexp(value, -e) for value in law.values]
         mean = math.fsum(p * x for p, x in zip(law.probs, scaled))
         sd = math.ldexp(math.sqrt(math.fsum(p * (x - mean) ** 2 for p, x in zip(law.probs, scaled))), e)
-    else:
-        e = math.frexp(values[0])[1]
-        excess = np.maximum(values - values[_tail_block(level, samples.count) - 1], 0.0)
-        sd = math.ldexp(float(np.ldexp(excess, -e).std(ddof=1)), e)
     stderr = sd / (level.tail_mass * math.sqrt(samples.count))
     return emp, stderr, _SLACK_SIGMAS * stderr
 
@@ -315,6 +318,7 @@ class _Subject:
     problem_of: Callable[[Any, Any], str | None]  # (size, variant) -> why it cannot run, or None
     optimum: Callable[[int, RiskLevel], float]  # (size, level) -> worst-case parameter
     bound: Callable[[int, float, RiskLevel], BoundResult]  # (size, parameter, level)
+    loss_cap: Callable[[int, float], float]  # (size, parameter) -> l_max, the largest loss
     sim_config: type[BanditConfig] | type[EstimationConfig]
 
 
@@ -329,6 +333,7 @@ _BANDIT = _Subject(
     problem_of=lambda horizon, policy: _policy_problem(policy, horizon),
     optimum=lambda horizon, level: optimal_gap(horizon, level)[0],
     bound=lambda horizon, g, level: bandit_bound(g, horizon, level),
+    loss_cap=lambda horizon, g: g * horizon,
     sim_config=BanditConfig,
 )
 
@@ -343,6 +348,7 @@ _ESTIMATION = _Subject(
     problem_of=lambda n, estimator: _estimator_problem(estimator),
     optimum=lambda n, level: optimal_separation(n, level)[0],
     bound=lambda n, delta, level: estimation_bound(n, delta, level),
+    loss_cap=lambda n, delta: 2.0 * delta,
     sim_config=EstimationConfig,
 )
 
@@ -508,7 +514,7 @@ def _battery_rows(config: ExperimentConfig, cases: list[tuple]) -> list[Experime
             }
             name = f"{vname}:{name}" if qualify else name
             law = exact_loss_law(sim_config)
-            emp, stderr, slack = _tail_stats(case_samples, level, law)
+            emp, stderr, slack = _tail_stats(case_samples, level, law, subject.loss_cap(size, value))
             exact = None if law is None else exact_cvar(law, level)
         rows.append(
             ExperimentRow(

@@ -38,8 +38,9 @@ of `tests/oracles._reference_rollout`, which selects each reward into one
 sum.  Explore-then-commit needs only its 2 tau exploration rounds, since
 their two sums decide its commit, and the uniform policy needs none: its
 arm-1 pull counts are summed from its arm draws.  A simulation keeps only
-each replicate's loss, and no transcript is recorded.  A call's blocks may
-be split over forked worker processes (`simulate_shared`) with every byte
+each replicate's loss, and no transcript is recorded.  A call's passes are
+cut into their groups of blocks, and whole groups are dealt to forked worker
+processes by their cost, largest first (`simulate_shared`), with every byte
 unchanged.
 
 `exact_loss_law` gives a config's loss law in closed form where one is
@@ -109,11 +110,11 @@ _STRIP_ROWS = 64
 # rolled out over groups of blocks whose state stays in cache, 8 at 9 gaps
 _ROLLOUT_ELEMENTS = 9 * 2048
 
-# work, in replicates x rows read summed over the passes, that each worker
-# process must get before simulate_shared forks one: the T = 200 verify
-# battery's 1170 rows a replicate keep it serial at 300 replicates, where a
-# fork costs about what it saves, and give it two workers at 1000
-_WORK_PER_WORKER = 300_000
+# work (`_cost`) that each worker process must get before simulate_shared
+# forks one: the T = 200 verify battery's 4,770 a block keep it serial at
+# 300 replicates (2 blocks), where a fork costs about what it saves, and give
+# it two workers at 1,000 (4 blocks)
+_WORK_PER_WORKER = 6_000
 
 
 class Estimator(Enum):
@@ -349,7 +350,7 @@ def _estimate(config: EstimationConfig, model: np.ndarray, noise: np.ndarray) ->
 
 def run_estimation(config: EstimationConfig) -> np.ndarray:
     """(reps,) losses of the config's replicates, drawn in this process."""
-    return _pass_losses([config], _blocks(config.replicates))[0]
+    return _alone(config)
 
 
 # -------------------------------------------------------------------- bandit
@@ -454,50 +455,65 @@ def _regret(gaps, horizon: int, model, n1) -> np.ndarray:
 def run_bandit(config: BanditConfig) -> np.ndarray:
     """(reps,) losses of the config's replicates, each rolled out under its
     drawn model, in this process."""
-    return _pass_losses([config], _blocks(config.replicates))[0]
+    return _alone(config)
 
 
 # ------------------------------------------------------------------ passes
 
 
-def _pass_losses(configs: Sequence[BanditConfig | EstimationConfig], blocks: range) -> list[np.ndarray]:
+def _width(configs: Sequence[BanditConfig | EstimationConfig]) -> int:
+    """k, the rows of a pass's (k, G, 256) rollout state: its distinct
+    gaps, or 1 for an estimation, whose configs all run on the one noise
+    mean."""
+    if isinstance(configs[0], EstimationConfig):
+        return 1
+    return len({config.gap for config in configs})
+
+
+def _groups(configs: Sequence[BanditConfig | EstimationConfig]) -> list[range]:
+    """The consecutive groups of blocks that a pass (`_pass_key`) is drawn
+    and rolled out in: each holds at most _ROLLOUT_ELEMENTS values of
+    (k, G, 256) state, or one block."""
+    blocks = _blocks(configs[0].replicates)
+    step = max(1, _ROLLOUT_ELEMENTS // (_width(configs) * _BLOCK))
+    return [blocks[start : start + step] for start in range(0, len(blocks), step)]
+
+
+def _cost(configs: Sequence[BanditConfig | EstimationConfig], group: range) -> int:
+    """The work of rolling a pass out over a group: its blocks x (rows read,
+    plus rounds x gaps for UCB and Thompson, whose index arithmetic runs
+    over every gap each round).  At the default verify battery a block
+    costs 2,400 for Thompson, 2,000 for UCB, 200 for the uniform policy, 100
+    for the estimation and 70 for explore-then-commit."""
+    rows, per = _reads(configs[0])
+    lockstep = isinstance(getattr(configs[0], "policy", None), (UCB, ThompsonGaussian))
+    return len(group) * (rows + (rows // per * _width(configs) if lockstep else 0))
+
+
+def _pass_losses(configs: Sequence[BanditConfig | EstimationConfig], group: range) -> list[np.ndarray]:
     """Losses of the configs of one pass (`_pass_key`) on their replicates
-    in the blocks, in input order.  The blocks are drawn and rolled out in
-    groups whose (k, G, 256) state holds at most _ROLLOUT_ELEMENTS values,
-    or one block, k being the pass's distinct gaps, or 1 for an estimation,
-    whose configs all run on the one noise mean.  A group of one block is
-    rolled out over the replicates it keeps only, so a short run does not
-    roll out a whole block."""
+    in one group of blocks (`_groups`), in input order, drawn and rolled out
+    at once.  A group of one block is rolled out over the replicates it
+    keeps only, so a short run does not roll out a whole block."""
     first = configs[0]
     rows, per = _reads(first)
-    estimation = isinstance(first, EstimationConfig)
-    if estimation:
-        k, arms = 1, False
-    else:
-        gaps, row_gap = np.unique([config.gap for config in configs], return_inverse=True)
-        k, arms = len(gaps), isinstance(first.policy, UniformRandom)
-    step = max(1, _ROLLOUT_ELEMENTS // (k * _BLOCK))
-    models, outs = [], []
-    for start in range(0, len(blocks), step):
-        group = blocks[start : start + step]
-        # a group of one block rolls out only the replicates it keeps
-        cols = min(_BLOCK, first.replicates - group.start * _BLOCK) if len(group) == 1 else _BLOCK
-        draws = _draw(first.seed, group, rows, per, arms, cols)
-        model = next(draws)
-        models.append(model.ravel())
-        if estimation:
-            outs.append(_noise_mean(rows, model.shape, draws).ravel())
-        else:
-            outs.append(_rollout(first.policy, first.horizon, gaps, model, draws).reshape(k, -1))
+    kept = min(group.stop * _BLOCK, first.replicates) - group.start * _BLOCK
+    arms = isinstance(getattr(first, "policy", None), UniformRandom)
+    draws = _draw(first.seed, group, rows, per, arms, kept if len(group) == 1 else _BLOCK)
+    model = next(draws)
     # the replicates past R that a group of blocks rolled out are dropped here
-    kept = min(blocks.stop * _BLOCK, first.replicates) - blocks.start * _BLOCK
-    model = np.concatenate(models)[:kept]
-    if estimation:
-        noise = np.concatenate(outs)[:kept]
-        return [_estimate(config, model, noise) for config in configs]
-    n1 = np.concatenate(outs, axis=1)[:, :kept]
-    regret = _regret(gaps, first.horizon, model, n1)
+    if isinstance(first, EstimationConfig):
+        noise = _noise_mean(rows, model.shape, draws).ravel()[:kept]
+        return [_estimate(config, model.ravel()[:kept], noise) for config in configs]
+    gaps, row_gap = np.unique([config.gap for config in configs], return_inverse=True)
+    n1 = _rollout(first.policy, first.horizon, gaps, model, draws).reshape(len(gaps), -1)[:, :kept]
+    regret = _regret(gaps, first.horizon, model.ravel()[:kept], n1)
     return [regret[g] for g in row_gap]
+
+
+def _alone(config: BanditConfig | EstimationConfig) -> np.ndarray:
+    """(reps,) losses of one config, group by group, in this process."""
+    return np.concatenate([_pass_losses([config], group)[0] for group in _groups([config])])
 
 
 def _threads() -> int:
@@ -510,17 +526,27 @@ def _threads() -> int:
         return threading.active_count()
 
 
-def _workers(passes: Sequence[BanditConfig | EstimationConfig]) -> int:
-    """Processes that draw and roll out the passes, given one config of
-    each: one per usable CPU, as far as each gets _WORK_PER_WORKER and a
-    block of some pass, and 1 where the process may not fork: no os.fork or
-    CPU affinity, or a second OS thread, which could hold a lock that the
-    child would never see released."""
+def _workers(costs: Sequence[int]) -> int:
+    """Processes that roll out groups of these costs (`_cost`): one per
+    usable CPU, as far as each gets _WORK_PER_WORKER and a group, and 1
+    where the process may not fork: no os.fork or CPU affinity, or a second
+    OS thread, which could hold a lock that the child would never see
+    released."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or _threads() > 1:
         return 1
-    work = sum(config.replicates * _reads(config)[0] for config in passes)
-    blocks = max((len(_blocks(config.replicates)) for config in passes), default=1)
-    return max(1, min(len(os.sched_getaffinity(0)), work // _WORK_PER_WORKER, blocks))
+    return max(1, min(len(os.sched_getaffinity(0)), sum(costs) // _WORK_PER_WORKER, len(costs)))
+
+
+def _deal(costs: Sequence[int], workers: int) -> list[int]:
+    """The worker of each group: largest cost first, each to the least
+    loaded worker, the lowest-numbered of a tie (longest processing time
+    first; Graham, SIAM J. Appl. Math. 1969).  Worker 0 takes the largest,
+    and as every cost is positive, each worker gets a group."""
+    loads, owners = [0] * workers, [0] * len(costs)
+    for i in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+        owners[i] = worker = loads.index(min(loads))
+        loads[worker] += costs[i]
+    return owners
 
 
 def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[SampleSet]:
@@ -532,25 +558,34 @@ def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[
     is drawn once for all its estimators and separations.  Every sample
     equals that of simulating its config alone.
 
-    Each pass's blocks are split into one consecutive range per worker
-    (`_workers`).  The process forks the other workers once, works the last
-    range of every pass itself, and any range whose fork failed, and reaps
-    every child before it returns or raises.  A failed child writes its
-    traceback to stderr, and a child whose caller is gone stops at its next
-    pass.  Workers write their losses into one shared anonymous mapping;
-    a replicate's draws depend only on (seed, replicate), so no byte changes.
+    Each pass is cut into its groups of blocks (`_groups`), and whole groups
+    are dealt to the workers (`_workers`) by their cost (`_deal`).  The
+    process forks the other workers once, works the groups of worker 0,
+    the largest group among them, and those of any worker whose fork
+    failed, and reaps every child before it returns or raises.  A failed
+    child writes its traceback to stderr, and a child whose caller is gone
+    stops at its next group.  Workers write their losses into one shared
+    anonymous mapping; a replicate's draws depend only on (seed,
+    replicate), so no byte changes.
     """
     passes: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
         passes.setdefault(_pass_key(config), []).append(i)
-    groups = [[configs[i] for i in members] for members in passes.values()]
-    workers = _workers([group[0] for group in groups])
+    members = [[configs[i] for i in indices] for indices in passes.values()]
     # one (members, replicates) table of losses per pass; the mapping is
     # released with the last array that views it
-    sizes = [len(group) * group[0].replicates for group in groups]
+    sizes = [len(pass_configs) * pass_configs[0].replicates for pass_configs in members]
     flat = np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), dtype=float)
     parts = np.split(flat, np.cumsum(sizes)[:-1])
-    tables = [part.reshape(len(group), -1) for part, group in zip(parts, groups)]
+    tables = [part.reshape(len(pass_configs), -1) for part, pass_configs in zip(parts, members)]
+    groups = [
+        (pass_configs, group, table)
+        for pass_configs, table in zip(members, tables)
+        for group in _groups(pass_configs)
+    ]
+    costs = [_cost(pass_configs, group) for pass_configs, group, _ in groups]
+    workers = _workers(costs)
+    owners = _deal(costs, workers)
     if workers > 1:
         # loads numpy.random, which the children then inherit rather than
         # each import it anew
@@ -559,26 +594,25 @@ def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[
     caller = os.getpid()
 
     def work(worker: int) -> None:
-        for group, table in zip(groups, tables):
+        for (pass_configs, group, table), owner in zip(groups, owners):
+            if owner != worker:
+                continue
             if os.getpid() != caller and os.getppid() != caller:
                 os._exit(1)  # the caller is gone, and nothing reads the losses
-            blocks = _blocks(group[0].replicates)
-            share = blocks[worker * len(blocks) // workers : (worker + 1) * len(blocks) // workers]
-            if share:
-                start = share.start * _BLOCK
-                for row, losses in zip(table, _pass_losses(group, share)):
-                    row[start : start + losses.size] = losses
+            start = group.start * _BLOCK
+            for row, losses in zip(table, _pass_losses(pass_configs, group)):
+                row[start : start + losses.size] = losses
 
     pids = []
-    # the last range of a pass is never empty, so the process draws from
-    # every pass, and what fails in every draw fails in it, as it raised
-    own = [workers - 1]
+    # worker 0 holds the largest group, so what fails in every draw fails
+    # in this process, as it raised
+    own = [0]
     try:
-        for worker in range(workers - 1):
+        for worker in range(1, workers):
             try:
                 pid = os.fork()
             except OSError:  # no process to spare: the caller works the rest
-                own += range(worker, workers - 1)
+                own += range(worker, workers)
                 break
             if pid == 0:  # a child leaves only here, so it flushes no buffer
                 code = 1
@@ -606,8 +640,8 @@ def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[
             " (-N: ended by signal N); one that raised wrote its traceback to stderr"
         )
     samples: list[SampleSet | None] = [None] * len(configs)
-    for members, table in zip(passes.values(), tables):
-        for i, row in zip(members, table):
+    for indices, table in zip(passes.values(), tables):
+        for i, row in zip(indices, table):
             samples[i] = SampleSet(row)
     return samples
 

@@ -605,7 +605,8 @@ def test_tail_stderr_is_calibrated_against_an_exact_law():
         exact = exact_cvar(law, level)
         z = []
         for _ in range(trials):
-            emp, stderr, _ = _tail_stats(SampleSet(gap * rng.binomial(horizon, 0.5, size=count)), level)
+            sample = SampleSet(gap * rng.binomial(horizon, 0.5, size=count))
+            emp, stderr, _ = _tail_stats(sample, level, None, gap * horizon)
             z.append((emp - exact) / stderr)
         assert 0.85 <= np.std(z, ddof=1) <= 1.15, alpha
 
@@ -615,9 +616,10 @@ def test_tail_stderr_does_not_underflow_at_tiny_losses():
     # taken at a power-of-two scale, so it scales with the losses exactly
     values = np.random.default_rng(1).exponential(size=400)
     level = RiskLevel(0.5)
-    _, stderr, slack = _tail_stats(SampleSet(values), level)
+    _, stderr, slack = _tail_stats(SampleSet(values), level, None, values.max())
     for e in (-700, -400, 400):
-        _, scaled_stderr, scaled_slack = _tail_stats(SampleSet(np.ldexp(values, e)), level)
+        scaled = np.ldexp(values, e)
+        _, scaled_stderr, scaled_slack = _tail_stats(SampleSet(scaled), level, None, scaled.max())
         assert (scaled_stderr, scaled_slack) == (math.ldexp(stderr, e), math.ldexp(slack, e))
 
 
@@ -627,17 +629,56 @@ def test_a_sample_of_one_value_takes_its_slack_from_the_exact_law():
     law = DiscreteLossDistribution([(0.0, 0.55), (0.2, 0.45)])
     level = RiskLevel(0.9)
     zeros = SampleSet(np.zeros(11))
-    emp, stderr, slack = _tail_stats(zeros, level, law)
+    emp, stderr, slack = _tail_stats(zeros, level, law, 0.2)
     assert emp == 0.0
     assert stderr == pytest.approx(0.2 * math.sqrt(0.45 * 0.55) / (0.1 * math.sqrt(11)), rel=1e-12)
     assert slack == 5.0 * stderr
     # at a tiny scale the law's sd scales exactly, its squares taken scaled
     tiny = DiscreteLossDistribution([(0.0, 0.55), (math.ldexp(0.2, -1000), 0.45)])
-    assert _tail_stats(zeros, level, tiny) == (0.0, math.ldexp(stderr, -1000), math.ldexp(slack, -1000))
-    # no law, or a sample with spread, keeps the sample's own error
-    assert _tail_stats(zeros, level) == (0.0, 0.0, 0.0)
+    assert _tail_stats(zeros, level, tiny, math.ldexp(0.2, -1000)) == (
+        0.0, math.ldexp(stderr, -1000), math.ldexp(slack, -1000)
+    )
+    # with no law, half the loss cap bounds the sd of any loss in [0, l_max]
+    emp, stderr, slack = _tail_stats(zeros, level, None, 0.2)
+    assert emp == 0.0 and stderr == pytest.approx(0.1 / (0.1 * math.sqrt(11)), rel=1e-12) and slack == 5.0 * stderr
+    # a sample with spread keeps its own error, law or none
     spread = SampleSet(np.array([0.0] * 9 + [0.2] * 2))
-    assert _tail_stats(spread, level, law) == _tail_stats(spread, level)
+    assert _tail_stats(spread, level, law, 0.2) == _tail_stats(spread, level, None, 0.2)
+
+
+def test_a_sample_of_one_value_without_an_exact_law_takes_half_the_loss_cap():
+    # at delta = 0.01 and n = 1 the sample mean misses theta by 2 delta or
+    # more with probability 0.984: all 11 of seed 0's losses are clipped to
+    # 2 delta, and the row's standard error is (2 delta / 2) / (0.1 sqrt 11),
+    # not the 0 its sample shows
+    config = ExperimentConfig(
+        kind=ExperimentKind.SIMULATE,
+        alphas=(0.9,),
+        n=1,
+        delta=0.01,
+        estimators=(Estimator.SAMPLE_MEAN,),
+        replicates=11,
+        seed=0,
+    )
+    (sim_config,) = [case[-1] for case in experiments._cases(config)]
+    assert sim.exact_loss_law(sim_config) is None
+    assert set(sim.run_estimation(sim_config)) == {0.02}
+    (row,) = run_experiment(config).rows
+    assert row.stderr == pytest.approx(0.01 / (0.1 * math.sqrt(11)), rel=1e-12) and row.mc_slack == 5.0 * row.stderr
+    # explore-then-commit at tau = T / 2 has no law here, and regret g tau
+    # every time: the slack errs wide, as the cap bounds any law's spread
+    config = ExperimentConfig(
+        kind=ExperimentKind.SIMULATE,
+        alphas=(0.5,),
+        horizon=8,
+        gap=0.25,
+        policies=(ExploreThenCommit(tau=4),),
+        replicates=11,
+        seed=0,
+    )
+    (row,) = run_experiment(config).rows
+    assert row.empirical_cvar == 1.0 and row.stderr == pytest.approx(1.0 / (0.5 * math.sqrt(11)), rel=1e-12)
+    assert row.dominated
 
 
 def test_exact_law_below_the_bound_fails_at_any_scale(monkeypatch):
@@ -835,10 +876,11 @@ def test_verify_rolls_out_each_policy_once_per_group(monkeypatch, tmp_path, elem
 
 @pytest.mark.parametrize("replicates, forks", [(60, 0), (300, 0), (1000, 1)])
 def test_verify_forks_a_worker_only_for_enough_work(monkeypatch, tmp_path, replicates, forks):
-    # the default battery reads 1170 rows a replicate: the uniform policy's
-    # T, explore-then-commit's 2 tau, UCB's T, Thompson's 3T and the
-    # estimation's n: with two usable CPUs a second worker is forked only
-    # where each gets sim._WORK_PER_WORKER of them
+    # the default battery costs 4,770 a block (sim._cost): the rows read by
+    # the uniform policy (T), explore-then-commit (2 tau), UCB (T), Thompson
+    # (3T) and the estimation (n), plus T rounds x 9 gaps each for UCB and
+    # Thompson: with two usable CPUs a second worker is forked only where
+    # each gets sim._WORK_PER_WORKER of it, at 4 blocks and not at 1 or 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     calls, fork = [], os.fork
 

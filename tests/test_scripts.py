@@ -46,9 +46,11 @@ def _bench_pairs():
     return module
 
 
-def _run_lines(wall, rss, failed=0, sha="ab"):
-    # the last two lines bench/run.py prints: details, then the result
-    details = {"workload": "closed-forms", "sha256": sha, "failed": failed}
+def _run_lines(wall, rss, failed=0, sha="ab", raw=None):
+    # the last two lines bench/run.py prints: details, then the result; the
+    # raw wall time is the rescaled one unless given
+    raw_wall = {"median": wall if raw is None else raw, "q1": 0.0, "q3": 1.0}
+    details = {"workload": "closed-forms", "sha256": sha, "failed": failed, "end_to_end": {"wall_s": raw_wall}}
     result = {
         "correct": failed == 0,
         "attempted": 100,
@@ -70,7 +72,9 @@ def test_bench_pairs_summary():
             bench_pairs.parse_run(_run_lines(w, 66.0)),
             # the change wins 9 of 10 pairs on wall time, and ties every rss
             bench_pairs.parse_run(
-                _run_lines(w - 0.1 if i else w + 0.01, 66.0, failed=int(i == 3), sha="cd" if i == 5 else "ab")
+                _run_lines(
+                    w - 0.1 if i else w + 0.01, 66.0, failed=int(i == 3), sha="cd" if i == 5 else "ab", raw=2 * w
+                )
             ),
         )
         for i, w in enumerate(ref_walls)
@@ -78,7 +82,7 @@ def test_bench_pairs_summary():
     wall, rss, ref_failed, change_failed, fingerprints = bench_pairs.summarize(pairs, end_to_end)
     assert wall == (
         "wall_norm_s (s, lower is better): ref 0.54 (0.515-0.565) -> change 0.45 (0.42-0.48), -16.7%,"
-        " change won 9/10, gain rule met, bound 0.2: within bound"
+        " change won 9/10, gain rule met, raw wall_s ref 0.54 -> change 1.08 (+100.0%), bound 0.2: within bound"
     )
     assert "change won 0/10" in rss and "+0.0%" in rss
     assert rss.endswith("gain rule not met, bound 0.1: within bound")
@@ -96,7 +100,10 @@ def test_bench_pairs_summary():
     assert lines[0] == "verify-default, ref HEAD against the working tree:"
     assert lines[1:6] == [wall, rss, ref_failed, change_failed, fingerprints]
     assert lines[6] == "closed-forms, ref HEAD against the working tree:"
-    assert lines[7].endswith("change won 0/1, gain rule not met, bound 0.2: within bound") and len(lines) == 12
+    assert lines[7].endswith(
+        "change won 0/1, gain rule not met, raw wall_s ref 0.5 -> change 1 (+100.0%), bound 0.2: within bound"
+    )
+    assert len(lines) == 12
 
 
 def _verdict(ref_walls, change_walls, better="lower"):

@@ -12,12 +12,15 @@ import tracemalloc
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     _reference_rollout, mc_transcript_kl, sign_law_from_atoms, transcript_draws, uniform_law_from_atoms
 )
 
-from cvarbounds import sim
+from cvarbounds import experiments, sim
 from cvarbounds.bounds import bandit_bound, optimal_gap
+from cvarbounds.cli import _config_from_args, build_parser
 from cvarbounds.cli import main as cli_main
 from cvarbounds.errors import DomainError
 from cvarbounds.experiments import parse_policy
@@ -679,15 +682,19 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-# three workers take one block of each pass, two take one and two; n = 9 and
-# 40 end inside and past a strip, and a strip of 1 row reads Thompson's
-# rounds of 3 rows whole
-@pytest.mark.parametrize("cpus", [2, 3])
+# each pass is one group, or is cut into a group of each block (the
+# estimation into two), dealt to two, three or four workers; n = 9 and 40
+# end inside and past a strip, and a strip of 1 row reads Thompson's rounds
+# of 3 rows whole
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+@pytest.mark.parametrize("elements", [None, 2 * 256])
 @pytest.mark.parametrize("strip", [None, 7, 1])
 @pytest.mark.parametrize("n", [9, 40])
-def test_forked_workers_give_the_serial_losses(monkeypatch, cpus, strip, n):
+def test_forked_workers_give_the_serial_losses(monkeypatch, cpus, elements, strip, n):
     configs = _battery(n)
     serial = simulate_shared(configs)
+    if elements is not None:
+        monkeypatch.setattr(sim, "_ROLLOUT_ELEMENTS", elements)
     if strip is not None:
         monkeypatch.setattr(sim, "_STRIP_ROWS", strip)
     forks = _fork_for_any_work(monkeypatch, cpus)
@@ -698,17 +705,104 @@ def test_forked_workers_give_the_serial_losses(monkeypatch, cpus, strip, n):
         assert np.array_equal(one.values, other.values), config
 
 
-def test_workers_never_outnumber_the_blocks(monkeypatch):
-    # workers take whole blocks: 300 replicates are 2 blocks, so three
-    # usable CPUs fork one worker, not two with one of them idle
+def test_workers_never_outnumber_the_groups(monkeypatch):
+    # workers take whole groups: the battery's six passes of 300 replicates
+    # are one group each, so eight usable CPUs fork five workers, not seven
+    # with two of them idle, and a pass of one group forks none
     configs = _battery(9, replicates=300)
     serial = simulate_shared(configs)
-    forks = _fork_for_any_work(monkeypatch)
+    forks = _fork_for_any_work(monkeypatch, cpus=8)
     forked = simulate_shared(configs)
-    assert len(forks) == 1
+    assert len(forks) == 5
+    assert np.array_equal(simulate_shared(configs[:2])[0].values, serial[0].values)
+    assert len(forks) == 5
     _assert_no_child_left()
     for one, other, config in zip(serial, forked, configs):
         assert np.array_equal(one.values, other.values), config
+
+
+def _pass_name(configs):
+    first = configs[0]
+    return first.policy.name if isinstance(first, BanditConfig) else "estimation"
+
+
+def _worked_groups(monkeypatch, configs):
+    """Run simulate_shared on the configs, and return each process's worked
+    groups, each as (pass name, first block, blocks), by process id."""
+    read, write = os.pipe()
+    pass_losses = sim._pass_losses
+
+    def recorded(pass_configs, group):
+        os.write(write, f"{os.getpid()} {_pass_name(pass_configs)} {group.start} {len(group)}\n".encode())
+        return pass_losses(pass_configs, group)
+
+    monkeypatch.setattr(sim, "_pass_losses", recorded)
+    try:
+        simulate_shared(configs)
+    finally:
+        os.close(write)
+    with os.fdopen(read, "rb") as lines:
+        worked = [line.split() for line in lines]
+    by_process = {}
+    for pid, name, start, blocks in worked:
+        by_process.setdefault(int(pid), []).append((name.decode(), int(start), int(blocks)))
+    return by_process
+
+
+# the default verify battery at 1,000 replicates: each pass is one group of
+# 4 blocks, costing 2,400, 2,000, 200, 100 and 70 a block
+@pytest.mark.parametrize(
+    "cpus, shares",
+    [
+        (2, [{"thompson"}, {"uniform", "etc", "ucb", "estimation"}]),
+        (3, [{"thompson"}, {"ucb"}, {"uniform", "etc", "estimation"}]),
+    ],
+)
+def test_the_default_battery_deals_its_largest_group_to_the_caller(monkeypatch, cpus, shares):
+    assert sim._threads() == 1, "a second thread runs, so simulate_shared would not fork (see conftest.py)"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    args = build_parser().parse_args(["verify", "--replicates", "1000"])
+    configs = [case[-1] for case in experiments._cases(_config_from_args(args))]
+    by_process = _worked_groups(monkeypatch, configs)
+    _assert_no_child_left()
+    worked = [group for groups in by_process.values() for group in groups]
+    names = ("uniform", "etc", "ucb", "thompson", "estimation")
+    assert sorted(worked) == sorted((name, 0, 4) for name in names)
+    assert {name for name, *_ in by_process.pop(os.getpid())} == shares[0]
+    children = [{name for name, *_ in groups} for groups in by_process.values()]
+    assert sorted(map(sorted, children)) == sorted(map(sorted, shares[1:]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=40), st.integers(1, 8))
+def test_each_group_is_dealt_to_one_worker_and_the_largest_to_the_caller(costs, workers):
+    workers = min(workers, len(costs))
+    owners = sim._deal(costs, workers)
+    # every group has one worker, every worker a group, and worker 0, the
+    # calling process, the largest: what fails in every draw fails there
+    assert len(owners) == len(costs) and set(owners) == set(range(workers))
+    assert owners[costs.index(max(costs))] == 0
+    # within list scheduling's bound: no worker gets more than an even
+    # share and one group
+    loads = [sum(cost for cost, owner in zip(costs, owners) if owner == worker) for worker in range(workers)]
+    assert max(loads) <= sum(costs) / workers + max(costs)
+
+
+def test_groups_are_worked_once_each_however_a_pass_is_cut(monkeypatch):
+    # three blocks a pass, cut into a group of each block (the estimation
+    # into two), dealt to three workers: each group is worked once
+    configs = _battery(9)
+    monkeypatch.setattr(sim, "_ROLLOUT_ELEMENTS", 2 * 256)
+    _fork_for_any_work(monkeypatch)
+    by_process = _worked_groups(monkeypatch, configs)
+    _assert_no_child_left()
+    assert len(by_process) == 3
+    worked = [group for groups in by_process.values() for group in groups]
+    names = ("uniform", "etc", "ucb", "thompson", "ucb")
+    groups = [(name, block, 1) for name in names for block in range(3)] + [("estimation", 0, 2), ("estimation", 2, 1)]
+    assert sorted(worked) == sorted(groups)
+    # the caller holds one of Thompson's groups, the largest
+    assert ("thompson", 0, 1) in by_process[os.getpid()]
 
 
 class _Failed(Exception):
@@ -751,7 +845,7 @@ def test_a_failed_worker_fails_the_call_and_leaves_no_child(monkeypatch, capfd, 
 
 
 @pytest.mark.parametrize("forked", [0, 1])
-def test_a_refused_fork_leaves_its_ranges_to_the_caller(monkeypatch, forked):
+def test_a_refused_fork_leaves_its_groups_to_the_caller(monkeypatch, forked):
     # a fork refused for want of processes or memory costs a worker, not the call
     configs = _battery(9)
     serial = simulate_shared(configs)
@@ -781,9 +875,10 @@ def _running(pid):
 
 def test_a_worker_whose_caller_is_killed_stops(monkeypatch):
     # a timeout that SIGKILLs the calling process alone leaves its children
-    # to their parent's next pass, where they stop rather than draw on: each
-    # child's 4 s draws of its one block of 6 passes would otherwise run on
-    # for 20 s after the kill
+    # to their parent's next group, where they stop rather than draw on: the
+    # battery's passes cut into 17 groups give each child five or six, whose
+    # 4 s draws would otherwise run on for 16 s or more after the kill
+    monkeypatch.setattr(sim, "_ROLLOUT_ELEMENTS", 2 * 256)
     _fork_for_any_work(monkeypatch)
     test, draw = os.getpid(), sim._draw
     read, write = os.pipe()
