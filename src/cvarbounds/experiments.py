@@ -318,7 +318,6 @@ class _Subject:
     problem_of: Callable[[Any, Any], str | None]  # (size, variant) -> why it cannot run, or None
     optimum: Callable[[int, RiskLevel], float]  # (size, level) -> worst-case parameter
     bound: Callable[[int, float, RiskLevel], BoundResult]  # (size, parameter, level)
-    loss_cap: Callable[[int, float], float]  # (size, parameter) -> l_max, the largest loss
     sim_config: type[BanditConfig] | type[EstimationConfig]
 
 
@@ -333,7 +332,6 @@ _BANDIT = _Subject(
     problem_of=lambda horizon, policy: _policy_problem(policy, horizon),
     optimum=lambda horizon, level: optimal_gap(horizon, level)[0],
     bound=lambda horizon, g, level: bandit_bound(g, horizon, level),
-    loss_cap=lambda horizon, g: g * horizon,
     sim_config=BanditConfig,
 )
 
@@ -348,7 +346,6 @@ _ESTIMATION = _Subject(
     problem_of=lambda n, estimator: _estimator_problem(estimator),
     optimum=lambda n, level: optimal_separation(n, level)[0],
     bound=lambda n, delta, level: estimation_bound(n, delta, level),
-    loss_cap=lambda n, delta: 2.0 * delta,
     sim_config=EstimationConfig,
 )
 
@@ -514,7 +511,12 @@ def _battery_rows(config: ExperimentConfig, cases: list[tuple]) -> list[Experime
             }
             name = f"{vname}:{name}" if qualify else name
             law = exact_loss_law(sim_config)
-            emp, stderr, slack = _tail_stats(case_samples, level, law, subject.loss_cap(size, value))
+            # l_max, the largest loss: gT for the bandit, 2 delta for the estimation
+            if isinstance(sim_config, BanditConfig):
+                l_max = sim_config.gap * sim_config.horizon
+            else:
+                l_max = 2.0 * sim_config.delta
+            emp, stderr, slack = _tail_stats(case_samples, level, law, l_max)
             exact = None if law is None else exact_cvar(law, level)
         rows.append(
             ExperimentRow(

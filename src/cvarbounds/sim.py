@@ -39,13 +39,14 @@ sum.  Explore-then-commit needs only its 2 tau exploration rounds, since
 their two sums decide its commit, and the uniform policy needs none: its
 arm-1 pull counts are summed from its arm draws.  A simulation keeps only
 each replicate's loss, and no transcript is recorded.  A call's passes are
-cut into their groups of blocks, and whole groups are dealt to forked worker
-processes by their cost, largest first (`simulate_shared`), with every byte
-unchanged.
+cut into their groups of blocks, cut finer where they are fewer than the
+workers, and whole groups are dealt to forked worker processes by their
+cost, largest first (`simulate_shared`), with every byte unchanged.
 
 `exact_loss_law` gives a config's loss law in closed form where one is
-known: the uniform policy up to a horizon cap, the sign-commit estimator and
-the always-zero estimator.
+known: the uniform policy up to a horizon cap, explore-then-commit whose
+exploration fills the horizon, the sign-commit estimator and the always-zero
+estimator.
 """
 
 from __future__ import annotations
@@ -111,10 +112,10 @@ _STRIP_ROWS = 64
 _ROLLOUT_ELEMENTS = 9 * 2048
 
 # work (`_cost`) that each worker process must get before simulate_shared
-# forks one: the T = 200 verify battery's 4,770 a block keep it serial at
-# 300 replicates (2 blocks), where a fork costs about what it saves, and give
-# it two workers at 1,000 (4 blocks)
-_WORK_PER_WORKER = 6_000
+# forks one, about 25 ms: the T = 200 verify battery's 103,210 a block keep
+# it serial at 300 replicates (2 blocks), where a fork costs about what it
+# saves, and give it two workers at 1,000 (4 blocks)
+_WORK_PER_WORKER = 125_000
 
 
 class Estimator(Enum):
@@ -461,13 +462,19 @@ def run_bandit(config: BanditConfig) -> np.ndarray:
 # ------------------------------------------------------------------ passes
 
 
+def _gaps(configs: Sequence[BanditConfig]) -> tuple[np.ndarray, np.ndarray]:
+    """A bandit pass's distinct gaps, ascending, and each config's index
+    among them."""
+    return np.unique([config.gap for config in configs], return_inverse=True)
+
+
 def _width(configs: Sequence[BanditConfig | EstimationConfig]) -> int:
     """k, the rows of a pass's (k, G, 256) rollout state: its distinct
-    gaps, or 1 for an estimation, whose configs all run on the one noise
-    mean."""
+    gaps (`_gaps`), or 1 for an estimation, whose configs all run on the
+    one noise mean."""
     if isinstance(configs[0], EstimationConfig):
         return 1
-    return len({config.gap for config in configs})
+    return len(_gaps(configs)[0])
 
 
 def _groups(configs: Sequence[BanditConfig | EstimationConfig]) -> list[range]:
@@ -480,14 +487,22 @@ def _groups(configs: Sequence[BanditConfig | EstimationConfig]) -> list[range]:
 
 
 def _cost(configs: Sequence[BanditConfig | EstimationConfig], group: range) -> int:
-    """The work of rolling a pass out over a group: its blocks x (rows read,
-    plus rounds x gaps for UCB and Thompson, whose index arithmetic runs
-    over every gap each round).  At the default verify battery a block
-    costs 2,400 for Thompson, 2,000 for UCB, 200 for the uniform policy, 100
-    for the estimation and 70 for explore-then-commit."""
-    rows, per = _reads(configs[0])
-    lockstep = isinstance(getattr(configs[0], "policy", None), (UCB, ThompsonGaussian))
-    return len(group) * (rows + (rows // per * _width(configs) if lockstep else 0))
+    """The time of rolling a pass out over a group, in array operations on
+    one gap's (256,) state: per block 1,000 to set the stream up, 25 a row
+    of normals and 3 a row of arm draws, and per round and gap 20
+    operations for UCB and Thompson, 2 for explore-then-commit and 1 for an
+    estimation's noise sum.  At the default verify battery (T = 200, 9
+    gaps, n = 100) a block costs 52,000 for Thompson, 42,000 for UCB, 4,010
+    for explore-then-commit, 3,600 for the estimation and 1,600 for the
+    uniform policy; timed at 50,000 replicates on a 2-CPU Xeon VM, every
+    pass took 0.19 to 0.22 us a unit."""
+    first = configs[0]
+    rows, per = _reads(first)
+    policy = getattr(first, "policy", None)
+    if isinstance(policy, UniformRandom):
+        return len(group) * (1_000 + 3 * rows)
+    ops = 1 if isinstance(first, EstimationConfig) else 20 if isinstance(policy, (UCB, ThompsonGaussian)) else 2
+    return len(group) * (1_000 + 25 * rows + ops * rows // per * _width(configs))
 
 
 def _pass_losses(configs: Sequence[BanditConfig | EstimationConfig], group: range) -> list[np.ndarray]:
@@ -505,7 +520,7 @@ def _pass_losses(configs: Sequence[BanditConfig | EstimationConfig], group: rang
     if isinstance(first, EstimationConfig):
         noise = _noise_mean(rows, model.shape, draws).ravel()[:kept]
         return [_estimate(config, model.ravel()[:kept], noise) for config in configs]
-    gaps, row_gap = np.unique([config.gap for config in configs], return_inverse=True)
+    gaps, row_gap = _gaps(configs)
     n1 = _rollout(first.policy, first.horizon, gaps, model, draws).reshape(len(gaps), -1)[:, :kept]
     regret = _regret(gaps, first.horizon, model.ravel()[:kept], n1)
     return [regret[g] for g in row_gap]
@@ -526,15 +541,31 @@ def _threads() -> int:
         return threading.active_count()
 
 
-def _workers(costs: Sequence[int]) -> int:
-    """Processes that roll out groups of these costs (`_cost`): one per
-    usable CPU, as far as each gets _WORK_PER_WORKER and a group, and 1
-    where the process may not fork: no os.fork or CPU affinity, or a second
-    OS thread, which could hold a lock that the child would never see
-    released."""
+def _workers(work: int) -> int:
+    """Processes that share this much work (`_cost`): one per usable CPU,
+    as far as each gets _WORK_PER_WORKER, and 1 where the process may not
+    fork: no os.fork or CPU affinity, or a second OS thread, which could
+    hold a lock that the child would never see released."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or _threads() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), sum(costs) // _WORK_PER_WORKER, len(costs)))
+    return max(1, min(len(os.sched_getaffinity(0)), work // _WORK_PER_WORKER))
+
+
+def _split(pieces: list[tuple], workers: int) -> list[tuple]:
+    """The (configs, group, ...) pieces of a call's passes, the costliest
+    of more than one block cut in two, until there are `workers` of them or
+    each is one block.  A whole group rolls out fastest, but a worker left
+    without one would idle: a call of one pass would run in one process."""
+    pieces = list(pieces)
+    while len(pieces) < workers:
+        cuttable = [i for i, (configs, group, *_) in enumerate(pieces) if len(group) > 1]
+        if not cuttable:
+            break
+        i = max(cuttable, key=lambda i: _cost(*pieces[i][:2]))
+        configs, group, *rest = pieces[i]
+        half = (len(group) + 1) // 2
+        pieces[i : i + 1] = [(configs, group[:half], *rest), (configs, group[half:], *rest)]
+    return pieces
 
 
 def _deal(costs: Sequence[int], workers: int) -> list[int]:
@@ -558,8 +589,9 @@ def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[
     is drawn once for all its estimators and separations.  Every sample
     equals that of simulating its config alone.
 
-    Each pass is cut into its groups of blocks (`_groups`), and whole groups
-    are dealt to the workers (`_workers`) by their cost (`_deal`).  The
+    Each pass is cut into its groups of blocks (`_groups`), groups fewer
+    than the workers (`_workers`) are cut finer (`_split`), and whole
+    groups are dealt to the workers by their cost (`_deal`).  The
     process forks the other workers once, works the groups of worker 0,
     the largest group among them, and those of any worker whose fork
     failed, and reaps every child before it returns or raises.  A failed
@@ -583,9 +615,10 @@ def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[
         for pass_configs, table in zip(members, tables)
         for group in _groups(pass_configs)
     ]
-    costs = [_cost(pass_configs, group) for pass_configs, group, _ in groups]
-    workers = _workers(costs)
-    owners = _deal(costs, workers)
+    workers = _workers(sum(_cost(pass_configs, group) for pass_configs, group, _ in groups))
+    groups = _split(groups, workers)
+    workers = min(workers, len(groups))
+    owners = _deal([_cost(pass_configs, group) for pass_configs, group, _ in groups], workers)
     if workers > 1:
         # loads numpy.random, which the children then inherit rather than
         # each import it anew
@@ -698,12 +731,17 @@ def exact_sign_estimator_law(n: int, delta: float) -> DiscreteLossDistribution:
 def exact_loss_law(config: BanditConfig | EstimationConfig) -> DiscreteLossDistribution | None:
     """The config's loss law in closed form, or None where none is known.
 
-    Known laws: the uniform policy up to horizon _MAX_EXACT_HORIZON, the
-    sign-commit estimator, and the always-zero estimator.
+    Known laws: the uniform policy up to horizon _MAX_EXACT_HORIZON,
+    explore-then-commit whose exploration fills the horizon, the sign-commit
+    estimator, and the always-zero estimator.
     """
     if isinstance(config, BanditConfig):
-        if isinstance(config.policy, UniformRandom) and config.horizon <= _MAX_EXACT_HORIZON:
-            return exact_uniform_bandit_law(config.gap, config.horizon)
+        policy, horizon = config.policy, config.horizon
+        if isinstance(policy, UniformRandom) and horizon <= _MAX_EXACT_HORIZON:
+            return exact_uniform_bandit_law(config.gap, horizon)
+        if isinstance(policy, ExploreThenCommit) and 2 * (tau := resolve_tau(policy, horizon)) == horizon:
+            # tau pulls of the worse arm under either model, with certainty
+            return DiscreteLossDistribution._from_columns((config.gap * tau,), (1.0,))
         return None
     if config.estimator is Estimator.SIGN_COMMIT:
         return exact_sign_estimator_law(config.n, config.delta)

@@ -638,6 +638,20 @@ def test_a_sample_of_one_value_takes_its_slack_from_the_exact_law():
     assert _tail_stats(zeros, level, tiny, math.ldexp(0.2, -1000)) == (
         0.0, math.ldexp(stderr, -1000), math.ldexp(slack, -1000)
     )
+    # explore-then-commit at tau = T / 2 has regret g tau every time: its
+    # one-atom exact law gives it no slack, where half the loss cap would give it 5 sd
+    config = ExperimentConfig(
+        kind=ExperimentKind.SIMULATE,
+        alphas=(0.5,),
+        horizon=8,
+        gap=0.25,
+        policies=(ExploreThenCommit(tau=4),),
+        replicates=11,
+        seed=0,
+    )
+    (row,) = run_experiment(config).rows
+    assert row.empirical_cvar == row.exact_cvar == 1.0 and row.stderr == row.mc_slack == 0.0
+    assert row.dominated
     # with no law, half the loss cap bounds the sd of any loss in [0, l_max]
     emp, stderr, slack = _tail_stats(zeros, level, None, 0.2)
     assert emp == 0.0 and stderr == pytest.approx(0.1 / (0.1 * math.sqrt(11)), rel=1e-12) and slack == 5.0 * stderr
@@ -665,20 +679,6 @@ def test_a_sample_of_one_value_without_an_exact_law_takes_half_the_loss_cap():
     assert set(sim.run_estimation(sim_config)) == {0.02}
     (row,) = run_experiment(config).rows
     assert row.stderr == pytest.approx(0.01 / (0.1 * math.sqrt(11)), rel=1e-12) and row.mc_slack == 5.0 * row.stderr
-    # explore-then-commit at tau = T / 2 has no law here, and regret g tau
-    # every time: the slack errs wide, as the cap bounds any law's spread
-    config = ExperimentConfig(
-        kind=ExperimentKind.SIMULATE,
-        alphas=(0.5,),
-        horizon=8,
-        gap=0.25,
-        policies=(ExploreThenCommit(tau=4),),
-        replicates=11,
-        seed=0,
-    )
-    (row,) = run_experiment(config).rows
-    assert row.empirical_cvar == 1.0 and row.stderr == pytest.approx(1.0 / (0.5 * math.sqrt(11)), rel=1e-12)
-    assert row.dominated
 
 
 def test_exact_law_below_the_bound_fails_at_any_scale(monkeypatch):

@@ -8,6 +8,7 @@ import signal
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import oracles
@@ -399,6 +400,18 @@ def test_exact_loss_law_of_each_policy(horizon):
             assert law is None, policy.name
 
 
+@pytest.mark.parametrize("horizon, tau", [(8, None), (8, 4), (2, None), (9, 4), (8, 3)])
+def test_explore_then_commit_filling_the_horizon_has_a_one_atom_law(horizon, tau):
+    # with 2 tau = T it never commits: tau pulls of each arm, regret g tau
+    config = BanditConfig(horizon=horizon, gap=0.3, policy=ExploreThenCommit(tau), replicates=300, seed=0)
+    law = exact_loss_law(config)
+    if 2 * resolve_tau(config.policy, horizon) != horizon:
+        assert law is None
+        return
+    assert law.atoms == ((0.3 * (horizon // 2), 1.0),)
+    assert np.array_equal(run_bandit(config), np.full(300, law.values[0]))
+
+
 def test_exact_loss_law_of_each_estimator():
     laws = {
         estimator: exact_loss_law(EstimationConfig(n=9, delta=0.2, estimator=estimator, replicates=1, seed=0))
@@ -705,17 +718,21 @@ def test_forked_workers_give_the_serial_losses(monkeypatch, cpus, elements, stri
         assert np.array_equal(one.values, other.values), config
 
 
-def test_workers_never_outnumber_the_groups(monkeypatch):
-    # workers take whole groups: the battery's six passes of 300 replicates
-    # are one group each, so eight usable CPUs fork five workers, not seven
-    # with two of them idle, and a pass of one group forks none
+def test_workers_never_outnumber_the_blocks(monkeypatch):
+    # a call of fewer groups than CPUs has its groups cut down to blocks, so
+    # no CPU idles: the battery's six passes of 300 replicates are 12
+    # blocks, so eight usable CPUs fork seven workers; one pass of 2 blocks
+    # forks one, and one of a block none
     configs = _battery(9, replicates=300)
-    serial = simulate_shared(configs)
+    short = [replace(config, replicates=200) for config in configs[:2]]
+    serial, serial_short = simulate_shared(configs), simulate_shared(short)
     forks = _fork_for_any_work(monkeypatch, cpus=8)
     forked = simulate_shared(configs)
-    assert len(forks) == 5
+    assert len(forks) == 7
     assert np.array_equal(simulate_shared(configs[:2])[0].values, serial[0].values)
-    assert len(forks) == 5
+    assert len(forks) == 8
+    assert np.array_equal(simulate_shared(short)[0].values, serial_short[0].values)
+    assert len(forks) == 8
     _assert_no_child_left()
     for one, other, config in zip(serial, forked, configs):
         assert np.array_equal(one.values, other.values), config
@@ -750,7 +767,8 @@ def _worked_groups(monkeypatch, configs):
 
 
 # the default verify battery at 1,000 replicates: each pass is one group of
-# 4 blocks, costing 2,400, 2,000, 200, 100 and 70 a block
+# 4 blocks, costing 52,000 (Thompson), 42,000 (UCB), 4,010, 3,600 and 1,600
+# a block
 @pytest.mark.parametrize(
     "cpus, shares",
     [
@@ -771,6 +789,28 @@ def test_the_default_battery_deals_its_largest_group_to_the_caller(monkeypatch, 
     assert {name for name, *_ in by_process.pop(os.getpid())} == shares[0]
     children = [{name for name, *_ in groups} for groups in by_process.values()]
     assert sorted(map(sorted, children)) == sorted(map(sorted, shares[1:]))
+
+
+# `simulate --horizon 200 --gap optimal --policy thompson`: 10,000
+# replicates at one gap are one group of 40 blocks, costing 20,000 a block,
+# which is cut in halves until every worker has a piece
+@pytest.mark.parametrize(
+    "cpus, pieces",
+    [(2, [(0, 20), (20, 20)]), (3, [(0, 10), (10, 10), (20, 20)]), (4, [(0, 10), (10, 10), (20, 10), (30, 10)])],
+)
+def test_a_one_group_call_is_cut_for_every_worker(monkeypatch, cpus, pieces):
+    assert sim._threads() == 1, "a second thread runs, so simulate_shared would not fork (see conftest.py)"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    args = build_parser().parse_args(["simulate", "--horizon", "200", "--gap", "optimal", "--policy", "thompson"])
+    configs = [case[-1] for case in experiments._cases(_config_from_args(args))]
+    assert len(configs) == 1 and [len(group) for group in sim._groups(configs)] == [40]
+    by_process = _worked_groups(monkeypatch, configs)
+    _assert_no_child_left()
+    assert len(by_process) == cpus
+    worked = sorted((start, blocks) for groups in by_process.values() for _, start, blocks in groups)
+    assert worked == pieces
+    # the caller holds a largest piece
+    assert max(pieces, key=lambda piece: piece[1])[1] in {blocks for _, _, blocks in by_process[os.getpid()]}
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -801,8 +841,9 @@ def test_groups_are_worked_once_each_however_a_pass_is_cut(monkeypatch):
     names = ("uniform", "etc", "ucb", "thompson", "ucb")
     groups = [(name, block, 1) for name in names for block in range(3)] + [("estimation", 0, 2), ("estimation", 2, 1)]
     assert sorted(worked) == sorted(groups)
-    # the caller holds one of Thompson's groups, the largest
-    assert ("thompson", 0, 1) in by_process[os.getpid()]
+    # the caller holds the costliest group, the estimation's two blocks at
+    # 1,234 each (`_cost`), 2,468 against a Thompson block's 2,380
+    assert ("estimation", 0, 2) in by_process[os.getpid()]
 
 
 class _Failed(Exception):
