@@ -8,8 +8,9 @@ Row schema is pinned for downstream tooling: columns
 alpha, param_name, param_value, bound, t_star, empirical_cvar, exact_cvar,
 stderr, mc_slack, dominated.  Numeric cells are rendered with 12 significant
 digits, empty cells mean "not applicable", and `dominated` is the literal
-true/false.  Rendering is a pure function of the row tuple, so a fixed
-config and seed produce byte-identical files.
+true/false.  A report holds its table as columns, one per row field, and
+rendering is a pure function of them, so a fixed config and seed produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, get_args
@@ -69,7 +71,7 @@ _EXACT_SLACK = 1e-9
 # multiplier turning a tail standard error into Monte Carlo slack
 _SLACK_SIGMAS = 5.0
 
-# most rho steps a psi table may take (the rows are built as a list)
+# most rho steps a psi table may take (its columns are built in memory)
 _MAX_PSI_STEPS = 10**6
 
 # a psi grid keeps an endpoint that rounding puts this little (relative)
@@ -219,12 +221,29 @@ CSV_COLUMNS = tuple(ExperimentRow._fields[i] for i in _CSV_FIELDS)
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    rows: tuple[ExperimentRow, ...]
+    """A report's table as columns: one tuple per `ExperimentRow` field, in
+    field order, all of one length.  `render_csv` and `all_dominated` read
+    the columns; `rows` builds the row tuples on first read and keeps them,
+    since a row object apiece made long psi tables slow and large."""
+
+    columns: tuple[tuple, ...]
     metadata: Mapping[str, Any]
+
+    def __post_init__(self) -> None:
+        if len(self.columns) != len(ExperimentRow._fields) or len(set(map(len, self.columns))) > 1:
+            raise ValueError(f"a report needs {len(ExperimentRow._fields)} columns of one length")
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[ExperimentRow], metadata: Mapping[str, Any]) -> ExperimentReport:
+        return cls(tuple(zip(*rows)) or ((),) * len(ExperimentRow._fields), metadata)
+
+    @cached_property
+    def rows(self) -> tuple[ExperimentRow, ...]:
+        return tuple(map(ExperimentRow._make, zip(*self.columns)))
 
     @property
     def all_dominated(self) -> bool:
-        return all(row.dominated for row in self.rows)
+        return all(self.columns[ExperimentRow._fields.index("dominated")])
 
 
 def _tail_stats(
@@ -279,23 +298,23 @@ def _psi_steps(rho_max: float, rho_step: float) -> int:
 _BRANCH_PARAMS = {branch: MappingProxyType({"branch": branch.value}) for branch in Branch}
 
 
-def _psi_rows(config: ExperimentConfig) -> list[ExperimentRow]:
+def _psi_columns(config: ExperimentConfig) -> tuple[tuple, ...]:
+    """The psi table as report columns, built a tail level and a branch run
+    at a time; the fields after `bound` hold their defaults."""
     # exactly i * rho_step: each product of an index and the step rounds once
     rhos = np.arange(_psi_steps(config.rho_max, config.rho_step) + 1) * config.rho_step
-    rho_values = rhos.tolist()  # one float per point, shared by every level's rows
-    rows: list[ExperimentRow] = []
+    rho_values = tuple(rhos.tolist())  # one float per point, shared by every level's rows
+    alphas, params, bounds = [], [], []
     for alpha in config.alphas:
         level = RiskLevel(alpha)
-        start = 0
+        alphas += [level.alpha] * len(rho_values)
         for branch, values in _bound_factor_runs(level, rhos):
-            params, stop = _BRANCH_PARAMS[branch], start + len(values)
-            # positional: keyword arguments would add about a third to a row's cost
-            rows += [
-                ExperimentRow(level.alpha, "rho", rho, params, value)
-                for rho, value in zip(rho_values[start:stop], values.tolist())
-            ]
-            start = stop
-    return rows
+            params += [_BRANCH_PARAMS[branch]] * len(values)
+            bounds += values.tolist()
+    count = len(bounds)
+    table = (alphas, ("rho",) * count, rho_values * len(config.alphas), params, bounds)
+    defaults = ((ExperimentRow._field_defaults[name],) * count for name in ExperimentRow._fields[len(table):])
+    return (*map(tuple, table), *defaults)
 
 
 @dataclass(frozen=True)
@@ -540,7 +559,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Build the cases (`_cases`), dispatch on kind, and assemble the report."""
     started = time.perf_counter()
     cases = _cases(config)
-    rows = _psi_rows(config) if config.kind is ExperimentKind.PSI else _battery_rows(config, cases)
+    psi = config.kind is ExperimentKind.PSI
+    table = _psi_columns(config) if psi else _battery_rows(config, cases)
     metadata: dict[str, Any] = {
         "kind": config.kind.value,
         # a report carries Python floats: JSON renders no numpy float32
@@ -560,7 +580,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         metadata["horizon"] = config.horizon
     if config.n is not None:
         metadata["n"] = config.n
-    return ExperimentReport(rows=tuple(rows), metadata=metadata)
+    return ExperimentReport(table, metadata) if psi else ExperimentReport.from_rows(table, metadata)
 
 
 def _cells(values: Iterable[float | str | bool | None]) -> list[str]:
@@ -586,10 +606,9 @@ def _cells(values: Iterable[float | str | bool | None]) -> list[str]:
 
 
 def render_csv(report: ExperimentReport) -> str:
-    # the rows transposed once, then a column at a time: a function call or
-    # attribute lookup per cell made long psi tables measurably slower
-    fields = list(zip(*report.rows)) or [()] * len(ExperimentRow._fields)
-    columns = [_cells(fields[i]) for i in _CSV_FIELDS]
+    # a column at a time: a function call or attribute lookup per cell made
+    # long psi tables measurably slower
+    columns = [_cells(report.columns[i]) for i in _CSV_FIELDS]
     return "\n".join([",".join(CSV_COLUMNS), *map(",".join, zip(*columns))]) + "\n"
 
 

@@ -2,7 +2,9 @@ import argparse
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import fields, replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -354,6 +356,45 @@ def test_psi_rows_share_one_read_only_mapping_per_branch():
     assert head["problem_params"] == shared
 
 
+def test_psi_columns_read_as_the_rows_built_one_by_one():
+    # the table is built as columns; on a grid across the interior, boundary
+    # and zero branches it must render and read as rows made one at a time
+    # from the scalar profile
+    alphas, rho_max, rho_step = (0.0, 0.3, 0.9), 1.5, 0.05
+    report = run_experiment(ExperimentConfig(kind=ExperimentKind.PSI, alphas=alphas, rho_max=rho_max, rho_step=rho_step))
+    want = []
+    for alpha in alphas:
+        for i in range(round(rho_max / rho_step) + 1):
+            factor = bound_factor(RiskLevel(alpha), i * rho_step)
+            params = MappingProxyType({"branch": factor.branch.value})
+            want.append(ExperimentRow(alpha, "rho", i * rho_step, params, factor.value))
+    assert {row.problem_params["branch"] for row in want} == {branch.value for branch in Branch}
+    one_by_one = ExperimentReport.from_rows(want, report.metadata)
+    assert report == one_by_one
+    assert render_csv(report) == render_csv(one_by_one)
+    assert render_json(report) == render_json(one_by_one)
+    assert report.rows == tuple(want)
+    assert repr(report.rows) == repr(tuple(want))
+    # built once, on first read
+    assert report.rows is report.rows
+
+
+def test_a_long_psi_table_renders_in_bounded_memory():
+    # 100,002 rows.  Traced allocations are counted, not timed, so the peak
+    # repeats exactly: 585 bytes a row when every row was a tuple object,
+    # 441 with the table held as columns
+    cfg = ExperimentConfig(kind=ExperimentKind.PSI, alphas=(0.0, 0.5, 0.9), rho_max=1.2, rho_step=3.6e-5)
+    tracemalloc.start()
+    try:
+        text = render_csv(run_experiment(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = text.count("\n") - 1
+    assert rows == 100_002
+    assert peak / rows < 500
+
+
 def test_bound_rows_estimation_with_scales():
     cfg = ExperimentConfig(
         kind=ExperimentKind.BOUND, alphas=(0.5,), n=100, delta=0.02, scales=(0.5, 1.0)
@@ -439,7 +480,7 @@ def test_csv_layout_and_determinism():
 
 def test_csv_twelve_significant_digits():
     row = ExperimentRow(alpha=0.5, param_name="g", param_value=2.0 / 9.0, bound=2.0 / 9.0)
-    report = ExperimentReport(rows=(row,), metadata={})
+    report = ExperimentReport.from_rows((row,), {})
     line = render_csv(report).strip().split("\n")[1]
     assert line.split(",")[2] == "0.222222222222"
     assert line.split(",")[3] == "0.222222222222"
@@ -447,8 +488,40 @@ def test_csv_twelve_significant_digits():
     assert line.split(",")[5] == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psi", "--alpha", "0", "--alpha", "0.9", "--rho-step", "0.1"],
+        ["bound", "--horizon", "200", "--gap", "optimal", "--alpha", "0.5", "--scale", "0.5", "--scale", "2"],
+        ["verify", "--replicates", "60", "--horizon", "8", "--n", "4", "--policy", "uniform",
+         "--estimator", "sign_commit", "--alpha", "0.5", "--seed", "0"],
+    ],
+    ids=["psi", "bound", "verify"],
+)
+def test_the_csv_path_never_builds_rows(argv, capsys, monkeypatch):
+    # rendering CSV and verify's exit code read the report's columns: a row
+    # object apiece made long psi tables slow and large
+    code = cli_main(argv)
+    want = capsys.readouterr().out
+
+    def refuse(report):
+        raise AssertionError("report.rows was read")
+
+    monkeypatch.setattr(ExperimentReport, "rows", property(refuse))
+    assert cli_main(argv) == code == 0
+    assert capsys.readouterr().out == want
+
+
+def test_a_report_refuses_columns_that_do_not_make_a_table():
+    row = ExperimentRow(0.5, "g", 0.25, bound=0.1)
+    columns = ExperimentReport.from_rows((row, row), {}).columns
+    for bad in (columns[1:], (*columns[:-1], (True,))):
+        with pytest.raises(ValueError, match="11 columns of one length"):
+            ExperimentReport(bad, {})
+
+
 def test_csv_header_only_when_empty():
-    report = ExperimentReport(rows=(), metadata={})
+    report = ExperimentReport.from_rows((), {})
     assert render_csv(report) == ",".join(CSV_COLUMNS) + "\n"
 
 
@@ -487,7 +560,7 @@ def test_csv_cells_never_conflate_adjacent_values():
         ExperimentRow(0.5, "g", value, {}, shared, t_star, dominated=value is not True)
         for value, t_star in zip(values, t_stars)
     )
-    lines = render_csv(ExperimentReport(rows=rows, metadata={})).splitlines()[1:]
+    lines = render_csv(ExperimentReport.from_rows(rows, {})).splitlines()[1:]
     cells = [line.split(",") for line in lines]
     assert [c[2] for c in cells] == ["0", "-0", "true", "1", "0.222222222222", "0.222222222222", "0.222222222222"]
     assert [c[3] for c in cells] == ["0.222222222222"] * len(rows)
@@ -497,7 +570,7 @@ def test_csv_cells_never_conflate_adjacent_values():
 
 def test_json_renders_default_params_as_empty_object():
     row = ExperimentRow(0.5, "g", 0.25, bound=0.1)
-    text = render_json(ExperimentReport(rows=(row,), metadata={}))
+    text = render_json(ExperimentReport.from_rows((row,), {}))
     assert '"problem_params": {}' in text
     payload = json.loads(text)
     assert payload["rows"] == [{**row._asdict(), "problem_params": {}}]
@@ -560,7 +633,7 @@ def test_emit_report_writes_file(tmp_path):
 
 
 def test_emit_report_io_error(tmp_path):
-    report = ExperimentReport(rows=(), metadata={})
+    report = ExperimentReport.from_rows((), {})
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     with pytest.raises(ReportIOError) as exc:
         emit_report(report, OutputFormat.CSV, str(missing))
