@@ -1,10 +1,11 @@
 """Shared semantic exceptions and the input rules every module reads.
 
 `_FIELD_PROBLEMS` says, for each scalar input the package takes by name
-(config fields and closed-form arguments alike), what value it may hold;
-`_check_fields` raises one ValueError naming every value it refuses.  Values
-are refused rather than coerced: a string, a bool or a float where an int is
-asked for never reaches the arithmetic.
+(config fields and closed-form arguments alike), what value it may hold: a
+`_Rule`, a type and a range stated as data; `_check_fields` raises one
+ValueError naming every value it refuses.  Values are refused rather than
+coerced: a string, a bool or a float where an int is asked for never
+reaches the arithmetic.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 _SEED_LIMIT = 2**64
 
@@ -53,36 +54,45 @@ def _float_holds(value: object) -> bool:
     return not (isinstance(value, int) and abs(value) > sys.float_info.max)
 
 
-def _count_problem(value: object) -> str | None:
-    ok = _is_int(value) and value >= 1 and _float_holds(value)
-    return None if ok else "must be an int >= 1 that a float can hold"
+class _Rule(NamedTuple):
+    """What a named scalar input may hold, stated once as data: an int
+    (`plain` is int) or a real (`plain` is float) between `lo` and `hi`,
+    each end open or closed, that a float can hold.  Called on a value, a
+    rule gives `why` it is refused, or None."""
+
+    plain: type
+    lo: float
+    lo_open: bool
+    hi: float
+    hi_open: bool
+    why: str
+
+    def __call__(self, value: object) -> str | None:
+        ok = (
+            (_is_int(value) if self.plain is int else _is_real(value))
+            and (self.lo < value if self.lo_open else self.lo <= value)
+            and (value < self.hi if self.hi_open else value <= self.hi)
+            and _float_holds(value)
+        )
+        return None if ok else self.why
+
+    def plain_range(self) -> tuple[float, float]:
+        """The closed range a value of exactly type `plain` passes in: an
+        open end moves in by one int or one float step, and both ends are
+        held to the range a float can hold."""
+        step = (lambda end, toward: end + (1 if toward > end else -1)) if self.plain is int else math.nextafter
+        lo = step(self.lo, math.inf) if self.lo_open else self.lo
+        hi = step(self.hi, -math.inf) if self.hi_open else self.hi
+        return max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
 
 
-def _seed_problem(value: object) -> str | None:
-    return None if _is_int(value) and 0 <= value < _SEED_LIMIT else "must be an unsigned 64-bit int"
-
-
-def _finite_problem(value: object) -> str | None:
-    ok = _is_real(value) and -math.inf < value < math.inf and _float_holds(value)
-    return None if ok else "must be a finite real"
-
-
-def _positive_problem(value: object) -> str | None:
-    ok = _is_real(value) and 0.0 < value < math.inf and _float_holds(value)
-    return None if ok else "must be a finite real > 0"
-
-
-def _nonnegative_problem(value: object) -> str | None:
-    ok = _is_real(value) and 0.0 <= value < math.inf and _float_holds(value)
-    return None if ok else "must be a finite real >= 0"
-
-
-def _unit_problem(value: object) -> str | None:
-    return None if _is_real(value) and 0.0 <= value <= 1.0 else "must be a real in [0, 1]"
-
-
-def _level_problem(value: object) -> str | None:
-    return None if _is_real(value) and 0.0 <= value < 1.0 else "must be a real in [0, 1)"
+_count_problem = _Rule(int, 1, False, math.inf, True, "must be an int >= 1 that a float can hold")
+_seed_problem = _Rule(int, 0, False, _SEED_LIMIT, True, "must be an unsigned 64-bit int")
+_finite_problem = _Rule(float, -math.inf, True, math.inf, True, "must be a finite real")
+_positive_problem = _Rule(float, 0.0, True, math.inf, True, "must be a finite real > 0")
+_nonnegative_problem = _Rule(float, 0.0, False, math.inf, True, "must be a finite real >= 0")
+_unit_problem = _Rule(float, 0.0, False, 1.0, False, "must be a real in [0, 1]")
+_level_problem = _Rule(float, 0.0, False, 1.0, True, "must be a real in [0, 1)")
 
 
 # what a value of each named scalar input must be: the reason a value is
@@ -110,6 +120,10 @@ _FIELD_PROBLEMS = {
     "atom_value": _finite_problem,
     "atom_probability": _nonnegative_problem,
 }
+# each name's plain type with the closed range it passes in: the fast path
+# of `_check_fields`, read off the rules
+_PLAIN_RANGES = {name: (rule.plain, *rule.plain_range()) for name, rule in _FIELD_PROBLEMS.items()}
+_NO_RULE = (None, None, None)
 
 
 def _regret_cap_problem(gap: object, horizon: object) -> str | None:
@@ -135,7 +149,16 @@ def _field_problems(values: Mapping[str, object]) -> dict[str, str]:
 
 def _check_fields(values: Mapping[str, object], **variant_problems: str | None) -> None:
     """Raise one ValueError naming every value `_FIELD_PROBLEMS` refuses and
-    every variant given a problem."""
+    every variant given a problem.  A value of its rule's plain type passes
+    on one type test and one range test; only when a value fails them or a
+    variant has a problem does `_field_problems` say why."""
+    for name, value in values.items():
+        plain, lo, hi = _PLAIN_RANGES.get(name, _NO_RULE)
+        if plain is not None and not (type(value) is plain and lo <= value <= hi):
+            break
+    else:
+        if not any(variant_problems.values()):
+            return
     problems = _field_problems(values)
     for name, why in variant_problems.items():
         if why:

@@ -22,6 +22,8 @@ import time
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
+from operator import is_
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, get_args
@@ -583,11 +585,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(table, metadata) if psi else ExperimentReport.from_rows(table, metadata)
 
 
+# how a number is written in a cell
+_NUMBER = "%.12g"
+# rows formatted by one template at a time: a chunk's text and its values
+# stay small beside the whole table's
+_CHUNK_ROWS = 4096
+
+
 def _cells(values: Iterable[float | str | bool | None]) -> list[str]:
     """CSV cells of one column: empty for None, a string as it is, a bool as
     true/false and a number with 12 significant digits.  A value that is the
-    same object as the one before it reuses that cell's text, so a column
-    holding one alpha object per tail level formats it about once a level."""
+    same object as the one before it reuses that cell's text."""
     cells: list[str] = []
     previous: object = cells  # no value is this list
     text = ""
@@ -599,17 +607,56 @@ def _cells(values: Iterable[float | str | bool | None]) -> list[str]:
                 else "true" if value is True
                 else "false" if value is False
                 else value if isinstance(value, str)
-                else "%.12g" % value
+                else _NUMBER % value
             )
         cells.append(text)
     return cells
 
 
+def _holds_one_object(column: tuple) -> bool:
+    """Whether every row of a nonempty column holds its first row's object.
+    The last row is tested first, then equality by a C-level count; None or
+    a string equal to the first has its cell, and any other value is then
+    tested for identity."""
+    first = column[0]
+    return column[-1] is first and column.count(first) == len(column) and (
+        first is None or isinstance(first, str) or all(map(is_, column, repeat(first)))
+    )
+
+
 def render_csv(report: ExperimentReport) -> str:
-    # a column at a time: a function call or attribute lookup per cell made
-    # long psi tables measurably slower
-    columns = [_cells(report.columns[i]) for i in _CSV_FIELDS]
-    return "\n".join([",".join(CSV_COLUMNS), *map(",".join, zip(*columns))]) + "\n"
+    """The report's table as CSV: a header line of `CSV_COLUMNS`, then a
+    line per row, each ending in a newline.  `_cells` states the cell rules:
+    None is an empty cell, a string is written as it is, a bool as
+    true/false and a number with 12 significant digits; nothing is quoted.
+
+    Each row is written by one printf template.  A column that holds one
+    object in every row is its cell's text in the template, a column of
+    plain floats a number field, and any other column a string field over
+    its `_cells`.  The rows are formatted a chunk at a time, and a psi
+    table varies in 3 columns of 10."""
+    columns = [report.columns[i] for i in _CSV_FIELDS]
+    count = len(columns[0])
+    template, varying = [], []
+    for column in columns:
+        if count and _holds_one_object(column):
+            template.append(_cells(column[:1])[0].replace("%", "%%"))
+        elif list(map(type, column)).count(float) == count:
+            template.append(_NUMBER)
+            varying.append(column)
+        else:
+            template.append("%s")
+            varying.append(_cells(column))
+    row = ",".join(template) + "\n"
+    width = len(varying)
+    text = [",".join(CSV_COLUMNS) + "\n"]
+    for start in range(0, count, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, count)
+        values = [None] * ((stop - start) * width)
+        for i, column in enumerate(varying):
+            values[i::width] = column[start:stop]
+        text.append(row * (stop - start) % tuple(values))
+    return "".join(text)
 
 
 # metadata keys that vary across identical runs; dropped at render time so a

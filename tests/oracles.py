@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from cvarbounds import sim
+from cvarbounds import experiments, sim
 from cvarbounds.divergences import DivergenceKind, hellinger2_bernoulli, kl_bernoulli
 from cvarbounds.errors import _check_fields
 from cvarbounds.inversion import BRACKET_TOL, InversionResult
@@ -164,6 +164,16 @@ def cvar_dominates_mean(samples: SampleSet, level: RiskLevel) -> bool:
     indicates a numerical defect rather than a property of the data.
     """
     return empirical_cvar(samples, level) >= float(samples.values.mean()) - EXACT_TOL
+
+
+# ---------------------------------------------------------------- rendering
+
+
+def csv_by_rows(report: experiments.ExperimentReport) -> str:
+    """A report's CSV as `_cells` writes each column, with the rows joined
+    one at a time: the reference for `render_csv`'s row templates."""
+    columns = [experiments._cells(report.columns[i]) for i in experiments._CSV_FIELDS]
+    return "\n".join([",".join(experiments.CSV_COLUMNS), *map(",".join, zip(*columns))]) + "\n"
 
 
 # ------------------------------------------------------------------ bandits

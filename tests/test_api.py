@@ -1,13 +1,19 @@
 import importlib
+import math
 import os
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cvarbounds
+from cvarbounds import errors
+from cvarbounds.errors import _FIELD_PROBLEMS, _check_fields, _field_problems
 
 MODULES = [info.name for info in pkgutil.iter_modules(cvarbounds.__path__) if not info.name.startswith("_")]
 
@@ -87,3 +93,59 @@ def test_huge_ucb_constant_is_refused_before_any_draw():
         cvarbounds.run_experiment(config)
     assert set(exc.value.problems) == {"policies"}
     assert "c_explore" in exc.value.problems["policies"]
+
+
+# values at and beside the ends of every rule's range, and of every type a
+# caller may pass
+_EDGE_VALUES = (
+    5e-324, -0.0, 0.0, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), sys.float_info.max,
+    -sys.float_info.max, math.inf, -math.inf, math.nan, 0, 1, -1, 2**64 - 1, 2**64, _HUGE, -_HUGE, True, False,
+    np.float32(0.5), np.float32(0.0), np.float32("inf"), np.int64(3), np.float64(0.25), Fraction(1, 3), "1", None,
+)
+
+
+def _check_agrees_with_the_rule(name, value):
+    want = "; ".join(f"{field}: {why}" for field, why in _field_problems({name: value}).items())
+    try:
+        _check_fields({name: value})
+    except ValueError as exc:
+        assert want and str(exc) == want, (name, value)
+    else:
+        assert not want, (name, value)
+
+
+def test_the_fast_check_agrees_with_the_rules_at_every_edge(monkeypatch):
+    for name in _FIELD_PROBLEMS:
+        for value in _EDGE_VALUES:
+            _check_agrees_with_the_rule(name, value)
+
+    # and a plain value its rule takes never asks why
+    def asked(values):
+        raise AssertionError(f"_field_problems was asked about {values}")
+
+    monkeypatch.setattr(errors, "_field_problems", asked)
+    for name, rule in _FIELD_PROBLEMS.items():
+        for value in _EDGE_VALUES:
+            if type(value) is rule.plain and rule(value) is None:
+                _check_fields({name: value})
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.floats(),
+        st.integers(),
+        st.integers(-(2**70), 2**70),
+        st.floats(width=32).map(np.float32),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.fractions(),
+        st.booleans(),
+        st.none(),
+        st.text(max_size=2),
+    )
+)
+def test_the_fast_check_agrees_with_the_rules(value):
+    # _check_fields passes a plain value on its rule's closed range and asks
+    # _field_problems only about the rest: both must refuse the same values
+    for name in _FIELD_PROBLEMS:
+        _check_agrees_with_the_rule(name, value)

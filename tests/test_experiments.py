@@ -30,6 +30,7 @@ from cvarbounds.experiments import (
     run_experiment,
 )
 from cvarbounds import experiments, sim
+from oracles import csv_by_rows
 from cvarbounds.risk import DiscreteLossDistribution, RiskLevel, SampleSet, empirical_cvar, exact_cvar
 from cvarbounds.sim import (
     BanditConfig,
@@ -382,7 +383,8 @@ def test_psi_columns_read_as_the_rows_built_one_by_one():
 def test_a_long_psi_table_renders_in_bounded_memory():
     # 100,002 rows.  Traced allocations are counted, not timed, so the peak
     # repeats exactly: 585 bytes a row when every row was a tuple object,
-    # 441 with the table held as columns
+    # 441 with the table held as columns, about 200 with the rows written
+    # a chunk at a time by one template
     cfg = ExperimentConfig(kind=ExperimentKind.PSI, alphas=(0.0, 0.5, 0.9), rho_max=1.2, rho_step=3.6e-5)
     tracemalloc.start()
     try:
@@ -392,7 +394,7 @@ def test_a_long_psi_table_renders_in_bounded_memory():
         tracemalloc.stop()
     rows = text.count("\n") - 1
     assert rows == 100_002
-    assert peak / rows < 500
+    assert peak / rows < 300
 
 
 def test_bound_rows_estimation_with_scales():
@@ -523,6 +525,76 @@ def test_a_report_refuses_columns_that_do_not_make_a_table():
 def test_csv_header_only_when_empty():
     report = ExperimentReport.from_rows((), {})
     assert render_csv(report) == ",".join(CSV_COLUMNS) + "\n"
+
+
+# cell values of every kind render_csv meets, among them values that are
+# equal but write different cells (0.0 and -0.0, 1, 1.0 and True) and
+# strings that hold the template's "%"
+_CELL_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, 0.0, -0.0, 1.0, math.nan, math.inf, -math.inf, "%", "%s", "100%%"]),
+    st.floats(),
+    st.integers(-(10**20), 10**20),
+    st.floats().map(np.float64),
+    st.text(alphabet="%ds.,-1", max_size=4),
+    st.none(),
+)
+
+
+@st.composite
+def _report_columns(draw):
+    count = draw(st.integers(0, 9))
+    columns = []
+    for _ in ExperimentRow._fields:
+        shape = draw(st.sampled_from(["one object", "plain floats", "runs", "any"]))
+        if shape == "one object":
+            column = (draw(_CELL_VALUES),) * count
+        elif shape == "plain floats":
+            column = tuple(draw(st.lists(st.floats(), min_size=count, max_size=count)))
+        elif shape == "runs":
+            column = tuple(value for value in draw(st.lists(_CELL_VALUES, max_size=3)) for _ in range(3))
+            column = (column * count)[:count] if column else (None,) * count
+        else:
+            column = tuple(draw(st.lists(_CELL_VALUES, min_size=count, max_size=count)))
+        columns.append(column)
+    return tuple(columns)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_report_columns(), st.integers(1, 4))
+def test_the_row_template_writes_what_the_cells_write(columns, chunk_rows):
+    report = ExperimentReport(columns, {})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_CHUNK_ROWS", chunk_rows)
+        assert render_csv(report) == csv_by_rows(report)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        # a constant string column holding "%", beside a varying one
+        (("100%",) * 3, ("%s", "%d%%", "%")),
+        # equal values that are distinct objects write different cells
+        (("rho", "".join(["rh", "o"]), "rho"), (0.0, -0.0, 0.0), (1.0, True, 1)),
+        # plain floats, a float subclass among floats, and extreme floats
+        (("g",) * 3, (0.1, 2.0 / 9.0, math.nan), (np.float64(0.1), 0.2, 0.3), (1e300, 5e-324, -math.inf)),
+        ((), (), ()),
+    ],
+    ids=["constant-percent", "equal-not-same", "float-subclass", "no-rows"],
+)
+def test_the_row_template_cases(columns):
+    # the columns given fill the CSV columns after alpha, in order
+    count = len(columns[0])
+    table = dict.fromkeys(ExperimentRow._fields, (None,) * count)
+    table.update(zip(CSV_COLUMNS, ((0.5,) * count, *columns)))
+    report = ExperimentReport(tuple(table.values()), {})
+    assert render_csv(report) == csv_by_rows(report)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 5, 4096])
+def test_a_psi_table_renders_as_its_cells(monkeypatch, chunk_rows):
+    report = run_experiment(ExperimentConfig(kind=ExperimentKind.PSI, alphas=(0.0, 0.3, 0.9), rho_step=0.01))
+    monkeypatch.setattr(experiments, "_CHUNK_ROWS", chunk_rows)
+    assert render_csv(report) == csv_by_rows(report)
 
 
 def test_rows_are_immutable_named_tuples():
