@@ -14,7 +14,6 @@ from .bounds import (
     hinge_lower_bound,
     optimal_bound_constant,
     optimal_gap,
-    optimal_rho,
     optimal_separation,
     two_point_bound,
 )
@@ -23,8 +22,6 @@ from .divergences import (
     HellingerBudget,
     bandit_budget,
     estimation_budget,
-    hellinger2_bernoulli,
-    kl_bernoulli,
 )
 from .errors import DomainError
 from .experiments import (

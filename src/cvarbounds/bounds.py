@@ -49,7 +49,6 @@ __all__ = [
     "BoundResult",
     "bound_factor",
     "optimal_bound_constant",
-    "optimal_rho",
     "two_point_bound",
     "balanced_bound",
     "estimation_bound",
@@ -190,7 +189,7 @@ def optimal_bound_constant(level: RiskLevel) -> float:
     return math.sqrt(a / 27.0)
 
 
-def optimal_rho(level: RiskLevel) -> float:
+def _optimal_rho(level: RiskLevel) -> float:
     """argmax of rho * bound_factor: 1/3 below alpha = 1/3, then sqrt(alpha/3)."""
     _check_level(level)
     a = level.alpha
@@ -256,19 +255,19 @@ def bandit_bound(g: float, horizon: int, level: RiskLevel) -> BoundResult:
 
 
 def optimal_separation(n: int, level: RiskLevel) -> tuple[float, float]:
-    """Worst-case separation for estimation: delta* = optimal_rho / (2 sqrt(n)),
+    """Worst-case separation for estimation: delta* = _optimal_rho / (2 sqrt(n)),
     returned with its bound value optimal_bound_constant / sqrt(n)."""
     _check_fields({"n": n}, level=_type_problem(level, RiskLevel))
     root_n = math.sqrt(n)
-    return optimal_rho(level) / (2.0 * root_n), optimal_bound_constant(level) / root_n
+    return _optimal_rho(level) / (2.0 * root_n), optimal_bound_constant(level) / root_n
 
 
 def optimal_gap(horizon: int, level: RiskLevel) -> tuple[float, float]:
-    """Worst-case arm gap for the bandit: g* = optimal_rho / sqrt(T), returned
+    """Worst-case arm gap for the bandit: g* = _optimal_rho / sqrt(T), returned
     with its bound value optimal_bound_constant * sqrt(T)."""
     _check_fields({"horizon": horizon}, level=_type_problem(level, RiskLevel))
     root_t = math.sqrt(horizon)
-    return optimal_rho(level) / root_t, optimal_bound_constant(level) * root_t
+    return _optimal_rho(level) / root_t, optimal_bound_constant(level) * root_t
 
 
 def hinge_lower_bound(

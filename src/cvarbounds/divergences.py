@@ -20,8 +20,6 @@ from .errors import DomainError, _check_fields
 __all__ = [
     "DivergenceKind",
     "HellingerBudget",
-    "kl_bernoulli",
-    "hellinger2_bernoulli",
     "estimation_budget",
     "bandit_budget",
 ]

@@ -2,10 +2,12 @@
 
 `_FIELD_PROBLEMS` says, for each scalar input the package takes by name
 (config fields and closed-form arguments alike), what value it may hold: a
-`_Rule`, a type and a range stated as data; `_check_fields` raises one
-ValueError naming every value it refuses.  Values are refused rather than
-coerced: a string, a bool or a float where an int is asked for never
-reaches the arithmetic.
+`_Rule`, a type and a closed range stated as data; `_check_fields` raises
+one ValueError naming every value it refuses.  Values are refused rather
+than coerced: a string, a bool or a float where an int is asked for never
+reaches the arithmetic.  An int is compared exactly and any other real as
+the float the code computes with, so `Fraction(1, 10**400)`, which is 0.0
+as a float, is no positive gap, and a real too large for a float is refused.
 """
 
 from __future__ import annotations
@@ -47,52 +49,40 @@ def _type_problem(value: object, cls: type) -> str | None:
     return None if type(value) is cls else f"must be a {cls.__name__}, got {value!r}"
 
 
-def _float_holds(value: object) -> bool:
-    """False for an int that no float can hold, whose arithmetic would
-    overflow; only an int is compared with the largest float, which a numpy
-    float32 cannot hold."""
-    return not (isinstance(value, int) and abs(value) > sys.float_info.max)
-
-
 class _Rule(NamedTuple):
     """What a named scalar input may hold, stated once as data: an int
-    (`plain` is int) or a real (`plain` is float) between `lo` and `hi`,
-    each end open or closed, that a float can hold.  Called on a value, a
+    (`plain` is int) or a real (`plain` is float) in the closed range
+    [`lo`, `hi`].  An int is compared exactly and any other real as the
+    float the code computes with, which must exist.  Called on a value, a
     rule gives `why` it is refused, or None."""
 
     plain: type
     lo: float
-    lo_open: bool
     hi: float
-    hi_open: bool
     why: str
 
     def __call__(self, value: object) -> str | None:
-        ok = (
-            (_is_int(value) if self.plain is int else _is_real(value))
-            and (self.lo < value if self.lo_open else self.lo <= value)
-            and (value < self.hi if self.hi_open else value <= self.hi)
-            and _float_holds(value)
-        )
-        return None if ok else self.why
-
-    def plain_range(self) -> tuple[float, float]:
-        """The closed range a value of exactly type `plain` passes in: an
-        open end moves in by one int or one float step, and both ends are
-        held to the range a float can hold."""
-        step = (lambda end, toward: end + (1 if toward > end else -1)) if self.plain is int else math.nextafter
-        lo = step(self.lo, math.inf) if self.lo_open else self.lo
-        hi = step(self.hi, -math.inf) if self.hi_open else self.hi
-        return max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
+        if not (_is_int(value) if self.plain is int else _is_real(value)):
+            return self.why
+        if not _is_int(value):
+            try:
+                value = float(value)
+            except OverflowError:
+                return self.why
+        return None if self.lo <= value <= self.hi else self.why
 
 
-_count_problem = _Rule(int, 1, False, math.inf, True, "must be an int >= 1 that a float can hold")
-_seed_problem = _Rule(int, 0, False, _SEED_LIMIT, True, "must be an unsigned 64-bit int")
-_finite_problem = _Rule(float, -math.inf, True, math.inf, True, "must be a finite real")
-_positive_problem = _Rule(float, 0.0, True, math.inf, True, "must be a finite real > 0")
-_nonnegative_problem = _Rule(float, 0.0, False, math.inf, True, "must be a finite real >= 0")
-_unit_problem = _Rule(float, 0.0, False, 1.0, False, "must be a real in [0, 1]")
-_level_problem = _Rule(float, 0.0, False, 1.0, True, "must be a real in [0, 1)")
+# every range is closed: an open end is the float beside it, and a real's
+# range stops at the largest float
+_MAX = sys.float_info.max
+
+_count_problem = _Rule(int, 1, int(_MAX), "must be an int >= 1 that a float can hold")
+_seed_problem = _Rule(int, 0, _SEED_LIMIT - 1, "must be an unsigned 64-bit int")
+_finite_problem = _Rule(float, -_MAX, _MAX, "must be a finite real")
+_positive_problem = _Rule(float, math.nextafter(0.0, 1.0), _MAX, "must be a finite real > 0")
+_nonnegative_problem = _Rule(float, 0.0, _MAX, "must be a finite real >= 0")
+_unit_problem = _Rule(float, 0.0, 1.0, "must be a real in [0, 1]")
+_level_problem = _Rule(float, 0.0, math.nextafter(1.0, 0.0), "must be a real in [0, 1)")
 
 
 # what a value of each named scalar input must be: the reason a value is
@@ -120,9 +110,9 @@ _FIELD_PROBLEMS = {
     "atom_value": _finite_problem,
     "atom_probability": _nonnegative_problem,
 }
-# each name's plain type with the closed range it passes in: the fast path
-# of `_check_fields`, read off the rules
-_PLAIN_RANGES = {name: (rule.plain, *rule.plain_range()) for name, rule in _FIELD_PROBLEMS.items()}
+# each name's plain type with the closed range it passes in, as a plain
+# tuple: the fast path of `_check_fields`
+_PLAIN_RANGES = {name: rule[:3] for name, rule in _FIELD_PROBLEMS.items()}
 _NO_RULE = (None, None, None)
 
 

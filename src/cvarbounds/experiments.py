@@ -592,25 +592,16 @@ _NUMBER = "%.12g"
 _CHUNK_ROWS = 4096
 
 
-def _cells(values: Iterable[float | str | bool | None]) -> list[str]:
-    """CSV cells of one column: empty for None, a string as it is, a bool as
-    true/false and a number with 12 significant digits.  A value that is the
-    same object as the one before it reuses that cell's text."""
-    cells: list[str] = []
-    previous: object = cells  # no value is this list
-    text = ""
-    for value in values:
-        if value is not previous:
-            previous = value
-            text = (
-                "" if value is None
-                else "true" if value is True
-                else "false" if value is False
-                else value if isinstance(value, str)
-                else _NUMBER % value
-            )
-        cells.append(text)
-    return cells
+def _cell(value: float | str | bool | None) -> str:
+    """The CSV cell of one value: empty for None, a string as it is, a bool
+    as true/false and a number with 12 significant digits."""
+    return (
+        "" if value is None
+        else "true" if value is True
+        else "false" if value is False
+        else value if isinstance(value, str)
+        else _NUMBER % value
+    )
 
 
 def _holds_one_object(column: tuple) -> bool:
@@ -626,27 +617,27 @@ def _holds_one_object(column: tuple) -> bool:
 
 def render_csv(report: ExperimentReport) -> str:
     """The report's table as CSV: a header line of `CSV_COLUMNS`, then a
-    line per row, each ending in a newline.  `_cells` states the cell rules:
+    line per row, each ending in a newline.  `_cell` states the cell rules:
     None is an empty cell, a string is written as it is, a bool as
     true/false and a number with 12 significant digits; nothing is quoted.
 
     Each row is written by one printf template.  A column that holds one
     object in every row is its cell's text in the template, a column of
     plain floats a number field, and any other column a string field over
-    its `_cells`.  The rows are formatted a chunk at a time, and a psi
+    its values' `_cell`s.  The rows are formatted a chunk at a time, and a psi
     table varies in 3 columns of 10."""
     columns = [report.columns[i] for i in _CSV_FIELDS]
     count = len(columns[0])
     template, varying = [], []
     for column in columns:
         if count and _holds_one_object(column):
-            template.append(_cells(column[:1])[0].replace("%", "%%"))
+            template.append(_cell(column[0]).replace("%", "%%"))
         elif list(map(type, column)).count(float) == count:
             template.append(_NUMBER)
             varying.append(column)
         else:
             template.append("%s")
-            varying.append(_cells(column))
+            varying.append(list(map(_cell, column)))
     row = ",".join(template) + "\n"
     width = len(varying)
     text = [",".join(CSV_COLUMNS) + "\n"]

@@ -170,9 +170,9 @@ def cvar_dominates_mean(samples: SampleSet, level: RiskLevel) -> bool:
 
 
 def csv_by_rows(report: experiments.ExperimentReport) -> str:
-    """A report's CSV as `_cells` writes each column, with the rows joined
+    """A report's CSV as `_cell` writes each value, with the rows joined
     one at a time: the reference for `render_csv`'s row templates."""
-    columns = [experiments._cells(report.columns[i]) for i in experiments._CSV_FIELDS]
+    columns = [map(experiments._cell, report.columns[i]) for i in experiments._CSV_FIELDS]
     return "\n".join([",".join(experiments.CSV_COLUMNS), *map(",".join, zip(*columns))]) + "\n"
 
 

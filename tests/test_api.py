@@ -43,6 +43,12 @@ def test_all_names_exist(name):
 
 
 _HUGE = 10**400  # an int no float can hold
+# a real is checked as its float, which is 0 or 1 for these
+_TINY = Fraction(1, 10**400)
+_NEAR_ONE = Fraction(10**20 - 1, 10**20)
+_needs_wide_longdouble = pytest.mark.skipif(
+    np.finfo(np.longdouble).max == sys.float_info.max, reason="longdouble is a double here"
+)
 
 
 @pytest.mark.parametrize(
@@ -59,6 +65,16 @@ _HUGE = 10**400  # an int no float can hold
             "policy",
             lambda: cvarbounds.BanditConfig(10, 0.5, cvarbounds.UCB(c_explore=_HUGE), replicates=5, seed=0),
         ),
+        ("alpha", lambda: cvarbounds.RiskLevel(_NEAR_ONE)),
+        ("delta", lambda: cvarbounds.estimation_bound(1, _TINY, cvarbounds.RiskLevel(0.5))),
+        pytest.param(
+            "g",
+            lambda: cvarbounds.bandit_bound(np.longdouble("1e-400"), 10, cvarbounds.RiskLevel(0.5)),
+            marks=_needs_wide_longdouble,
+        ),
+        ("gap", lambda: cvarbounds.BanditConfig(10, _TINY, cvarbounds.UCB(), 10, 0)),
+        ("gamma", lambda: cvarbounds.HellingerBudget(Fraction(10**400))),
+        pytest.param("gamma", lambda: cvarbounds.HellingerBudget(np.longdouble("1e400")), marks=_needs_wide_longdouble),
     ],
     ids=[
         "kl-budget",
@@ -69,15 +85,29 @@ _HUGE = 10**400  # an int no float can hold
         "atom-probability",
         "bandit-gap",
         "ucb-constant",
+        "level-near-one",
+        "tiny-fraction-delta",
+        "tiny-longdouble-gap",
+        "tiny-fraction-gap",
+        "huge-fraction-gamma",
+        "huge-longdouble-gamma",
     ],
 )
 def test_int_no_float_can_hold_is_refused_by_name(field, call):
-    # refused up front with one ValueError, never an OverflowError mid-arithmetic
+    # refused up front with one ValueError, never an OverflowError or a
+    # ZeroDivisionError mid-arithmetic
     with pytest.raises(ValueError) as exc:
         call()
     assert type(exc.value) is ValueError
     assert str(exc.value).startswith(f"{field}: ")
     assert ";" not in str(exc.value)
+
+
+def test_an_alpha_whose_float_is_one_is_refused_by_the_config():
+    config = cvarbounds.ExperimentConfig(kind=cvarbounds.ExperimentKind.BOUND, alphas=(_NEAR_ONE,), horizon=10, gap=0.1)
+    with pytest.raises(cvarbounds.ConfigError) as exc:
+        cvarbounds.run_experiment(config)
+    assert set(exc.value.problems) == {"alphas"}
 
 
 def test_huge_ucb_constant_is_refused_before_any_draw():
@@ -100,7 +130,8 @@ def test_huge_ucb_constant_is_refused_before_any_draw():
 _EDGE_VALUES = (
     5e-324, -0.0, 0.0, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), sys.float_info.max,
     -sys.float_info.max, math.inf, -math.inf, math.nan, 0, 1, -1, 2**64 - 1, 2**64, _HUGE, -_HUGE, True, False,
-    np.float32(0.5), np.float32(0.0), np.float32("inf"), np.int64(3), np.float64(0.25), Fraction(1, 3), "1", None,
+    np.float32(0.5), np.float32(0.0), np.float32("inf"), np.float32(3e38), np.int64(3), np.float64(0.25),
+    Fraction(1, 3), _TINY, Fraction(10**400), int(sys.float_info.max) + 1, "1", None,
 )
 
 

@@ -12,6 +12,7 @@ from cvarbounds.bounds import (
     FactorEvaluation,
     Method,
     TwoPointSpec,
+    _optimal_rho,
     balanced_bound,
     bandit_bound,
     bound_factor,
@@ -19,7 +20,6 @@ from cvarbounds.bounds import (
     hinge_lower_bound,
     optimal_bound_constant,
     optimal_gap,
-    optimal_rho,
     optimal_separation,
     two_point_bound,
 )
@@ -108,15 +108,15 @@ def test_optimal_constant_values():
     assert optimal_bound_constant(L(0.0)) == 2.0 / 27.0
     assert optimal_bound_constant(L(1.0 / 3.0)) == 1.0 / 9.0
     assert optimal_bound_constant(L(0.75)) == pytest.approx(1.0 / 6.0, abs=1e-16)
-    assert optimal_rho(L(0.0)) == pytest.approx(1.0 / 3.0)
-    assert optimal_rho(L(0.9)) == pytest.approx(math.sqrt(0.3), rel=1e-15)
+    assert _optimal_rho(L(0.0)) == pytest.approx(1.0 / 3.0)
+    assert _optimal_rho(L(0.9)) == pytest.approx(math.sqrt(0.3), rel=1e-15)
 
 
 def test_optimal_constant_envelope_identity():
     # rho* attains the sup of rho * factor
     for i in range(100):
         lev = L(i / 100)
-        r = optimal_rho(lev)
+        r = _optimal_rho(lev)
         assert abs(r * bound_factor(lev, r).value - optimal_bound_constant(lev)) <= 1e-12
 
 
@@ -348,7 +348,7 @@ _REFUSED = [
     (balanced_bound, (1.0, 0.1, L(0.5)), "budget"),
     (exact_cvar, (DiscreteLossDistribution(((1.0, 1.0),)), 0.5), "level"),
     (exact_cvar, ({1.0: 1.0}, L(0.5)), "dist"),
-    (optimal_rho, (0.5,), "level"),
+    (_optimal_rho, (0.5,), "level"),
     (optimal_bound_constant, (0.5,), "level"),
     (empirical_cvar, (SampleSet([1.0, 2.0]), 0.5), "level"),
     (empirical_cvar, ([1.0, 2.0], L(0.5)), "samples"),

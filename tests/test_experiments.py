@@ -624,7 +624,8 @@ def test_rows_are_immutable_named_tuples():
 
 
 def test_csv_cells_never_conflate_adjacent_values():
-    # a cell reuses the text before it only for the very same object
+    # equal values beside each other, the same object or not, each write
+    # their own cell
     shared = 2.0 / 9.0
     values = [0.0, float("-0.0"), True, 1.0, shared, shared, shared]
     t_stars = [None, shared, None, None, shared, 1.5, None]
