@@ -10,43 +10,44 @@ Two problem families:
   are unit-variance Gaussian, and the loss is the realized pseudo-regret
   g * (pulls of the suboptimal arm).
 
-Randomness contract, `philox-seed-block-v2`: replicate r of a run with master
+Randomness contract, `philox-seed-block-v3`: replicate r of a run with master
 seed s lies in block b = r // 256, and block b reads one Philox stream keyed
 by (s, b).  A pass reads it from counter 0: one policy at one horizon, or one
 estimation size.  It reads first `integers(0, 2, size=256, dtype=int8)`, each
 replicate's model less 1 (the bandit's model index, the estimation's sign of
 theta), then the pass's rows, round-major: row i holds the i-th value of all
-256 replicates.  The uniform policy reads T rows of arm draws,
-`integers(1, 3, dtype=int8)`.  The others read standard normals: Thompson
-three rows a round, its two posterior normals and then its reward noise;
-UCB its T reward noises; explore-then-commit the 2 tau of its exploration
-rounds; an estimation its n observation noises, of which it keeps the mean,
-summed row by row.  A run of R replicates reads ceil(R / 256) whole blocks,
-as much for 1 replicate as for 256, and keeps the first R columns.  So a
-replicate's values depend on (s, r)
-alone: results are independent of batch size and worker count, and the
-first replicates of a longer run reproduce a shorter one bit for bit.
+256 replicates.  A pass whose loss is a function of one statistic of known
+law draws that statistic, in one row: an estimation one standard normal z, its
+observation mean being theta + z / sqrt(n); explore-then-commit one standard
+normal z, its arm sums after tau pulls of each arm differing by
+2 tau mu1 + sqrt(2 tau) z; the uniform policy one `binomial(T, 0.5)`, its
+arm-1 pull count.  UCB reads T rows of standard normals, its reward noises,
+and Thompson 2 rows a round, the normal W of its posterior difference and
+then its reward noise.  A run of R replicates reads ceil(R / 256) whole
+blocks, as much for 1 replicate as for 256, and keeps the first R columns.
+So a replicate's values depend on (s, r) alone: results are independent of
+batch size and worker count, and the first replicates of a longer run
+reproduce a shorter one bit for bit.
 
-A pass draws each block's rows in strips of at most _STRIP_ROWS and rolls
-a strip out before it draws the next; a counter-based stream drawn in strips
-gives exactly the values of one draw, and memory stays bounded for any
-horizon or size.  The rollout runs round by round in lockstep over a
-cache-sized group of blocks x gaps: a policy's rows at every gap are one
-pass.  UCB and Thompson pick each round's arm by exact 0/1 arithmetic in a
-fixed workspace allocated once per rollout; their sums are bit for bit those
-of `tests/oracles._reference_rollout`, which selects each reward into one
-sum.  Explore-then-commit needs only its 2 tau exploration rounds, since
-their two sums decide its commit, and the uniform policy needs none: its
-arm-1 pull counts are summed from its arm draws.  A simulation keeps only
-each replicate's loss, and no transcript is recorded.  A call's passes are
-cut into their groups of blocks, cut finer where they are fewer than the
-workers, and whole groups are dealt to forked worker processes by their
-cost, largest first (`simulate_shared`), with every byte unchanged.
+UCB and Thompson draw each block's rows in strips of at most _STRIP_ROWS and
+roll a strip out before they draw the next; a counter-based stream drawn in
+strips gives exactly the values of one draw, and memory stays bounded for
+any horizon.  The rollout runs round by round in lockstep over a cache-sized
+group of blocks x gaps: a policy's rows at every gap are one pass.  UCB and
+Thompson pick each round's arm by exact 0/1 arithmetic in a fixed workspace
+allocated once per rollout; their sums are bit for bit those of
+`tests/oracles._reference_rollout`, which selects each reward into one sum.
+Explore-then-commit and the uniform policy have no round loop: a
+replicate's arm-1 pull count is one expression of its one drawn value.  A
+simulation keeps only each replicate's loss, and no transcript is recorded.
+A call's passes are cut into their groups of blocks, cut finer where they
+are fewer than the workers, and whole groups are dealt to forked worker
+processes by their cost, largest first (`simulate_shared`), with every byte
+unchanged.
 
 `exact_loss_law` gives a config's loss law in closed form where one is
-known: the uniform policy up to a horizon cap, explore-then-commit whose
-exploration fills the horizon, the sign-commit estimator and the always-zero
-estimator.
+known: the uniform policy up to a horizon cap, explore-then-commit, the
+sign-commit estimator and the always-zero estimator.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ __all__ = [
 ]
 
 # the randomness contract above, named in a simulated report's metadata
-RNG_CONTRACT = "philox-seed-block-v2"
+RNG_CONTRACT = "philox-seed-block-v3"
 
 _MAX_EXACT_HORIZON = 64
 
@@ -112,10 +113,10 @@ _STRIP_ROWS = 64
 _ROLLOUT_ELEMENTS = 9 * 2048
 
 # work (`_cost`) that each worker process must get before simulate_shared
-# forks one, about 25 ms: the T = 200 verify battery's 103,210 a block keep
+# forks one, about 15 ms: the T = 200 verify battery's 90,000 a block keep
 # it serial at 300 replicates (2 blocks), where a fork costs about what it
-# saves, and give it two workers at 1,000 (4 blocks)
-_WORK_PER_WORKER = 125_000
+# saves, and give it two workers at 1,000 (4 blocks), or three
+_WORK_PER_WORKER = 100_000
 
 
 class Estimator(Enum):
@@ -189,11 +190,15 @@ def _policy_problem(policy: object, horizon: object) -> str | None:
     policy, its UCB constant is not a finite real >= 0 (NaN would lose every
     index comparison) or makes the last round's radius overflow (every
     index would read inf, and the tie go to arm 1), or its
-    explore-then-commit tau does not fit the horizon.  The radius and the
-    tau are checked only at a horizon `_FIELD_PROBLEMS` takes."""
+    explore-then-commit tau does not fit the horizon, or, for the uniform
+    policy and explore-then-commit, whose pull counts are drawn as int64 in
+    one row, the horizon does not fit an int64.  The radius and the tau are
+    checked only at a horizon `_FIELD_PROBLEMS` takes."""
     if not isinstance(policy, get_args(Policy)):
         return f"must be a policy, got {policy!r}"
     horizon_ok = _FIELD_PROBLEMS["horizon"](horizon) is None
+    if isinstance(policy, (UniformRandom, ExploreThenCommit)) and horizon_ok and horizon >= 2**63:
+        return f"{policy.name} runs at horizons below 2**63, got horizon = {horizon}"
     if isinstance(policy, UCB):
         c = policy.c_explore
         if why := _FIELD_PROBLEMS["c_explore"](c):
@@ -261,21 +266,6 @@ def replicate_rng(seed: int, block: int) -> np.random.Generator:
 # ------------------------------------------------------------------- draws
 
 
-def _reads(config: BanditConfig | EstimationConfig) -> tuple[int, int]:
-    """(rows, rows a round) that a pass of the config reads from each
-    block's stream past its model draw: the uniform policy's T rows of arm
-    draws, Thompson's 3T normals, three a round, UCB's T, explore-then-
-    commit's 2 tau or an estimation's n."""
-    if isinstance(config, EstimationConfig):
-        return config.n, 1
-    horizon, policy = config.horizon, config.policy
-    if isinstance(policy, ThompsonGaussian):
-        return 3 * horizon, 3
-    if isinstance(policy, ExploreThenCommit):
-        return 2 * resolve_tau(policy, horizon), 1
-    return horizon, 1
-
-
 def _pass_key(config: BanditConfig | EstimationConfig) -> tuple:
     """Configs of one key form one pass: they read the same rows of the
     same blocks, so each block is drawn once for all of them, and a bandit
@@ -290,52 +280,42 @@ def _blocks(replicates: int) -> range:
     return range(-(-replicates // _BLOCK))
 
 
-def _draw(seed: int, blocks: range, rows: int, per: int, arms: bool, cols: int) -> Iterator[np.ndarray]:
-    """Read one pass's rows of the blocks' streams in the contract's order:
-    the one drawing loop.  Yields the (G, cols) models in {1, 2} of the G
-    blocks, then the `rows` rows in strips of whole rounds of `per` rows,
-    each (G, S, cols): standard normals, drawn into one reused buffer and so
-    valid until the next strip is drawn, or arm draws in {1, 2} if `arms`.
-    Every row is drawn whole; only its first `cols` replicates are yielded."""
+def _draw(seed: int, blocks: range, cols: int) -> tuple[np.ndarray, list]:
+    """Key the streams of the G blocks and read their models, which every
+    pass reads first: the one place a pass starts drawing.  Returns the
+    (G, cols) models in {1, 2} and the streams, which the pass reads on."""
     rngs = [replicate_rng(seed, block) for block in blocks]
-    yield 1 + np.stack([rng.integers(0, 2, size=_BLOCK, dtype=np.int8) for rng in rngs])[:, :cols]
+    return 1 + np.stack([rng.integers(0, 2, size=_BLOCK, dtype=np.int8) for rng in rngs])[:, :cols], rngs
+
+
+def _normals(rngs: list, cols: int) -> np.ndarray:
+    """(G, cols): one row of standard normals of each stream."""
+    return np.stack([rng.standard_normal(_BLOCK) for rng in rngs])[:, :cols]
+
+
+def _rounds(rngs: list, rows: int, per: int, cols: int) -> Iterator[np.ndarray]:
+    """Each round's (G, per, cols) standard normals of `rows` rows of the
+    streams, in order.  The rows are drawn in strips of whole rounds into
+    one reused buffer, so a round is valid until the next strip is drawn.
+    Every row is drawn whole; only its first `cols` replicates are yielded."""
     size = max(1, _STRIP_ROWS // per) * per
-    strip = None if arms else np.empty((len(rngs), min(size, rows), _BLOCK))
+    strip = np.empty((len(rngs), min(size, rows), _BLOCK))
     for start in range(0, rows, size):
-        if arms:
-            shape = (min(size, rows - start), _BLOCK)
-            yield np.stack([rng.integers(1, 3, size=shape, dtype=np.int8) for rng in rngs])[..., :cols]
-        else:
-            # each block's rows are one C-contiguous (S, 256) slab, as out= needs
-            part = strip[:, : rows - start]
-            for rng, out in zip(rngs, part):
-                rng.standard_normal(out=out)
-            yield part[..., :cols]
-
-
-def _rounds(strips: Iterator[np.ndarray], per: int) -> Iterator[np.ndarray]:
-    """Each round's (G, per, 256) rows of a pass's strips, in order."""
-    for strip in strips:
-        for i in range(0, strip.shape[1], per):
-            yield strip[:, i : i + per]
+        # each block's rows are one C-contiguous (S, 256) slab, as out= needs
+        part = strip[:, : rows - start]
+        for rng, out in zip(rngs, part):
+            rng.standard_normal(out=out)
+        for i in range(0, part.shape[1], per):
+            yield part[:, i : i + per, :cols]
 
 
 # ---------------------------------------------------------------- estimation
 
 
-def _noise_mean(n: int, shape: tuple, strips: Iterator[np.ndarray]) -> np.ndarray:
-    """Each replicate's mean of its n observation noises, summed row by row
-    in round order, so that no strip size changes a bit."""
-    total = np.zeros(shape)
-    for strip in strips:
-        for row in strip.swapaxes(0, 1):
-            total += row
-    return total / n
-
-
 def _estimate(config: EstimationConfig, model: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """(reps,) losses of the configured estimator, given each replicate's
-    model (theta is +delta under model 2) and observation-noise mean."""
+    model (theta is +delta under model 2) and observation-noise mean
+    ybar - theta."""
     delta = config.delta
     theta = np.where(model == 2, delta, -delta)
     ybar = theta + noise
@@ -358,33 +338,38 @@ def run_estimation(config: EstimationConfig) -> np.ndarray:
 
 
 def _arm_index(s, m, w, out, tmp) -> None:
-    """out = s / m + w / sqrt(m), an arm's UCB index or Thompson draw, built
-    in the workspace arrays `out` and `tmp`; `m` may be `out` itself."""
+    """out = s / m + w / sqrt(m), an arm's UCB index, built in the
+    workspace arrays `out` and `tmp`; `m` may be `out` itself."""
     np.divide(s, m, out=tmp)
     np.sqrt(m, out=out)
     np.divide(w, out, out=out)
     out += tmp
 
 
-def _rollout(policy: Policy, horizon: int, gaps, model, strips) -> np.ndarray:
-    """Arm-1 pull counts, shaped (k, G, 256), of a group of G blocks rolled
+def _rollout(policy: Policy, horizon: int, gaps, model, rngs) -> np.ndarray:
+    """Arm-1 pull counts, shaped (k, G, cols), of a group of G blocks rolled
     out at each of the k gaps, each replicate under its drawn model; `model`
-    and `strips` are the group's draws (`_draw`).
+    and `rngs` are the group's models and streams (`_draw`), from which the
+    rollout reads its rows.
 
-    The rollout runs in lockstep over replicates x gaps, one round at a
-    time: the state arrays are (k, G, 256) and each round's (G, 256) noise
-    and Thompson normals broadcast across the gaps, so every element sees
-    the float operations of a rollout at its gap alone.  Explore-then-commit
-    runs only its 2 tau exploration rounds, since the sums they leave decide
-    its commit.  The uniform policy's counts do not depend on the gap: m
-    rows of its arm draws, each 1 or 2, sum to 2 m less its arm-1 pulls.
+    The uniform policy's count is its one binomial draw, whatever the gap.
+    Explore-then-commit's arm sums after tau pulls of each arm differ by
+    2 tau mu1 + sqrt(2 tau) z for its one standard normal z, so it commits
+    to arm 1, ties included, where that is >= 0.
 
-    UCB and Thompson pick the arm branch-free in a fixed workspace of
-    (k, G, 256) arrays made once per call: `pick` is 1.0 where arm 1 is
-    pulled and 0.0 elsewhere, the reward is y = mu1 (2 pick - 1) + noise,
-    arm 1's sum gains pick y and arm 2's gains y - pick y.  The sums are bit
-    for bit those of the oracle `tests/oracles._reference_rollout`, which
-    adds y to the pulled arm's sum and 0.0 to the other's:
+    UCB and Thompson run in lockstep over replicates x gaps, one round at a
+    time: the state arrays are (k, G, cols) and each round's (G, cols) rows
+    broadcast across the gaps, so every element sees the float operations
+    of a rollout at its gap alone.  Thompson pulls arm 1 where its posterior
+    draws' difference s1 / d1 - s2 / d2 + sqrt(1 / d1 + 1 / d2) W is >= 0,
+    with d = pulls + 1 and W the round's first row.
+
+    Both pick the arm branch-free in a fixed workspace of (k, G, cols)
+    arrays made once per call: `pick` is 1.0 where arm 1 is pulled and 0.0
+    elsewhere, the reward is y = mu1 (2 pick - 1) + noise, arm 1's sum gains
+    pick y and arm 2's gains y - pick y.  The sums are bit for bit those of
+    the oracle `tests/oracles._reference_rollout`, which adds y to the
+    pulled arm's sum and 0.0 to the other's:
 
     * mu1 * (+-1) is mu1 or -mu1 = mu2 exactly, zero signs included, also at
       a subnormal gap whose half rounds to +-0;
@@ -395,37 +380,38 @@ def _rollout(policy: Policy, horizon: int, gaps, model, strips) -> np.ndarray:
       it unchanged, as adding the oracle's 0.0 does.
     """
     shape = (len(gaps), *model.shape)
+    cols = model.shape[1]
     if isinstance(policy, UniformRandom):
-        pulls = np.zeros(model.shape, dtype=np.int64)
-        for strip in strips:
-            pulls += 2 * strip.shape[1] - strip.sum(axis=1, dtype=np.int64)
+        pulls = np.stack([rng.binomial(horizon, 0.5, _BLOCK) for rng in rngs])[:, :cols]
         return np.broadcast_to(pulls, shape)
     half = 0.5 * np.asarray(gaps, dtype=float)[:, None, None]
     mu1 = np.where(model == 1, half, -half)  # arm 1's mean
+    if isinstance(policy, ExploreThenCommit):
+        tau = resolve_tau(policy, horizon)
+        commit1 = 2.0 * tau * mu1 + math.sqrt(2.0 * tau) * _normals(rngs, cols) >= 0.0
+        return tau + (horizon - 2 * tau) * commit1
+    thompson = isinstance(policy, ThompsonGaussian)
+    per = 2 if thompson else 1
     s1 = np.zeros(shape)
     s2 = np.zeros(shape)
-    thompson = isinstance(policy, ThompsonGaussian)
-    rounds = _rounds(strips, 3 if thompson else 1)
-    if isinstance(policy, ExploreThenCommit):
-        mu2 = -mu1
-        tau = resolve_tau(policy, horizon)
-        for t, rows in enumerate(rounds):
-            if t < tau:
-                s1 += mu1 + rows[:, 0]
-            else:
-                s2 += mu2 + rows[:, 0]
-        # equal exploration counts, so compare sums; ties -> arm 1
-        commit1 = s1 >= s2
-        return tau + (horizon - 2 * tau) * commit1
     n1 = np.zeros(shape)  # counts held as floats, exact up to 2**53
     pick, y, idx1, idx2 = (np.empty(shape) for _ in range(4))
-    for t, rows in enumerate(rounds):
+    for t, rows in enumerate(_rounds(rngs, per * horizon, per, cols)):
         if thompson:
+            # pick = s1 / d1 - s2 / d2 + sqrt(1 / d1 + 1 / d2) W >= 0, with
+            # d1 and then 1 / d1 in idx1, d2 and then 1 / d2 in idx2
             np.add(n1, 1.0, out=idx1)
-            _arm_index(s1, idx1, rows[:, 0], idx1, y)
             np.subtract(t + 1.0, n1, out=idx2)  # arm 2's pulls + 1, exact
-            _arm_index(s2, idx2, rows[:, 1], idx2, y)
-            np.greater_equal(idx1, idx2, out=pick)
+            np.divide(s1, idx1, out=pick)
+            np.divide(s2, idx2, out=y)
+            pick -= y
+            np.divide(1.0, idx1, out=idx1)
+            np.divide(1.0, idx2, out=idx2)
+            idx1 += idx2
+            np.sqrt(idx1, out=idx1)
+            idx1 *= rows[:, 0]
+            pick += idx1
+            np.greater_equal(pick, 0.0, out=pick)
         elif t < 2:
             pick.fill(t == 0)
         else:
@@ -488,21 +474,19 @@ def _groups(configs: Sequence[BanditConfig | EstimationConfig]) -> list[range]:
 
 def _cost(configs: Sequence[BanditConfig | EstimationConfig], group: range) -> int:
     """The time of rolling a pass out over a group, in array operations on
-    one gap's (256,) state: per block 1,000 to set the stream up, 25 a row
-    of normals and 3 a row of arm draws, and per round and gap 20
-    operations for UCB and Thompson, 2 for explore-then-commit and 1 for an
-    estimation's noise sum.  At the default verify battery (T = 200, 9
-    gaps, n = 100) a block costs 52,000 for Thompson, 42,000 for UCB, 4,010
-    for explore-then-commit, 3,600 for the estimation and 1,600 for the
-    uniform policy; timed at 50,000 replicates on a 2-CPU Xeon VM, every
-    pass took 0.19 to 0.22 us a unit."""
+    one gap's (256,) state: per block 600 to key the stream and draw and
+    finish a pass of one row, and for UCB and Thompson 25 more a row of
+    normals and 20 per round and gap.  At the default verify battery
+    (T = 200, 9 gaps, n = 100) a block costs 46,600 for Thompson, 41,600
+    for UCB and 600 for each of the uniform policy, explore-then-commit and
+    the estimation; timed at 50,000 replicates on a 2-CPU Xeon VM, UCB and
+    Thompson took 0.14 to 0.15 us a unit and the others 0.11 to 0.23."""
     first = configs[0]
-    rows, per = _reads(first)
     policy = getattr(first, "policy", None)
-    if isinstance(policy, UniformRandom):
-        return len(group) * (1_000 + 3 * rows)
-    ops = 1 if isinstance(first, EstimationConfig) else 20 if isinstance(policy, (UCB, ThompsonGaussian)) else 2
-    return len(group) * (1_000 + 25 * rows + ops * rows // per * _width(configs))
+    if not isinstance(policy, (UCB, ThompsonGaussian)):
+        return len(group) * 600
+    rows = first.horizon * (2 if isinstance(policy, ThompsonGaussian) else 1)
+    return len(group) * (600 + 25 * rows + 20 * first.horizon * _width(configs))
 
 
 def _pass_losses(configs: Sequence[BanditConfig | EstimationConfig], group: range) -> list[np.ndarray]:
@@ -511,17 +495,15 @@ def _pass_losses(configs: Sequence[BanditConfig | EstimationConfig], group: rang
     at once.  A group of one block is rolled out over the replicates it
     keeps only, so a short run does not roll out a whole block."""
     first = configs[0]
-    rows, per = _reads(first)
     kept = min(group.stop * _BLOCK, first.replicates) - group.start * _BLOCK
-    arms = isinstance(getattr(first, "policy", None), UniformRandom)
-    draws = _draw(first.seed, group, rows, per, arms, kept if len(group) == 1 else _BLOCK)
-    model = next(draws)
+    model, rngs = _draw(first.seed, group, kept if len(group) == 1 else _BLOCK)
     # the replicates past R that a group of blocks rolled out are dropped here
     if isinstance(first, EstimationConfig):
-        noise = _noise_mean(rows, model.shape, draws).ravel()[:kept]
+        # ybar - theta is z / sqrt(n) for one standard normal z
+        noise = (_normals(rngs, model.shape[1]) / math.sqrt(first.n)).ravel()[:kept]
         return [_estimate(config, model.ravel()[:kept], noise) for config in configs]
     gaps, row_gap = _gaps(configs)
-    n1 = _rollout(first.policy, first.horizon, gaps, model, draws).reshape(len(gaps), -1)[:, :kept]
+    n1 = _rollout(first.policy, first.horizon, gaps, model, rngs).reshape(len(gaps), -1)[:, :kept]
     regret = _regret(gaps, first.horizon, model.ravel()[:kept], n1)
     return [regret[g] for g in row_gap]
 
@@ -732,16 +714,24 @@ def exact_loss_law(config: BanditConfig | EstimationConfig) -> DiscreteLossDistr
     """The config's loss law in closed form, or None where none is known.
 
     Known laws: the uniform policy up to horizon _MAX_EXACT_HORIZON,
-    explore-then-commit whose exploration fills the horizon, the sign-commit
-    estimator, and the always-zero estimator.
+    explore-then-commit, the sign-commit estimator, and the always-zero
+    estimator.  Explore-then-commit pulls the worse arm tau times, and
+    T - tau times where it commits to it, with probability
+    P(Z > g sqrt(tau / 2)) under either model (Garivier, Lattimore and
+    Kaufmann, NeurIPS 2016); at 2 tau = T the two regrets are one.
     """
     if isinstance(config, BanditConfig):
         policy, horizon = config.policy, config.horizon
         if isinstance(policy, UniformRandom) and horizon <= _MAX_EXACT_HORIZON:
             return exact_uniform_bandit_law(config.gap, horizon)
-        if isinstance(policy, ExploreThenCommit) and 2 * (tau := resolve_tau(policy, horizon)) == horizon:
-            # tau pulls of the worse arm under either model, with certainty
-            return DiscreteLossDistribution._from_columns((config.gap * tau,), (1.0,))
+        if isinstance(policy, ExploreThenCommit):
+            tau = resolve_tau(policy, horizon)
+            right, wrong = config.gap * tau, config.gap * (horizon - tau)
+            if wrong == right:
+                return DiscreteLossDistribution._from_columns((right,), (1.0,))
+            # p may underflow to 0.0; its atom is kept
+            p = normal_upper_tail(config.gap * math.sqrt(tau / 2))
+            return DiscreteLossDistribution._from_columns((right, wrong), (1.0 - p, p))
         return None
     if config.estimator is Estimator.SIGN_COMMIT:
         return exact_sign_estimator_law(config.n, config.delta)

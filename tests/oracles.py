@@ -180,16 +180,19 @@ def csv_by_rows(report: experiments.ExperimentReport) -> str:
 
 
 def transcript_draws(config: BanditConfig, blocks: range) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """The config's reads of the replicates in the blocks under the
-    philox-seed-block-v2 contract, read again here in one draw a block, not
-    in the package's strips: (reps,) models, its own draws, the uniform
-    policy's (reps, T) arm draws or Thompson's (reps, T, 2) posterior
-    normals, and (reps, T) reward noises.  A transcript replays every
-    reward, so explore-then-commit reads T rows, past the 2 tau the package
-    reads, and the uniform policy, whose pass reads no normals, T rows of
-    normals past its arm draws."""
+    """Whole transcripts' draws of the replicates in the blocks, read in one
+    draw a block, not in the package's strips: (reps,) models, the policy's
+    own draws, the uniform policy's (reps, T) arm draws or Thompson's
+    (reps, T) posterior-difference normals, and (reps, T) reward noises.
+
+    UCB and Thompson read their blocks as the philox-seed-block-v3 contract
+    does.  The uniform policy and explore-then-commit, whose passes read one
+    statistic a replicate, get per-round transcripts of the oracle's own
+    from the same streams past the models: T rows of arm draws
+    `integers(1, 3)` and then T rows of reward noise, or T rows of reward
+    noise.  They have the package's laws, not its values."""
     horizon, policy = config.horizon, config.policy
-    per = 3 if isinstance(policy, ThompsonGaussian) else 1
+    per = 2 if isinstance(policy, ThompsonGaussian) else 1
     models, owns, noises = [], [], []
     for block in blocks:
         rng = sim.replicate_rng(config.seed, block)
@@ -198,8 +201,8 @@ def transcript_draws(config: BanditConfig, blocks: range) -> tuple[np.ndarray, n
             owns.append(rng.integers(1, 3, size=(horizon, 256), dtype=np.int8).T)
         # round-major rows: row i holds the i-th value of every replicate
         rounds = rng.standard_normal((horizon * per, 256)).T.reshape(256, horizon, per)
-        if per == 3:
-            owns.append(rounds[:, :, :2])
+        if per == 2:
+            owns.append(rounds[:, :, 0])
         noises.append(rounds[:, :, -1])
     kept = min(256 * blocks.stop, config.replicates) - 256 * blocks.start
 
@@ -211,7 +214,9 @@ def transcript_draws(config: BanditConfig, blocks: range) -> tuple[np.ndarray, n
 
 def _reference_rollout(config: BanditConfig, model, own, noise) -> np.ndarray:
     """The round loop that rolled out one gap at a time, kept as the oracle
-    of the batched rollout; returns the (reps, T) action array."""
+    of the batched rollout; returns the (reps, T) action array.  Thompson
+    pulls arm 1 where its two posterior draws' difference, one normal
+    own[:, t] scaled, is >= 0, in the package's float operations."""
     policy = config.policy
     if isinstance(policy, UniformRandom):
         return own
@@ -249,9 +254,8 @@ def _reference_rollout(config: BanditConfig, model, own, noise) -> np.ndarray:
         else:
             d1 = n1 + 1.0
             d2 = n2 + 1.0
-            draw1 = s1 / d1 + own[:, t, 0] / np.sqrt(d1)
-            draw2 = s2 / d2 + own[:, t, 1] / np.sqrt(d2)
-            a = np.where(draw1 >= draw2, 1, 2).astype(np.int8)
+            difference = s1 / d1 - s2 / d2 + np.sqrt(1.0 / d1 + 1.0 / d2) * own[:, t]
+            a = np.where(difference >= 0.0, 1, 2).astype(np.int8)
         actions[:, t] = a
         on1 = a == 1
         y = np.where(on1, mu_arm1, -mu_arm1) + noise[:, t]
@@ -267,10 +271,9 @@ def mc_transcript_kl(config: BanditConfig) -> tuple[float, float]:
     the two models, simulated under model 1.
 
     Each replicate accumulates sum_t [(Y_t - mu_2(A_t))^2 - (Y_t - mu_1(A_t))^2] / 2
-    along a transcript rolled out under model 1.  The model draws at the
-    head of each block's stream are read but ignored, so the remaining draws
-    align with the package's simulations.  Population value is g^2 T / 2 for
-    any policy.
+    along a transcript rolled out under model 1 (`transcript_draws`).  The
+    model draws at the head of each block's stream are read but ignored.
+    Population value is g^2 T / 2 for any policy.
     """
     if config.replicates < _MIN_KL_REPLICATES:
         raise ValueError(

@@ -666,7 +666,7 @@ def test_simulated_reports_name_their_rng_contract():
     # in the JSON metadata only: the CSV columns stay as pinned, and a
     # bound report, which draws nothing, names none
     simulated = run_experiment(_bandit_config())
-    assert json.loads(render_json(simulated))["metadata"]["rng_contract"] == "philox-seed-block-v2"
+    assert json.loads(render_json(simulated))["metadata"]["rng_contract"] == "philox-seed-block-v3"
     assert render_csv(simulated).splitlines()[0] == ",".join(CSV_COLUMNS)
     bound = run_experiment(ExperimentConfig(kind=ExperimentKind.BOUND, alphas=(0.5,), horizon=100, gap=0.1))
     assert "rng_contract" not in bound.metadata
@@ -1022,11 +1022,11 @@ def test_verify_rolls_out_each_policy_once_per_group(monkeypatch, tmp_path, elem
 
 @pytest.mark.parametrize("replicates, forks", [(60, 0), (300, 0), (1000, 1)])
 def test_verify_forks_a_worker_only_for_enough_work(monkeypatch, tmp_path, replicates, forks):
-    # the default battery costs 4,770 a block (sim._cost): the rows read by
-    # the uniform policy (T), explore-then-commit (2 tau), UCB (T), Thompson
-    # (3T) and the estimation (n), plus T rounds x 9 gaps each for UCB and
-    # Thompson: with two usable CPUs a second worker is forked only where
-    # each gets sim._WORK_PER_WORKER of it, at 4 blocks and not at 1 or 2
+    # the default battery costs 90,000 a block (sim._cost): 600 for each of
+    # its five passes, plus the rows read by UCB (T) and Thompson (2T) and
+    # T rounds x 9 gaps each for them: with two usable CPUs a second worker
+    # is forked only where each gets sim._WORK_PER_WORKER of it, at 4 blocks
+    # and not at 1 or 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     calls, fork = [], os.fork
 
