@@ -36,6 +36,7 @@ line delta.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import shutil
@@ -46,6 +47,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -137,6 +139,21 @@ def src_line_delta(ref: Path, tree: Path) -> str:
     return f"src/**/*.py lines: ref {ref_lines}, working tree {tree_lines}, difference {tree_lines - ref_lines:+d}"
 
 
+@contextlib.contextmanager
+def exported(ref: str) -> Iterator[Path]:
+    """`git archive REF` of this repository, extracted to a temporary
+    directory that is removed on exit.  A failing `git archive` raises
+    `subprocess.CalledProcessError`, carrying git's stderr."""
+    archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT, capture_output=True, check=True)
+    export = Path(tempfile.mkdtemp(prefix="ref-export-"))
+    try:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(export, filter="data")
+        yield export
+    finally:
+        shutil.rmtree(export, ignore_errors=True)
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -160,32 +177,28 @@ def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end = benchmark["end_to_end"]
-    archive = subprocess.run(["git", "archive", "--format=tar", args.ref], cwd=ROOT, capture_output=True)
-    if archive.returncode != 0:
-        print(f"error: git archive {args.ref}: {archive.stderr.decode()[-2000:]}", file=sys.stderr)
-        return 2
-    export = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(export, filter="data")
-        lines = src_line_delta(export, ROOT)
-        results = {}
-        for workload in workloads(args.workload, benchmark):
-            pairs = results[workload] = []
-            for number in range(1, args.pairs + 1):
-                seed = args.seed0 + number - 1
-                trees = (export, ROOT) if number % 2 else (ROOT, export)
-                runs = {tree: _run(tree, workload, seed, args.seconds) for tree in trees}
-                pairs.append((runs[export], runs[ROOT]))
-                print(f"{workload} pair {number} seed {seed}: " + ", ".join(
-                    f"{m['name']} {runs[export]['metrics'][m['name']]:.4g} -> {runs[ROOT]['metrics'][m['name']]:.4g}"
-                    for m in end_to_end
-                ), flush=True)
+        with exported(args.ref) as export:
+            lines = src_line_delta(export, ROOT)
+            results = {}
+            for workload in workloads(args.workload, benchmark):
+                pairs = results[workload] = []
+                for number in range(1, args.pairs + 1):
+                    seed = args.seed0 + number - 1
+                    trees = (export, ROOT) if number % 2 else (ROOT, export)
+                    runs = {tree: _run(tree, workload, seed, args.seconds) for tree in trees}
+                    pairs.append((runs[export], runs[ROOT]))
+                    print(f"{workload} pair {number} seed {seed}: " + ", ".join(
+                        f"{m['name']} {runs[export]['metrics'][m['name']]:.4g}"
+                        f" -> {runs[ROOT]['metrics'][m['name']]:.4g}"
+                        for m in end_to_end
+                    ), flush=True)
+    except subprocess.CalledProcessError as exc:
+        print(f"error: git archive {args.ref}: {exc.stderr.decode()[-2000:]}", file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        shutil.rmtree(export, ignore_errors=True)
     print("\n".join([*report(args.ref, results, end_to_end), lines]))
     return 0
 

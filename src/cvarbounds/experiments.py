@@ -8,9 +8,9 @@ Row schema is pinned for downstream tooling: columns
 alpha, param_name, param_value, bound, t_star, empirical_cvar, exact_cvar,
 stderr, mc_slack, dominated.  Numeric cells are rendered with 12 significant
 digits, empty cells mean "not applicable", and `dominated` is the literal
-true/false.  A report holds its table as columns, one per row field, and
-rendering is a pure function of them, so a fixed config and seed produce
-byte-identical files.
+true/false.  A report holds its table as blocks of columns, one per row
+field, and rendering is a pure function of them, so a fixed config and seed
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,14 +19,14 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
-from operator import is_
+from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, get_args
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, get_args
 
 import numpy as np
 
@@ -73,7 +73,8 @@ _EXACT_SLACK = 1e-9
 # multiplier turning a tail standard error into Monte Carlo slack
 _SLACK_SIGMAS = 5.0
 
-# most rho steps a psi table may take (its columns are built in memory)
+# most rho steps a psi table may take: each tail level's block of the table
+# is built in memory, and the rendered CSV is held whole
 _MAX_PSI_STEPS = 10**6
 
 # a psi grid keeps an endpoint that rounding puts this little (relative)
@@ -222,30 +223,64 @@ CSV_COLUMNS = tuple(ExperimentRow._fields[i] for i in _CSV_FIELDS)
 
 
 @dataclass(frozen=True)
-class ExperimentReport:
-    """A report's table as columns: one tuple per `ExperimentRow` field, in
-    field order, all of one length.  `render_csv` and `all_dominated` read
-    the columns; `rows` builds the row tuples on first read and keeps them,
-    since a row object apiece made long psi tables slow and large."""
+class _Repeat:
+    """A block column that holds one object in every row, with no slot a
+    row; `render_csv` writes its cell as fixed text."""
 
-    columns: tuple[tuple, ...]
+    value: Any
+    length: int
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator:
+        return repeat(self.value, self.length)
+
+
+@dataclass(frozen=True, eq=False)
+class ExperimentReport:
+    """A report's table as blocks of columns: each block has one sequence
+    per `ExperimentRow` field, in field order, all of one length, and the
+    table is the blocks' rows in order.  A column is a tuple or a `_Repeat`,
+    and blocks may share a column object, as every psi block shares its rho
+    grid.  `render_csv` and `all_dominated` read the blocks; `columns`, one
+    tuple per field over the whole table, and `rows` are built on first read
+    and kept, since full-length columns and a row object apiece made long
+    psi tables slow and large.  Two reports are equal when their columns and
+    metadata are."""
+
+    blocks: tuple[tuple[Sequence, ...], ...]
     metadata: Mapping[str, Any]
 
     def __post_init__(self) -> None:
-        if len(self.columns) != len(ExperimentRow._fields) or len(set(map(len, self.columns))) > 1:
-            raise ValueError(f"a report needs {len(ExperimentRow._fields)} columns of one length")
+        for block in self.blocks:
+            if len(block) != len(ExperimentRow._fields) or len(set(map(len, block))) > 1:
+                raise ValueError(f"a report block needs {len(ExperimentRow._fields)} columns of one length")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExperimentReport):
+            return NotImplemented
+        return (self.columns, self.metadata) == (other.columns, other.metadata)
 
     @classmethod
     def from_rows(cls, rows: Iterable[ExperimentRow], metadata: Mapping[str, Any]) -> ExperimentReport:
-        return cls(tuple(zip(*rows)) or ((),) * len(ExperimentRow._fields), metadata)
+        columns = tuple(zip(*rows))
+        return cls((columns,) if columns else (), metadata)
+
+    @cached_property
+    def columns(self) -> tuple[tuple, ...]:
+        return tuple(
+            tuple(chain.from_iterable(block[i] for block in self.blocks)) for i in range(len(ExperimentRow._fields))
+        )
 
     @cached_property
     def rows(self) -> tuple[ExperimentRow, ...]:
-        return tuple(map(ExperimentRow._make, zip(*self.columns)))
+        return tuple(chain.from_iterable(map(ExperimentRow._make, zip(*block)) for block in self.blocks))
 
     @property
     def all_dominated(self) -> bool:
-        return all(self.columns[ExperimentRow._fields.index("dominated")])
+        field = ExperimentRow._fields.index("dominated")
+        return all(chain.from_iterable(block[field] for block in self.blocks))
 
 
 def _tail_stats(
@@ -300,23 +335,25 @@ def _psi_steps(rho_max: float, rho_step: float) -> int:
 _BRANCH_PARAMS = {branch: MappingProxyType({"branch": branch.value}) for branch in Branch}
 
 
-def _psi_columns(config: ExperimentConfig) -> tuple[tuple, ...]:
-    """The psi table as report columns, built a tail level and a branch run
-    at a time; the fields after `bound` hold their defaults."""
+def _psi_blocks(config: ExperimentConfig) -> tuple[tuple, ...]:
+    """The psi table as report blocks, one per tail level, each built a
+    branch run at a time.  Every block holds the one rho grid tuple, and
+    its alpha, param_name and the fields after `bound`, which hold their
+    defaults, as `_Repeat`s."""
     # exactly i * rho_step: each product of an index and the step rounds once
     rhos = np.arange(_psi_steps(config.rho_max, config.rho_step) + 1) * config.rho_step
-    rho_values = tuple(rhos.tolist())  # one float per point, shared by every level's rows
-    alphas, params, bounds = [], [], []
+    rho_values = tuple(rhos.tolist())
+    count = len(rho_values)
+    after_bound = ExperimentRow._fields[ExperimentRow._fields.index("bound") + 1:]
+    defaults = [_Repeat(ExperimentRow._field_defaults[name], count) for name in after_bound]
+    blocks = []
     for alpha in config.alphas:
         level = RiskLevel(alpha)
-        alphas += [level.alpha] * len(rho_values)
-        for branch, values in _bound_factor_runs(level, rhos):
-            params += [_BRANCH_PARAMS[branch]] * len(values)
-            bounds += values.tolist()
-    count = len(bounds)
-    table = (alphas, ("rho",) * count, rho_values * len(config.alphas), params, bounds)
-    defaults = ((ExperimentRow._field_defaults[name],) * count for name in ExperimentRow._fields[len(table):])
-    return (*map(tuple, table), *defaults)
+        runs = _bound_factor_runs(level, rhos)
+        params = tuple(chain.from_iterable(repeat(_BRANCH_PARAMS[branch], len(values)) for branch, values in runs))
+        bounds = tuple(chain.from_iterable(values.tolist() for _, values in runs))
+        blocks.append((_Repeat(level.alpha, count), _Repeat("rho", count), rho_values, params, bounds, *defaults))
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -562,11 +599,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     started = time.perf_counter()
     cases = _cases(config)
     psi = config.kind is ExperimentKind.PSI
-    table = _psi_columns(config) if psi else _battery_rows(config, cases)
+    table = _psi_blocks(config) if psi else _battery_rows(config, cases)
     metadata: dict[str, Any] = {
         "kind": config.kind.value,
-        # a report carries Python floats: JSON renders no numpy float32
-        "alphas": list(map(float, config.alphas)),
+        # a report carries Python floats, as RiskLevel holds them: JSON
+        # renders no numpy float32, and a zero level is +0.0
+        "alphas": [RiskLevel(alpha).alpha for alpha in config.alphas],
         "scales": list(map(float, config.scales)),
         "seed": config.seed,
         "wall_time_s": time.perf_counter() - started,
@@ -604,15 +642,44 @@ def _cell(value: float | str | bool | None) -> str:
     )
 
 
-def _holds_one_object(column: tuple) -> bool:
-    """Whether every row of a nonempty column holds its first row's object.
-    The last row is tested first, then equality by a C-level count; None or
-    a string equal to the first has its cell, and any other value is then
-    tested for identity."""
-    first = column[0]
-    return column[-1] is first and column.count(first) == len(column) and (
-        first is None or isinstance(first, str) or all(map(is_, column, repeat(first)))
-    )
+def _csv_chunks(report: ExperimentReport) -> Iterator[str]:
+    """The CSV text of `render_csv` in pieces: the header line, then each
+    block's rows a chunk at a time.  Each block's rows are written by one
+    printf template.  A `_Repeat` column is its cell's text in the
+    template; a column object that the table holds more than once, as psi
+    blocks hold the rho grid, has its cells made once, for a string field in
+    each place; any other column is a number field if it holds plain floats,
+    else a string field over its values' `_cell`s.  So a psi row costs one
+    string field and one number field."""
+    blocks = [[block[i] for i in _CSV_FIELDS] for block in report.blocks]
+    uses = Counter(id(column) for columns in blocks for column in columns)
+    shared: dict[int, list[str]] = {}
+    yield ",".join(CSV_COLUMNS) + "\n"
+    for columns in blocks:
+        count = len(columns[0])
+        template, varying = [], []
+        for column in columns:
+            if isinstance(column, _Repeat):
+                template.append(_cell(column.value).replace("%", "%%"))
+            elif uses[id(column)] > 1:
+                if id(column) not in shared:
+                    shared[id(column)] = list(map(_cell, column))
+                template.append("%s")
+                varying.append(shared[id(column)])
+            elif list(map(type, column)).count(float) == count:
+                template.append(_NUMBER)
+                varying.append(column)
+            else:
+                template.append("%s")
+                varying.append(list(map(_cell, column)))
+        row = ",".join(template) + "\n"
+        width = len(varying)
+        for start in range(0, count, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, count)
+            values = [None] * ((stop - start) * width)
+            for i, column in enumerate(varying):
+                values[i::width] = column[start:stop]
+            yield row * (stop - start) % tuple(values)
 
 
 def render_csv(report: ExperimentReport) -> str:
@@ -620,34 +687,9 @@ def render_csv(report: ExperimentReport) -> str:
     line per row, each ending in a newline.  `_cell` states the cell rules:
     None is an empty cell, a string is written as it is, a bool as
     true/false and a number with 12 significant digits; nothing is quoted.
-
-    Each row is written by one printf template.  A column that holds one
-    object in every row is its cell's text in the template, a column of
-    plain floats a number field, and any other column a string field over
-    its values' `_cell`s.  The rows are formatted a chunk at a time, and a psi
-    table varies in 3 columns of 10."""
-    columns = [report.columns[i] for i in _CSV_FIELDS]
-    count = len(columns[0])
-    template, varying = [], []
-    for column in columns:
-        if count and _holds_one_object(column):
-            template.append(_cell(column[0]).replace("%", "%%"))
-        elif list(map(type, column)).count(float) == count:
-            template.append(_NUMBER)
-            varying.append(column)
-        else:
-            template.append("%s")
-            varying.append(list(map(_cell, column)))
-    row = ",".join(template) + "\n"
-    width = len(varying)
-    text = [",".join(CSV_COLUMNS) + "\n"]
-    for start in range(0, count, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, count)
-        values = [None] * ((stop - start) * width)
-        for i, column in enumerate(varying):
-            values[i::width] = column[start:stop]
-        text.append(row * (stop - start) % tuple(values))
-    return "".join(text)
+    The text is the join of `_csv_chunks`, whose made cells are dropped
+    once the last chunk is made, before the join."""
+    return "".join(_csv_chunks(report))
 
 
 # metadata keys that vary across identical runs; dropped at render time so a

@@ -41,7 +41,8 @@ class RiskLevel:
 
     def __post_init__(self) -> None:
         _check_fields({"alpha": self.alpha})
-        object.__setattr__(self, "alpha", float(self.alpha))
+        # + 0.0 holds a zero level as +0.0, so -0 and 0 write one cell
+        object.__setattr__(self, "alpha", float(self.alpha) + 0.0)
 
     @property
     def tail_mass(self) -> float:

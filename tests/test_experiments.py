@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -380,21 +381,28 @@ def test_psi_columns_read_as_the_rows_built_one_by_one():
     assert report.rows is report.rows
 
 
+# the 100,002-row psi table below, as its CSV's sha256, pinned from the
+# table built and rendered as full-length columns
+_LONG_PSI = ExperimentConfig(kind=ExperimentKind.PSI, alphas=(0.0, 0.5, 0.9), rho_max=1.2, rho_step=3.6e-5)
+_LONG_PSI_SHA256 = "3ab826aeb94d2bb7cf67e55830c837de0a0dc5ec8b11168358a0c07c6bfe4071"
+
+
 def test_a_long_psi_table_renders_in_bounded_memory():
-    # 100,002 rows.  Traced allocations are counted, not timed, so the peak
-    # repeats exactly: 585 bytes a row when every row was a tuple object,
-    # 441 with the table held as columns, about 200 with the rows written
-    # a chunk at a time by one template
-    cfg = ExperimentConfig(kind=ExperimentKind.PSI, alphas=(0.0, 0.5, 0.9), rho_max=1.2, rho_step=3.6e-5)
+    # Traced allocations are counted, not timed, so the peak repeats
+    # exactly: 585 bytes a row when every row was a tuple object, 441 with
+    # the table held as columns, about 200 with the rows written a chunk at
+    # a time by one template, about 127 with the table held a tail level at
+    # a time, 80 of them the CSV text, held as chunks and then joined
     tracemalloc.start()
     try:
-        text = render_csv(run_experiment(cfg))
+        text = render_csv(run_experiment(_LONG_PSI))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     rows = text.count("\n") - 1
     assert rows == 100_002
-    assert peak / rows < 300
+    assert peak / rows < 155
+    assert hashlib.sha256(text.encode()).hexdigest() == _LONG_PSI_SHA256
 
 
 def test_bound_rows_estimation_with_scales():
@@ -510,16 +518,42 @@ def test_the_csv_path_never_builds_rows(argv, capsys, monkeypatch):
         raise AssertionError("report.rows was read")
 
     monkeypatch.setattr(ExperimentReport, "rows", property(refuse))
+    # nor the full-length columns: each is read a block at a time
+    monkeypatch.setattr(ExperimentReport, "columns", property(refuse))
     assert cli_main(argv) == code == 0
     assert capsys.readouterr().out == want
 
 
-def test_a_report_refuses_columns_that_do_not_make_a_table():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psi", "--alpha", "0.9", "--rho-step", "0.3"],
+        ["bound", "--horizon", "200", "--gap", "optimal", "--alpha", "0.5"],
+        ["verify", "--replicates", "60", "--horizon", "8", "--n", "4", "--policy", "uniform",
+         "--estimator", "sign_commit", "--seed", "0"],
+    ],
+    ids=["psi", "bound", "verify"],
+)
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_a_zero_tail_level_is_written_alike_however_signed(argv, output_format, capsys):
+    # RiskLevel holds a zero level as +0.0, so -0 writes the cells and
+    # the metadata alphas of 0
+    outputs = []
+    for zero in ("0", "-0", "-0.0"):
+        assert cli_main([*argv, "--alpha", zero, "--format", output_format]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert math.copysign(1.0, RiskLevel(-0.0).alpha) == 1.0
+    if output_format == "json":
+        assert "-0" not in outputs[0] and json.loads(outputs[0])["metadata"]["alphas"][-1] == 0.0
+
+
+def test_a_report_refuses_blocks_that_do_not_make_a_table():
     row = ExperimentRow(0.5, "g", 0.25, bound=0.1)
-    columns = ExperimentReport.from_rows((row, row), {}).columns
-    for bad in (columns[1:], (*columns[:-1], (True,))):
+    (columns,) = ExperimentReport.from_rows((row, row), {}).blocks
+    for bad in (columns[1:], (*columns[:-1], (True,)), (*columns[:-1], experiments._Repeat(True, 3))):
         with pytest.raises(ValueError, match="11 columns of one length"):
-            ExperimentReport(bad, {})
+            ExperimentReport((columns, bad), {})
 
 
 def test_csv_header_only_when_empty():
@@ -541,31 +575,45 @@ _CELL_VALUES = st.one_of(
 
 
 @st.composite
-def _report_columns(draw):
-    count = draw(st.integers(0, 9))
-    columns = []
-    for _ in ExperimentRow._fields:
-        shape = draw(st.sampled_from(["one object", "plain floats", "runs", "any"]))
-        if shape == "one object":
-            column = (draw(_CELL_VALUES),) * count
-        elif shape == "plain floats":
-            column = tuple(draw(st.lists(st.floats(), min_size=count, max_size=count)))
-        elif shape == "runs":
-            column = tuple(value for value in draw(st.lists(_CELL_VALUES, max_size=3)) for _ in range(3))
-            column = (column * count)[:count] if column else (None,) * count
-        else:
-            column = tuple(draw(st.lists(_CELL_VALUES, min_size=count, max_size=count)))
-        columns.append(column)
-    return tuple(columns)
+def _report_blocks(draw):
+    blocks, made = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        count = draw(st.integers(0, 9))
+        columns = []
+        for _ in ExperimentRow._fields:
+            # a column object an earlier block, or an earlier column of this
+            # one, holds, as every psi block holds the rho grid
+            same = [column for column in made if len(column) == count]
+            shapes = ["one object", "repeat", "plain floats", "runs", "any", *(["shared"] if same else [])]
+            shape = draw(st.sampled_from(shapes))
+            if shape == "one object":
+                column = (draw(_CELL_VALUES),) * count
+            elif shape == "repeat":
+                column = experiments._Repeat(draw(_CELL_VALUES), count)
+            elif shape == "plain floats":
+                column = tuple(draw(st.lists(st.floats(), min_size=count, max_size=count)))
+            elif shape == "runs":
+                column = tuple(value for value in draw(st.lists(_CELL_VALUES, max_size=3)) for _ in range(3))
+                column = (column * count)[:count] if column else (None,) * count
+            elif shape == "any":
+                column = tuple(draw(st.lists(_CELL_VALUES, min_size=count, max_size=count)))
+            else:
+                column = draw(st.sampled_from(same))
+            columns.append(column)
+            made.append(column)
+        blocks.append(tuple(columns))
+    return tuple(blocks)
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(_report_columns(), st.integers(1, 4))
-def test_the_row_template_writes_what_the_cells_write(columns, chunk_rows):
-    report = ExperimentReport(columns, {})
+@given(_report_blocks(), st.integers(1, 4))
+def test_the_row_template_writes_what_the_cells_write(blocks, chunk_rows):
+    report = ExperimentReport(blocks, {})
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "_CHUNK_ROWS", chunk_rows)
         assert render_csv(report) == csv_by_rows(report)
+    # and verify's exit code reads every block
+    assert report.all_dominated == all(report.columns[-1])
 
 
 @pytest.mark.parametrize(
@@ -586,15 +634,31 @@ def test_the_row_template_cases(columns):
     count = len(columns[0])
     table = dict.fromkeys(ExperimentRow._fields, (None,) * count)
     table.update(zip(CSV_COLUMNS, ((0.5,) * count, *columns)))
-    report = ExperimentReport(tuple(table.values()), {})
+    report = ExperimentReport((tuple(table.values()),), {})
     assert render_csv(report) == csv_by_rows(report)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 5, 4096])
-def test_a_psi_table_renders_as_its_cells(monkeypatch, chunk_rows):
-    report = run_experiment(ExperimentConfig(kind=ExperimentKind.PSI, alphas=(0.0, 0.3, 0.9), rho_step=0.01))
+@pytest.mark.parametrize(
+    "grid",
+    [
+        dict(alphas=(0.0, 0.3, 0.9), rho_step=0.01),
+        # a repeated level: two blocks alike, sharing the grid
+        dict(alphas=(0.5, 0.5), rho_max=0.1, rho_step=0.01),
+        # a one-point grid, rho = 0 alone
+        dict(alphas=(0.0, 0.9), rho_max=0.1, rho_step=0.2),
+        # alpha = 0 alone: no interior run
+        dict(alphas=(0.0,), rho_max=1.5, rho_step=0.1),
+    ],
+    ids=["three-levels", "repeated-level", "one-point", "no-interior"],
+)
+def test_a_psi_table_renders_as_its_cells(monkeypatch, chunk_rows, grid):
+    # each level's rows are chunked alone: at 5 and 4096 rows its last
+    # chunk is short, at 1 row every chunk is whole
+    report = run_experiment(ExperimentConfig(kind=ExperimentKind.PSI, **grid))
     monkeypatch.setattr(experiments, "_CHUNK_ROWS", chunk_rows)
     assert render_csv(report) == csv_by_rows(report)
+    assert report == ExperimentReport.from_rows(report.rows, report.metadata)
 
 
 def test_rows_are_immutable_named_tuples():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -8,6 +9,7 @@ from typing import get_args
 
 import pytest
 
+from cvarbounds.cli import main as cli_main
 from cvarbounds.sim import Policy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -15,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # each script with tiny arguments, so the smoke run takes a second or two
 _SCRIPTS = {
     "bench_pairs": ["--help"],
+    "cli_pairs": ["--help"],
     "dominance_demo": ["--replicates", "500", "--horizon", "16", "--n", "9"],
     "scaling_table": ["--alphas", "0", "0.9", "--horizons", "16", "64", "--samples", "9", "36"],
 }
@@ -157,3 +160,33 @@ def test_bench_pairs_counts_the_src_line_delta(tmp_path):
     line = _bench_pairs().src_line_delta(ref, tree)
     assert line == "src/**/*.py lines: ref 3, working tree 1, difference -2"
     assert _bench_pairs().src_line_delta(ROOT, ROOT).endswith("difference +0")
+
+
+def test_cli_pairs_runs_a_command_on_each_side(capsys):
+    # one psi command, twice on HEAD's export and twice on the working tree
+    if subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT, capture_output=True).returncode:
+        pytest.skip("cli_pairs.py exports a git ref, and this tree has no commit")
+    argv = ["psi", "--alpha", "0.5", "--rho-step", "0.5"]
+    assert cli_main(argv) == 0
+    want = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cli_pairs.py"), "--ref", "HEAD", "--runs", "2", "--", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    # odd runs start with the ref, even ones with the working tree
+    assert [line.split(":")[0] for line in lines[:4]] == [
+        "run 1 ref", "run 1 working tree", "run 2 working tree", "run 2 ref"
+    ]
+    for line in lines[:4]:
+        assert line.endswith(f"exit 0, stdout sha256 {want}")
+        assert float(line.split("peak RSS ")[1].split(" MB")[0]) > 0
+    assert lines[4] == f"ref HEAD against the working tree, cvarbounds {' '.join(argv)}:"
+    assert lines[5].startswith("ref: wall ") and lines[6].startswith("working tree: wall ")
+    assert lines[7] == f"stdout sha256 {want[:12]} in every run"
