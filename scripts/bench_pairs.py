@@ -3,9 +3,11 @@
 
     python3 scripts/bench_pairs.py --ref REF [--workload W ...] --pairs N --seed0 S --seconds T
 
-Exports `git archive REF` to a temporary directory, removed on exit, and runs
-`bench/run.py --trace 0` alternately on that export and on the working tree,
-each from its own `bench/`.  `--workload` may repeat; without it every
+Exports `git archive REF` to a temporary directory and copies the working
+tree's `src/` and `bench/` without `__pycache__` to another, both removed on
+exit, so that neither side runs on bytecode the other lacks.  It then runs
+`bench/run.py --trace 0` alternately on the export and on the copy, each from
+its own `bench/`.  `--workload` may repeat; without it every
 workload `BENCHMARK.json` lists is run, one after the other.  Pair i (from 1)
 of a workload runs both sides at seed S + i - 1; odd-numbered pairs run the
 ref first and even-numbered ones the working tree.
@@ -154,6 +156,17 @@ def exported(ref: str) -> Iterator[Path]:
         shutil.rmtree(export, ignore_errors=True)
 
 
+@contextlib.contextmanager
+def copied(root: Path) -> Iterator[Path]:
+    """`root`'s `src/` and `bench/`, copied without `__pycache__` to a
+    temporary directory that is removed on exit.  Its benchmark workers then
+    compile `src/` as those of a `git archive` export do."""
+    with tempfile.TemporaryDirectory(prefix="tree-copy-") as copy:
+        for name in ("src", "bench"):
+            shutil.copytree(root / name, Path(copy) / name, ignore=shutil.ignore_patterns("__pycache__"))
+        yield Path(copy)
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -178,19 +191,19 @@ def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end = benchmark["end_to_end"]
     try:
-        with exported(args.ref) as export:
-            lines = src_line_delta(export, ROOT)
+        with exported(args.ref) as export, copied(ROOT) as tree:
+            lines = src_line_delta(export, tree)
             results = {}
             for workload in workloads(args.workload, benchmark):
                 pairs = results[workload] = []
                 for number in range(1, args.pairs + 1):
                     seed = args.seed0 + number - 1
-                    trees = (export, ROOT) if number % 2 else (ROOT, export)
-                    runs = {tree: _run(tree, workload, seed, args.seconds) for tree in trees}
-                    pairs.append((runs[export], runs[ROOT]))
+                    sides = (export, tree) if number % 2 else (tree, export)
+                    runs = {side: _run(side, workload, seed, args.seconds) for side in sides}
+                    pairs.append((runs[export], runs[tree]))
                     print(f"{workload} pair {number} seed {seed}: " + ", ".join(
                         f"{m['name']} {runs[export]['metrics'][m['name']]:.4g}"
-                        f" -> {runs[ROOT]['metrics'][m['name']]:.4g}"
+                        f" -> {runs[tree]['metrics'][m['name']]:.4g}"
                         for m in end_to_end
                     ), flush=True)
     except subprocess.CalledProcessError as exc:

@@ -3,10 +3,11 @@
 
     python3 scripts/cli_pairs.py --ref REF --runs N -- <cvarbounds argv>
 
-Exports `git archive REF` to a temporary directory (with `bench_pairs.py`'s
-export) and copies the working tree's `src/` to another, both removed on
-exit.  Each side's `src/` is compiled there once beforehand, so that no run
-compiles it and the working tree is left as it was.  Then it runs
+Exports `git archive REF` to a temporary directory and copies the working
+tree's `src/` and `bench/` without `__pycache__` to another (with
+`bench_pairs.py`'s `exported` and `copied`), both removed on exit.  Each
+side's `src/` is compiled there once beforehand, so that no run compiles it
+and the working tree is left as it was.  Then it runs
 `python -m cvarbounds <argv>` N times on each side, each run in a fresh
 process that imports the package from its side's `src/`.  The sides alternate: odd-numbered runs start with the ref,
 even-numbered ones with the working tree.  Each run prints its side, its wall
@@ -22,16 +23,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
-import shutil
 import signal
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import ROOT, exported
+from bench_pairs import ROOT, copied, exported
 
 
 def measure(tree: Path, argv: list[str]) -> dict:
@@ -75,9 +74,8 @@ def main(argv: list[str] | None = None) -> int:
     # exit through an exception on SIGTERM, so the export is still removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     try:
-        with exported(args.ref) as export, tempfile.TemporaryDirectory(prefix="cli-pairs-") as copy:
-            shutil.copytree(ROOT / "src", Path(copy) / "src", ignore=shutil.ignore_patterns("__pycache__"))
-            sides = {"ref": export, "working tree": Path(copy)}
+        with exported(args.ref) as export, copied(ROOT) as copy:
+            sides = {"ref": export, "working tree": copy}
             for tree in sides.values():
                 subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src")], check=True)
             runs: dict[str, list[dict]] = {side: [] for side in sides}

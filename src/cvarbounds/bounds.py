@@ -37,7 +37,14 @@ from enum import Enum
 import numpy as np
 
 from .divergences import DivergenceKind, HellingerBudget, bandit_budget, estimation_budget
-from .errors import _FIELD_PROBLEMS, _check_fields, _nonnegative_problem, _regret_cap_problem, _type_problem
+from .errors import (
+    _FIELD_PROBLEMS,
+    _PLAIN_RANGES,
+    _check_fields,
+    _nonnegative_problem,
+    _regret_cap_problem,
+    _type_problem,
+)
 from .inversion import bernoulli_inverse
 from .risk import RiskLevel
 
@@ -57,6 +64,18 @@ __all__ = [
     "optimal_gap",
     "hinge_lower_bound",
 ]
+
+# each argument's plain type and closed range: a value of that type in
+# that range passes one inline test, and any other goes to `_check_fields`
+_N_PLAIN, _N_LO, _N_HI = _PLAIN_RANGES["n"]
+_DELTA_PLAIN, _DELTA_LO, _DELTA_HI = _PLAIN_RANGES["delta"]
+_G_PLAIN, _G_LO, _G_HI = _PLAIN_RANGES["g"]
+_HORIZON_PLAIN, _HORIZON_LO, _HORIZON_HI = _PLAIN_RANGES["horizon"]
+_L_MAX_PLAIN, _L_MAX_LO, _L_MAX_HI = _PLAIN_RANGES["l_max"]
+_BUDGET_PLAIN, _BUDGET_LO, _BUDGET_HI = _PLAIN_RANGES["budget"]
+_HINGE_PLAIN, _HINGE_LO, _HINGE_HI = _PLAIN_RANGES["reference_hinge"]
+_RHO_PLAIN, _RHO_LO, _RHO_HI = _PLAIN_RANGES["rho"]
+
 
 class Branch(Enum):
     """Which piece of the scalar minimization attained the minimum."""
@@ -134,7 +153,7 @@ def bound_factor(level: RiskLevel, rho: float) -> FactorEvaluation:
     tests/test_experiments.py::test_psi_rows_match_bound_factor holds the two
     equal bit for bit.
     """
-    if not (type(level) is RiskLevel and type(rho) is float and 0.0 <= rho < math.inf):
+    if not (type(level) is RiskLevel and type(rho) is _RHO_PLAIN and _RHO_LO <= rho <= _RHO_HI):
         _check_fields({"rho": rho}, level=_type_problem(level, RiskLevel))
         rho = float(rho)
     alpha = level.alpha
@@ -238,7 +257,11 @@ def estimation_bound(n: int, delta: float, level: RiskLevel) -> BoundResult:
     """Clipped-error CVaR bound 2 delta * bound_factor(alpha, 2 sqrt(n) delta)
     for estimating a unit-variance Gaussian mean known to be one of two
     points 2 delta apart, from n draws."""
-    _check_fields({"n": n, "delta": delta}, level=_type_problem(level, RiskLevel))
+    if not (
+        type(level) is RiskLevel and type(n) is _N_PLAIN and _N_LO <= n <= _N_HI
+        and type(delta) is _DELTA_PLAIN and _DELTA_LO <= delta <= _DELTA_HI
+    ):
+        _check_fields({"n": n, "delta": delta}, level=_type_problem(level, RiskLevel))
     l_max = 2.0 * float(delta)
     return _template(l_max, l_max, estimation_budget(n, delta).gamma, level)
 
@@ -246,7 +269,11 @@ def estimation_bound(n: int, delta: float, level: RiskLevel) -> BoundResult:
 def bandit_bound(g: float, horizon: int, level: RiskLevel) -> BoundResult:
     """Regret CVaR bound g T * bound_factor(alpha, g sqrt(T)) for the
     symmetric two-armed unit-variance Gaussian pair with per-arm gap g."""
-    _check_fields({"g": g, "horizon": horizon}, level=_type_problem(level, RiskLevel))
+    if not (
+        type(level) is RiskLevel and type(g) is _G_PLAIN and _G_LO <= g <= _G_HI
+        and type(horizon) is _HORIZON_PLAIN and _HORIZON_LO <= horizon <= _HORIZON_HI
+    ):
+        _check_fields({"g": g, "horizon": horizon}, level=_type_problem(level, RiskLevel))
     gamma = bandit_budget(g, horizon).gamma
     l_max = float(g) * horizon
     if l_max == math.inf:
@@ -280,7 +307,15 @@ def hinge_lower_bound(
     the Bernoulli divergence-ball inverse, so the hinge expectation is at
     least l_max times that inverse.
     """
-    _check_fields(
-        {"l_max": l_max, "budget": budget, "reference_hinge": reference_hinge}, kind=_type_problem(kind, DivergenceKind)
-    )
-    return float(l_max) * bernoulli_inverse(kind, budget, reference_hinge).a_minus
+    if not (
+        type(kind) is DivergenceKind
+        and type(l_max) is _L_MAX_PLAIN and _L_MAX_LO <= l_max <= _L_MAX_HI
+        and type(budget) is _BUDGET_PLAIN and _BUDGET_LO <= budget <= _BUDGET_HI
+        and type(reference_hinge) is _HINGE_PLAIN and _HINGE_LO <= reference_hinge <= _HINGE_HI
+    ):
+        _check_fields(
+            {"l_max": l_max, "budget": budget, "reference_hinge": reference_hinge},
+            kind=_type_problem(kind, DivergenceKind),
+        )
+        l_max = float(l_max)
+    return l_max * bernoulli_inverse(kind, budget, reference_hinge).a_minus

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, _check_fields
+from .errors import _PLAIN_RANGES, DomainError, _check_fields
 
 __all__ = [
     "DivergenceKind",
@@ -23,6 +23,17 @@ __all__ = [
     "estimation_budget",
     "bandit_budget",
 ]
+
+# each argument's plain type and closed range: a value of that type in
+# that range passes one inline test, and any other goes to `_check_fields`
+_A_PLAIN, _A_LO, _A_HI = _PLAIN_RANGES["a"]
+_B_PLAIN, _B_LO, _B_HI = _PLAIN_RANGES["b"]
+_GAMMA_PLAIN, _GAMMA_LO, _GAMMA_HI = _PLAIN_RANGES["gamma"]
+_N_PLAIN, _N_LO, _N_HI = _PLAIN_RANGES["n"]
+_DELTA_PLAIN, _DELTA_LO, _DELTA_HI = _PLAIN_RANGES["delta"]
+_G_PLAIN, _G_LO, _G_HI = _PLAIN_RANGES["g"]
+_HORIZON_PLAIN, _HORIZON_LO, _HORIZON_HI = _PLAIN_RANGES["horizon"]
+
 
 class DivergenceKind(Enum):
     KL = "kl"
@@ -36,8 +47,10 @@ class HellingerBudget:
     gamma: float
 
     def __post_init__(self) -> None:
-        _check_fields({"gamma": self.gamma})
-        object.__setattr__(self, "gamma", float(self.gamma))
+        gamma = self.gamma
+        if not (type(gamma) is _GAMMA_PLAIN and _GAMMA_LO <= gamma <= _GAMMA_HI):
+            _check_fields({"gamma": gamma})
+            object.__setattr__(self, "gamma", float(gamma))
 
 
 def _check_unit(a: float, b: float) -> tuple[float, float]:
@@ -69,7 +82,7 @@ def kl_bernoulli(a: float, b: float) -> float:
     nonnegative terms.  Raises DomainError where the divergence is infinite
     (a > 0 against b = 0, or a < 1 against b = 1).
     """
-    if not (type(a) is float and type(b) is float and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+    if not (type(a) is _A_PLAIN and _A_LO <= a <= _A_HI and type(b) is _B_PLAIN and _B_LO <= b <= _B_HI):
         a, b = _check_unit(a, b)
     if a == b:
         return 0.0
@@ -88,7 +101,7 @@ def hellinger2_bernoulli(a: float, b: float) -> float:
     the two outcomes, each difference written as (a - b) over a sum of roots,
     so nothing cancels near a = b, where the form above loses every digit.
     """
-    if not (type(a) is float and type(b) is float and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+    if not (type(a) is _A_PLAIN and _A_LO <= a <= _A_HI and type(b) is _B_PLAIN and _B_LO <= b <= _B_HI):
         a, b = _check_unit(a, b)
     if a == b:
         return 0.0
@@ -106,7 +119,10 @@ def estimation_budget(n: int, delta: float) -> HellingerBudget:
     1 - exp(-n delta^2 / 2) <= 2 n delta^2; the linearized cap keeps the
     downstream closed forms polynomial in delta.
     """
-    _check_fields({"n": n, "delta": delta})
+    if not (
+        type(n) is _N_PLAIN and _N_LO <= n <= _N_HI and type(delta) is _DELTA_PLAIN and _DELTA_LO <= delta <= _DELTA_HI
+    ):
+        _check_fields({"n": n, "delta": delta})
     d = float(delta)
     gamma = 2.0 * n * d * d
     if gamma == math.inf:
@@ -120,7 +136,11 @@ def bandit_budget(g: float, horizon: int) -> HellingerBudget:
     contributes g^2/2 to the transcript KL regardless of the arm pulled, and
     squared Hellinger never exceeds KL.
     """
-    _check_fields({"g": g, "horizon": horizon})
+    if not (
+        type(g) is _G_PLAIN and _G_LO <= g <= _G_HI and type(horizon) is _HORIZON_PLAIN
+        and _HORIZON_LO <= horizon <= _HORIZON_HI
+    ):
+        _check_fields({"g": g, "horizon": horizon})
     gv = float(g)
     gamma = 0.5 * gv * gv * horizon
     if gamma == math.inf:

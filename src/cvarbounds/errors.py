@@ -52,9 +52,9 @@ def _type_problem(value: object, cls: type) -> str | None:
 class _Rule(NamedTuple):
     """What a named scalar input may hold, stated once as data: an int
     (`plain` is int) or a real (`plain` is float) in the closed range
-    [`lo`, `hi`].  An int is compared exactly and any other real as the
-    float the code computes with, which must exist.  Called on a value, a
-    rule gives `why` it is refused, or None."""
+    [`lo`, `hi`].  Every value must have the float the code computes with;
+    an int is compared exactly and any other real as that float.  Called on
+    a value, a rule gives `why` it is refused, or None."""
 
     plain: type
     lo: float
@@ -64,16 +64,15 @@ class _Rule(NamedTuple):
     def __call__(self, value: object) -> str | None:
         if not (_is_int(value) if self.plain is int else _is_real(value)):
             return self.why
-        if not _is_int(value):
-            try:
-                value = float(value)
-            except OverflowError:
-                return self.why
-        return None if self.lo <= value <= self.hi else self.why
+        try:
+            as_float = float(value)
+        except OverflowError:
+            return self.why
+        return None if self.lo <= (value if _is_int(value) else as_float) <= self.hi else self.why
 
 
 # every range is closed: an open end is the float beside it, and a real's
-# range stops at the largest float
+# range stops at the largest float, or at inf where infinity is a value
 _MAX = sys.float_info.max
 
 _count_problem = _Rule(int, 1, int(_MAX), "must be an int >= 1 that a float can hold")
@@ -83,6 +82,7 @@ _positive_problem = _Rule(float, math.nextafter(0.0, 1.0), _MAX, "must be a fini
 _nonnegative_problem = _Rule(float, 0.0, _MAX, "must be a finite real >= 0")
 _unit_problem = _Rule(float, 0.0, 1.0, "must be a real in [0, 1]")
 _level_problem = _Rule(float, 0.0, math.nextafter(1.0, 0.0), "must be a real in [0, 1)")
+_extended_problem = _Rule(float, -math.inf, math.inf, "must be a real that a float can hold, not NaN")
 
 
 # what a value of each named scalar input must be: the reason a value is
@@ -109,9 +109,12 @@ _FIELD_PROBLEMS = {
     "alpha": _level_problem,
     "atom_value": _finite_problem,
     "atom_probability": _nonnegative_problem,
+    "x": _extended_problem,  # a standard normal quantile, +-inf included
 }
 # each name's plain type with the closed range it passes in, as a plain
-# tuple: the fast path of `_check_fields`
+# tuple: the fast path of `_check_fields`, and of the hot entry points, which
+# read their arguments' entries at import and call `_check_fields` only for
+# a value that fails one inline type and range test
 _PLAIN_RANGES = {name: rule[:3] for name, rule in _FIELD_PROBLEMS.items()}
 _NO_RULE = (None, None, None)
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .divergences import DivergenceKind, hellinger2_bernoulli, kl_bernoulli
-from .errors import DomainError, _check_fields, _type_problem
+from .errors import _PLAIN_RANGES, DomainError, _check_fields, _type_problem
 
 __all__ = [
     "BRACKET_TOL",
@@ -33,9 +33,13 @@ _PROBE_STEP = 0.5 * BRACKET_TOL
 # where sqrt(a b) = 2^-54 is about the smallest change H2 near 1 can show;
 # started from ulp(0), the doubling would take about 1,000 steps
 _H2_FLOOR = 2.0**-108
+# each argument's plain type and closed range: a value of that type in
+# that range passes one inline test, and any other goes to `_check_fields`
+_BUDGET_PLAIN, _BUDGET_LO, _BUDGET_HI = _PLAIN_RANGES["budget"]
+_B_PLAIN, _B_LO, _B_HI = _PLAIN_RANGES["b"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InversionResult:
     """Smallest feasible a found, its achieved divergence, and the number of
     divergence evaluations spent after the check that the budget is active.
@@ -56,8 +60,13 @@ def bernoulli_inverse(kind: DivergenceKind, budget: float, b: float) -> Inversio
     A zero budget returns b itself.  For KL with b in {0, 1} and a positive
     budget the reference is degenerate and a DomainError is raised.
     """
-    _check_fields({"budget": budget, "b": b}, kind=_type_problem(kind, DivergenceKind))
-    budget, b = float(budget), float(b)
+    if not (
+        type(kind) is DivergenceKind
+        and type(budget) is _BUDGET_PLAIN and _BUDGET_LO <= budget <= _BUDGET_HI
+        and type(b) is _B_PLAIN and _B_LO <= b <= _B_HI
+    ):
+        _check_fields({"budget": budget, "b": b}, kind=_type_problem(kind, DivergenceKind))
+        budget, b = float(budget), float(b)
     if budget == 0.0:
         return InversionResult(a_minus=b, achieved_divergence=0.0, iterations=0)
     if kind is DivergenceKind.KL:
@@ -110,7 +119,8 @@ def _kl_inverse(budget: float, b: float, d_zero: float) -> InversionResult:
     """
     lo, d_lo = 0.0, d_zero
     hi, d_hi = b, 0.0
-    x = b - math.sqrt(2.0 * budget * b * (1.0 - b))
+    one_minus_b = 1.0 - b
+    x = b - math.sqrt(2.0 * budget * b * one_minus_b)
     if x == b:
         return InversionResult(a_minus=b, achieved_divergence=0.0, iterations=0)
     iterations, probe = 0, 0.0
@@ -128,7 +138,7 @@ def _kl_inverse(budget: float, b: float, d_zero: float) -> InversionResult:
         if hi - lo <= BRACKET_TOL and d_lo - d_hi <= _GAP_TOL:
             break
         # the slope log(x (1-b) / (b (1-x))), kept < 0 for every x < b
-        slope = math.log(x / b) - math.log1p((b - x) / (1.0 - b))
+        slope = math.log(x / b) - math.log1p((b - x) / one_minus_b)
         step = (budget - d) / slope
         if abs(step) <= _PROBE_STEP:
             # so short a step all but reaches the root: go past it by twice

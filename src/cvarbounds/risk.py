@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import _check_fields, _type_problem
+from .errors import _PLAIN_RANGES, _check_fields, _type_problem
 
 __all__ = [
     "EXACT_TOL",
@@ -31,6 +31,9 @@ __all__ = [
 
 # absolute tolerance for identities that hold exactly in real arithmetic
 EXACT_TOL = 1e-12
+# alpha's plain type and closed range: a value of that type in that range
+# passes one inline test, and any other goes to `_check_fields`
+_ALPHA_PLAIN, _ALPHA_LO, _ALPHA_HI = _PLAIN_RANGES["alpha"]
 
 
 @dataclass(frozen=True)
@@ -40,9 +43,11 @@ class RiskLevel:
     alpha: float
 
     def __post_init__(self) -> None:
-        _check_fields({"alpha": self.alpha})
+        alpha = self.alpha
+        if not (type(alpha) is _ALPHA_PLAIN and _ALPHA_LO <= alpha <= _ALPHA_HI):
+            _check_fields({"alpha": alpha})
         # + 0.0 holds a zero level as +0.0, so -0 and 0 write one cell
-        object.__setattr__(self, "alpha", float(self.alpha) + 0.0)
+        object.__setattr__(self, "alpha", float(alpha) + 0.0)
 
     @property
     def tail_mass(self) -> float:
@@ -105,6 +110,26 @@ class DiscreteLossDistribution:
         the package's own laws are built this way and may share a column."""
         law = object.__new__(cls)
         law._set_columns(values, probs)
+        return law
+
+    @classmethod
+    def _on_checked_probs(cls, values: tuple[float, ...], probs: tuple[float, ...]) -> DiscreteLossDistribution:
+        """A law on a `probs` column that has passed the column rule once,
+        such as a cached binomial row: only `values` is checked, as one
+        finite value per probability in strictly ascending order.  Columns
+        that fail go through the whole rule, which names the fault."""
+        law = object.__new__(cls)
+        # values that ascend strictly are finite once both ends are
+        if (
+            len(values) == len(probs)
+            and all(map(operator.lt, values, values[1:]))
+            and math.isfinite(values[0])
+            and math.isfinite(values[-1])
+        ):
+            object.__setattr__(law, "values", values)
+            object.__setattr__(law, "probs", probs)
+        else:
+            law._set_columns(values, probs)
         return law
 
     def _set_columns(self, values: tuple[float, ...], probs: tuple[float, ...]) -> None:
@@ -177,9 +202,12 @@ def exact_cvar(dist: DiscreteLossDistribution, level: RiskLevel) -> float:
     remaining = q
     acc = 0.0
     for value, prob in zip(reversed(dist.values), reversed(dist.probs)):
-        take = prob if prob < remaining else remaining
-        acc += take * value
-        remaining -= take
-        if remaining <= 0.0:
+        # a float difference of two unequal floats is never 0, so the tail
+        # mass runs out exactly at the atom whose probability reaches it
+        if prob < remaining:
+            acc += prob * value
+            remaining -= prob
+        else:
+            acc += remaining * value
             break
     return acc / q

@@ -132,6 +132,23 @@ def law_from_samples(samples: SampleSet) -> DiscreteLossDistribution:
     return DiscreteLossDistribution(tuple((float(v), 1.0 / n) for v in samples.values))
 
 
+def exact_cvar_two_tests(dist: DiscreteLossDistribution, level: RiskLevel) -> float:
+    """`risk.exact_cvar`'s walk as it was with two comparisons an atom: the
+    boundary atom's share picked by one and the stop tested on the remaining
+    mass by the other.  The reference its one-comparison loop must match bit
+    for bit."""
+    q = level.tail_mass
+    remaining = q
+    acc = 0.0
+    for value, prob in zip(reversed(dist.values), reversed(dist.probs)):
+        take = prob if prob < remaining else remaining
+        acc += take * value
+        remaining -= take
+        if remaining <= 0.0:
+            break
+    return acc / q
+
+
 def uniform_law_from_atoms(g: float, horizon: int) -> DiscreteLossDistribution:
     """The uniform policy's exact law g Binomial(T, 1/2), built as
     (value, probability) atoms through the public constructor, which merges

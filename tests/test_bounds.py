@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import bound_factor_grid_min, hellinger_inverse_closed
 
+from cvarbounds import bounds, divergences, inversion, risk, sim
 from cvarbounds.bounds import (
     BoundResult,
     Branch,
@@ -33,7 +36,7 @@ from cvarbounds.divergences import (
 )
 from cvarbounds.inversion import bernoulli_inverse
 from cvarbounds.risk import DiscreteLossDistribution, RiskLevel, SampleSet, empirical_cvar, exact_cvar
-from cvarbounds.sim import exact_sign_estimator_law, exact_uniform_bandit_law
+from cvarbounds.sim import exact_sign_estimator_law, exact_uniform_bandit_law, normal_upper_tail
 
 L = RiskLevel
 
@@ -357,6 +360,16 @@ _REFUSED = [
     # an exact law whose top atom overflows names the argument, not the atom
     (exact_uniform_bandit_law, (1e308, 64), "gap"),
     (exact_sign_estimator_law, (3, 1e308), "delta"),
+    (exact_uniform_bandit_law, ("0.1", 8), "gap"),
+    (exact_uniform_bandit_law, (0.1, True), "horizon"),
+    (exact_sign_estimator_law, (9.0, 0.2), "n"),
+    (exact_sign_estimator_law, (9, None), "delta"),
+    # a quantile may be infinite, but never NaN, a string, None or too large for a float
+    (normal_upper_tail, ("0.5",), "x"),
+    (normal_upper_tail, (True,), "x"),
+    (normal_upper_tail, (math.nan,), "x"),
+    (normal_upper_tail, (None,), "x"),
+    (normal_upper_tail, (10**400,), "x"),
 ]
 
 
@@ -383,3 +396,70 @@ def test_closed_forms_take_ints_and_numpy_floats():
     law = DiscreteLossDistribution(((1, np.float64(0.5)), (np.float32(2.0), 0.5)))
     assert law == DiscreteLossDistribution(((1.0, 0.5), (2.0, 0.5)))
     assert all(type(v) is float and type(p) is float for v, p in law.atoms)
+    assert HellingerBudget(np.float64(0.1)) == HellingerBudget(0.1) and type(HellingerBudget(1).gamma) is float
+    assert bandit_budget(1, 10) == bandit_budget(1.0, 10)
+    assert estimation_budget(10, np.float64(0.1)) == estimation_budget(10, 0.1)
+    assert exact_uniform_bandit_law(np.float64(0.1), 8) == exact_uniform_bandit_law(0.1, 8)
+    assert exact_uniform_bandit_law(1, 8) == exact_uniform_bandit_law(1.0, 8)
+    assert exact_sign_estimator_law(9, np.float64(0.2)) == exact_sign_estimator_law(9, 0.2)
+    assert normal_upper_tail(np.float64(0.5)) == normal_upper_tail(Fraction(1, 2)) == normal_upper_tail(0.5)
+    assert normal_upper_tail(1) == normal_upper_tail(1.0)
+    assert normal_upper_tail(math.inf) == 0.0 and normal_upper_tail(-math.inf) == 1.0
+
+
+class _NoValueHasThisType:
+    """A fast path patched to ask for this type passes no value, so every
+    call goes through `_check_fields` alone."""
+
+
+# each scalar a fast path may see: signed zeros, the smallest subnormal, one
+# and the float past it, the largest float, inf, NaN, a bool, an int, a numpy
+# float, a real that rounds to 0.0, a string and None
+_EDGES = (
+    -0.0, 0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0), sys.float_info.max, math.inf, math.nan,
+    True, 1, np.float64(0.5), Fraction(1, 10**400), "0.5", None,
+)
+_H2 = DivergenceKind.SQUARED_HELLINGER
+# (entry point with a fast path, arguments it accepts, the positions of its scalars)
+_FAST_PATHS = [
+    (bernoulli_inverse, (_KL, 0.1, 0.5), (1, 2)),
+    (bernoulli_inverse, (_H2, 0.1, 0.5), (1, 2)),
+    (hinge_lower_bound, (2.0, 0.05, 0.4, _H2), (0, 1, 2)),
+    (kl_bernoulli, (0.25, 0.5), (0, 1)),
+    (hellinger2_bernoulli, (0.25, 0.5), (0, 1)),
+    (RiskLevel, (0.5,), (0,)),
+    (HellingerBudget, (0.1,), (0,)),
+    (bandit_budget, (0.1, 10), (0, 1)),
+    (estimation_budget, (10, 0.1), (0, 1)),
+    (bandit_bound, (0.1, 10, L(0.5)), (0, 1)),
+    (estimation_bound, (10, 0.1, L(0.5)), (0, 1)),
+    (bound_factor, (L(0.5), 0.3), (1,)),
+    (exact_uniform_bandit_law, (0.1, 8), (0, 1)),
+    (exact_sign_estimator_law, (9, 0.2), (0, 1)),
+    (normal_upper_tail, (0.5,), (0,)),
+]
+
+
+def _outcome(fn, args):
+    # a result as its repr, which tells -0.0 from 0.0, or a ValueError's message
+    try:
+        return "returned", repr(fn(*args))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize(
+    "fn, base, positions", _FAST_PATHS, ids=[f"{fn.__name__}-{base[0]}" for fn, base, _ in _FAST_PATHS]
+)
+def test_fast_paths_agree_with_the_rule_table(monkeypatch, fn, base, positions):
+    # every edge value in every scalar position gives the same result, or the
+    # same ValueError message, as the rule table alone
+    grid = [base[:i] + (edge,) + base[i + 1:] for i in positions for edge in _EDGES]
+    fast = [_outcome(fn, args) for args in grid]
+    for module in (bounds, divergences, inversion, risk, sim):
+        for name in vars(module).copy():
+            if name.endswith("_PLAIN"):
+                monkeypatch.setattr(module, name, _NoValueHasThisType)
+    assert fast == [_outcome(fn, args) for args in grid]
+    # the grid reaches both sides of the rule table
+    assert {kind for kind, _ in fast} >= {"returned", "ValueError"}

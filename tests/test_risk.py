@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cvar_dominates_mean, hinge_mean, law_from_samples
+from oracles import cvar_dominates_mean, exact_cvar_two_tests, hinge_mean, law_from_samples
 
 from cvarbounds.risk import DiscreteLossDistribution, RiskLevel, SampleSet, empirical_cvar, exact_cvar
 
@@ -235,6 +235,28 @@ def test_exact_cvar_two_atom_closed_form():
         dist = DiscreteLossDistribution(((0.0, 1.0 - p), (m, p)))
         want = m * min(1.0, p / (1.0 - alpha))
         assert exact_cvar(dist, RiskLevel(alpha)) == pytest.approx(want, rel=1e-13)
+
+
+def test_exact_cvar_matches_its_two_test_walk_bit_for_bit():
+    rng = random.Random(38)
+    laws = [
+        # the tail mass runs out exactly on an atom: at alpha = 0.5 on the
+        # top one, at alpha = 0.25 on the middle one, at alpha = 0 on the last
+        DiscreteLossDistribution(((0.0, 0.25), (1.0, 0.25), (3.0, 0.5))),
+        DiscreteLossDistribution(((-1.0, 0.0), (2.0, 1.0))),
+    ]
+    for _ in range(300):
+        size = rng.randint(1, 40)
+        values = sorted({rng.uniform(-1e3, 1e3) for _ in range(size)})
+        weights = [rng.choice((0.0, rng.random(), rng.random())) for _ in values]
+        weights[rng.randrange(len(weights))] += 1.0
+        total = sum(weights)
+        laws.append(DiscreteLossDistribution(tuple(zip(values, (w / total for w in weights)))))
+    alphas = (0.0, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0 - 2.0**-40)
+    for law in laws:
+        for alpha in (*alphas, rng.random()):
+            level = RiskLevel(alpha)
+            assert exact_cvar(law, level).hex() == exact_cvar_two_tests(law, level).hex(), (law, alpha)
 
 
 def test_exact_cvar_agrees_with_empirical_on_uniform_law():

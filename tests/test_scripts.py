@@ -162,6 +162,26 @@ def test_bench_pairs_counts_the_src_line_delta(tmp_path):
     assert _bench_pairs().src_line_delta(ROOT, ROOT).endswith("difference +0")
 
 
+def test_bench_pairs_copies_the_tree_without_bytecode(tmp_path):
+    # the working-tree side runs from a copy of src/ and bench/ that holds no
+    # __pycache__, as the ref's git archive export holds none
+    files = {
+        "src/pkg/a.py": "x = 1\n",
+        "src/pkg/__pycache__/a.cpython-311.pyc": "",
+        "bench/run.py": "y = 2\n",
+        "bench/__pycache__/run.cpython-311.pyc": "",
+        "tests/test_a.py": "assert True\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    with _bench_pairs().copied(tmp_path) as copy:
+        held = sorted(str(path.relative_to(copy)) for path in copy.rglob("*") if path.is_file())
+        assert held == ["bench/run.py", "src/pkg/a.py"]
+        assert (copy / "src/pkg/a.py").read_text() == "x = 1\n"
+    assert not copy.exists()
+
+
 def test_cli_pairs_runs_a_command_on_each_side(capsys):
     # one psi command, twice on HEAD's export and twice on the working tree
     if subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT, capture_output=True).returncode:

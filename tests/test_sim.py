@@ -472,6 +472,41 @@ def test_exact_uniform_law_reads_one_cached_row_per_horizon():
     assert [v for v, _ in large.atoms] == [2.0 * k for k in range(11)]
 
 
+def test_each_cached_row_meets_the_column_rule_once(monkeypatch):
+    # the rule runs once per row, as it is built; a law then checks only its values
+    checks = []
+    column_rule = DiscreteLossDistribution._set_columns
+
+    def counted(law, values, probs):
+        checks.append(len(probs))
+        column_rule(law, values, probs)
+
+    monkeypatch.setattr(DiscreteLossDistribution, "_set_columns", counted)
+    sim._binomial_row.cache_clear()
+    try:
+        for g in (0.5, 1.0, 3.0):
+            assert exact_uniform_bandit_law(g, 7).probs is sim._binomial_row(7)
+        exact_uniform_bandit_law(1.0, 3)
+        assert checks == [8, 4]
+    finally:
+        sim._binomial_row.cache_clear()
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1])
+def test_a_bad_cached_row_raises_when_its_horizon_is_first_used(monkeypatch, bad):
+    comb = math.comb
+    monkeypatch.setattr(sim.math, "comb", lambda horizon, k: bad if k == 1 else comb(horizon, k))
+    sim._binomial_row.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="^atom_probability: "):
+            exact_uniform_bandit_law(1.0, 5)
+        # a refused row is not cached, so the next use refuses it again
+        with pytest.raises(ValueError, match="^atom_probability: "):
+            exact_uniform_bandit_law(2.0, 5)
+    finally:
+        sim._binomial_row.cache_clear()
+
+
 def test_estimator_laws_equal_their_atom_construction():
     # p = P(Z > 100) underflows to 0.0, and its atom is kept
     for n, delta in ((9, 0.2), (4, 1.0 / 12.0), (10_000, 1.0)):
