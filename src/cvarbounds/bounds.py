@@ -37,14 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .divergences import DivergenceKind, HellingerBudget, bandit_budget, estimation_budget
-from .errors import (
-    _FIELD_PROBLEMS,
-    _PLAIN_RANGES,
-    _check_fields,
-    _nonnegative_problem,
-    _regret_cap_problem,
-    _type_problem,
-)
+from .errors import _FIELD_PROBLEMS, _check_fields, _gated, _nonnegative_problem, _regret_cap_problem
 from .inversion import bernoulli_inverse
 from .risk import RiskLevel
 
@@ -64,17 +57,6 @@ __all__ = [
     "optimal_gap",
     "hinge_lower_bound",
 ]
-
-# each argument's plain type and closed range: a value of that type in
-# that range passes one inline test, and any other goes to `_check_fields`
-_N_PLAIN, _N_LO, _N_HI = _PLAIN_RANGES["n"]
-_DELTA_PLAIN, _DELTA_LO, _DELTA_HI = _PLAIN_RANGES["delta"]
-_G_PLAIN, _G_LO, _G_HI = _PLAIN_RANGES["g"]
-_HORIZON_PLAIN, _HORIZON_LO, _HORIZON_HI = _PLAIN_RANGES["horizon"]
-_L_MAX_PLAIN, _L_MAX_LO, _L_MAX_HI = _PLAIN_RANGES["l_max"]
-_BUDGET_PLAIN, _BUDGET_LO, _BUDGET_HI = _PLAIN_RANGES["budget"]
-_HINGE_PLAIN, _HINGE_LO, _HINGE_HI = _PLAIN_RANGES["reference_hinge"]
-_RHO_PLAIN, _RHO_LO, _RHO_HI = _PLAIN_RANGES["rho"]
 
 
 class Branch(Enum):
@@ -132,11 +114,7 @@ class BoundResult:
     method: Method
 
 
-def _check_level(level: RiskLevel) -> None:
-    if type(level) is not RiskLevel:
-        _check_fields({}, level=_type_problem(level, RiskLevel))
-
-
+@_gated(level=RiskLevel)
 def bound_factor(level: RiskLevel, rho: float) -> FactorEvaluation:
     """Normalized balanced-case profile: the bound equals l_max times this.
 
@@ -153,9 +131,6 @@ def bound_factor(level: RiskLevel, rho: float) -> FactorEvaluation:
     tests/test_experiments.py::test_psi_rows_match_bound_factor holds the two
     equal bit for bit.
     """
-    if not (type(level) is RiskLevel and type(rho) is _RHO_PLAIN and _RHO_LO <= rho <= _RHO_HI):
-        _check_fields({"rho": rho}, level=_type_problem(level, RiskLevel))
-        rho = float(rho)
     alpha = level.alpha
     branch = (
         Branch.ZERO if rho >= 1.0
@@ -194,6 +169,7 @@ def _bound_factor_runs(level: RiskLevel, rhos: np.ndarray) -> list[tuple[Branch,
     return [(branch, _branch_value(branch, alpha, rhos[start:stop])) for branch, start, stop in runs]
 
 
+@_gated(level=RiskLevel)
 def optimal_bound_constant(level: RiskLevel) -> float:
     """sup over rho of rho * bound_factor: 2 / (27 (1 - alpha)) below
     alpha = 1/3, then sqrt(alpha / 27); the branches meet at 1/9.
@@ -201,16 +177,15 @@ def optimal_bound_constant(level: RiskLevel) -> float:
     The sqrt arrangement takes over from alpha = 1/3 because it lands on 1/9
     to the last ulp there; the rational form is one ulp off.
     """
-    _check_level(level)
     a = level.alpha
     if a < 1.0 / 3.0:
         return 2.0 / (27.0 * (1.0 - a))
     return math.sqrt(a / 27.0)
 
 
+@_gated(level=RiskLevel)
 def _optimal_rho(level: RiskLevel) -> float:
     """argmax of rho * bound_factor: 1/3 below alpha = 1/3, then sqrt(alpha/3)."""
-    _check_level(level)
     a = level.alpha
     if a < 1.0 / 3.0:
         return 1.0 / 3.0
@@ -235,68 +210,58 @@ def _template(l_max: float, c: float, gamma: float, level: RiskLevel) -> BoundRe
     return BoundResult(c * ev.value, t_star, ev.branch, Method.CLOSED_FORM)
 
 
+@_gated(spec=TwoPointSpec, level=RiskLevel)
 def two_point_bound(spec: TwoPointSpec, level: RiskLevel) -> BoundResult:
     """General template bound, minimized over thresholds t in [0, l_max], as
     the module docstring derives.  The tests check it against a dense
     threshold grid."""
-    if type(spec) is not TwoPointSpec or type(level) is not RiskLevel:
-        _check_fields({}, spec=_type_problem(spec, TwoPointSpec), level=_type_problem(level, RiskLevel))
     return _template(spec.l_max, spec.c_sep, spec.budget.gamma, level)
 
 
+@_gated(budget=HellingerBudget, level=RiskLevel)
 def balanced_bound(l_max: float, budget: HellingerBudget, level: RiskLevel) -> BoundResult:
     """Template value when the pairwise loss sum floor equals the cap:
     l_max * bound_factor(alpha, sqrt(2 gamma)), fully closed form."""
-    _check_fields(
-        {"l_max": l_max}, budget=_type_problem(budget, HellingerBudget), level=_type_problem(level, RiskLevel)
-    )
-    return _template(float(l_max), float(l_max), budget.gamma, level)
+    return _template(l_max, l_max, budget.gamma, level)
 
 
+@_gated(level=RiskLevel)
 def estimation_bound(n: int, delta: float, level: RiskLevel) -> BoundResult:
     """Clipped-error CVaR bound 2 delta * bound_factor(alpha, 2 sqrt(n) delta)
     for estimating a unit-variance Gaussian mean known to be one of two
     points 2 delta apart, from n draws."""
-    if not (
-        type(level) is RiskLevel and type(n) is _N_PLAIN and _N_LO <= n <= _N_HI
-        and type(delta) is _DELTA_PLAIN and _DELTA_LO <= delta <= _DELTA_HI
-    ):
-        _check_fields({"n": n, "delta": delta}, level=_type_problem(level, RiskLevel))
-    l_max = 2.0 * float(delta)
+    l_max = 2.0 * delta
     return _template(l_max, l_max, estimation_budget(n, delta).gamma, level)
 
 
+@_gated(level=RiskLevel)
 def bandit_bound(g: float, horizon: int, level: RiskLevel) -> BoundResult:
     """Regret CVaR bound g T * bound_factor(alpha, g sqrt(T)) for the
     symmetric two-armed unit-variance Gaussian pair with per-arm gap g."""
-    if not (
-        type(level) is RiskLevel and type(g) is _G_PLAIN and _G_LO <= g <= _G_HI
-        and type(horizon) is _HORIZON_PLAIN and _HORIZON_LO <= horizon <= _HORIZON_HI
-    ):
-        _check_fields({"g": g, "horizon": horizon}, level=_type_problem(level, RiskLevel))
     gamma = bandit_budget(g, horizon).gamma
-    l_max = float(g) * horizon
+    l_max = g * horizon
     if l_max == math.inf:
         _check_fields({}, g=_regret_cap_problem(g, horizon))
     return _template(l_max, l_max, gamma, level)
 
 
+@_gated(level=RiskLevel)
 def optimal_separation(n: int, level: RiskLevel) -> tuple[float, float]:
     """Worst-case separation for estimation: delta* = _optimal_rho / (2 sqrt(n)),
     returned with its bound value optimal_bound_constant / sqrt(n)."""
-    _check_fields({"n": n}, level=_type_problem(level, RiskLevel))
     root_n = math.sqrt(n)
     return _optimal_rho(level) / (2.0 * root_n), optimal_bound_constant(level) / root_n
 
 
+@_gated(level=RiskLevel)
 def optimal_gap(horizon: int, level: RiskLevel) -> tuple[float, float]:
     """Worst-case arm gap for the bandit: g* = _optimal_rho / sqrt(T), returned
     with its bound value optimal_bound_constant * sqrt(T)."""
-    _check_fields({"horizon": horizon}, level=_type_problem(level, RiskLevel))
     root_t = math.sqrt(horizon)
     return _optimal_rho(level) / root_t, optimal_bound_constant(level) * root_t
 
 
+@_gated(kind=DivergenceKind)
 def hinge_lower_bound(
     l_max: float, budget: float, reference_hinge: float, kind: DivergenceKind
 ) -> float:
@@ -307,15 +272,4 @@ def hinge_lower_bound(
     the Bernoulli divergence-ball inverse, so the hinge expectation is at
     least l_max times that inverse.
     """
-    if not (
-        type(kind) is DivergenceKind
-        and type(l_max) is _L_MAX_PLAIN and _L_MAX_LO <= l_max <= _L_MAX_HI
-        and type(budget) is _BUDGET_PLAIN and _BUDGET_LO <= budget <= _BUDGET_HI
-        and type(reference_hinge) is _HINGE_PLAIN and _HINGE_LO <= reference_hinge <= _HINGE_HI
-    ):
-        _check_fields(
-            {"l_max": l_max, "budget": budget, "reference_hinge": reference_hinge},
-            kind=_type_problem(kind, DivergenceKind),
-        )
-        l_max = float(l_max)
     return l_max * bernoulli_inverse(kind, budget, reference_hinge).a_minus

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import _PLAIN_RANGES, DomainError, _check_fields
+from .errors import DomainError, _check_fields, _gated
 
 __all__ = [
     "DivergenceKind",
@@ -23,16 +23,6 @@ __all__ = [
     "estimation_budget",
     "bandit_budget",
 ]
-
-# each argument's plain type and closed range: a value of that type in
-# that range passes one inline test, and any other goes to `_check_fields`
-_A_PLAIN, _A_LO, _A_HI = _PLAIN_RANGES["a"]
-_B_PLAIN, _B_LO, _B_HI = _PLAIN_RANGES["b"]
-_GAMMA_PLAIN, _GAMMA_LO, _GAMMA_HI = _PLAIN_RANGES["gamma"]
-_N_PLAIN, _N_LO, _N_HI = _PLAIN_RANGES["n"]
-_DELTA_PLAIN, _DELTA_LO, _DELTA_HI = _PLAIN_RANGES["delta"]
-_G_PLAIN, _G_LO, _G_HI = _PLAIN_RANGES["g"]
-_HORIZON_PLAIN, _HORIZON_LO, _HORIZON_HI = _PLAIN_RANGES["horizon"]
 
 
 class DivergenceKind(Enum):
@@ -47,18 +37,8 @@ class HellingerBudget:
     gamma: float
 
     def __post_init__(self) -> None:
-        gamma = self.gamma
-        if not (type(gamma) is _GAMMA_PLAIN and _GAMMA_LO <= gamma <= _GAMMA_HI):
-            _check_fields({"gamma": gamma})
-            object.__setattr__(self, "gamma", float(gamma))
-
-
-def _check_unit(a: float, b: float) -> tuple[float, float]:
-    """The Bernoulli parameters a and b as floats, once the field table has
-    taken them.  Callers pass plain floats in [0, 1] without calling this,
-    since the root finders in `inversion` evaluate them on every step."""
-    _check_fields({"a": a, "b": b})
-    return float(a), float(b)
+        _check_fields({"gamma": self.gamma})
+        object.__setattr__(self, "gamma", float(self.gamma))
 
 
 def _kl_term(p: float, q: float, d: float) -> float:
@@ -74,6 +54,7 @@ def _kl_term(p: float, q: float, d: float) -> float:
     )))))
 
 
+@_gated()
 def kl_bernoulli(a: float, b: float) -> float:
     """Binary KL a log(a/b) + (1-a) log((1-a)/(1-b)), with 0 log 0 = 0.
 
@@ -82,8 +63,6 @@ def kl_bernoulli(a: float, b: float) -> float:
     nonnegative terms.  Raises DomainError where the divergence is infinite
     (a > 0 against b = 0, or a < 1 against b = 1).
     """
-    if not (type(a) is _A_PLAIN and _A_LO <= a <= _A_HI and type(b) is _B_PLAIN and _B_LO <= b <= _B_HI):
-        a, b = _check_unit(a, b)
     if a == b:
         return 0.0
     if b == 0.0:
@@ -94,6 +73,7 @@ def kl_bernoulli(a: float, b: float) -> float:
     return _kl_term(a, b, d) + _kl_term(1.0 - a, 1.0 - b, -d)
 
 
+@_gated()
 def hellinger2_bernoulli(a: float, b: float) -> float:
     """Squared Hellinger distance 1 - sqrt(ab) - sqrt((1-a)(1-b)) on [0, 1]^2.
 
@@ -101,8 +81,6 @@ def hellinger2_bernoulli(a: float, b: float) -> float:
     the two outcomes, each difference written as (a - b) over a sum of roots,
     so nothing cancels near a = b, where the form above loses every digit.
     """
-    if not (type(a) is _A_PLAIN and _A_LO <= a <= _A_HI and type(b) is _B_PLAIN and _B_LO <= b <= _B_HI):
-        a, b = _check_unit(a, b)
     if a == b:
         return 0.0
     d = a - b
@@ -111,6 +89,7 @@ def hellinger2_bernoulli(a: float, b: float) -> float:
     return 0.5 * (u * u + v * v)
 
 
+@_gated()
 def estimation_budget(n: int, delta: float) -> HellingerBudget:
     """Budget 2 n delta^2 for n unit-variance draws whose mean differs by
     2 delta between the two candidate models.
@@ -119,30 +98,20 @@ def estimation_budget(n: int, delta: float) -> HellingerBudget:
     1 - exp(-n delta^2 / 2) <= 2 n delta^2; the linearized cap keeps the
     downstream closed forms polynomial in delta.
     """
-    if not (
-        type(n) is _N_PLAIN and _N_LO <= n <= _N_HI and type(delta) is _DELTA_PLAIN and _DELTA_LO <= delta <= _DELTA_HI
-    ):
-        _check_fields({"n": n, "delta": delta})
-    d = float(delta)
-    gamma = 2.0 * n * d * d
+    gamma = 2.0 * n * delta * delta
     if gamma == math.inf:
         _check_fields({}, delta=f"2 n delta^2 overflows a float at n = {n}, got {delta!r}")
     return HellingerBudget(gamma)
 
 
+@_gated()
 def bandit_budget(g: float, horizon: int) -> HellingerBudget:
     """Budget g^2 T / 2 for a horizon-T two-armed transcript with per-arm mean
     shift g between the two models; holds for every policy since each round
     contributes g^2/2 to the transcript KL regardless of the arm pulled, and
     squared Hellinger never exceeds KL.
     """
-    if not (
-        type(g) is _G_PLAIN and _G_LO <= g <= _G_HI and type(horizon) is _HORIZON_PLAIN
-        and _HORIZON_LO <= horizon <= _HORIZON_HI
-    ):
-        _check_fields({"g": g, "horizon": horizon})
-    gv = float(g)
-    gamma = 0.5 * gv * gv * horizon
+    gamma = 0.5 * g * g * horizon
     if gamma == math.inf:
         _check_fields({}, g=f"g^2 horizon / 2 overflows a float at horizon = {horizon}, got {g!r}")
     return HellingerBudget(gamma)

@@ -8,10 +8,13 @@ than coerced: a string, a bool or a float where an int is asked for never
 reaches the arithmetic.  An int is compared exactly and any other real as
 the float the code computes with, so `Fraction(1, 10**400)`, which is 0.0
 as a float, is no positive gap, and a real too large for a float is refused.
+Every closed form takes its arguments through `_gated`, which holds them to
+the same table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -45,7 +48,7 @@ def _is_real(value: object) -> bool:
 def _type_problem(value: object, cls: type) -> str | None:
     """Why `value` is refused where an instance of exactly `cls` is asked
     for, or None; for the closed forms' object arguments, which no table
-    entry names."""
+    entry names (see `_gated`)."""
     return None if type(value) is cls else f"must be a {cls.__name__}, got {value!r}"
 
 
@@ -112,9 +115,7 @@ _FIELD_PROBLEMS = {
     "x": _extended_problem,  # a standard normal quantile, +-inf included
 }
 # each name's plain type with the closed range it passes in, as a plain
-# tuple: the fast path of `_check_fields`, and of the hot entry points, which
-# read their arguments' entries at import and call `_check_fields` only for
-# a value that fails one inline type and range test
+# tuple: the fast path of `_check_fields`, and of every `_gated` closed form
 _PLAIN_RANGES = {name: rule[:3] for name, rule in _FIELD_PROBLEMS.items()}
 _NO_RULE = (None, None, None)
 
@@ -158,3 +159,57 @@ def _check_fields(values: Mapping[str, object], **variant_problems: str | None) 
             problems[name] = why
     if problems:
         raise ValueError("; ".join(f"{name}: {why}" for name, why in problems.items()))
+
+
+def _gated(**params: str | type):
+    """Decorate a closed form so that its arguments meet their rules before
+    its body runs.
+
+    Each parameter `_FIELD_PROBLEMS` names is held to its rule, and a
+    parameter given here a name is held to that name's rule instead (so
+    `g="gap"` refuses a bad g as "gap").  A parameter given a class must be
+    an instance of exactly that class.  A call whose every such argument is
+    of its rule's plain type in its range, or of its class, passes one
+    inline test; any other goes to `_check_fields`, which refuses it naming
+    the table's values, then the objects, each in signature order, or else
+    passes each real on as its float.  `__wrapped__` is the unchecked body,
+    for callers whose arguments are checked floats already.
+
+    The wrapper is built at import as source, as `dataclasses` builds
+    `__init__`, with the wrapped function's own positional parameters: a
+    generic `*args` loop costs several times the inline test.
+    """
+
+    def gate(fn):
+        code = fn.__code__
+        names = code.co_varnames[: code.co_argcount]
+        consts, tests, fields, objects, passed = {"_fn": fn}, [], [], [], []
+        for i, name in enumerate(names):
+            rule = params.get(name, name)
+            if isinstance(rule, type):
+                consts[f"_cls{i}"] = rule
+                tests.append(f"type({name}) is _cls{i}")
+                objects.append(f"{name}=_type_problem({name}, _cls{i})")
+            elif rule in _PLAIN_RANGES:
+                plain, lo, hi = _PLAIN_RANGES[rule]
+                consts.update({f"_plain{i}": plain, f"_lo{i}": lo, f"_hi{i}": hi})
+                tests.append(f"type({name}) is _plain{i} and _lo{i} <= {name} <= _hi{i}")
+                fields.append(f"{rule!r}: {name}")
+                if plain is float:
+                    name = f"float({name})"
+            passed.append(name)
+        signature = ", ".join(names)
+        source = (
+            f"def __create_gate__({', '.join(consts)}):\n"
+            f"    def {fn.__name__}({signature}):\n"
+            f"        if {' and '.join(tests)}:\n"
+            f"            return _fn({signature})\n"
+            f"        _check_fields({{{', '.join(fields)}}}, {', '.join(objects)})\n"
+            f"        return _fn({', '.join(passed)})\n"
+            f"    return {fn.__name__}\n"
+        )
+        namespace: dict = {}
+        exec(source, globals(), namespace)
+        return functools.update_wrapper(namespace["__create_gate__"](**consts), fn)
+
+    return gate

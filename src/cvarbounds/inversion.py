@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .divergences import DivergenceKind, hellinger2_bernoulli, kl_bernoulli
-from .errors import _PLAIN_RANGES, DomainError, _check_fields, _type_problem
+from .errors import DomainError, _gated
 
 __all__ = [
     "BRACKET_TOL",
@@ -33,10 +33,6 @@ _PROBE_STEP = 0.5 * BRACKET_TOL
 # where sqrt(a b) = 2^-54 is about the smallest change H2 near 1 can show;
 # started from ulp(0), the doubling would take about 1,000 steps
 _H2_FLOOR = 2.0**-108
-# each argument's plain type and closed range: a value of that type in
-# that range passes one inline test, and any other goes to `_check_fields`
-_BUDGET_PLAIN, _BUDGET_LO, _BUDGET_HI = _PLAIN_RANGES["budget"]
-_B_PLAIN, _B_LO, _B_HI = _PLAIN_RANGES["b"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,27 +50,25 @@ class InversionResult:
     iterations: int
 
 
+@_gated(kind=DivergenceKind)
 def bernoulli_inverse(kind: DivergenceKind, budget: float, b: float) -> InversionResult:
     """Smallest a in [0, b] with divergence from Bern(b) within the budget.
 
     A zero budget returns b itself.  For KL with b in {0, 1} and a positive
     budget the reference is degenerate and a DomainError is raised.
+
+    The divergences are evaluated about four times an inverse, always at a
+    float in [0, b] against the b this gate has taken, so they are called
+    through their unchecked `__wrapped__` bodies.
     """
-    if not (
-        type(kind) is DivergenceKind
-        and type(budget) is _BUDGET_PLAIN and _BUDGET_LO <= budget <= _BUDGET_HI
-        and type(b) is _B_PLAIN and _B_LO <= b <= _B_HI
-    ):
-        _check_fields({"budget": budget, "b": b}, kind=_type_problem(kind, DivergenceKind))
-        budget, b = float(budget), float(b)
     if budget == 0.0:
         return InversionResult(a_minus=b, achieved_divergence=0.0, iterations=0)
     if kind is DivergenceKind.KL:
         if b == 0.0 or b == 1.0:
             raise DomainError("binary KL inversion needs b in (0, 1) when the budget is positive")
-        d_zero = kl_bernoulli(0.0, b)
+        d_zero = kl_bernoulli.__wrapped__(0.0, b)
     else:
-        d_zero = hellinger2_bernoulli(0.0, b)
+        d_zero = hellinger2_bernoulli.__wrapped__(0.0, b)
     if d_zero <= budget:
         return InversionResult(a_minus=0.0, achieved_divergence=d_zero, iterations=0)
     if kind is DivergenceKind.KL:
@@ -93,12 +87,12 @@ def _hellinger_inverse(budget: float, b: float) -> InversionResult:
     angle = math.asin(math.sqrt(b)) - 2.0 * math.asin(math.sqrt(0.5 * budget))
     a = min(math.sin(angle) ** 2, b) if angle > 0.0 else 0.0
     step = max(math.ulp(a), _H2_FLOOR / b)
-    achieved = hellinger2_bernoulli(a, b)
+    achieved = hellinger2_bernoulli.__wrapped__(a, b)
     iterations = 1
     while achieved > budget:
         a = min(a + step, b)
         step += step
-        achieved = hellinger2_bernoulli(a, b)
+        achieved = hellinger2_bernoulli.__wrapped__(a, b)
         iterations += 1
     return InversionResult(a_minus=a, achieved_divergence=achieved, iterations=iterations)
 
@@ -129,7 +123,7 @@ def _kl_inverse(budget: float, b: float, d_zero: float) -> InversionResult:
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
                 break
-        d = kl_bernoulli(x, b)
+        d = kl_bernoulli.__wrapped__(x, b)
         iterations += 1
         if d <= budget:
             hi, d_hi = x, d

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import _PLAIN_RANGES, _check_fields, _type_problem
+from .errors import _check_fields, _gated
 
 __all__ = [
     "EXACT_TOL",
@@ -31,9 +31,6 @@ __all__ = [
 
 # absolute tolerance for identities that hold exactly in real arithmetic
 EXACT_TOL = 1e-12
-# alpha's plain type and closed range: a value of that type in that range
-# passes one inline test, and any other goes to `_check_fields`
-_ALPHA_PLAIN, _ALPHA_LO, _ALPHA_HI = _PLAIN_RANGES["alpha"]
 
 
 @dataclass(frozen=True)
@@ -43,11 +40,9 @@ class RiskLevel:
     alpha: float
 
     def __post_init__(self) -> None:
-        alpha = self.alpha
-        if not (type(alpha) is _ALPHA_PLAIN and _ALPHA_LO <= alpha <= _ALPHA_HI):
-            _check_fields({"alpha": alpha})
+        _check_fields({"alpha": self.alpha})
         # + 0.0 holds a zero level as +0.0, so -0 and 0 write one cell
-        object.__setattr__(self, "alpha", float(alpha) + 0.0)
+        object.__setattr__(self, "alpha", float(self.alpha) + 0.0)
 
     @property
     def tail_mass(self) -> float:
@@ -166,6 +161,7 @@ def _tail_block(level: RiskLevel, count: int) -> int:
     return math.ceil(level.tail_mass * count)
 
 
+@_gated(samples=SampleSet, level=RiskLevel)
 def empirical_cvar(samples: SampleSet, level: RiskLevel) -> float:
     """Plug-in CVaR of the empirical measure, in closed form.
 
@@ -174,10 +170,6 @@ def empirical_cvar(samples: SampleSet, level: RiskLevel) -> float:
     samples plus a fractional share m - (k - 1) of the k-th worst, all
     divided by m.  This equals the minimum of the threshold form over t.
     """
-    if type(samples) is not SampleSet or type(level) is not RiskLevel:
-        _check_fields(
-            {}, samples=_type_problem(samples, SampleSet), level=_type_problem(level, RiskLevel)
-        )
     xs = samples.values
     m = level.tail_mass * samples.count
     if m <= 1.0:
@@ -187,6 +179,7 @@ def empirical_cvar(samples: SampleSet, level: RiskLevel) -> float:
     return (head + (m - (k - 1)) * float(xs[k - 1])) / m
 
 
+@_gated(dist=DiscreteLossDistribution, level=RiskLevel)
 def exact_cvar(dist: DiscreteLossDistribution, level: RiskLevel) -> float:
     """Exact CVaR of a finite atomic law.
 
@@ -194,10 +187,6 @@ def exact_cvar(dist: DiscreteLossDistribution, level: RiskLevel) -> float:
     (1 - alpha) mass is reached; the boundary atom contributes fractionally.
     For alpha = 0 this is the plain mean.
     """
-    if type(dist) is not DiscreteLossDistribution or type(level) is not RiskLevel:
-        _check_fields(
-            {}, dist=_type_problem(dist, DiscreteLossDistribution), level=_type_problem(level, RiskLevel)
-        )
     q = level.tail_mass
     remaining = q
     acc = 0.0

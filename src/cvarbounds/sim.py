@@ -67,10 +67,10 @@ import numpy as np
 
 from .errors import (
     _FIELD_PROBLEMS,
-    _PLAIN_RANGES,
     _SEED_LIMIT,
     DomainError,
     _check_fields,
+    _gated,
     _is_int,
     _regret_cap_problem,
 )
@@ -665,20 +665,9 @@ def simulate_shared(configs: Sequence[BanditConfig | EstimationConfig]) -> list[
 # --------------------------------------------------------------- exact laws
 
 
-# each argument's plain type and closed range: a value of that type in
-# that range passes one inline test, and any other goes to `_check_fields`
-_X_PLAIN, _X_LO, _X_HI = _PLAIN_RANGES["x"]
-_GAP_PLAIN, _GAP_LO, _GAP_HI = _PLAIN_RANGES["gap"]
-_HORIZON_PLAIN, _HORIZON_LO, _HORIZON_HI = _PLAIN_RANGES["horizon"]
-_N_PLAIN, _N_LO, _N_HI = _PLAIN_RANGES["n"]
-_DELTA_PLAIN, _DELTA_LO, _DELTA_HI = _PLAIN_RANGES["delta"]
-
-
+@_gated()
 def normal_upper_tail(x: float) -> float:
     """P(Z > x) for standard normal Z, via the complementary error function."""
-    if not (type(x) is _X_PLAIN and _X_LO <= x <= _X_HI):
-        _check_fields({"x": x})
-        x = float(x)
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
@@ -693,6 +682,7 @@ def _binomial_row(horizon: int) -> tuple[float, ...]:
     return row
 
 
+@_gated(g="gap")
 def exact_uniform_bandit_law(g: float, horizon: int) -> DiscreteLossDistribution:
     """Exact regret law of the uniform-random policy: g * Binomial(T, 1/2).
 
@@ -701,12 +691,6 @@ def exact_uniform_bandit_law(g: float, horizon: int) -> DiscreteLossDistribution
     horizons above 64 raise DomainError rather than silently losing
     precision.
     """
-    if not (
-        type(horizon) is _HORIZON_PLAIN and _HORIZON_LO <= horizon <= _HORIZON_HI
-        and type(g) is _GAP_PLAIN and _GAP_LO <= g <= _GAP_HI
-    ):
-        _check_fields({"horizon": horizon, "gap": g})
-        g = float(g)
     if horizon > _MAX_EXACT_HORIZON:
         raise DomainError(
             f"exact uniform-policy law supports horizons up to {_MAX_EXACT_HORIZON}, got {horizon}"
@@ -717,15 +701,11 @@ def exact_uniform_bandit_law(g: float, horizon: int) -> DiscreteLossDistribution
     return DiscreteLossDistribution._on_checked_probs(tuple(map(g.__mul__, range(horizon + 1))), _binomial_row(horizon))
 
 
+@_gated()
 def exact_sign_estimator_law(n: int, delta: float) -> DiscreteLossDistribution:
     """Exact loss law of the sign-commit estimator: loss 0 with probability
     1 - p and 2 delta with p = P(Z > sqrt(n) delta), by symmetry of the two
     mean hypotheses."""
-    if not (
-        type(n) is _N_PLAIN and _N_LO <= n <= _N_HI and type(delta) is _DELTA_PLAIN and _DELTA_LO <= delta <= _DELTA_HI
-    ):
-        _check_fields({"n": n, "delta": delta})
-        delta = float(delta)
     if 2.0 * delta == math.inf:
         _check_fields({}, delta=f"2 delta overflows a float, got {delta!r}")
     p = normal_upper_tail(math.sqrt(n) * delta)

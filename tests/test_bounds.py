@@ -1,6 +1,10 @@
+import functools
+import inspect
 import math
 import sys
+import typing
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import bound_factor_grid_min, hellinger_inverse_closed
 
-from cvarbounds import bounds, divergences, inversion, risk, sim
+import cvarbounds
+from cvarbounds import errors
 from cvarbounds.bounds import (
     BoundResult,
     Branch,
@@ -34,6 +39,7 @@ from cvarbounds.divergences import (
     hellinger2_bernoulli,
     kl_bernoulli,
 )
+from cvarbounds.errors import _FIELD_PROBLEMS, _check_fields, _type_problem
 from cvarbounds.inversion import bernoulli_inverse
 from cvarbounds.risk import DiscreteLossDistribution, RiskLevel, SampleSet, empirical_cvar, exact_cvar
 from cvarbounds.sim import exact_sign_estimator_law, exact_uniform_bandit_law, normal_upper_tail
@@ -381,6 +387,21 @@ def test_closed_forms_refuse_rather_than_coerce(fn, args, name):
         fn(*args)
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (bandit_budget, (np.float64(1e200), 10)),
+        (estimation_budget, (10, Fraction(10**200))),
+        (bandit_bound, (10**300, 10**10, L(0.5))),
+    ],
+    ids=["numpy-float", "fraction", "int"],
+)
+def test_an_overflow_is_refused_naming_the_float_computed_with(fn, args):
+    # the gate passes each real on as its float, and the refusal names it
+    with pytest.raises(ValueError, match=r" overflows a float at .*, got 1e\+[23]00$"):
+        fn(*args)
+
+
 def test_closed_forms_take_ints_and_numpy_floats():
     lev = L(0.5)
     assert bandit_bound(np.float64(0.1), 10, lev) == bandit_bound(0.1, 10, lev)
@@ -408,8 +429,8 @@ def test_closed_forms_take_ints_and_numpy_floats():
 
 
 class _NoValueHasThisType:
-    """A fast path patched to ask for this type passes no value, so every
-    call goes through `_check_fields` alone."""
+    """A rule table patched to ask for this plain type passes no value on its
+    fast path, so every value goes to `_field_problems`."""
 
 
 # each scalar a fast path may see: signed zeros, the smallest subnormal, one
@@ -420,24 +441,38 @@ _EDGES = (
     True, 1, np.float64(0.5), Fraction(1, 10**400), "0.5", None,
 )
 _H2 = DivergenceKind.SQUARED_HELLINGER
-# (entry point with a fast path, arguments it accepts, the positions of its scalars)
+# (entry point with a fast path, arguments it accepts): every gated closed
+# form, and the two value types that check their one field themselves
 _FAST_PATHS = [
-    (bernoulli_inverse, (_KL, 0.1, 0.5), (1, 2)),
-    (bernoulli_inverse, (_H2, 0.1, 0.5), (1, 2)),
-    (hinge_lower_bound, (2.0, 0.05, 0.4, _H2), (0, 1, 2)),
-    (kl_bernoulli, (0.25, 0.5), (0, 1)),
-    (hellinger2_bernoulli, (0.25, 0.5), (0, 1)),
-    (RiskLevel, (0.5,), (0,)),
-    (HellingerBudget, (0.1,), (0,)),
-    (bandit_budget, (0.1, 10), (0, 1)),
-    (estimation_budget, (10, 0.1), (0, 1)),
-    (bandit_bound, (0.1, 10, L(0.5)), (0, 1)),
-    (estimation_bound, (10, 0.1, L(0.5)), (0, 1)),
-    (bound_factor, (L(0.5), 0.3), (1,)),
-    (exact_uniform_bandit_law, (0.1, 8), (0, 1)),
-    (exact_sign_estimator_law, (9, 0.2), (0, 1)),
-    (normal_upper_tail, (0.5,), (0,)),
+    (bernoulli_inverse, (_KL, 0.1, 0.5)),
+    (bernoulli_inverse, (_H2, 0.1, 0.5)),
+    (hinge_lower_bound, (2.0, 0.05, 0.4, _H2)),
+    (kl_bernoulli, (0.25, 0.5)),
+    (hellinger2_bernoulli, (0.25, 0.5)),
+    (RiskLevel, (0.5,)),
+    (HellingerBudget, (0.1,)),
+    (bandit_budget, (0.1, 10)),
+    (estimation_budget, (10, 0.1)),
+    (bandit_bound, (0.1, 10, L(0.5))),
+    (estimation_bound, (10, 0.1, L(0.5))),
+    (bound_factor, (L(0.5), 0.3)),
+    (exact_uniform_bandit_law, (0.1, 8)),
+    (exact_sign_estimator_law, (9, 0.2)),
+    (normal_upper_tail, (0.5,)),
+    (two_point_bound, (TwoPointSpec(2.0, 1.5, HellingerBudget(0.01)), L(0.5))),
+    (balanced_bound, (1.0, HellingerBudget(0.01), L(0.5))),
+    (optimal_gap, (10, L(0.5))),
+    (optimal_separation, (10, L(0.5))),
+    (optimal_bound_constant, (L(0.5),)),
+    (_optimal_rho, (L(0.5),)),
+    (empirical_cvar, (SampleSet([1.0, 2.0, 4.0]), L(0.5))),
+    (exact_cvar, (DiscreteLossDistribution(((1.0, 0.5), (3.0, 0.5))), L(0.5))),
 ]
+# the classes a closed form takes as objects, each of exactly its class
+_OBJECTS = (RiskLevel, DivergenceKind, HellingerBudget, TwoPointSpec, SampleSet, DiscreteLossDistribution)
+# an argument checked under another rule's name, so that it is refused as
+# the config field it comes from
+_RULE_NAMES = {(exact_uniform_bandit_law, "g"): "gap"}
 
 
 def _outcome(fn, args):
@@ -448,18 +483,71 @@ def _outcome(fn, args):
         return type(exc).__name__, str(exc)
 
 
-@pytest.mark.parametrize(
-    "fn, base, positions", _FAST_PATHS, ids=[f"{fn.__name__}-{base[0]}" for fn, base, _ in _FAST_PATHS]
-)
-def test_fast_paths_agree_with_the_rule_table(monkeypatch, fn, base, positions):
-    # every edge value in every scalar position gives the same result, or the
-    # same ValueError message, as the rule table alone
-    grid = [base[:i] + (edge,) + base[i + 1:] for i in positions for edge in _EDGES]
+def _by_the_rule_table(fn, *args):
+    # a gated closed form as `_check_fields` alone takes its arguments: the
+    # table's names, then the objects, each in signature order, and then
+    # each real as its float into the unchecked body; a value type checks
+    # its field itself
+    body = getattr(fn, "__wrapped__", None)
+    if body is None:
+        return fn(*args)
+    hints = typing.get_type_hints(body)
+    names = body.__code__.co_varnames[: body.__code__.co_argcount]
+    assert len(names) == len(args)
+    fields, objects, rules = {}, {}, {}
+    for name, value in zip(names, args):
+        if hints[name] in _OBJECTS:
+            objects[name] = _type_problem(value, hints[name])
+        else:
+            rules[name] = _RULE_NAMES.get((fn, name), name)
+            fields[rules[name]] = value
+    _check_fields(fields, **objects)
+    as_taken = [
+        float(value) if name in rules and _FIELD_PROBLEMS[rules[name]].plain is float else value
+        for name, value in zip(names, args)
+    ]
+    return body(*as_taken)
+
+
+@pytest.mark.parametrize("fn, base", _FAST_PATHS, ids=[f"{fn.__name__}-{base[0]}" for fn, base in _FAST_PATHS])
+def test_fast_paths_agree_with_the_rule_table(monkeypatch, fn, base):
+    # every edge value in every position, and None in all of them at once,
+    # gives the same result, or the same ValueError message, as the rule
+    # table alone, with `_check_fields`' own fast path off
+    grid = [base, (None,) * len(base)]
+    grid += [base[:i] + (edge,) + base[i + 1:] for i in range(len(base)) for edge in _EDGES]
     fast = [_outcome(fn, args) for args in grid]
-    for module in (bounds, divergences, inversion, risk, sim):
-        for name in vars(module).copy():
-            if name.endswith("_PLAIN"):
-                monkeypatch.setattr(module, name, _NoValueHasThisType)
-    assert fast == [_outcome(fn, args) for args in grid]
+    off = {name: (_NoValueHasThisType, None, None) for name in _FIELD_PROBLEMS}
+    monkeypatch.setattr(errors, "_PLAIN_RANGES", off)
+    assert fast == [_outcome(functools.partial(_by_the_rule_table, fn), args) for args in grid]
     # the grid reaches both sides of the rule table
     assert {kind for kind, _ in fast} >= {"returned", "ValueError"}
+
+
+def test_every_closed_form_checks_its_arguments_through_the_one_gate(monkeypatch):
+    # each exported function that takes an argument the rule table names, or
+    # a value object, is gated, as are the two divergences the root finders
+    # call unchecked; replicate_rng checks its seed and block as one key
+    gated = [fn for fn, _ in _FAST_PATHS if fn not in (RiskLevel, HellingerBudget)]
+    for name, fn in vars(cvarbounds).items():
+        if inspect.isfunction(fn) and name != "replicate_rng":
+            body = getattr(fn, "__wrapped__", fn)
+            hints = typing.get_type_hints(body)
+            names = body.__code__.co_varnames[: body.__code__.co_argcount]
+            checked = any(arg in _FIELD_PROBLEMS or hints.get(arg) in _OBJECTS for arg in names)
+            assert hasattr(fn, "__wrapped__") == checked == (fn in gated), name
+    assert hasattr(kl_bernoulli, "__wrapped__") and hasattr(hellinger2_bernoulli, "__wrapped__")
+    # the rule table is read in one module
+    src = Path(cvarbounds.__file__).parent
+    assert [path.name for path in sorted(src.glob("*.py")) if "_PLAIN_RANGES" in path.read_text()] == ["errors.py"]
+
+    # and plain arguments in range pass the gate's inline test, never
+    # reaching `_check_fields`
+    def asked(*args, **kwargs):
+        raise AssertionError(f"a plain argument in range was checked again: {args} {kwargs}")
+
+    monkeypatch.setattr(errors, "_field_problems", asked)
+    monkeypatch.setattr(errors, "_check_fields", asked)
+    for fn, base in _FAST_PATHS:
+        if fn in gated:
+            fn(*base)
